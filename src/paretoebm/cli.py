@@ -54,7 +54,7 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, base_seed=args.seed)
-    result = run_sweep(cfg, parallelism=args.parallelism)
+    result = run_sweep(cfg)
     print(result.report_path)
     return 0
 
@@ -65,13 +65,16 @@ def _cmd_improve(args) -> int:
         cfg = dataclasses.replace(cfg, base_seed=args.seed)
     seeds = read_sequences(args.seeds, cfg.alphabet)
     scorer = load_model(args.scorer)
-    report = improve_seeds(cfg, seeds, scorer, parallelism=args.parallelism)
+    report = improve_seeds(cfg, seeds, scorer)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "improve_report.json"
     write_improvement_report(report, report_path)
     for method, summary in sorted(report.per_method.items()):
-        print(f"{method}: improved {summary['improved_fraction']:.0%} of seeds")
+        if summary["improved_fraction"] is None:
+            print(f"{method}: no chain finished")
+        else:
+            print(f"{method}: improved {summary['improved_fraction']:.0%} of seeds")
     print(report_path)
     return 0
 
@@ -163,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a hyperparameter sweep from a YAML config")
     p.add_argument("config")
     p.add_argument("--seed", type=int, default=None, help="override the config base seed")
-    p.add_argument("--parallelism", type=int, default=1, help="chain worker count")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("improve", help="improve seed sequences with every configured method")
@@ -171,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("seeds", help="seed sequences, one per line")
     p.add_argument("scorer", help="scorer model file (lower energy is better)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--parallelism", type=int, default=1)
     p.set_defaults(func=_cmd_improve)
 
     p = sub.add_parser("train", help="train a sequence energy by contrastive divergence")

@@ -1,8 +1,7 @@
 """Shared domain types: design points, discrete sequences, simplex weights,
 sampler configuration, and chain trajectories.
 
-All types are immutable value objects after construction and can be shared
-freely between concurrent workers.
+All types are immutable value objects after construction.
 """
 
 from __future__ import annotations
@@ -98,10 +97,6 @@ class DesignPoint:
     @property
     def d(self) -> int:
         return int(self.coords.size)
-
-    def with_coords(self, coords) -> "DesignPoint":
-        """A point of the same kind/shape metadata at new coordinates."""
-        return DesignPoint(coords, kind=self.kind, L=self.L, A=self.A)
 
 
 def raw_point(coords) -> DesignPoint:
@@ -260,70 +255,64 @@ class SamplerConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
-    step: int
-    point: DesignPoint
-    objectives: ObjectiveVector
-    weights: SimplexWeights
-    grad_norm: float
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Per-step record of one sampling chain.
+    """The recorded states of one sampling chain, stored as columns.
 
-    The first record is always the initial state (step 0); step indices are
-    strictly increasing. ``grad_norm`` stores the norm of the drift direction
-    the method used at that state (min-norm direction for mgd/pcebm, the
-    (weighted) gradient sum for cebm/ls_cebm).
+    Row i is the state at step ``steps[i]``: coordinates ``X[i]`` (d,),
+    objective values ``F[i]`` (m,), drift weights ``lam[i]`` (m,) and
+    ``grad_norm[i]``, the norm of the drift direction the method used there
+    (the min-norm direction for mgd/pcebm, the (weighted) gradient sum for
+    cebm/ls_cebm). The first row is the initial state (step 0) and steps
+    strictly increase. ``unconverged_solves`` counts the chain's min-norm
+    solves that stopped at their iteration cap.
+
+    The columns are validated once, on construction; non-finite states raise
+    ValueError, so a chain that diverged anywhere fails as a whole.
     """
 
-    records: tuple[TrajectoryRecord, ...]
+    steps: np.ndarray
+    X: np.ndarray
+    F: np.ndarray
+    lam: np.ndarray
+    grad_norm: np.ndarray
     terminated_early: bool = False
     termination_step: int | None = None
+    unconverged_solves: int = 0
 
     def __post_init__(self):
-        records = tuple(self.records)
-        if not records:
+        steps = np.asarray(self.steps, dtype=np.int64)
+        X = np.asarray(self.X, dtype=np.float64)
+        F = np.asarray(self.F, dtype=np.float64)
+        lam = np.asarray(self.lam, dtype=np.float64)
+        grad_norm = np.asarray(self.grad_norm, dtype=np.float64)
+        if steps.ndim != 1 or steps.size == 0:
             raise ValueError("trajectory must contain at least the initial record")
-        if records[0].step != 0:
+        if steps[0] != 0:
             raise ValueError("first trajectory record must be step 0")
-        steps = [r.step for r in records]
-        if any(b <= a for a, b in zip(steps, steps[1:])):
+        if np.any(np.diff(steps) <= 0):
             raise ValueError("trajectory step indices must be strictly increasing")
-        m = records[0].objectives.m
-        if any(r.objectives.m != m or r.weights.m != m for r in records):
+        n = steps.size
+        if X.ndim != 2 or X.shape[0] != n or X.shape[1] == 0 or grad_norm.shape != (n,):
+            raise ShapeError(f"X must be (n, d) and grad_norm (n,) for n={n} records")
+        if F.ndim != 2 or F.shape[0] != n or F.shape[1] == 0 or lam.shape != F.shape:
             raise ShapeError("all trajectory records must share the objective count m")
+        for name, column in (("coords", X), ("objective values", F), ("weights", lam)):
+            bad = ~np.all(np.isfinite(column), axis=1)
+            if bad.any():
+                raise ValueError(f"{name} must be finite (no NaN/Inf); step {steps[np.argmax(bad)]} is not")
         if self.terminated_early and self.termination_step is None:
             raise ValueError("terminated_early requires a termination_step")
-        object.__setattr__(self, "records", records)
+        for name, column in (("steps", steps), ("X", X), ("F", F), ("lam", lam), ("grad_norm", grad_norm)):
+            column = column.view()
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return int(self.steps.size)
 
     @property
     def m(self) -> int:
-        return self.records[0].objectives.m
-
-    @property
-    def final_point(self) -> DesignPoint:
-        return self.records[-1].point
-
-    @property
-    def final_objectives(self) -> ObjectiveVector:
-        return self.records[-1].objectives
-
-    def steps(self) -> np.ndarray:
-        return np.array([r.step for r in self.records], dtype=np.int64)
-
-    def objectives_matrix(self) -> np.ndarray:
-        return np.array([r.objectives.values for r in self.records])
-
-    def weights_matrix(self) -> np.ndarray:
-        return np.array([r.weights.lam for r in self.records])
-
-    def grad_norms(self) -> np.ndarray:
-        return np.array([r.grad_norm for r in self.records])
+        return self.F.shape[1]
 
 
 def relax(seq: DiscreteSequence, on_value: float = 1.0, off_value: float = 0.0) -> DesignPoint:

@@ -5,7 +5,7 @@ number of independently seeded chains, then normalizes all final points with
 one pooled min-max map and reports hypervolume (and edit-distance statistics
 for sequence problems) per cell. Cells already on disk are skipped, writes
 are staged and atomically renamed, and the whole bundle is a deterministic
-function of the config, so reruns and different worker counts produce
+function of the config, so fresh runs and resumed runs produce
 byte-identical output.
 """
 
@@ -42,6 +42,7 @@ from .core import (
     read_sequences,
     relax,
     sequence_from_str,
+    sequence_point,
     sequence_to_str,
     uniform_weights,
 )
@@ -301,6 +302,11 @@ def _cell_spec(
     return ChainSpec(method=cell.method, config=config, init=init, fixed_lambda=fixed)
 
 
+def _decode_final(trajectory: Trajectory, problem: Problem) -> DiscreteSequence:
+    L, A = problem.sequence_dims()
+    return decode(sequence_point(trajectory.X[-1], L, A))
+
+
 def _write_final_points(path, rows, m: int, with_sequence: bool) -> None:
     header = ["chain_id", *[f"f{i}" for i in range(m)]]
     if with_sequence:
@@ -371,7 +377,7 @@ class SweepResult:
     report: dict
 
 
-def run_sweep(cfg: ExperimentConfig, parallelism: int = 1) -> SweepResult:
+def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Run every grid cell, then aggregate one report bundle on disk.
 
     Layout: <output_dir>/report.json, <output_dir>/fronts.csv, and per cell
@@ -413,7 +419,7 @@ def run_sweep(cfg: ExperimentConfig, parallelism: int = 1) -> SweepResult:
             continue
         try:
             specs = [_cell_spec(cfg, problem, cell, ci, init) for ci in range(cfg.chains)]
-            results = run_population(problem.objectives, specs, parallelism=parallelism)
+            results = run_population(problem.objectives, specs)
         except Exception as exc:  # noqa: BLE001 - cell failures must not abort the sweep
             logger.warning("cell %s failed: %s", cell.cell_id, exc)
             cell_failures.append(
@@ -430,10 +436,16 @@ def run_sweep(cfg: ExperimentConfig, parallelism: int = 1) -> SweepResult:
                 continue
             trajectories.append(res)
             chain_ids.append(idx)
-            row = [idx, *[float(v) for v in res.final_objectives.values]]
+            row = [idx, *res.F[-1].tolist()]
             if is_sequence:
-                row.append(sequence_to_str(decode(res.final_point), cfg.alphabet))
+                row.append(sequence_to_str(_decode_final(res, problem), cfg.alphabet))
             final_rows.append(row)
+        unconverged = sum(t.unconverged_solves for t in trajectories)
+        if unconverged:
+            logger.warning(
+                "cell %s: %d min-norm solves did not converge within the iteration cap",
+                cell.cell_id, unconverged,
+            )
         tmp_dir = cells_dir / f".tmp-{cell.cell_id}"
         if tmp_dir.exists():
             for leftover in tmp_dir.iterdir():
@@ -557,27 +569,30 @@ def run_sweep(cfg: ExperimentConfig, parallelism: int = 1) -> SweepResult:
 
 @dataclass(frozen=True, eq=False)
 class ImprovementReport:
-    """Before/after scores for every (seed, method) pair plus per-method
-    score distributions (violin-plot-ready raw values)."""
+    """Before/after scores for every finished (seed, method) chain, the
+    (seed, method) chains that failed with their errors, and per-method
+    score distributions (violin-plot-ready raw values). A method with no
+    finished chain has no scores and an ``improved_fraction`` of None."""
 
     entries: tuple[dict, ...]
     per_method: dict
+    failures: tuple[dict, ...]
 
     def to_dict(self) -> dict:
-        return {"entries": list(self.entries), "per_method": self.per_method}
+        return {"entries": list(self.entries), "per_method": self.per_method, "failures": list(self.failures)}
 
 
 def improve_seeds(
     cfg: ExperimentConfig,
     seeds: Sequence[DiscreteSequence],
     scorer: EnergyModel,
-    parallelism: int = 1,
 ) -> ImprovementReport:
     """Run every configured method from every seed sequence and score the
     decoded results with the given scorer model (lower is better).
 
     Uses the first eta/steps/noise entry of the config grids; steps = 0 is a
-    no-op chain that reports the seed unchanged.
+    no-op chain that reports the seed unchanged. A chain that fails is
+    listed under ``failures`` and left out of the entries and scores.
     """
     seeds = list(seeds)
     if not seeds:
@@ -598,6 +613,7 @@ def improve_seeds(
     before = [float(scorer.value(relax(s))) for s in seeds]
 
     entries: list[dict] = []
+    failures: list[dict] = []
     if steps == 0:
         for mi, method in enumerate(cfg.methods):
             for si, seed in enumerate(seeds):
@@ -632,11 +648,18 @@ def improve_seeds(
                     ChainSpec(method=method, config=config, init=relax(seed), fixed_lambda=fixed)
                 )
                 pairs.append((mi, si))
-        results = run_population(problem.objectives, specs, parallelism=parallelism)
+        results = run_population(problem.objectives, specs)
         for (mi, si), res in zip(pairs, results):
             if isinstance(res, ChainFailure):
-                raise res.error
-            final_seq = decode(res.final_point)
+                failures.append(
+                    {
+                        "seed_index": si,
+                        "method": cfg.methods[mi],
+                        "error": f"{type(res.error).__name__}: {res.error}",
+                    }
+                )
+                continue
+            final_seq = _decode_final(res, problem)
             entries.append(
                 {
                     "seed_index": si,
@@ -655,9 +678,9 @@ def improve_seeds(
         improved = sum(1 for e in rows if e["after"] < e["before"])
         per_method[method] = {
             "scores": scores,
-            "improved_fraction": improved / len(rows),
+            "improved_fraction": improved / len(rows) if rows else None,
         }
-    return ImprovementReport(entries=tuple(entries), per_method=per_method)
+    return ImprovementReport(entries=tuple(entries), per_method=per_method, failures=tuple(failures))
 
 
 def write_improvement_report(report: ImprovementReport, path) -> None:

@@ -272,8 +272,8 @@ class ConvergenceStats:
 def convergence_stats(trajectory: Trajectory, eps: float = 0.05) -> ConvergenceStats:
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    steps = trajectory.steps()
-    values = trajectory.objectives_matrix()
+    steps = trajectory.steps
+    values = trajectory.F
     settled = []
     for j in range(values.shape[1]):
         series = values[:, j]

@@ -47,12 +47,12 @@ class GradientBundle:
 class MinNormResult:
     """Solution of min over simplex weights of ||sum_i lam_i g_i||.
 
-    ``direction`` is recomputed from the final weights, so it is always the
-    exact convex combination; zero norm signals a (locally) Pareto-stationary
-    point.
+    ``lam`` is the (m,) float64 weight vector on the simplex. ``direction``
+    is recomputed from the final weights, so it is always the exact convex
+    combination; zero norm signals a (locally) Pareto-stationary point.
     """
 
-    lam: SimplexWeights
+    lam: np.ndarray
     direction: np.ndarray
     norm: float
     converged: bool
@@ -127,7 +127,7 @@ def scalarize(objectives: ObjectiveSet, weights: SimplexWeights) -> ScalarizedEn
 def _result_from_lambda(lam: np.ndarray, grads: np.ndarray, converged: bool, iterations: int) -> MinNormResult:
     direction = lam @ grads
     return MinNormResult(
-        lam=SimplexWeights(lam),
+        lam=lam,
         direction=direction,
         norm=float(np.linalg.norm(direction)),
         converged=converged,

@@ -3,17 +3,27 @@ descent (mgd), Langevin dynamics on the summed energy (cebm), its linearly
 scalarized variant (ls_cebm), and the Pareto-compositional chain (pcebm)
 whose drift is the min-norm common-descent direction.
 
+All four run one chain loop. Each step moves x <- x - step * drift + scale * w
+with w a unit-variance noise draw; the method fixes the three parameters:
+
+- drift: the min-norm direction of the per-objective gradients, re-solved
+  every step (mgd, pcebm), or a fixed-weight gradient combination, the
+  plain sum for cebm and ``lambda @ grads`` for ls_cebm;
+- step: eta for the min-norm methods, eta/2 for the Langevin ones;
+- noise scale: sqrt(2*alpha) for pcebm, sigma for cebm/ls_cebm, none for mgd.
+
+Noiseless min-norm chains stop early at a Pareto-stationary point. The loop
+writes the recorded states into preallocated columns (``Trajectory``).
+
 Every sampler is a pure function of (objectives, chain spec): a chain's
-noise stream comes only from its own config seed, so runs reproduce exactly
-at any worker count. Chains are embarrassingly parallel and share the
-objective models read-only.
+noise stream comes only from its own config seed, so populations reproduce
+exactly whatever order their chains run in.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,13 +37,10 @@ from .core import (
     SEQUENCE_LOGITS,
     ConfigError,
     DesignPoint,
-    ObjectiveVector,
-    ParetoEbmError,
     SamplerConfig,
     ShapeError,
     SimplexWeights,
     Trajectory,
-    TrajectoryRecord,
     WrongKindError,
     uniform_weights,
 )
@@ -123,7 +130,7 @@ def chain_seed(base_seed: int, index: int) -> int:
     """Derive a per-chain seed from (base seed, chain index).
 
     Uses numpy's splittable SeedSequence, so populations reproduce exactly
-    regardless of scheduling or worker count.
+    regardless of the order their chains run in.
     """
     state = np.random.SeedSequence(entropy=base_seed, spawn_key=(index,)).generate_state(1, np.uint64)
     return int(state[0])
@@ -149,174 +156,134 @@ def _draw_unit(rng: np.random.Generator, noise_kind: str, d: int) -> np.ndarray:
     raise ConfigError(f"cannot draw noise of kind {noise_kind!r}")
 
 
-class _Recorder:
-    def __init__(self, template: DesignPoint, every: int, last_step: int):
-        self.template = template
-        self.every = every
-        self.last_step = last_step
-        self.records: list[TrajectoryRecord] = []
-
-    def due(self, step: int) -> bool:
-        return step == 0 or step == self.last_step or step % self.every == 0
-
-    def add(self, step: int, coords: np.ndarray, values: np.ndarray, weights: SimplexWeights, grad_norm: float) -> None:
-        if self.records and self.records[-1].step == step:
-            return
-        self.records.append(
-            TrajectoryRecord(
-                step=step,
-                point=self.template.with_coords(coords.copy()),
-                objectives=ObjectiveVector(values.copy()),
-                weights=weights,
-                grad_norm=float(grad_norm),
-            )
-        )
-
-
-def _run_min_norm_chain(objectives: ObjectiveSet, spec: ChainSpec, noisy: bool) -> Trajectory:
+def _run_loop(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
+    """Run one chain of any method; see the module docstring for the update."""
     cfg = spec.config
-    rng = np.random.default_rng(cfg.seed)
-    start = _start(objectives, spec, rng)
-    x = np.array(start.coords)
-    noise_on = noisy and cfg.alpha > 0 and cfg.noise_kind != NOISE_NONE
-    noise_scale = math.sqrt(2.0 * cfg.alpha) if noise_on else 0.0
+    m = objectives.m
+    if spec.method in (METHOD_MGD, METHOD_PCEBM):
+        weights, step_size, noise_scale = None, cfg.eta, math.sqrt(2.0 * cfg.alpha)
+    else:
+        weights = spec.fixed_lambda.lam if spec.method == METHOD_LS_CEBM else uniform_weights(m).lam
+        if weights.size != m:
+            raise ShapeError(f"weights have m={weights.size}, objectives have m={m}")
+        step_size, noise_scale = cfg.eta / 2.0, cfg.sigma
+    summed = spec.method == METHOD_CEBM
+    noise_on = cfg.noise_kind != NOISE_NONE and noise_scale > 0
+    # With active noise the chain must keep exploring (Brownian regime); only
+    # the noiseless min-norm dynamics stop, at a Pareto-stationary point.
+    can_stop = weights is None and not noise_on
 
-    recorder = _Recorder(start, cfg.record_every, cfg.steps)
-    terminated = False
+    rng = np.random.default_rng(cfg.seed)
+    x = np.array(_start(objectives, spec, rng).coords)
+    last, every = cfg.steps, cfg.record_every
+    n = 1 + last // every + (last % every != 0)
+    steps = np.empty(n, dtype=np.int64)
+    X = np.empty((n, x.size))
+    F = np.empty((n, m))
+    lam = np.empty((n, m))
+    grad_norm = np.empty(n)
+    row = 0
+    unconverged = 0
     termination_step = None
     # Divergence shows up as non-finite coordinates and is rejected when the
-    # state is recorded; the interim overflow itself is not worth a warning.
+    # trajectory is built; the interim overflow itself is not worth a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        values, grads = objectives.eval_raw(x)
-        res = solve_min_norm(grads)
-        recorder.add(0, x, values, res.lam, res.norm)
-        for step in range(1, cfg.steps + 1):
-            # With active noise the chain must keep exploring (Brownian
-            # regime); only the noiseless dynamics terminate at a
-            # Pareto-stationary point.
-            if not noise_on and res.norm < cfg.grad_tol:
-                terminated = True
-                termination_step = step - 1
-                recorder.add(step - 1, x, values, res.lam, res.norm)
+        for step in range(last + 1):
+            if step:
+                x = x - step_size * g
+                if noise_on:
+                    x = x + noise_scale * _draw_unit(rng, cfg.noise_kind, x.size)
+            values, grads = objectives.eval_raw(x)
+            if weights is None:
+                res = solve_min_norm(grads)
+                g = res.direction
+                unconverged += not res.converged
+            elif summed:
+                # Sequential accumulation keeps the reduction order bit-stable.
+                g = grads[0]
+                for grad in grads[1:]:
+                    g = g + grad
+            else:
+                g = weights @ grads
+            stop = can_stop and step < last and res.norm < cfg.grad_tol
+            if stop or step % every == 0 or step == last:
+                steps[row] = step
+                X[row] = x
+                F[row] = values
+                if weights is None:
+                    lam[row] = res.lam
+                    grad_norm[row] = res.norm
+                else:
+                    lam[row] = weights
+                    grad_norm[row] = np.linalg.norm(g)
+                row += 1
+            if stop:
+                termination_step = step
                 break
-            x = x - cfg.eta * res.direction
-            if noise_on:
-                x = x + noise_scale * _draw_unit(rng, cfg.noise_kind, x.size)
-            values, grads = objectives.eval_raw(x)
-            res = solve_min_norm(grads)
-            if recorder.due(step):
-                recorder.add(step, x, values, res.lam, res.norm)
-    return Trajectory(tuple(recorder.records), terminated_early=terminated, termination_step=termination_step)
+    if row < n:
+        steps, X, F, lam, grad_norm = (a[:row].copy() for a in (steps, X, F, lam, grad_norm))
+    return Trajectory(
+        steps, X, F, lam, grad_norm,
+        terminated_early=termination_step is not None,
+        termination_step=termination_step,
+        unconverged_solves=unconverged,
+    )
 
 
-def _run_langevin_chain(objectives: ObjectiveSet, spec: ChainSpec, weights: SimplexWeights, weighted: bool) -> Trajectory:
-    cfg = spec.config
-    if weights.m != objectives.m:
-        raise ShapeError(f"weights have m={weights.m}, objectives have m={objectives.m}")
-    rng = np.random.default_rng(cfg.seed)
-    start = _start(objectives, spec, rng)
-    x = np.array(start.coords)
-    noise_on = cfg.noise_kind != NOISE_NONE and cfg.sigma > 0
-
-    def drift(grads: np.ndarray) -> np.ndarray:
-        if weighted:
-            return weights.lam @ grads
-        # Sequential accumulation keeps the reduction order bit-stable.
-        g = grads[0]
-        for row in grads[1:]:
-            g = g + row
-        return g
-
-    recorder = _Recorder(start, cfg.record_every, cfg.steps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values, grads = objectives.eval_raw(x)
-        g = drift(grads)
-        recorder.add(0, x, values, weights, np.linalg.norm(g))
-        for step in range(1, cfg.steps + 1):
-            x = x - (cfg.eta / 2.0) * g
-            if noise_on:
-                x = x + cfg.sigma * _draw_unit(rng, cfg.noise_kind, x.size)
-            values, grads = objectives.eval_raw(x)
-            g = drift(grads)
-            if recorder.due(step):
-                recorder.add(step, x, values, weights, np.linalg.norm(g))
-    return Trajectory(tuple(recorder.records))
+def _check_method(spec: ChainSpec, method: str, runner: str) -> None:
+    if spec.method != method:
+        raise ConfigError(f"{runner} got method {spec.method!r}")
 
 
 def run_mgd(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
     """Multiple gradient descent: x <- x - eta * g with g the min-norm
     direction; terminates once ||g|| falls below grad_tol."""
-    if spec.method != METHOD_MGD:
-        raise ConfigError(f"run_mgd got method {spec.method!r}")
-    return _run_min_norm_chain(objectives, spec, noisy=False)
+    _check_method(spec, METHOD_MGD, "run_mgd")
+    return _run_loop(objectives, spec)
 
 
 def run_pcebm(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
     """Pareto-compositional Langevin chain: min-norm drift plus sqrt(2*alpha)
     times a standard noise draw; weights are re-solved at every step.
 
-    With alpha = 0 (or noise_kind 'none') this takes exactly the mgd code
-    path, so the trajectories agree bit for bit.
+    With alpha = 0 (or noise_kind 'none') this is exactly the mgd chain, so
+    the trajectories agree bit for bit.
     """
-    if spec.method != METHOD_PCEBM:
-        raise ConfigError(f"run_pcebm got method {spec.method!r}")
-    return _run_min_norm_chain(objectives, spec, noisy=True)
+    _check_method(spec, METHOD_PCEBM, "run_pcebm")
+    return _run_loop(objectives, spec)
 
 
 def run_cebm(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
     """Langevin dynamics on the unweighted sum energy:
     x <- x - (eta/2) * sum_i grad f_i + noise(sigma)."""
-    if spec.method != METHOD_CEBM:
-        raise ConfigError(f"run_cebm got method {spec.method!r}")
-    return _run_langevin_chain(objectives, spec, uniform_weights(objectives.m), weighted=False)
+    _check_method(spec, METHOD_CEBM, "run_cebm")
+    return _run_loop(objectives, spec)
 
 
 def run_ls_cebm(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
     """As run_cebm with the fixed preference weights in place of the plain sum."""
-    if spec.method != METHOD_LS_CEBM:
-        raise ConfigError(f"run_ls_cebm got method {spec.method!r}")
-    return _run_langevin_chain(objectives, spec, spec.fixed_lambda, weighted=True)
-
-
-_RUNNERS = {
-    METHOD_MGD: run_mgd,
-    METHOD_CEBM: run_cebm,
-    METHOD_LS_CEBM: run_ls_cebm,
-    METHOD_PCEBM: run_pcebm,
-}
+    _check_method(spec, METHOD_LS_CEBM, "run_ls_cebm")
+    return _run_loop(objectives, spec)
 
 
 def run_chain(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
-    """Dispatch to the sampler named by spec.method."""
-    return _RUNNERS[spec.method](objectives, spec)
+    """Run the sampler named by spec.method."""
+    return _run_loop(objectives, spec)
 
 
-def run_population(
-    objectives: ObjectiveSet,
-    specs: Sequence[ChainSpec],
-    parallelism: int = 1,
-) -> list[Trajectory | ChainFailure]:
+def run_population(objectives: ObjectiveSet, specs: Sequence[ChainSpec]) -> list[Trajectory | ChainFailure]:
     """Run many independent chains; results come back in input order.
 
     A failing chain yields a ChainFailure entry tagged with its index and
-    does not disturb its siblings. Each chain's randomness comes only from
-    its own spec, so any worker count produces identical results.
+    does not disturb its siblings.
     """
-    if parallelism < 1:
-        raise ConfigError("parallelism must be >= 1")
-
-    def one(index_spec):
-        index, spec = index_spec
+    results: list[Trajectory | ChainFailure] = []
+    for index, spec in enumerate(specs):
         try:
-            return run_chain(objectives, spec)
+            results.append(run_chain(objectives, spec))
         except Exception as exc:  # noqa: BLE001 - failures are per-chain data
-            return ChainFailure(index, exc)
-
-    jobs = list(enumerate(specs))
-    if parallelism == 1 or len(jobs) <= 1:
-        return [one(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(one, jobs))
+            results.append(ChainFailure(index, exc))
+    return results
 
 
 def write_trajectories(
@@ -343,13 +310,7 @@ def write_trajectories(
         for cid, traj in zip(chain_ids, trajectories):
             if traj.m != m:
                 raise ShapeError("all trajectories must share the objective count m")
-            for rec in traj.records:
-                writer.writerow(
-                    [
-                        cid,
-                        rec.step,
-                        *[float(v) for v in rec.objectives.values],
-                        *[float(v) for v in rec.weights.lam],
-                        float(rec.grad_norm),
-                    ]
-                )
+            for step, values, weights, grad_norm in zip(
+                traj.steps.tolist(), traj.F.tolist(), traj.lam.tolist(), traj.grad_norm.tolist()
+            ):
+                writer.writerow([cid, step, *values, *weights, grad_norm])

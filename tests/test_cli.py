@@ -238,6 +238,38 @@ class TestImproveCommand:
         assert "mgd: improved 100%" in out
 
 
+    def test_method_without_finished_chain(self, capsys, tmp_path):
+        rng = np.random.default_rng(4)
+        W = rng.normal(size=(5, 4))
+        model_path = tmp_path / "scorer.model"
+        save_model(PwmEnergy(W), model_path)
+        seeds_path = tmp_path / "seeds.txt"
+        seeds_path.write_text("".join("ACGT"[t] for t in np.argmax(W, axis=1)) + "\n")
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            yaml.safe_dump(
+                {
+                    "config_version": 1,
+                    "problem": "sequence-energies",
+                    "model_files": ["scorer.model"],
+                    "methods": ["mgd", "cebm"],
+                    "eta": [0.1],
+                    "steps": [30],
+                    "sigma": 1e308,  # overflows every cebm chain
+                    "alphabet": "ACGT",
+                    "output_dir": "improve_out",
+                }
+            )
+        )
+        code, out, _ = run_cli(capsys, "improve", cfg_path, seeds_path, model_path)
+        assert code == 0
+        assert "cebm: no chain finished" in out
+        assert "mgd: improved 100%" in out
+        report = json.loads((tmp_path / "improve_out" / "improve_report.json").read_text())
+        assert report["per_method"]["cebm"]["improved_fraction"] is None
+        assert [f["method"] for f in report["failures"]] == ["cebm"]
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         path = tmp_path / "p.txt"

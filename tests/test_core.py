@@ -8,12 +8,9 @@ from paretoebm.core import (
     DiscreteSequence,
     InvalidSequenceError,
     InvalidSimplexError,
-    ObjectiveVector,
     SamplerConfig,
     ShapeError,
-    SimplexWeights,
     Trajectory,
-    TrajectoryRecord,
     WrongKindError,
     decode,
     new_simplex_weights,
@@ -181,48 +178,41 @@ class TestSamplerConfig:
             SamplerConfig(**kwargs)
 
 
-def _record(step, coords, values, lam):
-    return TrajectoryRecord(
-        step=step,
-        point=DesignPoint(coords),
-        objectives=ObjectiveVector(values),
-        weights=SimplexWeights(lam),
-        grad_norm=1.0,
+def _trajectory(steps, coords, values, lam):
+    return Trajectory(
+        steps=np.array(steps),
+        X=np.array(coords, dtype=float),
+        F=np.array(values, dtype=float),
+        lam=np.array(lam, dtype=float),
+        grad_norm=np.ones(len(steps)),
     )
 
 
 class TestTrajectory:
     def test_must_start_at_zero(self):
         with pytest.raises(ValueError):
-            Trajectory((_record(1, [0.0], [1.0, 2.0], [0.5, 0.5]),))
+            _trajectory([1], [[0.0]], [[1.0, 2.0]], [[0.5, 0.5]])
 
     def test_steps_strictly_increase(self):
-        records = (
-            _record(0, [0.0], [1.0, 2.0], [0.5, 0.5]),
-            _record(2, [0.0], [1.0, 2.0], [0.5, 0.5]),
-            _record(2, [0.0], [1.0, 2.0], [0.5, 0.5]),
-        )
         with pytest.raises(ValueError):
-            Trajectory(records)
+            _trajectory([0, 2, 2], [[0.0]] * 3, [[1.0, 2.0]] * 3, [[0.5, 0.5]] * 3)
 
     def test_objective_lengths_consistent(self):
-        records = (
-            _record(0, [0.0], [1.0, 2.0], [0.5, 0.5]),
-            _record(1, [0.0], [1.0], [1.0]),
-        )
         with pytest.raises(ShapeError):
-            Trajectory(records)
+            _trajectory([0, 1], [[0.0], [0.0]], [[1.0, 2.0], [1.0, 2.0]], [[1.0], [1.0]])
 
     def test_matrices(self):
-        t = Trajectory(
-            (
-                _record(0, [0.0], [1.0, 2.0], [0.5, 0.5]),
-                _record(3, [1.0], [0.5, 1.0], [1.0, 0.0]),
-            )
-        )
-        assert np.array_equal(t.steps(), [0, 3])
-        assert t.objectives_matrix().shape == (2, 2)
+        t = _trajectory([0, 3], [[0.0], [1.0]], [[1.0, 2.0], [0.5, 1.0]], [[0.5, 0.5], [1.0, 0.0]])
+        assert np.array_equal(t.steps, [0, 3])
+        assert t.F.shape == (2, 2)
         assert t.m == 2
+
+    @pytest.mark.parametrize("column", ["X", "F", "lam"])
+    def test_rejects_non_finite_state(self, column):
+        cols = {"X": [[0.0], [1.0]], "F": [[1.0, 2.0], [0.5, 1.0]], "lam": [[0.5, 0.5], [1.0, 0.0]]}
+        cols[column][1][0] = np.nan
+        with pytest.raises(ValueError, match="step 3"):
+            _trajectory([0, 3], cols["X"], cols["F"], cols["lam"])
 
 
 class TestSequenceText:

@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from paretoebm import samplers
 from paretoebm.core import ConfigError, DiscreteSequence, ObjectiveVector, ShapeError
 from paretoebm.energy import PwmEnergy, save_model
 from paretoebm.harness import (
@@ -174,12 +177,28 @@ class TestRunSweep:
         assert first == second
         assert mtimes == {p: (tmp_path / "out" / p).stat().st_mtime_ns for p in first}
 
-    def test_parallelism_does_not_change_bundle(self, tmp_path):
+    def test_fresh_sweeps_give_identical_bundles(self, tmp_path):
         cfg_a = load_config(write_config(tmp_path / "a.yaml", output_dir="out_a"))
         cfg_b = load_config(write_config(tmp_path / "b.yaml", output_dir="out_b"))
-        run_sweep(cfg_a, parallelism=1)
-        run_sweep(cfg_b, parallelism=4)
+        run_sweep(cfg_a)
+        run_sweep(cfg_b)
         assert snapshot(tmp_path / "out_a") == snapshot(tmp_path / "out_b")
+
+    def test_unconverged_solves_logged_per_cell(self, tmp_path, monkeypatch, caplog):
+        original = samplers.solve_min_norm
+        monkeypatch.setattr(samplers, "solve_min_norm", lambda grads: original(grads, max_iters=1))
+        cfg = load_config(
+            write_config(tmp_path / "cfg.yaml", problem="tri-quadratic", methods=["mgd", "pcebm"], chains=2)
+        )
+        with caplog.at_level(logging.WARNING, logger="paretoebm.harness"):
+            report = run_sweep(cfg).report
+        warned = [r.getMessage() for r in caplog.records if "did not converge" in r.getMessage()]
+        assert len(warned) == 2
+        assert any(w.startswith("cell pcebm_eta0.1_k20_gaussian: ") for w in warned)
+        assert set(report) == {
+            "config_version", "problem", "base_seed", "chains", "objective_names",
+            "reference_point", "normalization", "cells", "failures",
+        }
 
     def test_diverging_cell_logged_not_fatal(self, tmp_path):
         # eta=40 on quadratics overflows to non-finite coordinates; those
@@ -364,6 +383,19 @@ class TestImproveSeeds:
             assert entry["after"] < entry["before"]
         for method in cfg.methods:
             assert report.per_method[method]["improved_fraction"] == 1.0
+
+    def test_failed_chains_recorded_not_raised(self, tmp_path):
+        # Noise of std 1e308 overflows every cebm chain; mgd is noiseless.
+        cfg, seeds, scorer = make_improve_setup(tmp_path)
+        cfg = dataclasses.replace(cfg, methods=("mgd", "cebm"), sigma=1e308)
+        report = improve_seeds(cfg, seeds, scorer)
+        assert {e["method"] for e in report.entries} == {"mgd"}
+        assert len(report.entries) == len(seeds)
+        assert [(f["seed_index"], f["method"]) for f in report.failures] == [(i, "cebm") for i in range(len(seeds))]
+        assert all(f["error"].startswith("ValueError: ") for f in report.failures)
+        assert report.per_method["cebm"] == {"scores": [], "improved_fraction": None}
+        assert report.per_method["mgd"]["improved_fraction"] == 1.0
+        assert report.to_dict()["failures"] == list(report.failures)
 
     def test_scorer_dimension_checked(self, tmp_path):
         cfg, seeds, _ = make_improve_setup(tmp_path)

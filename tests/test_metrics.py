@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from paretoebm.core import (
-    DesignPoint,
     DiscreteSequence,
     ObjectiveVector,
     ShapeError,
-    SimplexWeights,
     Trajectory,
-    TrajectoryRecord,
 )
 from paretoebm.metrics import (
     NormalizationMap,
@@ -252,18 +249,15 @@ class TestSummarizeEdist:
 
 def make_trajectory(series):
     # series: list of per-step objective tuples
-    records = []
-    for step, values in enumerate(series):
-        records.append(
-            TrajectoryRecord(
-                step=step,
-                point=DesignPoint([float(step)]),
-                objectives=ObjectiveVector(np.array(values, dtype=float)),
-                weights=SimplexWeights(np.ones(len(values)) / len(values)),
-                grad_norm=0.0,
-            )
-        )
-    return Trajectory(tuple(records))
+    F = np.array(series, dtype=float)
+    n, m = F.shape
+    return Trajectory(
+        steps=np.arange(n),
+        X=np.arange(n, dtype=float)[:, None],
+        F=F,
+        lam=np.full((n, m), 1.0 / m),
+        grad_norm=np.zeros(n),
+    )
 
 
 class TestConvergenceStats:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from paretoebm.core import DesignPoint, ObjectiveVector, ShapeError, SimplexWeights
+from paretoebm.core import SIMPLEX_TOL, DesignPoint, ObjectiveVector, ShapeError, SimplexWeights
 from paretoebm.energy import ObjectiveSet, ShiftedQuadratic
 from paretoebm.moo import (
     GradientBundle,
@@ -139,18 +139,18 @@ def grid_norms_2(g1, g2, step=1e-3):
 class TestMinNorm2:
     def test_opposing_gradients_conflict(self):
         res = min_norm_2(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
-        assert np.array_equal(res.lam.lam, [0.5, 0.5])
+        assert np.array_equal(res.lam, [0.5, 0.5])
         assert res.norm == 0.0
 
     def test_degenerate_equal_gradients(self):
         res = min_norm_2(np.array([3.0, 4.0]), np.array([3.0, 4.0]))
         assert np.array_equal(res.direction, [3.0, 4.0])
         assert res.norm == 5.0
-        assert np.array_equal(res.lam.lam, [0.5, 0.5])
+        assert np.array_equal(res.lam, [0.5, 0.5])
 
     def test_known_interior_solution(self):
         res = min_norm_2(np.array([2.0, 0.0]), np.array([0.0, 1.0]))
-        assert res.lam.lam[0] == pytest.approx(0.2, abs=1e-12)
+        assert res.lam[0] == pytest.approx(0.2, abs=1e-12)
         assert np.allclose(res.direction, [0.4, 0.8], atol=1e-12)
         grid_best = grid_norms_2(np.array([2.0, 0.0]), np.array([0.0, 1.0]), 1e-5).min()
         assert res.norm <= grid_best + 1e-9
@@ -167,7 +167,7 @@ class TestMinNorm2:
         for _ in range(50):
             g1, g2 = rng.standard_normal((2, 5))
             res = min_norm_2(g1, g2)
-            rebuilt = res.lam.lam[0] * g1 + res.lam.lam[1] * g2
+            rebuilt = res.lam[0] * g1 + res.lam[1] * g2
             assert np.allclose(res.direction, rebuilt, atol=1e-12)
             assert res.norm == pytest.approx(np.linalg.norm(res.direction), abs=1e-15)
 
@@ -191,7 +191,7 @@ class TestMinNormFw:
         res = min_norm_fw(grads)
         two = min_norm_2(grads[0], grads[1])
         assert abs(res.norm - two.norm) < 1e-3
-        assert res.lam.lam[2] < 1e-9
+        assert res.lam[2] < 1e-9
 
     def test_all_equal_gradients(self):
         grads = np.tile(np.array([2.0, -1.0]), (4, 1))
@@ -226,7 +226,7 @@ class TestMinNormFw:
         for _ in range(50):
             grads = rng.standard_normal((3, 4))
             res = min_norm_fw(grads)
-            rebuilt = res.lam.lam @ grads
+            rebuilt = res.lam @ grads
             assert np.allclose(res.direction, rebuilt, atol=1e-12)
 
     def test_descent_property_two_objectives(self):
@@ -278,16 +278,27 @@ class TestMgdDirection:
         objs = self._pair()
         res = mgd_direction(objs, DesignPoint([2.0, 0.0]))
         assert np.allclose(res.direction, [2.0, 0.0], atol=1e-12)
-        assert np.array_equal(res.lam.lam, [1.0, 0.0])
+        assert np.array_equal(res.lam, [1.0, 0.0])
 
     def test_single_objective_returns_gradient(self):
         objs = ObjectiveSet([ShiftedQuadratic([1.0, 1.0])])
         p = DesignPoint([3.0, 0.0])
         res = mgd_direction(objs, p)
         assert np.array_equal(res.direction, objs.models[0].gradient(p))
-        assert np.array_equal(res.lam.lam, [1.0])
+        assert np.array_equal(res.lam, [1.0])
 
     def test_solve_min_norm_dispatch(self):
         rng = np.random.default_rng(13)
         grads = rng.standard_normal((2, 4))
         assert solve_min_norm(grads).norm == min_norm_2(grads[0], grads[1]).norm
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_weights_lie_on_the_simplex(self, m):
+        rng = np.random.default_rng(100 + m)
+        for _ in range(200):
+            d = int(rng.integers(1, 8))
+            grads = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+            lam = solve_min_norm(grads).lam
+            assert lam.shape == (m,)
+            assert np.all(lam >= 0.0)
+            assert abs(float(lam.sum()) - 1.0) <= SIMPLEX_TOL

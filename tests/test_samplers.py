@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from paretoebm import samplers
 from paretoebm.core import (
     ConfigError,
     DesignPoint,
@@ -32,21 +33,14 @@ def opposing_quadratics(a=(1.0, 0.0)):
     return ObjectiveSet([ShiftedQuadratic(a), ShiftedQuadratic(-a)])
 
 
-def records_equal(t1, t2):
-    if len(t1) != len(t2):
-        return False
-    for r1, r2 in zip(t1.records, t2.records):
-        if r1.step != r2.step:
-            return False
-        if not np.array_equal(r1.point.coords, r2.point.coords):
-            return False
-        if not np.array_equal(r1.objectives.values, r2.objectives.values):
-            return False
-        if not np.array_equal(r1.weights.lam, r2.weights.lam):
-            return False
-        if r1.grad_norm != r2.grad_norm:
-            return False
-    return True
+def trajectories_equal(t1, t2):
+    return (
+        np.array_equal(t1.steps, t2.steps)
+        and np.array_equal(t1.X, t2.X)
+        and np.array_equal(t1.F, t2.F)
+        and np.array_equal(t1.lam, t2.lam)
+        and np.array_equal(t1.grad_norm, t2.grad_norm)
+    )
 
 
 class TestChainSpec:
@@ -85,7 +79,7 @@ class TestMgd:
         traj = run_mgd(objs, ChainSpec("mgd", cfg, DesignPoint([0.0, 0.0])))
         assert traj.terminated_early and traj.termination_step == 0
         assert len(traj) == 1
-        assert np.array_equal(traj.final_point.coords, [0.0, 0.0])
+        assert np.array_equal(traj.X[-1], [0.0, 0.0])
 
     def test_descends_shared_component_only(self):
         # From (0, 5) both gradients share the (0, 2*x2) component; the first
@@ -93,11 +87,11 @@ class TestMgd:
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=500, noise_kind="none")
         traj = run_mgd(objs, ChainSpec("mgd", cfg, DesignPoint([0.0, 5.0])))
-        xs = np.stack([r.point.coords for r in traj.records])
+        xs = traj.X
         assert np.all(xs[:, 0] == 0.0)
         diffs = np.abs(np.diff(xs[:, 1]))
         assert np.all(np.diff(np.abs(xs[:, 1])) <= 0)
-        assert abs(traj.final_point.coords[1]) < 1e-4
+        assert abs(traj.X[-1, 1]) < 1e-4
         assert traj.terminated_early
 
     def test_single_objective_reduces_to_gradient_descent(self):
@@ -107,11 +101,10 @@ class TestMgd:
         center = np.array([1.0, -1.0])
         x = np.array([3.0, 3.0])
         expect = [x.copy()]
-        for _ in range(traj.records[-1].step):
+        for _ in range(traj.steps[-1]):
             x = x - 0.05 * (2.0 * (x - center))
             expect.append(x.copy())
-        for rec in traj.records:
-            assert np.array_equal(rec.point.coords, expect[rec.step])
+        assert np.array_equal(traj.X, [expect[step] for step in traj.steps])
 
 
 class TestCebm:
@@ -127,35 +120,33 @@ class TestCebm:
                 g = g + model._value_and_gradient(x)[1]
             x = x - (0.1 / 2.0) * g
             expect[k] = x.copy()
-        for rec in traj.records:
-            assert np.array_equal(rec.point.coords, expect[rec.step])
-        assert np.allclose(traj.final_point.coords, [0.0, 0.0], atol=1e-6)
+        assert np.array_equal(traj.X, [expect[step] for step in traj.steps])
+        assert np.allclose(traj.X[-1], [0.0, 0.0], atol=1e-6)
 
     def test_noiseless_converges_to_sum_minimizer(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.2, steps=200, sigma=0.0, seed=1)
         traj = run_cebm(objs, ChainSpec("cebm", cfg, RandomInit(d=2, scale=3.0)))
-        assert np.allclose(traj.final_point.coords, [0.0, 0.0], atol=1e-8)
+        assert np.allclose(traj.X[-1], [0.0, 0.0], atol=1e-8)
 
     def test_seed_determinism(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.05, steps=40, sigma=0.3, seed=11)
         spec = ChainSpec("cebm", cfg, RandomInit(d=2))
-        assert records_equal(run_cebm(objs, spec), run_cebm(objs, spec))
+        assert trajectories_equal(run_cebm(objs, spec), run_cebm(objs, spec))
 
     def test_records_uniform_weights(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=3, sigma=0.0)
         traj = run_cebm(objs, ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0])))
-        for rec in traj.records:
-            assert np.array_equal(rec.weights.lam, [0.5, 0.5])
+        assert np.array_equal(traj.lam, np.full((len(traj), 2), 0.5))
 
     def test_no_early_termination(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=25, sigma=0.0)
         traj = run_cebm(objs, ChainSpec("cebm", cfg, DesignPoint([0.0, 0.0])))
         assert not traj.terminated_early
-        assert traj.records[-1].step == 25
+        assert traj.steps[-1] == 25
 
 
 class TestLsCebm:
@@ -166,15 +157,15 @@ class TestLsCebm:
         ce_cfg = SamplerConfig(eta=0.1, steps=50, sigma=0.1, seed=3)
         ls = run_ls_cebm(objs, ChainSpec("ls_cebm", ls_cfg, x0, fixed_lambda=uniform_weights(2)))
         ce = run_cebm(objs, ChainSpec("cebm", ce_cfg, x0))
-        for r1, r2 in zip(ls.records, ce.records):
-            assert np.allclose(r1.point.coords, r2.point.coords, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(ls.steps, ce.steps)
+        assert np.allclose(ls.X, ce.X, rtol=1e-12, atol=1e-14)
 
     def test_vertex_lambda_minimizes_single_objective(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.2, steps=300, sigma=0.0, seed=0)
         lam = SimplexWeights([1.0, 0.0])
         traj = run_ls_cebm(objs, ChainSpec("ls_cebm", cfg, RandomInit(d=2, scale=2.0), fixed_lambda=lam))
-        assert np.allclose(traj.final_point.coords, [1.0, 0.0], atol=1e-8)
+        assert np.allclose(traj.X[-1], [1.0, 0.0], atol=1e-8)
 
     def test_lambda_length_checked_at_run(self):
         objs = opposing_quadratics()
@@ -194,21 +185,21 @@ class TestPcebm:
             pc_cfg = SamplerConfig(eta=0.07, steps=80, noise_kind="gaussian", alpha=0.0, seed=seed)
             t1 = run_mgd(objs, ChainSpec("mgd", mgd_cfg, x0))
             t2 = run_pcebm(objs, ChainSpec("pcebm", pc_cfg, x0))
-            assert records_equal(t1, t2)
+            assert trajectories_equal(t1, t2)
             assert t1.terminated_early == t2.terminated_early
 
     def test_seed_determinism(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.05, steps=60, alpha=0.01, seed=21)
         spec = ChainSpec("pcebm", cfg, RandomInit(d=2))
-        assert records_equal(run_pcebm(objs, spec), run_pcebm(objs, spec))
+        assert trajectories_equal(run_pcebm(objs, spec), run_pcebm(objs, spec))
 
     def test_noise_keeps_chain_running_past_pareto_points(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.05, steps=30, alpha=0.02, seed=2)
         traj = run_pcebm(objs, ChainSpec("pcebm", cfg, DesignPoint([0.0, 0.0])))
         assert not traj.terminated_early
-        assert traj.records[-1].step == 30
+        assert traj.steps[-1] == 30
 
     @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
     def test_brownian_displacement_near_pareto_set(self, noise_kind):
@@ -220,7 +211,7 @@ class TestPcebm:
             eta=1e-4, steps=steps, noise_kind=noise_kind, alpha=alpha, seed=9
         )
         traj = run_pcebm(objs, ChainSpec("pcebm", cfg, DesignPoint([0.0, 0.0])))
-        pts = np.stack([r.point.coords for r in traj.records])
+        pts = traj.X
         msd = float(np.mean(np.sum(np.diff(pts, axis=0) ** 2, axis=1)))
         assert msd == pytest.approx(2.0 * alpha * d, rel=0.05)
 
@@ -228,25 +219,35 @@ class TestPcebm:
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.05, steps=40, alpha=0.02, seed=4)
         traj = run_pcebm(objs, ChainSpec("pcebm", cfg, DesignPoint([0.5, 2.0])))
-        lams = traj.weights_matrix()
+        lams = traj.lam
         assert len(np.unique(lams[:, 0])) > 5
 
 
-class TestRunPopulation:
-    def test_worker_count_independence(self):
-        objs = opposing_quadratics()
-        specs = [
-            ChainSpec(
-                "pcebm",
-                SamplerConfig(eta=0.05, steps=30, alpha=0.01, seed=chain_seed(99, i)),
-                RandomInit(d=2),
-            )
-            for i in range(12)
-        ]
-        serial = run_population(objs, specs, parallelism=1)
-        threaded = run_population(objs, specs, parallelism=8)
-        assert all(records_equal(a, b) for a, b in zip(serial, threaded))
+class TestUnconvergedSolves:
+    def _run(self):
+        prob = get_problem("tri-quadratic")
+        cfg = SamplerConfig(eta=0.05, steps=50, alpha=0.01, seed=3)
+        return run_pcebm(prob.objectives, ChainSpec("pcebm", cfg, RandomInit(d=2, scale=3.0)))
 
+    def test_converged_solves_count_zero(self):
+        assert self._run().unconverged_solves == 0
+
+    def test_capped_solves_are_counted(self, monkeypatch):
+        original = samplers.solve_min_norm
+        unconverged = []
+
+        def capped(grads):
+            res = original(grads, max_iters=1)
+            unconverged.append(not res.converged)
+            return res
+
+        monkeypatch.setattr(samplers, "solve_min_norm", capped)
+        traj = self._run()
+        assert len(unconverged) == 51
+        assert traj.unconverged_solves == sum(unconverged) > 0
+
+
+class TestRunPopulation:
     def test_failures_tagged_and_isolated(self):
         objs = opposing_quadratics()
         good = ChainSpec(
@@ -255,12 +256,21 @@ class TestRunPopulation:
         bad = ChainSpec(
             "cebm", SamplerConfig(eta=0.1, steps=10, sigma=0.0, seed=1), DesignPoint([1.0, 1.0, 1.0])
         )
-        results = run_population(objs, [good, bad, good], parallelism=2)
+        results = run_population(objs, [good, bad, good])
         assert not isinstance(results[0], ChainFailure)
         assert isinstance(results[1], ChainFailure)
         assert results[1].index == 1
         assert isinstance(results[1].error, ShapeError)
         assert not isinstance(results[2], ChainFailure)
+
+    @pytest.mark.parametrize("problem,eta", [("opposing-quadratics", 40.0), ("tri-quadratic", 5.0)])
+    def test_divergence_between_records_fails_the_chain(self, problem, eta):
+        # Only steps 0 and 400 are recorded; the chain overflows in between.
+        prob = get_problem(problem)
+        cfg = SamplerConfig(eta=eta, steps=400, sigma=0.0, seed=3, record_every=400)
+        [result] = run_population(prob.objectives, [ChainSpec("cebm", cfg, RandomInit(d=prob.d))])
+        assert isinstance(result, ChainFailure)
+        assert isinstance(result.error, ValueError)
 
     def test_pcebm_population_produces_a_front(self):
         prob = get_problem("fonseca-fleming")
@@ -272,8 +282,8 @@ class TestRunPopulation:
             )
             for i in range(256)
         ]
-        results = run_population(prob.objectives, specs, parallelism=4)
-        finals = [t.final_objectives for t in results]
+        results = run_population(prob.objectives, specs)
+        finals = [t.F[-1] for t in results]
         assert len(pareto_filter(finals)) >= 10
 
     def test_chain_seed_is_stable(self):
@@ -302,7 +312,7 @@ class TestTrajectoryExport:
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.01, steps=100, sigma=0.0, record_every=25)
         traj = run_cebm(objs, ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0])))
-        assert list(traj.steps()) == [0, 25, 50, 75, 100]
+        assert list(traj.steps) == [0, 25, 50, 75, 100]
 
     def test_custom_names_and_ids(self, tmp_path):
         objs = opposing_quadratics()
