@@ -72,11 +72,12 @@ class EnergyModel(ABC):
     def gradient(self, point: DesignPoint) -> np.ndarray:
         return self.value_and_gradient(point)[1]
 
-    def _batch_values(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self._value_and_gradient(x)[0] for x in X])
-
-    def _batch_gradients(self, X: np.ndarray) -> np.ndarray:
-        return np.stack([self._value_and_gradient(x)[1] for x in X])
+    def _batch_value_and_gradient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unchecked evaluation on the rows of an (n, d) array: values (n,) and
+        gradients (n, d). Row i equals ``_value_and_gradient(X[i])`` bit for
+        bit; overrides keep that by using only row-wise operations."""
+        pairs = [self._value_and_gradient(x) for x in X]
+        return np.array([v for v, _ in pairs]), np.stack([g for _, g in pairs])
 
 
 class ObjectiveSet:
@@ -120,14 +121,13 @@ class ObjectiveSet:
             )
         return point.coords
 
-    def eval_raw(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values (m,) and gradients (m, d) at raw coordinates, one pass per model."""
-        values = np.empty(self.m)
-        grads = np.empty((self.m, self._d))
+    def eval_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values (n, m) and gradients (n, m, d) at the rows of an unchecked
+        (n, d) coordinate array, one batched pass per model."""
+        values = np.empty((X.shape[0], self.m))
+        grads = np.empty((X.shape[0], self.m, self._d))
         for i, model in enumerate(self.models):
-            v, g = model._value_and_gradient(coords)
-            values[i] = v
-            grads[i] = g
+            values[:, i], grads[:, i] = model._batch_value_and_gradient(X)
         return values, grads
 
     def evaluate_all(self, point: DesignPoint) -> ObjectiveVector:
@@ -225,6 +225,14 @@ class MlpEnergy(EnergyModel):
         dz = self.w2 * (1.0 - h * h)
         return value, self.w1.T @ dz
 
+    def _batch_value_and_gradient(self, X):
+        # Stacked matrix-vector products and row dots: unlike X @ w1.T, they
+        # round every row exactly as _value_and_gradient does.
+        Hm = np.tanh(np.matmul(self.w1, X[:, :, None])[:, :, 0] + self.b1)
+        values = np.vecdot(Hm, self.w2) + self.b2
+        Dz = self.w2 * (1.0 - Hm * Hm)
+        return values, np.matmul(self.w1.T, Dz[:, :, None])[:, :, 0]
+
     def _batch_values(self, X):
         Hm = np.tanh(X @ self.w1.T + self.b1)
         return Hm @ self.w2 + self.b2
@@ -289,6 +297,10 @@ class ShiftedQuadratic(EnergyModel):
         delta = coords - self.center
         return float(delta @ delta), 2.0 * delta
 
+    def _batch_value_and_gradient(self, X):
+        delta = X - self.center
+        return np.vecdot(delta, delta), 2.0 * delta
+
 
 class FonsecaFlemingBranch(EnergyModel):
     """One branch of the classic two-objective benchmark with a non-convex front.
@@ -315,6 +327,13 @@ class FonsecaFlemingBranch(EnergyModel):
         delta = coords - self.center
         e = math.exp(-float(delta @ delta))
         return 1.0 - e, (2.0 * e) * delta
+
+    def _batch_value_and_gradient(self, X):
+        delta = X - self.center
+        # math.exp, not np.exp: the two differ in the last bit on a few
+        # percent of inputs, and _value_and_gradient uses math.exp.
+        e = np.array([math.exp(-s) for s in np.vecdot(delta, delta).tolist()])
+        return 1.0 - e, (2.0 * e)[:, None] * delta
 
 
 def _squash(v):

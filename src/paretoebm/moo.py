@@ -114,9 +114,9 @@ class ScalarizedEnergy(EnergyModel):
         return self.objectives.point_kind
 
     def _value_and_gradient(self, coords):
-        values, grads = self.objectives.eval_raw(coords)
+        values, grads = self.objectives.eval_batch(coords[None])
         lam = self.weights.lam
-        return float(lam @ values), lam @ grads
+        return float(lam @ values[0]), lam @ grads[0]
 
 
 def scalarize(objectives: ObjectiveSet, weights: SimplexWeights) -> ScalarizedEnergy:
@@ -124,34 +124,48 @@ def scalarize(objectives: ObjectiveSet, weights: SimplexWeights) -> ScalarizedEn
     return ScalarizedEnergy(objectives, weights)
 
 
-def _result_from_lambda(lam: np.ndarray, grads: np.ndarray, converged: bool, iterations: int) -> MinNormResult:
-    direction = lam @ grads
-    return MinNormResult(
-        lam=lam,
-        direction=direction,
-        norm=float(np.linalg.norm(direction)),
-        converged=converged,
-        iterations=iterations,
-    )
+def min_norm_closed_form(grads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact min-norm solves for m <= 2 objectives, one per row of a stack.
+
+    ``grads`` is (n, m, d), finite. Returns the weights (n, m), directions
+    (n, d) and norms (n,). For m = 2, lam_1 = clip(<g2 - g1, g2> /
+    ||g1 - g2||^2, 0, 1), and the coincident case g1 == g2 fixes lam at one
+    half for determinism; for m = 1 the weight is 1. Every row is computed
+    with row-wise dot products and stacked matrix-vector products, so it is
+    bit-identical to solving that row alone.
+    """
+    n, m, _ = grads.shape
+    if m == 1:
+        lam = np.ones((n, 1))
+    elif m == 2:
+        g1, g2 = grads[:, 0], grads[:, 1]
+        diff = g1 - g2
+        denom = np.vecdot(diff, diff)
+        coincident = denom == 0.0
+        q = np.vecdot(g2 - g1, g2) / np.where(coincident, 1.0, denom)
+        # min(1, max(0, q)) as Python's min/max evaluate it, down to the sign of zero.
+        lam1 = np.where(coincident, 0.5, np.where(q > 0.0, np.where(q < 1.0, q, 1.0), 0.0))
+        lam = np.stack([lam1, 1.0 - lam1], axis=1)
+    else:
+        raise ShapeError(f"the closed form needs m = 1 or 2 objectives, got m={m}")
+    direction = (lam[:, None, :] @ grads)[:, 0]
+    return lam, direction, np.sqrt(np.vecdot(direction, direction))
 
 
 def min_norm_2(g1, g2) -> MinNormResult:
-    """Exact min-norm point of the segment [g1, g2].
-
-    lam_1 = clip(<g2 - g1, g2> / ||g1 - g2||^2, 0, 1); the coincident case
-    g1 == g2 fixes lam at one half for determinism.
-    """
+    """Exact min-norm point of the segment [g1, g2] (see min_norm_closed_form)."""
     g1 = np.asarray(g1, dtype=np.float64)
     g2 = np.asarray(g2, dtype=np.float64)
     if g1.shape != g2.shape or g1.ndim != 1:
         raise ShapeError(f"gradients must be 1-D and equal length, got {g1.shape} vs {g2.shape}")
-    diff = g1 - g2
-    denom = float(diff @ diff)
-    if denom == 0.0:
-        lam1 = 0.5
-    else:
-        lam1 = min(1.0, max(0.0, float((g2 - g1) @ g2) / denom))
-    return _result_from_lambda(np.array([lam1, 1.0 - lam1]), np.stack([g1, g2]), True, 0)
+    return _closed_form_result(np.stack([g1, g2]))
+
+
+def _closed_form_result(grads: np.ndarray) -> MinNormResult:
+    if not np.all(np.isfinite(grads)):
+        raise ValueError("gradients must be finite")
+    lam, direction, norm = min_norm_closed_form(grads[None])
+    return MinNormResult(lam=lam[0], direction=direction[0], norm=float(norm[0]), converged=True, iterations=0)
 
 
 def min_norm_fw(
@@ -219,20 +233,25 @@ def min_norm_fw(
         if improvement < tol:
             converged = True
             break
-    return _result_from_lambda(lam, grads, converged, iterations)
+    direction = lam @ grads
+    return MinNormResult(
+        lam=lam,
+        direction=direction,
+        norm=float(np.linalg.norm(direction)),
+        converged=converged,
+        iterations=iterations,
+    )
 
 
 def solve_min_norm(grads: np.ndarray, max_iters: int = FW_MAX_ITERS, tol: float = FW_TOL) -> MinNormResult:
-    """Dispatch on the objective count: trivial for m=1, closed form for m=2,
-    Frank-Wolfe beyond."""
+    """Dispatch on the objective count: the closed form for m <= 2,
+    Frank-Wolfe beyond. Non-finite gradients raise ValueError."""
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2:
         raise ShapeError("expected an (m, d) gradient matrix")
     m = grads.shape[0]
-    if m == 1:
-        return _result_from_lambda(np.array([1.0]), grads, True, 0)
-    if m == 2:
-        return min_norm_2(grads[0], grads[1])
+    if m <= 2:
+        return _closed_form_result(grads)
     return min_norm_fw(GradientBundle(grads), max_iters=max_iters, tol=tol)
 
 

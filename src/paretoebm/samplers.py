@@ -12,19 +12,24 @@ with w a unit-variance noise draw; the method fixes the three parameters:
 - step: eta for the min-norm methods, eta/2 for the Langevin ones;
 - noise scale: sqrt(2*alpha) for pcebm, sigma for cebm/ls_cebm, none for mgd.
 
-Noiseless min-norm chains stop early at a Pareto-stationary point. The loop
-writes the recorded states into preallocated columns (``Trajectory``).
-
-Every sampler is a pure function of (objectives, chain spec): a chain's
-noise stream comes only from its own config seed, so populations reproduce
-exactly whatever order their chains run in.
+The loop runs a batch of chains as one (n, d) state array. ``run_population``
+batches the chains that share a method, every ``SamplerConfig`` field except
+the seed, and the fixed weights: every cell of a sweep is one batch. Each
+chain keeps its own noise stream, seeded from its config, and draws it a
+block of steps at a time. Every operation of a step is row-wise and rounds
+each row exactly as it would round that chain alone, so a chain's result
+does not depend on the batch it ran in, its position there, or the order of
+its population. Per-chain masks take a chain out of the batch when it stops
+early (noiseless min-norm chains stop at a Pareto-stationary point) or when
+its gradients turn non-finite, which fails that chain alone. The loop writes
+the recorded states into preallocated columns (``Trajectory``).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +50,7 @@ from .core import (
     uniform_weights,
 )
 from .energy import ObjectiveSet
-from .moo import solve_min_norm
+from .moo import min_norm_closed_form, solve_min_norm
 
 METHOD_MGD = "mgd"
 METHOD_CEBM = "cebm"
@@ -54,6 +59,8 @@ METHOD_PCEBM = "pcebm"
 METHODS = (METHOD_MGD, METHOD_CEBM, METHOD_LS_CEBM, METHOD_PCEBM)
 
 _SQRT3 = math.sqrt(3.0)
+# Noise is drawn a block of steps at a time; this caps one block's bytes.
+_NOISE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -147,17 +154,29 @@ def _start(objectives: ObjectiveSet, spec: ChainSpec, rng: np.random.Generator) 
     return point
 
 
-def _draw_unit(rng: np.random.Generator, noise_kind: str, d: int) -> np.ndarray:
-    """A unit-variance-per-coordinate draw of the configured noise shape."""
+def _draw_unit(rng: np.random.Generator, noise_kind: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Unit-variance-per-coordinate draws of the configured noise shape."""
     if noise_kind == NOISE_GAUSSIAN:
-        return rng.standard_normal(d)
+        return rng.standard_normal(shape)
     if noise_kind == NOISE_UNIFORM:
-        return rng.uniform(-_SQRT3, _SQRT3, d)
+        return rng.uniform(-_SQRT3, _SQRT3, shape)
     raise ConfigError(f"cannot draw noise of kind {noise_kind!r}")
 
 
-def _run_loop(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
-    """Run one chain of any method; see the module docstring for the update."""
+def _noise_block_steps(n_chains: int, d: int) -> int:
+    """Steps of noise a batch draws at once: at most _NOISE_BLOCK_BYTES over
+    all its chains, and at least one step."""
+    return max(1, _NOISE_BLOCK_BYTES // (8 * n_chains * d))
+
+
+def _run_batch(objectives: ObjectiveSet, specs: Sequence[ChainSpec]) -> list[Trajectory | Exception]:
+    """Run chains that share a method, every config field but the seed, and
+    the fixed weights, as one (n, d) state array; see the module docstring.
+
+    Returns, per spec in order, its Trajectory or the exception that failed
+    that chain. An invalid shared drift (weights of the wrong length) raises.
+    """
+    spec = specs[0]
     cfg = spec.config
     m = objectives.m
     if spec.method in (METHOD_MGD, METHOD_PCEBM):
@@ -173,61 +192,130 @@ def _run_loop(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
     # the noiseless min-norm dynamics stop, at a Pareto-stationary point.
     can_stop = weights is None and not noise_on
 
-    rng = np.random.default_rng(cfg.seed)
-    x = np.array(_start(objectives, spec, rng).coords)
+    results: list[Trajectory | Exception | None] = [None] * len(specs)
+    rngs, starts, started = [], [], []
+    for index, chain in enumerate(specs):
+        rng = np.random.default_rng(chain.config.seed)
+        try:
+            starts.append(_start(objectives, chain, rng).coords)
+        except Exception as exc:  # noqa: BLE001 - a bad start fails only its own chain
+            results[index] = exc
+            continue
+        rngs.append(rng)
+        started.append(index)
+    if not started:
+        return results
+
     last, every = cfg.steps, cfg.record_every
-    n = 1 + last // every + (last % every != 0)
-    steps = np.empty(n, dtype=np.int64)
-    X = np.empty((n, x.size))
-    F = np.empty((n, m))
-    lam = np.empty((n, m))
-    grad_norm = np.empty(n)
+    schedule = np.array([*range(0, last + 1, every), *([last] if last % every else [])], dtype=np.int64)
+    X = np.array(starts)
+    n, d = X.shape
+    # Recorded rows, per chain: row i of a running chain is schedule[i].
+    X_rec = np.empty((n, schedule.size, d))
+    F_rec = np.empty((n, schedule.size, m))
+    lam_rec = np.empty((n, schedule.size, m))
+    norm_rec = np.empty((n, schedule.size))
+    rows = np.full(n, schedule.size)
+    termination: list[int | None] = [None] * n
+    unconverged = np.zeros(n, dtype=np.int64)
+    active = np.arange(n)  # batch positions of the running chains, the rows of X
+    noise, used = None, 0
     row = 0
-    unconverged = 0
-    termination_step = None
-    # Divergence shows up as non-finite coordinates and is rejected when the
-    # trajectory is built; the interim overflow itself is not worth a warning.
+
+    def drop(gone: np.ndarray) -> None:
+        """Take the chains flagged in ``gone`` out of the running state."""
+        nonlocal X, active, rngs, noise
+        keep = ~gone
+        X, active = X[keep], active[keep]
+        rngs = [rng for rng, k in zip(rngs, keep.tolist()) if k]
+        if noise is not None:
+            noise = noise[keep]
+
+    # Divergence shows up as non-finite gradients, which fail their chain at
+    # that step; the interim overflow itself is not worth a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(last + 1):
             if step:
-                x = x - step_size * g
+                X = X - step_size * g
                 if noise_on:
-                    x = x + noise_scale * _draw_unit(rng, cfg.noise_kind, x.size)
-            values, grads = objectives.eval_raw(x)
+                    if noise is None or used == noise.shape[1]:
+                        # Each chain draws its own block, the same stream as one
+                        # draw per step, so the block size cannot change a result.
+                        k = min(_noise_block_steps(len(rngs), d), last - step + 1)
+                        noise = None  # free the spent block before allocating the next
+                        noise = np.empty((len(rngs), k, d))
+                        for j, rng in enumerate(rngs):
+                            noise[j] = _draw_unit(rng, cfg.noise_kind, (k, d))
+                        used = 0
+                    X = X + noise_scale * noise[:, used]
+                    used += 1
+            values, grads = objectives.eval_batch(X)
+            bad = ~np.all(np.isfinite(grads), axis=(1, 2))
+            if bad.any():
+                for pos in active[bad].tolist():
+                    results[started[pos]] = ValueError(
+                        f"gradients must be finite (no NaN/Inf); step {step} is not"
+                    )
+                values, grads = values[~bad], grads[~bad]
+                drop(bad)
+                if not active.size:
+                    break
             if weights is None:
-                res = solve_min_norm(grads)
-                g = res.direction
-                unconverged += not res.converged
+                if m <= 2:
+                    lam, g, norm = min_norm_closed_form(grads)
+                else:
+                    lam, g, norm = np.empty((active.size, m)), np.empty((active.size, d)), np.empty(active.size)
+                    for j, pos in enumerate(active.tolist()):
+                        res = solve_min_norm(grads[j])
+                        lam[j], g[j], norm[j] = res.lam, res.direction, res.norm
+                        unconverged[pos] += not res.converged
             elif summed:
                 # Sequential accumulation keeps the reduction order bit-stable.
-                g = grads[0]
-                for grad in grads[1:]:
-                    g = g + grad
+                g = grads[:, 0]
+                for i in range(1, m):
+                    g = g + grads[:, i]
             else:
                 g = weights @ grads
-            stop = can_stop and step < last and res.norm < cfg.grad_tol
-            if stop or step % every == 0 or step == last:
-                steps[row] = step
-                X[row] = x
-                F[row] = values
+            record = step % every == 0 or step == last
+            stop = norm < cfg.grad_tol if can_stop and step < last else None
+            stopping = stop is not None and stop.any()
+            if record or stopping:
+                sel = slice(None) if record else stop
+                at = active[sel]
+                X_rec[at, row] = X[sel]
+                F_rec[at, row] = values[sel]
                 if weights is None:
-                    lam[row] = res.lam
-                    grad_norm[row] = res.norm
+                    lam_rec[at, row] = lam[sel]
+                    norm_rec[at, row] = norm[sel]
                 else:
-                    lam[row] = weights
-                    grad_norm[row] = np.linalg.norm(g)
+                    lam_rec[at, row] = weights
+                    norm_rec[at, row] = np.sqrt(np.vecdot(g, g))
+            if stopping:
+                for pos in active[stop].tolist():
+                    rows[pos] = row + 1
+                    termination[pos] = step
+                g = g[~stop]
+                drop(stop)
+                if not active.size:
+                    break
+            if record:
                 row += 1
-            if stop:
-                termination_step = step
-                break
-    if row < n:
-        steps, X, F, lam, grad_norm = (a[:row].copy() for a in (steps, X, F, lam, grad_norm))
-    return Trajectory(
-        steps, X, F, lam, grad_norm,
-        terminated_early=termination_step is not None,
-        termination_step=termination_step,
-        unconverged_solves=unconverged,
-    )
+
+    for pos, index in enumerate(started):
+        if results[index] is not None:
+            continue
+        end, stopped_at = rows[pos], termination[pos]
+        steps = schedule if stopped_at is None else np.append(schedule[: end - 1], stopped_at)
+        try:
+            results[index] = Trajectory(
+                steps, X_rec[pos, :end], F_rec[pos, :end], lam_rec[pos, :end], norm_rec[pos, :end],
+                terminated_early=stopped_at is not None,
+                termination_step=stopped_at,
+                unconverged_solves=int(unconverged[pos]),
+            )
+        except ValueError as exc:
+            results[index] = exc
+    return results
 
 
 def _check_method(spec: ChainSpec, method: str, runner: str) -> None:
@@ -239,7 +327,7 @@ def run_mgd(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
     """Multiple gradient descent: x <- x - eta * g with g the min-norm
     direction; terminates once ||g|| falls below grad_tol."""
     _check_method(spec, METHOD_MGD, "run_mgd")
-    return _run_loop(objectives, spec)
+    return run_chain(objectives, spec)
 
 
 def run_pcebm(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
@@ -250,39 +338,49 @@ def run_pcebm(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
     the trajectories agree bit for bit.
     """
     _check_method(spec, METHOD_PCEBM, "run_pcebm")
-    return _run_loop(objectives, spec)
+    return run_chain(objectives, spec)
 
 
 def run_cebm(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
     """Langevin dynamics on the unweighted sum energy:
     x <- x - (eta/2) * sum_i grad f_i + noise(sigma)."""
     _check_method(spec, METHOD_CEBM, "run_cebm")
-    return _run_loop(objectives, spec)
+    return run_chain(objectives, spec)
 
 
 def run_ls_cebm(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
     """As run_cebm with the fixed preference weights in place of the plain sum."""
     _check_method(spec, METHOD_LS_CEBM, "run_ls_cebm")
-    return _run_loop(objectives, spec)
+    return run_chain(objectives, spec)
 
 
 def run_chain(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
-    """Run the sampler named by spec.method."""
-    return _run_loop(objectives, spec)
+    """Run the sampler named by spec.method; a failed chain raises its error."""
+    [result] = _run_batch(objectives, [spec])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def run_population(objectives: ObjectiveSet, specs: Sequence[ChainSpec]) -> list[Trajectory | ChainFailure]:
     """Run many independent chains; results come back in input order.
 
-    A failing chain yields a ChainFailure entry tagged with its index and
-    does not disturb its siblings.
+    Chains that share a method, every config field but the seed, and the
+    fixed weights run as one batch. A failing chain yields a ChainFailure
+    entry tagged with its index and does not disturb its siblings.
     """
-    results: list[Trajectory | ChainFailure] = []
+    batches: dict[tuple, list[int]] = {}
     for index, spec in enumerate(specs):
+        key = (spec.method, replace(spec.config, seed=0), spec.fixed_lambda)
+        batches.setdefault(key, []).append(index)
+    results: list[Trajectory | ChainFailure | None] = [None] * len(specs)
+    for indices in batches.values():
         try:
-            results.append(run_chain(objectives, spec))
+            batch = _run_batch(objectives, [specs[i] for i in indices])
         except Exception as exc:  # noqa: BLE001 - failures are per-chain data
-            results.append(ChainFailure(index, exc))
+            batch = [exc] * len(indices)
+        for index, result in zip(indices, batch):
+            results[index] = ChainFailure(index, result) if isinstance(result, Exception) else result
     return results
 
 

@@ -152,6 +152,29 @@ class TestObjectiveSet:
         with pytest.raises(ShapeError):
             ObjectiveSet([])
 
+    @pytest.mark.parametrize(
+        "models",
+        [
+            [MlpEnergy.random(hidden=64, d=1000, seed=1), MlpEnergy.random(hidden=64, d=1000, seed=2)],
+            [MlpEnergy.random(hidden=6, d=8, seed=3, scale=0.4)],
+            [ShiftedQuadratic([1.0, 0.0, -2.0]), ShiftedQuadratic([0.5, 0.5, 0.5]), ShiftedQuadratic([0.0, 3.0, 1.0])],
+            [FonsecaFlemingBranch(1, 3), FonsecaFlemingBranch(-1, 3)],
+            [Zdt3Branch(0, 4), Zdt3Branch(1, 4)],
+            [PwmEnergy(np.random.default_rng(4).normal(size=(4, 3)))],
+        ],
+        ids=["mlp-d1000", "mlp-d8", "quadratic", "fonseca", "zdt3", "pwm"],
+    )
+    def test_eval_batch_rows_match_single_points_bit_for_bit(self, models):
+        objs = ObjectiveSet(models)
+        X = np.random.default_rng(9).standard_normal((64, objs.d)) * 2.0
+        values, grads = objs.eval_batch(X)
+        assert values.shape == (64, objs.m) and grads.shape == (64, objs.m, objs.d)
+        for i, x in enumerate(X):
+            for j, model in enumerate(models):
+                value, grad = model._value_and_gradient(x)
+                assert values[i, j] == value
+                assert np.array_equal(grads[i, j], grad)
+
 
 def planted_pwm_data(rng, L=6, A=4, n=300):
     W = rng.normal(size=(L, A))

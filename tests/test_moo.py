@@ -8,6 +8,7 @@ from paretoebm.moo import (
     dominates,
     mgd_direction,
     min_norm_2,
+    min_norm_closed_form,
     min_norm_fw,
     pareto_filter,
     scalarize,
@@ -174,6 +175,35 @@ class TestMinNorm2:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             min_norm_2(np.array([1.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradients_rejected(self, bad):
+        with pytest.raises(ValueError, match="gradients must be finite"):
+            min_norm_2(np.array([bad, 0.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="gradients must be finite"):
+            solve_min_norm(np.array([[1.0, 0.0], [0.0, bad]]))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_closed_form_rows_match_single_solves(self, m):
+        # Interior, clipped (q outside [0, 1]) and coincident rows in one stack.
+        rng = np.random.default_rng(21 + m)
+        grads = rng.standard_normal((40, m, 5)) * 10.0 ** rng.uniform(-3, 3, size=(40, m, 1))
+        grads[3] = grads[3, :1]
+        grads[4, -1] = 10.0 * grads[4, 0]
+        lam, direction, norm = min_norm_closed_form(grads)
+        for i, g in enumerate(grads):
+            res = solve_min_norm(g)
+            assert np.array_equal(lam[i], res.lam)
+            assert np.array_equal(direction[i], res.direction)
+            assert norm[i] == res.norm
+            assert np.array_equal(res.direction, res.lam @ g)
+            assert res.norm == float(np.linalg.norm(res.direction))
+
+    def test_underflowing_weight_is_positive_zero(self):
+        # <g2 - g1, g2> / ||g1 - g2||^2 underflows to -0.0 here; the weight
+        # is clipped to +0.0, as min(1, max(0, q)) gives.
+        res = min_norm_2(np.array([2e-150, 1e154]), np.array([1e-150, 0.0]))
+        assert np.array_equal(res.lam, [0.0, 1.0]) and not np.signbit(res.lam[0])
 
 
 def grid_min_norm_3(grads, step=0.01):

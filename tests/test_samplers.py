@@ -10,7 +10,7 @@ from paretoebm.core import (
     SimplexWeights,
     uniform_weights,
 )
-from paretoebm.energy import ObjectiveSet, ShiftedQuadratic
+from paretoebm.energy import MlpEnergy, ObjectiveSet, ShiftedQuadratic
 from paretoebm.moo import pareto_filter
 from paretoebm.problems import get_problem
 from paretoebm.samplers import (
@@ -290,6 +290,135 @@ class TestRunPopulation:
         assert chain_seed(42, 0) == chain_seed(42, 0)
         assert chain_seed(42, 0) != chain_seed(42, 1)
         assert chain_seed(42, 1) != chain_seed(43, 1)
+
+
+def assert_same_chain(result, solo):
+    assert trajectories_equal(result, solo)
+    assert result.terminated_early == solo.terminated_early
+    assert result.termination_step == solo.termination_step
+    assert result.unconverged_solves == solo.unconverged_solves
+
+
+def quadratic_pair(d):
+    return ObjectiveSet([ShiftedQuadratic(np.full(d, 0.5)), ShiftedQuadratic(np.linspace(-1.0, 1.0, d))])
+
+
+BATCH_OBJECTIVES = {
+    # name -> (objectives, eta, steps, record_every)
+    "fonseca-fleming": (get_problem("fonseca-fleming").objectives, 0.05, 30, 1),
+    "tri-quadratic": (get_problem("tri-quadratic").objectives, 0.05, 30, 1),
+    "zdt3-like": (get_problem("zdt3-like").objectives, 0.01, 20, 3),
+    "mlp": (ObjectiveSet([MlpEnergy.random(16, d=40, seed=k, scale=0.3) for k in (1, 2)]), 0.1, 20, 1),
+    # Longer than one noise block, with records off the block boundaries.
+    "long-chain": (quadratic_pair(1000), 0.01, 80, 7),
+    # So wide that a noise block holds a single step.
+    "wide": (quadratic_pair(40000), 0.01, 3, 1),
+}
+METHOD_NOISE = [
+    ("mgd", "none"),
+    *((method, noise) for method in ("cebm", "ls_cebm", "pcebm") for noise in ("gaussian", "uniform")),
+]
+
+
+def batch_specs(method, noise_kind, objectives, eta, steps, record_every, chains=4):
+    d, m = objectives.d, objectives.m
+    fixed = SimplexWeights(np.arange(1.0, m + 1.0) / (m * (m + 1) / 2)) if method == "ls_cebm" else None
+    specs = []
+    for i in range(chains):
+        cfg = SamplerConfig(
+            eta=eta, steps=steps, noise_kind=noise_kind, seed=chain_seed(17, i), record_every=record_every
+        )
+        init = RandomInit(d=d, scale=1.0 + i) if i % 2 else DesignPoint(np.linspace(-1.0, 1.0, d) * (i + 1) / 4)
+        specs.append(ChainSpec(method, cfg, init, fixed_lambda=fixed))
+    return specs
+
+
+class TestBatchKernel:
+    """run_population runs chains of one configuration as a batch; every
+    chain's result must not depend on the batch it ran in."""
+
+    def test_noise_block_cases_cover_several_blocks_and_single_steps(self):
+        _, _, steps, _ = BATCH_OBJECTIVES["long-chain"]
+        assert samplers._noise_block_steps(4, 1000) < steps
+        assert samplers._noise_block_steps(4, 40000) == 1
+
+    @pytest.mark.parametrize("problem", sorted(BATCH_OBJECTIVES))
+    @pytest.mark.parametrize("method,noise_kind", METHOD_NOISE)
+    def test_batch_matches_solo_and_reversed_runs(self, method, noise_kind, problem):
+        objectives, eta, steps, record_every = BATCH_OBJECTIVES[problem]
+        specs = batch_specs(method, noise_kind, objectives, eta, steps, record_every)
+        batch = run_population(objectives, specs)
+        reversed_batch = run_population(objectives, specs[::-1])[::-1]
+        for spec, result, reversed_result in zip(specs, batch, reversed_batch):
+            solo = run_chain(objectives, spec)
+            assert_same_chain(result, solo)
+            assert_same_chain(reversed_result, solo)
+
+    @pytest.mark.parametrize(
+        "problem,stationary", [("opposing-quadratics", [0.5, 0.0]), ("tri-quadratic", [0.0, 2.0 / 3.0])]
+    )
+    def test_early_stop_inside_a_running_batch(self, problem, stationary, monkeypatch):
+        # Cap Frank-Wolfe at one iteration so tri-quadratic chains count
+        # unconverged solves, which the masks must attribute per chain.
+        original = samplers.solve_min_norm
+        monkeypatch.setattr(samplers, "solve_min_norm", lambda grads: original(grads, max_iters=1))
+        objectives = get_problem(problem).objectives
+        cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
+        starts = [[0.0, 50.0], stationary, [0.0, 1.0], [0.3, 40.0]]
+        specs = [ChainSpec("mgd", cfg, DesignPoint(x)) for x in starts]
+        solo = [run_chain(objectives, spec) for spec in specs]
+        assert solo[1].terminated_early and solo[1].termination_step == 0 and len(solo[1]) == 1
+        assert not solo[0].terminated_early and not solo[3].terminated_early
+        if problem == "opposing-quadratics":
+            # Stops between records, after its siblings have moved on.
+            assert solo[2].terminated_early and 0 < solo[2].termination_step < 150
+            assert solo[2].termination_step % 10
+        else:
+            assert sum(t.unconverged_solves for t in solo) > 0
+        for result, alone in zip(run_population(objectives, specs), solo):
+            assert_same_chain(result, alone)
+            assert len(result) == len(alone)
+
+    def test_mixed_population_keeps_input_order(self):
+        objectives = get_problem("fonseca-fleming").objectives
+        noisy = SamplerConfig(eta=0.05, steps=25, seed=1)
+        other = SamplerConfig(eta=0.02, steps=25, sigma=0.1, seed=2, record_every=5)
+        specs = [
+            ChainSpec("pcebm", noisy, RandomInit(d=3)),
+            ChainSpec("cebm", other, RandomInit(d=3)),
+            ChainSpec("mgd", SamplerConfig(eta=0.05, steps=25, noise_kind="none"), DesignPoint([0.2, 0.1, 0.0])),
+            ChainSpec("cebm", other, DesignPoint([1.0, 1.0])),  # wrong d
+            ChainSpec("ls_cebm", other, RandomInit(d=3), fixed_lambda=SimplexWeights([0.25, 0.75])),
+            ChainSpec("pcebm", SamplerConfig(eta=0.05, steps=25, seed=3), RandomInit(d=3)),
+            ChainSpec("cebm", SamplerConfig(eta=0.02, steps=25, sigma=0.1, seed=4, record_every=5), RandomInit(d=3)),
+        ]
+        results = run_population(objectives, specs)
+        assert len(results) == len(specs)
+        for index, (spec, result) in enumerate(zip(specs, results)):
+            if index == 3:
+                assert isinstance(result, ChainFailure) and result.index == 3
+                assert isinstance(result.error, ShapeError)
+            else:
+                assert_same_chain(result, run_chain(objectives, spec))
+
+    def test_diverging_min_norm_chain_fails_alone(self):
+        # With eta = 1.5, mgd maps (0, y) to (0, -2y): the chain started at
+        # y = 1e300 has gradient 2y = +-1e300 * 2^(k+1), which overflows at
+        # step 27. Its siblings oscillate, stop at step 1, or stay finite.
+        objectives = opposing_quadratics()
+        cfg = SamplerConfig(eta=1.5, steps=40, noise_kind="none", record_every=40)
+        starts = [[3.0, 0.0], [2.0, 0.0], [0.0, 1e300], [0.3, 1e-3]]
+        specs = [ChainSpec("mgd", cfg, DesignPoint(x)) for x in starts]
+        results = run_population(objectives, specs)
+        failure = results[2]
+        assert isinstance(failure, ChainFailure) and failure.index == 2
+        assert isinstance(failure.error, ValueError)
+        assert "gradients must be finite" in str(failure.error) and "step 27 " in str(failure.error)
+        with pytest.raises(ValueError, match="step 27 "):
+            run_chain(objectives, specs[2])
+        assert results[1].termination_step == 1
+        for index in (0, 1, 3):
+            assert_same_chain(results[index], run_chain(objectives, specs[index]))
 
 
 class TestTrajectoryExport:
