@@ -45,6 +45,7 @@ from .metrics import (
     hypervolume_exact,
     hypervolume_mc,
     min_edit_to_set,
+    nondominated_mask,
     normalize,
     summarize_edist,
 )

@@ -138,10 +138,10 @@ def _cmd_hv(args) -> int:
         raise ConfigError(f"reference point has {len(ref_values)} entries, points have m={m}")
     reference = ReferencePoint(np.array(ref_values))
     if m <= 3:
-        print(f"{hypervolume_exact(list(V), reference):.12g}")
+        print(f"{hypervolume_exact(V, reference):.12g}")
     else:
         estimate, stderr = hypervolume_mc(
-            list(V), reference, args.mc_samples, seed=args.seed or 0
+            V, reference, args.mc_samples, seed=args.seed or 0
         )
         print(f"{estimate:.12g} {stderr:.12g}")
     return 0

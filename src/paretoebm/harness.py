@@ -33,7 +33,6 @@ from .core import (
     ConfigError,
     DesignPoint,
     DiscreteSequence,
-    ObjectiveVector,
     SamplerConfig,
     ShapeError,
     SimplexWeights,
@@ -52,6 +51,7 @@ from .metrics import (
     ReferencePoint,
     hypervolume_exact,
     hypervolume_mc,
+    objective_matrix,
     summarize_edist,
     edit_distance,
 )
@@ -343,30 +343,37 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def emit_front(
-    points: Sequence[ObjectiveVector],
+    points,
     labels: Sequence[str],
     path,
     objective_names: Sequence[str] | None = None,
 ) -> None:
     """Write labeled objective coordinates with a non-dominated flag per row,
-    enough to redraw a front scatter with any external plotter."""
-    points = list(points)
+    enough to redraw a front scatter with any external plotter.
+
+    ``points`` is an (n, m) array or a sequence of ObjectiveVectors; its
+    values must be finite (ValueError otherwise)."""
     labels = list(labels)
     if len(points) != len(labels):
         raise ShapeError(f"{len(points)} points but {len(labels)} labels")
-    if points:
-        m = points[0].m
+    if len(points):
+        V = objective_matrix(points)
+        if not np.all(np.isfinite(V)):
+            raise ValueError("objective values must be finite")
+        m = V.shape[1]
         if objective_names is None:
             objective_names = [f"f{i}" for i in range(m)]
         if len(objective_names) != m:
             raise ShapeError(f"need {m} objective names, got {len(objective_names)}")
+        front = np.zeros(len(V), dtype=bool)
+        front[pareto_filter(V)] = True
+        rows = zip(labels, V.tolist(), front.tolist())
     else:
         objective_names = list(objective_names) if objective_names is not None else []
-    front = set(pareto_filter(points)) if points else set()
+        rows = ()
     lines = [",".join(["label", *objective_names, "non_dominated"])]
-    for i, (point, label) in enumerate(zip(points, labels)):
-        coords = ",".join(repr(float(v)) for v in point.values)
-        lines.append(f"{label},{coords},{1 if i in front else 0}")
+    for label, coords, flag in rows:
+        lines.append(f"{label},{','.join(repr(v) for v in coords)},{1 if flag else 0}")
     _atomic_write_text(Path(path), "".join(line + "\n" for line in lines))
 
 
@@ -375,6 +382,70 @@ class SweepResult:
     output_dir: Path
     report_path: Path
     report: dict
+
+
+def _run_cell(
+    cfg: ExperimentConfig,
+    problem: Problem,
+    cell: SweepCell,
+    init: RandomInit,
+    cells_dir: Path,
+) -> dict | None:
+    """Run one cell's chains and write its directory; returns a failure
+    record if the cell could not run. The chains' trajectories are released
+    when it returns, before the next cell starts."""
+    m = problem.m
+    is_sequence = problem.point_kind == SEQUENCE_LOGITS
+    try:
+        specs = [_cell_spec(cfg, problem, cell, ci, init) for ci in range(cfg.chains)]
+        results = run_population(problem.objectives, specs)
+    except Exception as exc:  # noqa: BLE001 - cell failures must not abort the sweep
+        logger.warning("cell %s failed: %s", cell.cell_id, exc)
+        return {"cell_id": cell.cell_id, "error": f"{type(exc).__name__}: {exc}"}
+    trajectories: list[Trajectory] = []
+    chain_ids: list[int] = []
+    final_rows = []
+    chain_errors = []
+    for idx, res in enumerate(results):
+        if isinstance(res, ChainFailure):
+            chain_errors.append(str(res))
+            continue
+        trajectories.append(res)
+        chain_ids.append(idx)
+        row = [idx, *res.F[-1].tolist()]
+        if is_sequence:
+            row.append(sequence_to_str(_decode_final(res, problem), cfg.alphabet))
+        final_rows.append(row)
+    unconverged = sum(t.unconverged_solves for t in trajectories)
+    if unconverged:
+        logger.warning(
+            "cell %s: %d min-norm solves did not converge within the iteration cap",
+            cell.cell_id, unconverged,
+        )
+    tmp_dir = cells_dir / f".tmp-{cell.cell_id}"
+    if tmp_dir.exists():
+        for leftover in tmp_dir.iterdir():
+            leftover.unlink()
+    tmp_dir.mkdir(exist_ok=True)
+    if trajectories:
+        write_trajectories(tmp_dir / "trajectories.csv", trajectories, chain_ids=chain_ids)
+    else:
+        names = [f"f{i}" for i in range(m)] + [f"lambda{i}" for i in range(m)]
+        (tmp_dir / "trajectories.csv").write_text(
+            ",".join(["chain_id", "step", *names, "grad_norm"]) + "\n"
+        )
+    _write_final_points(tmp_dir / "final_points.csv", final_rows, m, is_sequence)
+    if chain_errors:
+        (tmp_dir / "chain_errors.txt").write_text("".join(e + "\n" for e in chain_errors))
+    cell_dir = cells_dir / cell.cell_id
+    if cell_dir.exists():
+        # A directory without both result files is a leftover partial write.
+        shutil.rmtree(cell_dir)
+    tmp_dir.rename(cell_dir)
+    logger.info(
+        "cell %s: %d/%d chains ok", cell.cell_id, len(trajectories), cfg.chains
+    )
+    return None
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -413,61 +484,12 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     cell_failures: list[dict] = []
 
     for cell in cells:
-        cell_dir = cells_dir / cell.cell_id
-        if _cell_complete(cell_dir):
+        if _cell_complete(cells_dir / cell.cell_id):
             logger.info("cell %s already on disk, skipping", cell.cell_id)
             continue
-        try:
-            specs = [_cell_spec(cfg, problem, cell, ci, init) for ci in range(cfg.chains)]
-            results = run_population(problem.objectives, specs)
-        except Exception as exc:  # noqa: BLE001 - cell failures must not abort the sweep
-            logger.warning("cell %s failed: %s", cell.cell_id, exc)
-            cell_failures.append(
-                {"cell_id": cell.cell_id, "error": f"{type(exc).__name__}: {exc}"}
-            )
-            continue
-        trajectories: list[Trajectory] = []
-        chain_ids: list[int] = []
-        final_rows = []
-        chain_errors = []
-        for idx, res in enumerate(results):
-            if isinstance(res, ChainFailure):
-                chain_errors.append(str(res))
-                continue
-            trajectories.append(res)
-            chain_ids.append(idx)
-            row = [idx, *res.F[-1].tolist()]
-            if is_sequence:
-                row.append(sequence_to_str(_decode_final(res, problem), cfg.alphabet))
-            final_rows.append(row)
-        unconverged = sum(t.unconverged_solves for t in trajectories)
-        if unconverged:
-            logger.warning(
-                "cell %s: %d min-norm solves did not converge within the iteration cap",
-                cell.cell_id, unconverged,
-            )
-        tmp_dir = cells_dir / f".tmp-{cell.cell_id}"
-        if tmp_dir.exists():
-            for leftover in tmp_dir.iterdir():
-                leftover.unlink()
-        tmp_dir.mkdir(exist_ok=True)
-        if trajectories:
-            write_trajectories(tmp_dir / "trajectories.csv", trajectories, chain_ids=chain_ids)
-        else:
-            names = [f"f{i}" for i in range(m)] + [f"lambda{i}" for i in range(m)]
-            (tmp_dir / "trajectories.csv").write_text(
-                ",".join(["chain_id", "step", *names, "grad_norm"]) + "\n"
-            )
-        _write_final_points(tmp_dir / "final_points.csv", final_rows, m, is_sequence)
-        if chain_errors:
-            (tmp_dir / "chain_errors.txt").write_text("".join(e + "\n" for e in chain_errors))
-        if cell_dir.exists():
-            # A directory without both result files is a leftover partial write.
-            shutil.rmtree(cell_dir)
-        tmp_dir.rename(cell_dir)
-        logger.info(
-            "cell %s: %d/%d chains ok", cell.cell_id, len(trajectories), cfg.chains
-        )
+        failure = _run_cell(cfg, problem, cell, init, cells_dir)
+        if failure is not None:
+            cell_failures.append(failure)
 
     # Aggregation: single-threaded, pooled normalization over every final
     # point the sweep produced so cross-method comparisons share one scale.
@@ -503,37 +525,36 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     }
     objective_names = [f"f{i}" for i in range(m)]
     cell_records = []
-    all_front_points: list[ObjectiveVector] = []
+    all_front_points: list[np.ndarray] = []
     all_front_labels: list[str] = []
     for cell in cells:
         if cell.cell_id not in per_cell_points:
             continue
         values = per_cell_points[cell.cell_id]
         normalized = nmap.apply_raw(values) if values.size else values.reshape(0, m)
-        points = [ObjectiveVector(row) for row in normalized]
+        # emit_front rejects non-finite values before any hypervolume is computed.
+        emit_front(
+            normalized,
+            [cell.method] * len(normalized),
+            cells_dir / cell.cell_id / "front.csv",
+            objective_names=objective_names,
+        )
         if m <= 3:
-            hv_all = hypervolume_exact(points, reference) if points else 0.0
+            hv_all = hypervolume_exact(normalized, reference)
         else:
-            hv_all, _ = hypervolume_mc(points, reference, MC_HV_SAMPLES, seed=cfg.base_seed)
+            hv_all, _ = hypervolume_mc(normalized, reference, MC_HV_SAMPLES, seed=cfg.base_seed)
         hv_pairs = {}
         for i, j in combinations(range(m), 2):
-            proj = [ObjectiveVector(row[[i, j]]) for row in normalized]
             ref_ij = ReferencePoint(reference.r[[i, j]])
-            hv_pairs[f"{i},{j}"] = hypervolume_exact(proj, ref_ij) if proj else 0.0
+            hv_pairs[f"{i},{j}"] = hypervolume_exact(normalized[:, [i, j]], ref_ij)
         edist_mean = edist_std = None
         if training is not None and per_cell_sequences[cell.cell_id]:
             decoded = [
                 sequence_from_str(s, cfg.alphabet) for s in per_cell_sequences[cell.cell_id]
             ]
             edist_mean, edist_std = summarize_edist(decoded, training)
-        emit_front(
-            points,
-            [cell.method] * len(points),
-            cells_dir / cell.cell_id / "front.csv",
-            objective_names=objective_names,
-        )
-        all_front_points.extend(points)
-        all_front_labels.extend([cell.cell_id] * len(points))
+        all_front_points.append(normalized)
+        all_front_labels.extend([cell.cell_id] * len(normalized))
         cell_records.append(
             {
                 "cell_id": cell.cell_id,
@@ -550,7 +571,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                 "normalization": norm_doc,
             }
         )
-    emit_front(all_front_points, all_front_labels, out / "fronts.csv", objective_names=objective_names)
+    emit_front(
+        np.concatenate(all_front_points), all_front_labels, out / "fronts.csv",
+        objective_names=objective_names,
+    )
 
     report = {
         "config_version": CONFIG_VERSION,

@@ -1,6 +1,13 @@
-"""Evaluation suite: hypervolume (exact up to three objectives, Monte-Carlo
-beyond), min-max score normalization, Levenshtein edit distance, and
-convergence-trace statistics.
+"""Evaluation suite: the non-dominated filter, hypervolume (exact up to
+three objectives, Monte-Carlo beyond), min-max score normalization,
+Levenshtein edit distance, and convergence-trace statistics.
+
+The non-dominated filter sorts the points lexicographically and scans them
+once: O(n log n) for two objectives, and for three or more each point is
+tested only against the front kept so far (output-sensitive, O(n h) for a
+front of h points). Memory stays linear in the number of points. Edit
+distances to a set run one dynamic program per sequence length, over all
+set members of that length at once.
 
 All operations are pure functions.
 """
@@ -13,6 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import DiscreteSequence, ObjectiveVector, ShapeError, Trajectory
+
+# Size of the temporaries of one block of Monte-Carlo hypervolume samples.
+_MC_BLOCK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +83,7 @@ class NormalizationMap:
     def fit(cls, points: Sequence[ObjectiveVector]) -> "NormalizationMap":
         if len(points) == 0:
             raise ValueError("cannot fit normalization bounds to an empty population")
-        V = _as_matrix(points)
+        V = objective_matrix(points)
         return cls(V.min(axis=0), V.max(axis=0))
 
     def apply_raw(self, V: np.ndarray) -> np.ndarray:
@@ -85,21 +95,80 @@ class NormalizationMap:
         return out
 
 
-def _as_matrix(points: Sequence) -> np.ndarray:
+def objective_matrix(points) -> np.ndarray:
+    """The points as an (n, m) float64 matrix: an (n, m) array as it is, or a
+    non-empty sequence of ObjectiveVectors or 1-D arrays stacked as rows."""
+    if isinstance(points, np.ndarray):
+        if points.ndim != 2:
+            raise ShapeError(f"points must be an (n, m) matrix, got shape {points.shape}")
+        return points.astype(np.float64, copy=False)
     vals = [p.values if isinstance(p, ObjectiveVector) else np.asarray(p, dtype=np.float64) for p in points]
     if not vals:
         raise ValueError("empty point list")
+    if any(v.ndim != 1 for v in vals):
+        raise ShapeError("objective vector must be 1-D")
     m = vals[0].size
     if any(v.size != m for v in vals):
         raise ShapeError("all objective vectors must share one length")
     return np.stack(vals).astype(np.float64)
 
 
+def nondominated_mask(V: np.ndarray) -> np.ndarray:
+    """Boolean (n,) mask of the rows of V (n, m) that no other row dominates
+    (<= everywhere and < somewhere); equal rows are all kept.
+
+    A row holding a NaN is kept and dominates nothing, as elementwise
+    comparisons with NaN are false. The other rows are sorted
+    lexicographically (first objective as the primary key), so a row can
+    only be dominated by one before it. For m = 2 one vectorized scan
+    compares each row with the least f1 over rows of strictly smaller f0 and
+    of equal f0; for m >= 3 each row is tested against the front kept so
+    far, which suffices because dominance is transitive.
+    """
+    n, m = V.shape
+    keep = np.ones(n, dtype=bool)
+    rows = np.flatnonzero(~np.isnan(V).any(axis=1))
+    if rows.size == 0 or m == 0:
+        return keep
+    W = V[rows]
+    if m == 1:
+        keep[rows] = W[:, 0] == W[:, 0].min()
+        return keep
+    order = np.lexsort(W.T[::-1])
+    S = W[order]
+    if m == 2:
+        xs, ys = S[:, 0], S[:, 1]
+        starts = np.empty(xs.size, dtype=bool)
+        starts[0] = True
+        np.not_equal(xs[1:], xs[:-1], out=starts[1:])
+        group = np.cumsum(starts) - 1
+        # The lexsort puts each group's least f1 first.
+        group_min = ys[starts]
+        # Least f1 over the groups before each group; NaN (compares false) for the first.
+        before = np.empty_like(group_min)
+        before[0] = np.nan
+        np.minimum.accumulate(group_min[:-1], out=before[1:])
+        dominated = (ys > group_min[group]) | (before[group] <= ys)
+    else:
+        dominated = np.zeros(S.shape[0], dtype=bool)
+        front = np.empty_like(S)
+        size = 0
+        for i, row in enumerate(S):
+            F = front[:size]
+            if np.any(np.all(F <= row, axis=1) & np.any(F < row, axis=1)):
+                dominated[i] = True
+            else:
+                front[size] = row
+                size += 1
+    keep[rows[order[dominated]]] = False
+    return keep
+
+
 def normalize(points: Sequence[ObjectiveVector], nmap: NormalizationMap) -> list[ObjectiveVector]:
     """Map each objective to clip((v - min) / (max - min), 0, 1)."""
     if len(points) == 0:
         return []
-    V = nmap.apply_raw(_as_matrix(points))
+    V = nmap.apply_raw(objective_matrix(points))
     return [ObjectiveVector(row) for row in V]
 
 
@@ -130,12 +199,12 @@ def _hv_2d(V: np.ndarray, r1: float, r2: float) -> float:
     return total
 
 
-def hypervolume_exact(points: Sequence, reference: ReferencePoint) -> float:
+def hypervolume_exact(points, reference: ReferencePoint) -> float:
     """Lebesgue measure of the union over points p of the boxes [p, r].
 
-    Exact for one to three objectives; dominated or duplicate points add
-    nothing. Points beyond the reference are clipped onto it and contribute
-    zero volume.
+    ``points`` is an (n, m) array or a sequence of vectors. Exact for one to
+    three objectives; dominated or duplicate points add nothing. Points
+    beyond the reference are clipped onto it and contribute zero volume.
     """
     r = reference.r
     m = r.size
@@ -143,16 +212,14 @@ def hypervolume_exact(points: Sequence, reference: ReferencePoint) -> float:
         raise ShapeError("exact hypervolume supports m <= 3; use hypervolume_mc")
     if len(points) == 0:
         return 0.0
-    V = _as_matrix(points)
+    V = objective_matrix(points)
     if V.shape[1] != m:
         raise ShapeError(f"points have m={V.shape[1]}, reference has m={m}")
     V = np.minimum(V, r)
     # Keep only the non-dominated points so the sweep decomposition is
     # canonical: removing a dominated input then changes nothing, not even
     # the floating-point summation order.
-    le = np.all(V[:, None, :] <= V[None, :, :], axis=-1)
-    lt = np.any(V[:, None, :] < V[None, :, :], axis=-1)
-    V = V[~np.any(le & lt, axis=0)]
+    V = V[nondominated_mask(V)]
     if m == 1:
         return float(r[0] - V[:, 0].min())
     if m == 2:
@@ -169,22 +236,27 @@ def hypervolume_exact(points: Sequence, reference: ReferencePoint) -> float:
 
 
 def hypervolume_mc(
-    points: Sequence,
+    points,
     reference: ReferencePoint,
     samples: int,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Monte-Carlo hypervolume for any m: uniform samples in the bounding box
-    [component-wise min, r]; returns (estimate, standard error)."""
+    [component-wise min, r]; returns (estimate, standard error).
+
+    Only the non-dominated points are tested against the samples, which are
+    drawn in blocks sized so that one block's temporaries take about
+    _MC_BLOCK_BYTES; neither changes the hits or the random stream."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     r = reference.r
     if len(points) == 0:
         return 0.0, 0.0
-    V = _as_matrix(points)
+    V = objective_matrix(points)
     if V.shape[1] != r.size:
         raise ShapeError(f"points have m={V.shape[1]}, reference has m={r.size}")
     V = np.minimum(V, r)
+    V = V[nondominated_mask(V)]
     lo = V.min(axis=0)
     span = r - lo
     volume = float(np.prod(span))
@@ -193,7 +265,9 @@ def hypervolume_mc(
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = samples
-    batch = 65536
+    n, m = V.shape
+    # Bytes per sample: the (n, m) comparison, its (n,) reduction and the sample itself.
+    batch = max(1, _MC_BLOCK_BYTES // (n * m + n + 8 * m))
     while remaining > 0:
         k = min(batch, remaining)
         q = lo + span * rng.random((k, r.size))
@@ -216,44 +290,65 @@ def _tokens(seq) -> np.ndarray:
 def edit_distance(a, b) -> int:
     """Levenshtein distance (insertions, deletions, substitutions) via full
     dynamic programming; accepts sequences, token arrays, or strings."""
-    ta, tb = _tokens(a), _tokens(b)
-    if ta.size == 0:
-        return int(tb.size)
-    if tb.size == 0:
-        return int(ta.size)
-    n = tb.size
+    return int(_edit_rows(_tokens(a), _tokens(b)[None])[0])
+
+
+def _edit_rows(ta: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Edit distances from ta to every row of the (k, n) token matrix B, one
+    row-by-row dynamic program over ta for all k rows at once."""
+    k, n = B.shape
+    if ta.size == 0 or n == 0:
+        return np.full(k, ta.size + n, dtype=np.int64)
     arange = np.arange(n + 1, dtype=np.int64)
-    prev = arange.copy()
-    row = np.empty(n + 1, dtype=np.int64)
+    prev = np.tile(arange, (k, 1))
+    row = np.empty_like(prev)
     for i in range(1, ta.size + 1):
-        row[0] = i
-        np.minimum(prev[:-1] + (tb != ta[i - 1]), prev[1:] + 1, out=row[1:])
+        row[:, 0] = i
+        np.minimum(prev[:, :-1] + (B != ta[i - 1]), prev[:, 1:] + 1, out=row[:, 1:])
         # Insertions propagate left to right: row[j] = min_{k<=j} row[k] + (j-k).
         np.subtract(row, arange, out=row)
-        np.minimum.accumulate(row, out=row)
+        np.minimum.accumulate(row, axis=1, out=row)
         np.add(row, arange, out=row)
         prev, row = row, prev
-    return int(prev[-1])
+    return prev[:, -1].copy()
+
+
+def _length_groups(training: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The set's members grouped by length: (indices, (k, length) tokens) per length."""
+    tokens = [_tokens(t) for t in training]
+    lengths = np.array([t.size for t in tokens], dtype=np.int64)
+    groups = []
+    for length in np.unique(lengths):
+        idx = np.flatnonzero(lengths == length)
+        B = np.stack([tokens[i] for i in idx]) if length else np.empty((idx.size, 0), dtype=np.int64)
+        groups.append((idx, B))
+    return groups
+
+
+def _min_edit(x, groups, size: int) -> tuple[int, int]:
+    tx = _tokens(x)
+    dists = np.empty(size, dtype=np.int64)
+    for idx, B in groups:
+        dists[idx] = _edit_rows(tx, B)
+    best = int(np.argmin(dists))
+    return int(dists[best]), best
 
 
 def min_edit_to_set(x, training: Sequence) -> tuple[int, int]:
     """Minimum edit distance from x to a non-empty set; ties take the lowest index."""
     if len(training) == 0:
         raise ValueError("training set must be non-empty")
-    best = None
-    best_idx = -1
-    for i, other in enumerate(training):
-        dist = edit_distance(x, other)
-        if best is None or dist < best:
-            best, best_idx = dist, i
-    return best, best_idx
+    return _min_edit(x, _length_groups(training), len(training))
 
 
 def summarize_edist(samples: Sequence, training: Sequence) -> tuple[float, float]:
     """Mean and population standard deviation of per-sample min edit distance."""
     if len(samples) == 0:
         raise ValueError("samples must be non-empty")
-    dists = np.array([min_edit_to_set(s, training)[0] for s in samples], dtype=np.float64)
+    if len(training) == 0:
+        raise ValueError("training set must be non-empty")
+    groups = _length_groups(training)
+    dists = np.array([_min_edit(s, groups, len(training))[0] for s in samples], dtype=np.float64)
     return float(dists.mean()), float(dists.std())
 
 

@@ -2,18 +2,22 @@
 scalarization, and the min-norm common-descent solver (closed form for two
 objectives, Frank-Wolfe above).
 
+Pareto extraction uses the sort-based filter metrics.nondominated_mask:
+O(n log n) for two objectives, output-sensitive (each point against the
+front kept so far) for three or more, and linear memory throughout.
+
 All operations are pure functions and safe for unrestricted parallel use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core import DesignPoint, ObjectiveVector, ShapeError, SimplexWeights
 from .energy import EnergyModel, ObjectiveSet
+from .metrics import nondominated_mask, objective_matrix
 
 FW_MAX_ITERS = 500
 FW_TOL = 1e-6
@@ -76,22 +80,15 @@ def dominates(a, b) -> bool:
     return bool(np.all(va <= vb) and np.any(va < vb))
 
 
-def pareto_filter(points: Sequence) -> list[int]:
-    """Indices of the points not dominated by any other input point.
+def pareto_filter(points) -> list[int]:
+    """Indices, ascending, of the points not dominated by any other input
+    point; ``points`` is an (n, m) array or a sequence of vectors.
 
     Mutually non-dominating duplicates are all retained.
     """
     if len(points) == 0:
         return []
-    vals = [_values(p) for p in points]
-    m = vals[0].size
-    if any(v.size != m for v in vals):
-        raise ShapeError("all objective vectors must share one length")
-    V = np.stack(vals)
-    le = np.all(V[:, None, :] <= V[None, :, :], axis=-1)
-    lt = np.any(V[:, None, :] < V[None, :, :], axis=-1)
-    dominated = np.any(le & lt, axis=0)
-    return [i for i in range(len(points)) if not dominated[i]]
+    return np.flatnonzero(nondominated_mask(objective_matrix(points))).tolist()
 
 
 class ScalarizedEnergy(EnergyModel):

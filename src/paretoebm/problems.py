@@ -98,7 +98,7 @@ def _zdt3_like() -> Problem:
     def front(k: int) -> np.ndarray:
         t = np.linspace(0.0, 0.999, max(k * 20, 200))
         pts = np.stack([t, 1.0 - t * (1.0 + np.sin(10.0 * math.pi * t))], axis=1)
-        keep = pareto_filter(list(pts))
+        keep = pareto_filter(pts)
         pts = pts[keep]
         idx = np.linspace(0, len(pts) - 1, min(k, len(pts))).astype(int)
         return pts[idx]

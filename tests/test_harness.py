@@ -1,13 +1,15 @@
 import dataclasses
+import gc
 import json
 import logging
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from paretoebm import samplers
+from paretoebm import harness, samplers
 from paretoebm.core import ConfigError, DiscreteSequence, ObjectiveVector, ShapeError
 from paretoebm.energy import PwmEnergy, save_model
 from paretoebm.harness import (
@@ -184,6 +186,23 @@ class TestRunSweep:
         run_sweep(cfg_b)
         assert snapshot(tmp_path / "out_a") == snapshot(tmp_path / "out_b")
 
+    def test_previous_cell_released_before_next_runs(self, tmp_path, monkeypatch):
+        # A cell's trajectories (with every recorded X row) must not stay
+        # alive while the next cell's chains run.
+        previous, alive = [], []
+
+        def tracking(objectives, specs):
+            gc.collect()
+            alive.extend(ref() for ref in previous)
+            results = samplers.run_population(objectives, specs)
+            previous[:] = [weakref.ref(r) for r in results]
+            return results
+
+        monkeypatch.setattr(harness, "run_population", tracking)
+        run_sweep(load_config(write_config(tmp_path / "cfg.yaml", methods=["cebm", "pcebm", "mgd"])))
+        # The 4 chains of each of the first two cells, looked up as the next cell starts.
+        assert alive == [None] * 8
+
     def test_unconverged_solves_logged_per_cell(self, tmp_path, monkeypatch, caplog):
         original = samplers.solve_min_norm
         monkeypatch.setattr(samplers, "solve_min_norm", lambda grads: original(grads, max_iters=1))
@@ -331,6 +350,22 @@ class TestEmitFront:
     def test_length_mismatch(self, tmp_path):
         with pytest.raises(ShapeError):
             emit_front([ObjectiveVector([0.1, 0.2])], [], tmp_path / "x.csv")
+
+    def test_matrix_input_writes_the_same_file(self, tmp_path):
+        V = np.round(np.random.default_rng(4).random((50, 3)), 1)
+        labels = [f"c{i % 4}" for i in range(50)]
+        emit_front(V, labels, tmp_path / "a.csv")
+        emit_front([ObjectiveVector(row) for row in V], labels, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        emit_front(np.empty((0, 3)), [], tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_text() == "label,non_dominated\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, tmp_path, bad):
+        V = np.array([[0.1, 0.2], [0.3, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            emit_front(V, ["a", "b"], tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
 
 
 def make_improve_setup(tmp_path, L=6, A=4, n_seeds=3, steps=40):

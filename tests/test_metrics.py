@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from paretoebm.core import (
     ShapeError,
     Trajectory,
 )
+from paretoebm import metrics
 from paretoebm.metrics import (
     NormalizationMap,
     ReferencePoint,
@@ -17,6 +19,7 @@ from paretoebm.metrics import (
     hypervolume_exact,
     hypervolume_mc,
     min_edit_to_set,
+    nondominated_mask,
     normalize,
     summarize_edist,
     unit_reference,
@@ -38,6 +41,117 @@ def py_edit_distance(a, b):
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
         prev = cur
     return prev[-1]
+
+
+def brute_nondominated(V):
+    # Oracle: the quadratic pairwise test (an n x n x m comparison tensor).
+    le = np.all(V[:, None, :] <= V[None, :, :], axis=-1)
+    lt = np.any(V[:, None, :] < V[None, :, :], axis=-1)
+    return ~np.any(le & lt, axis=0)
+
+
+def brute_hypervolume(V, r):
+    # The exact hypervolume as computed before the sort-based filter: the
+    # brute-force filter, then the 2-D sweep (m = 2) or z-layers of it (m = 3).
+    V = np.minimum(np.asarray(V, dtype=np.float64), r)
+    V = V[brute_nondominated(V)]
+    if V.shape[1] == 2:
+        return float(metrics._hv_2d(V, r[0], r[1]))
+    zs = np.unique(V[:, 2])
+    total = 0.0
+    for i, z in enumerate(zs):
+        z_next = zs[i + 1] if i + 1 < zs.size else r[2]
+        if z_next <= z:
+            continue
+        total += (z_next - z) * metrics._hv_2d(V[V[:, 2] <= z][:, :2], r[0], r[1])
+    return float(total)
+
+
+def brute_hypervolume_mc(V, r, samples, seed):
+    # Monte-Carlo hypervolume as computed before: every input point against
+    # blocks of 65,536 samples.
+    V = np.minimum(np.asarray(V, dtype=np.float64), r)
+    lo = V.min(axis=0)
+    span = r - lo
+    volume = float(np.prod(span))
+    if volume <= 0.0:
+        return 0.0, 0.0
+    rng = np.random.default_rng(seed)
+    hits, remaining = 0, samples
+    while remaining > 0:
+        k = min(65536, remaining)
+        q = lo + span * rng.random((k, r.size))
+        hits += int(np.any(np.all(V[None, :, :] <= q[:, None, :], axis=-1), axis=-1).sum())
+        remaining -= k
+    frac = hits / samples
+    return volume * frac, volume * float(np.sqrt(frac * (1.0 - frac) / samples))
+
+
+def random_point_sets(rng, count):
+    """Point sets for m = 1..4: continuous, integer grids (ties and duplicates),
+    and grids with NaN and +/-inf entries scattered in."""
+    for trial in range(count):
+        m = 1 + trial % 4
+        n = int(rng.integers(1, 60))
+        kind = trial // 4 % 3
+        if kind == 0:
+            yield rng.normal(size=(n, m))
+        else:
+            V = rng.integers(0, 4, size=(n, m)).astype(np.float64)
+            if kind == 2:
+                special = rng.random((n, m))
+                V[special < 0.05] = np.nan
+                V[(special >= 0.05) & (special < 0.1)] = np.inf
+                V[(special >= 0.1) & (special < 0.15)] = -np.inf
+            yield V
+
+
+class TestNondominatedMask:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(20)
+        for V in random_point_sets(rng, 1200):
+            assert np.array_equal(nondominated_mask(V), brute_nondominated(V)), V
+
+    def test_large_random_sets(self):
+        rng = np.random.default_rng(21)
+        for m in (2, 3, 4):
+            V = rng.random((1500, m))
+            V[:, 0] = np.round(V[:, 0], 2)  # ties in the primary sort key
+            assert np.array_equal(nondominated_mask(V), brute_nondominated(V))
+
+    def test_nan_rows_kept_and_dominate_nothing(self):
+        V = np.array([[np.nan, 0.0], [1.0, 1.0], [0.0, 0.0], [np.nan, np.nan]])
+        assert nondominated_mask(V).tolist() == [True, False, True, True]
+
+    def test_infinities(self):
+        V = np.array([[np.inf, -np.inf], [np.inf, 0.0], [-np.inf, np.inf], [-np.inf, np.inf]])
+        assert nondominated_mask(V).tolist() == [True, False, True, True]
+
+    def test_duplicates_all_kept(self):
+        assert nondominated_mask(np.full((5, 3), 0.5)).all()
+
+    def test_empty(self):
+        for m in (1, 2, 3):
+            assert nondominated_mask(np.empty((0, m))).shape == (0,)
+
+    def test_pareto_filter_agrees(self):
+        rng = np.random.default_rng(22)
+        for V in random_point_sets(rng, 200):
+            assert pareto_filter(V) == np.flatnonzero(brute_nondominated(V)).tolist()
+            assert pareto_filter(list(V)) == pareto_filter(V)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_memory_stays_linear(self, m):
+        # 6,000 points: the pairwise tensor alone would take 36e6 * m bytes.
+        V = np.random.default_rng(23).random((6000, m))
+        tracemalloc.start()
+        try:
+            keep = pareto_filter(V)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert keep
+        assert peak < 10 * 2**20
 
 
 class TestNormalization:
@@ -130,6 +244,26 @@ class TestHypervolumeExact:
             hv = hypervolume_exact(list(V), ref)
             assert 0.0 <= hv <= float(np.prod(1.0 - V.min(axis=0))) + 1e-12
 
+    def test_equals_brute_filter_then_sweep(self):
+        rng = np.random.default_rng(24)
+        for trial in range(300):
+            m = 2 + trial % 2
+            n = int(rng.integers(1, 80))
+            V = rng.random((n, m)) * 1.2
+            if trial % 3 == 0:
+                V = np.round(V, 1)  # ties and duplicates
+            r = np.ones(m)
+            assert hypervolume_exact(V, ReferencePoint(r)) == brute_hypervolume(V, r)
+            assert hypervolume_exact(list(V), ReferencePoint(r)) == brute_hypervolume(V, r)
+
+    def test_accepts_matrix_like_vectors(self):
+        rng = np.random.default_rng(25)
+        V = rng.random((40, 3))
+        ref = unit_reference(3)
+        assert hypervolume_exact(V, ref) == hypervolume_exact([obj(row) for row in V], ref)
+        with pytest.raises(ShapeError):
+            hypervolume_exact(V[None], ref)
+
     def test_m_above_three_rejected(self):
         with pytest.raises(ShapeError):
             hypervolume_exact([obj([0.1] * 4)], unit_reference(4))
@@ -157,6 +291,19 @@ class TestHypervolumeMc:
             exact = hypervolume_exact(pts, ref)
             est, err = hypervolume_mc(pts, ref, 200_000, seed=trial)
             assert abs(est - exact) <= 3.0 * max(err, 1e-12)
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_estimates_unchanged(self, m, monkeypatch):
+        rng = np.random.default_rng(26 + m)
+        r = np.ones(m)
+        for trial in range(4):
+            V = rng.random((int(rng.integers(1, 60)), m)) * 1.1
+            # 70,000 samples: the old loop drew them in two blocks.
+            expect = brute_hypervolume_mc(V, r, 70_000, seed=trial)
+            assert hypervolume_mc(V, ReferencePoint(r), 70_000, seed=trial) == expect
+        # Small sample blocks draw the same stream.
+        monkeypatch.setattr(metrics, "_MC_BLOCK_BYTES", 5000)
+        assert hypervolume_mc(V, ReferencePoint(r), 70_000, seed=trial) == expect
 
     def test_works_above_three_objectives(self):
         pts = [obj([0.5] * 4)]
@@ -223,6 +370,23 @@ class TestMinEditToSet:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             min_edit_to_set("abc", [])
+
+    def test_ragged_lengths_match_pairwise(self):
+        rng = np.random.default_rng(27)
+        for _ in range(150):
+            pool = [rng.integers(0, 3, size=int(rng.integers(0, 9))) for _ in range(int(rng.integers(1, 12)))]
+            x = rng.integers(0, 3, size=int(rng.integers(0, 9)))
+            dists = [py_edit_distance(x, p) for p in pool]
+            assert min_edit_to_set(x, pool) == (min(dists), int(np.argmin(dists)))
+
+    def test_empty_sequences(self):
+        assert min_edit_to_set("", ["abc", "", "a"]) == (0, 1)
+        assert min_edit_to_set("", ["abc", "ab"]) == (2, 1)
+        assert min_edit_to_set("ab", ["", "xyz"]) == (2, 0)
+
+    def test_tie_across_length_groups_takes_lowest_index(self):
+        # "abcd" and "ab" are both at distance 1 from "abc"; "abcd" comes first.
+        assert min_edit_to_set("abc", ["xyzw", "abcd", "ab", "abd"]) == (1, 1)
 
 
 class TestSummarizeEdist:

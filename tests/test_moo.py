@@ -87,8 +87,29 @@ class TestParetoFilter:
             pts = [obj(rng.integers(0, 4, size=m)) for _ in range(500)]
             assert pareto_filter(pts) == brute_force_front(pts)
 
+    def test_matches_brute_force_with_nan_and_inf(self):
+        rng = np.random.default_rng(30)
+        for m in (1, 2, 3, 4):
+            for _ in range(20):
+                V = rng.integers(0, 3, size=(40, m)).astype(float)
+                special = rng.random(V.shape)
+                V[special < 0.05] = np.nan
+                V[special > 0.92] = np.inf
+                V[(special > 0.05) & (special < 0.1)] = -np.inf
+                assert pareto_filter(V) == brute_force_front(list(V))
+
+    def test_array_input_matches_vectors(self):
+        rng = np.random.default_rng(31)
+        V = rng.integers(0, 5, size=(300, 3)).astype(float)
+        assert pareto_filter(V) == pareto_filter([obj(row) for row in V])
+
     def test_empty(self):
         assert pareto_filter([]) == []
+        assert pareto_filter(np.empty((0, 2))) == []
+
+    def test_non_matrix_array_rejected(self):
+        with pytest.raises(ShapeError):
+            pareto_filter(np.zeros((2, 2, 2)))
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
