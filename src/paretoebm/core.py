@@ -264,7 +264,8 @@ class Trajectory:
     (the min-norm direction for mgd/pcebm, the (weighted) gradient sum for
     cebm/ls_cebm). The first row is the initial state (step 0) and steps
     strictly increase. ``unconverged_solves`` counts the chain's min-norm
-    solves that stopped at their iteration cap.
+    solves that stopped at their iteration cap; only Frank-Wolfe, used for
+    m >= 4 objectives, has one, so it is 0 for m <= 3.
 
     The columns are validated once, on construction; non-finite states raise
     ValueError, so a chain that diverged anywhere fails as a whole.

@@ -1,6 +1,7 @@
 """Multi-objective machinery: dominance and Pareto extraction, linear
-scalarization, and the min-norm common-descent solver (closed form for two
-objectives, Frank-Wolfe above).
+scalarization, and the min-norm common-descent solver: exact and batched
+over rows for up to three objectives (closed form on each edge of the
+simplex, a 2x2 KKT solve inside it), Frank-Wolfe for four or more.
 
 Pareto extraction uses the sort-based filter metrics.nondominated_mask:
 O(n log n) for two objectives, output-sensitive (each point against the
@@ -122,13 +123,15 @@ def scalarize(objectives: ObjectiveSet, weights: SimplexWeights) -> ScalarizedEn
 
 
 def min_norm_closed_form(grads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact min-norm solves for m <= 2 objectives, one per row of a stack.
+    """Exact min-norm solves for m <= 3 objectives, one per row of a stack.
 
     ``grads`` is (n, m, d), finite. Returns the weights (n, m), directions
     (n, d) and norms (n,). For m = 2, lam_1 = clip(<g2 - g1, g2> /
     ||g1 - g2||^2, 0, 1), and the coincident case g1 == g2 fixes lam at one
-    half for determinism; for m = 1 the weight is 1. Every row is computed
-    with row-wise dot products and stacked matrix-vector products, so it is
+    half for determinism; for m = 1 the weight is 1. For m = 3 each row
+    takes the least-norm candidate among the three edges (the m = 2 formula)
+    and the interior point (see _min_norm_3_weights). Every row is computed
+    with row-wise dot products and stacked matrix products, so it is
     bit-identical to solving that row alone.
     """
     n, m, _ = grads.shape
@@ -137,16 +140,87 @@ def min_norm_closed_form(grads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     elif m == 2:
         g1, g2 = grads[:, 0], grads[:, 1]
         diff = g1 - g2
-        denom = np.vecdot(diff, diff)
-        coincident = denom == 0.0
-        q = np.vecdot(g2 - g1, g2) / np.where(coincident, 1.0, denom)
-        # min(1, max(0, q)) as Python's min/max evaluate it, down to the sign of zero.
-        lam1 = np.where(coincident, 0.5, np.where(q > 0.0, np.where(q < 1.0, q, 1.0), 0.0))
+        lam1 = _segment_weight(np.vecdot(g2 - g1, g2), np.vecdot(diff, diff))
         lam = np.stack([lam1, 1.0 - lam1], axis=1)
+    elif m == 3:
+        lam = _min_norm_3_weights(grads)
     else:
-        raise ShapeError(f"the closed form needs m = 1 or 2 objectives, got m={m}")
+        raise ShapeError(f"the closed form needs m = 1, 2 or 3 objectives, got m={m}")
     direction = (lam[:, None, :] @ grads)[:, 0]
     return lam, direction, np.sqrt(np.vecdot(direction, direction))
+
+
+def _segment_weight(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Weight of g1 at the min-norm point of the segment [g1, g2]: clip(num /
+    denom, 0, 1) with num = <g2 - g1, g2> and denom = ||g1 - g2||^2, and one
+    half where the two coincide (denom == 0)."""
+    coincident = denom == 0.0
+    q = num / np.where(coincident, 1.0, denom)
+    # min(1, max(0, q)) as Python's min/max evaluate it, down to the sign of zero.
+    return np.where(coincident, 0.5, np.where(q > 0.0, np.where(q < 1.0, q, 1.0), 0.0))
+
+
+# Edge k of the triangle joins vertices _EDGE_I[k] < _EDGE_J[k]; its vector is
+# e_k = g_j - g_i, in the order (0, 1), (0, 2), (1, 2).
+_EDGE_I, _EDGE_J = np.array([0, 0, 1]), np.array([1, 2, 2])
+_EDGES = np.arange(3)
+# Indexed by the base vertex v0: the other two vertices v1 < v2, the edges
+# joining v0 to them and the signs that orient those edges away from v0.
+_V1, _V2 = np.array([1, 0, 0]), np.array([2, 2, 1])
+_K1, _K2 = np.array([0, 0, 1]), np.array([1, 2, 2])
+_S1, _S2 = np.array([1.0, -1.0, -1.0]), np.array([1.0, 1.0, -1.0])
+
+
+def _min_norm_3_weights(grads: np.ndarray) -> np.ndarray:
+    """Min-norm weights over the 2-simplex for each row of an (n, 3, d) stack.
+
+    The optimum lies on an edge or inside. Candidates, in tie order: the
+    edges (0, 1), (0, 2), (1, 2), each by the m = 2 closed form, then the
+    stationary point of ||v0 + a (v1 - v0) + b (v2 - v0)||^2, a 2x2 linear
+    KKT system solved by Cramer's rule and kept only where its determinant is
+    positive and all three weights are non-negative. The base v0 is the
+    gradient opposite the longest edge: its angle is at least 60 degrees, so
+    the determinant never cancels badly on a thin triangle. Each row takes
+    the candidate of least norm, the first one on a tie. All inner products
+    are taken on the edge vectors, never as differences of Gram entries.
+    """
+    n = grads.shape[0]
+    rows = np.arange(n)
+    E = np.empty_like(grads)
+    np.subtract(grads[:, 1:], grads[:, :1], out=E[:, :2])
+    np.subtract(grads[:, 2], grads[:, 1], out=E[:, 2])
+    EE = np.vecdot(E[:, :, None], E[:, None])  # (n, 3, 3): e_k . e_l
+    EG = np.vecdot(E[:, :, None], grads[:, None])  # (n, 3, 3): e_k . g_j
+    lengths = EE[:, _EDGES, _EDGES]
+
+    candidates = np.zeros((n, 4, 3))
+    t = _segment_weight(EG[:, _EDGES, _EDGE_J], lengths)
+    candidates[:, _EDGES, _EDGE_I] = t
+    candidates[:, _EDGES, _EDGE_J] = 1.0 - t
+
+    base = 2 - np.argmax(lengths, axis=1)
+    k1, k2, s1, s2 = _K1[base], _K2[base], _S1[base], _S2[base]
+    a11, a22 = lengths[rows, k1], lengths[rows, k2]
+    a12 = s1 * s2 * EE[rows, k1, k2]
+    r1, r2 = -s1 * EG[rows, k1, base], -s2 * EG[rows, k2, base]
+    det = a11 * a22 - a12 * a12
+    solvable = det > 0.0
+    det = np.where(solvable, det, 1.0)
+    a = (r1 * a22 - r2 * a12) / det
+    b = (a11 * r2 - a12 * r1) / det
+    inner = candidates[:, 3]
+    inner[rows, base] = 1.0 - a - b
+    inner[rows, _V1[base]] = a
+    inner[rows, _V2[base]] = b
+
+    # One candidate at a time: an (n, 4, d) stack of directions would raise
+    # the peak memory of a sampling batch by its size.
+    sq = np.empty((n, 4))
+    for k in range(4):
+        direction = (candidates[:, k : k + 1] @ grads)[:, 0]
+        sq[:, k] = np.vecdot(direction, direction)
+    sq[:, 3] = np.where(solvable & np.all(inner >= 0.0, axis=1), sq[:, 3], np.inf)
+    return candidates[rows, np.argmin(sq, axis=1)]
 
 
 def min_norm_2(g1, g2) -> MinNormResult:
@@ -241,13 +315,12 @@ def min_norm_fw(
 
 
 def solve_min_norm(grads: np.ndarray, max_iters: int = FW_MAX_ITERS, tol: float = FW_TOL) -> MinNormResult:
-    """Dispatch on the objective count: the closed form for m <= 2,
+    """Dispatch on the objective count: the exact closed form for m <= 3,
     Frank-Wolfe beyond. Non-finite gradients raise ValueError."""
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2:
         raise ShapeError("expected an (m, d) gradient matrix")
-    m = grads.shape[0]
-    if m <= 2:
+    if grads.shape[0] <= 3:
         return _closed_form_result(grads)
     return min_norm_fw(GradientBundle(grads), max_iters=max_iters, tol=tol)
 

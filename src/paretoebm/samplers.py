@@ -7,8 +7,9 @@ All four run one chain loop. Each step moves x <- x - step * drift + scale * w
 with w a unit-variance noise draw; the method fixes the three parameters:
 
 - drift: the min-norm direction of the per-objective gradients, re-solved
-  every step (mgd, pcebm), or a fixed-weight gradient combination, the
-  plain sum for cebm and ``lambda @ grads`` for ls_cebm;
+  every step (mgd, pcebm; exactly for the whole batch at once when m <= 3,
+  by Frank-Wolfe per chain for m >= 4), or a fixed-weight gradient
+  combination, the plain sum for cebm and ``lambda @ grads`` for ls_cebm;
 - step: eta for the min-norm methods, eta/2 for the Langevin ones;
 - noise scale: sqrt(2*alpha) for pcebm, sigma for cebm/ls_cebm, none for mgd.
 
@@ -261,7 +262,7 @@ def _run_batch(objectives: ObjectiveSet, specs: Sequence[ChainSpec]) -> list[Tra
                 if not active.size:
                     break
             if weights is None:
-                if m <= 2:
+                if m <= 3:
                     lam, g, norm = min_norm_closed_form(grads)
                 else:
                     lam, g, norm = np.empty((active.size, m)), np.empty((active.size, d)), np.empty(active.size)

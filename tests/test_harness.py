@@ -204,10 +204,22 @@ class TestRunSweep:
         assert alive == [None] * 8
 
     def test_unconverged_solves_logged_per_cell(self, tmp_path, monkeypatch, caplog):
+        # Frank-Wolfe solves m >= 4 only, so the capped solver needs four objectives.
+        rng = np.random.default_rng(5)
+        model_files = []
+        for i in range(4):
+            save_model(PwmEnergy(rng.normal(size=(4, 5))), tmp_path / f"m{i}.model")
+            model_files.append(f"m{i}.model")
         original = samplers.solve_min_norm
         monkeypatch.setattr(samplers, "solve_min_norm", lambda grads: original(grads, max_iters=1))
         cfg = load_config(
-            write_config(tmp_path / "cfg.yaml", problem="tri-quadratic", methods=["mgd", "pcebm"], chains=2)
+            write_config(
+                tmp_path / "cfg.yaml",
+                problem="sequence-energies",
+                model_files=model_files,
+                methods=["mgd", "pcebm"],
+                chains=2,
+            )
         )
         with caplog.at_level(logging.WARNING, logger="paretoebm.harness"):
             report = run_sweep(cfg).report

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -204,7 +207,7 @@ class TestMinNorm2:
         with pytest.raises(ValueError, match="gradients must be finite"):
             solve_min_norm(np.array([[1.0, 0.0], [0.0, bad]]))
 
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
     def test_closed_form_rows_match_single_solves(self, m):
         # Interior, clipped (q outside [0, 1]) and coincident rows in one stack.
         rng = np.random.default_rng(21 + m)
@@ -234,6 +237,112 @@ def grid_min_norm_3(grads, step=0.01):
         lam = np.stack([np.full_like(b, a), b, np.clip(1.0 - a - b, 0.0, 1.0)], axis=1)
         best = min(best, np.linalg.norm(lam @ grads, axis=1).min())
     return best
+
+
+def _solve_exact(A, rhs):
+    """Gauss-Jordan elimination over Fractions; None if A is singular."""
+    k = len(A)
+    M = [list(row) + [r] for row, r in zip(A, rhs)]
+    for c in range(k):
+        pivot = next((r for r in range(c, k) if M[r][c] != 0), None)
+        if pivot is None:
+            return None
+        M[c], M[pivot] = M[pivot], M[c]
+        for r in range(k):
+            if r != c and M[r][c] != 0:
+                f = M[r][c] / M[c][c]
+                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
+    return [M[r][k] / M[r][r] for r in range(k)]
+
+
+def brute_min_norm(grads):
+    """Exact least norm over the simplex, by enumerating supports: for each
+    support S, the KKT point of lam_S^T G_S lam_S subject to sum(lam_S) = 1,
+    in rational arithmetic, kept if its weights are non-negative. A support
+    with a singular KKT system has a minimizer on its boundary, which a
+    smaller support covers."""
+    m = grads.shape[0]
+    rows = [[Fraction(float(x)) for x in g] for g in grads]
+    G = [[sum((x * y for x, y in zip(a, b)), Fraction(0)) for b in rows] for a in rows]
+    best = None
+    for mask in range(1, 2**m):
+        S = [i for i in range(m) if mask >> i & 1]
+        k = len(S)
+        kkt = [[G[i][j] for j in S] + [Fraction(1)] for i in S] + [[Fraction(1)] * k + [Fraction(0)]]
+        sol = _solve_exact(kkt, [Fraction(0)] * k + [Fraction(1)])
+        if sol is None or any(w < 0 for w in sol[:k]):
+            continue
+        sq = sum(sol[a] * sol[b] * G[i][j] for a, i in enumerate(S) for b, j in enumerate(S))
+        best = sq if best is None else min(best, sq)
+    return math.sqrt(best)
+
+
+class TestMinNorm3:
+    def test_matches_brute_force_and_tight_frank_wolfe(self):
+        rng = np.random.default_rng(40)
+        for _ in range(300):
+            d = int(rng.integers(1, 9))
+            grads = rng.standard_normal((3, d)) * 10.0 ** rng.uniform(-3, 3, size=(3, 1))
+            res = solve_min_norm(grads)
+            scale = float(np.abs(grads).max())
+            assert res.converged and res.iterations == 0
+            assert abs(res.norm - brute_min_norm(grads)) <= 1e-14 * scale
+            assert res.norm <= min_norm_fw(grads, tol=1e-14).norm + 1e-14 * scale
+
+    def test_descent_property(self):
+        # At the exact min-norm point d: <d, g_i> >= ||d||^2 for every i,
+        # with the slack of the m = 2 closed form.
+        rng = np.random.default_rng(41)
+        for _ in range(1000):
+            grads = rng.standard_normal((3, 8))
+            res = solve_min_norm(grads)
+            sq = res.norm**2
+            for g in grads:
+                assert res.direction @ g >= sq - 1e-9
+
+    def test_conflict_spanning_origin_is_zero(self):
+        grads = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
+        res = solve_min_norm(grads)
+        assert res.norm < 1e-15
+        assert np.allclose(res.lam, [0.5, 0.25, 0.25], atol=1e-15)
+
+    def test_coincident_gradients(self):
+        res = solve_min_norm(np.tile([3.0, 4.0], (3, 1)))
+        assert np.array_equal(res.lam, [0.5, 0.5, 0.0])
+        assert np.array_equal(res.direction, [3.0, 4.0]) and res.norm == 5.0
+
+    def test_collinear_gradients(self):
+        base = np.array([1.0, -2.0, 0.5])
+        res = solve_min_norm(np.stack([2.0 * base, -3.0 * base, 5.0 * base]))
+        assert res.norm < 1e-15 and np.all(res.lam >= 0.0)
+        assert np.array_equal(res.direction, res.lam @ np.stack([2.0 * base, -3.0 * base, 5.0 * base]))
+
+    def test_one_dimension(self):
+        res = solve_min_norm(np.array([[1.0], [2.0], [-4.0]]))
+        assert res.norm < 1e-15 and np.all(res.lam >= 0.0)
+        res = solve_min_norm(np.array([[3.0], [1.0], [2.0]]))
+        assert np.array_equal(res.lam, [0.0, 1.0, 0.0]) and res.norm == 1.0
+
+    def test_zero_gradient(self):
+        res = solve_min_norm(np.array([[1.0, 2.0], [0.0, 0.0], [-3.0, 1.0]]))
+        assert np.array_equal(res.lam, [0.0, 1.0, 0.0])
+        assert res.norm == 0.0
+
+    def test_dominated_vertex_gets_no_weight(self):
+        grads = np.array([[1.0, 0.0], [0.0, 1.0], [10.0, 10.0]])
+        res = solve_min_norm(grads)
+        two = min_norm_2(grads[0], grads[1])
+        assert res.lam[2] == 0.0
+        assert np.array_equal(res.lam[:2], two.lam) and res.norm == two.norm
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_scale_invariance(self, scale):
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            grads = rng.standard_normal((3, 5))
+            unit, scaled = solve_min_norm(grads), solve_min_norm(scale * grads)
+            assert np.allclose(scaled.lam, unit.lam, atol=1e-9)
+            assert scaled.norm == pytest.approx(scale * unit.norm, rel=1e-9, abs=1e-15 * scale)
 
 
 class TestMinNormFw:

@@ -33,6 +33,12 @@ def opposing_quadratics(a=(1.0, 0.0)):
     return ObjectiveSet([ShiftedQuadratic(a), ShiftedQuadratic(-a)])
 
 
+def four_quadratics():
+    """Quadratics centered on the corners of a quadrilateral in d = 2. With
+    m = 4 the min-norm drift comes from Frank-Wolfe, whose cap tests vary."""
+    return ObjectiveSet([ShiftedQuadratic(c) for c in ([2.0, 0.0], [-2.0, 0.0], [0.0, 2.0], [1.0, -2.0])])
+
+
 def trajectories_equal(t1, t2):
     return (
         np.array_equal(t1.steps, t2.steps)
@@ -225,9 +231,8 @@ class TestPcebm:
 
 class TestUnconvergedSolves:
     def _run(self):
-        prob = get_problem("tri-quadratic")
         cfg = SamplerConfig(eta=0.05, steps=50, alpha=0.01, seed=3)
-        return run_pcebm(prob.objectives, ChainSpec("pcebm", cfg, RandomInit(d=2, scale=3.0)))
+        return run_pcebm(four_quadratics(), ChainSpec("pcebm", cfg, RandomInit(d=2, scale=3.0)))
 
     def test_converged_solves_count_zero(self):
         assert self._run().unconverged_solves == 0
@@ -309,6 +314,7 @@ BATCH_OBJECTIVES = {
     "tri-quadratic": (get_problem("tri-quadratic").objectives, 0.05, 30, 1),
     "zdt3-like": (get_problem("zdt3-like").objectives, 0.01, 20, 3),
     "mlp": (ObjectiveSet([MlpEnergy.random(16, d=40, seed=k, scale=0.3) for k in (1, 2)]), 0.1, 20, 1),
+    "mlp-3": (ObjectiveSet([MlpEnergy.random(16, d=40, seed=k, scale=0.3) for k in (3, 4, 5)]), 0.1, 20, 1),
     # Longer than one noise block, with records off the block boundaries.
     "long-chain": (quadratic_pair(1000), 0.01, 80, 7),
     # So wide that a noise block holds a single step.
@@ -355,14 +361,14 @@ class TestBatchKernel:
             assert_same_chain(reversed_result, solo)
 
     @pytest.mark.parametrize(
-        "problem,stationary", [("opposing-quadratics", [0.5, 0.0]), ("tri-quadratic", [0.0, 2.0 / 3.0])]
+        "problem,stationary", [("opposing-quadratics", [0.5, 0.0]), ("four-quadratics", [0.25, 0.0])]
     )
     def test_early_stop_inside_a_running_batch(self, problem, stationary, monkeypatch):
-        # Cap Frank-Wolfe at one iteration so tri-quadratic chains count
+        # Cap Frank-Wolfe at one iteration so four-quadratics chains count
         # unconverged solves, which the masks must attribute per chain.
         original = samplers.solve_min_norm
         monkeypatch.setattr(samplers, "solve_min_norm", lambda grads: original(grads, max_iters=1))
-        objectives = get_problem(problem).objectives
+        objectives = four_quadratics() if problem == "four-quadratics" else get_problem(problem).objectives
         cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
         starts = [[0.0, 50.0], stationary, [0.0, 1.0], [0.3, 40.0]]
         specs = [ChainSpec("mgd", cfg, DesignPoint(x)) for x in starts]
@@ -378,6 +384,31 @@ class TestBatchKernel:
         for result, alone in zip(run_population(objectives, specs), solo):
             assert_same_chain(result, alone)
             assert len(result) == len(alone)
+
+    def test_mgd_stops_on_an_interior_pareto_stationary_point(self):
+        # (0.6, 0.2) = 0.6 c0 + 0.3 c1 + 0.1 c2 lies inside the triangle of
+        # the centers, so zero is in the hull of the gradients. A Frank-Wolfe
+        # drift (norm 7e-5 at its default tolerance) kept this chain moving.
+        objectives = get_problem("tri-quadratic").objectives
+        cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
+        specs = [ChainSpec("mgd", cfg, DesignPoint(x)) for x in ([0.0, 50.0], [0.6, 0.2])]
+        batch = run_population(objectives, specs)
+        stopped = batch[1]
+        assert stopped.terminated_early and stopped.termination_step == 0 and len(stopped) == 1
+        assert stopped.grad_norm[0] < 1e-12
+        assert not batch[0].terminated_early
+        for result, spec in zip(batch, specs):
+            assert_same_chain(result, run_chain(objectives, spec))
+
+    def test_up_to_three_objectives_solve_the_whole_batch_at_once(self, monkeypatch):
+        def per_row(grads):
+            raise AssertionError("solved one chain at a time")
+
+        monkeypatch.setattr(samplers, "solve_min_norm", per_row)
+        for problem in ("opposing-quadratics", "tri-quadratic"):
+            objectives = get_problem(problem).objectives
+            specs = batch_specs("pcebm", "gaussian", objectives, 0.05, 10, 1)
+            assert not any(isinstance(r, ChainFailure) for r in run_population(objectives, specs))
 
     def test_mixed_population_keeps_input_order(self):
         objectives = get_problem("fonseca-fleming").objectives
