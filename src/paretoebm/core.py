@@ -268,7 +268,12 @@ class Trajectory:
     m >= 4 objectives, has one, so it is 0 for m <= 3.
 
     The columns are validated once, on construction; non-finite states raise
-    ValueError, so a chain that diverged anywhere fails as a whole.
+    ValueError, so a chain that diverged anywhere fails as a whole. The
+    samplers validate a whole batch of chains at once and hand out each
+    chain's Trajectory as read-only views into the batch's columns, built
+    by ``_view`` without a second check. A sweep asks the samplers to keep
+    only the final coordinates; its trajectories' ``X`` then holds one row,
+    the state at ``steps[-1]``, and every other column keeps all records.
     """
 
     steps: np.ndarray
@@ -307,6 +312,20 @@ class Trajectory:
             column = column.view()
             column.setflags(write=False)
             object.__setattr__(self, name, column)
+
+    @classmethod
+    def _view(
+        cls, steps, X, F, lam, grad_norm, terminated_early, termination_step, unconverged_solves
+    ) -> "Trajectory":
+        """A Trajectory over read-only columns that the caller built and
+        validated (see the class docstring); nothing is copied or checked."""
+        self = object.__new__(cls)
+        vars(self).update(
+            steps=steps, X=X, F=F, lam=lam, grad_norm=grad_norm,
+            terminated_early=terminated_early, termination_step=termination_step,
+            unconverged_solves=unconverged_solves,
+        )
+        return self
 
     def __len__(self) -> int:
         return int(self.steps.size)

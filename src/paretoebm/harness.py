@@ -283,10 +283,10 @@ def _ls_lambda(cfg: ExperimentConfig, m: int) -> SimplexWeights:
 
 def _cell_spec(
     cfg: ExperimentConfig,
-    problem: Problem,
     cell: SweepCell,
     chain_index: int,
     init: RandomInit | DesignPoint,
+    fixed: SimplexWeights | None,
 ) -> ChainSpec:
     config = SamplerConfig(
         eta=cell.eta,
@@ -298,7 +298,6 @@ def _cell_spec(
         grad_tol=cfg.grad_tol,
         record_every=cfg.record_every,
     )
-    fixed = _ls_lambda(cfg, problem.m) if cell.method == METHOD_LS_CEBM else None
     return ChainSpec(method=cell.method, config=config, init=init, fixed_lambda=fixed)
 
 
@@ -397,8 +396,10 @@ def _run_cell(
     m = problem.m
     is_sequence = problem.point_kind == SEQUENCE_LOGITS
     try:
-        specs = [_cell_spec(cfg, problem, cell, ci, init) for ci in range(cfg.chains)]
-        results = run_population(problem.objectives, specs)
+        fixed = _ls_lambda(cfg, m) if cell.method == METHOD_LS_CEBM else None
+        specs = [_cell_spec(cfg, cell, ci, init, fixed) for ci in range(cfg.chains)]
+        # The cell reads only each chain's final point, so X keeps one row.
+        results = run_population(problem.objectives, specs, final_x_only=True)
     except Exception as exc:  # noqa: BLE001 - cell failures must not abort the sweep
         logger.warning("cell %s failed: %s", cell.cell_id, exc)
         return {"cell_id": cell.cell_id, "error": f"{type(exc).__name__}: {exc}"}

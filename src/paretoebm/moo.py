@@ -249,9 +249,10 @@ def min_norm_fw(
     toward it with the exact two-point closed form; when shifting weight off
     an over-weighted vertex is the steeper move, it takes the corresponding
     away step instead (the plain toward-vertex rule zigzags at an O(1/k)
-    rate near face optima, far too slow for tight tolerances). Stops on the
-    duality-gap certificate or when the squared-norm improvement falls below
-    tol.
+    rate near face optima, far too slow for tight tolerances). Stops, with
+    ``converged`` set, only on the duality-gap certificate gap <= tol, which
+    bounds the squared norm's excess over the optimum by tol; otherwise it
+    runs to max_iters and reports ``converged=False``.
     """
     if isinstance(bundle, GradientBundle):
         grads = bundle.grads
@@ -298,12 +299,7 @@ def min_norm_fw(
                 lam[i_away] = 0.0  # drop step: remove the vertex exactly
             lam = np.maximum(lam, 0.0)
         inner = gram @ lam
-        new_sq = float(inner @ lam)
-        improvement = sq - new_sq
-        sq = new_sq
-        if improvement < tol:
-            converged = True
-            break
+        sq = float(inner @ lam)
     direction = lam @ grads
     return MinNormResult(
         lam=lam,

@@ -23,14 +23,23 @@ does not depend on the batch it ran in, its position there, or the order of
 its population. Per-chain masks take a chain out of the batch when it stops
 early (noiseless min-norm chains stop at a Pareto-stationary point) or when
 its gradients turn non-finite, which fails that chain alone. The loop writes
-the recorded states into preallocated columns (``Trajectory``).
+the recorded states into preallocated ``(n, rows, .)`` columns and checks
+each recorded coordinate row for finiteness as it writes it. When the batch
+ends, the objective values and weights of every chain are checked in one
+vectorized pass, masked by each chain's row count; a chain with a
+non-finite record fails with the message the ``Trajectory`` constructor
+would give. Each finished chain gets a ``Trajectory`` of read-only views
+into the batch's columns. ``run_population(..., final_x_only=True)``, the
+sweep's path, keeps one coordinate row per chain, its last record, in
+place of all of them; every other column is kept whole.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -91,15 +100,16 @@ class RandomInit:
         else:
             raise ConfigError(f"unknown point kind: {self.kind!r}")
 
-    def realize(self, rng: np.random.Generator) -> DesignPoint:
-        d = self.d if self.kind == RAW else self.L * self.A
+    @property
+    def dim(self) -> int:
+        """Length of a drawn coordinate vector."""
+        return self.d if self.kind == RAW else self.L * self.A
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw one start's coordinates; they are not checked for finiteness."""
         if self.distribution == "normal":
-            coords = self.scale * rng.standard_normal(d)
-        else:
-            coords = rng.uniform(-self.scale, self.scale, d)
-        if self.kind == RAW:
-            return DesignPoint(coords)
-        return DesignPoint(coords, kind=SEQUENCE_LOGITS, L=self.L, A=self.A)
+            return self.scale * rng.standard_normal(self.dim)
+        return rng.uniform(-self.scale, self.scale, self.dim)
 
 
 @dataclass(frozen=True)
@@ -144,15 +154,13 @@ def chain_seed(base_seed: int, index: int) -> int:
     return int(state[0])
 
 
-def _start(objectives: ObjectiveSet, spec: ChainSpec, rng: np.random.Generator) -> DesignPoint:
-    point = spec.init.realize(rng) if isinstance(spec.init, RandomInit) else spec.init
-    if point.d != objectives.d:
-        raise ShapeError(f"init point has d={point.d}, objectives expect d={objectives.d}")
-    if point.kind != objectives.point_kind:
+def _check_start(objectives: ObjectiveSet, d: int, kind: str) -> None:
+    if d != objectives.d:
+        raise ShapeError(f"init point has d={d}, objectives expect d={objectives.d}")
+    if kind != objectives.point_kind:
         raise WrongKindError(
-            f"init point kind {point.kind!r} does not match objectives ({objectives.point_kind!r})"
+            f"init point kind {kind!r} does not match objectives ({objectives.point_kind!r})"
         )
-    return point
 
 
 def _draw_unit(rng: np.random.Generator, noise_kind: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -170,12 +178,16 @@ def _noise_block_steps(n_chains: int, d: int) -> int:
     return max(1, _NOISE_BLOCK_BYTES // (8 * n_chains * d))
 
 
-def _run_batch(objectives: ObjectiveSet, specs: Sequence[ChainSpec]) -> list[Trajectory | Exception]:
+def _run_batch(
+    objectives: ObjectiveSet, specs: Sequence[ChainSpec], final_x_only: bool = False
+) -> list[Trajectory | Exception]:
     """Run chains that share a method, every config field but the seed, and
     the fixed weights, as one (n, d) state array; see the module docstring.
 
     Returns, per spec in order, its Trajectory or the exception that failed
-    that chain. An invalid shared drift (weights of the wrong length) raises.
+    that chain. With ``final_x_only`` each Trajectory's X holds only the
+    chain's last recorded row. An invalid shared drift (weights of the wrong
+    length) raises.
     """
     spec = specs[0]
     cfg = spec.config
@@ -195,13 +207,23 @@ def _run_batch(objectives: ObjectiveSet, specs: Sequence[ChainSpec]) -> list[Tra
 
     results: list[Trajectory | Exception | None] = [None] * len(specs)
     rngs, starts, started = [], [], []
+    fitting: set[RandomInit] = set()  # random inits whose shape and kind are checked
     for index, chain in enumerate(specs):
+        init = chain.init
         rng = np.random.default_rng(chain.config.seed)
         try:
-            starts.append(_start(objectives, chain, rng).coords)
+            if isinstance(init, RandomInit):
+                coords = init.draw(rng)
+                if init not in fitting:
+                    _check_start(objectives, init.dim, init.kind)
+                    fitting.add(init)
+            else:
+                coords = init.coords
+                _check_start(objectives, init.d, init.kind)
         except Exception as exc:  # noqa: BLE001 - a bad start fails only its own chain
             results[index] = exc
             continue
+        starts.append(coords)
         rngs.append(rng)
         started.append(index)
     if not started:
@@ -211,13 +233,15 @@ def _run_batch(objectives: ObjectiveSet, specs: Sequence[ChainSpec]) -> list[Tra
     schedule = np.array([*range(0, last + 1, every), *([last] if last % every else [])], dtype=np.int64)
     X = np.array(starts)
     n, d = X.shape
-    # Recorded rows, per chain: row i of a running chain is schedule[i].
-    X_rec = np.empty((n, schedule.size, d))
+    # Recorded rows, per chain: row i of a running chain is schedule[i]. With
+    # final_x_only every record overwrites the one coordinate row.
+    X_rec = np.empty((n, 1 if final_x_only else schedule.size, d))
     F_rec = np.empty((n, schedule.size, m))
     lam_rec = np.empty((n, schedule.size, m))
     norm_rec = np.empty((n, schedule.size))
     rows = np.full(n, schedule.size)
     termination: list[int | None] = [None] * n
+    x_bad = np.full(n, -1, dtype=np.int64)  # first recorded step with non-finite coordinates
     unconverged = np.zeros(n, dtype=np.int64)
     active = np.arange(n)  # batch positions of the running chains, the rows of X
     noise, used = None, 0
@@ -232,10 +256,21 @@ def _run_batch(objectives: ObjectiveSet, specs: Sequence[ChainSpec]) -> list[Tra
         if noise is not None:
             noise = noise[keep]
 
+    def fail(gone: np.ndarray, message: str) -> None:
+        for pos in active[gone].tolist():
+            results[started[pos]] = ValueError(message)
+        drop(gone)
+
+    # A DesignPoint start is finite by construction; drawn starts are checked here.
+    bad = ~np.all(np.isfinite(X), axis=1)
+    if bad.any():
+        fail(bad, "coords must be finite (no NaN/Inf)")
     # Divergence shows up as non-finite gradients, which fail their chain at
     # that step; the interim overflow itself is not worth a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(last + 1):
+            if not active.size:
+                break
             if step:
                 X = X - step_size * g
                 if noise_on:
@@ -253,12 +288,8 @@ def _run_batch(objectives: ObjectiveSet, specs: Sequence[ChainSpec]) -> list[Tra
             values, grads = objectives.eval_batch(X)
             bad = ~np.all(np.isfinite(grads), axis=(1, 2))
             if bad.any():
-                for pos in active[bad].tolist():
-                    results[started[pos]] = ValueError(
-                        f"gradients must be finite (no NaN/Inf); step {step} is not"
-                    )
                 values, grads = values[~bad], grads[~bad]
-                drop(bad)
+                fail(bad, f"gradients must be finite (no NaN/Inf); step {step} is not")
                 if not active.size:
                     break
             if weights is None:
@@ -283,7 +314,12 @@ def _run_batch(objectives: ObjectiveSet, specs: Sequence[ChainSpec]) -> list[Tra
             if record or stopping:
                 sel = slice(None) if record else stop
                 at = active[sel]
-                X_rec[at, row] = X[sel]
+                x = X[sel]
+                X_rec[at, 0 if final_x_only else row] = x
+                nonfinite = ~np.all(np.isfinite(x), axis=1)
+                if nonfinite.any():
+                    first = at[nonfinite]
+                    x_bad[first[x_bad[first] < 0]] = step
                 F_rec[at, row] = values[sel]
                 if weights is None:
                     lam_rec[at, row] = lam[sel]
@@ -297,25 +333,40 @@ def _run_batch(objectives: ObjectiveSet, specs: Sequence[ChainSpec]) -> list[Tra
                     termination[pos] = step
                 g = g[~stop]
                 drop(stop)
-                if not active.size:
-                    break
             if record:
                 row += 1
 
+    # Validate the batch's columns once, as the Trajectory constructor would
+    # each chain's: coordinates, then objective values, then weights, each
+    # at its first non-finite record. Rows past a chain's count are unset.
+    written = np.arange(schedule.size) < rows[:, None]
+    f_bad = written & ~np.all(np.isfinite(F_rec), axis=2)
+    lam_bad = written & ~np.all(np.isfinite(lam_rec), axis=2)
+    invalid = (x_bad >= 0) | f_bad.any(axis=1) | lam_bad.any(axis=1)
+    for column in (schedule, X_rec, F_rec, lam_rec, norm_rec):
+        column.setflags(write=False)  # so every per-chain view is read-only
     for pos, index in enumerate(started):
         if results[index] is not None:
             continue
         end, stopped_at = rows[pos], termination[pos]
         steps = schedule if stopped_at is None else np.append(schedule[: end - 1], stopped_at)
-        try:
-            results[index] = Trajectory(
-                steps, X_rec[pos, :end], F_rec[pos, :end], lam_rec[pos, :end], norm_rec[pos, :end],
-                terminated_early=stopped_at is not None,
-                termination_step=stopped_at,
-                unconverged_solves=int(unconverged[pos]),
-            )
-        except ValueError as exc:
-            results[index] = exc
+        if invalid[pos]:
+            if x_bad[pos] >= 0:
+                name, at_step = "coords", x_bad[pos]
+            elif f_bad[pos].any():
+                name, at_step = "objective values", steps[np.argmax(f_bad[pos])]
+            else:
+                name, at_step = "weights", steps[np.argmax(lam_bad[pos])]
+            results[index] = ValueError(f"{name} must be finite (no NaN/Inf); step {at_step} is not")
+            continue
+        steps.setflags(write=False)
+        results[index] = Trajectory._view(
+            steps, X_rec[pos] if final_x_only else X_rec[pos, :end], F_rec[pos, :end],
+            lam_rec[pos, :end], norm_rec[pos, :end],
+            terminated_early=stopped_at is not None,
+            termination_step=stopped_at,
+            unconverged_solves=int(unconverged[pos]),
+        )
     return results
 
 
@@ -363,21 +414,29 @@ def run_chain(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
     return result
 
 
-def run_population(objectives: ObjectiveSet, specs: Sequence[ChainSpec]) -> list[Trajectory | ChainFailure]:
+# Every config field except the seed; chains that share these batch together.
+_batch_config = attrgetter(*(f.name for f in fields(SamplerConfig) if f.name != "seed"))
+
+
+def run_population(
+    objectives: ObjectiveSet, specs: Sequence[ChainSpec], *, final_x_only: bool = False
+) -> list[Trajectory | ChainFailure]:
     """Run many independent chains; results come back in input order.
 
     Chains that share a method, every config field but the seed, and the
     fixed weights run as one batch. A failing chain yields a ChainFailure
-    entry tagged with its index and does not disturb its siblings.
+    entry tagged with its index and does not disturb its siblings. With
+    ``final_x_only`` each trajectory's X keeps only the chain's last
+    recorded row (the final point); every other column keeps all records.
     """
     batches: dict[tuple, list[int]] = {}
     for index, spec in enumerate(specs):
-        key = (spec.method, replace(spec.config, seed=0), spec.fixed_lambda)
+        key = (spec.method, _batch_config(spec.config), spec.fixed_lambda)
         batches.setdefault(key, []).append(index)
     results: list[Trajectory | ChainFailure | None] = [None] * len(specs)
     for indices in batches.values():
         try:
-            batch = _run_batch(objectives, [specs[i] for i in indices])
+            batch = _run_batch(objectives, [specs[i] for i in indices], final_x_only)
         except Exception as exc:  # noqa: BLE001 - failures are per-chain data
             batch = [exc] * len(indices)
         for index, result in zip(indices, batch):
@@ -392,7 +451,12 @@ def write_trajectories(
     chain_ids: Sequence[int] | None = None,
 ) -> None:
     """Export trajectories as CSV: one record per line with fields
-    (chain_id, step, objective values..., lambda..., grad_norm)."""
+    (chain_id, step, objective values..., lambda..., grad_norm).
+
+    The bytes are those of the csv module's default writer: ``\\r\\n`` line
+    ends, ``repr`` floats and plain integer chain ids and steps (exact below
+    2**53). The columns are stacked and formatted in one pass.
+    """
     if not trajectories:
         raise ValueError("nothing to export")
     m = trajectories[0].m
@@ -402,14 +466,22 @@ def write_trajectories(
         raise ShapeError(f"need {m} objective names, got {len(objective_names)}")
     if chain_ids is None:
         chain_ids = range(len(trajectories))
+    pairs = list(zip(chain_ids, trajectories))
+    if any(traj.m != m for _, traj in pairs):
+        raise ShapeError("all trajectories must share the objective count m")
+    body = ""
+    if pairs:
+        ids, trajs = zip(*pairs)
+        table = np.column_stack([
+            np.repeat(ids, [len(t) for t in trajs]),
+            np.concatenate([t.steps for t in trajs]),
+            np.concatenate([t.F for t in trajs]),
+            np.concatenate([t.lam for t in trajs]),
+            np.concatenate([t.grad_norm for t in trajs]),
+        ])
+        record = "%d,%d," + ",".join(["%r"] * (2 * m + 1)) + "\r\n"
+        body = (record * len(table)) % tuple(table.ravel().tolist())
     header = ["chain_id", "step", *objective_names, *[f"lambda{i}" for i in range(m)], "grad_norm"]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for cid, traj in zip(chain_ids, trajectories):
-            if traj.m != m:
-                raise ShapeError("all trajectories must share the objective count m")
-            for step, values, weights, grad_norm in zip(
-                traj.steps.tolist(), traj.F.tolist(), traj.lam.tolist(), traj.grad_norm.tolist()
-            ):
-                writer.writerow([cid, step, *values, *weights, grad_norm])
+        csv.writer(fh).writerow(header)
+        fh.write(body)

@@ -191,10 +191,10 @@ class TestRunSweep:
         # alive while the next cell's chains run.
         previous, alive = [], []
 
-        def tracking(objectives, specs):
+        def tracking(objectives, specs, *, final_x_only=False):
             gc.collect()
             alive.extend(ref() for ref in previous)
-            results = samplers.run_population(objectives, specs)
+            results = samplers.run_population(objectives, specs, final_x_only=final_x_only)
             previous[:] = [weakref.ref(r) for r in results]
             return results
 

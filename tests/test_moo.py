@@ -7,6 +7,8 @@ import pytest
 from paretoebm.core import SIMPLEX_TOL, DesignPoint, ObjectiveVector, ShapeError, SimplexWeights
 from paretoebm.energy import ObjectiveSet, ShiftedQuadratic
 from paretoebm.moo import (
+    FW_MAX_ITERS,
+    FW_TOL,
     GradientBundle,
     dominates,
     mgd_direction,
@@ -415,6 +417,29 @@ class TestMinNormFw:
     def test_m1_rejected(self):
         with pytest.raises(ShapeError):
             min_norm_fw(np.array([[1.0, 2.0]]))
+
+    def test_converged_only_on_the_certificate(self):
+        # A solve reports convergence only once its duality gap is <= tol,
+        # which bounds the squared norm's excess over the optimum by tol.
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            grads = rng.standard_normal((4, 3))
+            res = solve_min_norm(grads)
+            if res.converged:
+                assert res.norm**2 - brute_min_norm(grads) ** 2 <= FW_TOL
+            else:
+                assert res.iterations == FW_MAX_ITERS
+
+    def test_no_stop_on_a_small_improvement(self):
+        # The exact min norm of this bundle is 0. A stop on a squared-norm
+        # improvement below tol once ended at norm 1.4e-9, duality gap 2.4e-8.
+        grads = np.array([[8.4896, 0.0022451], [-12.550, -0.40471], [0.024941, 0.28280]])
+        assert brute_min_norm(grads) == 0.0
+        res = min_norm_fw(grads, tol=1e-14)
+        assert res.converged and res.norm < 1e-12
+        # The solver's own gap is <= tol; recomputed from the direction it
+        # rounds differently, by about eps * max ||g_i||^2 = 3e-14.
+        assert 2.0 * (res.norm**2 - float(np.min(grads @ res.direction))) <= 1e-13
 
     def test_accepts_bundle(self):
         bundle = GradientBundle(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))

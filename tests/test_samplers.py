@@ -1,16 +1,23 @@
+import csv
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from paretoebm import samplers
 from paretoebm.core import (
+    SEQUENCE_LOGITS,
     ConfigError,
     DesignPoint,
     SamplerConfig,
     ShapeError,
     SimplexWeights,
+    Trajectory,
+    WrongKindError,
     uniform_weights,
 )
-from paretoebm.energy import MlpEnergy, ObjectiveSet, ShiftedQuadratic
+from paretoebm.energy import EnergyModel, MlpEnergy, ObjectiveSet, ShiftedQuadratic
 from paretoebm.moo import pareto_filter
 from paretoebm.problems import get_problem
 from paretoebm.samplers import (
@@ -483,3 +490,193 @@ class TestTrajectoryExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("chain_id,step,aff,bv")
         assert lines[1].split(",")[0] == "7"
+
+
+class TanhSum(EnergyModel):
+    """Value sum(tanh(x - shift)) and its gradient: both stay finite even at
+    infinite coordinates, so only the state itself can diverge."""
+
+    def __init__(self, d, shift):
+        self.shift = float(shift)
+        self._d = d
+
+    @property
+    def d(self):
+        return self._d
+
+    def _value_and_gradient(self, coords):
+        t = np.tanh(coords - self.shift)
+        return float(t.sum()), 1.0 - t * t
+
+
+class CappedQuadratic(ShiftedQuadratic):
+    """A quadratic whose value is infinite once x[0] > 2; its gradient stays finite."""
+
+    def _value_and_gradient(self, coords):
+        value, grad = super()._value_and_gradient(coords)
+        return (np.inf if coords[0] > 2.0 else value), grad
+
+    def _batch_value_and_gradient(self, X):
+        # The base class's row loop, so the cap applies to every row.
+        return EnergyModel._batch_value_and_gradient(self, X)
+
+
+def assert_final_x_matches(objectives, specs):
+    """final_x_only keeps each chain's last recorded X row and every other column whole."""
+    full = run_population(objectives, specs)
+    final = run_population(objectives, specs, final_x_only=True)
+    for whole, last in zip(full, final):
+        if isinstance(whole, ChainFailure):
+            assert isinstance(last, ChainFailure) and str(last) == str(whole)
+            continue
+        for name in ("steps", "F", "lam", "grad_norm"):
+            assert np.array_equal(getattr(last, name), getattr(whole, name))
+        assert last.X.shape == (1, objectives.d)
+        assert np.array_equal(last.X[-1], whole.X[-1])
+        assert (last.terminated_early, last.termination_step, last.unconverged_solves) == (
+            whole.terminated_early, whole.termination_step, whole.unconverged_solves
+        )
+
+
+class TestFinalXOnly:
+    @pytest.mark.parametrize("problem", sorted(set(BATCH_OBJECTIVES) - {"wide"}))
+    @pytest.mark.parametrize("method,noise_kind", METHOD_NOISE)
+    def test_columns_match_the_full_path(self, method, noise_kind, problem):
+        objectives, eta, steps, record_every = BATCH_OBJECTIVES[problem]
+        assert_final_x_matches(objectives, batch_specs(method, noise_kind, objectives, eta, steps, record_every))
+
+    @pytest.mark.parametrize("problem", ["opposing-quadratics", "four-quadratics"])
+    def test_mgd_early_stops(self, problem):
+        # Stops at step 0, between records, and not at all, in one batch.
+        objectives = four_quadratics() if problem == "four-quadratics" else get_problem(problem).objectives
+        cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
+        starts = [[0.0, 50.0], [0.5, 0.0], [0.0, 1.0], [0.3, 40.0], [0.25, 0.0]]
+        specs = [ChainSpec("mgd", cfg, DesignPoint(x)) for x in starts]
+        results = run_population(objectives, specs, final_x_only=True)
+        assert any(t.terminated_early for t in results) and not all(t.terminated_early for t in results)
+        assert_final_x_matches(objectives, specs)
+
+    def test_views_are_read_only(self):
+        objectives = opposing_quadratics()
+        cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1, seed=3)
+        for final_x_only in (False, True):
+            [traj] = run_population(objectives, [ChainSpec("cebm", cfg, RandomInit(d=2))], final_x_only=final_x_only)
+            for name in ("steps", "X", "F", "lam", "grad_norm"):
+                column = getattr(traj, name)
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0] = 1.0
+
+    @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
+    def test_diverging_coordinates_fail_alike_on_both_paths(self, noise_kind):
+        # Under sigma = 1e300 the chain started at (max, -max) overflows to
+        # an infinite state at its first outward noise draw, while its value
+        # and gradient stay finite: only the recorded coordinates show it.
+        # Its siblings stay far from overflow.
+        objectives = ObjectiveSet([TanhSum(2, 0.5), TanhSum(2, -0.5)])
+        cfg = SamplerConfig(eta=0.1, steps=30, noise_kind=noise_kind, sigma=1e300, seed=0, record_every=4)
+        big = np.finfo(np.float64).max
+        starts = [[0.0, 0.0], [big, -big], [1.0, -1.0], [0.5, 0.5]]
+        specs = [ChainSpec("cebm", replace(cfg, seed=i), DesignPoint(x)) for i, x in enumerate(starts)]
+        errors = []
+        for final_x_only in (False, True):
+            results = run_population(objectives, specs, final_x_only=final_x_only)
+            failure = results[1]
+            assert isinstance(failure, ChainFailure) and isinstance(failure.error, ValueError)
+            errors.append(str(failure.error))
+            for index in (0, 2, 3):
+                assert not isinstance(results[index], ChainFailure)
+                assert np.all(np.isfinite(results[index].X))
+        with pytest.raises(ValueError) as solo:
+            run_chain(objectives, specs[1])
+        assert errors[0] == errors[1] == str(solo.value)
+        match = re.fullmatch(r"coords must be finite \(no NaN/Inf\); step (\d+) is not", errors[0])
+        assert match and int(match.group(1)) % 4 == 0 and int(match.group(1)) > 0
+
+    def test_non_finite_values_fail_at_their_first_record(self):
+        # Noiseless cebm on one quadratic centered at (3, 0): x0 <- x0 - 0.1 * (x0 - 3)
+        # (the summed gradient times eta / 2). The value turns infinite once x0 > 2.
+        objectives = ObjectiveSet([CappedQuadratic([3.0, 0.0])])
+        cfg = SamplerConfig(eta=0.2, steps=40, sigma=0.0)
+        x, first = 0.0, None
+        for step in range(1, 41):
+            x = x - 0.1 * (2.0 * (x - 3.0))
+            if x > 2.0 and first is None:
+                first = step
+        spec = ChainSpec("cebm", cfg, DesignPoint([0.0, 0.0]))
+        for final_x_only in (False, True):
+            [failure] = run_population(objectives, [spec], final_x_only=final_x_only)
+            assert str(failure.error) == f"objective values must be finite (no NaN/Inf); step {first} is not"
+
+
+
+class TestStarts:
+    def test_bad_starts_fail_only_their_own_chains(self):
+        objectives = opposing_quadratics()
+        cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
+        wrong_kind = RandomInit(kind=SEQUENCE_LOGITS, L=1, A=2)
+        specs = [
+            ChainSpec("cebm", cfg, RandomInit(d=2)),
+            ChainSpec("cebm", cfg, RandomInit(d=2, scale=np.inf)),  # draws +-inf
+            ChainSpec("cebm", cfg, wrong_kind),
+            ChainSpec("cebm", cfg, RandomInit(d=3)),
+            ChainSpec("cebm", cfg, wrong_kind),
+            ChainSpec("cebm", cfg, DesignPoint([0.5, 0.5])),
+        ]
+        results = run_population(objectives, specs)
+        assert str(results[1].error) == "coords must be finite (no NaN/Inf)"
+        assert isinstance(results[2].error, WrongKindError) and isinstance(results[4].error, WrongKindError)
+        assert results[2].error is not results[4].error
+        assert isinstance(results[3].error, ShapeError)
+        for index in (0, 5):
+            assert_same_chain(results[index], run_chain(objectives, specs[index]))
+
+
+def csv_oracle(path, trajectories, objective_names=None, chain_ids=None):
+    """The row-by-row csv.writer export that write_trajectories must match byte for byte."""
+    m = trajectories[0].m
+    names = [f"f{i}" for i in range(m)] if objective_names is None else objective_names
+    ids = range(len(trajectories)) if chain_ids is None else chain_ids
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["chain_id", "step", *names, *[f"lambda{i}" for i in range(m)], "grad_norm"])
+        for cid, traj in zip(ids, trajectories):
+            for step, values, weights, grad_norm in zip(
+                traj.steps.tolist(), traj.F.tolist(), traj.lam.tolist(), traj.grad_norm.tolist()
+            ):
+                writer.writerow([cid, step, *values, *weights, grad_norm])
+
+
+AWKWARD = [-0.0, 5e-324, 1e16, 0.1 + 0.2, -1.5e-7, 123.0, 2.0**60, -2.2250738585072014e-308]
+
+
+def awkward_trajectory(m, rows, shift):
+    values = np.roll(np.resize(AWKWARD, rows * m), shift).reshape(rows, m)
+    grad_norm = np.roll(np.resize([np.inf, *AWKWARD], rows), shift)
+    return Trajectory(np.arange(rows) * 3, np.zeros((rows, 2)), values, values[:, ::-1], grad_norm)
+
+
+class TestTrajectoryBytes:
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_matches_csv_writer(self, tmp_path, m):
+        trajs = [awkward_trajectory(m, rows, shift) for shift, rows in enumerate((1, 4, 7))]
+        for kwargs in ({}, {"chain_ids": [5, 0, 12]}, {"objective_names": ['a,b', 'q"x', "c"][:m]}):
+            write_trajectories(tmp_path / "new.csv", trajs, **kwargs)
+            csv_oracle(tmp_path / "old.csv", trajs, **kwargs)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert b"\r\n" in (tmp_path / "new.csv").read_bytes()
+
+    def test_sampled_views_match_csv_writer(self, tmp_path):
+        objectives, eta, steps, record_every = BATCH_OBJECTIVES["mlp-3"]
+        for method, noise in (("mgd", "none"), ("ls_cebm", "uniform")):
+            specs = batch_specs(method, noise, objectives, eta, steps, record_every, chains=5)
+            trajs = run_population(objectives, specs, final_x_only=True)
+            write_trajectories(tmp_path / "new.csv", trajs, chain_ids=[1, 4, 6, 9, 30])
+            csv_oracle(tmp_path / "old.csv", trajs, chain_ids=[1, 4, 6, 9, 30])
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_empty_and_mixed_m_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_trajectories(tmp_path / "t.csv", [])
+        with pytest.raises(ShapeError):
+            write_trajectories(tmp_path / "t.csv", [awkward_trajectory(1, 2, 0), awkward_trajectory(3, 2, 0)])
