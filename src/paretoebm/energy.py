@@ -323,16 +323,18 @@ class FonsecaFlemingBranch(EnergyModel):
     def d(self) -> int:
         return self.n
 
+    # Both paths take the exponential with the ufunc np.exp, never math.exp
+    # (the two differ in the last bit on a few percent of inputs): a ufunc
+    # rounds each element the same way whatever the array's length, so a
+    # batch row equals the solo value bit for bit.
     def _value_and_gradient(self, coords):
         delta = coords - self.center
-        e = math.exp(-float(delta @ delta))
+        e = float(np.exp(-(delta @ delta)))
         return 1.0 - e, (2.0 * e) * delta
 
     def _batch_value_and_gradient(self, X):
         delta = X - self.center
-        # math.exp, not np.exp: the two differ in the last bit on a few
-        # percent of inputs, and _value_and_gradient uses math.exp.
-        e = np.array([math.exp(-s) for s in np.vecdot(delta, delta).tolist()])
+        e = np.exp(-np.vecdot(delta, delta))
         return 1.0 - e, (2.0 * e)[:, None] * delta
 
 

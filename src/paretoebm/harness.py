@@ -657,6 +657,7 @@ def improve_seeds(
         pairs = []
         for mi, method in enumerate(cfg.methods):
             kind = NOISE_NONE if method == METHOD_MGD else noise
+            fixed = _ls_lambda(cfg, problem.m) if method == METHOD_LS_CEBM else None
             for si, seed in enumerate(seeds):
                 config = SamplerConfig(
                     eta=eta,
@@ -668,7 +669,6 @@ def improve_seeds(
                     grad_tol=cfg.grad_tol,
                     record_every=max(1, steps),
                 )
-                fixed = _ls_lambda(cfg, problem.m) if method == METHOD_LS_CEBM else None
                 specs.append(
                     ChainSpec(method=method, config=config, init=relax(seed), fixed_lambda=fixed)
                 )

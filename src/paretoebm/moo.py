@@ -140,8 +140,10 @@ def min_norm_closed_form(grads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     elif m == 2:
         g1, g2 = grads[:, 0], grads[:, 1]
         diff = g1 - g2
-        lam1 = _segment_weight(np.vecdot(g2 - g1, g2), np.vecdot(diff, diff))
-        lam = np.stack([lam1, 1.0 - lam1], axis=1)
+        lam = np.empty((n, 2))
+        # -diff is exactly g2 - g1.
+        lam[:, 0] = _segment_weight(np.vecdot(-diff, g2), np.vecdot(diff, diff))
+        np.subtract(1.0, lam[:, 0], out=lam[:, 1])
     elif m == 3:
         lam = _min_norm_3_weights(grads)
     else:

@@ -20,18 +20,22 @@ chain keeps its own noise stream, seeded from its config, and draws it a
 block of steps at a time. Every operation of a step is row-wise and rounds
 each row exactly as it would round that chain alone, so a chain's result
 does not depend on the batch it ran in, its position there, or the order of
-its population. Per-chain masks take a chain out of the batch when it stops
-early (noiseless min-norm chains stop at a Pareto-stationary point) or when
-its gradients turn non-finite, which fails that chain alone. The loop writes
-the recorded states into preallocated ``(n, rows, .)`` columns and checks
-each recorded coordinate row for finiteness as it writes it. When the batch
-ends, the objective values and weights of every chain are checked in one
-vectorized pass, masked by each chain's row count; a chain with a
-non-finite record fails with the message the ``Trajectory`` constructor
-would give. Each finished chain gets a ``Trajectory`` of read-only views
-into the batch's columns. ``run_population(..., final_x_only=True)``, the
-sweep's path, keeps one coordinate row per chain, its last record, in
-place of all of them; every other column is kept whole.
+its population. Elementwise math in the energies uses numpy ufuncs in both
+the solo and the batch path: a ufunc rounds each element the same way at
+any array length. Per-chain masks take a chain out of the batch when it
+stops early (noiseless min-norm chains stop at a Pareto-stationary point)
+or when its gradients turn non-finite, which fails that chain alone; the
+gradients get one finiteness reduction per step, and the per-chain mask is
+built only when it fails. The loop writes the recorded states into
+preallocated ``(n, rows, .)`` columns and checks each recorded coordinate
+row for finiteness as it writes it. When the batch ends, the objective
+values and weights of every chain are checked in one vectorized pass,
+masked by each chain's row count; a chain with a non-finite record fails
+with the message the ``Trajectory`` constructor would give. Each finished chain gets a ``Trajectory`` of views into the
+batch's columns, which are made read-only first, so no view can be made
+writable again. ``run_population(..., final_x_only=True)``, the sweep's
+path, keeps one coordinate row per chain, its last record, in place of all
+of them; every other column is kept whole.
 """
 
 from __future__ import annotations
@@ -286,8 +290,8 @@ def _run_batch(
                     X = X + noise_scale * noise[:, used]
                     used += 1
             values, grads = objectives.eval_batch(X)
-            bad = ~np.all(np.isfinite(grads), axis=(1, 2))
-            if bad.any():
+            if not np.isfinite(grads).all():
+                bad = ~np.all(np.isfinite(grads), axis=(1, 2))
                 values, grads = values[~bad], grads[~bad]
                 fail(bad, f"gradients must be finite (no NaN/Inf); step {step} is not")
                 if not active.size:
@@ -343,8 +347,10 @@ def _run_batch(
     f_bad = written & ~np.all(np.isfinite(F_rec), axis=2)
     lam_bad = written & ~np.all(np.isfinite(lam_rec), axis=2)
     invalid = (x_bad >= 0) | f_bad.any(axis=1) | lam_bad.any(axis=1)
+    # A chain gets views of read-only owners, never an owner itself, so
+    # setflags(write=True) raises on each of its columns.
     for column in (schedule, X_rec, F_rec, lam_rec, norm_rec):
-        column.setflags(write=False)  # so every per-chain view is read-only
+        column.setflags(write=False)
     for pos, index in enumerate(started):
         if results[index] is not None:
             continue
@@ -361,7 +367,7 @@ def _run_batch(
             continue
         steps.setflags(write=False)
         results[index] = Trajectory._view(
-            steps, X_rec[pos] if final_x_only else X_rec[pos, :end], F_rec[pos, :end],
+            steps[:], X_rec[pos] if final_x_only else X_rec[pos, :end], F_rec[pos, :end],
             lam_rec[pos, :end], norm_rec[pos, :end],
             terminated_early=stopped_at is not None,
             termination_step=stopped_at,
@@ -466,21 +472,19 @@ def write_trajectories(
         raise ShapeError(f"need {m} objective names, got {len(objective_names)}")
     if chain_ids is None:
         chain_ids = range(len(trajectories))
-    pairs = list(zip(chain_ids, trajectories))
-    if any(traj.m != m for _, traj in pairs):
+    if len(chain_ids) != len(trajectories):
+        raise ShapeError(f"got {len(chain_ids)} chain ids for {len(trajectories)} trajectories")
+    if any(traj.m != m for traj in trajectories):
         raise ShapeError("all trajectories must share the objective count m")
-    body = ""
-    if pairs:
-        ids, trajs = zip(*pairs)
-        table = np.column_stack([
-            np.repeat(ids, [len(t) for t in trajs]),
-            np.concatenate([t.steps for t in trajs]),
-            np.concatenate([t.F for t in trajs]),
-            np.concatenate([t.lam for t in trajs]),
-            np.concatenate([t.grad_norm for t in trajs]),
-        ])
-        record = "%d,%d," + ",".join(["%r"] * (2 * m + 1)) + "\r\n"
-        body = (record * len(table)) % tuple(table.ravel().tolist())
+    table = np.column_stack([
+        np.repeat(chain_ids, [len(t) for t in trajectories]),
+        np.concatenate([t.steps for t in trajectories]),
+        np.concatenate([t.F for t in trajectories]),
+        np.concatenate([t.lam for t in trajectories]),
+        np.concatenate([t.grad_norm for t in trajectories]),
+    ])
+    record = "%d,%d," + ",".join(["%r"] * (2 * m + 1)) + "\r\n"
+    body = (record * len(table)) % tuple(table.ravel().tolist())
     header = ["chain_id", "step", *objective_names, *[f"lambda{i}" for i in range(m)], "grad_norm"]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)

@@ -27,6 +27,30 @@ from paretoebm.energy import (
 FD_H = 1e-5
 
 
+def exp_differs_from_math_exp(args):
+    """Mask of the arguments where np.exp and math.exp round differently."""
+    return np.exp(args) != np.array([math.exp(a) for a in args.tolist()])
+
+
+# False where numpy's exp loop rounds exactly as the C library does (for
+# example with its AVX-512 loops disabled); math.exp and np.exp are then
+# indistinguishable.
+EXP_LOOPS_DIFFER = bool(exp_differs_from_math_exp(-np.random.default_rng(0).uniform(0.0, 30.0, 20000)).any())
+
+
+def test_np_exp_rounds_an_element_alike_at_any_length():
+    # FonsecaFlemingBranch's batch = solo rests on this: a Python float, a
+    # numpy scalar and a 1-element array give the element that arrays of
+    # length 1-40 give at every offset, SIMD bodies and tails alike.
+    args = -np.random.default_rng(5).uniform(0.0, 30.0, 120)
+    scalar = np.array([np.exp(a) for a in args.tolist()])
+    assert np.array_equal(scalar, [np.exp(a) for a in args])  # numpy scalars
+    assert np.array_equal(scalar, [np.exp(args[i : i + 1])[0] for i in range(args.size)])
+    for length in range(1, 41):
+        for start in range(args.size - length + 1):
+            assert np.array_equal(np.exp(args[start : start + length]), scalar[start : start + length])
+
+
 def fd_gradient(model, coords, h=FD_H):
     g = np.zeros_like(coords)
     for i in range(coords.size):
@@ -174,6 +198,16 @@ class TestObjectiveSet:
                 value, grad = model._value_and_gradient(x)
                 assert values[i, j] == value
                 assert np.array_equal(grads[i, j], grad)
+        for j, model in enumerate(models):
+            if isinstance(model, FonsecaFlemingBranch):
+                # Some rows round differently under math.exp, and both paths
+                # use np.exp: a path back on math.exp fails one of these checks.
+                delta = X - model.center
+                args = -np.vecdot(delta, delta)
+                assert exp_differs_from_math_exp(args).any() or not EXP_LOOPS_DIFFER
+                e = np.exp(args)
+                assert np.array_equal(values[:, j], 1.0 - e)
+                assert np.array_equal(grads[:, j], (2.0 * e)[:, None] * delta)
 
 
 def planted_pwm_data(rng, L=6, A=4, n=300):

@@ -567,6 +567,23 @@ class TestFinalXOnly:
                 with pytest.raises(ValueError):
                     column[0] = 1.0
 
+    def test_columns_cannot_be_made_writable(self):
+        # Chains that run to the end and mgd chains that stop early (at step
+        # 0 and between records), in a batch and alone, on both X paths.
+        objectives = opposing_quadratics()
+        cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
+        starts = [[0.0, 50.0], [0.5, 0.0], [0.0, 1.0], [0.3, 40.0]]
+        specs = [ChainSpec("mgd", cfg, DesignPoint(x)) for x in starts]
+        results = [run_chain(objectives, spec) for spec in specs]
+        for final_x_only in (False, True):
+            batch = run_population(objectives, specs, final_x_only=final_x_only)
+            assert [t.terminated_early for t in batch] == [False, True, True, False]
+            results += batch
+        for traj in results:
+            for name in ("steps", "X", "F", "lam", "grad_norm"):
+                with pytest.raises(ValueError):
+                    getattr(traj, name).setflags(write=True)
+
     @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
     def test_diverging_coordinates_fail_alike_on_both_paths(self, noise_kind):
         # Under sigma = 1e300 the chain started at (max, -max) overflows to
@@ -674,6 +691,13 @@ class TestTrajectoryBytes:
             write_trajectories(tmp_path / "new.csv", trajs, chain_ids=[1, 4, 6, 9, 30])
             csv_oracle(tmp_path / "old.csv", trajs, chain_ids=[1, 4, 6, 9, 30])
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("chain_ids", [[4], [4, 5], [4, 5, 6, 7]])
+    def test_chain_id_count_must_match(self, tmp_path, chain_ids):
+        trajs = [awkward_trajectory(2, 4, shift) for shift in range(3)]
+        with pytest.raises(ShapeError, match=f"got {len(chain_ids)} chain ids for 3 trajectories"):
+            write_trajectories(tmp_path / "t.csv", trajs, chain_ids=chain_ids)
+        assert not (tmp_path / "t.csv").exists()
 
     def test_empty_and_mixed_m_rejected(self, tmp_path):
         with pytest.raises(ValueError):
