@@ -50,12 +50,10 @@ from .metrics import (
     summarize_edist,
 )
 from .moo import (
-    GradientBundle,
     MinNormResult,
     dominates,
     mgd_direction,
     min_norm_2,
-    min_norm_fw,
     pareto_filter,
     scalarize,
 )

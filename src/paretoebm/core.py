@@ -263,15 +263,16 @@ class Trajectory:
     ``grad_norm[i]``, the norm of the drift direction the method used there
     (the min-norm direction for mgd/pcebm, the (weighted) gradient sum for
     cebm/ls_cebm). The first row is the initial state (step 0) and steps
-    strictly increase. ``unconverged_solves`` counts the chain's min-norm
-    solves that stopped at their iteration cap; only Frank-Wolfe, used for
-    m >= 4 objectives, has one, so it is 0 for m <= 3.
+    strictly increase.
 
-    The columns are validated once, on construction; non-finite states raise
-    ValueError, so a chain that diverged anywhere fails as a whole. The
-    samplers validate a whole batch of chains at once and hand out each
-    chain's Trajectory as read-only views into the batch's columns, built
-    by ``_view`` without a second check. A sweep asks the samplers to keep
+    The constructor copies each column into a private read-only array and
+    validates it once; non-finite states raise ValueError, so a chain that
+    diverged anywhere fails as a whole. Each column is a view of that
+    array, so neither the caller's arrays nor ``setflags(write=True)`` can
+    change a validated trajectory. The samplers validate a whole batch of
+    chains at once and hand out each chain's Trajectory as read-only views
+    into the batch's columns, built by ``_view`` without a second check or
+    copy. A sweep asks the samplers to keep
     only the final coordinates; its trajectories' ``X`` then holds one row,
     the state at ``steps[-1]``, and every other column keeps all records.
     """
@@ -283,14 +284,13 @@ class Trajectory:
     grad_norm: np.ndarray
     terminated_early: bool = False
     termination_step: int | None = None
-    unconverged_solves: int = 0
 
     def __post_init__(self):
-        steps = np.asarray(self.steps, dtype=np.int64)
-        X = np.asarray(self.X, dtype=np.float64)
-        F = np.asarray(self.F, dtype=np.float64)
-        lam = np.asarray(self.lam, dtype=np.float64)
-        grad_norm = np.asarray(self.grad_norm, dtype=np.float64)
+        steps = np.array(self.steps, dtype=np.int64)
+        X = np.array(self.X, dtype=np.float64)
+        F = np.array(self.F, dtype=np.float64)
+        lam = np.array(self.lam, dtype=np.float64)
+        grad_norm = np.array(self.grad_norm, dtype=np.float64)
         if steps.ndim != 1 or steps.size == 0:
             raise ValueError("trajectory must contain at least the initial record")
         if steps[0] != 0:
@@ -309,21 +309,17 @@ class Trajectory:
         if self.terminated_early and self.termination_step is None:
             raise ValueError("terminated_early requires a termination_step")
         for name, column in (("steps", steps), ("X", X), ("F", F), ("lam", lam), ("grad_norm", grad_norm)):
-            column = column.view()
             column.setflags(write=False)
-            object.__setattr__(self, name, column)
+            object.__setattr__(self, name, column.view())
 
     @classmethod
-    def _view(
-        cls, steps, X, F, lam, grad_norm, terminated_early, termination_step, unconverged_solves
-    ) -> "Trajectory":
+    def _view(cls, steps, X, F, lam, grad_norm, terminated_early, termination_step) -> "Trajectory":
         """A Trajectory over read-only columns that the caller built and
         validated (see the class docstring); nothing is copied or checked."""
         self = object.__new__(cls)
         vars(self).update(
             steps=steps, X=X, F=F, lam=lam, grad_norm=grad_norm,
             terminated_early=terminated_early, termination_step=termination_step,
-            unconverged_solves=unconverged_solves,
         )
         return self
 

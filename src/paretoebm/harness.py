@@ -55,11 +55,12 @@ from .metrics import (
     summarize_edist,
     edit_distance,
 )
-from .moo import pareto_filter
+from .moo import check_min_norm_m, pareto_filter
 from .problems import Problem, get_problem
 from .samplers import (
     METHOD_LS_CEBM,
     METHOD_MGD,
+    METHOD_PCEBM,
     METHODS,
     ChainFailure,
     ChainSpec,
@@ -281,6 +282,13 @@ def _ls_lambda(cfg: ExperimentConfig, m: int) -> SimplexWeights:
     return SimplexWeights(np.array(cfg.ls_lambda))
 
 
+def _check_min_norm_methods(cfg: ExperimentConfig, m: int) -> None:
+    """Refuse, before any chain runs, a min-norm method (mgd, pcebm) on more
+    objectives than the min-norm solve takes."""
+    if METHOD_MGD in cfg.methods or METHOD_PCEBM in cfg.methods:
+        check_min_norm_m(m)
+
+
 def _cell_spec(
     cfg: ExperimentConfig,
     cell: SweepCell,
@@ -417,12 +425,6 @@ def _run_cell(
         if is_sequence:
             row.append(sequence_to_str(_decode_final(res, problem), cfg.alphabet))
         final_rows.append(row)
-    unconverged = sum(t.unconverged_solves for t in trajectories)
-    if unconverged:
-        logger.warning(
-            "cell %s: %d min-norm solves did not converge within the iteration cap",
-            cell.cell_id, unconverged,
-        )
     tmp_dir = cells_dir / f".tmp-{cell.cell_id}"
     if tmp_dir.exists():
         for leftover in tmp_dir.iterdir():
@@ -464,6 +466,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     reference = ReferencePoint(np.array(cfg.reference_point)) if cfg.reference_point else ReferencePoint(np.ones(m))
     if reference.m != m:
         raise ConfigError(f"reference point has m={reference.m}, problem has m={m}")
+    _check_min_norm_methods(cfg, m)
     if METHOD_LS_CEBM in cfg.methods:
         _ls_lambda(cfg, m)  # validate early
     is_sequence = problem.point_kind == SEQUENCE_LOGITS
@@ -625,6 +628,7 @@ def improve_seeds(
     problem = get_problem(cfg.problem, cfg.model_files)
     if problem.point_kind != SEQUENCE_LOGITS:
         raise ConfigError("improve_seeds needs a sequence problem")
+    _check_min_norm_methods(cfg, problem.m)
     L, A = problem.sequence_dims()
     if scorer.d != problem.d:
         raise ShapeError(f"scorer has d={scorer.d}, problem has d={problem.d}")

@@ -7,9 +7,9 @@ All four run one chain loop. Each step moves x <- x - step * drift + scale * w
 with w a unit-variance noise draw; the method fixes the three parameters:
 
 - drift: the min-norm direction of the per-objective gradients, re-solved
-  every step (mgd, pcebm; exactly for the whole batch at once when m <= 3,
-  by Frank-Wolfe per chain for m >= 4), or a fixed-weight gradient
-  combination, the plain sum for cebm and ``lambda @ grads`` for ls_cebm;
+  every step, exactly and for the whole batch at once (mgd, pcebm; see
+  moo.min_norm_closed_form), or a fixed-weight gradient combination, the
+  plain sum for cebm and ``lambda @ grads`` for ls_cebm;
 - step: eta for the min-norm methods, eta/2 for the Langevin ones;
 - noise scale: sqrt(2*alpha) for pcebm, sigma for cebm/ls_cebm, none for mgd.
 
@@ -22,9 +22,10 @@ each row exactly as it would round that chain alone, so a chain's result
 does not depend on the batch it ran in, its position there, or the order of
 its population. Elementwise math in the energies uses numpy ufuncs in both
 the solo and the batch path: a ufunc rounds each element the same way at
-any array length. Per-chain masks take a chain out of the batch when it
-stops early (noiseless min-norm chains stop at a Pareto-stationary point)
-or when its gradients turn non-finite, which fails that chain alone; the
+any array length. The stacked linear solves of the min-norm drift factor
+each row's matrix alone. Per-chain masks take a chain out of the batch
+when it stops early (noiseless min-norm chains stop at a Pareto-stationary
+point) or when its gradients turn non-finite, which fails that chain alone; the
 gradients get one finiteness reduction per step, and the per-chain mask is
 built only when it fails. The loop writes the recorded states into
 preallocated ``(n, rows, .)`` columns and checks each recorded coordinate
@@ -64,7 +65,8 @@ from .core import (
     uniform_weights,
 )
 from .energy import ObjectiveSet
-from .moo import min_norm_closed_form, solve_min_norm
+# solve_min_norm stays bound here: perfbench tests that its tracer restores this name.
+from .moo import min_norm_closed_form, solve_min_norm  # noqa: F401
 
 METHOD_MGD = "mgd"
 METHOD_CEBM = "cebm"
@@ -246,7 +248,6 @@ def _run_batch(
     rows = np.full(n, schedule.size)
     termination: list[int | None] = [None] * n
     x_bad = np.full(n, -1, dtype=np.int64)  # first recorded step with non-finite coordinates
-    unconverged = np.zeros(n, dtype=np.int64)
     active = np.arange(n)  # batch positions of the running chains, the rows of X
     noise, used = None, 0
     row = 0
@@ -297,14 +298,7 @@ def _run_batch(
                 if not active.size:
                     break
             if weights is None:
-                if m <= 3:
-                    lam, g, norm = min_norm_closed_form(grads)
-                else:
-                    lam, g, norm = np.empty((active.size, m)), np.empty((active.size, d)), np.empty(active.size)
-                    for j, pos in enumerate(active.tolist()):
-                        res = solve_min_norm(grads[j])
-                        lam[j], g[j], norm[j] = res.lam, res.direction, res.norm
-                        unconverged[pos] += not res.converged
+                lam, g, norm = min_norm_closed_form(grads)
             elif summed:
                 # Sequential accumulation keeps the reduction order bit-stable.
                 g = grads[:, 0]
@@ -371,7 +365,6 @@ def _run_batch(
             lam_rec[pos, :end], norm_rec[pos, :end],
             terminated_early=stopped_at is not None,
             termination_step=stopped_at,
-            unconverged_solves=int(unconverged[pos]),
         )
     return results
 

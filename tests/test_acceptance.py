@@ -44,7 +44,7 @@ from paretoebm.metrics import (
     hypervolume_mc,
     unit_reference,
 )
-from paretoebm.moo import min_norm_2, min_norm_fw, pareto_filter, solve_min_norm
+from paretoebm.moo import _min_norm_enumerated_weights, min_norm_2, pareto_filter, solve_min_norm
 from paretoebm.problems import get_problem
 from paretoebm.samplers import (
     ChainSpec,
@@ -79,8 +79,8 @@ def test_criterion_01_min_norm_solver():
     # Simplex grid with step 0.01; the solvers must never be worse than the
     # grid by more than 1e-3 (the grid itself sits above the true optimum
     # by up to ~2e-2 near conflicts, so a two-sided bound is unattainable
-    # for any solver). Both the exact m = 3 solve and Frank-Wolfe, which
-    # serves m >= 4, are held to it.
+    # for any solver). Both the exact m = 3 solve and the support
+    # enumeration, which serves m >= 4, are held to it.
     step = 0.01
     a_vals = np.arange(0.0, 1.0 + step / 2, step)
     for _ in range(200):
@@ -91,14 +91,14 @@ def test_criterion_01_min_norm_solver():
             lam3 = np.stack([np.full_like(b, a), b, np.clip(1.0 - a - b, 0.0, 1.0)], axis=1)
             best = min(best, float(np.linalg.norm(lam3 @ grads, axis=1).min()))
         assert solve_min_norm(grads).norm <= best + 1e-3
-        res = min_norm_fw(grads)
-        assert res.norm <= best + 1e-3
+        lam = _min_norm_enumerated_weights(grads[None])[0]
+        assert float(np.linalg.norm(lam @ grads)) <= best + 1e-3
 
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report_pass(
         1,
-        f"closed form beats 1e-3 grid on 1000 pairs; exact m=3 solve and FW within 1e-3 of "
+        f"closed form beats 1e-3 grid on 1000 pairs; exact m=3 solve and support enumeration within 1e-3 of "
         f"0.01 simplex grid on 200 bundles ({elapsed:.1f}s)",
     )
 

@@ -207,6 +207,17 @@ class TestTrajectory:
         assert t.F.shape == (2, 2)
         assert t.m == 2
 
+    def test_caller_arrays_cannot_change_it(self):
+        steps, F = np.array([0, 3]), np.array([[1.0, 2.0], [0.5, 1.0]])
+        t = Trajectory(steps, np.zeros((2, 1)), F, F * 0.5, np.ones(2))
+        F[0, 0] = np.nan
+        steps[1] = 0
+        assert np.array_equal(t.F, [[1.0, 2.0], [0.5, 1.0]])
+        assert np.array_equal(t.steps, [0, 3])
+        for name in ("steps", "X", "F", "lam", "grad_norm"):
+            with pytest.raises(ValueError):
+                getattr(t, name).setflags(write=True)
+
     @pytest.mark.parametrize("column", ["X", "F", "lam"])
     def test_rejects_non_finite_state(self, column):
         cols = {"X": [[0.0], [1.0]], "F": [[1.0, 2.0], [0.5, 1.0]], "lam": [[0.5, 0.5], [1.0, 0.0]]}

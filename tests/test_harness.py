@@ -20,7 +20,7 @@ from paretoebm.harness import (
     run_sweep,
     sweep_cells,
 )
-from paretoebm.moo import pareto_filter
+from paretoebm.moo import MIN_NORM_MAX_M, pareto_filter
 from paretoebm.problems import get_problem
 
 
@@ -39,6 +39,15 @@ def write_config(path, **overrides):
     doc.update(overrides)
     path.write_text(yaml.safe_dump(doc))
     return path
+
+
+def save_pwm_models(tmp_path, count, L=4, A=5):
+    """Write ``count`` random PWM models; returns their file names."""
+    rng = np.random.default_rng(5)
+    names = [f"m{i}.model" for i in range(count)]
+    for name in names:
+        save_model(PwmEnergy(rng.normal(size=(L, A))), tmp_path / name)
+    return names
 
 
 def snapshot(root: Path) -> dict:
@@ -203,33 +212,45 @@ class TestRunSweep:
         # The 4 chains of each of the first two cells, looked up as the next cell starts.
         assert alive == [None] * 8
 
-    def test_unconverged_solves_logged_per_cell(self, tmp_path, monkeypatch, caplog):
-        # Frank-Wolfe solves m >= 4 only, so the capped solver needs four objectives.
-        rng = np.random.default_rng(5)
-        model_files = []
-        for i in range(4):
-            save_model(PwmEnergy(rng.normal(size=(4, 5))), tmp_path / f"m{i}.model")
-            model_files.append(f"m{i}.model")
-        original = samplers.solve_min_norm
-        monkeypatch.setattr(samplers, "solve_min_norm", lambda grads: original(grads, max_iters=1))
+    def test_four_objective_sweep_runs_every_chain_without_warning(self, tmp_path, caplog):
+        # Four objectives take the min-norm support enumeration.
         cfg = load_config(
             write_config(
                 tmp_path / "cfg.yaml",
                 problem="sequence-energies",
-                model_files=model_files,
+                model_files=save_pwm_models(tmp_path, 4),
                 methods=["mgd", "pcebm"],
                 chains=2,
             )
         )
         with caplog.at_level(logging.WARNING, logger="paretoebm.harness"):
             report = run_sweep(cfg).report
-        warned = [r.getMessage() for r in caplog.records if "did not converge" in r.getMessage()]
-        assert len(warned) == 2
-        assert any(w.startswith("cell pcebm_eta0.1_k20_gaussian: ") for w in warned)
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert report["failures"] == []
+        assert [cell["chains"] for cell in report["cells"]] == [2, 2]
         assert set(report) == {
             "config_version", "problem", "base_seed", "chains", "objective_names",
             "reference_point", "normalization", "cells", "failures",
         }
+
+    def test_min_norm_method_above_the_objective_limit_refused(self, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_population", lambda *args, **kwargs: runs.append(args))
+        cfg = load_config(
+            write_config(
+                tmp_path / "cfg.yaml",
+                problem="sequence-energies",
+                model_files=save_pwm_models(tmp_path, MIN_NORM_MAX_M + 1),
+                methods=["cebm", "pcebm"],
+            )
+        )
+        with pytest.raises(ConfigError, match=f"at most {MIN_NORM_MAX_M} objectives, got m={MIN_NORM_MAX_M + 1}"):
+            run_sweep(cfg)
+        assert runs == [] and not (tmp_path / "out").exists()
+        monkeypatch.undo()
+        # Without a min-norm method the same problem runs.
+        report = run_sweep(dataclasses.replace(cfg, methods=("cebm",), steps_grid=(2,), chains=1)).report
+        assert [cell["chains"] for cell in report["cells"]] == [1]
 
     def test_diverging_cell_logged_not_fatal(self, tmp_path):
         # eta=40 on quadratics overflows to non-finite coordinates; those
@@ -448,6 +469,16 @@ class TestImproveSeeds:
         cfg, seeds, _ = make_improve_setup(tmp_path)
         with pytest.raises(ShapeError):
             improve_seeds(cfg, seeds, PwmEnergy.zeros(3, 4))
+
+    def test_min_norm_method_above_the_objective_limit_refused(self, tmp_path, monkeypatch):
+        cfg, seeds, scorer = make_improve_setup(tmp_path)
+        model_files = tuple(str(tmp_path / f) for f in save_pwm_models(tmp_path, MIN_NORM_MAX_M + 1, L=6, A=4))
+        runs = []
+        monkeypatch.setattr(harness, "run_population", lambda *args, **kwargs: runs.append(args))
+        for methods in (("mgd",), ("cebm", "pcebm")):
+            with pytest.raises(ConfigError, match=f"at most {MIN_NORM_MAX_M} objectives, got m={MIN_NORM_MAX_M + 1}"):
+                improve_seeds(dataclasses.replace(cfg, model_files=model_files, methods=methods), seeds, scorer)
+        assert runs == []
 
     def test_analytic_problem_rejected(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "cfg.yaml"))

@@ -4,17 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paretoebm.core import SIMPLEX_TOL, DesignPoint, ObjectiveVector, ShapeError, SimplexWeights
+from paretoebm.core import SIMPLEX_TOL, ConfigError, DesignPoint, ObjectiveVector, ShapeError, SimplexWeights
 from paretoebm.energy import ObjectiveSet, ShiftedQuadratic
 from paretoebm.moo import (
-    FW_MAX_ITERS,
-    FW_TOL,
-    GradientBundle,
+    MIN_NORM_MAX_M,
+    _min_norm_enumerated_weights,
     dominates,
     mgd_direction,
     min_norm_2,
     min_norm_closed_form,
-    min_norm_fw,
     pareto_filter,
     scalarize,
     solve_min_norm,
@@ -209,7 +207,7 @@ class TestMinNorm2:
         with pytest.raises(ValueError, match="gradients must be finite"):
             solve_min_norm(np.array([[1.0, 0.0], [0.0, bad]]))
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
     def test_closed_form_rows_match_single_solves(self, m):
         # Interior, clipped (q outside [0, 1]) and coincident rows in one stack.
         rng = np.random.default_rng(21 + m)
@@ -225,20 +223,21 @@ class TestMinNorm2:
             assert np.array_equal(res.direction, res.lam @ g)
             assert res.norm == float(np.linalg.norm(res.direction))
 
+    def test_descent_property_two_objectives(self):
+        # At the exact min-norm point g: <g, g_i> >= ||g||^2 for every i.
+        rng = np.random.default_rng(11)
+        for _ in range(1000):
+            g1, g2 = rng.standard_normal((2, 8))
+            res = min_norm_2(g1, g2)
+            sq = res.norm**2
+            assert res.direction @ g1 >= sq - 1e-9
+            assert res.direction @ g2 >= sq - 1e-9
+
     def test_underflowing_weight_is_positive_zero(self):
         # <g2 - g1, g2> / ||g1 - g2||^2 underflows to -0.0 here; the weight
         # is clipped to +0.0, as min(1, max(0, q)) gives.
         res = min_norm_2(np.array([2e-150, 1e154]), np.array([1e-150, 0.0]))
         assert np.array_equal(res.lam, [0.0, 1.0]) and not np.signbit(res.lam[0])
-
-
-def grid_min_norm_3(grads, step=0.01):
-    best = np.inf
-    for a in np.arange(0.0, 1.0 + step / 2, step):
-        b = np.arange(0.0, 1.0 - a + step / 2, step)
-        lam = np.stack([np.full_like(b, a), b, np.clip(1.0 - a - b, 0.0, 1.0)], axis=1)
-        best = min(best, np.linalg.norm(lam @ grads, axis=1).min())
-    return best
 
 
 def _solve_exact(A, rhs):
@@ -279,17 +278,22 @@ def brute_min_norm(grads):
     return math.sqrt(best)
 
 
+def random_bundle(rng, m, d):
+    """m gradients in d dimensions, each scaled by its own factor in [1e-3, 1e3]."""
+    return rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+
+
 class TestMinNorm3:
-    def test_matches_brute_force_and_tight_frank_wolfe(self):
+    def test_matches_brute_force_and_the_enumeration(self):
         rng = np.random.default_rng(40)
         for _ in range(300):
-            d = int(rng.integers(1, 9))
-            grads = rng.standard_normal((3, d)) * 10.0 ** rng.uniform(-3, 3, size=(3, 1))
+            grads = random_bundle(rng, 3, int(rng.integers(1, 9)))
             res = solve_min_norm(grads)
             scale = float(np.abs(grads).max())
             assert res.converged and res.iterations == 0
             assert abs(res.norm - brute_min_norm(grads)) <= 1e-14 * scale
-            assert res.norm <= min_norm_fw(grads, tol=1e-14).norm + 1e-14 * scale
+            enumerated = _min_norm_enumerated_weights(grads[None])[0] @ grads
+            assert abs(res.norm - float(np.linalg.norm(enumerated))) <= 1e-14 * scale
 
     def test_descent_property(self):
         # At the exact min-norm point d: <d, g_i> >= ||d||^2 for every i,
@@ -347,104 +351,91 @@ class TestMinNorm3:
             assert scaled.norm == pytest.approx(scale * unit.norm, rel=1e-9, abs=1e-15 * scale)
 
 
-class TestMinNormFw:
+class TestMinNormEnumerated:
+    """m >= 4: the least-norm candidate over every support of the weights."""
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(44)
+        for _ in range(300):
+            grads = random_bundle(rng, int(rng.integers(4, 7)), int(rng.integers(1, 9)))
+            res = solve_min_norm(grads)
+            assert res.converged and res.iterations == 0
+            assert abs(res.norm - brute_min_norm(grads)) <= 1e-14 * float(np.abs(grads).max())
+
+    def test_descent_property(self):
+        # At the exact min-norm point d: <d, g_i> >= ||d||^2 for every i.
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            m = int(rng.integers(4, 7))
+            grads = rng.standard_normal((m, 8))
+            res = solve_min_norm(grads)
+            sq = res.norm**2
+            for g in grads:
+                assert res.direction @ g >= sq - 1e-9
+
+    def test_coincident_gradients(self):
+        res = solve_min_norm(np.tile([3.0, 4.0], (5, 1)))
+        assert np.array_equal(res.lam, [1.0, 0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(res.direction, [3.0, 4.0]) and res.norm == 5.0
+
+    def test_coincident_rows_among_others(self):
+        rng = np.random.default_rng(45)
+        for _ in range(100):
+            grads = random_bundle(rng, 5, int(rng.integers(1, 5)))
+            grads[3] = grads[1]
+            grads[4] = grads[1]
+            res = solve_min_norm(grads)
+            assert abs(res.norm - brute_min_norm(grads)) <= 1e-14 * float(np.abs(grads).max())
+
+    def test_collinear_gradients(self):
+        base = np.array([1.0, -2.0, 0.5])
+        grads = np.stack([2.0 * base, 5.0 * base, -3.0 * base, 0.5 * base])
+        res = solve_min_norm(grads)
+        assert res.norm < 1e-15 and np.all(res.lam >= 0.0)
+        assert np.array_equal(res.direction, res.lam @ grads)
+        res = solve_min_norm(np.stack([2.0 * base, 5.0 * base, 3.0 * base, 0.5 * base]))
+        assert np.array_equal(res.lam, [0.0, 0.0, 0.0, 1.0])
+
+    def test_zero_gradient(self):
+        res = solve_min_norm(np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 0.0], [-3.0, 1.0]]))
+        assert np.array_equal(res.lam, [0.0, 0.0, 1.0, 0.0])
+        assert res.norm == 0.0
+
     def test_sheds_dominated_vertex(self):
-        grads = np.array([[1.0, 0.0], [0.0, 1.0], [10.0, 10.0]])
-        res = min_norm_fw(grads)
+        grads = np.array([[1.0, 0.0], [0.0, 1.0], [10.0, 10.0], [4.0, 3.0]])
+        res = solve_min_norm(grads)
         two = min_norm_2(grads[0], grads[1])
-        assert abs(res.norm - two.norm) < 1e-3
-        assert res.lam[2] < 1e-9
+        assert abs(res.norm - two.norm) <= 1e-15
+        assert np.array_equal(res.lam[2:], [0.0, 0.0])
 
     def test_all_equal_gradients(self):
-        grads = np.tile(np.array([2.0, -1.0]), (4, 1))
-        res = min_norm_fw(grads)
-        assert np.allclose(res.direction, [2.0, -1.0])
+        res = solve_min_norm(np.tile(np.array([2.0, -1.0]), (4, 1)))
+        assert np.array_equal(res.direction, [2.0, -1.0])
         assert res.norm == pytest.approx(np.sqrt(5.0))
-        assert res.converged
 
     def test_conflict_spanning_origin(self):
-        grads = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
-        res = min_norm_fw(grads)
-        assert res.norm < 1e-3
-        assert grid_min_norm_3(grads) < 2e-2
-
-    def test_m2_matches_closed_form(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            grads = rng.standard_normal((2, 6))
-            fw = min_norm_fw(grads)
-            exact = min_norm_2(grads[0], grads[1])
-            assert abs(fw.norm - exact.norm) <= 1e-6
-
-    def test_never_worse_than_grid(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            grads = rng.standard_normal((3, 8))
-            res = min_norm_fw(grads)
-            assert res.norm <= grid_min_norm_3(grads) + 1e-3
+        # The fourth gradient leaves the plane of the other three.
+        grads = np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+        res = solve_min_norm(grads)
+        assert res.norm < 1e-15
+        assert np.allclose(res.lam, [0.5, 0.25, 0.25, 0.0], atol=1e-15)
 
     def test_direction_recomputable(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
-            grads = rng.standard_normal((3, 4))
-            res = min_norm_fw(grads)
-            rebuilt = res.lam @ grads
-            assert np.allclose(res.direction, rebuilt, atol=1e-12)
-
-    def test_descent_property_two_objectives(self):
-        # At the exact min-norm point g: <g, g_i> >= ||g||^2 for every i.
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            g1, g2 = rng.standard_normal((2, 8))
-            res = min_norm_2(g1, g2)
-            sq = res.norm**2
-            assert res.direction @ g1 >= sq - 1e-9
-            assert res.direction @ g2 >= sq - 1e-9
-
-    def test_descent_property_fw(self):
-        # The achieved duality gap shrinks quadratically with the improvement
-        # tolerance and bottoms out near sqrt(machine eps) for unit-scale
-        # gradients, so the iterative solver gets 1e-6 slack where the m=2
-        # closed form gets 1e-9.
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            grads = rng.standard_normal((3, 8))
-            res = min_norm_fw(grads, tol=1e-12)
-            sq = res.norm**2
-            for g in grads:
-                assert res.direction @ g >= sq - 5e-6
-
-    def test_m1_rejected(self):
-        with pytest.raises(ShapeError):
-            min_norm_fw(np.array([[1.0, 2.0]]))
-
-    def test_converged_only_on_the_certificate(self):
-        # A solve reports convergence only once its duality gap is <= tol,
-        # which bounds the squared norm's excess over the optimum by tol.
-        rng = np.random.default_rng(43)
-        for _ in range(200):
-            grads = rng.standard_normal((4, 3))
+            grads = rng.standard_normal((5, 4))
             res = solve_min_norm(grads)
-            if res.converged:
-                assert res.norm**2 - brute_min_norm(grads) ** 2 <= FW_TOL
-            else:
-                assert res.iterations == FW_MAX_ITERS
+            assert np.array_equal(res.direction, res.lam @ grads)
+            assert res.norm == float(np.linalg.norm(res.direction))
 
-    def test_no_stop_on_a_small_improvement(self):
-        # The exact min norm of this bundle is 0. A stop on a squared-norm
-        # improvement below tol once ended at norm 1.4e-9, duality gap 2.4e-8.
-        grads = np.array([[8.4896, 0.0022451], [-12.550, -0.40471], [0.024941, 0.28280]])
-        assert brute_min_norm(grads) == 0.0
-        res = min_norm_fw(grads, tol=1e-14)
-        assert res.converged and res.norm < 1e-12
-        # The solver's own gap is <= tol; recomputed from the direction it
-        # rounds differently, by about eps * max ||g_i||^2 = 3e-14.
-        assert 2.0 * (res.norm**2 - float(np.min(grads @ res.direction))) <= 1e-13
-
-    def test_accepts_bundle(self):
-        bundle = GradientBundle(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-        res = min_norm_fw(bundle)
-        assert res.norm <= grid_min_norm_3(bundle.grads) + 1e-3
+    def test_more_objectives_than_the_limit_raise(self):
+        grads = np.random.default_rng(46).standard_normal((MIN_NORM_MAX_M + 1, 3))
+        message = f"at most {MIN_NORM_MAX_M} objectives, got m={MIN_NORM_MAX_M + 1}"
+        with pytest.raises(ConfigError, match=message):
+            solve_min_norm(grads)
+        with pytest.raises(ConfigError, match=message):
+            min_norm_closed_form(grads[None])
+        assert solve_min_norm(grads[:MIN_NORM_MAX_M]).lam.shape == (MIN_NORM_MAX_M,)
 
 
 class TestMgdDirection:
