@@ -63,6 +63,7 @@ from .samplers import (
     ChainSpec,
     RandomInit,
     chain_seed,
+    chain_seeds,
     run_cebm,
     run_chain,
     run_ls_cebm,

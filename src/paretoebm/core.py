@@ -221,7 +221,9 @@ class SamplerConfig:
 
     ``sigma`` (Langevin-dynamics noise std) defaults to sqrt(eta) and
     ``alpha`` (Pareto-chain noise constant) to eta/2, the classical Langevin
-    scaling; both can be overridden independently.
+    scaling; both can be overridden independently. ``seed`` is an int in
+    [0, 2**64), the range of ``chain_seed``; the chain's noise stream is
+    that of ``np.random.default_rng(seed)``.
     """
 
     eta: float
@@ -238,6 +240,9 @@ class SamplerConfig:
             raise ConfigError(f"eta must be positive, got {self.eta}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+            raise ConfigError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise_kind: {self.noise_kind!r}")
         if self.record_every < 1:

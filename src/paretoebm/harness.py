@@ -65,7 +65,7 @@ from .samplers import (
     ChainFailure,
     ChainSpec,
     RandomInit,
-    chain_seed,
+    chain_seeds,
     run_population,
     write_trajectories,
 )
@@ -146,6 +146,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown noise kind {n!r}")
         if self.chains < 1:
             raise ConfigError("chains must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 def _as_tuple(value, name, kind):
@@ -292,7 +294,7 @@ def _check_min_norm_methods(cfg: ExperimentConfig, m: int) -> None:
 def _cell_spec(
     cfg: ExperimentConfig,
     cell: SweepCell,
-    chain_index: int,
+    seed: int,
     init: RandomInit | DesignPoint,
     fixed: SimplexWeights | None,
 ) -> ChainSpec:
@@ -302,7 +304,7 @@ def _cell_spec(
         noise_kind=cell.noise_kind,
         sigma=cfg.sigma,
         alpha=cfg.alpha,
-        seed=chain_seed(cfg.base_seed, cell.index * cfg.chains + chain_index),
+        seed=seed,
         grad_tol=cfg.grad_tol,
         record_every=cfg.record_every,
     )
@@ -405,7 +407,9 @@ def _run_cell(
     is_sequence = problem.point_kind == SEQUENCE_LOGITS
     try:
         fixed = _ls_lambda(cfg, m) if cell.method == METHOD_LS_CEBM else None
-        specs = [_cell_spec(cfg, cell, ci, init, fixed) for ci in range(cfg.chains)]
+        first = cell.index * cfg.chains
+        seeds = chain_seeds(cfg.base_seed, range(first, first + cfg.chains)).tolist()
+        specs = [_cell_spec(cfg, cell, seed, init, fixed) for seed in seeds]
         # The cell reads only each chain's final point, so X keeps one row.
         results = run_population(problem.objectives, specs, final_x_only=True)
     except Exception as exc:  # noqa: BLE001 - cell failures must not abort the sweep
@@ -659,6 +663,7 @@ def improve_seeds(
     else:
         specs = []
         pairs = []
+        sampler_seeds = chain_seeds(cfg.base_seed, range(len(cfg.methods) * len(seeds))).tolist()
         for mi, method in enumerate(cfg.methods):
             kind = NOISE_NONE if method == METHOD_MGD else noise
             fixed = _ls_lambda(cfg, problem.m) if method == METHOD_LS_CEBM else None
@@ -669,7 +674,7 @@ def improve_seeds(
                     noise_kind=kind,
                     sigma=cfg.sigma,
                     alpha=cfg.alpha,
-                    seed=chain_seed(cfg.base_seed, mi * len(seeds) + si),
+                    seed=sampler_seeds[mi * len(seeds) + si],
                     grad_tol=cfg.grad_tol,
                     record_every=max(1, steps),
                 )

@@ -37,15 +37,24 @@ batch's columns, which are made read-only first, so no view can be made
 writable again. ``run_population(..., final_x_only=True)``, the sweep's
 path, keeps one coordinate row per chain, its last record, in place of all
 of them; every other column is kept whole.
+
+Seeding: a chain's noise stream is that of ``np.random.default_rng(seed)``
+for its config seed, and the sweep derives the seeds with ``chain_seeds``,
+so a chain seeded ``chain_seed(base, i)`` draws exactly what
+``default_rng(chain_seed(base, i))`` would. Neither builds a numpy
+``SeedSequence`` per chain: ``_seed_words`` runs numpy's SeedSequence
+hashing over all of a batch's seeds at once, and each chain's ``PCG64`` is
+handed its precomputed state words.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -150,14 +159,143 @@ class ChainFailure:
         return f"chain {self.index}: {type(self.error).__name__}: {self.error}"
 
 
-def chain_seed(base_seed: int, index: int) -> int:
-    """Derive a per-chain seed from (base seed, chain index).
+# numpy's SeedSequence (pool size 4) hashing constants, from
+# numpy/random/bit_generator.pyx. numpy keeps this algorithm's output fixed.
+# They stay Python ints masked to 32 bits: only uint32 arrays are multiplied,
+# and array products wrap without a warning where numpy scalars would warn.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
 
-    Uses numpy's splittable SeedSequence, so populations reproduce exactly
-    regardless of the order their chains run in.
+
+def _seed_words(words: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words)`` for each row of the
+    ``(n, k)`` uint32 entropy ``words``, as an ``(n, n_words)`` uint32 array.
+
+    numpy's entropy mixing (``mix_entropy``: ``hashmix`` and ``mix``) and
+    ``generate_state``, vectorized over rows. The hash constant advances the
+    same way for every row of equal length, so it is one Python int. Entropy
+    shorter than the pool is hashed as if padded with zeros to the pool size.
     """
-    state = np.random.SeedSequence(entropy=base_seed, spawn_key=(index,)).generate_state(1, np.uint64)
-    return int(state[0])
+    words = np.asarray(words, dtype=np.uint32)
+    n, k = words.shape
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> _XSHIFT
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> _XSHIFT
+
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(words[:, i] if i < k else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, k):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    out = np.empty((n, n_words), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(n_words):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        out[:, i] = value ^ value >> _XSHIFT
+    return out
+
+
+def _as_uint64(words: np.ndarray) -> np.ndarray:
+    """Join little-endian uint32 word pairs, as ``generate_state(.., np.uint64)`` does."""
+    wide = words.astype(np.uint64)
+    return wide[:, 0::2] | wide[:, 1::2] << 32
+
+
+def chain_seeds(base_seed: int, indices: Iterable[int]) -> np.ndarray:
+    """Per-chain seeds for (base seed, chain index) pairs, as a uint64 array.
+
+    Entry j is ``SeedSequence(entropy=base_seed, spawn_key=(indices[j],))
+    .generate_state(1, np.uint64)[0]``, numpy's splittable derivation, so
+    populations reproduce exactly regardless of the order their chains run
+    in. All the indices are hashed in one vectorized pass: the entropy is
+    the words of ``base_seed``, zero-padded to the pool size because a spawn
+    key is present, followed by the index's words. An index below 2**32 has
+    one word and a larger one two, so the two lengths are hashed apart.
+    Indices must be integers in [0, 2**64).
+    """
+    base_seed = operator.index(base_seed)
+    if base_seed < 0:
+        raise ValueError(f"expected non-negative integer, got {base_seed}")
+    base = [base_seed >> shift & _MASK32 for shift in range(0, max(base_seed.bit_length(), 1), 32)]
+    base = np.array(base + [0] * (_POOL_SIZE - len(base)), dtype=np.uint64)
+    indices = [operator.index(i) for i in indices]
+    if indices and (min(indices) < 0 or max(indices) >> 64):
+        raise ValueError("chain indices must lie in [0, 2**64)")
+    indices = np.array(indices, dtype=np.uint64)
+    seeds = np.empty(indices.size, dtype=np.uint64)
+    wide = indices >> 32 > 0
+    for n_index_words, sel in ((1, ~wide), (2, wide)):
+        if sel.any():
+            chosen = indices[sel]
+            index_words = [chosen & _MASK32, chosen >> 32][:n_index_words]
+            words = np.column_stack([np.broadcast_to(base, (chosen.size, base.size)), *index_words])
+            seeds[sel] = _as_uint64(_seed_words(words, 2))[:, 0]
+    return seeds
+
+
+def chain_seed(base_seed: int, index: int) -> int:
+    """Derive a per-chain seed from (base seed, chain index): a one-index
+    call of ``chain_seeds``, equal to numpy's
+    ``SeedSequence(entropy=base_seed, spawn_key=(index,)).generate_state(1, np.uint64)[0]``.
+    A chain run with this seed draws the stream of
+    ``np.random.default_rng(chain_seed(base_seed, index))``.
+    """
+    return int(chain_seeds(base_seed, [index])[0])
+
+
+class _Words:
+    """A seed sequence that hands PCG64 its precomputed state words.
+    ``_generators`` registers it as a numpy ``ISeedSequence``, so importing
+    this module does not load ``numpy.random``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError(f"holds 4 uint64 words, asked for {n_words} of {dtype}")
+        return self.words
+
+
+def _generators(seeds: Sequence[int]) -> list[np.random.Generator]:
+    """``np.random.default_rng(seed)`` for each seed in [0, 2**64), with the
+    seeding of all of them in one vectorized pass.
+
+    ``PCG64(seed)`` seeds itself from ``SeedSequence(seed).generate_state(4,
+    np.uint64)``, whose entropy is the seed's one or two words. Every seed
+    is hashed here as two words: entropy of at most the pool size is hashed
+    as if padded with zeros to it, so a seed below 2**32 padded with a zero
+    word gives the same state.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_Words)
+    seeds = np.array(seeds, dtype=np.uint64)
+    words = np.column_stack([seeds & _MASK32, seeds >> 32])
+    states = _as_uint64(_seed_words(words, 8))
+    return [Generator(PCG64(_Words(state))) for state in states]
 
 
 def _check_start(objectives: ObjectiveSet, d: int, kind: str) -> None:
@@ -214,9 +352,9 @@ def _run_batch(
     results: list[Trajectory | Exception | None] = [None] * len(specs)
     rngs, starts, started = [], [], []
     fitting: set[RandomInit] = set()  # random inits whose shape and kind are checked
-    for index, chain in enumerate(specs):
+    generators = _generators([chain.config.seed for chain in specs])
+    for index, (chain, rng) in enumerate(zip(specs, generators)):
         init = chain.init
-        rng = np.random.default_rng(chain.config.seed)
         try:
             if isinstance(init, RandomInit):
                 coords = init.draw(rng)

@@ -199,6 +199,17 @@ class TestSweepCommand:
             main(["sweep", "cfg.yaml", "--warp"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_is_a_config_error_before_any_chain(self, capsys, tmp_path, where):
+        cfg = self._write_cfg(tmp_path, **({"base_seed": -1} if where == "config" else {}))
+        flag = ["--seed", "-1"] if where == "flag" else []
+        code, _, err = run_cli(capsys, "sweep", cfg, *flag)
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert "base_seed" in payload["message"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestImproveCommand:
     def test_end_to_end(self, capsys, tmp_path):
@@ -271,6 +282,16 @@ class TestImproveCommand:
 
 
 class TestModuleEntryPoint:
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random loads on the first chain, so it adds nothing to start-up.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, paretoebm.cli; print('numpy.random' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_python_dash_m(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("0.5 0.5\n")

@@ -171,11 +171,21 @@ class TestSamplerConfig:
             dict(eta=0.1, steps=1, alpha=-0.1),
             dict(eta=0.1, steps=1, noise_kind="pink"),
             dict(eta=0.1, steps=1, record_every=0),
+            dict(eta=0.1, steps=1, seed=-1),
+            dict(eta=0.1, steps=1, seed=2**64),
+            dict(eta=0.1, steps=1, seed=1.0),
+            dict(eta=0.1, steps=1, seed="3"),
+            dict(eta=0.1, steps=1, seed=True),
+            dict(eta=0.1, steps=1, seed=np.int64(-1)),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             SamplerConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int32(5)])
+    def test_accepts_every_seed_in_range(self, seed):
+        assert SamplerConfig(eta=0.1, steps=1, seed=seed).seed == seed
 
 
 def _trajectory(steps, coords, values, lam):

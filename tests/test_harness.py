@@ -141,6 +141,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path / "cfg.yaml", eta=[]))
 
+    def test_negative_base_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="base_seed"):
+            load_config(write_config(tmp_path / "cfg.yaml", base_seed=-1))
+
+    def test_replaced_base_seed_is_checked(self, tmp_path):
+        # --seed overrides base_seed through dataclasses.replace, which
+        # validates again.
+        cfg = load_config(write_config(tmp_path / "cfg.yaml"))
+        with pytest.raises(ConfigError, match="base_seed"):
+            dataclasses.replace(cfg, base_seed=-1)
+
 
 class TestSweepCells:
     def test_mgd_gets_single_noiseless_cell(self, tmp_path):

@@ -281,6 +281,65 @@ class TestRunPopulation:
         assert chain_seed(42, 1) != chain_seed(43, 1)
 
 
+SEED_BASES = [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 3]
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def random_uint64s(count, seed):
+    return np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64).tolist()
+
+
+class TestSeeding:
+    """The vectorized seeding reproduces numpy's SeedSequence and PCG64
+    seeding word for word."""
+
+    @pytest.mark.parametrize("base", SEED_BASES)
+    def test_chain_seeds_match_seed_sequence(self, base):
+        indices = [0, 1, 2**32 - 1, 2**32, *random_uint64s(1000, base % 997)]
+        expected = [
+            int(np.random.SeedSequence(entropy=base, spawn_key=(i,)).generate_state(1, np.uint64)[0])
+            for i in indices
+        ]
+        seeds = samplers.chain_seeds(base, indices)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == expected
+        assert [chain_seed(base, i) for i in indices[:8]] == expected[:8]
+
+    @pytest.mark.parametrize("indices", [[-1], [2**64], [0.5]])
+    def test_chain_seeds_reject_indices_outside_uint64(self, indices):
+        with pytest.raises((ValueError, TypeError)):
+            samplers.chain_seeds(0, indices)
+
+    def test_chain_seed_rejects_a_negative_base(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            chain_seed(-1, 0)
+
+    def test_generators_match_default_rng_seeding(self):
+        seeds = [*EDGE_SEEDS, *random_uint64s(1000, 5)]
+        for seed, rng in zip(seeds, samplers._generators(seeds), strict=True):
+            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+    def test_seed_words_refuse_other_requests(self):
+        words = samplers._Words(np.zeros(4, dtype=np.uint64))
+        with pytest.raises(ValueError):
+            words.generate_state(2, np.uint64)
+        with pytest.raises(ValueError):
+            words.generate_state(4, np.uint32)
+
+    @pytest.mark.parametrize("method,noise_kind", [("pcebm", "gaussian"), ("cebm", "uniform")])
+    def test_edge_seed_batch_matches_solo_chains(self, method, noise_kind):
+        objectives = quadratic_pair(5)
+        specs = [
+            ChainSpec(method, SamplerConfig(eta=0.05, steps=12, noise_kind=noise_kind, seed=seed), RandomInit(d=5))
+            for seed in EDGE_SEEDS
+        ]
+        batch = run_population(objectives, specs)
+        for spec, result in zip(specs, batch, strict=True):
+            assert_same_chain(result, run_chain(objectives, spec))
+            start = np.random.default_rng(spec.config.seed).standard_normal(5)
+            assert np.array_equal(result.X[0], start)
+
+
 def assert_same_chain(result, solo):
     assert trajectories_equal(result, solo)
     assert result.terminated_early == solo.terminated_early
