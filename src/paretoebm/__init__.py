@@ -64,11 +64,7 @@ from .samplers import (
     RandomInit,
     chain_seed,
     chain_seeds,
-    run_cebm,
     run_chain,
-    run_ls_cebm,
-    run_mgd,
-    run_pcebm,
     run_population,
     write_trajectories,
 )

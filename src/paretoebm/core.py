@@ -217,13 +217,13 @@ def uniform_weights(m: int) -> SimplexWeights:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Knobs shared by all chain algorithms.
+    """Knobs shared by all chain algorithms: everything a batch of chains
+    shares. Each chain's seed is on its ``samplers.ChainSpec``.
 
     ``sigma`` (Langevin-dynamics noise std) defaults to sqrt(eta) and
     ``alpha`` (Pareto-chain noise constant) to eta/2, the classical Langevin
-    scaling; both can be overridden independently. ``seed`` is an int in
-    [0, 2**64), the range of ``chain_seed``; the chain's noise stream is
-    that of ``np.random.default_rng(seed)``.
+    scaling; both can be overridden independently. NaN is rejected wherever
+    a value has a lower bound.
     """
 
     eta: float
@@ -231,31 +231,27 @@ class SamplerConfig:
     noise_kind: str = NOISE_GAUSSIAN
     sigma: float | None = None
     alpha: float | None = None
-    seed: int = 0
     grad_tol: float = 1e-6
     record_every: int = 1
 
     def __post_init__(self):
         if not (self.eta > 0):
             raise ConfigError(f"eta must be positive, got {self.eta}")
-        if self.steps < 1:
+        if not (self.steps >= 1):
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-            raise ConfigError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise_kind: {self.noise_kind!r}")
-        if self.record_every < 1:
+        if not (self.record_every >= 1):
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
-        if self.grad_tol < 0:
-            raise ConfigError("grad_tol must be non-negative")
+        if not (self.grad_tol >= 0):
+            raise ConfigError(f"grad_tol must be >= 0, got {self.grad_tol}")
         if self.sigma is None:
             object.__setattr__(self, "sigma", math.sqrt(self.eta))
-        elif self.sigma < 0:
+        elif not (self.sigma >= 0):
             raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", self.eta / 2.0)
-        elif self.alpha < 0:
+        elif not (self.alpha >= 0):
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
 
 

@@ -31,7 +31,6 @@ from .core import (
     RAW,
     SEQUENCE_LOGITS,
     ConfigError,
-    DesignPoint,
     DiscreteSequence,
     SamplerConfig,
     ShapeError,
@@ -150,6 +149,20 @@ class ExperimentConfig:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
+def _as_int(value) -> int:
+    """A YAML integer as it is: a float or a bool is an error, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _int_key(raw: dict, name: str, default: int) -> int:
+    try:
+        return _as_int(raw.get(name, default))
+    except TypeError as exc:
+        raise ConfigError(f"config key {name}: {exc}") from exc
+
+
 def _as_tuple(value, name, kind):
     if value is None:
         raise ConfigError(f"missing required config key: {name}")
@@ -215,11 +228,11 @@ def load_config(path) -> ExperimentConfig:
         problem=str(raw["problem"]),
         methods=_as_tuple(raw.get("methods"), "methods", str),
         etas=_as_tuple(raw.get("eta"), "eta", float),
-        steps_grid=_as_tuple(raw.get("steps"), "steps", int),
+        steps_grid=_as_tuple(raw.get("steps"), "steps", _as_int),
         noise_kinds=_as_tuple(raw.get("noise", ["gaussian"]), "noise", str),
-        chains=int(raw.get("chains", 1)),
+        chains=_int_key(raw, "chains", 1),
         output_dir=_resolve(raw["output_dir"]),
-        base_seed=int(raw.get("base_seed", 0)),
+        base_seed=_int_key(raw, "base_seed", 0),
         model_files=model_files,
         training_sequences=training,
         reference_point=tuple(float(v) for v in ref) if ref is not None else None,
@@ -228,7 +241,7 @@ def load_config(path) -> ExperimentConfig:
         alpha=float(raw["alpha"]) if raw.get("alpha") is not None else None,
         init_scale=float(raw.get("init_scale", 1.0)),
         init_distribution=str(raw.get("init_distribution", "normal")),
-        record_every=int(raw.get("record_every", 1)),
+        record_every=_int_key(raw, "record_every", 1),
         grad_tol=float(raw.get("grad_tol", 1e-6)),
         alphabet=str(raw.get("alphabet", AMINO_ALPHABET)),
         normalization=normalization,
@@ -248,16 +261,21 @@ class SweepCell:
         return f"{self.method}_eta{self.eta:g}_k{self.steps}_{self.noise_kind}"
 
 
+def _noise_grid(cfg: ExperimentConfig, method: str) -> tuple[str, ...]:
+    """The noise kinds a method runs with: mgd always runs noiseless, so it
+    gets 'none' alone whatever the config's noise grid."""
+    return (NOISE_NONE,) if method == METHOD_MGD else cfg.noise_kinds
+
+
 def sweep_cells(cfg: ExperimentConfig) -> list[SweepCell]:
-    """Grid cells in deterministic order; mgd always runs noiseless, so it
-    gets a single 'none' cell per (eta, steps) regardless of the noise grid."""
+    """Grid cells in deterministic order; mgd gets a single 'none' cell per
+    (eta, steps) regardless of the noise grid."""
     cells = []
     index = 0
     for method in cfg.methods:
-        noise_grid = (NOISE_NONE,) if method == METHOD_MGD else cfg.noise_kinds
         for eta in cfg.etas:
             for steps in cfg.steps_grid:
-                for noise in noise_grid:
+                for noise in _noise_grid(cfg, method):
                     cells.append(SweepCell(index, method, eta, steps, noise))
                     index += 1
     return cells
@@ -291,24 +309,20 @@ def _check_min_norm_methods(cfg: ExperimentConfig, m: int) -> None:
         check_min_norm_m(m)
 
 
-def _cell_spec(
-    cfg: ExperimentConfig,
-    cell: SweepCell,
-    seed: int,
-    init: RandomInit | DesignPoint,
-    fixed: SimplexWeights | None,
-) -> ChainSpec:
-    config = SamplerConfig(
-        eta=cell.eta,
-        steps=cell.steps,
-        noise_kind=cell.noise_kind,
+def _sampler_config(
+    cfg: ExperimentConfig, eta: float, steps: int, noise_kind: str, record_every: int
+) -> SamplerConfig:
+    """The sampler config that every chain of a sweep cell, or of one method
+    in ``improve_seeds``, shares."""
+    return SamplerConfig(
+        eta=eta,
+        steps=steps,
+        noise_kind=noise_kind,
         sigma=cfg.sigma,
         alpha=cfg.alpha,
-        seed=seed,
         grad_tol=cfg.grad_tol,
-        record_every=cfg.record_every,
+        record_every=record_every,
     )
-    return ChainSpec(method=cell.method, config=config, init=init, fixed_lambda=fixed)
 
 
 def _decode_final(trajectory: Trajectory, problem: Problem) -> DiscreteSequence:
@@ -397,6 +411,7 @@ def _run_cell(
     cfg: ExperimentConfig,
     problem: Problem,
     cell: SweepCell,
+    config: SamplerConfig,
     init: RandomInit,
     cells_dir: Path,
 ) -> dict | None:
@@ -409,7 +424,7 @@ def _run_cell(
         fixed = _ls_lambda(cfg, m) if cell.method == METHOD_LS_CEBM else None
         first = cell.index * cfg.chains
         seeds = chain_seeds(cfg.base_seed, range(first, first + cfg.chains)).tolist()
-        specs = [_cell_spec(cfg, cell, seed, init, fixed) for seed in seeds]
+        specs = [ChainSpec(cell.method, config, init, fixed, seed) for seed in seeds]
         # The cell reads only each chain's final point, so X keeps one row.
         results = run_population(problem.objectives, specs, final_x_only=True)
     except Exception as exc:  # noqa: BLE001 - cell failures must not abort the sweep
@@ -434,13 +449,9 @@ def _run_cell(
         for leftover in tmp_dir.iterdir():
             leftover.unlink()
     tmp_dir.mkdir(exist_ok=True)
-    if trajectories:
-        write_trajectories(tmp_dir / "trajectories.csv", trajectories, chain_ids=chain_ids)
-    else:
-        names = [f"f{i}" for i in range(m)] + [f"lambda{i}" for i in range(m)]
-        (tmp_dir / "trajectories.csv").write_text(
-            ",".join(["chain_id", "step", *names, "grad_norm"]) + "\n"
-        )
+    write_trajectories(
+        tmp_dir / "trajectories.csv", trajectories, [f"f{i}" for i in range(m)], chain_ids
+    )
     _write_final_points(tmp_dir / "final_points.csv", final_rows, m, is_sequence)
     if chain_errors:
         (tmp_dir / "chain_errors.txt").write_text("".join(e + "\n" for e in chain_errors))
@@ -482,20 +493,24 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     cells_dir = out / "cells"
     report_path = out / "report.json"
     cells = sweep_cells(cfg)
+    # One sampler config per cell, and the random start, checked before any chain runs.
+    configs = [
+        _sampler_config(cfg, cell.eta, cell.steps, cell.noise_kind, cfg.record_every) for cell in cells
+    ]
+    init = _problem_init(problem, cfg)
 
     if report_path.is_file() and all(_cell_complete(cells_dir / c.cell_id) for c in cells):
         logger.info("sweep already complete: %s", out)
         return SweepResult(out, report_path, json.loads(report_path.read_text()))
 
     cells_dir.mkdir(parents=True, exist_ok=True)
-    init = _problem_init(problem, cfg)
     cell_failures: list[dict] = []
 
-    for cell in cells:
+    for cell, config in zip(cells, configs):
         if _cell_complete(cells_dir / cell.cell_id):
             logger.info("cell %s already on disk, skipping", cell.cell_id)
             continue
-        failure = _run_cell(cfg, problem, cell, init, cells_dir)
+        failure = _run_cell(cfg, problem, cell, config, init, cells_dir)
         if failure is not None:
             cell_failures.append(failure)
 
@@ -642,7 +657,6 @@ def improve_seeds(
 
     eta = cfg.etas[0]
     steps = cfg.steps_grid[0]
-    noise = cfg.noise_kinds[0]
     before = [float(scorer.value(relax(s))) for s in seeds]
 
     entries: list[dict] = []
@@ -665,21 +679,11 @@ def improve_seeds(
         pairs = []
         sampler_seeds = chain_seeds(cfg.base_seed, range(len(cfg.methods) * len(seeds))).tolist()
         for mi, method in enumerate(cfg.methods):
-            kind = NOISE_NONE if method == METHOD_MGD else noise
+            config = _sampler_config(cfg, eta, steps, _noise_grid(cfg, method)[0], max(1, steps))
             fixed = _ls_lambda(cfg, problem.m) if method == METHOD_LS_CEBM else None
             for si, seed in enumerate(seeds):
-                config = SamplerConfig(
-                    eta=eta,
-                    steps=steps,
-                    noise_kind=kind,
-                    sigma=cfg.sigma,
-                    alpha=cfg.alpha,
-                    seed=sampler_seeds[mi * len(seeds) + si],
-                    grad_tol=cfg.grad_tol,
-                    record_every=max(1, steps),
-                )
                 specs.append(
-                    ChainSpec(method=method, config=config, init=relax(seed), fixed_lambda=fixed)
+                    ChainSpec(method, config, relax(seed), fixed, sampler_seeds[mi * len(seeds) + si])
                 )
                 pairs.append((mi, si))
         results = run_population(problem.objectives, specs)

@@ -13,14 +13,20 @@ with w a unit-variance noise draw; the method fixes the three parameters:
 - step: eta for the min-norm methods, eta/2 for the Langevin ones;
 - noise scale: sqrt(2*alpha) for pcebm, sigma for cebm/ls_cebm, none for mgd.
 
+Noiseless min-norm chains (mgd, and pcebm with alpha = 0 or noise kind
+'none') stop once ||g|| < grad_tol, at a Pareto-stationary point; noisy
+chains always run every step. pcebm with alpha = 0 (or noise 'none') is
+therefore the mgd chain, and their trajectories agree bit for bit.
+``run_chain`` runs one chain of any method.
+
 The loop runs a batch of chains as one (n, d) state array. ``run_population``
-batches the chains that share a method, every ``SamplerConfig`` field except
-the seed, and the fixed weights: every cell of a sweep is one batch. Each
-chain keeps its own noise stream, seeded from its config, and draws it a
-block of steps at a time. Every operation of a step is row-wise and rounds
-each row exactly as it would round that chain alone, so a chain's result
-does not depend on the batch it ran in, its position there, or the order of
-its population. Elementwise math in the energies uses numpy ufuncs in both
+batches the chains that share a method, a ``SamplerConfig`` (equal configs
+count as one) and the fixed weights: every cell of a sweep is one batch.
+Each chain keeps its own noise stream, seeded from its ``ChainSpec.seed``,
+and draws it a block of steps at a time. Every operation of a step is
+row-wise and rounds each row exactly as it would round that chain alone,
+so a chain's result does not depend on the batch it ran in, its position
+there, or the order of its population. Elementwise math in the energies uses numpy ufuncs in both
 the solo and the batch path: a ufunc rounds each element the same way at
 any array length. The stacked linear solves of the min-norm drift factor
 each row's matrix alone. Per-chain masks take a chain out of the batch
@@ -39,7 +45,7 @@ path, keeps one coordinate row per chain, its last record, in place of all
 of them; every other column is kept whole.
 
 Seeding: a chain's noise stream is that of ``np.random.default_rng(seed)``
-for its config seed, and the sweep derives the seeds with ``chain_seeds``,
+for its spec's seed, and the sweep derives the seeds with ``chain_seeds``,
 so a chain seeded ``chain_seed(base, i)`` draws exactly what
 ``default_rng(chain_seed(base, i))`` would. Neither builds a numpy
 ``SeedSequence`` per chain: ``_seed_words`` runs numpy's SeedSequence
@@ -52,8 +58,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,7 +98,8 @@ class RandomInit:
     """Descriptor for a randomly drawn starting point.
 
     ``normal`` draws standard-normal coordinates scaled by ``scale``;
-    ``uniform`` draws from U(-scale, scale) per coordinate.
+    ``uniform`` draws from U(-scale, scale) per coordinate. ``scale`` must
+    be finite and non-negative.
     """
 
     kind: str = RAW
@@ -106,6 +112,8 @@ class RandomInit:
     def __post_init__(self):
         if self.distribution not in ("normal", "uniform"):
             raise ConfigError(f"unknown init distribution: {self.distribution!r}")
+        if not (0 <= self.scale < math.inf):
+            raise ConfigError(f"init scale must be finite and >= 0, got {self.scale}")
         if self.kind == RAW:
             if self.d is None or self.d < 1:
                 raise ShapeError("raw random init needs a positive dimension d")
@@ -129,14 +137,21 @@ class RandomInit:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Everything one chain needs: method, sampler config, and start point."""
+    """Everything one chain needs: method, sampler config, start point, and
+    seed. ``seed`` is an int in [0, 2**64), the range of ``chain_seed``; the
+    chain's noise stream (and a random start) is drawn from
+    ``np.random.default_rng(seed)``."""
 
     method: str
     config: SamplerConfig
     init: DesignPoint | RandomInit
     fixed_lambda: SimplexWeights | None = None
+    seed: int = 0
 
     def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+            raise ConfigError(f"seed must be an int in [0, 2**64), got {seed!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method: {self.method!r}")
         if self.method == METHOD_LS_CEBM:
@@ -325,8 +340,8 @@ def _noise_block_steps(n_chains: int, d: int) -> int:
 def _run_batch(
     objectives: ObjectiveSet, specs: Sequence[ChainSpec], final_x_only: bool = False
 ) -> list[Trajectory | Exception]:
-    """Run chains that share a method, every config field but the seed, and
-    the fixed weights, as one (n, d) state array; see the module docstring.
+    """Run chains that share a method, a config and the fixed weights as one
+    (n, d) state array; see the module docstring.
 
     Returns, per spec in order, its Trajectory or the exception that failed
     that chain. With ``final_x_only`` each Trajectory's X holds only the
@@ -352,7 +367,7 @@ def _run_batch(
     results: list[Trajectory | Exception | None] = [None] * len(specs)
     rngs, starts, started = [], [], []
     fitting: set[RandomInit] = set()  # random inits whose shape and kind are checked
-    generators = _generators([chain.config.seed for chain in specs])
+    generators = _generators([chain.seed for chain in specs])
     for index, (chain, rng) in enumerate(zip(specs, generators)):
         init = chain.init
         try:
@@ -507,42 +522,6 @@ def _run_batch(
     return results
 
 
-def _check_method(spec: ChainSpec, method: str, runner: str) -> None:
-    if spec.method != method:
-        raise ConfigError(f"{runner} got method {spec.method!r}")
-
-
-def run_mgd(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
-    """Multiple gradient descent: x <- x - eta * g with g the min-norm
-    direction; terminates once ||g|| falls below grad_tol."""
-    _check_method(spec, METHOD_MGD, "run_mgd")
-    return run_chain(objectives, spec)
-
-
-def run_pcebm(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
-    """Pareto-compositional Langevin chain: min-norm drift plus sqrt(2*alpha)
-    times a standard noise draw; weights are re-solved at every step.
-
-    With alpha = 0 (or noise_kind 'none') this is exactly the mgd chain, so
-    the trajectories agree bit for bit.
-    """
-    _check_method(spec, METHOD_PCEBM, "run_pcebm")
-    return run_chain(objectives, spec)
-
-
-def run_cebm(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
-    """Langevin dynamics on the unweighted sum energy:
-    x <- x - (eta/2) * sum_i grad f_i + noise(sigma)."""
-    _check_method(spec, METHOD_CEBM, "run_cebm")
-    return run_chain(objectives, spec)
-
-
-def run_ls_cebm(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
-    """As run_cebm with the fixed preference weights in place of the plain sum."""
-    _check_method(spec, METHOD_LS_CEBM, "run_ls_cebm")
-    return run_chain(objectives, spec)
-
-
 def run_chain(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
     """Run the sampler named by spec.method; a failed chain raises its error."""
     [result] = _run_batch(objectives, [spec])
@@ -551,24 +530,21 @@ def run_chain(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
     return result
 
 
-# Every config field except the seed; chains that share these batch together.
-_batch_config = attrgetter(*(f.name for f in fields(SamplerConfig) if f.name != "seed"))
-
-
 def run_population(
     objectives: ObjectiveSet, specs: Sequence[ChainSpec], *, final_x_only: bool = False
 ) -> list[Trajectory | ChainFailure]:
     """Run many independent chains; results come back in input order.
 
-    Chains that share a method, every config field but the seed, and the
-    fixed weights run as one batch. A failing chain yields a ChainFailure
-    entry tagged with its index and does not disturb its siblings. With
+    Chains that share a method, a config (equal configs count as one) and
+    the fixed weights run as one batch, whatever their seeds and starts. A
+    failing chain yields a ChainFailure entry tagged with its index and does
+    not disturb its siblings. With
     ``final_x_only`` each trajectory's X keeps only the chain's last
     recorded row (the final point); every other column keeps all records.
     """
     batches: dict[tuple, list[int]] = {}
     for index, spec in enumerate(specs):
-        key = (spec.method, _batch_config(spec.config), spec.fixed_lambda)
+        key = (spec.method, spec.config, spec.fixed_lambda)
         batches.setdefault(key, []).append(index)
     results: list[Trajectory | ChainFailure | None] = [None] * len(specs)
     for indices in batches.values():
@@ -592,11 +568,12 @@ def write_trajectories(
 
     The bytes are those of the csv module's default writer: ``\\r\\n`` line
     ends, ``repr`` floats and plain integer chain ids and steps (exact below
-    2**53). The columns are stacked and formatted in one pass.
+    2**53). The columns are stacked and formatted in one pass. With no
+    trajectories it writes the header alone, which needs ``objective_names``.
     """
-    if not trajectories:
+    if not trajectories and objective_names is None:
         raise ValueError("nothing to export")
-    m = trajectories[0].m
+    m = trajectories[0].m if trajectories else len(objective_names)
     if objective_names is None:
         objective_names = [f"f{i}" for i in range(m)]
     if len(objective_names) != m:
@@ -607,15 +584,17 @@ def write_trajectories(
         raise ShapeError(f"got {len(chain_ids)} chain ids for {len(trajectories)} trajectories")
     if any(traj.m != m for traj in trajectories):
         raise ShapeError("all trajectories must share the objective count m")
-    table = np.column_stack([
-        np.repeat(chain_ids, [len(t) for t in trajectories]),
-        np.concatenate([t.steps for t in trajectories]),
-        np.concatenate([t.F for t in trajectories]),
-        np.concatenate([t.lam for t in trajectories]),
-        np.concatenate([t.grad_norm for t in trajectories]),
-    ])
-    record = "%d,%d," + ",".join(["%r"] * (2 * m + 1)) + "\r\n"
-    body = (record * len(table)) % tuple(table.ravel().tolist())
+    body = ""
+    if trajectories:
+        table = np.column_stack([
+            np.repeat(chain_ids, [len(t) for t in trajectories]),
+            np.concatenate([t.steps for t in trajectories]),
+            np.concatenate([t.F for t in trajectories]),
+            np.concatenate([t.lam for t in trajectories]),
+            np.concatenate([t.grad_norm for t in trajectories]),
+        ])
+        record = "%d,%d," + ",".join(["%r"] * (2 * m + 1)) + "\r\n"
+        body = (record * len(table)) % tuple(table.ravel().tolist())
     header = ["chain_id", "step", *objective_names, *[f"lambda{i}" for i in range(m)], "grad_norm"]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)

@@ -50,9 +50,7 @@ from paretoebm.samplers import (
     ChainSpec,
     RandomInit,
     chain_seed,
-    run_cebm,
-    run_mgd,
-    run_pcebm,
+    run_chain,
 )
 
 
@@ -113,7 +111,7 @@ def test_criterion_02_mgd_monotone_descent():
     for _ in range(100):
         x0 = DesignPoint(rng.standard_normal(3))
         cfg = SamplerConfig(eta=1e-3, steps=400, noise_kind="none", record_every=1)
-        traj = run_mgd(problem.objectives, ChainSpec("mgd", cfg, x0))
+        traj = run_chain(problem.objectives, ChainSpec("mgd", cfg, x0))
         values = traj.F
         violations += int(np.sum(np.diff(values, axis=0) > 1e-9))
     assert violations == 0
@@ -144,15 +142,15 @@ def test_criterion_03_reductions():
         x0 = DesignPoint(rng.normal(size=d))
         seed = int(rng.integers(0, 2**31))
 
-        mgd_cfg = SamplerConfig(eta=eta, steps=steps, noise_kind="none", seed=seed)
-        pc_cfg = SamplerConfig(eta=eta, steps=steps, noise_kind="gaussian", alpha=0.0, seed=seed)
+        mgd_cfg = SamplerConfig(eta=eta, steps=steps, noise_kind="none")
+        pc_cfg = SamplerConfig(eta=eta, steps=steps, noise_kind="gaussian", alpha=0.0)
         _trajectories_bit_identical(
-            run_mgd(objs, ChainSpec("mgd", mgd_cfg, x0)),
-            run_pcebm(objs, ChainSpec("pcebm", pc_cfg, x0)),
+            run_chain(objs, ChainSpec("mgd", mgd_cfg, x0, seed=seed)),
+            run_chain(objs, ChainSpec("pcebm", pc_cfg, x0, seed=seed)),
         )
 
-        ce_cfg = SamplerConfig(eta=eta, steps=steps, noise_kind="gaussian", sigma=0.0, seed=seed)
-        traj = run_cebm(objs, ChainSpec("cebm", ce_cfg, x0))
+        ce_cfg = SamplerConfig(eta=eta, steps=steps, noise_kind="gaussian", sigma=0.0)
+        traj = run_chain(objs, ChainSpec("cebm", ce_cfg, x0, seed=seed))
         x = np.array(x0.coords)
         expect = {0: x.copy()}
         for k in range(1, steps + 1):
@@ -315,10 +313,10 @@ def test_criterion_07_convergence_speed():
         rng = np.random.default_rng(seed)
         w = rng.dirichlet([2.0, 2.0, 2.0])
         x0 = DesignPoint(w @ centers + 0.1 * rng.standard_normal(2))
-        pc_cfg = SamplerConfig(eta=0.01, steps=k, alpha=alpha, seed=seed)
-        ce_cfg = SamplerConfig(eta=0.01, steps=k, sigma=sigma, seed=seed)
-        pc.append(settle(run_pcebm(problem.objectives, ChainSpec("pcebm", pc_cfg, x0))))
-        ce.append(settle(run_cebm(problem.objectives, ChainSpec("cebm", ce_cfg, x0))))
+        pc_cfg = SamplerConfig(eta=0.01, steps=k, alpha=alpha)
+        ce_cfg = SamplerConfig(eta=0.01, steps=k, sigma=sigma)
+        pc.append(settle(run_chain(problem.objectives, ChainSpec("pcebm", pc_cfg, x0, seed=seed))))
+        ce.append(settle(run_chain(problem.objectives, ChainSpec("cebm", ce_cfg, x0, seed=seed))))
     med_pc, med_ce = float(np.median(pc)), float(np.median(ce))
     assert med_pc <= med_ce
     report_pass(7, f"median steps to within 5% of final: pcEBM {med_pc:.0f} <= cEBM {med_ce:.0f} over 50 paired seeds")
@@ -329,16 +327,15 @@ def test_criterion_07_convergence_speed():
 
 def test_criterion_08_scalarization_traces_convex_front():
     from paretoebm.core import SimplexWeights
-    from paretoebm.samplers import run_ls_cebm
 
     problem = get_problem("opposing-quadratics")
     for lam1 in np.linspace(0.0, 1.0, 11):
         lam = np.array([lam1, 1.0 - lam1])
-        cfg = SamplerConfig(eta=0.1, steps=200, sigma=0.0, seed=int(lam1 * 10))
+        cfg = SamplerConfig(eta=0.1, steps=200, sigma=0.0)
         spec = ChainSpec(
-            "ls_cebm", cfg, RandomInit(d=2, scale=1.0), fixed_lambda=SimplexWeights(lam)
+            "ls_cebm", cfg, RandomInit(d=2, scale=1.0), fixed_lambda=SimplexWeights(lam), seed=int(lam1 * 10)
         )
-        traj = run_ls_cebm(problem.objectives, spec)
+        traj = run_chain(problem.objectives, spec)
         final = traj.X[-1]
         expected = np.array([2.0 * lam1 - 1.0, 0.0])
         assert np.linalg.norm(final - expected) <= 1e-4

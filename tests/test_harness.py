@@ -145,6 +145,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="base_seed"):
             load_config(write_config(tmp_path / "cfg.yaml", base_seed=-1))
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("chains", 2.9), ("chains", True), ("chains", "3"), ("chains", None),
+            ("base_seed", 1.9), ("base_seed", False),
+            ("steps", [10.7]), ("steps", [10, 20.0]), ("steps", True),
+            ("record_every", 2.5), ("record_every", True),
+        ],
+    )
+    def test_integer_keys_need_yaml_integers(self, tmp_path, key, value):
+        # A float is not truncated and a bool is not read as 0 or 1.
+        with pytest.raises(ConfigError, match=f"config key {key}: expected an integer"):
+            load_config(write_config(tmp_path / "cfg.yaml", **{key: value}))
+
     def test_replaced_base_seed_is_checked(self, tmp_path):
         # --seed overrides base_seed through dataclasses.replace, which
         # validates again.
@@ -286,6 +300,55 @@ class TestRunSweep:
             tmp_path / "out" / "cells" / "cebm_eta40_k400_gaussian" / "chain_errors.txt"
         )
         assert errors.is_file()
+
+    def test_all_failed_cell_writes_the_trajectory_header_alone(self, tmp_path):
+        cfg = load_config(
+            write_config(tmp_path / "cfg.yaml", methods=["cebm"], eta=[40.0, 0.1], steps=[400], sigma=0.0, chains=2)
+        )
+        run_sweep(cfg)
+        cell_dir = tmp_path / "out" / "cells" / "cebm_eta40_k400_gaussian"
+        assert (cell_dir / "trajectories.csv").read_bytes() == b"chain_id,step,f0,f1,lambda0,lambda1,grad_norm\r\n"
+        assert (cell_dir / "final_points.csv").read_bytes() == b"chain_id,f0,f1\r\n"
+
+    @pytest.mark.parametrize(
+        "overrides,match",
+        [
+            ({"sigma": float("nan")}, "sigma"),
+            ({"sigma": -1.0}, "sigma"),
+            ({"alpha": float("nan")}, "alpha"),
+            ({"grad_tol": float("nan")}, "grad_tol"),
+            ({"record_every": 0}, "record_every"),
+            ({"init_scale": float("nan")}, "init scale"),
+            ({"init_scale": -1.0}, "init scale"),
+        ],
+    )
+    def test_bad_sampler_settings_refused_before_any_chain(self, tmp_path, monkeypatch, overrides, match):
+        # Each used to fail every cell (or chain) one by one, or, for a NaN
+        # sigma, to switch the noise off without a word.
+        runs = []
+        monkeypatch.setattr(harness, "run_population", lambda *args, **kwargs: runs.append(args))
+        cfg = load_config(write_config(tmp_path / "cfg.yaml", methods=["cebm", "pcebm"], **overrides))
+        with pytest.raises(ConfigError, match=match):
+            run_sweep(cfg)
+        assert runs == [] and not (tmp_path / "out").exists()
+
+    def test_one_sampler_config_per_cell(self, tmp_path, monkeypatch):
+        built, batches, real_config = [], [], harness.SamplerConfig
+
+        def counting(**kwargs):
+            built.append(kwargs)
+            return real_config(**kwargs)
+
+        def tracking(objectives, specs, *, final_x_only=False):
+            batches.append((len(specs), {id(spec.config) for spec in specs}))
+            return samplers.run_population(objectives, specs, final_x_only=final_x_only)
+
+        monkeypatch.setattr(harness, "SamplerConfig", counting)
+        monkeypatch.setattr(harness, "run_population", tracking)
+        cfg = load_config(write_config(tmp_path / "cfg.yaml", methods=["mgd", "cebm", "pcebm"], eta=[0.1, 0.2]))
+        run_sweep(cfg)
+        assert len(built) == len(sweep_cells(cfg)) == 6
+        assert [(n, len(ids)) for n, ids in batches] == [(4, 1)] * 6
 
     def test_zero_steps_rejected_for_sweeps(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "cfg.yaml", steps=[0]))

@@ -25,11 +25,7 @@ from paretoebm.samplers import (
     ChainSpec,
     RandomInit,
     chain_seed,
-    run_cebm,
     run_chain,
-    run_ls_cebm,
-    run_mgd,
-    run_pcebm,
     run_population,
     write_trajectories,
 )
@@ -77,19 +73,27 @@ class TestChainSpec:
         with pytest.raises(ConfigError):
             ChainSpec("annealing", cfg, DesignPoint([0.0]))
 
-    def test_wrong_method_tag_rejected_by_runner(self):
-        objs = opposing_quadratics()
-        cfg = SamplerConfig(eta=0.1, steps=5, noise_kind="none")
-        spec = ChainSpec("cebm", cfg, DesignPoint([0.0, 0.0]))
-        with pytest.raises(ConfigError):
-            run_mgd(objs, spec)
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, "3", True, np.int64(-1)])
+    def test_rejects_bad_seeds(self, seed):
+        cfg = SamplerConfig(eta=0.1, steps=1)
+        with pytest.raises(ConfigError, match="seed"):
+            ChainSpec("cebm", cfg, DesignPoint([0.0]), seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int32(5)])
+    def test_accepts_every_seed_in_range(self, seed):
+        cfg = SamplerConfig(eta=0.1, steps=1)
+        assert ChainSpec("cebm", cfg, DesignPoint([0.0]), seed=seed).seed == seed
+
+    def test_seed_is_not_a_config_field(self):
+        with pytest.raises(TypeError):
+            SamplerConfig(eta=0.1, steps=1, seed=3)
 
 
 class TestMgd:
     def test_terminates_immediately_at_pareto_point(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=50, noise_kind="none")
-        traj = run_mgd(objs, ChainSpec("mgd", cfg, DesignPoint([0.0, 0.0])))
+        traj = run_chain(objs, ChainSpec("mgd", cfg, DesignPoint([0.0, 0.0])))
         assert traj.terminated_early and traj.termination_step == 0
         assert len(traj) == 1
         assert np.array_equal(traj.X[-1], [0.0, 0.0])
@@ -99,7 +103,7 @@ class TestMgd:
         # coordinate never moves and the chain limits to the origin.
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=500, noise_kind="none")
-        traj = run_mgd(objs, ChainSpec("mgd", cfg, DesignPoint([0.0, 5.0])))
+        traj = run_chain(objs, ChainSpec("mgd", cfg, DesignPoint([0.0, 5.0])))
         xs = traj.X
         assert np.all(xs[:, 0] == 0.0)
         diffs = np.abs(np.diff(xs[:, 1]))
@@ -110,7 +114,7 @@ class TestMgd:
     def test_single_objective_reduces_to_gradient_descent(self):
         objs = ObjectiveSet([ShiftedQuadratic([1.0, -1.0])])
         cfg = SamplerConfig(eta=0.05, steps=40, noise_kind="none")
-        traj = run_mgd(objs, ChainSpec("mgd", cfg, DesignPoint([3.0, 3.0])))
+        traj = run_chain(objs, ChainSpec("mgd", cfg, DesignPoint([3.0, 3.0])))
         center = np.array([1.0, -1.0])
         x = np.array([3.0, 3.0])
         expect = [x.copy()]
@@ -123,8 +127,8 @@ class TestMgd:
 class TestCebm:
     def test_noiseless_matches_sum_gradient_descent(self):
         objs = opposing_quadratics()
-        cfg = SamplerConfig(eta=0.1, steps=100, sigma=0.0, seed=5)
-        traj = run_cebm(objs, ChainSpec("cebm", cfg, DesignPoint([3.0, -2.0])))
+        cfg = SamplerConfig(eta=0.1, steps=100, sigma=0.0)
+        traj = run_chain(objs, ChainSpec("cebm", cfg, DesignPoint([3.0, -2.0]), seed=5))
         x = np.array([3.0, -2.0])
         expect = {0: x.copy()}
         for k in range(1, 101):
@@ -138,26 +142,26 @@ class TestCebm:
 
     def test_noiseless_converges_to_sum_minimizer(self):
         objs = opposing_quadratics()
-        cfg = SamplerConfig(eta=0.2, steps=200, sigma=0.0, seed=1)
-        traj = run_cebm(objs, ChainSpec("cebm", cfg, RandomInit(d=2, scale=3.0)))
+        cfg = SamplerConfig(eta=0.2, steps=200, sigma=0.0)
+        traj = run_chain(objs, ChainSpec("cebm", cfg, RandomInit(d=2, scale=3.0), seed=1))
         assert np.allclose(traj.X[-1], [0.0, 0.0], atol=1e-8)
 
     def test_seed_determinism(self):
         objs = opposing_quadratics()
-        cfg = SamplerConfig(eta=0.05, steps=40, sigma=0.3, seed=11)
-        spec = ChainSpec("cebm", cfg, RandomInit(d=2))
-        assert trajectories_equal(run_cebm(objs, spec), run_cebm(objs, spec))
+        cfg = SamplerConfig(eta=0.05, steps=40, sigma=0.3)
+        spec = ChainSpec("cebm", cfg, RandomInit(d=2), seed=11)
+        assert trajectories_equal(run_chain(objs, spec), run_chain(objs, spec))
 
     def test_records_uniform_weights(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=3, sigma=0.0)
-        traj = run_cebm(objs, ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0])))
+        traj = run_chain(objs, ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0])))
         assert np.array_equal(traj.lam, np.full((len(traj), 2), 0.5))
 
     def test_no_early_termination(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=25, sigma=0.0)
-        traj = run_cebm(objs, ChainSpec("cebm", cfg, DesignPoint([0.0, 0.0])))
+        traj = run_chain(objs, ChainSpec("cebm", cfg, DesignPoint([0.0, 0.0])))
         assert not traj.terminated_early
         assert traj.steps[-1] == 25
 
@@ -166,18 +170,18 @@ class TestLsCebm:
     def test_uniform_lambda_equals_cebm_with_scaled_eta(self):
         objs = opposing_quadratics()
         x0 = DesignPoint([2.0, 1.0])
-        ls_cfg = SamplerConfig(eta=0.2, steps=50, sigma=0.1, seed=3)
-        ce_cfg = SamplerConfig(eta=0.1, steps=50, sigma=0.1, seed=3)
-        ls = run_ls_cebm(objs, ChainSpec("ls_cebm", ls_cfg, x0, fixed_lambda=uniform_weights(2)))
-        ce = run_cebm(objs, ChainSpec("cebm", ce_cfg, x0))
+        ls_cfg = SamplerConfig(eta=0.2, steps=50, sigma=0.1)
+        ce_cfg = SamplerConfig(eta=0.1, steps=50, sigma=0.1)
+        ls = run_chain(objs, ChainSpec("ls_cebm", ls_cfg, x0, fixed_lambda=uniform_weights(2), seed=3))
+        ce = run_chain(objs, ChainSpec("cebm", ce_cfg, x0, seed=3))
         assert np.array_equal(ls.steps, ce.steps)
         assert np.allclose(ls.X, ce.X, rtol=1e-12, atol=1e-14)
 
     def test_vertex_lambda_minimizes_single_objective(self):
         objs = opposing_quadratics()
-        cfg = SamplerConfig(eta=0.2, steps=300, sigma=0.0, seed=0)
+        cfg = SamplerConfig(eta=0.2, steps=300, sigma=0.0)
         lam = SimplexWeights([1.0, 0.0])
-        traj = run_ls_cebm(objs, ChainSpec("ls_cebm", cfg, RandomInit(d=2, scale=2.0), fixed_lambda=lam))
+        traj = run_chain(objs, ChainSpec("ls_cebm", cfg, RandomInit(d=2, scale=2.0), fixed_lambda=lam, seed=0))
         assert np.allclose(traj.X[-1], [1.0, 0.0], atol=1e-8)
 
     def test_lambda_length_checked_at_run(self):
@@ -185,7 +189,7 @@ class TestLsCebm:
         cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.0)
         spec = ChainSpec("ls_cebm", cfg, DesignPoint([0.0, 0.0]), fixed_lambda=SimplexWeights([1.0]))
         with pytest.raises(ShapeError):
-            run_ls_cebm(objs, spec)
+            run_chain(objs, spec)
 
 
 class TestPcebm:
@@ -194,23 +198,23 @@ class TestPcebm:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             x0 = DesignPoint(rng.normal(size=2))
-            mgd_cfg = SamplerConfig(eta=0.07, steps=80, noise_kind="none", seed=seed)
-            pc_cfg = SamplerConfig(eta=0.07, steps=80, noise_kind="gaussian", alpha=0.0, seed=seed)
-            t1 = run_mgd(objs, ChainSpec("mgd", mgd_cfg, x0))
-            t2 = run_pcebm(objs, ChainSpec("pcebm", pc_cfg, x0))
+            mgd_cfg = SamplerConfig(eta=0.07, steps=80, noise_kind="none")
+            pc_cfg = SamplerConfig(eta=0.07, steps=80, noise_kind="gaussian", alpha=0.0)
+            t1 = run_chain(objs, ChainSpec("mgd", mgd_cfg, x0, seed=seed))
+            t2 = run_chain(objs, ChainSpec("pcebm", pc_cfg, x0, seed=seed))
             assert trajectories_equal(t1, t2)
             assert t1.terminated_early == t2.terminated_early
 
     def test_seed_determinism(self):
         objs = opposing_quadratics()
-        cfg = SamplerConfig(eta=0.05, steps=60, alpha=0.01, seed=21)
-        spec = ChainSpec("pcebm", cfg, RandomInit(d=2))
-        assert trajectories_equal(run_pcebm(objs, spec), run_pcebm(objs, spec))
+        cfg = SamplerConfig(eta=0.05, steps=60, alpha=0.01)
+        spec = ChainSpec("pcebm", cfg, RandomInit(d=2), seed=21)
+        assert trajectories_equal(run_chain(objs, spec), run_chain(objs, spec))
 
     def test_noise_keeps_chain_running_past_pareto_points(self):
         objs = opposing_quadratics()
-        cfg = SamplerConfig(eta=0.05, steps=30, alpha=0.02, seed=2)
-        traj = run_pcebm(objs, ChainSpec("pcebm", cfg, DesignPoint([0.0, 0.0])))
+        cfg = SamplerConfig(eta=0.05, steps=30, alpha=0.02)
+        traj = run_chain(objs, ChainSpec("pcebm", cfg, DesignPoint([0.0, 0.0]), seed=2))
         assert not traj.terminated_early
         assert traj.steps[-1] == 30
 
@@ -220,18 +224,16 @@ class TestPcebm:
         # squared displacement approaches 2 * alpha * d.
         objs = opposing_quadratics()
         alpha, d, steps = 0.01, 2, 8000
-        cfg = SamplerConfig(
-            eta=1e-4, steps=steps, noise_kind=noise_kind, alpha=alpha, seed=9
-        )
-        traj = run_pcebm(objs, ChainSpec("pcebm", cfg, DesignPoint([0.0, 0.0])))
+        cfg = SamplerConfig(eta=1e-4, steps=steps, noise_kind=noise_kind, alpha=alpha)
+        traj = run_chain(objs, ChainSpec("pcebm", cfg, DesignPoint([0.0, 0.0]), seed=9))
         pts = traj.X
         msd = float(np.mean(np.sum(np.diff(pts, axis=0) ** 2, axis=1)))
         assert msd == pytest.approx(2.0 * alpha * d, rel=0.05)
 
     def test_lambda_resolved_every_step(self):
         objs = opposing_quadratics()
-        cfg = SamplerConfig(eta=0.05, steps=40, alpha=0.02, seed=4)
-        traj = run_pcebm(objs, ChainSpec("pcebm", cfg, DesignPoint([0.5, 2.0])))
+        cfg = SamplerConfig(eta=0.05, steps=40, alpha=0.02)
+        traj = run_chain(objs, ChainSpec("pcebm", cfg, DesignPoint([0.5, 2.0]), seed=4))
         lams = traj.lam
         assert len(np.unique(lams[:, 0])) > 5
 
@@ -240,10 +242,10 @@ class TestRunPopulation:
     def test_failures_tagged_and_isolated(self):
         objs = opposing_quadratics()
         good = ChainSpec(
-            "cebm", SamplerConfig(eta=0.1, steps=10, sigma=0.0, seed=1), DesignPoint([1.0, 1.0])
+            "cebm", SamplerConfig(eta=0.1, steps=10, sigma=0.0), DesignPoint([1.0, 1.0]), seed=1
         )
         bad = ChainSpec(
-            "cebm", SamplerConfig(eta=0.1, steps=10, sigma=0.0, seed=1), DesignPoint([1.0, 1.0, 1.0])
+            "cebm", SamplerConfig(eta=0.1, steps=10, sigma=0.0), DesignPoint([1.0, 1.0, 1.0]), seed=1
         )
         results = run_population(objs, [good, bad, good])
         assert not isinstance(results[0], ChainFailure)
@@ -256,21 +258,15 @@ class TestRunPopulation:
     def test_divergence_between_records_fails_the_chain(self, problem, eta):
         # Only steps 0 and 400 are recorded; the chain overflows in between.
         prob = get_problem(problem)
-        cfg = SamplerConfig(eta=eta, steps=400, sigma=0.0, seed=3, record_every=400)
-        [result] = run_population(prob.objectives, [ChainSpec("cebm", cfg, RandomInit(d=prob.d))])
+        cfg = SamplerConfig(eta=eta, steps=400, sigma=0.0, record_every=400)
+        [result] = run_population(prob.objectives, [ChainSpec("cebm", cfg, RandomInit(d=prob.d), seed=3)])
         assert isinstance(result, ChainFailure)
         assert isinstance(result.error, ValueError)
 
     def test_pcebm_population_produces_a_front(self):
         prob = get_problem("fonseca-fleming")
-        specs = [
-            ChainSpec(
-                "pcebm",
-                SamplerConfig(eta=0.01, steps=120, seed=chain_seed(7, i), record_every=120),
-                RandomInit(d=3),
-            )
-            for i in range(256)
-        ]
+        cfg = SamplerConfig(eta=0.01, steps=120, record_every=120)
+        specs = [ChainSpec("pcebm", cfg, RandomInit(d=3), seed=chain_seed(7, i)) for i in range(256)]
         results = run_population(prob.objectives, specs)
         finals = [t.F[-1] for t in results]
         assert len(pareto_filter(finals)) >= 10
@@ -329,14 +325,12 @@ class TestSeeding:
     @pytest.mark.parametrize("method,noise_kind", [("pcebm", "gaussian"), ("cebm", "uniform")])
     def test_edge_seed_batch_matches_solo_chains(self, method, noise_kind):
         objectives = quadratic_pair(5)
-        specs = [
-            ChainSpec(method, SamplerConfig(eta=0.05, steps=12, noise_kind=noise_kind, seed=seed), RandomInit(d=5))
-            for seed in EDGE_SEEDS
-        ]
+        cfg = SamplerConfig(eta=0.05, steps=12, noise_kind=noise_kind)
+        specs = [ChainSpec(method, cfg, RandomInit(d=5), seed=seed) for seed in EDGE_SEEDS]
         batch = run_population(objectives, specs)
         for spec, result in zip(specs, batch, strict=True):
             assert_same_chain(result, run_chain(objectives, spec))
-            start = np.random.default_rng(spec.config.seed).standard_normal(5)
+            start = np.random.default_rng(spec.seed).standard_normal(5)
             assert np.array_equal(result.X[0], start)
 
 
@@ -344,6 +338,18 @@ def assert_same_chain(result, solo):
     assert trajectories_equal(result, solo)
     assert result.terminated_early == solo.terminated_early
     assert result.termination_step == solo.termination_step
+
+
+def count_batches(monkeypatch):
+    """Record the chain count of every ``_run_batch`` call; returns the list."""
+    calls, run_batch = [], samplers._run_batch
+
+    def counting(objectives, specs, final_x_only=False):
+        calls.append(len(specs))
+        return run_batch(objectives, specs, final_x_only)
+
+    monkeypatch.setattr(samplers, "_run_batch", counting)
+    return calls
 
 
 def quadratic_pair(d):
@@ -372,13 +378,11 @@ METHOD_NOISE = [
 def batch_specs(method, noise_kind, objectives, eta, steps, record_every, chains=4):
     d, m = objectives.d, objectives.m
     fixed = SimplexWeights(np.arange(1.0, m + 1.0) / (m * (m + 1) / 2)) if method == "ls_cebm" else None
+    cfg = SamplerConfig(eta=eta, steps=steps, noise_kind=noise_kind, record_every=record_every)
     specs = []
     for i in range(chains):
-        cfg = SamplerConfig(
-            eta=eta, steps=steps, noise_kind=noise_kind, seed=chain_seed(17, i), record_every=record_every
-        )
         init = RandomInit(d=d, scale=1.0 + i) if i % 2 else DesignPoint(np.linspace(-1.0, 1.0, d) * (i + 1) / 4)
-        specs.append(ChainSpec(method, cfg, init, fixed_lambda=fixed))
+        specs.append(ChainSpec(method, cfg, init, fixed_lambda=fixed, seed=chain_seed(17, i)))
     return specs
 
 
@@ -447,18 +451,47 @@ class TestBatchKernel:
             specs = batch_specs("pcebm", "gaussian", objectives, 0.05, 10, 1)
             assert not any(isinstance(r, ChainFailure) for r in run_population(objectives, specs))
 
+    def test_equal_configs_with_distinct_seeds_run_as_one_batch(self, monkeypatch):
+        objectives = get_problem("fonseca-fleming").objectives
+        specs = [
+            ChainSpec("pcebm", SamplerConfig(eta=0.05, steps=20, alpha=0.01), RandomInit(d=3), seed=chain_seed(3, i))
+            for i in range(5)
+        ]
+        assert len({id(spec.config) for spec in specs}) == 5
+        calls = count_batches(monkeypatch)
+        batch = run_population(objectives, specs)
+        assert calls == [5]
+        monkeypatch.undo()
+        assert len({tuple(t.X[-1]) for t in batch}) == 5
+        for spec, result in zip(specs, batch):
+            assert_same_chain(result, run_chain(objectives, spec))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("eta", 0.04), ("steps", 21), ("noise_kind", "uniform"), ("sigma", 0.3), ("alpha", 0.02),
+         ("grad_tol", 1e-5), ("record_every", 2)],
+    )
+    def test_chains_that_differ_in_one_config_field_run_as_two_batches(self, monkeypatch, field, value):
+        objectives = get_problem("fonseca-fleming").objectives
+        base = SamplerConfig(eta=0.05, steps=20, alpha=0.01)
+        configs = [base, replace(base, **{field: value}), SamplerConfig(eta=0.05, steps=20, alpha=0.01)]
+        specs = [ChainSpec("pcebm", cfg, RandomInit(d=3), seed=i) for i, cfg in enumerate(configs)]
+        calls = count_batches(monkeypatch)
+        run_population(objectives, specs)
+        assert calls == [2, 1]
+
     def test_mixed_population_keeps_input_order(self):
         objectives = get_problem("fonseca-fleming").objectives
-        noisy = SamplerConfig(eta=0.05, steps=25, seed=1)
-        other = SamplerConfig(eta=0.02, steps=25, sigma=0.1, seed=2, record_every=5)
+        noisy = SamplerConfig(eta=0.05, steps=25)
+        other = SamplerConfig(eta=0.02, steps=25, sigma=0.1, record_every=5)
         specs = [
-            ChainSpec("pcebm", noisy, RandomInit(d=3)),
-            ChainSpec("cebm", other, RandomInit(d=3)),
+            ChainSpec("pcebm", noisy, RandomInit(d=3), seed=1),
+            ChainSpec("cebm", other, RandomInit(d=3), seed=2),
             ChainSpec("mgd", SamplerConfig(eta=0.05, steps=25, noise_kind="none"), DesignPoint([0.2, 0.1, 0.0])),
-            ChainSpec("cebm", other, DesignPoint([1.0, 1.0])),  # wrong d
-            ChainSpec("ls_cebm", other, RandomInit(d=3), fixed_lambda=SimplexWeights([0.25, 0.75])),
-            ChainSpec("pcebm", SamplerConfig(eta=0.05, steps=25, seed=3), RandomInit(d=3)),
-            ChainSpec("cebm", SamplerConfig(eta=0.02, steps=25, sigma=0.1, seed=4, record_every=5), RandomInit(d=3)),
+            ChainSpec("cebm", other, DesignPoint([1.0, 1.0]), seed=2),  # wrong d
+            ChainSpec("ls_cebm", other, RandomInit(d=3), fixed_lambda=SimplexWeights([0.25, 0.75]), seed=2),
+            ChainSpec("pcebm", SamplerConfig(eta=0.05, steps=25), RandomInit(d=3), seed=3),
+            ChainSpec("cebm", SamplerConfig(eta=0.02, steps=25, sigma=0.1, record_every=5), RandomInit(d=3), seed=4),
         ]
         results = run_population(objectives, specs)
         assert len(results) == len(specs)
@@ -494,8 +527,8 @@ class TestTrajectoryExport:
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=4, sigma=0.0)
         trajs = [
-            run_cebm(objs, ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0]))),
-            run_cebm(objs, ChainSpec("cebm", cfg, DesignPoint([0.5, 0.5]))),
+            run_chain(objs, ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0]))),
+            run_chain(objs, ChainSpec("cebm", cfg, DesignPoint([0.5, 0.5]))),
         ]
         path = tmp_path / "traj.csv"
         write_trajectories(path, trajs)
@@ -508,7 +541,7 @@ class TestTrajectoryExport:
     def test_record_every_thins_records(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.01, steps=100, sigma=0.0, record_every=25)
-        traj = run_cebm(objs, ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0])))
+        traj = run_chain(objs, ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0])))
         assert list(traj.steps) == [0, 25, 50, 75, 100]
 
     def test_custom_names_and_ids(self, tmp_path):
@@ -586,9 +619,11 @@ class TestFinalXOnly:
 
     def test_views_are_read_only(self):
         objectives = opposing_quadratics()
-        cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1, seed=3)
+        cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
         for final_x_only in (False, True):
-            [traj] = run_population(objectives, [ChainSpec("cebm", cfg, RandomInit(d=2))], final_x_only=final_x_only)
+            [traj] = run_population(
+                objectives, [ChainSpec("cebm", cfg, RandomInit(d=2), seed=3)], final_x_only=final_x_only
+            )
             for name in ("steps", "X", "F", "lam", "grad_norm"):
                 column = getattr(traj, name)
                 assert not column.flags.writeable
@@ -619,10 +654,10 @@ class TestFinalXOnly:
         # and gradient stay finite: only the recorded coordinates show it.
         # Its siblings stay far from overflow.
         objectives = ObjectiveSet([TanhSum(2, 0.5), TanhSum(2, -0.5)])
-        cfg = SamplerConfig(eta=0.1, steps=30, noise_kind=noise_kind, sigma=1e300, seed=0, record_every=4)
+        cfg = SamplerConfig(eta=0.1, steps=30, noise_kind=noise_kind, sigma=1e300, record_every=4)
         big = np.finfo(np.float64).max
         starts = [[0.0, 0.0], [big, -big], [1.0, -1.0], [0.5, 0.5]]
-        specs = [ChainSpec("cebm", replace(cfg, seed=i), DesignPoint(x)) for i, x in enumerate(starts)]
+        specs = [ChainSpec("cebm", cfg, DesignPoint(x), seed=i) for i, x in enumerate(starts)]
         errors = []
         for final_x_only in (False, True):
             results = run_population(objectives, specs, final_x_only=final_x_only)
@@ -655,6 +690,14 @@ class TestFinalXOnly:
 
 
 
+class InfiniteDraw(RandomInit):
+    """A random start whose draw is infinite, as a huge finite scale can
+    overflow to (an infinite scale is refused when the init is built)."""
+
+    def draw(self, rng):
+        return np.full(self.dim, np.inf)
+
+
 class TestStarts:
     def test_bad_starts_fail_only_their_own_chains(self):
         objectives = opposing_quadratics()
@@ -662,7 +705,7 @@ class TestStarts:
         wrong_kind = RandomInit(kind=SEQUENCE_LOGITS, L=1, A=2)
         specs = [
             ChainSpec("cebm", cfg, RandomInit(d=2)),
-            ChainSpec("cebm", cfg, RandomInit(d=2, scale=np.inf)),  # draws +-inf
+            ChainSpec("cebm", cfg, InfiniteDraw(d=2)),
             ChainSpec("cebm", cfg, wrong_kind),
             ChainSpec("cebm", cfg, RandomInit(d=3)),
             ChainSpec("cebm", cfg, wrong_kind),
@@ -675,6 +718,11 @@ class TestStarts:
         assert isinstance(results[3].error, ShapeError)
         for index in (0, 5):
             assert_same_chain(results[index], run_chain(objectives, specs[index]))
+
+    @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan, -1.0])
+    def test_scale_must_be_finite_and_non_negative(self, scale):
+        with pytest.raises(ConfigError, match="init scale"):
+            RandomInit(d=2, scale=scale)
 
 
 def csv_oracle(path, trajectories, objective_names=None, chain_ids=None):
@@ -726,6 +774,12 @@ class TestTrajectoryBytes:
         with pytest.raises(ShapeError, match=f"got {len(chain_ids)} chain ids for 3 trajectories"):
             write_trajectories(tmp_path / "t.csv", trajs, chain_ids=chain_ids)
         assert not (tmp_path / "t.csv").exists()
+
+    def test_no_trajectories_writes_the_header_alone(self, tmp_path):
+        write_trajectories(tmp_path / "t.csv", [], objective_names=["a", "b"])
+        assert (tmp_path / "t.csv").read_bytes() == b"chain_id,step,a,b,lambda0,lambda1,grad_norm\r\n"
+        with pytest.raises(ShapeError, match="got 1 chain ids for 0 trajectories"):
+            write_trajectories(tmp_path / "u.csv", [], objective_names=["a"], chain_ids=[3])
 
     def test_empty_and_mixed_m_rejected(self, tmp_path):
         with pytest.raises(ValueError):
