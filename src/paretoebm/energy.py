@@ -30,6 +30,23 @@ from .core import (
 
 MODEL_MAGIC = b"PEBMODEL"
 MODEL_FORMAT_VERSION = 1
+_TILE = 8
+
+
+def _tiled_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for an (n, k) A, one np.matmul per C-contiguous (_TILE, k) tile, zero-padded.
+    BLAS rounds a row of a fixed-shape product alike at any position in the tile and whatever
+    its siblings hold (one product over all n rows does not): each row equals the row alone."""
+    n, k = A.shape
+    rows = -(-n // _TILE) * _TILE
+    if rows != n or not A.flags.c_contiguous:
+        padded = np.zeros((rows, k))
+        padded[:n] = A
+        A = padded
+    out = np.empty((rows, B.shape[1]))
+    for t in range(0, rows, _TILE):
+        np.matmul(A[t : t + _TILE], B, out=out[t : t + _TILE])
+    return out[:n]
 
 
 class EnergyModel(ABC):
@@ -75,7 +92,7 @@ class EnergyModel(ABC):
     def _batch_value_and_gradient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unchecked evaluation on the rows of an (n, d) array: values (n,) and
         gradients (n, d). Row i equals ``_value_and_gradient(X[i])`` bit for
-        bit; overrides keep that by using only row-wise operations."""
+        bit; overrides keep that with row-wise operations and _tiled_matmul."""
         pairs = [self._value_and_gradient(x) for x in X]
         return np.array([v for v, _ in pairs]), np.stack([g for _, g in pairs])
 
@@ -166,13 +183,11 @@ class PwmEnergy(EnergyModel):
         return SEQUENCE_LOGITS
 
     def _value_and_gradient(self, coords):
-        return float(self._flat @ coords), self._flat
+        values, grads = self._batch_value_and_gradient(coords[None])
+        return float(values[0]), grads[0]
 
-    def _batch_values(self, X):
-        return X @ self._flat
-
-    def _batch_gradients(self, X):
-        return np.broadcast_to(self._flat, X.shape)
+    def _batch_value_and_gradient(self, X):
+        return np.vecdot(X, self._flat), np.broadcast_to(self._flat, X.shape)
 
     def params(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights}
@@ -202,12 +217,9 @@ class MlpEnergy(EnergyModel):
         H, d = self.w1.shape
         if self.b1.shape != (H,) or self.w2.shape != (H,):
             raise ShapeError("b1 and w2 must be H-vectors matching w1")
-        if L is not None:
-            if A is None or L * A != d:
-                raise ShapeError(f"L*A must equal d={d}")
-        self.L, self.A = L, A
-        self.H = H
-        self._d = d
+        if L is not None and (A is None or L * A != d):
+            raise ShapeError(f"L*A must equal d={d}")
+        self.L, self.A, self.H, self._d = L, A, H, d
         for arr in (self.w1, self.b1, self.w2):
             arr.setflags(write=False)
 
@@ -220,26 +232,17 @@ class MlpEnergy(EnergyModel):
         return SEQUENCE_LOGITS if self.L is not None else RAW
 
     def _value_and_gradient(self, coords):
-        h = np.tanh(self.w1 @ coords + self.b1)
-        value = float(self.w2 @ h + self.b2)
-        dz = self.w2 * (1.0 - h * h)
-        return value, self.w1.T @ dz
+        values, grads = self._batch_value_and_gradient(coords[None])
+        return float(values[0]), grads[0]
+
+    def _hidden(self, X):
+        """Hidden activations (n, H) and the gradient at the pre-activations."""
+        Hm = np.tanh(_tiled_matmul(X, self.w1.T) + self.b1)
+        return Hm, self.w2 * (1.0 - Hm * Hm)
 
     def _batch_value_and_gradient(self, X):
-        # Stacked matrix-vector products and row dots: unlike X @ w1.T, they
-        # round every row exactly as _value_and_gradient does.
-        Hm = np.tanh(np.matmul(self.w1, X[:, :, None])[:, :, 0] + self.b1)
-        values = np.vecdot(Hm, self.w2) + self.b2
-        Dz = self.w2 * (1.0 - Hm * Hm)
-        return values, np.matmul(self.w1.T, Dz[:, :, None])[:, :, 0]
-
-    def _batch_values(self, X):
-        Hm = np.tanh(X @ self.w1.T + self.b1)
-        return Hm @ self.w2 + self.b2
-
-    def _batch_gradients(self, X):
-        Hm = np.tanh(X @ self.w1.T + self.b1)
-        return ((1.0 - Hm * Hm) * self.w2) @ self.w1
+        Hm, Dz = self._hidden(X)
+        return np.vecdot(Hm, self.w2) + self.b2, _tiled_matmul(Dz, self.w1)
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": np.array([self.b2])}
@@ -251,11 +254,9 @@ class MlpEnergy(EnergyModel):
         )
 
     def batch_param_gradient(self, X: np.ndarray) -> dict[str, np.ndarray]:
-        Hm = np.tanh(X @ self.w1.T + self.b1)
-        Dz = (1.0 - Hm * Hm) * self.w2
-        n = X.shape[0]
+        Hm, Dz = self._hidden(X)
         return {
-            "w1": Dz.T @ X / n,
+            "w1": Dz.T @ X / X.shape[0],
             "b1": Dz.mean(axis=0),
             "w2": Hm.mean(axis=0),
             "b2": np.array([1.0]),
@@ -469,14 +470,13 @@ def cd_train(
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             batch = positives[order[start : start + cfg.batch_size]]
-            b = batch.shape[0]
-            neg = _one_hot_batch(rng.integers(0, A, size=(b, L)), A)
+            neg = _one_hot_batch(rng.integers(0, A, size=(batch.shape[0], L)), A)
             for _ in range(cfg.cd_steps):
-                neg = neg - (cfg.cd_eta / 2.0) * current._batch_gradients(neg)
+                neg = neg - (cfg.cd_eta / 2.0) * current._batch_value_and_gradient(neg)[1]
                 if cfg.cd_sigma > 0:
                     neg = neg + cfg.cd_sigma * rng.standard_normal(neg.shape)
-            loss = float(current._batch_values(batch).mean() - current._batch_values(neg).mean())
-            epoch_losses.append(loss)
+            pos_mean, neg_mean = (current._batch_value_and_gradient(X)[0].mean() for X in (batch, neg))
+            epoch_losses.append(float(pos_mean - neg_mean))
             g_pos = current.batch_param_gradient(batch)
             g_neg = current.batch_param_gradient(neg)
             params = {

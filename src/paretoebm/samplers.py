@@ -28,7 +28,9 @@ row-wise and rounds each row exactly as it would round that chain alone,
 so a chain's result does not depend on the batch it ran in, its position
 there, or the order of its population. Elementwise math in the energies uses numpy ufuncs in both
 the solo and the batch path: a ufunc rounds each element the same way at
-any array length. The stacked linear solves of the min-norm drift factor
+any array length. The MLP energies' matrix products run in fixed-shape
+tiles (energy._tiled_matmul), which round each row alike whatever its
+siblings hold. The stacked linear solves of the min-norm drift factor
 each row's matrix alone. Per-chain masks take a chain out of the batch
 when it stops early (noiseless min-norm chains stop at a Pareto-stationary
 point) or when its gradients turn non-finite, which fails that chain alone; the
@@ -129,7 +131,8 @@ class RandomInit:
         return self.d if self.kind == RAW else self.L * self.A
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one start's coordinates; they are not checked for finiteness."""
+        """Draw one start's coordinates; they are not checked for finiteness.
+        The batch kernel draws under ``np.errstate(over="ignore")``."""
         if self.distribution == "normal":
             return self.scale * rng.standard_normal(self.dim)
         return rng.uniform(-self.scale, self.scale, self.dim)
@@ -368,23 +371,26 @@ def _run_batch(
     rngs, starts, started = [], [], []
     fitting: set[RandomInit] = set()  # random inits whose shape and kind are checked
     generators = _generators([chain.seed for chain in specs])
-    for index, (chain, rng) in enumerate(zip(specs, generators)):
-        init = chain.init
-        try:
-            if isinstance(init, RandomInit):
-                coords = init.draw(rng)
-                if init not in fitting:
-                    _check_start(objectives, init.dim, init.kind)
-                    fitting.add(init)
-            else:
-                coords = init.coords
-                _check_start(objectives, init.d, init.kind)
-        except Exception as exc:  # noqa: BLE001 - a bad start fails only its own chain
-            results[index] = exc
-            continue
-        starts.append(coords)
-        rngs.append(rng)
-        started.append(index)
+    # A scale that overflows a drawn start gives infinities, which fail that
+    # chain below; one errstate for the batch, not one per draw.
+    with np.errstate(over="ignore"):
+        for index, (chain, rng) in enumerate(zip(specs, generators)):
+            init = chain.init
+            try:
+                if isinstance(init, RandomInit):
+                    coords = init.draw(rng)
+                    if init not in fitting:
+                        _check_start(objectives, init.dim, init.kind)
+                        fitting.add(init)
+                else:
+                    coords = init.coords
+                    _check_start(objectives, init.d, init.kind)
+            except Exception as exc:  # noqa: BLE001 - a bad start fails only its own chain
+                results[index] = exc
+                continue
+            starts.append(coords)
+            rngs.append(rng)
+            started.append(index)
     if not started:
         return results
 

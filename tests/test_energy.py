@@ -19,6 +19,7 @@ from paretoebm.energy import (
     PwmEnergy,
     ShiftedQuadratic,
     Zdt3Branch,
+    _tiled_matmul,
     cd_train,
     load_model,
     save_model,
@@ -210,6 +211,44 @@ class TestObjectiveSet:
                 assert np.array_equal(grads[:, j], (2.0 * e)[:, None] * delta)
 
 
+class TestTiledMatmul:
+    def test_every_row_of_a_tile_equals_the_row_alone(self):
+        # MlpEnergy's batch = solo rests on this property of the BLAS: a row
+        # of a fixed-shape tile product rounds alike at any position in the
+        # tile, whatever its sibling rows hold. The shapes are seq-sweep's
+        # (d = 1000, H = 64), under the sampler's errstate.
+        rng = np.random.default_rng(13)
+        model = MlpEnergy.random(hidden=64, d=1000, seed=1)
+        products = [("forward X @ w1.T", model.w1.T), ("backward Dz @ w1", model.w1)]
+        sizes = [1, 8, 9, 40, *rng.integers(1, 41, size=296)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for batch, n in enumerate(sizes):
+                name, B = products[batch % 2]
+                k = B.shape[0]
+                A = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+                if n > 1 and batch % 3 == 0:
+                    # Siblings holding NaN and inf.
+                    rows = rng.choice(n, size=rng.integers(1, n), replace=False)
+                    A[rows, rng.integers(k, size=rows.size)] = rng.choice([np.nan, np.inf, -np.inf], size=rows.size)
+                if batch % 5 == 0:
+                    # A Fortran-ordered tile rounds unlike a C-ordered one, so
+                    # the helper must copy such a batch to C order.
+                    A = np.asfortranarray(A)
+                tiled = _tiled_matmul(A, B)
+                assert tiled.shape == (n, B.shape[1])
+                finite = np.all(np.isfinite(A), axis=1)
+                # Within the float64 error bound of a k-term dot product (k * eps <= 2.3e-13).
+                bound = 1e-12 * (np.abs(A[finite]) @ np.abs(B))
+                assert np.all(np.abs(tiled[finite] - A[finite] @ B) <= bound)
+                for i in range(n):
+                    alone = _tiled_matmul(A[i : i + 1], B)[0]
+                    assert np.array_equal(tiled[i], alone, equal_nan=True), (
+                        f"{name}: row {i} of a {n}-row batch differs from the row alone. This BLAS "
+                        "does not round a fixed-shape tile row by row, so MlpEnergy's batch rows "
+                        "are not its solo results; see the README on sequence energies."
+                    )
+
+
 def planted_pwm_data(rng, L=6, A=4, n=300):
     W = rng.normal(size=(L, A))
     probs = np.exp(-W)
@@ -286,7 +325,7 @@ class TestCdTrain:
                 for sign in (1, -1):
                     bumped = {k: np.array(v, dtype=float) for k, v in params.items()}
                     bumped[name].reshape(-1)[i] += sign * h
-                    vals = model.with_params(bumped)._batch_values(X)
+                    vals = model.with_params(bumped)._batch_value_and_gradient(X)[0]
                     fd[i] += sign * vals.mean() / (2 * h)
             assert rel_error(np.asarray(grad).reshape(-1), fd) < 1e-6
 

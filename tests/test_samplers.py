@@ -1,5 +1,6 @@
 import csv
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -718,6 +719,19 @@ class TestStarts:
         assert isinstance(results[3].error, ShapeError)
         for index in (0, 5):
             assert_same_chain(results[index], run_chain(objectives, specs[index]))
+
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_overflowing_scale_fails_its_chain_as_non_finite(self, action):
+        # A finite scale can overflow the drawn start; under either warnings
+        # filter the chain fails with the finiteness message, and no
+        # RuntimeWarning is raised or emitted.
+        cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
+        spec = ChainSpec("cebm", cfg, RandomInit(d=2, scale=np.finfo(float).max), seed=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            (result,) = run_population(opposing_quadratics(), [spec])
+        assert str(result.error) == "coords must be finite (no NaN/Inf)"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan, -1.0])
     def test_scale_must_be_finite_and_non_negative(self, scale):
