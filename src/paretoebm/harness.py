@@ -156,10 +156,28 @@ def _as_int(value) -> int:
     return value
 
 
+def _as_float(value) -> float:
+    """A YAML number as a float. A bool is an error, as it is for integer
+    keys; a string that float() reads (PyYAML loads ``1e-6`` as one) is read."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _int_key(raw: dict, name: str, default: int) -> int:
     try:
         return _as_int(raw.get(name, default))
     except TypeError as exc:
+        raise ConfigError(f"config key {name}: {exc}") from exc
+
+
+def _float_key(raw: dict, name: str, default: float | None = None) -> float | None:
+    value = raw.get(name, default)
+    if value is None:
+        return None
+    try:
+        return _as_float(value)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {name}: {exc}") from exc
 
 
@@ -227,7 +245,7 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(
         problem=str(raw["problem"]),
         methods=_as_tuple(raw.get("methods"), "methods", str),
-        etas=_as_tuple(raw.get("eta"), "eta", float),
+        etas=_as_tuple(raw.get("eta"), "eta", _as_float),
         steps_grid=_as_tuple(raw.get("steps"), "steps", _as_int),
         noise_kinds=_as_tuple(raw.get("noise", ["gaussian"]), "noise", str),
         chains=_int_key(raw, "chains", 1),
@@ -235,14 +253,14 @@ def load_config(path) -> ExperimentConfig:
         base_seed=_int_key(raw, "base_seed", 0),
         model_files=model_files,
         training_sequences=training,
-        reference_point=tuple(float(v) for v in ref) if ref is not None else None,
-        ls_lambda=tuple(float(v) for v in ls_lambda) if ls_lambda is not None else None,
-        sigma=float(raw["sigma"]) if raw.get("sigma") is not None else None,
-        alpha=float(raw["alpha"]) if raw.get("alpha") is not None else None,
-        init_scale=float(raw.get("init_scale", 1.0)),
+        reference_point=_as_tuple(ref, "reference_point", _as_float) if ref is not None else None,
+        ls_lambda=_as_tuple(ls_lambda, "ls_lambda", _as_float) if ls_lambda is not None else None,
+        sigma=_float_key(raw, "sigma"),
+        alpha=_float_key(raw, "alpha"),
+        init_scale=_float_key(raw, "init_scale", 1.0),
         init_distribution=str(raw.get("init_distribution", "normal")),
         record_every=_int_key(raw, "record_every", 1),
-        grad_tol=float(raw.get("grad_tol", 1e-6)),
+        grad_tol=_float_key(raw, "grad_tol", 1e-6),
         alphabet=str(raw.get("alphabet", AMINO_ALPHABET)),
         normalization=normalization,
     )

@@ -6,8 +6,8 @@ The non-dominated filter sorts the points lexicographically and scans them
 once: O(n log n) for two objectives, and for three or more each point is
 tested only against the front kept so far (output-sensitive, O(n h) for a
 front of h points). Memory stays linear in the number of points. Edit
-distances to a set run one dynamic program per sequence length, over all
-set members of that length at once.
+distances run Myers' bit-vector algorithm over all pairs of a sample length
+and a set-member length at once.
 
 All operations are pure functions.
 """
@@ -23,6 +23,8 @@ from .core import DiscreteSequence, ObjectiveVector, ShapeError, Trajectory
 
 # Size of the temporaries of one block of Monte-Carlo hypervolume samples.
 _MC_BLOCK_BYTES = 16 << 20
+# Words of one bit-vector edit-distance state array; more pairs run in chunks.
+_EDIT_BLOCK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,34 +290,79 @@ def _tokens(seq) -> np.ndarray:
 
 
 def edit_distance(a, b) -> int:
-    """Levenshtein distance (insertions, deletions, substitutions) via full
-    dynamic programming; accepts sequences, token arrays, or strings."""
-    return int(_edit_rows(_tokens(a), _tokens(b)[None])[0])
+    """Levenshtein distance (insertions, deletions, substitutions); accepts
+    sequences, token arrays, or strings."""
+    return int(_edit_pairs(_tokens(a)[None], _tokens(b)[None])[0, 0])
 
 
-def _edit_rows(ta: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Edit distances from ta to every row of the (k, n) token matrix B, one
-    row-by-row dynamic program over ta for all k rows at once."""
+def _edit_pairs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Edit distances between every row of the (p, m) token matrix A and
+    every row of the (k, n) token matrix B, as a (p, k) int64 matrix.
+
+    Myers' bit-vector algorithm (JACM 1999) in Hyyrö's multi-word form
+    (2003): a row of A is the pattern, one bit per position in ceil(m / 64)
+    uint64 words, and each column of B advances the vertical delta vectors
+    of all p * k pairs by a few word operations; a word's horizontal delta
+    at its top row carries into the next word. The tokens map to dense ids
+    of A's symbols first (a symbol A lacks matches nothing), so the match
+    masks have one entry per symbol of A, whatever the code points.
+    """
+    p, m = A.shape
     k, n = B.shape
-    if ta.size == 0 or n == 0:
-        return np.full(k, ta.size + n, dtype=np.int64)
-    arange = np.arange(n + 1, dtype=np.int64)
-    prev = np.tile(arange, (k, 1))
-    row = np.empty_like(prev)
-    for i in range(1, ta.size + 1):
-        row[:, 0] = i
-        np.minimum(prev[:, :-1] + (B != ta[i - 1]), prev[:, 1:] + 1, out=row[:, 1:])
-        # Insertions propagate left to right: row[j] = min_{k<=j} row[k] + (j-k).
-        np.subtract(row, arange, out=row)
-        np.minimum.accumulate(row, axis=1, out=row)
-        np.add(row, arange, out=row)
-        prev, row = row, prev
-    return prev[:, -1].copy()
+    if m == 0 or n == 0:
+        return np.full((p, k), m + n, dtype=np.int64)
+    words = -(-m // 64)
+    chunk = max(1, _EDIT_BLOCK_WORDS // (p * words))
+    if k > chunk:
+        return np.concatenate([_edit_pairs(A, B[t : t + chunk]) for t in range(0, k, chunk)], axis=1)
+    symbols, a_ids = np.unique(A, return_inverse=True)
+    b_ids = np.searchsorted(symbols, B)
+    b_ids[symbols[np.minimum(b_ids, symbols.size - 1)] != B] = symbols.size
+    pos = np.arange(m)
+    # peq[w, c, i]: bit j of word w set where A[i, 64 w + j] has symbol c.
+    peq = np.zeros((words, symbols.size + 1, p), dtype=np.uint64)
+    np.bitwise_or.at(
+        peq, (pos // 64, a_ids.reshape(p, m), np.arange(p)[:, None]), np.uint64(1) << (pos % 64).astype(np.uint64)
+    )
+    one = np.uint64(1)
+    # Bit of each word's last row: its horizontal delta carries into the next
+    # word, and the last word's into the score D[m, j].
+    top = [np.uint64(63)] * (words - 1) + [np.uint64((m - 1) % 64)]
+    # Pairs are laid out (k, p): row t of B against row i of A.
+    Pv = np.full((words, k, p), ~np.uint64(0))
+    Mv = np.zeros((words, k, p), dtype=np.uint64)
+    score = np.full((k, p), m, dtype=np.uint64)
+    for j in range(n):
+        eq_col = peq[:, b_ids[:, j]]
+        for w in range(words):
+            pv, mv, eq = Pv[w], Mv[w], eq_col[w]
+            xv = eq | mv
+            if w:
+                eq |= h_minus
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            plus, minus = ph >> top[w] & one, mh >> top[w] & one
+            ph <<= one
+            mh <<= one
+            if w:
+                ph |= h_plus
+                mh |= h_minus
+            else:
+                # Row 0 of the table is 0, 1, ..., n: each column adds one.
+                ph |= one
+            h_plus, h_minus = plus, minus
+            np.bitwise_or(mh, ~(xv | ph), out=pv)
+            np.bitwise_and(ph, xv, out=mv)
+        # A distance never drops below 0, so the unsigned score cannot wrap.
+        score += h_plus
+        score -= h_minus
+    return score.T.astype(np.int64)
 
 
-def _length_groups(training: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The set's members grouped by length: (indices, (k, length) tokens) per length."""
-    tokens = [_tokens(t) for t in training]
+def _length_groups(sequences: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The sequences grouped by length: (indices, (k, length) tokens) per length."""
+    tokens = [_tokens(t) for t in sequences]
     lengths = np.array([t.size for t in tokens], dtype=np.int64)
     groups = []
     for length in np.unique(lengths):
@@ -325,30 +372,29 @@ def _length_groups(training: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
-def _min_edit(x, groups, size: int) -> tuple[int, int]:
-    tx = _tokens(x)
-    dists = np.empty(size, dtype=np.int64)
-    for idx, B in groups:
-        dists[idx] = _edit_rows(tx, B)
-    best = int(np.argmin(dists))
-    return int(dists[best]), best
-
-
 def min_edit_to_set(x, training: Sequence) -> tuple[int, int]:
     """Minimum edit distance from x to a non-empty set; ties take the lowest index."""
     if len(training) == 0:
         raise ValueError("training set must be non-empty")
-    return _min_edit(x, _length_groups(training), len(training))
+    tx = _tokens(x)[None]
+    dists = np.empty(len(training), dtype=np.int64)
+    for idx, B in _length_groups(training):
+        dists[idx] = _edit_pairs(tx, B)[0]
+    best = int(np.argmin(dists))
+    return int(dists[best]), best
 
 
 def summarize_edist(samples: Sequence, training: Sequence) -> tuple[float, float]:
-    """Mean and population standard deviation of per-sample min edit distance."""
+    """Mean and population standard deviation of per-sample min edit
+    distance: one bit-vector pass per (sample length, training length)."""
     if len(samples) == 0:
         raise ValueError("samples must be non-empty")
     if len(training) == 0:
         raise ValueError("training set must be non-empty")
     groups = _length_groups(training)
-    dists = np.array([_min_edit(s, groups, len(training))[0] for s in samples], dtype=np.float64)
+    dists = np.empty(len(samples), dtype=np.float64)
+    for sample_idx, A in _length_groups(samples):
+        dists[sample_idx] = np.min([_edit_pairs(A, B).min(axis=1) for _, B in groups], axis=0)
     return float(dists.mean()), float(dists.std())
 
 

@@ -159,6 +159,35 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"config key {key}: expected an integer"):
             load_config(write_config(tmp_path / "cfg.yaml", **{key: value}))
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("eta", [True]), ("eta", False), ("eta", [0.1, True]),
+            ("sigma", True), ("alpha", False), ("init_scale", True), ("grad_tol", True),
+            ("reference_point", [1.0, True]), ("ls_lambda", [True, 0.5]),
+        ],
+    )
+    def test_float_keys_refuse_yaml_bools(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=f"config key {key}: expected a number"):
+            load_config(write_config(tmp_path / "cfg.yaml", **{key: value}))
+
+    def test_float_keys_read_numbers(self, tmp_path):
+        # An integer is a number, and PyYAML loads an exponent without a dot
+        # (1e-6) as a string, which reads as before.
+        path = tmp_path / "cfg.yaml"
+        write_config(path, eta=[1], sigma=2, alpha=0.5, init_scale=3, reference_point=[1, 1.5], ls_lambda=[0.5, 0.5])
+        path.write_text(path.read_text() + "grad_tol: 1e-6\n")
+        cfg = load_config(path)
+        assert cfg.etas == (1.0,) and cfg.grad_tol == 1e-6
+        assert (cfg.sigma, cfg.alpha, cfg.init_scale) == (2.0, 0.5, 3.0)
+        assert cfg.reference_point == (1.0, 1.5) and cfg.ls_lambda == (0.5, 0.5)
+        assert all(type(v) is float for v in (*cfg.etas, cfg.sigma, cfg.init_scale, *cfg.reference_point))
+
+    @pytest.mark.parametrize("key", ["sigma", "grad_tol", "init_scale"])
+    def test_float_keys_refuse_non_numbers(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=f"config key {key}"):
+            load_config(write_config(tmp_path / "cfg.yaml", **{key: "fast"}))
+
     def test_replaced_base_seed_is_checked(self, tmp_path):
         # --seed overrides base_seed through dataclasses.replace, which
         # validates again.
@@ -320,6 +349,7 @@ class TestRunSweep:
             ({"record_every": 0}, "record_every"),
             ({"init_scale": float("nan")}, "init scale"),
             ({"init_scale": -1.0}, "init scale"),
+            ({"init_scale": 1e308, "init_distribution": "uniform"}, "uniform init scale"),
         ],
     )
     def test_bad_sampler_settings_refused_before_any_chain(self, tmp_path, monkeypatch, overrides, match):

@@ -329,6 +329,36 @@ class TestEditDistance:
             b = rng.integers(0, 4, size=rng.integers(0, 65))
             assert edit_distance(a, b) == py_edit_distance(a, b)
 
+    @pytest.mark.parametrize("la", [0, 1, 63, 64, 65, 128, 129, 200])
+    def test_word_boundaries_match_oracle(self, la):
+        # The bit-vector kernel keeps one bit per pattern position in 64-bit
+        # words; these lengths end a word, start one, or span several.
+        rng = np.random.default_rng(la)
+        for i, lb in enumerate((0, 1, 63, 64, 65, 128, 129, 200)):
+            alphabet = 2 if i % 2 else 20
+            a = rng.integers(0, alphabet, size=la)
+            b = rng.integers(0, alphabet, size=lb)
+            assert edit_distance(a, b) == py_edit_distance(a, b)
+            assert edit_distance(b, a) == py_edit_distance(a, b)
+
+    def test_strings_with_any_code_points_match_oracle(self):
+        rng = np.random.default_rng(8)
+        chars = ["a", "b", "\u00e9", "\u4e2d", "\U0001f600", "\U0010ffff", "\x00"]
+        for la, lb in [(0, 3), (5, 5), (63, 65), (64, 64), (129, 70), (200, 130)]:
+            a = "".join(rng.choice(chars, size=la))
+            b = "".join(rng.choice(chars, size=lb))
+            assert edit_distance(a, b) == py_edit_distance(a, b)
+
+    def test_pairs_in_chunks_match_oracle(self, monkeypatch):
+        # Pair sets larger than one state block run in chunks of set members.
+        monkeypatch.setattr(metrics, "_EDIT_BLOCK_WORDS", 5)
+        rng = np.random.default_rng(9)
+        A = rng.integers(0, 3, size=(3, 70))
+        B = rng.integers(0, 3, size=(7, 66))
+        D = metrics._edit_pairs(A, B)
+        assert D.shape == (3, 7)
+        assert all(D[i, t] == py_edit_distance(A[i], B[t]) for i in range(3) for t in range(7))
+
     def test_metric_axioms(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
@@ -409,6 +439,14 @@ class TestSummarizeEdist:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             summarize_edist([], ["ab"])
+
+    def test_ragged_lengths_match_pairwise_minimum(self):
+        rng = np.random.default_rng(10)
+        lengths = (0, 3, 64, 65, 130)
+        training = [rng.integers(0, 4, size=int(rng.choice(lengths))) for _ in range(12)]
+        samples = [rng.integers(0, 4, size=int(rng.choice(lengths))) for _ in range(15)]
+        dists = np.array([min(py_edit_distance(x, t) for t in training) for x in samples], dtype=float)
+        assert summarize_edist(samples, training) == (float(dists.mean()), float(dists.std()))
 
 
 def make_trajectory(series):

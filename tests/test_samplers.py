@@ -1,5 +1,8 @@
 import csv
+import os
 import re
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -523,6 +526,220 @@ class TestBatchKernel:
             assert_same_chain(results[index], run_chain(objectives, specs[index]))
 
 
+class ZeroEnergy(EnergyModel):
+    """Value and gradient zero everywhere: a chain moves by its noise alone."""
+
+    def __init__(self, d):
+        self._d = d
+
+    @property
+    def d(self):
+        return self._d
+
+    def _value_and_gradient(self, coords):
+        return 0.0, np.zeros(self._d)
+
+
+class Ramp(EnergyModel):
+    """Value -x[0], whose gradient -e0 turns infinite once x[0] > 0: a chain
+    climbs it by a fixed amount per step and fails when it crosses 0."""
+
+    def __init__(self, d):
+        self._d = d
+
+    @property
+    def d(self):
+        return self._d
+
+    def _value_and_gradient(self, coords):
+        grad = np.zeros(self._d)
+        grad[0] = -np.inf if coords[0] > 0 else -1.0
+        return -float(coords[0]), grad
+
+
+def record_fills(monkeypatch, fail_on_helper=None):
+    """Record, for every ``_fill_block`` call, whether it ran on the main
+    thread; with ``fail_on_helper`` a helper-thread call raises it."""
+    calls, fill = [], samplers._fill_block
+
+    def recording(*args):
+        on_main = threading.current_thread() is threading.main_thread()
+        calls.append(on_main)
+        if fail_on_helper is not None and not on_main:
+            raise fail_on_helper
+        fill(*args)
+
+    monkeypatch.setattr(samplers, "_fill_block", recording)
+    return calls
+
+
+HELPER_D = samplers._HELPER_MIN_D
+
+
+def helper_specs(method, noise_kind, objectives, steps, chains=4, base=17):
+    cfg = SamplerConfig(eta=0.01, steps=steps, noise_kind=noise_kind, record_every=7)
+    d, m = objectives.d, objectives.m
+    fixed = SimplexWeights(np.full(m, 1.0 / m)) if method == "ls_cebm" else None
+    return [
+        ChainSpec(method, cfg, RandomInit(d=d, scale=0.5 + i), fixed_lambda=fixed, seed=chain_seed(base, i))
+        for i in range(chains)
+    ]
+
+
+class TestNoiseHelper:
+    """Noisy batches of wide chains draw their next noise block on a helper
+    thread; a chain's draws, and so its result, must not change."""
+
+    def test_gate_picks_each_path(self, monkeypatch):
+        wide, narrow = quadratic_pair(HELPER_D), quadratic_pair(HELPER_D - 1)
+        block = samplers._noise_block_steps(4, HELPER_D)
+        cases = [
+            # (objectives, steps, noise, helper expected)
+            (wide, 3 * block, "gaussian", True),
+            (wide, block, "gaussian", False),  # one block: drawn inline
+            (narrow, 3 * samplers._noise_block_steps(4, HELPER_D - 1), "uniform", False),
+        ]
+        for objectives, steps, noise_kind, helper in cases:
+            calls = record_fills(monkeypatch)
+            specs = helper_specs("pcebm", noise_kind, objectives, steps)
+            assert samplers._uses_helper(4, objectives.d, steps) == helper
+            results = run_population(objectives, specs)
+            monkeypatch.undo()
+            assert calls and (not all(calls)) == helper
+            if helper:
+                # The helper fills each block once; the main thread joins in on each.
+                assert calls.count(False) == calls.count(True) == -(-steps // (block // 2))
+            for spec, result in zip(specs, results):
+                assert_same_chain(result, run_chain(objectives, spec))
+        calls = record_fills(monkeypatch)
+        run_population(wide, helper_specs("mgd", "none", wide, 3 * block))
+        assert calls == []
+
+    @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("d,helper", [(8, False), (HELPER_D, False), (HELPER_D, True)])
+    def test_noise_increments_are_default_rng_draws(self, monkeypatch, noise_kind, d, helper):
+        # With zero gradients x_t = x_(t-1) + sigma * w_t, and sigma = 1
+        # leaves w_t exact, so the states are the running sums of each
+        # chain's default_rng(seed) draws, on either path.
+        if not helper:
+            monkeypatch.setattr(samplers, "_HELPER_MIN_D", d + 1)
+        steps = 90
+        assert samplers._uses_helper(3, d, steps) == helper
+        objectives = ObjectiveSet([ZeroEnergy(d)])
+        cfg = SamplerConfig(eta=0.1, steps=steps, sigma=1.0, noise_kind=noise_kind)
+        specs = [ChainSpec("cebm", cfg, DesignPoint(np.zeros(d)), seed=chain_seed(5, i)) for i in range(3)]
+        calls = record_fills(monkeypatch)
+        results = run_population(objectives, specs)
+        assert (not all(calls)) == helper
+        for spec, result in zip(specs, results):
+            rng = np.random.default_rng(spec.seed)
+            if noise_kind == "gaussian":
+                draws = rng.standard_normal((steps, d))
+            else:
+                draws = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (steps, d))
+            x = np.zeros(d)
+            expected = [x]
+            for w in draws:
+                x = x + w
+                expected.append(x)
+            assert np.array_equal(result.X, np.array(expected))
+
+    def test_more_threads_than_cores_match_solo_chains(self):
+        objectives = quadratic_pair(HELPER_D)
+        steps = 3 * samplers._noise_block_steps(3, HELPER_D)
+        populations = [
+            helper_specs(method, noise_kind, objectives, steps, chains=3, base=base)
+            for base, (method, noise_kind) in enumerate(
+                [("pcebm", "gaussian"), ("cebm", "uniform"), ("ls_cebm", "gaussian"), ("pcebm", "uniform")]
+            )
+        ]
+        populations += populations[: max(0, (os.cpu_count() or 1) + 1 - len(populations))]
+        solo = [[run_chain(objectives, spec) for spec in specs] for specs in populations]
+        results = [None] * len(populations)
+
+        def worker(k):
+            results[k] = run_population(objectives, populations[k])
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(populations))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for batch, alone in zip(results, solo):
+            for result, solo_result in zip(batch, alone):
+                assert_same_chain(result, solo_result)
+
+    def test_chain_failing_mid_block_leaves_its_siblings_alone(self, monkeypatch):
+        # cebm climbs the ramp by eta / 2 = 0.1 per step, so the chains
+        # started at -0.55 and -4.55 fail near steps 6 and 46: inside the
+        # first and the second block, with the next block's fill pending.
+        objectives = ObjectiveSet([Ramp(HELPER_D)])
+        block = samplers._noise_block_steps(4, HELPER_D, samplers._NOISE_BLOCK_BYTES // 2)
+        assert block == 32
+        cfg = SamplerConfig(eta=0.2, steps=80, sigma=1e-3, record_every=5)
+        starts = [-100.0, -0.55, -100.0, -4.55]
+        specs = [
+            ChainSpec("cebm", cfg, DesignPoint(np.r_[x0, np.zeros(HELPER_D - 1)]), seed=chain_seed(9, i))
+            for i, x0 in enumerate(starts)
+        ]
+        calls = record_fills(monkeypatch)
+        results = run_population(objectives, specs)
+        monkeypatch.undo()
+        assert not all(calls)
+        for index, step in ((1, 6), (3, 46)):
+            assert isinstance(results[index], ChainFailure)
+            assert f"step {step} " in str(results[index].error)
+            with pytest.raises(ValueError, match=f"step {step} "):
+                run_chain(objectives, specs[index])
+        for index in (0, 2):
+            assert_same_chain(results[index], run_chain(objectives, specs[index]))
+
+    def test_a_fill_that_raises_fails_the_batch(self, monkeypatch):
+        objectives = quadratic_pair(HELPER_D)
+        specs = helper_specs("pcebm", "gaussian", objectives, 3 * samplers._noise_block_steps(4, HELPER_D))
+        before = threading.active_count()
+        record_fills(monkeypatch, fail_on_helper=MemoryError("no room for noise"))
+        with pytest.raises(MemoryError, match="no room for noise"):
+            samplers._run_batch(objectives, specs)
+        results = run_population(objectives, specs)
+        assert all(isinstance(r, ChainFailure) and isinstance(r.error, MemoryError) for r in results)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("stalled", [True, False])
+    def test_a_stalled_stepping_thread_drops_the_helper(self, monkeypatch, stalled):
+        # A frozen thread clock reads as a stepping thread that got no CPU in
+        # the window, so after _HELPER_WINDOW blocks the rest draws inline; a
+        # thread clock that keeps up with the wall clock keeps the helper.
+        monkeypatch.setattr(samplers, "thread_time", (lambda: 0.0) if stalled else samplers.perf_counter)
+        window = samplers._HELPER_WINDOW
+        block = samplers._noise_block_steps(4, HELPER_D, samplers._NOISE_BLOCK_BYTES // 2)
+        objectives = quadratic_pair(HELPER_D)
+        specs = helper_specs("pcebm", "gaussian", objectives, (window + 4) * block)
+        calls = record_fills(monkeypatch)
+        results = run_population(objectives, specs)
+        monkeypatch.undo()
+        if stalled:
+            # The main thread's share of each helper block, then four blocks inline.
+            assert calls.count(False) == window and calls.count(True) == window + 4
+        else:
+            assert calls.count(False) == calls.count(True) == window + 4
+        for spec, result in zip(specs, results):
+            assert_same_chain(result, run_chain(objectives, spec))
+
+    def test_helper_thread_ends_with_the_batch(self):
+        objectives = quadratic_pair(HELPER_D)
+        specs = helper_specs("cebm", "gaussian", objectives, 3 * samplers._noise_block_steps(4, HELPER_D))
+        before = threading.active_count()
+        results = samplers._run_batch(objectives, specs)
+        assert not any(isinstance(r, Exception) for r in results)
+        assert threading.active_count() == before
+
+
 class TestTrajectoryExport:
     def test_csv_layout(self, tmp_path):
         objs = opposing_quadratics()
@@ -737,6 +954,18 @@ class TestStarts:
     def test_scale_must_be_finite_and_non_negative(self, scale):
         with pytest.raises(ConfigError, match="init scale"):
             RandomInit(d=2, scale=scale)
+
+    def test_uniform_scale_must_keep_its_range_finite(self):
+        # numpy's uniform refuses a range high - low that overflows, which
+        # failed the chain with an OverflowError; now the init is refused.
+        big = np.finfo(float).max
+        with pytest.raises(ConfigError, match="uniform init scale"):
+            RandomInit(d=2, scale=big, distribution="uniform")
+        RandomInit(d=2, scale=big)  # a normal draw overflows to inf and fails its chain
+        cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
+        spec = ChainSpec("cebm", cfg, RandomInit(d=2, scale=big / 2, distribution="uniform"), seed=3)
+        (result,) = run_population(opposing_quadratics(), [spec])
+        assert isinstance(result, ChainFailure) and isinstance(result.error, ValueError)
 
 
 def csv_oracle(path, trajectories, objective_names=None, chain_ids=None):
