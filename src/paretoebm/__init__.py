@@ -42,6 +42,7 @@ from .metrics import (
     ReferencePoint,
     convergence_stats,
     edit_distance,
+    edit_distance_matrix,
     hypervolume_exact,
     hypervolume_mc,
     min_edit_to_set,

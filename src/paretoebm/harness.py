@@ -52,7 +52,7 @@ from .metrics import (
     hypervolume_mc,
     objective_matrix,
     summarize_edist,
-    edit_distance,
+    edit_distance_matrix,
 )
 from .moo import check_min_norm_m, pareto_filter
 from .problems import Problem, get_problem
@@ -705,6 +705,7 @@ def improve_seeds(
                 )
                 pairs.append((mi, si))
         results = run_population(problem.objectives, specs)
+        finished = []
         for (mi, si), res in zip(pairs, results):
             if isinstance(res, ChainFailure):
                 failures.append(
@@ -715,14 +716,17 @@ def improve_seeds(
                     }
                 )
                 continue
-            final_seq = _decode_final(res, problem)
+            finished.append((mi, si, _decode_final(res, problem)))
+        # One bit-vector pass over every (seed, final sequence) pair.
+        edits = edit_distance_matrix(seeds, [final_seq for _, _, final_seq in finished])
+        for f, (mi, si, final_seq) in enumerate(finished):
             entries.append(
                 {
                     "seed_index": si,
                     "method": cfg.methods[mi],
                     "before": before[si],
                     "after": float(scorer.value(relax(final_seq))),
-                    "edit_distance": int(edit_distance(seeds[si], final_seq)),
+                    "edit_distance": int(edits[si, f]),
                     "sequence": sequence_to_str(final_seq, cfg.alphabet),
                 }
             )

@@ -372,29 +372,34 @@ def _length_groups(sequences: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
+def edit_distance_matrix(rows: Sequence, cols: Sequence) -> np.ndarray:
+    """Edit distances from every sequence of ``rows`` to every sequence of
+    ``cols``, as a (len(rows), len(cols)) int64 matrix: one bit-vector pass
+    per (row length, column length)."""
+    out = np.empty((len(rows), len(cols)), dtype=np.int64)
+    col_groups = _length_groups(cols)
+    for row_idx, A in _length_groups(rows):
+        for col_idx, B in col_groups:
+            out[np.ix_(row_idx, col_idx)] = _edit_pairs(A, B)
+    return out
+
+
 def min_edit_to_set(x, training: Sequence) -> tuple[int, int]:
     """Minimum edit distance from x to a non-empty set; ties take the lowest index."""
     if len(training) == 0:
         raise ValueError("training set must be non-empty")
-    tx = _tokens(x)[None]
-    dists = np.empty(len(training), dtype=np.int64)
-    for idx, B in _length_groups(training):
-        dists[idx] = _edit_pairs(tx, B)[0]
+    dists = edit_distance_matrix([x], training)[0]
     best = int(np.argmin(dists))
     return int(dists[best]), best
 
 
 def summarize_edist(samples: Sequence, training: Sequence) -> tuple[float, float]:
-    """Mean and population standard deviation of per-sample min edit
-    distance: one bit-vector pass per (sample length, training length)."""
+    """Mean and population standard deviation of per-sample min edit distance."""
     if len(samples) == 0:
         raise ValueError("samples must be non-empty")
     if len(training) == 0:
         raise ValueError("training set must be non-empty")
-    groups = _length_groups(training)
-    dists = np.empty(len(samples), dtype=np.float64)
-    for sample_idx, A in _length_groups(samples):
-        dists[sample_idx] = np.min([_edit_pairs(A, B).min(axis=1) for _, B in groups], axis=0)
+    dists = edit_distance_matrix(samples, training).min(axis=1).astype(np.float64)
     return float(dists.mean()), float(dists.std())
 
 

@@ -23,11 +23,8 @@ The loop runs a batch of chains as one (n, d) state array. ``run_population``
 batches the chains that share a method, a ``SamplerConfig`` (equal configs
 count as one) and the fixed weights: every cell of a sweep is one batch.
 Each chain keeps its own noise stream, seeded from its ``ChainSpec.seed``,
-and draws it a block of steps at a time (``_Noise``). A noisy batch of
-chains with at least ``_HELPER_MIN_D`` coordinates that needs more than one
-block draws on one helper thread, which fills the next block while the
-steps consume the current one; numpy's fills release the GIL. Narrower
-chains, and batches that fit in one block, draw inline. Every operation of a step is
+and draws it a block of steps at a time into one preallocated buffer
+(``_Noise``). Every operation of a step is
 row-wise and rounds each row exactly as it would round that chain alone,
 so a chain's result does not depend on the batch it ran in, its position
 there, or the order of its population. Elementwise math in the energies uses numpy ufuncs in both
@@ -61,13 +58,10 @@ handed its precomputed state words.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 import operator
-import threading
 from dataclasses import dataclass
-from time import perf_counter, thread_time
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -101,19 +95,6 @@ _SQRT3 = math.sqrt(3.0)
 _MAX_UNIFORM_SCALE = float(np.finfo(np.float64).max) / 2
 # Noise is drawn a block of steps at a time; this caps a batch's noise bytes.
 _NOISE_BLOCK_BYTES = 1 << 20
-# Least chain dimension whose noise a helper thread draws. Each chain's fill
-# releases the GIL for its draws, but takes it back from the stepping thread
-# between chains; when a chain's share of a block is a few hundred draws that
-# hand-over costs more than the draws. On a 2-core host (BENCH_noise_overlap.json)
-# the helper lost at d <= 256 with 256 chains and won from d = 512 on.
-_HELPER_MIN_D = 512
-# A batch drops its helper when the stepping thread spends more than this share
-# of a window of this many blocks off its CPU. On the shared 2-core host the
-# stepping thread was off its CPU for 0-3% of a run where the helper won, and
-# for 40-55% of one where the host stole time from the second vCPU and the
-# helper ran 1.3-2.3x slower than inline draws.
-_HELPER_WINDOW = 8
-_HELPER_MAX_STALL = 0.25
 
 
 @dataclass(frozen=True)
@@ -350,154 +331,54 @@ def _check_start(objectives: ObjectiveSet, d: int, kind: str) -> None:
         )
 
 
-def _fill_block(
-    block: np.ndarray, rngs: Sequence[np.random.Generator], noise_kind: str, rows: Iterable[int] | None = None
-) -> None:
+def _fill_block(block: np.ndarray, rngs: Sequence[np.random.Generator], noise_kind: str) -> None:
     """Fill ``block[j]`` of the (n, k, d) ``block`` in place with the next k
-    steps of chain j's unit-variance noise, the draws of one ``(k, d)`` call,
-    for each j in ``rows`` (default: every chain)."""
-    for j in range(len(rngs)) if rows is None else rows:
+    steps of chain j's unit-variance noise, the draws of one ``(k, d)`` call."""
+    for j, rng in enumerate(rngs):
         if noise_kind == NOISE_GAUSSIAN:
-            rngs[j].standard_normal(out=block[j])
+            rng.standard_normal(out=block[j])
         elif noise_kind == NOISE_UNIFORM:
-            block[j] = rngs[j].uniform(-_SQRT3, _SQRT3, block.shape[1:])
+            block[j] = rng.uniform(-_SQRT3, _SQRT3, block.shape[1:])
         else:
             raise ConfigError(f"cannot draw noise of kind {noise_kind!r}")
 
 
-class _Claims:
-    """The row indices 0..n-1 as an iterator that threads share: each index
-    is handed out once, to whichever thread asks first."""
-
-    def __init__(self, n: int):
-        self._next, self._n, self._lock = 0, n, threading.Lock()
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> int:
-        with self._lock:
-            j = self._next
-            if j >= self._n:
-                raise StopIteration
-            self._next += 1
-            return j
-
-
-def _noise_block_steps(n_chains: int, d: int, block_bytes: int = _NOISE_BLOCK_BYTES) -> int:
-    """Steps of noise a batch draws at once: at most ``block_bytes`` over
+def _noise_block_steps(n_chains: int, d: int) -> int:
+    """Steps of noise a batch draws at once: at most _NOISE_BLOCK_BYTES over
     all its chains, and at least one step."""
-    return max(1, block_bytes // (8 * n_chains * d))
-
-
-def _uses_helper(n_chains: int, d: int, steps: int) -> bool:
-    """Whether a noisy batch draws its noise on a helper thread: chains of
-    dimension at least _HELPER_MIN_D that need more than one block."""
-    return d >= _HELPER_MIN_D and steps > _noise_block_steps(n_chains, d)
+    return max(1, _NOISE_BLOCK_BYTES // (8 * n_chains * d))
 
 
 class _Noise:
     """The running chains' unit noise, one (n, d) row per step, drawn a block
-    of steps at a time into preallocated buffers.
+    of steps at a time into one preallocated buffer.
 
-    Each chain draws its own stream in order, so neither the block size nor
-    the thread that fills a chain's rows can change a result. Without a pool
-    one buffer of _NOISE_BLOCK_BYTES is filled inline when it runs out. With
-    a pool (one helper thread) two buffers of half that size take turns: the
-    helper fills the next block while the steps consume the current one.
-    When the steps need a block the helper has not finished, the main thread
-    fills the chains the helper has not claimed yet and waits only for the
-    one it is drawing. Every fill's result is read, so a fill that raises
-    fails the batch.
-
-    The helper pays only while both threads get a CPU. Every _HELPER_WINDOW
-    blocks the main thread compares its own CPU time with the wall time;
-    when it spent more than _HELPER_MAX_STALL of the window off its CPU
-    (waiting for the GIL, for the helper's chain, or for a CPU the host did
-    not give it), the rest of the batch draws inline.
+    Each chain draws its own stream in order, the same stream as one draw
+    per step, so the block size cannot change a result.
     """
 
-    def __init__(self, rngs: list[np.random.Generator], kind: str, d: int, steps: int, pool=None):
-        n = len(rngs)
-        block_bytes = _NOISE_BLOCK_BYTES // 2 if pool is not None else _NOISE_BLOCK_BYTES
-        self.block_steps = _noise_block_steps(n, d, block_bytes)
-        size = n * min(self.block_steps, steps) * d
-        self.buffers = [np.empty(size) for _ in range(1 if pool is None else 2)]
-        self.rngs, self.kind, self.d, self.remaining, self.pool = rngs, kind, d, steps, pool
-        self.turn, self.used = 0, 0
-        self.block = self.pending = None
-        if pool is not None:
-            self.window = (0, perf_counter(), thread_time())  # blocks, wall and CPU time at its start
-            self._submit()
-
-    def _next_buffer(self) -> np.ndarray:
-        k = min(self.block_steps, self.remaining)
-        self.remaining -= k
-        buffer = self.buffers[self.turn]
-        self.turn = (self.turn + 1) % len(self.buffers)
-        return buffer[: len(self.rngs) * k * self.d].reshape(len(self.rngs), k, self.d)
-
-    def _submit(self) -> None:
-        block, rows = self._next_buffer(), _Claims(len(self.rngs))
-        self.pending = (self.pool.submit(_fill_block, block, self.rngs, self.kind, rows), block, rows)
-
-    def _finish(self) -> np.ndarray:
-        """The pending block, filled, with the main thread's help."""
-        future, block, rows = self.pending
-        self.pending = None
-        _fill_block(block, self.rngs, self.kind, rows)
-        future.result()
-        return block
+    def __init__(self, rngs: list[np.random.Generator], kind: str, d: int, steps: int):
+        self.block_steps = _noise_block_steps(len(rngs), d)
+        self.buffer = np.empty(len(rngs) * min(self.block_steps, steps) * d)
+        self.rngs, self.kind, self.d, self.remaining = rngs, kind, d, steps
+        self.block, self.used = None, 0
 
     def take(self) -> np.ndarray:
         """This step's noise, one row per running chain."""
         if self.block is None or self.used == self.block.shape[1]:
-            if self.pool is None:
-                self.block = self._next_buffer()
-                _fill_block(self.block, self.rngs, self.kind)
-            else:
-                self.block = self._finish()
-                if self._stalled():
-                    self.pool = None
-                elif self.remaining:
-                    self._submit()
+            n, k = len(self.rngs), min(self.block_steps, self.remaining)
+            self.remaining -= k
+            self.block = self.buffer[: n * k * self.d].reshape(n, k, self.d)
+            _fill_block(self.block, self.rngs, self.kind)
             self.used = 0
         self.used += 1
         return self.block[:, self.used - 1]
 
-    def _stalled(self) -> bool:
-        """Whether a window of blocks just ended with the main thread off its
-        CPU for more than _HELPER_MAX_STALL of its wall time."""
-        blocks, wall, cpu = self.window
-        if blocks + 1 < _HELPER_WINDOW:
-            self.window = (blocks + 1, wall, cpu)
-            return False
-        self.window = (0, perf_counter(), thread_time())
-        elapsed = self.window[1] - wall
-        return elapsed - (self.window[2] - cpu) > _HELPER_MAX_STALL * elapsed
-
     def drop(self, keep: np.ndarray) -> None:
-        """Keep the chains flagged in ``keep``; a pending fill ends first."""
-        if self.pending is not None:
-            future, _, rows = self.pending
-            # The rows are all claimed now, so finishing it again is a no-op.
-            self.pending = (future, _compact(self._finish(), keep), rows)
+        """Keep the chains flagged in ``keep``."""
         if self.block is not None:
-            self.block = _compact(self.block, keep)
+            self.block = self.block[keep]
         self.rngs = [rng for rng, k in zip(self.rngs, keep.tolist()) if k]
-
-    def close(self) -> None:
-        """Read the result of a fill still pending when the chains end."""
-        if self.pending is not None:
-            self._finish()
-
-
-def _compact(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The rows of ``block`` flagged in ``keep``, moved to the front of its own buffer."""
-    kept = block[keep]
-    out = block.reshape(-1)[: kept.size].reshape(kept.shape)
-    out[...] = kept
-    return out
 
 
 def _run_batch(
@@ -590,16 +471,11 @@ def _run_batch(
         fail(bad, "coords must be finite (no NaN/Inf)")
         if not active.size:
             return results
-    pool = None
-    if noise_on and _uses_helper(active.size, d, last):
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(1)
     # Divergence shows up as non-finite gradients, which fail their chain at
     # that step; the interim overflow itself is not worth a warning.
-    with pool or contextlib.nullcontext(), np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if noise_on:
-            noise = _Noise([rngs[i] for i in active.tolist()], cfg.noise_kind, d, last, pool)
+            noise = _Noise([rngs[i] for i in active.tolist()], cfg.noise_kind, d, last)
         for step in range(last + 1):
             if not active.size:
                 break
@@ -650,8 +526,6 @@ def _run_batch(
                 drop(stop)
             if record:
                 row += 1
-        if noise is not None:
-            noise.close()
 
     # Validate the batch's columns once, as the Trajectory constructor would
     # each chain's: coordinates, then objective values, then weights, each

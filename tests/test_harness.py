@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from paretoebm import harness, samplers
-from paretoebm.core import ConfigError, DiscreteSequence, ObjectiveVector, ShapeError
+from paretoebm.core import ConfigError, DiscreteSequence, ObjectiveVector, ShapeError, sequence_to_str
 from paretoebm.energy import PwmEnergy, save_model
 from paretoebm.harness import (
     ExperimentConfig,
@@ -20,6 +20,7 @@ from paretoebm.harness import (
     run_sweep,
     sweep_cells,
 )
+from paretoebm.metrics import edit_distance
 from paretoebm.moo import MIN_NORM_MAX_M, pareto_filter
 from paretoebm.problems import get_problem
 
@@ -547,6 +548,13 @@ class TestImproveSeeds:
         pairs = {(e["method"], e["seed_index"]) for e in report.entries}
         assert len(report.entries) == len(cfg.methods) * len(seeds)
         assert pairs == {(m, i) for m in cfg.methods for i in range(len(seeds))}
+
+    def test_edit_distance_is_from_seed_to_result(self, tmp_path):
+        cfg, seeds, scorer = make_improve_setup(tmp_path)
+        report = improve_seeds(cfg, seeds, scorer)
+        for entry in report.entries:
+            seed = sequence_to_str(seeds[entry["seed_index"]], cfg.alphabet)
+            assert entry["edit_distance"] == edit_distance(seed, entry["sequence"])
 
     def test_adversarial_seeds_improved_by_every_method(self, tmp_path):
         cfg, seeds, scorer = make_improve_setup(tmp_path)

@@ -16,6 +16,7 @@ from paretoebm.metrics import (
     ReferencePoint,
     convergence_stats,
     edit_distance,
+    edit_distance_matrix,
     hypervolume_exact,
     hypervolume_mc,
     min_edit_to_set,
@@ -417,6 +418,22 @@ class TestMinEditToSet:
     def test_tie_across_length_groups_takes_lowest_index(self):
         # "abcd" and "ab" are both at distance 1 from "abc"; "abcd" comes first.
         assert min_edit_to_set("abc", ["xyzw", "abcd", "ab", "abd"]) == (1, 1)
+
+
+class TestEditDistanceMatrix:
+    def test_ragged_lengths_match_oracle(self):
+        rng = np.random.default_rng(11)
+        lengths = (0, 2, 63, 64, 65, 129)
+        rows = [rng.integers(0, 4, size=int(rng.choice(lengths))) for _ in range(9)]
+        cols = [rng.integers(0, 4, size=int(rng.choice(lengths))) for _ in range(13)]
+        D = edit_distance_matrix(rows, cols)
+        assert D.shape == (9, 13) and D.dtype == np.int64
+        assert D.tolist() == [[py_edit_distance(a, b) for b in cols] for a in rows]
+
+    def test_strings_and_empty_sides(self):
+        assert edit_distance_matrix(["kitten", "", "sitting"], ["sitting", "kit"]).tolist() == [[3, 3], [7, 3], [0, 5]]
+        assert edit_distance_matrix(["ab"], []).shape == (1, 0)
+        assert edit_distance_matrix([], ["ab"]).shape == (0, 1)
 
 
 class TestSummarizeEdist:

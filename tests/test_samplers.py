@@ -1,8 +1,5 @@
 import csv
-import os
 import re
-import sys
-import threading
 import warnings
 from dataclasses import replace
 
@@ -557,80 +554,24 @@ class Ramp(EnergyModel):
         return -float(coords[0]), grad
 
 
-def record_fills(monkeypatch, fail_on_helper=None):
-    """Record, for every ``_fill_block`` call, whether it ran on the main
-    thread; with ``fail_on_helper`` a helper-thread call raises it."""
-    calls, fill = [], samplers._fill_block
-
-    def recording(*args):
-        on_main = threading.current_thread() is threading.main_thread()
-        calls.append(on_main)
-        if fail_on_helper is not None and not on_main:
-            raise fail_on_helper
-        fill(*args)
-
-    monkeypatch.setattr(samplers, "_fill_block", recording)
-    return calls
-
-
-HELPER_D = samplers._HELPER_MIN_D
-
-
-def helper_specs(method, noise_kind, objectives, steps, chains=4, base=17):
-    cfg = SamplerConfig(eta=0.01, steps=steps, noise_kind=noise_kind, record_every=7)
-    d, m = objectives.d, objectives.m
-    fixed = SimplexWeights(np.full(m, 1.0 / m)) if method == "ls_cebm" else None
-    return [
-        ChainSpec(method, cfg, RandomInit(d=d, scale=0.5 + i), fixed_lambda=fixed, seed=chain_seed(base, i))
-        for i in range(chains)
-    ]
-
-
-class TestNoiseHelper:
-    """Noisy batches of wide chains draw their next noise block on a helper
-    thread; a chain's draws, and so its result, must not change."""
-
-    def test_gate_picks_each_path(self, monkeypatch):
-        wide, narrow = quadratic_pair(HELPER_D), quadratic_pair(HELPER_D - 1)
-        block = samplers._noise_block_steps(4, HELPER_D)
-        cases = [
-            # (objectives, steps, noise, helper expected)
-            (wide, 3 * block, "gaussian", True),
-            (wide, block, "gaussian", False),  # one block: drawn inline
-            (narrow, 3 * samplers._noise_block_steps(4, HELPER_D - 1), "uniform", False),
-        ]
-        for objectives, steps, noise_kind, helper in cases:
-            calls = record_fills(monkeypatch)
-            specs = helper_specs("pcebm", noise_kind, objectives, steps)
-            assert samplers._uses_helper(4, objectives.d, steps) == helper
-            results = run_population(objectives, specs)
-            monkeypatch.undo()
-            assert calls and (not all(calls)) == helper
-            if helper:
-                # The helper fills each block once; the main thread joins in on each.
-                assert calls.count(False) == calls.count(True) == -(-steps // (block // 2))
-            for spec, result in zip(specs, results):
-                assert_same_chain(result, run_chain(objectives, spec))
-        calls = record_fills(monkeypatch)
-        run_population(wide, helper_specs("mgd", "none", wide, 3 * block))
-        assert calls == []
+class TestNoiseBlocks:
+    """A noisy batch draws each chain's noise a block of steps at a time into
+    one preallocated buffer; a chain's draws, and so its result, must not
+    change."""
 
     @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
-    @pytest.mark.parametrize("d,helper", [(8, False), (HELPER_D, False), (HELPER_D, True)])
-    def test_noise_increments_are_default_rng_draws(self, monkeypatch, noise_kind, d, helper):
+    @pytest.mark.parametrize("d", [8, 1000])
+    def test_noise_increments_are_default_rng_draws(self, noise_kind, d):
         # With zero gradients x_t = x_(t-1) + sigma * w_t, and sigma = 1
         # leaves w_t exact, so the states are the running sums of each
-        # chain's default_rng(seed) draws, on either path.
-        if not helper:
-            monkeypatch.setattr(samplers, "_HELPER_MIN_D", d + 1)
+        # chain's default_rng(seed) draws.
         steps = 90
-        assert samplers._uses_helper(3, d, steps) == helper
+        if d > 8:
+            assert samplers._noise_block_steps(3, d) < steps / 2
         objectives = ObjectiveSet([ZeroEnergy(d)])
         cfg = SamplerConfig(eta=0.1, steps=steps, sigma=1.0, noise_kind=noise_kind)
         specs = [ChainSpec("cebm", cfg, DesignPoint(np.zeros(d)), seed=chain_seed(5, i)) for i in range(3)]
-        calls = record_fills(monkeypatch)
         results = run_population(objectives, specs)
-        assert (not all(calls)) == helper
         for spec, result in zip(specs, results):
             rng = np.random.default_rng(spec.seed)
             if noise_kind == "gaussian":
@@ -644,54 +585,21 @@ class TestNoiseHelper:
                 expected.append(x)
             assert np.array_equal(result.X, np.array(expected))
 
-    def test_more_threads_than_cores_match_solo_chains(self):
-        objectives = quadratic_pair(HELPER_D)
-        steps = 3 * samplers._noise_block_steps(3, HELPER_D)
-        populations = [
-            helper_specs(method, noise_kind, objectives, steps, chains=3, base=base)
-            for base, (method, noise_kind) in enumerate(
-                [("pcebm", "gaussian"), ("cebm", "uniform"), ("ls_cebm", "gaussian"), ("pcebm", "uniform")]
-            )
-        ]
-        populations += populations[: max(0, (os.cpu_count() or 1) + 1 - len(populations))]
-        solo = [[run_chain(objectives, spec) for spec in specs] for specs in populations]
-        results = [None] * len(populations)
-
-        def worker(k):
-            results[k] = run_population(objectives, populations[k])
-
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(populations))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            sys.setswitchinterval(interval)
-        for batch, alone in zip(results, solo):
-            for result, solo_result in zip(batch, alone):
-                assert_same_chain(result, solo_result)
-
-    def test_chain_failing_mid_block_leaves_its_siblings_alone(self, monkeypatch):
+    def test_chain_failing_mid_block_leaves_its_siblings_alone(self):
         # cebm climbs the ramp by eta / 2 = 0.1 per step, so the chains
-        # started at -0.55 and -4.55 fail near steps 6 and 46: inside the
-        # first and the second block, with the next block's fill pending.
-        objectives = ObjectiveSet([Ramp(HELPER_D)])
-        block = samplers._noise_block_steps(4, HELPER_D, samplers._NOISE_BLOCK_BYTES // 2)
-        assert block == 32
+        # started at -0.55 and -6.55 fail near steps 6 and 66: inside the
+        # first and the second block, each leaving part of a block drawn.
+        d = 512
+        objectives = ObjectiveSet([Ramp(d)])
+        assert samplers._noise_block_steps(4, d) == 64
         cfg = SamplerConfig(eta=0.2, steps=80, sigma=1e-3, record_every=5)
-        starts = [-100.0, -0.55, -100.0, -4.55]
+        starts = [-100.0, -0.55, -100.0, -6.55]
         specs = [
-            ChainSpec("cebm", cfg, DesignPoint(np.r_[x0, np.zeros(HELPER_D - 1)]), seed=chain_seed(9, i))
+            ChainSpec("cebm", cfg, DesignPoint(np.r_[x0, np.zeros(d - 1)]), seed=chain_seed(9, i))
             for i, x0 in enumerate(starts)
         ]
-        calls = record_fills(monkeypatch)
         results = run_population(objectives, specs)
-        monkeypatch.undo()
-        assert not all(calls)
-        for index, step in ((1, 6), (3, 46)):
+        for index, step in ((1, 6), (3, 66)):
             assert isinstance(results[index], ChainFailure)
             assert f"step {step} " in str(results[index].error)
             with pytest.raises(ValueError, match=f"step {step} "):
@@ -700,44 +608,18 @@ class TestNoiseHelper:
             assert_same_chain(results[index], run_chain(objectives, specs[index]))
 
     def test_a_fill_that_raises_fails_the_batch(self, monkeypatch):
-        objectives = quadratic_pair(HELPER_D)
-        specs = helper_specs("pcebm", "gaussian", objectives, 3 * samplers._noise_block_steps(4, HELPER_D))
-        before = threading.active_count()
-        record_fills(monkeypatch, fail_on_helper=MemoryError("no room for noise"))
+        objectives = quadratic_pair(8)
+        cfg = SamplerConfig(eta=0.01, steps=5, noise_kind="gaussian")
+        specs = [ChainSpec("pcebm", cfg, RandomInit(d=8), seed=chain_seed(17, i)) for i in range(4)]
+
+        def failing(*args):
+            raise MemoryError("no room for noise")
+
+        monkeypatch.setattr(samplers, "_fill_block", failing)
         with pytest.raises(MemoryError, match="no room for noise"):
             samplers._run_batch(objectives, specs)
         results = run_population(objectives, specs)
         assert all(isinstance(r, ChainFailure) and isinstance(r.error, MemoryError) for r in results)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("stalled", [True, False])
-    def test_a_stalled_stepping_thread_drops_the_helper(self, monkeypatch, stalled):
-        # A frozen thread clock reads as a stepping thread that got no CPU in
-        # the window, so after _HELPER_WINDOW blocks the rest draws inline; a
-        # thread clock that keeps up with the wall clock keeps the helper.
-        monkeypatch.setattr(samplers, "thread_time", (lambda: 0.0) if stalled else samplers.perf_counter)
-        window = samplers._HELPER_WINDOW
-        block = samplers._noise_block_steps(4, HELPER_D, samplers._NOISE_BLOCK_BYTES // 2)
-        objectives = quadratic_pair(HELPER_D)
-        specs = helper_specs("pcebm", "gaussian", objectives, (window + 4) * block)
-        calls = record_fills(monkeypatch)
-        results = run_population(objectives, specs)
-        monkeypatch.undo()
-        if stalled:
-            # The main thread's share of each helper block, then four blocks inline.
-            assert calls.count(False) == window and calls.count(True) == window + 4
-        else:
-            assert calls.count(False) == calls.count(True) == window + 4
-        for spec, result in zip(specs, results):
-            assert_same_chain(result, run_chain(objectives, spec))
-
-    def test_helper_thread_ends_with_the_batch(self):
-        objectives = quadratic_pair(HELPER_D)
-        specs = helper_specs("cebm", "gaussian", objectives, 3 * samplers._noise_block_steps(4, HELPER_D))
-        before = threading.active_count()
-        results = samplers._run_batch(objectives, specs)
-        assert not any(isinstance(r, Exception) for r in results)
-        assert threading.active_count() == before
 
 
 class TestTrajectoryExport:
