@@ -21,7 +21,6 @@ from .core import (
     Trajectory,
     WrongKindError,
     decode,
-    new_simplex_weights,
     relax,
 )
 from .energy import (
@@ -47,16 +46,12 @@ from .metrics import (
     hypervolume_mc,
     min_edit_to_set,
     nondominated_mask,
-    normalize,
     summarize_edist,
 )
 from .moo import (
     MinNormResult,
     dominates,
-    mgd_direction,
-    min_norm_2,
     pareto_filter,
-    scalarize,
 )
 from .problems import Problem, get_problem
 from .samplers import (

@@ -99,10 +99,6 @@ class DesignPoint:
         return int(self.coords.size)
 
 
-def raw_point(coords) -> DesignPoint:
-    return DesignPoint(coords, kind=RAW)
-
-
 def sequence_point(coords, L: int, A: int = 20) -> DesignPoint:
     return DesignPoint(coords, kind=SEQUENCE_LOGITS, L=L, A=A)
 
@@ -202,11 +198,6 @@ class SimplexWeights:
 
     def __hash__(self):
         return hash(self.lam.tobytes())
-
-
-def new_simplex_weights(values) -> SimplexWeights:
-    """Validate and wrap a weight vector; raises InvalidSimplexError on violation."""
-    return SimplexWeights(values)
 
 
 def uniform_weights(m: int) -> SimplexWeights:

@@ -22,10 +22,8 @@ from .core import (
     DiscreteSequence,
     ConfigError,
     ModelFormatError,
-    ObjectiveVector,
     ShapeError,
     WrongKindError,
-    relax,
 )
 
 MODEL_MAGIC = b"PEBMODEL"
@@ -67,8 +65,16 @@ class EnergyModel(ABC):
         return RAW
 
     @abstractmethod
+    def _batch_value_and_gradient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unchecked evaluation on the rows of an (n, d) array: values (n,) and
+        gradients (n, d). The one kernel a model defines: row i must equal the
+        kernel on ``X[i:i+1]`` bit for bit, which row-wise numpy ufuncs and
+        _tiled_matmul keep."""
+
     def _value_and_gradient(self, coords: np.ndarray) -> tuple[float, np.ndarray]:
-        """Unchecked evaluation on a raw coordinate vector."""
+        """Unchecked evaluation on a raw coordinate vector: the batch kernel on one row."""
+        values, grads = self._batch_value_and_gradient(coords[None])
+        return float(values[0]), grads[0]
 
     def _check(self, point: DesignPoint) -> np.ndarray:
         if point.d != self.d:
@@ -88,13 +94,6 @@ class EnergyModel(ABC):
 
     def gradient(self, point: DesignPoint) -> np.ndarray:
         return self.value_and_gradient(point)[1]
-
-    def _batch_value_and_gradient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unchecked evaluation on the rows of an (n, d) array: values (n,) and
-        gradients (n, d). Row i equals ``_value_and_gradient(X[i])`` bit for
-        bit; overrides keep that with row-wise operations and _tiled_matmul."""
-        pairs = [self._value_and_gradient(x) for x in X]
-        return np.array([v for v, _ in pairs]), np.stack([g for _, g in pairs])
 
 
 class ObjectiveSet:
@@ -129,15 +128,6 @@ class ObjectiveSet:
     def point_kind(self) -> str:
         return self._kind
 
-    def _check(self, point: DesignPoint) -> np.ndarray:
-        if point.d != self._d:
-            raise ShapeError(f"objective set expects d={self._d}, point has d={point.d}")
-        if point.kind != self._kind:
-            raise WrongKindError(
-                f"objective set expects {self._kind!r} points, got {point.kind!r}"
-            )
-        return point.coords
-
     def eval_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values (n, m) and gradients (n, m, d) at the rows of an unchecked
         (n, d) coordinate array, one batched pass per model."""
@@ -146,15 +136,6 @@ class ObjectiveSet:
         for i, model in enumerate(self.models):
             values[:, i], grads[:, i] = model._batch_value_and_gradient(X)
         return values, grads
-
-    def evaluate_all(self, point: DesignPoint) -> ObjectiveVector:
-        """Stack every model's energy at the point, order preserved."""
-        coords = self._check(point)
-        return ObjectiveVector(np.array([m._value_and_gradient(coords)[0] for m in self.models]))
-
-    def gradients(self, point: DesignPoint) -> np.ndarray:
-        coords = self._check(point)
-        return np.stack([m._value_and_gradient(coords)[1] for m in self.models])
 
 
 class PwmEnergy(EnergyModel):
@@ -181,10 +162,6 @@ class PwmEnergy(EnergyModel):
     @property
     def point_kind(self) -> str:
         return SEQUENCE_LOGITS
-
-    def _value_and_gradient(self, coords):
-        values, grads = self._batch_value_and_gradient(coords[None])
-        return float(values[0]), grads[0]
 
     def _batch_value_and_gradient(self, X):
         return np.vecdot(X, self._flat), np.broadcast_to(self._flat, X.shape)
@@ -230,10 +207,6 @@ class MlpEnergy(EnergyModel):
     @property
     def point_kind(self) -> str:
         return SEQUENCE_LOGITS if self.L is not None else RAW
-
-    def _value_and_gradient(self, coords):
-        values, grads = self._batch_value_and_gradient(coords[None])
-        return float(values[0]), grads[0]
 
     def _hidden(self, X):
         """Hidden activations (n, H) and the gradient at the pre-activations."""
@@ -294,10 +267,6 @@ class ShiftedQuadratic(EnergyModel):
     def d(self) -> int:
         return self.center.size
 
-    def _value_and_gradient(self, coords):
-        delta = coords - self.center
-        return float(delta @ delta), 2.0 * delta
-
     def _batch_value_and_gradient(self, X):
         delta = X - self.center
         return np.vecdot(delta, delta), 2.0 * delta
@@ -324,15 +293,10 @@ class FonsecaFlemingBranch(EnergyModel):
     def d(self) -> int:
         return self.n
 
-    # Both paths take the exponential with the ufunc np.exp, never math.exp
-    # (the two differ in the last bit on a few percent of inputs): a ufunc
-    # rounds each element the same way whatever the array's length, so a
-    # batch row equals the solo value bit for bit.
-    def _value_and_gradient(self, coords):
-        delta = coords - self.center
-        e = float(np.exp(-(delta @ delta)))
-        return 1.0 - e, (2.0 * e) * delta
-
+    # The exponential is the ufunc np.exp, never math.exp (the two differ in
+    # the last bit on a few percent of inputs): a ufunc rounds each element
+    # the same way whatever the array's length, so a row of a batch equals
+    # the same row evaluated alone bit for bit.
     def _batch_value_and_gradient(self, X):
         delta = X - self.center
         e = np.exp(-np.vecdot(delta, delta))
@@ -372,20 +336,22 @@ class Zdt3Branch(EnergyModel):
     def d(self) -> int:
         return self._d
 
-    def _value_and_gradient(self, coords):
-        grad = np.zeros_like(coords)
-        t = _squash(coords[0])
+    # Row-wise ufuncs only (np.sin and np.cos, never math): see FonsecaFlemingBranch.
+    def _batch_value_and_gradient(self, X):
+        grad = np.zeros_like(X)
+        x0 = X[:, 0]
+        t = _squash(x0)
         if self.index == 0:
-            grad[0] = _squash_grad(coords[0])
-            return float(t), grad
+            grad[:, 0] = _squash_grad(x0)
+            return t, grad
         q = 9.0 / (self._d - 1)
-        tail = coords[1:]
-        g_val = 1.0 + q * float(np.sum(_squash(tail)))
+        tail = X[:, 1:]
         u = 10.0 * math.pi * t
-        value = g_val - t * (1.0 + math.sin(u))
-        grad[0] = -_squash_grad(coords[0]) * (1.0 + math.sin(u) + u * math.cos(u))
-        grad[1:] = q * _squash_grad(tail)
-        return float(value), grad
+        sin_u = np.sin(u)
+        value = 1.0 + q * np.sum(_squash(tail), axis=1) - t * (1.0 + sin_u)
+        grad[:, 0] = -_squash_grad(x0) * (1.0 + sin_u + u * np.cos(u))
+        grad[:, 1:] = q * _squash_grad(tail)
+        return value, grad
 
 
 @dataclass(frozen=True)

@@ -166,14 +166,6 @@ def nondominated_mask(V: np.ndarray) -> np.ndarray:
     return keep
 
 
-def normalize(points: Sequence[ObjectiveVector], nmap: NormalizationMap) -> list[ObjectiveVector]:
-    """Map each objective to clip((v - min) / (max - min), 0, 1)."""
-    if len(points) == 0:
-        return []
-    V = nmap.apply_raw(objective_matrix(points))
-    return [ObjectiveVector(row) for row in V]
-
-
 def _hv_2d(V: np.ndarray, r1: float, r2: float) -> float:
     # Points must already be clipped to the reference. Sweep vertical strips
     # between consecutive f1 values; each strip is covered up from the

@@ -1,8 +1,8 @@
-"""Multi-objective machinery: dominance and Pareto extraction, linear
-scalarization, and the min-norm common-descent solver, exact and batched
-over rows for up to MIN_NORM_MAX_M objectives: a closed form on each edge
-of the simplex and a 2x2 KKT solve inside it for three or fewer, one
-stacked KKT solve per support of the weights for four or more.
+"""Multi-objective machinery: dominance and Pareto extraction, and the
+min-norm common-descent solver, exact and batched over rows for up to
+MIN_NORM_MAX_M objectives: a closed form on each edge of the simplex and a
+2x2 KKT solve inside it for three or fewer, one stacked KKT solve per
+support of the weights for four or more. solve_min_norm is its one-row form.
 
 Pareto extraction uses the sort-based filter metrics.nondominated_mask:
 O(n log n) for two objectives, output-sensitive (each point against the
@@ -18,8 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import ConfigError, DesignPoint, ObjectiveVector, ShapeError, SimplexWeights
-from .energy import EnergyModel, ObjectiveSet
+from .core import ConfigError, ObjectiveVector, ShapeError
 from .metrics import nondominated_mask, objective_matrix
 
 # Enumerating supports costs 2**m - 1 small solves per row; the paper's
@@ -69,36 +68,6 @@ def pareto_filter(points) -> list[int]:
     if len(points) == 0:
         return []
     return np.flatnonzero(nondominated_mask(objective_matrix(points))).tolist()
-
-
-class ScalarizedEnergy(EnergyModel):
-    """Fixed-preference composite: value sum_i lam_i f_i, gradient sum_i lam_i grad f_i."""
-
-    def __init__(self, objectives: ObjectiveSet, weights: SimplexWeights):
-        if weights.m != objectives.m:
-            raise ShapeError(
-                f"weights have m={weights.m}, objective set has m={objectives.m}"
-            )
-        self.objectives = objectives
-        self.weights = weights
-
-    @property
-    def d(self) -> int:
-        return self.objectives.d
-
-    @property
-    def point_kind(self) -> str:
-        return self.objectives.point_kind
-
-    def _value_and_gradient(self, coords):
-        values, grads = self.objectives.eval_batch(coords[None])
-        lam = self.weights.lam
-        return float(lam @ values[0]), lam @ grads[0]
-
-
-def scalarize(objectives: ObjectiveSet, weights: SimplexWeights) -> ScalarizedEnergy:
-    """The weighted objective f_lam = sum_i lam_i f_i as a single energy model."""
-    return ScalarizedEnergy(objectives, weights)
 
 
 def min_norm_closed_form(grads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -274,32 +243,13 @@ def _min_norm_enumerated_weights(grads: np.ndarray) -> np.ndarray:
     return best
 
 
-def min_norm_2(g1, g2) -> MinNormResult:
-    """Exact min-norm point of the segment [g1, g2] (see min_norm_closed_form)."""
-    g1 = np.asarray(g1, dtype=np.float64)
-    g2 = np.asarray(g2, dtype=np.float64)
-    if g1.shape != g2.shape or g1.ndim != 1:
-        raise ShapeError(f"gradients must be 1-D and equal length, got {g1.shape} vs {g2.shape}")
-    return _closed_form_result(np.stack([g1, g2]))
-
-
-def _closed_form_result(grads: np.ndarray) -> MinNormResult:
+def solve_min_norm(grads: np.ndarray) -> MinNormResult:
+    """The exact min-norm point for one (m, d) gradient matrix, m <= MIN_NORM_MAX_M:
+    min_norm_closed_form on a stack of one row. Non-finite gradients raise ValueError."""
+    grads = np.asarray(grads, dtype=np.float64)
+    if grads.ndim != 2:
+        raise ShapeError("expected an (m, d) gradient matrix")
     if not np.all(np.isfinite(grads)):
         raise ValueError("gradients must be finite")
     lam, direction, norm = min_norm_closed_form(grads[None])
     return MinNormResult(lam=lam[0], direction=direction[0], norm=float(norm[0]), converged=True, iterations=0)
-
-
-def solve_min_norm(grads: np.ndarray) -> MinNormResult:
-    """The exact min-norm point for one (m, d) gradient matrix, m <= MIN_NORM_MAX_M
-    (see min_norm_closed_form). Non-finite gradients raise ValueError."""
-    grads = np.asarray(grads, dtype=np.float64)
-    if grads.ndim != 2:
-        raise ShapeError("expected an (m, d) gradient matrix")
-    return _closed_form_result(grads)
-
-
-def mgd_direction(objectives: ObjectiveSet, point: DesignPoint) -> MinNormResult:
-    """The common-descent direction at a point: the min-norm element of the
-    convex hull of the per-objective gradients."""
-    return solve_min_norm(objectives.gradients(point))

@@ -27,9 +27,10 @@ and draws it a block of steps at a time into one preallocated buffer
 (``_Noise``). Every operation of a step is
 row-wise and rounds each row exactly as it would round that chain alone,
 so a chain's result does not depend on the batch it ran in, its position
-there, or the order of its population. Elementwise math in the energies uses numpy ufuncs in both
-the solo and the batch path: a ufunc rounds each element the same way at
-any array length. The MLP energies' matrix products run in fixed-shape
+there, or the order of its population. Each energy defines one kernel, on a
+batch of rows (``EnergyModel._batch_value_and_gradient``); a lone point is
+a batch of one. Its elementwise math uses numpy ufuncs, which round each
+element the same way at any array length. The MLP energies' matrix products run in fixed-shape
 tiles (energy._tiled_matmul), which round each row alike whatever its
 siblings hold. The stacked linear solves of the min-norm drift factor
 each row's matrix alone. Per-chain masks take a chain out of the batch

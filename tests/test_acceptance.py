@@ -44,7 +44,7 @@ from paretoebm.metrics import (
     hypervolume_mc,
     unit_reference,
 )
-from paretoebm.moo import _min_norm_enumerated_weights, min_norm_2, pareto_filter, solve_min_norm
+from paretoebm.moo import _min_norm_enumerated_weights, pareto_filter, solve_min_norm
 from paretoebm.problems import get_problem
 from paretoebm.samplers import (
     ChainSpec,
@@ -71,7 +71,7 @@ def test_criterion_01_min_norm_solver():
     combos = lam[None, :, None] * g1[:, None, :] + (1.0 - lam)[None, :, None] * g2[:, None, :]
     grid_best = np.linalg.norm(combos, axis=2).min(axis=1)
     for i in range(1000):
-        res = min_norm_2(g1[i], g2[i])
+        res = solve_min_norm(np.stack([g1[i], g2[i]]))
         assert res.norm <= grid_best[i] + 1e-9
 
     # Simplex grid with step 0.01; the solvers must never be worse than the

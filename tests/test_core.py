@@ -10,10 +10,10 @@ from paretoebm.core import (
     InvalidSimplexError,
     SamplerConfig,
     ShapeError,
+    SimplexWeights,
     Trajectory,
     WrongKindError,
     decode,
-    new_simplex_weights,
     read_sequences,
     relax,
     sequence_from_str,
@@ -116,18 +116,18 @@ class TestRelaxDecode:
 
 class TestSimplexWeights:
     def test_valid(self):
-        assert new_simplex_weights([0.5, 0.5]).m == 2
+        assert SimplexWeights([0.5, 0.5]).m == 2
 
     def test_vertex(self):
-        new_simplex_weights([1.0, 0.0, 0.0])
+        SimplexWeights([1.0, 0.0, 0.0])
 
     def test_bad_sum(self):
         with pytest.raises(InvalidSimplexError):
-            new_simplex_weights([0.6, 0.6])
+            SimplexWeights([0.6, 0.6])
 
     def test_negative(self):
         with pytest.raises(InvalidSimplexError):
-            new_simplex_weights([1.5, -0.5])
+            SimplexWeights([1.5, -0.5])
 
     def test_fuzz_both_sides(self):
         rng = np.random.default_rng(1)
@@ -135,7 +135,7 @@ class TestSimplexWeights:
             m = int(rng.integers(1, 6))
             lam = rng.dirichlet(np.ones(m))
             lam = lam / lam.sum()
-            new_simplex_weights(lam)
+            SimplexWeights(lam)
         for _ in range(200):
             m = int(rng.integers(1, 6))
             lam = rng.dirichlet(np.ones(m))
@@ -149,7 +149,7 @@ class TestSimplexWeights:
             if abs(lam.sum() - 1.0) <= 1e-9 and lam.min() >= 0:
                 continue
             with pytest.raises(InvalidSimplexError):
-                new_simplex_weights(lam)
+                SimplexWeights(lam)
 
 
 class TestSamplerConfig:

@@ -13,6 +13,7 @@ from paretoebm.core import (
 )
 from paretoebm.energy import (
     CdTrainConfig,
+    EnergyModel,
     FonsecaFlemingBranch,
     MlpEnergy,
     ObjectiveSet,
@@ -39,17 +40,50 @@ def exp_differs_from_math_exp(args):
 EXP_LOOPS_DIFFER = bool(exp_differs_from_math_exp(-np.random.default_rng(0).uniform(0.0, 30.0, 20000)).any())
 
 
-def test_np_exp_rounds_an_element_alike_at_any_length():
-    # FonsecaFlemingBranch's batch = solo rests on this: a Python float, a
-    # numpy scalar and a 1-element array give the element that arrays of
-    # length 1-40 give at every offset, SIMD bodies and tails alike.
+@pytest.mark.parametrize("ufunc", [np.exp, np.sin, np.cos], ids=["exp", "sin", "cos"])
+def test_ufunc_rounds_an_element_alike_at_any_length(ufunc):
+    # The batch = solo of FonsecaFlemingBranch (np.exp) and Zdt3Branch (np.sin,
+    # np.cos) rests on this: a Python float, a numpy scalar and a 1-element
+    # array give the element that arrays of length 1-40 give at every offset,
+    # SIMD bodies and tails alike.
     args = -np.random.default_rng(5).uniform(0.0, 30.0, 120)
-    scalar = np.array([np.exp(a) for a in args.tolist()])
-    assert np.array_equal(scalar, [np.exp(a) for a in args])  # numpy scalars
-    assert np.array_equal(scalar, [np.exp(args[i : i + 1])[0] for i in range(args.size)])
+    scalar = np.array([ufunc(a) for a in args.tolist()])
+    assert np.array_equal(scalar, [ufunc(a) for a in args])  # numpy scalars
+    assert np.array_equal(scalar, [ufunc(args[i : i + 1])[0] for i in range(args.size)])
     for length in range(1, 41):
         for start in range(args.size - length + 1):
-            assert np.array_equal(np.exp(args[start : start + length]), scalar[start : start + length])
+            assert np.array_equal(ufunc(args[start : start + length]), scalar[start : start + length])
+
+
+class RowCubic(EnergyModel):
+    """Defines only d and the batch kernel: sum(x^3), gradient 3 x^2."""
+
+    @property
+    def d(self):
+        return 3
+
+    def _batch_value_and_gradient(self, X):
+        return np.sum(X**3, axis=1), 3.0 * X * X
+
+
+class TestOneKernel:
+    def test_single_point_api_is_row_zero_of_the_batch_kernel(self):
+        model = RowCubic()
+        X = np.random.default_rng(6).standard_normal((4, 3))
+        values, grads = model._batch_value_and_gradient(X)
+        p = DesignPoint(X[0])
+        value, grad = model.value_and_gradient(p)
+        assert type(value) is float and value == values[0]
+        assert np.array_equal(grad, grads[0])
+        assert model.value(p) == values[0]
+        assert np.array_equal(model.gradient(p), grads[0])
+        with pytest.raises(ShapeError):
+            model.value(DesignPoint(X[0, :2]))
+
+    @pytest.mark.parametrize("cls", [PwmEnergy, MlpEnergy, ShiftedQuadratic, FonsecaFlemingBranch, Zdt3Branch])
+    def test_each_model_defines_only_the_batch_kernel(self, cls):
+        assert "_batch_value_and_gradient" in vars(cls)
+        assert "_value_and_gradient" not in vars(cls)
 
 
 def fd_gradient(model, coords, h=FD_H):
@@ -148,22 +182,34 @@ class TestValueAndGradient:
         assert f2 == pytest.approx(expected, rel=1e-12)
         assert f2 == pytest.approx(1.0 - math.exp(-4.0), rel=1e-12)
 
+    def test_zdt3_closed_form(self):
+        # The batch kernel against the formula evaluated point by point with
+        # math: t = s(x_1), f1 = t, f2 = g - t * (1 + sin(10 pi t)).
+        X = np.random.default_rng(12).standard_normal((50, 5)) * 2.0
+        f1 = Zdt3Branch(0, 5)._batch_value_and_gradient(X)[0]
+        f2 = Zdt3Branch(1, 5)._batch_value_and_gradient(X)[0]
+        for i, x in enumerate(X.tolist()):
+            t = x[0] ** 2 / (1.0 + x[0] ** 2)
+            g = 1.0 + 9.0 / 4.0 * sum(v * v / (1.0 + v * v) for v in x[1:])
+            assert f1[i] == pytest.approx(t, rel=1e-12)
+            assert f2[i] == pytest.approx(g - t * (1.0 + math.sin(10.0 * math.pi * t)), rel=1e-12, abs=1e-12)
+
 
 class TestObjectiveSet:
     def test_symmetric_quadratics(self):
         objs = ObjectiveSet([ShiftedQuadratic([1.0, 0.0]), ShiftedQuadratic([-1.0, 0.0])])
-        vec = objs.evaluate_all(DesignPoint([0.0, 0.0]))
-        assert np.array_equal(vec.values, [1.0, 1.0])
+        values = objs.eval_batch(np.array([[0.0, 0.0]]))[0][0]
+        assert np.array_equal(values, [1.0, 1.0])
 
     def test_singleton(self):
         objs = ObjectiveSet([ShiftedQuadratic([2.0])])
         p = DesignPoint([0.0])
-        assert objs.evaluate_all(p).values[0] == objs.models[0].value(p)
+        assert objs.eval_batch(p.coords[None])[0][0, 0] == objs.models[0].value(p)
 
     def test_order_preserved(self):
         objs = ObjectiveSet([ShiftedQuadratic([1.0]), ShiftedQuadratic([3.0])])
-        vec = objs.evaluate_all(DesignPoint([0.0]))
-        assert np.array_equal(vec.values, [1.0, 9.0])
+        values = objs.eval_batch(np.array([[0.0]]))[0][0]
+        assert np.array_equal(values, [1.0, 9.0])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeError):

@@ -21,7 +21,6 @@ from paretoebm.metrics import (
     hypervolume_mc,
     min_edit_to_set,
     nondominated_mask,
-    normalize,
     summarize_edist,
     unit_reference,
 )
@@ -158,20 +157,20 @@ class TestNondominatedMask:
 class TestNormalization:
     def test_endpoints(self):
         nmap = NormalizationMap([0.0, 10.0], [2.0, 20.0])
-        out = normalize([obj([0.0, 10.0]), obj([2.0, 20.0])], nmap)
-        assert np.array_equal(out[0].values, [0.0, 0.0])
-        assert np.array_equal(out[1].values, [1.0, 1.0])
+        out = nmap.apply_raw(np.array([[0.0, 10.0], [2.0, 20.0]]))
+        assert np.array_equal(out[0], [0.0, 0.0])
+        assert np.array_equal(out[1], [1.0, 1.0])
 
     def test_clipping(self):
         nmap = NormalizationMap([0.0], [1.0])
-        out = normalize([obj([5.0]), obj([-3.0])], nmap)
-        assert out[0].values[0] == 1.0
-        assert out[1].values[0] == 0.0
+        out = nmap.apply_raw(np.array([[5.0], [-3.0]]))
+        assert out[0, 0] == 1.0
+        assert out[1, 0] == 0.0
 
     def test_degenerate_objective_maps_to_half(self):
         nmap = NormalizationMap([1.0, 0.0], [1.0, 2.0])
-        out = normalize([obj([1.0, 1.0])], nmap)
-        assert out[0].values[0] == 0.5
+        out = nmap.apply_raw(np.array([[1.0, 1.0]]))
+        assert out[0, 0] == 0.5
 
     def test_fit(self):
         nmap = NormalizationMap.fit([obj([0.0, 5.0]), obj([2.0, 3.0])])
@@ -181,7 +180,7 @@ class TestNormalization:
     def test_length_mismatch(self):
         nmap = NormalizationMap([0.0], [1.0])
         with pytest.raises(ShapeError):
-            normalize([obj([1.0, 2.0])], nmap)
+            nmap.apply_raw(np.array([[1.0, 2.0]]))
 
 
 class TestHypervolumeExact:

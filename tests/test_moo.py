@@ -4,17 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paretoebm.core import SIMPLEX_TOL, ConfigError, DesignPoint, ObjectiveVector, ShapeError, SimplexWeights
+from paretoebm.core import SIMPLEX_TOL, ConfigError, DesignPoint, ObjectiveVector, ShapeError
 from paretoebm.energy import ObjectiveSet, ShiftedQuadratic
 from paretoebm.moo import (
     MIN_NORM_MAX_M,
     _min_norm_enumerated_weights,
     dominates,
-    mgd_direction,
-    min_norm_2,
     min_norm_closed_form,
     pareto_filter,
-    scalarize,
     solve_min_norm,
 )
 
@@ -119,42 +116,6 @@ class TestParetoFilter:
             pareto_filter([obj([1, 2]), obj([1, 2, 3])])
 
 
-class TestScalarize:
-    def _pair(self):
-        return ObjectiveSet([ShiftedQuadratic([0.0]), ShiftedQuadratic([1.0])])
-
-    def test_vertex_weight_matches_model(self):
-        objs = ObjectiveSet(
-            [ShiftedQuadratic([1.0, 2.0]), ShiftedQuadratic([-1.0, 0.5])]
-        )
-        composite = scalarize(objs, SimplexWeights([1.0, 0.0]))
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            p = DesignPoint(rng.normal(size=2))
-            v, g = composite.value_and_gradient(p)
-            v0, g0 = objs.models[0].value_and_gradient(p)
-            assert v == pytest.approx(v0, rel=1e-12)
-            assert np.allclose(g, g0, rtol=1e-12)
-
-    def test_even_weights_give_midpoint_minimizer(self):
-        composite = scalarize(self._pair(), SimplexWeights([0.5, 0.5]))
-        _, g = composite.value_and_gradient(DesignPoint([0.5]))
-        assert g[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_even_weights_average_values(self):
-        objs = self._pair()
-        composite = scalarize(objs, SimplexWeights([0.5, 0.5]))
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            p = DesignPoint(rng.normal(size=1))
-            vec = objs.evaluate_all(p)
-            assert composite.value(p) == pytest.approx(vec.values.mean(), rel=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            scalarize(self._pair(), SimplexWeights([1.0]))
-
-
 def grid_norms_2(g1, g2, step=1e-3):
     lam = np.arange(0.0, 1.0 + step / 2, step)
     combos = lam[:, None] * g1[None, :] + (1 - lam)[:, None] * g2[None, :]
@@ -163,18 +124,18 @@ def grid_norms_2(g1, g2, step=1e-3):
 
 class TestMinNorm2:
     def test_opposing_gradients_conflict(self):
-        res = min_norm_2(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+        res = solve_min_norm(np.array([[1.0, 0.0], [-1.0, 0.0]]))
         assert np.array_equal(res.lam, [0.5, 0.5])
         assert res.norm == 0.0
 
     def test_degenerate_equal_gradients(self):
-        res = min_norm_2(np.array([3.0, 4.0]), np.array([3.0, 4.0]))
+        res = solve_min_norm(np.array([[3.0, 4.0], [3.0, 4.0]]))
         assert np.array_equal(res.direction, [3.0, 4.0])
         assert res.norm == 5.0
         assert np.array_equal(res.lam, [0.5, 0.5])
 
     def test_known_interior_solution(self):
-        res = min_norm_2(np.array([2.0, 0.0]), np.array([0.0, 1.0]))
+        res = solve_min_norm(np.array([[2.0, 0.0], [0.0, 1.0]]))
         assert res.lam[0] == pytest.approx(0.2, abs=1e-12)
         assert np.allclose(res.direction, [0.4, 0.8], atol=1e-12)
         grid_best = grid_norms_2(np.array([2.0, 0.0]), np.array([0.0, 1.0]), 1e-5).min()
@@ -184,26 +145,29 @@ class TestMinNorm2:
         rng = np.random.default_rng(6)
         for _ in range(100):
             g1, g2 = rng.standard_normal((2, 8))
-            res = min_norm_2(g1, g2)
+            res = solve_min_norm(np.stack([g1, g2]))
             assert res.norm <= grid_norms_2(g1, g2).min() + 1e-9
 
     def test_direction_recomputable_from_lambda(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             g1, g2 = rng.standard_normal((2, 5))
-            res = min_norm_2(g1, g2)
+            res = solve_min_norm(np.stack([g1, g2]))
             rebuilt = res.lam[0] * g1 + res.lam[1] * g2
             assert np.allclose(res.direction, rebuilt, atol=1e-12)
             assert res.norm == pytest.approx(np.linalg.norm(res.direction), abs=1e-15)
 
     def test_dimension_mismatch(self):
+        # Gradients of unequal length make no (m, d) matrix.
         with pytest.raises(ShapeError):
-            min_norm_2(np.array([1.0]), np.array([1.0, 2.0]))
+            solve_min_norm(np.array([1.0, 1.0, 2.0]))
+        with pytest.raises(ShapeError):
+            solve_min_norm(np.zeros((1, 2, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradients_rejected(self, bad):
         with pytest.raises(ValueError, match="gradients must be finite"):
-            min_norm_2(np.array([bad, 0.0]), np.array([1.0, 0.0]))
+            solve_min_norm(np.array([[bad, 0.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="gradients must be finite"):
             solve_min_norm(np.array([[1.0, 0.0], [0.0, bad]]))
 
@@ -228,7 +192,7 @@ class TestMinNorm2:
         rng = np.random.default_rng(11)
         for _ in range(1000):
             g1, g2 = rng.standard_normal((2, 8))
-            res = min_norm_2(g1, g2)
+            res = solve_min_norm(np.stack([g1, g2]))
             sq = res.norm**2
             assert res.direction @ g1 >= sq - 1e-9
             assert res.direction @ g2 >= sq - 1e-9
@@ -236,7 +200,7 @@ class TestMinNorm2:
     def test_underflowing_weight_is_positive_zero(self):
         # <g2 - g1, g2> / ||g1 - g2||^2 underflows to -0.0 here; the weight
         # is clipped to +0.0, as min(1, max(0, q)) gives.
-        res = min_norm_2(np.array([2e-150, 1e154]), np.array([1e-150, 0.0]))
+        res = solve_min_norm(np.array([[2e-150, 1e154], [1e-150, 0.0]]))
         assert np.array_equal(res.lam, [0.0, 1.0]) and not np.signbit(res.lam[0])
 
 
@@ -337,7 +301,7 @@ class TestMinNorm3:
     def test_dominated_vertex_gets_no_weight(self):
         grads = np.array([[1.0, 0.0], [0.0, 1.0], [10.0, 10.0]])
         res = solve_min_norm(grads)
-        two = min_norm_2(grads[0], grads[1])
+        two = solve_min_norm(grads[:2])
         assert res.lam[2] == 0.0
         assert np.array_equal(res.lam[:2], two.lam) and res.norm == two.norm
 
@@ -404,7 +368,7 @@ class TestMinNormEnumerated:
     def test_sheds_dominated_vertex(self):
         grads = np.array([[1.0, 0.0], [0.0, 1.0], [10.0, 10.0], [4.0, 3.0]])
         res = solve_min_norm(grads)
-        two = min_norm_2(grads[0], grads[1])
+        two = solve_min_norm(grads[:2])
         assert abs(res.norm - two.norm) <= 1e-15
         assert np.array_equal(res.lam[2:], [0.0, 0.0])
 
@@ -445,28 +409,28 @@ class TestMgdDirection:
 
     def test_pareto_point_gives_zero(self):
         objs = self._pair()
-        res = mgd_direction(objs, DesignPoint([0.0, 0.0]))
+        res = solve_min_norm(objs.eval_batch(np.array([[0.0, 0.0]]))[1][0])
         assert res.norm == pytest.approx(0.0, abs=1e-15)
 
     def test_aligned_gradients_pick_shorter(self):
         # At p = 2a the gradients are 2a and 6a; the min-norm point of the
         # segment is 2a itself.
         objs = self._pair()
-        res = mgd_direction(objs, DesignPoint([2.0, 0.0]))
+        res = solve_min_norm(objs.eval_batch(np.array([[2.0, 0.0]]))[1][0])
         assert np.allclose(res.direction, [2.0, 0.0], atol=1e-12)
         assert np.array_equal(res.lam, [1.0, 0.0])
 
     def test_single_objective_returns_gradient(self):
         objs = ObjectiveSet([ShiftedQuadratic([1.0, 1.0])])
         p = DesignPoint([3.0, 0.0])
-        res = mgd_direction(objs, p)
+        res = solve_min_norm(objs.eval_batch(p.coords[None])[1][0])
         assert np.array_equal(res.direction, objs.models[0].gradient(p))
         assert np.array_equal(res.lam, [1.0])
 
     def test_solve_min_norm_dispatch(self):
         rng = np.random.default_rng(13)
         grads = rng.standard_normal((2, 4))
-        assert solve_min_norm(grads).norm == min_norm_2(grads[0], grads[1]).norm
+        assert solve_min_norm(grads).norm == min_norm_closed_form(grads[None])[2][0]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_weights_lie_on_the_simplex(self, m):

@@ -533,8 +533,8 @@ class ZeroEnergy(EnergyModel):
     def d(self):
         return self._d
 
-    def _value_and_gradient(self, coords):
-        return 0.0, np.zeros(self._d)
+    def _batch_value_and_gradient(self, X):
+        return np.zeros(X.shape[0]), np.zeros_like(X)
 
 
 class Ramp(EnergyModel):
@@ -548,10 +548,10 @@ class Ramp(EnergyModel):
     def d(self):
         return self._d
 
-    def _value_and_gradient(self, coords):
-        grad = np.zeros(self._d)
-        grad[0] = -np.inf if coords[0] > 0 else -1.0
-        return -float(coords[0]), grad
+    def _batch_value_and_gradient(self, X):
+        grad = np.zeros_like(X)
+        grad[:, 0] = np.where(X[:, 0] > 0, -np.inf, -1.0)
+        return -X[:, 0], grad
 
 
 class TestNoiseBlocks:
@@ -667,21 +667,17 @@ class TanhSum(EnergyModel):
     def d(self):
         return self._d
 
-    def _value_and_gradient(self, coords):
-        t = np.tanh(coords - self.shift)
-        return float(t.sum()), 1.0 - t * t
+    def _batch_value_and_gradient(self, X):
+        t = np.tanh(X - self.shift)
+        return t.sum(axis=1), 1.0 - t * t
 
 
 class CappedQuadratic(ShiftedQuadratic):
     """A quadratic whose value is infinite once x[0] > 2; its gradient stays finite."""
 
-    def _value_and_gradient(self, coords):
-        value, grad = super()._value_and_gradient(coords)
-        return (np.inf if coords[0] > 2.0 else value), grad
-
     def _batch_value_and_gradient(self, X):
-        # The base class's row loop, so the cap applies to every row.
-        return EnergyModel._batch_value_and_gradient(self, X)
+        values, grads = super()._batch_value_and_gradient(X)
+        return np.where(X[:, 0] > 2.0, np.inf, values), grads
 
 
 def assert_final_x_matches(objectives, specs):
