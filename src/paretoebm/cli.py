@@ -10,23 +10,28 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .core import AMINO_ALPHABET, ConfigError, ParetoEbmError, read_sequences
-from .energy import CdTrainConfig, MlpEnergy, PwmEnergy, cd_train, load_model, save_model
+from .energy import MlpEnergy, PwmEnergy, cd_train, load_model, save_model
 from .metrics import ReferencePoint, hypervolume_exact, hypervolume_mc, summarize_edist
-from .harness import load_config, improve_seeds, run_sweep, write_improvement_report
+from .harness import improve_seeds, load_config, load_train_config, run_sweep, write_improvement_report
 
 logger = logging.getLogger(__name__)
 
-_TRAIN_KEYS = {
-    "config_version", "model", "cd_steps", "lr", "epochs", "batch_size",
-    "l2", "seed", "cd_eta", "cd_sigma", "alphabet",
-}
+
+def _finite(text: str, where: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {text!r} is not a finite number")
+    return value
 
 
 def _read_points(path) -> np.ndarray:
@@ -36,11 +41,7 @@ def _read_points(path) -> np.ndarray:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        parts = stripped.replace(",", " ").split()
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: not a number ({exc})") from exc
+        rows.append([_finite(v, f"{path}:{lineno}") for v in stripped.replace(",", " ").split()])
     if not rows:
         raise ConfigError(f"{path}: no points found")
     width = len(rows[0])
@@ -79,52 +80,18 @@ def _cmd_improve(args) -> int:
     return 0
 
 
-def _load_train_config(path) -> tuple[dict, CdTrainConfig, str]:
-    try:
-        raw = yaml.safe_load(Path(path).read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a mapping")
-    unknown = sorted(set(raw) - _TRAIN_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    if raw.get("config_version") != 1:
-        raise ConfigError(f"{path}: config_version must be 1")
-    model_spec = raw.get("model") or {}
-    kind = model_spec.get("kind", "pwm")
-    if kind not in ("pwm", "mlp"):
-        raise ConfigError(f"{path}: model kind must be pwm or mlp, got {kind!r}")
-    if kind == "mlp" and not model_spec.get("hidden"):
-        raise ConfigError(f"{path}: mlp model needs a positive 'hidden' size")
-    cfg = CdTrainConfig(
-        cd_steps=int(raw.get("cd_steps", 5)),
-        lr=float(raw.get("lr", 0.05)),
-        epochs=int(raw.get("epochs", 10)),
-        batch_size=int(raw.get("batch_size", 128)),
-        l2=float(raw.get("l2", 0.0)),
-        seed=int(raw.get("seed", 0)),
-        cd_eta=float(raw.get("cd_eta", 0.1)),
-        cd_sigma=float(raw["cd_sigma"]) if raw.get("cd_sigma") is not None else None,
-    )
-    return model_spec, cfg, str(raw.get("alphabet", AMINO_ALPHABET))
-
-
 def _cmd_train(args) -> int:
-    model_spec, cfg, alphabet = _load_train_config(args.config)
+    (kind, hidden), cfg, alphabet = load_train_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     data = read_sequences(args.data, alphabet)
     if not data:
         raise ConfigError(f"{args.data}: no sequences")
     L, A = len(data[0]), data[0].alphabet_size
-    if model_spec.get("kind", "pwm") == "pwm":
-        model = PwmEnergy.zeros(L, A)
-    else:
-        model = MlpEnergy.random(int(model_spec["hidden"]), L=L, A=A, seed=cfg.seed)
+    model = PwmEnergy.zeros(L, A) if hidden is None else MlpEnergy.random(hidden, L=L, A=A, seed=cfg.seed)
     trained, history = cd_train(model, data, cfg)
     save_model(trained, args.output)
-    print(f"trained {model_spec.get('kind', 'pwm')} on {len(data)} sequences "
+    print(f"trained {kind} on {len(data)} sequences "
           f"(loss {history[0]:.4f} -> {history[-1]:.4f})")
     print(args.output)
     return 0
@@ -133,7 +100,7 @@ def _cmd_train(args) -> int:
 def _cmd_hv(args) -> int:
     V = _read_points(args.points)
     m = V.shape[1]
-    ref_values = [float(v) for v in args.ref.split(",")] if args.ref else [1.0] * m
+    ref_values = [_finite(v, "--ref") for v in args.ref.split(",")] if args.ref else [1.0] * m
     if len(ref_values) != m:
         raise ConfigError(f"reference point has {len(ref_values)} entries, points have m={m}")
     reference = ReferencePoint(np.array(ref_values))

@@ -363,32 +363,34 @@ class CdTrainConfig:
     from relaxed uniform-random sequences.
     """
 
-    cd_steps: int
-    lr: float
-    epochs: int
-    batch_size: int
+    cd_steps: int = 5
+    lr: float = 0.05
+    epochs: int = 10
+    batch_size: int = 128
     l2: float = 0.0
     seed: int = 0
     cd_eta: float = 0.1
     cd_sigma: float | None = None
 
     def __post_init__(self):
-        if self.cd_steps < 1:
-            raise ConfigError("cd_steps must be >= 1")
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be >= 0")
-        if not (self.cd_eta > 0):
-            raise ConfigError("cd_eta must be positive")
+        if not (self.cd_steps >= 1):
+            raise ConfigError(f"cd_steps must be >= 1, got {self.cd_steps}")
+        if not (0 <= self.lr < math.inf):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        if not (self.epochs >= 1):
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not (self.batch_size >= 1):
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (0 <= self.l2 < math.inf):
+            raise ConfigError(f"l2 must be finite and >= 0, got {self.l2}")
+        if not (self.seed >= 0):
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (0 < self.cd_eta < math.inf):
+            raise ConfigError(f"cd_eta must be finite and positive, got {self.cd_eta}")
         if self.cd_sigma is None:
             object.__setattr__(self, "cd_sigma", math.sqrt(self.cd_eta))
-        elif self.cd_sigma < 0:
-            raise ConfigError("cd_sigma must be >= 0")
+        elif not (0 <= self.cd_sigma < math.inf):
+            raise ConfigError(f"cd_sigma must be finite and >= 0, got {self.cd_sigma}")
 
 
 def _one_hot_batch(tokens: np.ndarray, A: int) -> np.ndarray:

@@ -14,9 +14,10 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import combinations
 from pathlib import Path
 from typing import Sequence
@@ -26,12 +27,14 @@ import yaml
 
 from .core import (
     AMINO_ALPHABET,
+    NOISE_GAUSSIAN,
     NOISE_KINDS,
     NOISE_NONE,
     RAW,
     SEQUENCE_LOGITS,
     ConfigError,
     DiscreteSequence,
+    InvalidSimplexError,
     SamplerConfig,
     ShapeError,
     SimplexWeights,
@@ -44,7 +47,7 @@ from .core import (
     sequence_to_str,
     uniform_weights,
 )
-from .energy import EnergyModel
+from .energy import CdTrainConfig, EnergyModel
 from .metrics import (
     NormalizationMap,
     ReferencePoint,
@@ -74,30 +77,6 @@ logger = logging.getLogger(__name__)
 CONFIG_VERSION = 1
 MC_HV_SAMPLES = 200_000
 
-_KNOWN_KEYS = {
-    "config_version",
-    "problem",
-    "model_files",
-    "training_sequences",
-    "methods",
-    "eta",
-    "steps",
-    "noise",
-    "chains",
-    "base_seed",
-    "output_dir",
-    "reference_point",
-    "ls_lambda",
-    "sigma",
-    "alpha",
-    "init_scale",
-    "init_distribution",
-    "record_every",
-    "grad_tol",
-    "alphabet",
-    "normalization",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -107,9 +86,9 @@ class ExperimentConfig:
     methods: tuple[str, ...]
     etas: tuple[float, ...]
     steps_grid: tuple[int, ...]
-    noise_kinds: tuple[str, ...]
-    chains: int
     output_dir: Path
+    noise_kinds: tuple[str, ...] = (NOISE_GAUSSIAN,)
+    chains: int = 1
     base_seed: int = 0
     model_files: tuple[str, ...] = ()
     training_sequences: str | None = None
@@ -122,7 +101,7 @@ class ExperimentConfig:
     record_every: int = 1
     grad_tol: float = 1e-6
     alphabet: str = AMINO_ALPHABET
-    normalization: dict | None = None
+    normalization: dict | None = None  # None is pooled, else {"min": (...), "max": (...)}
 
     def __post_init__(self):
         if not self.methods:
@@ -132,8 +111,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r} (known: {', '.join(METHODS)})")
         if not self.etas:
             raise ConfigError("eta grid must be non-empty")
-        if any(e <= 0 for e in self.etas):
-            raise ConfigError("every eta must be positive")
+        if not all(e > 0 for e in self.etas):
+            raise ConfigError(f"every eta must be positive, got {list(self.etas)}")
         if not self.steps_grid:
             raise ConfigError("steps grid must be non-empty")
         if any(k < 0 for k in self.steps_grid):
@@ -147,6 +126,13 @@ class ExperimentConfig:
             raise ConfigError("chains must be >= 1")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+        ref = self.reference_point
+        if ref is not None and not (ref and all(math.isfinite(v) for v in ref)):
+            raise ConfigError(f"reference_point must be a non-empty list of finite numbers, got {list(ref)}")
+        if self.normalization is not None:
+            lo, hi = self.normalization["min"], self.normalization["max"]
+            if not (len(lo) == len(hi) >= 1 and all(-math.inf < a <= b < math.inf for a, b in zip(lo, hi))):
+                raise ConfigError(f"normalization needs finite min <= max of equal length, got {lo} and {hi}")
 
 
 def _as_int(value) -> int:
@@ -159,44 +145,94 @@ def _as_int(value) -> int:
 def _as_float(value) -> float:
     """A YAML number as a float. A bool is an error, as it is for integer
     keys; a string that float() reads (PyYAML loads ``1e-6`` as one) is read."""
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
 
-def _int_key(raw: dict, name: str, default: int) -> int:
-    try:
-        return _as_int(raw.get(name, default))
-    except TypeError as exc:
-        raise ConfigError(f"config key {name}: {exc}") from exc
+def _as_str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
-def _float_key(raw: dict, name: str, default: float | None = None) -> float | None:
-    value = raw.get(name, default)
-    if value is None:
+def _grid(read):
+    """A YAML list read entry by entry; a scalar is a list of one."""
+    return lambda value: tuple(read(v) for v in (value if isinstance(value, list) else [value]))
+
+
+def _optional(read):
+    return lambda value: None if value is None else read(value)
+
+
+def _normalization(value) -> dict | None:
+    if value is None or value == "pooled":
         return None
-    try:
-        return _as_float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {name}: {exc}") from exc
+    if not (isinstance(value, dict) and set(value) == {"min", "max"}):
+        raise TypeError(f"expected 'pooled' or a mapping with keys min and max, got {value!r}")
+    return {bound: _grid(_as_float)(value[bound]) for bound in ("min", "max")}
 
 
-def _as_tuple(value, name, kind):
-    if value is None:
-        raise ConfigError(f"missing required config key: {name}")
-    if not isinstance(value, (list, tuple)):
-        value = [value]
-    try:
-        return tuple(kind(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {name}: {exc}") from exc
+def _model_spec(value) -> tuple[str, int | None]:
+    """``{kind: pwm}`` or ``{kind: mlp, hidden: H}`` as (kind, H); a PWM has no H."""
+    if not (isinstance(value, dict) and set(value) <= {"kind", "hidden"}):
+        raise TypeError(f"expected a mapping with keys kind and hidden, got {value!r}")
+    kind = value.get("kind", "pwm")
+    if kind not in ("pwm", "mlp"):
+        raise ValueError(f"kind must be pwm or mlp, got {kind!r}")
+    hidden = _as_int(value.get("hidden", 0)) if kind == "mlp" else None
+    if hidden is not None and hidden < 1:
+        raise ValueError(f"an mlp model needs a positive 'hidden' size, got {hidden}")
+    return kind, hidden
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate a YAML experiment config; unknown keys are errors.
+# YAML key -> (field, reader). A reader's TypeError, ValueError or
+# OverflowError is a ConfigError naming the key. Defaults live on the dataclasses and bounds in
+# their __post_init__; a key the file leaves out keeps the default.
+_SWEEP_KEYS = {
+    "problem": ("problem", _as_str),
+    "methods": ("methods", _grid(_as_str)),
+    "eta": ("etas", _grid(_as_float)),
+    "steps": ("steps_grid", _grid(_as_int)),
+    "output_dir": ("output_dir", _as_str),
+    "noise": ("noise_kinds", _grid(_as_str)),
+    "chains": ("chains", _as_int),
+    "base_seed": ("base_seed", _as_int),
+    "model_files": ("model_files", _grid(_as_str)),
+    "training_sequences": ("training_sequences", _optional(_as_str)),
+    "reference_point": ("reference_point", _optional(_grid(_as_float))),
+    "ls_lambda": ("ls_lambda", _optional(_grid(_as_float))),
+    "sigma": ("sigma", _optional(_as_float)),
+    "alpha": ("alpha", _optional(_as_float)),
+    "init_scale": ("init_scale", _as_float),
+    "init_distribution": ("init_distribution", _as_str),
+    "record_every": ("record_every", _as_int),
+    "grad_tol": ("grad_tol", _as_float),
+    "alphabet": ("alphabet", _as_str),
+    "normalization": ("normalization", _normalization),
+}
 
-    Relative paths (output_dir, model_files, training_sequences) resolve
-    against the config file's directory.
+# The train config's keys: CdTrainConfig's fields, plus the model to train
+# and the alphabet of the training sequences.
+_TRAIN_KEYS = {
+    "model": ("model", _model_spec),
+    "cd_steps": ("cd_steps", _as_int),
+    "lr": ("lr", _as_float),
+    "epochs": ("epochs", _as_int),
+    "batch_size": ("batch_size", _as_int),
+    "l2": ("l2", _as_float),
+    "seed": ("seed", _as_int),
+    "cd_eta": ("cd_eta", _as_float),
+    "cd_sigma": ("cd_sigma", _optional(_as_float)),
+    "alphabet": ("alphabet", _as_str),
+}
+
+
+def read_yaml_config(path, readers: dict) -> dict:
+    """Parse a YAML config through a key table into ``{field: value}``.
+
+    The file must be a mapping with ``config_version: 1`` and no key outside
+    ``readers``; each present key goes through its reader.
     """
     path = Path(path)
     try:
@@ -205,65 +241,56 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
-    unknown = sorted(set(raw) - _KNOWN_KEYS)
+    unknown = sorted(str(k) for k in set(raw) - set(readers) - {"config_version"})
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    version = raw.get("config_version")
-    if version != CONFIG_VERSION:
+    version = raw.pop("config_version", None)
+    if type(version) is not int or version != CONFIG_VERSION:
         raise ConfigError(f"{path}: config_version must be {CONFIG_VERSION}, got {version!r}")
-    for key in ("problem", "output_dir"):
-        if key not in raw:
+    values = {}
+    for key, value in raw.items():
+        name, read = readers[key]
+        try:
+            values[name] = read(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config key {key}: {exc}") from exc
+    return values
+
+
+def load_config(path) -> ExperimentConfig:
+    """Read a sweep config through ``_SWEEP_KEYS``.
+
+    Relative paths (output_dir, model_files, training_sequences) resolve
+    against the config file's directory.
+    """
+    path = Path(path)
+    values = read_yaml_config(path, _SWEEP_KEYS)
+    required = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
+    for key, (name, _) in _SWEEP_KEYS.items():
+        if name in required and name not in values:
             raise ConfigError(f"{path}: missing required config key: {key}")
-
     base = path.parent
-
-    def _resolve(p) -> Path:
-        p = Path(p)
-        return p if p.is_absolute() else base / p
-
-    model_files = tuple(str(_resolve(p)) for p in raw.get("model_files") or ())
-    for mf in model_files:
+    values["output_dir"] = base / values["output_dir"]
+    if "model_files" in values:
+        values["model_files"] = tuple(str(base / p) for p in values["model_files"])
+    if values.get("training_sequences") is not None:
+        values["training_sequences"] = str(base / values["training_sequences"])
+    cfg = ExperimentConfig(**values)
+    for mf in cfg.model_files:
         if not Path(mf).is_file():
             raise ConfigError(f"{path}: model file not found: {mf}")
-    training = raw.get("training_sequences")
-    if training is not None:
-        training = str(_resolve(training))
-        if not Path(training).is_file():
-            raise ConfigError(f"{path}: training_sequences file not found: {training}")
+    if cfg.training_sequences is not None and not Path(cfg.training_sequences).is_file():
+        raise ConfigError(f"{path}: training_sequences file not found: {cfg.training_sequences}")
+    return cfg
 
-    normalization = raw.get("normalization")
-    if normalization is not None and normalization != "pooled":
-        if not (isinstance(normalization, dict) and set(normalization) == {"min", "max"}):
-            raise ConfigError(
-                f"{path}: normalization must be 'pooled' or a mapping with keys min/max"
-            )
-    if normalization == "pooled":
-        normalization = None
 
-    ref = raw.get("reference_point")
-    ls_lambda = raw.get("ls_lambda")
-    return ExperimentConfig(
-        problem=str(raw["problem"]),
-        methods=_as_tuple(raw.get("methods"), "methods", str),
-        etas=_as_tuple(raw.get("eta"), "eta", _as_float),
-        steps_grid=_as_tuple(raw.get("steps"), "steps", _as_int),
-        noise_kinds=_as_tuple(raw.get("noise", ["gaussian"]), "noise", str),
-        chains=_int_key(raw, "chains", 1),
-        output_dir=_resolve(raw["output_dir"]),
-        base_seed=_int_key(raw, "base_seed", 0),
-        model_files=model_files,
-        training_sequences=training,
-        reference_point=_as_tuple(ref, "reference_point", _as_float) if ref is not None else None,
-        ls_lambda=_as_tuple(ls_lambda, "ls_lambda", _as_float) if ls_lambda is not None else None,
-        sigma=_float_key(raw, "sigma"),
-        alpha=_float_key(raw, "alpha"),
-        init_scale=_float_key(raw, "init_scale", 1.0),
-        init_distribution=str(raw.get("init_distribution", "normal")),
-        record_every=_int_key(raw, "record_every", 1),
-        grad_tol=_float_key(raw, "grad_tol", 1e-6),
-        alphabet=str(raw.get("alphabet", AMINO_ALPHABET)),
-        normalization=normalization,
-    )
+def load_train_config(path) -> tuple[tuple[str, int | None], CdTrainConfig, str]:
+    """Read a train config through ``_TRAIN_KEYS``: the model's (kind,
+    hidden size), the CdTrainConfig, and the sequences' alphabet."""
+    values = read_yaml_config(path, _TRAIN_KEYS)
+    model = values.pop("model", _model_spec({}))
+    alphabet = values.pop("alphabet", AMINO_ALPHABET)
+    return model, CdTrainConfig(**values), alphabet
 
 
 @dataclass(frozen=True)
@@ -317,7 +344,10 @@ def _ls_lambda(cfg: ExperimentConfig, m: int) -> SimplexWeights:
         return uniform_weights(m)
     if len(cfg.ls_lambda) != m:
         raise ConfigError(f"ls_lambda has {len(cfg.ls_lambda)} entries, problem has m={m}")
-    return SimplexWeights(np.array(cfg.ls_lambda))
+    try:
+        return SimplexWeights(np.array(cfg.ls_lambda))
+    except InvalidSimplexError as exc:
+        raise ConfigError(f"ls_lambda: {exc}") from exc
 
 
 def _check_min_norm_methods(cfg: ExperimentConfig, m: int) -> None:
@@ -496,9 +526,14 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         raise ConfigError("sweeps need steps >= 1 in every grid entry")
     problem = get_problem(cfg.problem, cfg.model_files)
     m = problem.m
-    reference = ReferencePoint(np.array(cfg.reference_point)) if cfg.reference_point else ReferencePoint(np.ones(m))
+    reference = ReferencePoint(np.ones(m) if cfg.reference_point is None else np.array(cfg.reference_point))
     if reference.m != m:
         raise ConfigError(f"reference point has m={reference.m}, problem has m={m}")
+    fixed_nmap = None
+    if cfg.normalization is not None:
+        fixed_nmap = NormalizationMap(np.array(cfg.normalization["min"]), np.array(cfg.normalization["max"]))
+        if fixed_nmap.m != m:
+            raise ConfigError(f"normalization bounds have m={fixed_nmap.m}, problem has m={m}")
     _check_min_norm_methods(cfg, m)
     if METHOD_LS_CEBM in cfg.methods:
         _ls_lambda(cfg, m)  # validate early
@@ -548,16 +583,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
             pooled.append(values)
     if not pooled:
         raise ConfigError("sweep produced no points; every cell failed")
-    pooled_matrix = np.concatenate(pooled, axis=0)
-    if cfg.normalization is None:
+    nmap = fixed_nmap
+    if nmap is None:
+        pooled_matrix = np.concatenate(pooled, axis=0)
         nmap = NormalizationMap(pooled_matrix.min(axis=0), pooled_matrix.max(axis=0))
-    else:
-        nmap = NormalizationMap(
-            np.array(cfg.normalization["min"], dtype=float),
-            np.array(cfg.normalization["max"], dtype=float),
-        )
-        if nmap.m != m:
-            raise ConfigError(f"normalization bounds have m={nmap.m}, problem has m={m}")
 
     norm_doc = {
         "min": [float(v) for v in nmap.mins],

@@ -6,9 +6,21 @@ import numpy as np
 import pytest
 import yaml
 
+from paretoebm import cli
 from paretoebm.cli import main
 from paretoebm.core import DiscreteSequence
 from paretoebm.energy import PwmEnergy, load_model, save_model
+from paretoebm.harness import _TRAIN_KEYS
+
+NAN = float("nan")
+
+# The YAML type of every train key, stated apart from the table so that a key
+# added to the table without a type here fails test_every_key_has_a_type.
+TRAIN_TYPES = {
+    "model": dict, "alphabet": str, "cd_steps": int, "epochs": int, "batch_size": int,
+    "seed": int, "lr": float, "l2": float, "cd_eta": float, "cd_sigma": float,
+}
+REFUSED = {int: [2.5, True], float: [True, NAN], str: [5], dict: []}
 
 
 @pytest.fixture()
@@ -59,6 +71,25 @@ class TestHvCommand:
         code, _, err = run_cli(capsys, "hv", points_file, "--ref", "1.0")
         assert code == 1
         assert "reference" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("ref,entry", [("nan,1", "'nan'"), ("a,1", "'a'"), ("1,inf", "'inf'")])
+    def test_reference_entry_not_a_finite_number(self, capsys, points_file, ref, entry):
+        code, _, err = run_cli(capsys, "hv", points_file, "--ref", ref)
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"] == f"--ref: {entry} is not a finite number"
+
+    @pytest.mark.parametrize("bad", ["nan", "-inf", "x"])
+    def test_point_not_a_finite_number_names_file_and_line(self, capsys, tmp_path, bad):
+        # A NaN row used to be left out of the front without a word.
+        path = tmp_path / "p.txt"
+        path.write_text(f"0.2, 0.8\n0.8, 0.2\n0.2 {bad}\n")
+        code, _, err = run_cli(capsys, "hv", path)
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"] == f"{path}:3: '{bad}' is not a finite number"
 
 
 class TestEdistCommand:
@@ -151,6 +182,47 @@ class TestTrainCommand:
         assert code == 1
         assert "momentum" in json.loads(err)["message"]
 
+    def test_every_key_has_a_type(self):
+        assert set(TRAIN_TYPES) == set(_TRAIN_KEYS)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [(key, value) for key in _TRAIN_KEYS for value in REFUSED[TRAIN_TYPES.get(key, dict)]]
+        + [
+            ("seed", -1),
+            ("model", "mlp"),
+            ("model", {"hiden": 3}),
+            ("model", {"kind": "mlp", "hidden": 2.5}),
+            ("model", {"kind": "mlp", "hidden": 0}),
+            ("model", {"kind": "rbm"}),
+        ],
+    )
+    def test_bad_value_is_a_config_error_before_training(self, capsys, tmp_path, monkeypatch, key, value):
+        # Each used to be truncated (2.5 -> 2, true -> 1), to pass silently,
+        # or to end in a traceback after training had started.
+        monkeypatch.setattr(cli, "cd_train", lambda *args: pytest.fail("training started"))
+        cfg = self._write_train_cfg(tmp_path, **{key: value})
+        code, _, err = run_cli(capsys, "train", self._write_data(tmp_path), cfg, tmp_path / "m.model")
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert key in payload["message"]
+        assert not (tmp_path / "m.model").exists()
+
+    def test_negative_seed_flag_is_a_config_error(self, capsys, tmp_path):
+        cfg = self._write_train_cfg(tmp_path)
+        code, _, err = run_cli(capsys, "train", self._write_data(tmp_path), cfg, tmp_path / "m.model", "--seed", "-1")
+        assert code == 1
+        assert json.loads(err) == {"error": "ConfigError", "message": "seed must be >= 0, got -1"}
+
+    def test_defaults_train_an_mlp(self, capsys, tmp_path):
+        # Every key but the model and the alphabet left at its default.
+        path = tmp_path / "train.yaml"
+        path.write_text(yaml.safe_dump({"config_version": 1, "model": {"kind": "mlp", "hidden": 3}, "alphabet": "ACGT"}))
+        code, out, _ = run_cli(capsys, "train", self._write_data(tmp_path, n=20), path, tmp_path / "m.model")
+        assert code == 0 and out.startswith("trained mlp on 20 sequences")
+        assert load_model(tmp_path / "m.model").H == 3
+
 
 class TestSweepCommand:
     def _write_cfg(self, tmp_path, **over):
@@ -198,6 +270,26 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "cfg.yaml", "--warp"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"normalization": {"min": [True, 0], "max": [1, 1]}},
+            {"normalization": {"min": ["low", 0], "max": [1, 1]}},
+            {"normalization": {"min": [NAN, 0], "max": [1, 1]}},
+            {"normalization": {"min": [0, 0, 0], "max": [1, 1, 1]}},
+            {"reference_point": [NAN, 1.0]},
+            {"reference_point": []},
+            {"output_dir": None},
+        ],
+    )
+    def test_bad_value_is_a_config_error_before_any_chain(self, capsys, tmp_path, over):
+        code, _, err = run_cli(capsys, "sweep", self._write_cfg(tmp_path, **over))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert next(iter(over)) in payload["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_negative_seed_is_a_config_error_before_any_chain(self, capsys, tmp_path, where):

@@ -10,19 +10,37 @@ import pytest
 import yaml
 
 from paretoebm import harness, samplers
-from paretoebm.core import ConfigError, DiscreteSequence, ObjectiveVector, ShapeError, sequence_to_str
-from paretoebm.energy import PwmEnergy, save_model
+from paretoebm.core import AMINO_ALPHABET, ConfigError, DiscreteSequence, ObjectiveVector, ShapeError, sequence_to_str
+from paretoebm.energy import CdTrainConfig, PwmEnergy, save_model
 from paretoebm.harness import (
+    _SWEEP_KEYS,
+    _TRAIN_KEYS,
     ExperimentConfig,
     emit_front,
     improve_seeds,
     load_config,
+    load_train_config,
     run_sweep,
     sweep_cells,
 )
 from paretoebm.metrics import edit_distance
 from paretoebm.moo import MIN_NORM_MAX_M, pareto_filter
 from paretoebm.problems import get_problem
+from paretoebm.samplers import METHODS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The YAML type of every sweep key, stated apart from the table so that a key
+# added to the table without a type here fails test_every_key_has_a_type.
+SWEEP_TYPES = {
+    "problem": str, "methods": str, "noise": str, "output_dir": str, "model_files": str,
+    "training_sequences": str, "init_distribution": str, "alphabet": str,
+    "steps": int, "chains": int, "base_seed": int, "record_every": int,
+    "eta": float, "reference_point": float, "ls_lambda": float, "sigma": float,
+    "alpha": float, "init_scale": float, "grad_tol": float,
+    "normalization": dict,
+}
+REFUSED = {int: [2.5, True], float: [True], str: [5], dict: []}
 
 
 def write_config(path, **overrides):
@@ -195,6 +213,89 @@ class TestLoadConfig:
         cfg = load_config(write_config(tmp_path / "cfg.yaml"))
         with pytest.raises(ConfigError, match="base_seed"):
             dataclasses.replace(cfg, base_seed=-1)
+
+
+class TestSweepKeyTable:
+    def test_every_key_has_a_type(self):
+        assert set(SWEEP_TYPES) == set(_SWEEP_KEYS)
+
+    @pytest.mark.parametrize(
+        "key,value", [(key, value) for key in _SWEEP_KEYS for value in REFUSED[SWEEP_TYPES.get(key, dict)]]
+    )
+    def test_key_refuses_a_value_of_another_type(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=f"config key {key}: expected an? (integer|number|string)"):
+            load_config(write_config(tmp_path / "cfg.yaml", **{key: value}))
+
+    @pytest.mark.parametrize("key", [key for key in _SWEEP_KEYS if SWEEP_TYPES.get(key) is float])
+    def test_float_key_refuses_nan_before_any_chain(self, tmp_path, monkeypatch, key):
+        runs = []
+        monkeypatch.setattr(harness, "run_population", lambda *args, **kwargs: runs.append(args))
+        nan = float("nan")
+        value = {"reference_point": [nan, 1.0], "ls_lambda": [nan, 0.5]}.get(key, nan)
+        with pytest.raises(ConfigError, match=key.replace("_", "[_ ]")):
+            run_sweep(load_config(write_config(tmp_path / "cfg.yaml", methods=list(METHODS), **{key: value})))
+        assert runs == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "normalization,match",
+        [
+            ({"min": [True, 0.0], "max": [1.0, 1.0]}, "config key normalization: expected a number, got True"),
+            ({"min": ["low", 0.0], "max": [1.0, 1.0]}, "config key normalization: could not convert"),
+            ({"min": [float("nan"), 0.0], "max": [1.0, 1.0]}, "normalization needs finite min <= max"),
+            ({"min": [0.0, 2.0], "max": [1.0, 1.0]}, "normalization needs finite min <= max"),
+            ({"min": [0.0], "max": [1.0, 1.0]}, "normalization needs finite min <= max of equal length"),
+            ({"min": [0.0, 0.0]}, "config key normalization: expected 'pooled' or a mapping"),
+            ("fixed", "config key normalization: expected 'pooled' or a mapping"),
+        ],
+    )
+    def test_bad_normalization_refused_at_load(self, tmp_path, normalization, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(write_config(tmp_path / "cfg.yaml", normalization=normalization))
+
+    @pytest.mark.parametrize("value", [[], [float("nan"), 1.0], [1.0, float("inf")]])
+    def test_reference_point_must_be_non_empty_and_finite(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="reference_point must be a non-empty list of finite numbers"):
+            load_config(write_config(tmp_path / "cfg.yaml", reference_point=value))
+
+    @pytest.mark.parametrize("key", ["problem", "methods", "eta", "steps", "output_dir"])
+    def test_key_without_a_default_is_required(self, tmp_path, key):
+        path = write_config(tmp_path / "cfg.yaml")
+        doc = yaml.safe_load(path.read_text())
+        del doc[key]
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError, match=f"missing required config key: {key}$"):
+            load_config(path)
+
+    def test_defaults_are_the_dataclass_defaults(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "cfg.yaml"))
+        bare = ExperimentConfig(
+            problem=cfg.problem, methods=cfg.methods, etas=cfg.etas, steps_grid=cfg.steps_grid,
+            output_dir=cfg.output_dir,
+        )
+        assert dataclasses.replace(bare, chains=4, base_seed=7) == cfg
+        assert (cfg.noise_kinds, cfg.model_files, cfg.normalization) == (("gaussian",), (), None)
+
+
+def _readme_yaml_block(heading: str) -> str:
+    section = README.read_text().split(heading + "\n", 1)[1]
+    return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadmeAgreesWithTables:
+    def test_sweep_block_loads_and_lists_every_key(self, tmp_path):
+        block = _readme_yaml_block("### Sweep config (YAML)")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(block)
+        cfg = load_config(path)
+        assert cfg.problem == "fonseca-fleming" and cfg.output_dir == tmp_path / "out" / "ff_sweep"
+        assert set(yaml.safe_load(block)) == set(_SWEEP_KEYS) | {"config_version"}
+
+    def test_train_block_lists_every_key_at_its_default(self, tmp_path):
+        block = _readme_yaml_block("### Train config (YAML)")
+        assert set(yaml.safe_load(block)) == set(_TRAIN_KEYS) | {"config_version"}
+        path = tmp_path / "train.yaml"
+        path.write_text(block)
+        assert load_train_config(path) == (("pwm", None), CdTrainConfig(), AMINO_ALPHABET)
 
 
 class TestSweepCells:
@@ -380,6 +481,16 @@ class TestRunSweep:
         run_sweep(cfg)
         assert len(built) == len(sweep_cells(cfg)) == 6
         assert [(n, len(ids)) for n, ids in batches] == [(4, 1)] * 6
+
+    def test_wrong_length_normalization_refused_before_any_chain(self, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_population", lambda *args, **kwargs: runs.append(args))
+        cfg = load_config(
+            write_config(tmp_path / "cfg.yaml", normalization={"min": [0.0, 0.0, 0.0], "max": [8.0, 8.0, 8.0]})
+        )
+        with pytest.raises(ConfigError, match="normalization bounds have m=3, problem has m=2"):
+            run_sweep(cfg)
+        assert runs == [] and not (tmp_path / "out").exists()
 
     def test_zero_steps_rejected_for_sweeps(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "cfg.yaml", steps=[0]))
