@@ -98,6 +98,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_hv(args) -> int:
+    if args.mc_samples < 1:
+        raise ConfigError(f"--mc-samples must be >= 1, got {args.mc_samples}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     V = _read_points(args.points)
     m = V.shape[1]
     ref_values = [_finite(v, "--ref") for v in args.ref.split(",")] if args.ref else [1.0] * m
@@ -107,9 +111,7 @@ def _cmd_hv(args) -> int:
     if m <= 3:
         print(f"{hypervolume_exact(V, reference):.12g}")
     else:
-        estimate, stderr = hypervolume_mc(
-            V, reference, args.mc_samples, seed=args.seed or 0
-        )
+        estimate, stderr = hypervolume_mc(V, reference, args.mc_samples, seed=args.seed)
         print(f"{estimate:.12g} {stderr:.12g}")
     return 0
 
@@ -153,14 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("points", help="one objective vector per line")
     p.add_argument("--ref", default=None, help="comma-separated reference point (default all ones)")
     p.add_argument("--mc-samples", type=int, default=1_000_000, help="Monte-Carlo samples for m > 3")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed for m > 3")
     p.set_defaults(func=_cmd_hv)
 
     p = sub.add_parser("edist", help="edit-distance summary of samples against a training set")
     p.add_argument("samples")
     p.add_argument("training")
     p.add_argument("--alphabet", default=AMINO_ALPHABET)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_edist)
     return parser
 
@@ -173,11 +174,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except ParetoEbmError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
-    except OSError as exc:
+    except (ParetoEbmError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

@@ -17,7 +17,6 @@ AMINO_ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 
 RAW = "raw"
 SEQUENCE_LOGITS = "sequence-logits"
-POINT_KINDS = (RAW, SEQUENCE_LOGITS)
 
 NOISE_GAUSSIAN = "gaussian"
 NOISE_UNIFORM = "uniform"
@@ -228,8 +227,8 @@ class SamplerConfig:
     def __post_init__(self):
         if not (self.eta > 0):
             raise ConfigError(f"eta must be positive, got {self.eta}")
-        if not (self.steps >= 1):
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        if not (self.steps >= 0):
+            raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise_kind: {self.noise_kind!r}")
         if not (self.record_every >= 1):
@@ -255,7 +254,8 @@ class Trajectory:
     ``grad_norm[i]``, the norm of the drift direction the method used there
     (the min-norm direction for mgd/pcebm, the (weighted) gradient sum for
     cebm/ls_cebm). The first row is the initial state (step 0) and steps
-    strictly increase.
+    strictly increase. ``termination_step`` is the step a chain stopped at
+    before its last one, or None; ``terminated_early`` is derived from it.
 
     The constructor copies each column into a private read-only array and
     validates it once; non-finite states raise ValueError, so a chain that
@@ -274,7 +274,6 @@ class Trajectory:
     F: np.ndarray
     lam: np.ndarray
     grad_norm: np.ndarray
-    terminated_early: bool = False
     termination_step: int | None = None
 
     def __post_init__(self):
@@ -298,20 +297,17 @@ class Trajectory:
             bad = ~np.all(np.isfinite(column), axis=1)
             if bad.any():
                 raise ValueError(f"{name} must be finite (no NaN/Inf); step {steps[np.argmax(bad)]} is not")
-        if self.terminated_early and self.termination_step is None:
-            raise ValueError("terminated_early requires a termination_step")
         for name, column in (("steps", steps), ("X", X), ("F", F), ("lam", lam), ("grad_norm", grad_norm)):
             column.setflags(write=False)
             object.__setattr__(self, name, column.view())
 
     @classmethod
-    def _view(cls, steps, X, F, lam, grad_norm, terminated_early, termination_step) -> "Trajectory":
+    def _view(cls, steps, X, F, lam, grad_norm, termination_step) -> "Trajectory":
         """A Trajectory over read-only columns that the caller built and
         validated (see the class docstring); nothing is copied or checked."""
         self = object.__new__(cls)
         vars(self).update(
-            steps=steps, X=X, F=F, lam=lam, grad_norm=grad_norm,
-            terminated_early=terminated_early, termination_step=termination_step,
+            steps=steps, X=X, F=F, lam=lam, grad_norm=grad_norm, termination_step=termination_step
         )
         return self
 
@@ -321,6 +317,11 @@ class Trajectory:
     @property
     def m(self) -> int:
         return self.F.shape[1]
+
+    @property
+    def terminated_early(self) -> bool:
+        """Whether the chain stopped before its last step, at ``termination_step``."""
+        return self.termination_step is not None
 
 
 def relax(seq: DiscreteSequence, on_value: float = 1.0, off_value: float = 0.0) -> DesignPoint:

@@ -30,7 +30,6 @@ from .core import (
     NOISE_GAUSSIAN,
     NOISE_KINDS,
     NOISE_NONE,
-    RAW,
     SEQUENCE_LOGITS,
     ConfigError,
     DiscreteSequence,
@@ -326,19 +325,6 @@ def sweep_cells(cfg: ExperimentConfig) -> list[SweepCell]:
     return cells
 
 
-def _problem_init(problem: Problem, cfg: ExperimentConfig) -> RandomInit:
-    if problem.point_kind == SEQUENCE_LOGITS:
-        L, A = problem.sequence_dims()
-        return RandomInit(
-            kind=SEQUENCE_LOGITS, L=L, A=A,
-            distribution=cfg.init_distribution, scale=cfg.init_scale,
-        )
-    return RandomInit(
-        kind=RAW, d=problem.d,
-        distribution=cfg.init_distribution, scale=cfg.init_scale,
-    )
-
-
 def _ls_lambda(cfg: ExperimentConfig, m: int) -> SimplexWeights:
     if cfg.ls_lambda is None:
         return uniform_weights(m)
@@ -522,8 +508,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     Finished cells are skipped on rerun; a fully finished sweep returns
     without touching the bundle.
     """
-    if any(k < 1 for k in cfg.steps_grid):
-        raise ConfigError("sweeps need steps >= 1 in every grid entry")
     problem = get_problem(cfg.problem, cfg.model_files)
     m = problem.m
     reference = ReferencePoint(np.ones(m) if cfg.reference_point is None else np.array(cfg.reference_point))
@@ -550,7 +534,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     configs = [
         _sampler_config(cfg, cell.eta, cell.steps, cell.noise_kind, cfg.record_every) for cell in cells
     ]
-    init = _problem_init(problem, cfg)
+    init = RandomInit(problem.d, cfg.init_distribution, cfg.init_scale)
 
     if report_path.is_file() and all(_cell_complete(cells_dir / c.cell_id) for c in cells):
         logger.info("sweep already complete: %s", out)
@@ -684,9 +668,9 @@ def improve_seeds(
     """Run every configured method from every seed sequence and score the
     decoded results with the given scorer model (lower is better).
 
-    Uses the first eta/steps/noise entry of the config grids; steps = 0 is a
-    no-op chain that reports the seed unchanged. A chain that fails is
-    listed under ``failures`` and left out of the entries and scores.
+    Uses the first eta/steps/noise entry of the config grids; a zero-step
+    chain records its start, so it reports the seed unchanged. A chain that
+    fails is listed under ``failures`` and left out of the entries and scores.
     """
     seeds = list(seeds)
     if not seeds:
@@ -708,57 +692,43 @@ def improve_seeds(
 
     entries: list[dict] = []
     failures: list[dict] = []
-    if steps == 0:
-        for mi, method in enumerate(cfg.methods):
-            for si, seed in enumerate(seeds):
-                entries.append(
-                    {
-                        "seed_index": si,
-                        "method": method,
-                        "before": before[si],
-                        "after": before[si],
-                        "edit_distance": 0,
-                        "sequence": sequence_to_str(seed, cfg.alphabet),
-                    }
-                )
-    else:
-        specs = []
-        pairs = []
-        sampler_seeds = chain_seeds(cfg.base_seed, range(len(cfg.methods) * len(seeds))).tolist()
-        for mi, method in enumerate(cfg.methods):
-            config = _sampler_config(cfg, eta, steps, _noise_grid(cfg, method)[0], max(1, steps))
-            fixed = _ls_lambda(cfg, problem.m) if method == METHOD_LS_CEBM else None
-            for si, seed in enumerate(seeds):
-                specs.append(
-                    ChainSpec(method, config, relax(seed), fixed, sampler_seeds[mi * len(seeds) + si])
-                )
-                pairs.append((mi, si))
-        results = run_population(problem.objectives, specs)
-        finished = []
-        for (mi, si), res in zip(pairs, results):
-            if isinstance(res, ChainFailure):
-                failures.append(
-                    {
-                        "seed_index": si,
-                        "method": cfg.methods[mi],
-                        "error": f"{type(res.error).__name__}: {res.error}",
-                    }
-                )
-                continue
-            finished.append((mi, si, _decode_final(res, problem)))
-        # One bit-vector pass over every (seed, final sequence) pair.
-        edits = edit_distance_matrix(seeds, [final_seq for _, _, final_seq in finished])
-        for f, (mi, si, final_seq) in enumerate(finished):
-            entries.append(
+    specs = []
+    pairs = []
+    sampler_seeds = chain_seeds(cfg.base_seed, range(len(cfg.methods) * len(seeds))).tolist()
+    for mi, method in enumerate(cfg.methods):
+        config = _sampler_config(cfg, eta, steps, _noise_grid(cfg, method)[0], max(1, steps))
+        fixed = _ls_lambda(cfg, problem.m) if method == METHOD_LS_CEBM else None
+        for si, seed in enumerate(seeds):
+            specs.append(
+                ChainSpec(method, config, relax(seed), fixed, sampler_seeds[mi * len(seeds) + si])
+            )
+            pairs.append((mi, si))
+    results = run_population(problem.objectives, specs)
+    finished = []
+    for (mi, si), res in zip(pairs, results):
+        if isinstance(res, ChainFailure):
+            failures.append(
                 {
                     "seed_index": si,
                     "method": cfg.methods[mi],
-                    "before": before[si],
-                    "after": float(scorer.value(relax(final_seq))),
-                    "edit_distance": int(edits[si, f]),
-                    "sequence": sequence_to_str(final_seq, cfg.alphabet),
+                    "error": f"{type(res.error).__name__}: {res.error}",
                 }
             )
+            continue
+        finished.append((mi, si, _decode_final(res, problem)))
+    # One bit-vector pass over every (seed, final sequence) pair.
+    edits = edit_distance_matrix(seeds, [final_seq for _, _, final_seq in finished])
+    for f, (mi, si, final_seq) in enumerate(finished):
+        entries.append(
+            {
+                "seed_index": si,
+                "method": cfg.methods[mi],
+                "before": before[si],
+                "after": float(scorer.value(relax(final_seq))),
+                "edit_distance": int(edits[si, f]),
+                "sequence": sequence_to_str(final_seq, cfg.alphabet),
+            }
+        )
 
     per_method = {}
     for method in cfg.methods:

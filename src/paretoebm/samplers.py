@@ -17,6 +17,7 @@ Noiseless min-norm chains (mgd, and pcebm with alpha = 0 or noise kind
 'none') stop once ||g|| < grad_tol, at a Pareto-stationary point; noisy
 chains always run every step. pcebm with alpha = 0 (or noise 'none') is
 therefore the mgd chain, and their trajectories agree bit for bit.
+A zero-step chain records its start: one record at step 0, no noise drawn.
 ``run_chain`` runs one chain of any method.
 
 The loop runs a batch of chains as one (n, d) state array. ``run_population``
@@ -71,8 +72,6 @@ from .core import (
     NOISE_GAUSSIAN,
     NOISE_NONE,
     NOISE_UNIFORM,
-    RAW,
-    SEQUENCE_LOGITS,
     ConfigError,
     DesignPoint,
     SamplerConfig,
@@ -100,22 +99,23 @@ _NOISE_BLOCK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class RandomInit:
-    """Descriptor for a randomly drawn starting point.
+    """Descriptor for a randomly drawn starting point of ``d`` coordinates.
 
-    ``normal`` draws standard-normal coordinates scaled by ``scale``;
-    ``uniform`` draws from U(-scale, scale) per coordinate. ``scale`` must
-    be finite and non-negative, and for ``uniform`` at most half the
-    largest float, so that the range 2 * scale is finite.
+    A random start has no point kind: d draws are valid raw coordinates and
+    valid sequence logits alike. ``normal`` draws standard-normal
+    coordinates scaled by ``scale``; ``uniform`` draws from U(-scale, scale)
+    per coordinate. ``scale`` must be finite and non-negative, and for
+    ``uniform`` at most half the largest float, so that the range 2 * scale
+    is finite.
     """
 
-    kind: str = RAW
-    d: int | None = None
-    L: int | None = None
-    A: int | None = None
+    d: int
     distribution: str = "normal"
     scale: float = 1.0
 
     def __post_init__(self):
+        if not (self.d >= 1):
+            raise ShapeError(f"random init needs a positive dimension d, got {self.d}")
         if self.distribution not in ("normal", "uniform"):
             raise ConfigError(f"unknown init distribution: {self.distribution!r}")
         if not (0 <= self.scale < math.inf):
@@ -123,26 +123,13 @@ class RandomInit:
         if self.distribution == "uniform" and self.scale > _MAX_UNIFORM_SCALE:
             # numpy refuses a range high - low that overflows.
             raise ConfigError(f"uniform init scale must be <= {_MAX_UNIFORM_SCALE}, got {self.scale}")
-        if self.kind == RAW:
-            if self.d is None or self.d < 1:
-                raise ShapeError("raw random init needs a positive dimension d")
-        elif self.kind == SEQUENCE_LOGITS:
-            if self.L is None or self.A is None or self.L < 1 or self.A < 1:
-                raise ShapeError("sequence random init needs positive L and A")
-        else:
-            raise ConfigError(f"unknown point kind: {self.kind!r}")
-
-    @property
-    def dim(self) -> int:
-        """Length of a drawn coordinate vector."""
-        return self.d if self.kind == RAW else self.L * self.A
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one start's coordinates; they are not checked for finiteness.
         The batch kernel draws under ``np.errstate(over="ignore")``."""
         if self.distribution == "normal":
-            return self.scale * rng.standard_normal(self.dim)
-        return rng.uniform(-self.scale, self.scale, self.dim)
+            return self.scale * rng.standard_normal(self.d)
+        return rng.uniform(-self.scale, self.scale, self.d)
 
 
 @dataclass(frozen=True)
@@ -323,15 +310,6 @@ def _generators(seeds: Sequence[int]) -> list[np.random.Generator]:
     return [Generator(PCG64(_Words(state))) for state in states]
 
 
-def _check_start(objectives: ObjectiveSet, d: int, kind: str) -> None:
-    if d != objectives.d:
-        raise ShapeError(f"init point has d={d}, objectives expect d={objectives.d}")
-    if kind != objectives.point_kind:
-        raise WrongKindError(
-            f"init point kind {kind!r} does not match objectives ({objectives.point_kind!r})"
-        )
-
-
 def _fill_block(block: np.ndarray, rngs: Sequence[np.random.Generator], noise_kind: str) -> None:
     """Fill ``block[j]`` of the (n, k, d) ``block`` in place with the next k
     steps of chain j's unit-variance noise, the draws of one ``(k, d)`` call."""
@@ -411,7 +389,6 @@ def _run_batch(
 
     results: list[Trajectory | Exception | None] = [None] * len(specs)
     rngs, starts, started = [], [], []
-    fitting: set[RandomInit] = set()  # random inits whose shape and kind are checked
     generators = _generators([chain.seed for chain in specs])
     # A scale that overflows a drawn start gives infinities, which fail that
     # chain below; one errstate for the batch, not one per draw.
@@ -419,14 +396,16 @@ def _run_batch(
         for index, (chain, rng) in enumerate(zip(specs, generators)):
             init = chain.init
             try:
+                if init.d != objectives.d:
+                    raise ShapeError(f"init point has d={init.d}, objectives expect d={objectives.d}")
                 if isinstance(init, RandomInit):
                     coords = init.draw(rng)
-                    if init not in fitting:
-                        _check_start(objectives, init.dim, init.kind)
-                        fitting.add(init)
                 else:
+                    if init.kind != objectives.point_kind:
+                        raise WrongKindError(
+                            f"init point kind {init.kind!r} does not match objectives ({objectives.point_kind!r})"
+                        )
                     coords = init.coords
-                    _check_start(objectives, init.d, init.kind)
             except Exception as exc:  # noqa: BLE001 - a bad start fails only its own chain
                 results[index] = exc
                 continue
@@ -556,9 +535,7 @@ def _run_batch(
         steps.setflags(write=False)
         results[index] = Trajectory._view(
             steps[:], X_rec[pos] if final_x_only else X_rec[pos, :end], F_rec[pos, :end],
-            lam_rec[pos, :end], norm_rec[pos, :end],
-            terminated_early=stopped_at is not None,
-            termination_step=stopped_at,
+            lam_rec[pos, :end], norm_rec[pos, :end], stopped_at,
         )
     return results
 

@@ -91,6 +91,27 @@ class TestHvCommand:
         assert payload["error"] == "ConfigError"
         assert payload["message"] == f"{path}:3: '{bad}' is not a finite number"
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--mc-samples", "0", "--mc-samples must be >= 1, got 0"),
+            ("--mc-samples", "-5", "--mc-samples must be >= 1, got -5"),
+            ("--seed", "-1", "--seed must be >= 0, got -1"),
+        ],
+        ids=["zero-samples", "negative-samples", "negative-seed"],
+    )
+    def test_bad_monte_carlo_settings_refused(self, capsys, tmp_path, monkeypatch, flag, value, message):
+        # Refused before hypervolume_mc, whose ValueError would print a traceback, not JSON.
+        def never(*args, **kwargs):
+            raise AssertionError("hypervolume_mc ran")
+
+        monkeypatch.setattr(cli, "hypervolume_mc", never)
+        path = tmp_path / "p.txt"
+        path.write_text("0.5 0.5 0.5 0.5\n")
+        code, out, err = run_cli(capsys, "hv", path, flag, value)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ConfigError", "message": message}
+
 
 class TestEdistCommand:
     def test_identical_files(self, capsys, tmp_path):
@@ -115,6 +136,14 @@ class TestEdistCommand:
         code, _, err = run_cli(capsys, "edist", a, a)
         assert code == 1
         assert "a.txt:1" in json.loads(err)["message"]
+
+    def test_has_no_seed_flag(self, capsys, tmp_path):
+        a = tmp_path / "a.txt"
+        a.write_text("ACDY\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["edist", str(a), str(a), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestTrainCommand:

@@ -162,11 +162,14 @@ class TestSamplerConfig:
         cfg = SamplerConfig(eta=0.04, steps=10, sigma=0.5, alpha=0.0)
         assert cfg.sigma == 0.5 and cfg.alpha == 0.0
 
+    def test_zero_steps_accepted(self):
+        assert SamplerConfig(eta=0.1, steps=0).steps == 0
+
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(eta=0.0, steps=1),
-            dict(eta=0.1, steps=0),
+            dict(eta=0.1, steps=-1),
             dict(eta=0.1, steps=1, sigma=-1.0),
             dict(eta=0.1, steps=1, alpha=-0.1),
             dict(eta=0.1, steps=1, noise_kind="pink"),
@@ -208,6 +211,14 @@ class TestTrajectory:
     def test_objective_lengths_consistent(self):
         with pytest.raises(ShapeError):
             _trajectory([0, 1], [[0.0], [0.0]], [[1.0, 2.0], [1.0, 2.0]], [[1.0], [1.0]])
+
+    def test_terminated_early_follows_termination_step(self):
+        cols = ([0, 2], [[0.0], [1.0]], [[1.0, 2.0], [0.5, 1.0]], [[0.5, 0.5], [1.0, 0.0]], np.ones(2))
+        stopped = Trajectory(*cols, termination_step=2)
+        assert stopped.terminated_early and stopped.termination_step == 2
+        assert not Trajectory(*cols).terminated_early
+        with pytest.raises(AttributeError):
+            stopped.terminated_early = False
 
     def test_matrices(self):
         t = _trajectory([0, 3], [[0.0], [1.0]], [[1.0, 2.0], [0.5, 1.0]], [[0.5, 0.5], [1.0, 0.0]])

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import gc
 import json
@@ -492,10 +493,16 @@ class TestRunSweep:
             run_sweep(cfg)
         assert runs == [] and not (tmp_path / "out").exists()
 
-    def test_zero_steps_rejected_for_sweeps(self, tmp_path):
-        cfg = load_config(write_config(tmp_path / "cfg.yaml", steps=[0]))
-        with pytest.raises(ConfigError):
-            run_sweep(cfg)
+    def test_zero_step_sweep_writes_every_cell(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "cfg.yaml", methods=list(METHODS), steps=[0]))
+        report = run_sweep(cfg).report
+        cells = sweep_cells(cfg)
+        assert [c["cell_id"] for c in report["cells"]] == [c.cell_id for c in cells]
+        assert report["failures"] == []
+        for cell in cells:
+            with open(tmp_path / "out" / "cells" / cell.cell_id / "trajectories.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [(int(r["chain_id"]), int(r["step"])) for r in rows] == [(i, 0) for i in range(cfg.chains)]
 
     def test_fixed_normalization_bounds(self, tmp_path):
         cfg = load_config(

@@ -18,7 +18,7 @@ from paretoebm.core import (
     WrongKindError,
     uniform_weights,
 )
-from paretoebm.energy import EnergyModel, MlpEnergy, ObjectiveSet, ShiftedQuadratic
+from paretoebm.energy import EnergyModel, MlpEnergy, ObjectiveSet, PwmEnergy, ShiftedQuadratic
 from paretoebm.moo import pareto_filter
 from paretoebm.problems import get_problem
 from paretoebm.samplers import (
@@ -791,14 +791,15 @@ class InfiniteDraw(RandomInit):
     overflow to (an infinite scale is refused when the init is built)."""
 
     def draw(self, rng):
-        return np.full(self.dim, np.inf)
+        return np.full(self.d, np.inf)
 
 
 class TestStarts:
     def test_bad_starts_fail_only_their_own_chains(self):
         objectives = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
-        wrong_kind = RandomInit(kind=SEQUENCE_LOGITS, L=1, A=2)
+        # A random start has no kind; a DesignPoint start keeps its kind check.
+        wrong_kind = DesignPoint([0.5, 0.5], kind=SEQUENCE_LOGITS, L=1, A=2)
         specs = [
             ChainSpec("cebm", cfg, RandomInit(d=2)),
             ChainSpec("cebm", cfg, InfiniteDraw(d=2)),
@@ -844,6 +845,48 @@ class TestStarts:
         spec = ChainSpec("cebm", cfg, RandomInit(d=2, scale=big / 2, distribution="uniform"), seed=3)
         (result,) = run_population(opposing_quadratics(), [spec])
         assert isinstance(result, ChainFailure) and isinstance(result.error, ValueError)
+
+
+class TestZeroSteps:
+    @pytest.mark.parametrize("method", ["mgd", "cebm", "ls_cebm", "pcebm"])
+    def test_zero_step_chain_records_its_start(self, method):
+        objectives = opposing_quadratics()
+        cfg = SamplerConfig(eta=0.1, steps=0, noise_kind="none" if method == "mgd" else "gaussian")
+        fixed = SimplexWeights([0.25, 0.75]) if method == "ls_cebm" else None
+        start = DesignPoint([0.3, -0.4])
+        traj = run_chain(objectives, ChainSpec(method, cfg, start, fixed, seed=5))
+        assert traj.steps.tolist() == [0]
+        assert np.array_equal(traj.X, [start.coords])
+        values, _ = objectives.eval_batch(start.coords[None])
+        assert np.array_equal(traj.F, values)
+        assert traj.termination_step is None and not traj.terminated_early
+
+    def test_zero_step_population_matches_solo_chains_and_draws_no_noise(self, monkeypatch):
+        def no_noise(*args):
+            raise AssertionError("a zero-step chain drew noise")
+
+        monkeypatch.setattr(samplers, "_fill_block", no_noise)
+        objectives = opposing_quadratics()
+        cfg = SamplerConfig(eta=0.1, steps=0)
+        specs = [ChainSpec("pcebm", cfg, RandomInit(d=2, scale=1.0 + i), seed=chain_seed(9, i)) for i in range(3)]
+        specs.append(ChainSpec("pcebm", cfg, DesignPoint([0.1, 0.2]), seed=1))
+        batch = run_population(objectives, specs)
+        for spec, result in zip(specs, batch, strict=True):
+            assert_same_chain(result, run_chain(objectives, spec))
+            assert len(result) == 1
+        for i, result in enumerate(batch[:3]):
+            start = (1.0 + i) * np.random.default_rng(chain_seed(9, i)).standard_normal(2)
+            assert np.array_equal(result.X[0], start)
+
+    def test_random_start_runs_on_sequence_objectives(self):
+        L, A = 3, 4
+        rng = np.random.default_rng(2)
+        objectives = ObjectiveSet([PwmEnergy(rng.normal(size=(L, A))) for _ in range(2)])
+        assert objectives.point_kind == SEQUENCE_LOGITS
+        cfg = SamplerConfig(eta=0.05, steps=5, sigma=0.1)
+        traj = run_chain(objectives, ChainSpec("cebm", cfg, RandomInit(d=L * A), seed=4))
+        assert traj.X.shape == (6, L * A)
+        assert np.array_equal(traj.X[0], np.random.default_rng(4).standard_normal(L * A))
 
 
 def csv_oracle(path, trajectories, objective_names=None, chain_ids=None):
