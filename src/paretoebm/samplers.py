@@ -33,8 +33,9 @@ batch of rows (``EnergyModel._batch_value_and_gradient``); a lone point is
 a batch of one. Its elementwise math uses numpy ufuncs, which round each
 element the same way at any array length. The MLP energies' matrix products run in fixed-shape
 tiles (energy._tiled_matmul), which round each row alike whatever its
-siblings hold. The stacked linear solves of the min-norm drift factor
-each row's matrix alone. Per-chain masks take a chain out of the batch
+siblings hold. The min-norm drift takes each row's inner products with
+row-wise dot products, and its stacked linear solves factor each row's
+small matrix alone. Per-chain masks take a chain out of the batch
 when it stops early (noiseless min-norm chains stop at a Pareto-stationary
 point) or when its gradients turn non-finite, which fails that chain alone; the
 gradients get one finiteness reduction per step, and the per-chain mask is

@@ -8,7 +8,6 @@ from paretoebm.core import SIMPLEX_TOL, ConfigError, DesignPoint, ObjectiveVecto
 from paretoebm.energy import ObjectiveSet, ShiftedQuadratic
 from paretoebm.moo import (
     MIN_NORM_MAX_M,
-    _min_norm_enumerated_weights,
     dominates,
     min_norm_closed_form,
     pareto_filter,
@@ -248,16 +247,13 @@ def random_bundle(rng, m, d):
 
 
 class TestMinNorm3:
-    def test_matches_brute_force_and_the_enumeration(self):
+    def test_matches_brute_force(self):
         rng = np.random.default_rng(40)
         for _ in range(300):
             grads = random_bundle(rng, 3, int(rng.integers(1, 9)))
             res = solve_min_norm(grads)
-            scale = float(np.abs(grads).max())
             assert res.converged and res.iterations == 0
-            assert abs(res.norm - brute_min_norm(grads)) <= 1e-14 * scale
-            enumerated = _min_norm_enumerated_weights(grads[None])[0] @ grads
-            assert abs(res.norm - float(np.linalg.norm(enumerated))) <= 1e-14 * scale
+            assert abs(res.norm - brute_min_norm(grads)) <= 1e-14 * float(np.abs(grads).max())
 
     def test_descent_property(self):
         # At the exact min-norm point d: <d, g_i> >= ||d||^2 for every i,
@@ -320,8 +316,10 @@ class TestMinNormEnumerated:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(44)
-        for _ in range(300):
-            grads = random_bundle(rng, int(rng.integers(4, 7)), int(rng.integers(1, 9)))
+        bundles = [random_bundle(rng, int(rng.integers(4, 7)), int(rng.integers(1, 9))) for _ in range(300)]
+        # Up to MIN_NORM_MAX_M, which a sweep admits: five bundles each of 7 and 8 gradients.
+        bundles += [random_bundle(rng, m, int(rng.integers(1, 9))) for m in (7, 8) for _ in range(5)]
+        for grads in bundles:
             res = solve_min_norm(grads)
             assert res.converged and res.iterations == 0
             assert abs(res.norm - brute_min_norm(grads)) <= 1e-14 * float(np.abs(grads).max())
@@ -339,7 +337,7 @@ class TestMinNormEnumerated:
 
     def test_coincident_gradients(self):
         res = solve_min_norm(np.tile([3.0, 4.0], (5, 1)))
-        assert np.array_equal(res.lam, [1.0, 0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(res.lam, [0.5, 0.5, 0.0, 0.0, 0.0])
         assert np.array_equal(res.direction, [3.0, 4.0]) and res.norm == 5.0
 
     def test_coincident_rows_among_others(self):
@@ -400,6 +398,23 @@ class TestMinNormEnumerated:
         with pytest.raises(ConfigError, match=message):
             min_norm_closed_form(grads[None])
         assert solve_min_norm(grads[:MIN_NORM_MAX_M]).lam.shape == (MIN_NORM_MAX_M,)
+
+
+class TestMinNormNearCoincident:
+    @pytest.mark.parametrize("spread", [1e-6, 1e-9])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_brute_force(self, m, spread):
+        # g_j = g_1 (1 + spread * noise). From the gradients' own Gram matrix,
+        # ||g_i - g_j||^2 = G_ii - 2 G_ij + G_jj cancels at spread 1e-9, and
+        # such a solve's norms are off by about 1e-9 of the largest entry.
+        rng = np.random.default_rng(47 + m)
+        for _ in range(40):
+            d = int(rng.integers(1, 9))
+            g1 = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+            grads = g1 * (1.0 + spread * rng.standard_normal((m, d)))
+            grads[0] = g1
+            res = solve_min_norm(grads)
+            assert abs(res.norm - brute_min_norm(grads)) <= 1e-14 * float(np.abs(grads).max())
 
 
 class TestMgdDirection:
