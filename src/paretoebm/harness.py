@@ -3,10 +3,11 @@
 A sweep runs a grid of (method, eta, steps, noise) cells, each with a fixed
 number of independently seeded chains, then normalizes all final points with
 one pooled min-max map and reports hypervolume (and edit-distance statistics
-for sequence problems) per cell. Cells already on disk are skipped, writes
-are staged and atomically renamed, and the whole bundle is a deterministic
-function of the config, so fresh runs and resumed runs produce
-byte-identical output.
+for sequence problems) per cell. Cells already on disk are skipped, the
+others run on one process per CPU, writes are staged and atomically renamed,
+and the whole bundle is a deterministic function of the config, so fresh
+runs, resumed runs and runs on any number of CPUs produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import os
 import shutil
 from dataclasses import MISSING, dataclass, fields
 from itertools import combinations
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Sequence
+from time import perf_counter
+from typing import Callable, Sequence
 
 import numpy as np
 import yaml
@@ -34,6 +37,7 @@ from .core import (
     ConfigError,
     DiscreteSequence,
     InvalidSimplexError,
+    ParetoEbmError,
     SamplerConfig,
     ShapeError,
     SimplexWeights,
@@ -452,6 +456,7 @@ def _run_cell(
     """Run one cell's chains and write its directory; returns a failure
     record if the cell could not run. The chains' trajectories are released
     when it returns, before the next cell starts."""
+    start = perf_counter()
     m = problem.m
     is_sequence = problem.point_kind == SEQUENCE_LOGITS
     try:
@@ -494,10 +499,105 @@ def _run_cell(
         # A directory without both result files is a leftover partial write.
         shutil.rmtree(cell_dir)
     tmp_dir.rename(cell_dir)
+    wall = perf_counter() - start
+    chain_steps = sum(int(t.steps[-1]) for t in trajectories)
     logger.info(
-        "cell %s: %d/%d chains ok", cell.cell_id, len(trajectories), cfg.chains
+        "cell %s: %d/%d chains ok, %.3f s, %.0f chain-steps/s, pid %d",
+        cell.cell_id, len(trajectories), cfg.chains, wall, chain_steps / wall, os.getpid(),
     )
     return None
+
+
+def _cpu_count() -> int:
+    """The processes a sweep may run its cells on: one per CPU in this
+    process's affinity mask (``os.cpu_count()`` where the platform has no
+    mask), or one where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_cells(cells: list[SweepCell], count: int) -> list[list[SweepCell]]:
+    """Deal ``cells`` into ``count`` shares, longest processing time first.
+
+    A cell costs chains x (steps + 1), and every cell of a sweep has the
+    same chains, so the cells go out by steps, most first and ties by cell
+    index, each to the share with the least cost so far (the first such
+    share on a tie). Each share lists its cells in cell order."""
+    shares: list[list[SweepCell]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for cell in sorted(cells, key=lambda c: (-c.steps, c.index)):
+        k = loads.index(min(loads))
+        shares[k].append(cell)
+        loads[k] += cell.steps + 1
+    return [sorted(share, key=attrgetter("index")) for share in shares]
+
+
+def _run_share(run_cell: Callable, share: list[SweepCell]) -> list[tuple[int, dict]]:
+    """Run a share's cells in cell order; returns (cell index, failure record) pairs."""
+    return [(cell.index, failure) for cell in share if (failure := run_cell(cell)) is not None]
+
+
+def _share_worker(send, run_cell: Callable, share: list[SweepCell]) -> None:
+    send.send(_run_share(run_cell, share))
+    send.close()
+
+
+def _run_cells(run_cell: Callable, pending: list[SweepCell], cells_dir: Path) -> list[dict]:
+    """Run the pending cells on one process per CPU (``_cpu_count``), at
+    most one per cell, and return their failure records in cell order.
+
+    The cells are split once, by ``_split_cells``, so every sweep of a grid
+    runs the same cells in this process: share 0. Each other share runs in a
+    worker forked from this process, which inherits the problem and writes
+    its cells' directories itself; only its failure records come back. A
+    worker that dies before it reports is a ParetoEbmError naming the cells
+    it left unwritten; the cells that were written stay, so a rerun resumes.
+    No worker outlives this call.
+    """
+    shares = _split_cells(pending, min(len(pending), _cpu_count()))
+    if len(shares) < 2:
+        records = _run_share(run_cell, pending)
+    else:
+        import multiprocessing  # only a sweep that forks pays for the import
+
+        context = multiprocessing.get_context("fork")
+        workers = []
+        dead = []
+        try:
+            for share in shares[1:]:
+                receive, send = context.Pipe(duplex=False)
+                worker = context.Process(target=_share_worker, args=(send, run_cell, share))
+                worker.start()
+                # Closed before the next fork, so a worker's exit is its pipe's end of file.
+                send.close()
+                workers.append((worker, receive, share))
+            records = _run_share(run_cell, shares[0])
+            for worker, receive, share in workers:
+                try:
+                    records += receive.recv()
+                except EOFError:
+                    dead.append((worker, share))
+                worker.join()
+        finally:
+            for worker, receive, _ in workers:
+                if worker.is_alive():
+                    worker.terminate()
+                    worker.join()
+                receive.close()
+        if dead:
+            unwritten = [
+                cell.cell_id for _, share in dead for cell in share
+                if not _cell_complete(cells_dir / cell.cell_id)
+            ]
+            exits = ", ".join(f"pid {w.pid} exit code {w.exitcode}" for w, _ in dead)
+            raise ParetoEbmError(
+                f"sweep worker died before it reported ({exits}); cells left unwritten: "
+                f"{', '.join(unwritten) or 'none'}. Finished cells stay on disk, so a rerun resumes."
+            )
+    return [failure for _, failure in sorted(records, key=itemgetter(0))]
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -506,7 +606,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     Layout: <output_dir>/report.json, <output_dir>/fronts.csv, and per cell
     <output_dir>/cells/<cell_id>/{trajectories.csv,final_points.csv,front.csv}.
     Finished cells are skipped on rerun; a fully finished sweep returns
-    without touching the bundle.
+    without touching the bundle. The other cells run on one process per CPU
+    in the affinity mask (see ``_run_cells``); the bundle is the same at any
+    count.
     """
     problem = get_problem(cfg.problem, cfg.model_files)
     m = problem.m
@@ -541,15 +643,15 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         return SweepResult(out, report_path, json.loads(report_path.read_text()))
 
     cells_dir.mkdir(parents=True, exist_ok=True)
-    cell_failures: list[dict] = []
-
-    for cell, config in zip(cells, configs):
+    pending = []
+    for cell in cells:
         if _cell_complete(cells_dir / cell.cell_id):
             logger.info("cell %s already on disk, skipping", cell.cell_id)
-            continue
-        failure = _run_cell(cfg, problem, cell, config, init, cells_dir)
-        if failure is not None:
-            cell_failures.append(failure)
+        else:
+            pending.append(cell)
+    cell_failures = _run_cells(
+        lambda cell: _run_cell(cfg, problem, cell, configs[cell.index], init, cells_dir), pending, cells_dir
+    )
 
     # Aggregation: single-threaded, pooled normalization over every final
     # point the sweep produced so cross-method comparisons share one scale.

@@ -3,6 +3,9 @@ import dataclasses
 import gc
 import json
 import logging
+import multiprocessing
+import os
+import re
 import weakref
 from pathlib import Path
 
@@ -11,12 +14,21 @@ import pytest
 import yaml
 
 from paretoebm import harness, samplers
-from paretoebm.core import AMINO_ALPHABET, ConfigError, DiscreteSequence, ObjectiveVector, ShapeError, sequence_to_str
+from paretoebm.core import (
+    AMINO_ALPHABET,
+    ConfigError,
+    DiscreteSequence,
+    ObjectiveVector,
+    ParetoEbmError,
+    ShapeError,
+    sequence_to_str,
+)
 from paretoebm.energy import CdTrainConfig, PwmEnergy, save_model
 from paretoebm.harness import (
     _SWEEP_KEYS,
     _TRAIN_KEYS,
     ExperimentConfig,
+    SweepCell,
     emit_front,
     improve_seeds,
     load_config,
@@ -364,6 +376,8 @@ class TestRunSweep:
             previous[:] = [weakref.ref(r) for r in results]
             return results
 
+        # The spy sees the cells of this process alone, so every cell runs here.
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
         monkeypatch.setattr(harness, "run_population", tracking)
         run_sweep(load_config(write_config(tmp_path / "cfg.yaml", methods=["cebm", "pcebm", "mgd"])))
         # The 4 chains of each of the first two cells, looked up as the next cell starts.
@@ -476,6 +490,8 @@ class TestRunSweep:
             batches.append((len(specs), {id(spec.config) for spec in specs}))
             return samplers.run_population(objectives, specs, final_x_only=final_x_only)
 
+        # The spies see the cells of this process alone, so every cell runs here.
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
         monkeypatch.setattr(harness, "SamplerConfig", counting)
         monkeypatch.setattr(harness, "run_population", tracking)
         cfg = load_config(write_config(tmp_path / "cfg.yaml", methods=["mgd", "cebm", "pcebm"], eta=[0.1, 0.2]))
@@ -575,6 +591,125 @@ class TestRunSweep:
         assert cell["edist_mean"] is not None and cell["edist_std"] is not None
         finals = (tmp_path / "out" / "cells" / report["cells"][0]["cell_id"] / "final_points.csv").read_text()
         assert "sequence" in finals.splitlines()[0]
+
+
+def small_sweep(tmp_path, problem):
+    """Eight cells of equal cost, so two processes run cells 0, 2, 4, 6 and 1, 3, 5, 7."""
+    extra = {}
+    if problem == "sequence-energies":
+        (tmp_path / "train.txt").write_text("ACGTAC\nGGGGGG\n")
+        extra = dict(
+            model_files=save_pwm_models(tmp_path, 3, L=6, A=4), training_sequences="train.txt", alphabet="ACGT"
+        )
+    return load_config(
+        write_config(
+            tmp_path / "cfg.yaml", problem=problem, methods=list(METHODS), eta=[0.01, 0.1], steps=[10],
+            chains=3, **extra,
+        )
+    )
+
+
+class TestCellProcesses:
+    def test_split_is_longest_processing_time_first(self):
+        def split(steps, count):
+            cells = [SweepCell(i, "cebm", 0.1, k, "gaussian") for i, k in enumerate(steps)]
+            return [[cell.index for cell in share] for share in harness._split_cells(cells, count)]
+
+        # By steps, most first: cell 1 (8) to share 0, cells 2 and 3 (4 each)
+        # to share 1, cell 0 (2) to share 0, cell 4 (1) to the tie's first share.
+        assert split([2, 8, 4, 4, 1], 2) == [[0, 1], [2, 3, 4]]
+        assert split([5, 5, 5, 5], 2) == [[0, 2], [1, 3]]
+        assert split([3, 3], 1) == [[0, 1]]
+        assert split([], 0) == []
+
+    def test_cpu_count_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert harness._cpu_count() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert harness._cpu_count() == 6
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert harness._cpu_count() == 1
+
+    @pytest.mark.parametrize("problem", ["fonseca-fleming", "sequence-energies"])
+    def test_one_and_two_processes_give_identical_bundles(self, tmp_path, monkeypatch, problem):
+        cfg = small_sweep(tmp_path, problem)
+        cells = sweep_cells(cfg)
+        # Cell 4 runs in this process, cells 3 and 5 in the worker.
+        failing = {cells[i].cell_id for i in (3, 4, 5)}
+        ran = tmp_path / "ran.txt"
+
+        def population(objectives, specs, *, final_x_only=False):
+            spec, config = specs[0], specs[0].config
+            cell_id = f"{spec.method}_eta{config.eta:g}_k{config.steps}_{config.noise_kind}"
+            with open(ran, "a") as fh:
+                fh.write(f"{os.getpid()} {cell_id}\n")
+            if cell_id in failing:
+                raise RuntimeError(f"injected failure in {cell_id}")
+            return samplers.run_population(objectives, specs, final_x_only=final_x_only)
+
+        monkeypatch.setattr(harness, "run_population", population)
+        bundles, pids = [], []
+        for count in (1, 2):
+            monkeypatch.setattr(harness, "_cpu_count", lambda: count)
+            ran.write_text("")
+            out = tmp_path / f"out{count}"
+            report = run_sweep(dataclasses.replace(cfg, output_dir=out)).report
+            assert report["failures"] == [
+                {"cell_id": cells[i].cell_id, "error": f"RuntimeError: injected failure in {cells[i].cell_id}"}
+                for i in (3, 4, 5)
+            ]
+            assert multiprocessing.active_children() == []
+            bundles.append(snapshot(out))
+            pids.append(dict(reversed(line.split()) for line in ran.read_text().splitlines()))
+        assert bundles[0] == bundles[1]
+        assert set(pids[0].values()) == {str(os.getpid())}
+        assert [c.cell_id for c in cells if pids[1][c.cell_id] == str(os.getpid())] == [
+            cells[i].cell_id for i in (0, 2, 4, 6)
+        ]
+        assert len(set(pids[1].values())) == 2
+
+    def test_dead_worker_names_its_unwritten_cells_and_a_rerun_resumes(self, tmp_path, monkeypatch):
+        cfg = load_config(
+            write_config(tmp_path / "cfg.yaml", problem="fonseca-fleming", methods=list(METHODS), steps=[10], chains=2)
+        )
+        cells = sweep_cells(cfg)
+        cells_dir = cfg.output_dir / "cells"
+        parent, real_write = os.getpid(), harness.write_trajectories
+
+        def write_then_die(path, *args, **kwargs):
+            real_write(path, *args, **kwargs)
+            # The worker runs cells 1 and 3; it dies while staging cell 3.
+            if os.getpid() != parent and path.parent.name == f".tmp-{cells[3].cell_id}":
+                os._exit(3)
+
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "write_trajectories", write_then_die)
+        unwritten = re.escape(cells[3].cell_id)
+        with pytest.raises(ParetoEbmError, match=rf"exit code 3\); cells left unwritten: {unwritten}\. "):
+            run_sweep(cfg)
+        assert multiprocessing.active_children() == []
+        assert [c.cell_id for c in cells if (cells_dir / c.cell_id).exists()] == [c.cell_id for c in cells[:3]]
+        assert (cells_dir / f".tmp-{cells[3].cell_id}" / "trajectories.csv").is_file()
+        assert not (cfg.output_dir / "report.json").exists()
+
+        monkeypatch.setattr(harness, "write_trajectories", real_write)
+        run_sweep(cfg)
+        clean = dataclasses.replace(cfg, output_dir=tmp_path / "clean")
+        run_sweep(clean)
+        assert snapshot(cfg.output_dir) == snapshot(clean.output_dir)
+
+    def test_cell_log_line_has_wall_time_throughput_and_pid(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+        cfg = load_config(write_config(tmp_path / "cfg.yaml", methods=["cebm", "pcebm"]))
+        with caplog.at_level(logging.INFO, logger="paretoebm.harness"):
+            report_text = run_sweep(cfg).report_path.read_text()
+        line = re.compile(r"cell (\S+): 4/4 chains ok, \d+\.\d{3} s, (\d+) chain-steps/s, pid (\d+)")
+        logged = [line.fullmatch(r.getMessage()) for r in caplog.records if r.getMessage().startswith("cell ")]
+        assert [m.group(1) for m in logged] == [c.cell_id for c in sweep_cells(cfg)]
+        assert all(int(m.group(2)) > 0 and int(m.group(3)) == os.getpid() for m in logged)
+        # The timings go to the log alone; report.json stays deterministic.
+        assert "pid" not in report_text and "chain-steps" not in report_text
 
 
 class TestEmitFront:
