@@ -4,10 +4,15 @@ A sweep runs a grid of (method, eta, steps, noise) cells, each with a fixed
 number of independently seeded chains, then normalizes all final points with
 one pooled min-max map and reports hypervolume (and edit-distance statistics
 for sequence problems) per cell. Cells already on disk are skipped, the
-others run on one process per CPU, writes are staged and atomically renamed,
-and the whole bundle is a deterministic function of the config, so fresh
-runs, resumed runs and runs on any number of CPUs produce byte-identical
-output.
+others run on one process per CPU and hand back the final points they wrote,
+writes are staged and atomically renamed, and the whole bundle is a
+deterministic function of the config, so fresh runs, resumed runs and runs
+on any number of CPUs produce byte-identical output. The aggregation runs on
+the same processes: the sweep's own process fits the pooled normalization
+and non-dominated flags, each process writes its cells' fronts and computes
+their hypervolumes and edit distances, and the sweep's process writes
+``fronts.csv`` and ``report.json``. Memory stays at about one cell's chains
+per process.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import os
 import shutil
 from dataclasses import MISSING, dataclass, fields
 from itertools import combinations
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Sequence
@@ -379,18 +384,18 @@ def _write_final_points(path, rows, m: int, with_sequence: bool) -> None:
             writer.writerow(row)
 
 
-def _read_final_points(path, with_sequence: bool):
-    chain_ids, values, sequences = [], [], []
+def _read_final_points(path, with_sequence: bool) -> tuple[np.ndarray, list[str]]:
+    """A cell's final objective values and decoded sequences, as written."""
+    values, sequences = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         n_obj = len(header) - 1 - (1 if with_sequence else 0)
         for row in reader:
-            chain_ids.append(int(row[0]))
             values.append([float(v) for v in row[1 : 1 + n_obj]])
             if with_sequence:
                 sequences.append(row[-1])
-    return chain_ids, np.array(values).reshape(len(values), n_obj), sequences
+    return np.array(values).reshape(len(values), n_obj), sequences
 
 
 def _cell_complete(cell_dir: Path) -> bool:
@@ -408,15 +413,18 @@ def emit_front(
     labels: Sequence[str],
     path,
     objective_names: Sequence[str] | None = None,
-) -> None:
+) -> list[str]:
     """Write labeled objective coordinates with a non-dominated flag per row,
     enough to redraw a front scatter with any external plotter.
 
     ``points`` is an (n, m) array or a sequence of ObjectiveVectors; its
-    values must be finite (ValueError otherwise)."""
+    values must be finite (ValueError otherwise). Returns each row's
+    coordinates as written (``repr`` of each value, comma-joined)."""
     labels = list(labels)
     if len(points) != len(labels):
         raise ShapeError(f"{len(points)} points but {len(labels)} labels")
+    coords: list[str] = []
+    flags: list[bool] = []
     if len(points):
         V = objective_matrix(points)
         if not np.all(np.isfinite(V)):
@@ -428,14 +436,14 @@ def emit_front(
             raise ShapeError(f"need {m} objective names, got {len(objective_names)}")
         front = np.zeros(len(V), dtype=bool)
         front[pareto_filter(V)] = True
-        rows = zip(labels, V.tolist(), front.tolist())
-    else:
-        objective_names = list(objective_names) if objective_names is not None else []
-        rows = ()
+        coords = [",".join(map(repr, row)) for row in V.tolist()]
+        flags = front.tolist()
+    elif objective_names is None:
+        objective_names = []
     lines = [",".join(["label", *objective_names, "non_dominated"])]
-    for label, coords, flag in rows:
-        lines.append(f"{label},{','.join(repr(v) for v in coords)},{1 if flag else 0}")
+    lines += [f"{label},{text},{1 if flag else 0}" for label, text, flag in zip(labels, coords, flags)]
     _atomic_write_text(Path(path), "".join(line + "\n" for line in lines))
+    return coords
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,10 +460,12 @@ def _run_cell(
     config: SamplerConfig,
     init: RandomInit,
     cells_dir: Path,
-) -> dict | None:
-    """Run one cell's chains and write its directory; returns a failure
-    record if the cell could not run. The chains' trajectories are released
-    when it returns, before the next cell starts."""
+) -> dict | tuple[np.ndarray, list[str]]:
+    """Run one cell's chains and write its directory. Returns a failure
+    record if the cell could not run, else the final objective values and
+    decoded sequences it wrote to ``final_points.csv`` (the same floats a
+    re-read gives, as ``repr`` round-trips). The chains' trajectories are
+    released when it returns, before the next cell starts."""
     start = perf_counter()
     m = problem.m
     is_sequence = problem.point_kind == SEQUENCE_LOGITS
@@ -471,6 +481,8 @@ def _run_cell(
         return {"cell_id": cell.cell_id, "error": f"{type(exc).__name__}: {exc}"}
     trajectories: list[Trajectory] = []
     chain_ids: list[int] = []
+    finals = []
+    sequences = []
     final_rows = []
     chain_errors = []
     for idx, res in enumerate(results):
@@ -479,9 +491,11 @@ def _run_cell(
             continue
         trajectories.append(res)
         chain_ids.append(idx)
+        finals.append(res.F[-1])
         row = [idx, *res.F[-1].tolist()]
         if is_sequence:
-            row.append(sequence_to_str(_decode_final(res, problem), cfg.alphabet))
+            sequences.append(sequence_to_str(_decode_final(res, problem), cfg.alphabet))
+            row.append(sequences[-1])
         final_rows.append(row)
     tmp_dir = cells_dir / f".tmp-{cell.cell_id}"
     if tmp_dir.exists():
@@ -505,7 +519,7 @@ def _run_cell(
         "cell %s: %d/%d chains ok, %.3f s, %.0f chain-steps/s, pid %d",
         cell.cell_id, len(trajectories), cfg.chains, wall, chain_steps / wall, os.getpid(),
     )
-    return None
+    return np.array(finals).reshape(len(finals), m), sequences
 
 
 def _cpu_count() -> int:
@@ -519,85 +533,79 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _split_cells(cells: list[SweepCell], count: int) -> list[list[SweepCell]]:
+def _split_cells(
+    cells: list[SweepCell], count: int, cost: Callable[[SweepCell], int]
+) -> list[list[SweepCell]]:
     """Deal ``cells`` into ``count`` shares, longest processing time first.
 
-    A cell costs chains x (steps + 1), and every cell of a sweep has the
-    same chains, so the cells go out by steps, most first and ties by cell
-    index, each to the share with the least cost so far (the first such
-    share on a tie). Each share lists its cells in cell order."""
+    The cells go out by ``cost``, most first and ties by cell index, each to
+    the share with the least cost so far (the first such share on a tie).
+    Each share lists its cells in cell order."""
     shares: list[list[SweepCell]] = [[] for _ in range(count)]
     loads = [0] * count
-    for cell in sorted(cells, key=lambda c: (-c.steps, c.index)):
+    for cell in sorted(cells, key=lambda c: (-cost(c), c.index)):
         k = loads.index(min(loads))
         shares[k].append(cell)
-        loads[k] += cell.steps + 1
+        loads[k] += cost(cell)
     return [sorted(share, key=attrgetter("index")) for share in shares]
 
 
-def _run_share(run_cell: Callable, share: list[SweepCell]) -> list[tuple[int, dict]]:
-    """Run a share's cells in cell order; returns (cell index, failure record) pairs."""
-    return [(cell.index, failure) for cell in share if (failure := run_cell(cell)) is not None]
-
-
-def _share_worker(send, run_cell: Callable, share: list[SweepCell]) -> None:
-    send.send(_run_share(run_cell, share))
+def _share_worker(send, fn: Callable, share: list[SweepCell]) -> None:
+    send.send([fn(cell) for cell in share])
     send.close()
 
 
-def _run_cells(run_cell: Callable, pending: list[SweepCell], cells_dir: Path) -> list[dict]:
-    """Run the pending cells on one process per CPU (``_cpu_count``), at
-    most one per cell, and return their failure records in cell order.
+def _map_cells(
+    fn: Callable,
+    cells: list[SweepCell],
+    cost: Callable[[SweepCell], int],
+    describe_lost: Callable[[list[SweepCell]], str],
+) -> list:
+    """``fn(cell)`` for every cell, in cell order, computed on one process
+    per CPU (``_cpu_count``), at most one per cell.
 
-    The cells are split once, by ``_split_cells``, so every sweep of a grid
-    runs the same cells in this process: share 0. Each other share runs in a
-    worker forked from this process, which inherits the problem and writes
-    its cells' directories itself; only its failure records come back. A
-    worker that dies before it reports is a ParetoEbmError naming the cells
-    it left unwritten; the cells that were written stay, so a rerun resumes.
+    The cells are split once, by ``_split_cells`` on ``cost``; costs fixed
+    by the config make every sweep of it run the same cells in this process:
+    share 0. Each other share runs in a worker forked from this process,
+    which inherits everything ``fn`` reads without pickling and sends back
+    its results alone. A worker that dies before it reports is a
+    ParetoEbmError naming its exit code and ``describe_lost`` of its cells.
     No worker outlives this call.
     """
-    shares = _split_cells(pending, min(len(pending), _cpu_count()))
+    shares = _split_cells(cells, min(len(cells), _cpu_count()), cost)
     if len(shares) < 2:
-        records = _run_share(run_cell, pending)
-    else:
-        import multiprocessing  # only a sweep that forks pays for the import
+        return [fn(cell) for cell in cells]
+    import multiprocessing  # only a sweep that forks pays for the import
 
-        context = multiprocessing.get_context("fork")
-        workers = []
-        dead = []
-        try:
-            for share in shares[1:]:
-                receive, send = context.Pipe(duplex=False)
-                worker = context.Process(target=_share_worker, args=(send, run_cell, share))
-                worker.start()
-                # Closed before the next fork, so a worker's exit is its pipe's end of file.
-                send.close()
-                workers.append((worker, receive, share))
-            records = _run_share(run_cell, shares[0])
-            for worker, receive, share in workers:
-                try:
-                    records += receive.recv()
-                except EOFError:
-                    dead.append((worker, share))
+    context = multiprocessing.get_context("fork")
+    workers = []
+    dead = []
+    try:
+        for share in shares[1:]:
+            receive, send = context.Pipe(duplex=False)
+            worker = context.Process(target=_share_worker, args=(send, fn, share))
+            worker.start()
+            # Closed before the next fork, so a worker's exit is its pipe's end of file.
+            send.close()
+            workers.append((worker, receive, share))
+        results = dict(zip(map(attrgetter("index"), shares[0]), [fn(cell) for cell in shares[0]]))
+        for worker, receive, share in workers:
+            try:
+                results.update(zip(map(attrgetter("index"), share), receive.recv()))
+            except EOFError:
+                dead.append((worker, share))
+            worker.join()
+    finally:
+        for worker, receive, _ in workers:
+            if worker.is_alive():
+                worker.terminate()
                 worker.join()
-        finally:
-            for worker, receive, _ in workers:
-                if worker.is_alive():
-                    worker.terminate()
-                    worker.join()
-                receive.close()
-        if dead:
-            unwritten = [
-                cell.cell_id for _, share in dead for cell in share
-                if not _cell_complete(cells_dir / cell.cell_id)
-            ]
-            exits = ", ".join(f"pid {w.pid} exit code {w.exitcode}" for w, _ in dead)
-            raise ParetoEbmError(
-                f"sweep worker died before it reported ({exits}); cells left unwritten: "
-                f"{', '.join(unwritten) or 'none'}. Finished cells stay on disk, so a rerun resumes."
-            )
-    return [failure for _, failure in sorted(records, key=itemgetter(0))]
+            receive.close()
+    if dead:
+        exits = ", ".join(f"pid {w.pid} exit code {w.exitcode}" for w, _ in dead)
+        lost = [cell for _, share in dead for cell in share]
+        raise ParetoEbmError(f"sweep worker died before it reported ({exits}); {describe_lost(lost)}")
+    return [results[cell.index] for cell in cells]
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -607,8 +615,14 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     <output_dir>/cells/<cell_id>/{trajectories.csv,final_points.csv,front.csv}.
     Finished cells are skipped on rerun; a fully finished sweep returns
     without touching the bundle. The other cells run on one process per CPU
-    in the affinity mask (see ``_run_cells``); the bundle is the same at any
-    count.
+    in the affinity mask (see ``_map_cells``), split by chains x (steps + 1),
+    and each hands back the final points it wrote; a skipped cell's are read
+    from its ``final_points.csv``. This process fits the pooled
+    normalization and the pooled non-dominated flags; then the same
+    processes aggregate the cells, split by point count: each writes its
+    cells' ``front.csv`` and computes their hypervolumes and edit distances,
+    and this process writes ``fronts.csv`` and ``report.json``. The bundle
+    is the same at any count.
     """
     problem = get_problem(cfg.problem, cfg.model_files)
     m = problem.m
@@ -644,35 +658,56 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
     cells_dir.mkdir(parents=True, exist_ok=True)
     pending = []
-    for cell in cells:
-        if _cell_complete(cells_dir / cell.cell_id):
-            logger.info("cell %s already on disk, skipping", cell.cell_id)
-        else:
-            pending.append(cell)
-    cell_failures = _run_cells(
-        lambda cell: _run_cell(cfg, problem, cell, configs[cell.index], init, cells_dir), pending, cells_dir
-    )
-
-    # Aggregation: single-threaded, pooled normalization over every final
-    # point the sweep produced so cross-method comparisons share one scale.
-    per_cell_points: dict[str, np.ndarray] = {}
-    per_cell_sequences: dict[str, list[str]] = {}
-    pooled = []
+    points: dict[int, tuple[np.ndarray, list[str]]] = {}
     for cell in cells:
         cell_dir = cells_dir / cell.cell_id
-        if not _cell_complete(cell_dir):
-            continue
-        _, values, sequences = _read_final_points(cell_dir / "final_points.csv", is_sequence)
-        per_cell_points[cell.cell_id] = values
-        per_cell_sequences[cell.cell_id] = sequences
-        if values.size:
-            pooled.append(values)
+        if _cell_complete(cell_dir):
+            logger.info("cell %s already on disk, skipping", cell.cell_id)
+            points[cell.index] = _read_final_points(cell_dir / "final_points.csv", is_sequence)
+        else:
+            pending.append(cell)
+
+    def unwritten(lost: list[SweepCell]) -> str:
+        ids = [cell.cell_id for cell in lost if not _cell_complete(cells_dir / cell.cell_id)]
+        return f"cells left unwritten: {', '.join(ids) or 'none'}. Finished cells stay on disk, so a rerun resumes."
+
+    outcomes = _map_cells(
+        lambda cell: _run_cell(cfg, problem, cell, configs[cell.index], init, cells_dir),
+        pending,
+        lambda cell: cfg.chains * (cell.steps + 1),
+        unwritten,
+    )
+    cell_failures = []
+    for cell, outcome in zip(pending, outcomes):
+        if isinstance(outcome, dict):
+            cell_failures.append(outcome)
+        else:
+            points[cell.index] = outcome
+
+    # Aggregation: one pooled normalization over every final point the sweep
+    # produced, so cross-method comparisons share one scale.
+    start = perf_counter()
+    finished = [cell for cell in cells if cell.index in points]
+    pooled = [values for values, _ in points.values() if values.size]
     if not pooled:
         raise ConfigError("sweep produced no points; every cell failed")
+    pooled_matrix = np.concatenate(pooled, axis=0)
+    # Rejected before any front or hypervolume is computed; a fixed
+    # normalization would clip an infinite value into [0, 1].
+    if not np.all(np.isfinite(pooled_matrix)):
+        raise ValueError("objective values must be finite")
     nmap = fixed_nmap
     if nmap is None:
-        pooled_matrix = np.concatenate(pooled, axis=0)
         nmap = NormalizationMap(pooled_matrix.min(axis=0), pooled_matrix.max(axis=0))
+    normalized = {}
+    for cell in finished:
+        values = points[cell.index][0]
+        normalized[cell.index] = nmap.apply_raw(values) if values.size else values.reshape(0, m)
+    stacked = np.concatenate([normalized[cell.index] for cell in finished])
+    on_front = np.zeros(len(stacked), dtype=bool)
+    on_front[pareto_filter(stacked)] = True
+    ends = np.cumsum([len(normalized[cell.index]) for cell in finished])[:-1]
+    pooled_flags = dict(zip(normalized, (flags.tolist() for flags in np.split(on_front, ends))))
 
     norm_doc = {
         "min": [float(v) for v in nmap.mins],
@@ -680,57 +715,58 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         "degenerate": [bool(v) for v in nmap.degenerate],
     }
     objective_names = [f"f{i}" for i in range(m)]
-    cell_records = []
-    all_front_points: list[np.ndarray] = []
-    all_front_labels: list[str] = []
-    for cell in cells:
-        if cell.cell_id not in per_cell_points:
-            continue
-        values = per_cell_points[cell.cell_id]
-        normalized = nmap.apply_raw(values) if values.size else values.reshape(0, m)
-        # emit_front rejects non-finite values before any hypervolume is computed.
-        emit_front(
-            normalized,
-            [cell.method] * len(normalized),
-            cells_dir / cell.cell_id / "front.csv",
+
+    def aggregate(cell: SweepCell) -> tuple[dict, str]:
+        """A cell's report record and its block of fronts.csv rows; writes its front.csv."""
+        values = normalized[cell.index]
+        coords = emit_front(
+            values, [cell.method] * len(values), cells_dir / cell.cell_id / "front.csv",
             objective_names=objective_names,
         )
         if m <= 3:
-            hv_all = hypervolume_exact(normalized, reference)
+            hv_all = hypervolume_exact(values, reference)
         else:
-            hv_all, _ = hypervolume_mc(normalized, reference, MC_HV_SAMPLES, seed=cfg.base_seed)
-        hv_pairs = {}
-        for i, j in combinations(range(m), 2):
-            ref_ij = ReferencePoint(reference.r[[i, j]])
-            hv_pairs[f"{i},{j}"] = hypervolume_exact(normalized[:, [i, j]], ref_ij)
-        edist_mean = edist_std = None
-        if training is not None and per_cell_sequences[cell.cell_id]:
-            decoded = [
-                sequence_from_str(s, cfg.alphabet) for s in per_cell_sequences[cell.cell_id]
-            ]
-            edist_mean, edist_std = summarize_edist(decoded, training)
-        all_front_points.append(normalized)
-        all_front_labels.extend([cell.cell_id] * len(normalized))
-        cell_records.append(
-            {
-                "cell_id": cell.cell_id,
-                "method": cell.method,
-                "eta": cell.eta,
-                "steps": cell.steps,
-                "noise_kind": cell.noise_kind,
-                "seed": cfg.base_seed,
-                "chains": int(values.shape[0]),
-                "hv_all": float(hv_all),
-                "hv_pairwise": {k: float(v) for k, v in hv_pairs.items()},
-                "edist_mean": edist_mean,
-                "edist_std": edist_std,
-                "normalization": norm_doc,
+            hv_all, _ = hypervolume_mc(values, reference, MC_HV_SAMPLES, seed=cfg.base_seed)
+        if m == 2:
+            hv_pairs = {"0,1": hv_all}  # the one pair is the whole front
+        else:
+            hv_pairs = {
+                f"{i},{j}": hypervolume_exact(values[:, [i, j]], ReferencePoint(reference.r[[i, j]]))
+                for i, j in combinations(range(m), 2)
             }
+        edist_mean = edist_std = None
+        sequences = points[cell.index][1]
+        if training is not None and sequences:
+            decoded = [sequence_from_str(s, cfg.alphabet) for s in sequences]
+            edist_mean, edist_std = summarize_edist(decoded, training)
+        record = {
+            "cell_id": cell.cell_id,
+            "method": cell.method,
+            "eta": cell.eta,
+            "steps": cell.steps,
+            "noise_kind": cell.noise_kind,
+            "seed": cfg.base_seed,
+            "chains": len(values),
+            "hv_all": float(hv_all),
+            "hv_pairwise": {k: float(v) for k, v in hv_pairs.items()},
+            "edist_mean": edist_mean,
+            "edist_std": edist_std,
+            "normalization": norm_doc,
+        }
+        block = "".join(
+            f"{cell.cell_id},{text},{1 if flag else 0}\n" for text, flag in zip(coords, pooled_flags[cell.index])
         )
-    emit_front(
-        np.concatenate(all_front_points), all_front_labels, out / "fronts.csv",
-        objective_names=objective_names,
-    )
+        return record, block
+
+    def unaggregated(lost: list[SweepCell]) -> str:
+        return (
+            f"cells whose aggregation was lost: {', '.join(cell.cell_id for cell in lost)}. "
+            "No report.json or fronts.csv was written; a rerun re-aggregates."
+        )
+
+    aggregated = _map_cells(aggregate, finished, lambda cell: len(normalized[cell.index]), unaggregated)
+    header = ",".join(["label", *objective_names, "non_dominated"]) + "\n"
+    _atomic_write_text(out / "fronts.csv", header + "".join(block for _, block in aggregated))
 
     report = {
         "config_version": CONFIG_VERSION,
@@ -740,10 +776,14 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         "objective_names": objective_names,
         "reference_point": [float(v) for v in reference.r],
         "normalization": norm_doc,
-        "cells": cell_records,
+        "cells": [record for record, _ in aggregated],
         "failures": cell_failures,
     }
     _atomic_write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    logger.info(
+        "aggregation: %d cells, %.3f s, %d process(es)",
+        len(finished), perf_counter() - start, min(len(finished), _cpu_count()),
+    )
     return SweepResult(out, report_path, report)
 
 

@@ -404,14 +404,16 @@ class TestImproveCommand:
 
 class TestModuleEntryPoint:
     def test_import_leaves_numpy_random_unloaded(self):
-        # numpy.random loads on the first chain, so it adds nothing to start-up.
+        # numpy.random loads on the first chain, and multiprocessing only in a
+        # sweep that forks, so neither adds to start-up.
+        modules = ["numpy.random", "multiprocessing", "concurrent.futures"]
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, paretoebm.cli; print('numpy.random' in sys.modules)"],
+            [sys.executable, "-c", f"import sys, paretoebm.cli; print([m in sys.modules for m in {modules!r}])"],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == str([False] * len(modules))
 
     def test_python_dash_m(self, tmp_path):
         path = tmp_path / "p.txt"

@@ -6,6 +6,7 @@ import logging
 import multiprocessing
 import os
 import re
+import shutil
 import weakref
 from pathlib import Path
 
@@ -611,16 +612,19 @@ def small_sweep(tmp_path, problem):
 
 class TestCellProcesses:
     def test_split_is_longest_processing_time_first(self):
-        def split(steps, count):
+        def split(steps, count, cost=lambda cell: cell.steps):
             cells = [SweepCell(i, "cebm", 0.1, k, "gaussian") for i, k in enumerate(steps)]
-            return [[cell.index for cell in share] for share in harness._split_cells(cells, count)]
+            return [[cell.index for cell in share] for share in harness._split_cells(cells, count, cost)]
 
-        # By steps, most first: cell 1 (8) to share 0, cells 2 and 3 (4 each)
+        # By cost, most first: cell 1 (8) to share 0, cells 2 and 3 (4 each)
         # to share 1, cell 0 (2) to share 0, cell 4 (1) to the tie's first share.
         assert split([2, 8, 4, 4, 1], 2) == [[0, 1], [2, 3, 4]]
         assert split([5, 5, 5, 5], 2) == [[0, 2], [1, 3]]
         assert split([3, 3], 1) == [[0, 1]]
         assert split([], 0) == []
+        # The cost is the caller's: at 10 - steps (8, 2, 6, 6, 9), cell 4 goes
+        # first to share 0, cells 0 and 2 to share 1, cell 3 to share 0, cell 1 to share 1.
+        assert split([2, 8, 4, 4, 1], 2, lambda cell: 10 - cell.steps) == [[3, 4], [0, 1, 2]]
 
     def test_cpu_count_reads_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
@@ -710,6 +714,81 @@ class TestCellProcesses:
         assert all(int(m.group(2)) > 0 and int(m.group(3)) == os.getpid() for m in logged)
         # The timings go to the log alone; report.json stays deterministic.
         assert "pid" not in report_text and "chain-steps" not in report_text
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("problem", ["fonseca-fleming", "sequence-energies"])
+    def test_partial_resume_gives_the_fresh_bundle(self, tmp_path, monkeypatch, problem, count):
+        # A fresh cell's points come back from the cell in memory, a resumed
+        # cell's are read from its final_points.csv; the bundle cannot tell.
+        monkeypatch.setattr(harness, "_cpu_count", lambda: count)
+        cfg = small_sweep(tmp_path, problem)
+        cells = sweep_cells(cfg)
+        out = cfg.output_dir
+        run_sweep(cfg)
+        fresh = snapshot(out)
+        (out / "report.json").unlink()
+        (out / "fronts.csv").unlink()
+        # Cells 0 and 1 are in different shares of a two-process sweep.
+        for cell in cells[:2]:
+            shutil.rmtree(out / "cells" / cell.cell_id)
+        run_sweep(cfg)
+        assert snapshot(out) == fresh
+
+    def test_dead_aggregation_worker_names_its_cells_and_a_rerun_re_aggregates(self, tmp_path, monkeypatch):
+        cfg = small_sweep(tmp_path, "fonseca-fleming")
+        cells = sweep_cells(cfg)
+        parent, real_emit = os.getpid(), harness.emit_front
+
+        def die_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_emit(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "emit_front", die_in_a_worker)
+        # Every cell has 3 points, so the worker aggregates the odd cells.
+        lost = re.escape(", ".join(cells[i].cell_id for i in (1, 3, 5, 7)))
+        with pytest.raises(ParetoEbmError, match=rf"exit code 3\); cells whose aggregation was lost: {lost}\. "):
+            run_sweep(cfg)
+        assert multiprocessing.active_children() == []
+        assert not (cfg.output_dir / "report.json").exists()
+        assert not (cfg.output_dir / "fronts.csv").exists()
+
+        monkeypatch.setattr(harness, "emit_front", real_emit)
+        run_sweep(cfg)
+        clean = dataclasses.replace(cfg, output_dir=tmp_path / "clean")
+        run_sweep(clean)
+        assert snapshot(cfg.output_dir) == snapshot(clean.output_dir)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("bad,normalization", [("nan", None), ("inf", None), ("inf", {"min": [0, 0], "max": [1, 1]})])
+    def test_non_finite_resumed_point_refused_before_any_hypervolume(
+        self, tmp_path, monkeypatch, bad, normalization, count
+    ):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: count)
+        cfg = dataclasses.replace(small_sweep(tmp_path, "fonseca-fleming"), normalization=normalization)
+        run_sweep(cfg)
+        (cfg.output_dir / "report.json").unlink()
+        path = cfg.output_dir / "cells" / sweep_cells(cfg)[3].cell_id / "final_points.csv"
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        chain_id, _, f1 = first.split(",")
+        path.write_text("".join([header, f"{chain_id},{bad},{f1}", *rest]))
+        hypervolumes = []
+        monkeypatch.setattr(harness, "hypervolume_exact", lambda *args: hypervolumes.append(args))
+        with pytest.raises(ValueError, match="objective values must be finite"):
+            run_sweep(cfg)
+        assert hypervolumes == []
+        assert not (cfg.output_dir / "report.json").exists()
+
+    def test_aggregation_logs_cells_wall_time_and_processes(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+        cfg = load_config(write_config(tmp_path / "cfg.yaml", methods=["cebm", "pcebm"]))
+        with caplog.at_level(logging.INFO, logger="paretoebm.harness"):
+            report_text = run_sweep(cfg).report_path.read_text()
+        logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("aggregation")]
+        assert len(logged) == 1
+        assert re.fullmatch(r"aggregation: 2 cells, \d+\.\d{3} s, 1 process\(es\)", logged[0])
+        assert "aggregation" not in report_text
 
 
 class TestEmitFront:
