@@ -44,13 +44,11 @@ from .metrics import (
     edit_distance_matrix,
     hypervolume_exact,
     hypervolume_mc,
-    min_edit_to_set,
     nondominated_mask,
     summarize_edist,
 )
 from .moo import (
     MinNormResult,
-    dominates,
     pareto_filter,
 )
 from .problems import Problem, get_problem

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import AMINO_ALPHABET, ConfigError, ParetoEbmError, read_sequences
 from .energy import MlpEnergy, PwmEnergy, cd_train, load_model, save_model
-from .metrics import ReferencePoint, hypervolume_exact, hypervolume_mc, summarize_edist
+from .metrics import ReferencePoint, hypervolume_exact, hypervolume_mc, summarize_edist, unit_reference
 from .harness import improve_seeds, load_config, load_train_config, run_sweep, write_improvement_report
 
 logger = logging.getLogger(__name__)
@@ -104,10 +104,12 @@ def _cmd_hv(args) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     V = _read_points(args.points)
     m = V.shape[1]
-    ref_values = [_finite(v, "--ref") for v in args.ref.split(",")] if args.ref else [1.0] * m
-    if len(ref_values) != m:
-        raise ConfigError(f"reference point has {len(ref_values)} entries, points have m={m}")
-    reference = ReferencePoint(np.array(ref_values))
+    if args.ref:
+        reference = ReferencePoint(np.array([_finite(v, "--ref") for v in args.ref.split(",")]))
+    else:
+        reference = unit_reference(m)
+    if reference.m != m:
+        raise ConfigError(f"reference point has {reference.m} entries, points have m={m}")
     if m <= 3:
         print(f"{hypervolume_exact(V, reference):.12g}")
     else:

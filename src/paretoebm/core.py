@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -136,6 +135,7 @@ class DiscreteSequence:
         return hash((self.alphabet_size, self.tokens.tobytes()))
 
 
+# ObjectiveVector stays though no module takes it: perfbench's core.objects span wraps its __post_init__.
 @dataclass(frozen=True, eq=False)
 class ObjectiveVector:
     """The m per-objective energy values at one point."""
@@ -380,8 +380,3 @@ def read_sequences(path, alphabet: str = AMINO_ALPHABET) -> list[DiscreteSequenc
             continue
         seqs.append(sequence_from_str(stripped, alphabet, location=f"{path}:{lineno}"))
     return seqs
-
-
-def write_sequences(path, seqs: Iterable[DiscreteSequence], alphabet: str = AMINO_ALPHABET) -> None:
-    lines = [sequence_to_str(s, alphabet) for s in seqs]
-    Path(path).write_text("".join(line + "\n" for line in lines))

@@ -64,6 +64,7 @@ from .metrics import (
     objective_matrix,
     summarize_edist,
     edit_distance_matrix,
+    unit_reference,
 )
 from .moo import check_min_norm_m, pareto_filter
 from .problems import Problem, get_problem
@@ -417,9 +418,9 @@ def emit_front(
     """Write labeled objective coordinates with a non-dominated flag per row,
     enough to redraw a front scatter with any external plotter.
 
-    ``points`` is an (n, m) array or a sequence of ObjectiveVectors; its
-    values must be finite (ValueError otherwise). Returns each row's
-    coordinates as written (``repr`` of each value, comma-joined)."""
+    ``points`` is an (n, m) objective array; its values must be finite
+    (ValueError otherwise). Returns each row's coordinates as written
+    (``repr`` of each value, comma-joined)."""
     labels = list(labels)
     if len(points) != len(labels):
         raise ShapeError(f"{len(points)} points but {len(labels)} labels")
@@ -550,8 +551,16 @@ def _split_cells(
     return [sorted(share, key=attrgetter("index")) for share in shares]
 
 
-def _share_worker(send, fn: Callable, share: list[SweepCell]) -> None:
-    send.send([fn(cell) for cell in share])
+def _share_worker(send, fn: Callable, share: list[SweepCell], parent: int) -> None:
+    """Run a worker's share and send back its results. A worker whose parent
+    (pid ``parent``) is gone stops before its next cell and sends nothing."""
+    results = []
+    for cell in share:
+        if os.getppid() != parent:
+            send.close()
+            return
+        results.append(fn(cell))
+    send.send(results)
     send.close()
 
 
@@ -570,7 +579,8 @@ def _map_cells(
     which inherits everything ``fn`` reads without pickling and sends back
     its results alone. A worker that dies before it reports is a
     ParetoEbmError naming its exit code and ``describe_lost`` of its cells.
-    No worker outlives this call.
+    A worker whose parent dies finishes only the cell in flight: it checks
+    its parent's pid before each cell.
     """
     shares = _split_cells(cells, min(len(cells), _cpu_count()), cost)
     if len(shares) < 2:
@@ -578,12 +588,13 @@ def _map_cells(
     import multiprocessing  # only a sweep that forks pays for the import
 
     context = multiprocessing.get_context("fork")
+    parent = os.getpid()
     workers = []
     dead = []
     try:
         for share in shares[1:]:
             receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_share_worker, args=(send, fn, share))
+            worker = context.Process(target=_share_worker, args=(send, fn, share, parent))
             worker.start()
             # Closed before the next fork, so a worker's exit is its pipe's end of file.
             send.close()
@@ -626,7 +637,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """
     problem = get_problem(cfg.problem, cfg.model_files)
     m = problem.m
-    reference = ReferencePoint(np.ones(m) if cfg.reference_point is None else np.array(cfg.reference_point))
+    reference = unit_reference(m) if cfg.reference_point is None else ReferencePoint(np.array(cfg.reference_point))
     if reference.m != m:
         raise ConfigError(f"reference point has m={reference.m}, problem has m={m}")
     fixed_nmap = None
@@ -696,9 +707,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     # normalization would clip an infinite value into [0, 1].
     if not np.all(np.isfinite(pooled_matrix)):
         raise ValueError("objective values must be finite")
-    nmap = fixed_nmap
-    if nmap is None:
-        nmap = NormalizationMap(pooled_matrix.min(axis=0), pooled_matrix.max(axis=0))
+    nmap = NormalizationMap.fit(pooled_matrix) if fixed_nmap is None else fixed_nmap
     normalized = {}
     for cell in finished:
         values = points[cell.index][0]

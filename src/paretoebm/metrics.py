@@ -1,6 +1,7 @@
 """Evaluation suite: the non-dominated filter, hypervolume (exact up to
 three objectives, Monte-Carlo beyond), min-max score normalization,
-Levenshtein edit distance, and convergence-trace statistics.
+Levenshtein edit distance, and convergence-trace statistics. Objective
+values are one (n, m) float array of n points.
 
 The non-dominated filter sorts the points lexicographically and scans them
 once: O(n log n) for two objectives, and for three or more each point is
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DiscreteSequence, ObjectiveVector, ShapeError, Trajectory
+from .core import DiscreteSequence, ShapeError, Trajectory
 
 # Size of the temporaries of one block of Monte-Carlo hypervolume samples.
 _MC_BLOCK_BYTES = 16 << 20
@@ -48,6 +49,7 @@ class ReferencePoint:
 
 
 def unit_reference(m: int) -> ReferencePoint:
+    """The default reference point: all ones, the upper corner of the normalized box."""
     return ReferencePoint(np.ones(m))
 
 
@@ -82,10 +84,11 @@ class NormalizationMap:
         return self.maxs == self.mins
 
     @classmethod
-    def fit(cls, points: Sequence[ObjectiveVector]) -> "NormalizationMap":
-        if len(points) == 0:
-            raise ValueError("cannot fit normalization bounds to an empty population")
+    def fit(cls, points) -> "NormalizationMap":
+        """The per-objective min and max over the rows of an (n, m) array, n >= 1."""
         V = objective_matrix(points)
+        if len(V) == 0:
+            raise ValueError("cannot fit normalization bounds to an empty population")
         return cls(V.min(axis=0), V.max(axis=0))
 
     def apply_raw(self, V: np.ndarray) -> np.ndarray:
@@ -98,21 +101,12 @@ class NormalizationMap:
 
 
 def objective_matrix(points) -> np.ndarray:
-    """The points as an (n, m) float64 matrix: an (n, m) array as it is, or a
-    non-empty sequence of ObjectiveVectors or 1-D arrays stacked as rows."""
-    if isinstance(points, np.ndarray):
-        if points.ndim != 2:
-            raise ShapeError(f"points must be an (n, m) matrix, got shape {points.shape}")
-        return points.astype(np.float64, copy=False)
-    vals = [p.values if isinstance(p, ObjectiveVector) else np.asarray(p, dtype=np.float64) for p in points]
-    if not vals:
-        raise ValueError("empty point list")
-    if any(v.ndim != 1 for v in vals):
-        raise ShapeError("objective vector must be 1-D")
-    m = vals[0].size
-    if any(v.size != m for v in vals):
-        raise ShapeError("all objective vectors must share one length")
-    return np.stack(vals).astype(np.float64)
+    """The points as an (n, m) float64 array, uncopied where they already are
+    one; anything else that is not 2-D is a ShapeError."""
+    V = np.asarray(points, dtype=np.float64)
+    if V.ndim != 2:
+        raise ShapeError(f"points must be an (n, m) matrix, got shape {V.shape}")
+    return V
 
 
 def nondominated_mask(V: np.ndarray) -> np.ndarray:
@@ -196,8 +190,8 @@ def _hv_2d(V: np.ndarray, r1: float, r2: float) -> float:
 def hypervolume_exact(points, reference: ReferencePoint) -> float:
     """Lebesgue measure of the union over points p of the boxes [p, r].
 
-    ``points`` is an (n, m) array or a sequence of vectors. Exact for one to
-    three objectives; dominated or duplicate points add nothing. Points
+    ``points`` is an (n, m) objective array. Exact for one to three
+    objectives; dominated or duplicate points add nothing. Points
     beyond the reference are clipped onto it and contribute zero volume.
     """
     r = reference.r
@@ -235,8 +229,9 @@ def hypervolume_mc(
     samples: int,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Monte-Carlo hypervolume for any m: uniform samples in the bounding box
-    [component-wise min, r]; returns (estimate, standard error).
+    """Monte-Carlo hypervolume of an (n, m) objective array for any m:
+    uniform samples in the bounding box [component-wise min, r]; returns
+    (estimate, standard error).
 
     Only the non-dominated points are tested against the samples, which are
     drawn in blocks sized so that one block's temporaries take about
@@ -374,15 +369,6 @@ def edit_distance_matrix(rows: Sequence, cols: Sequence) -> np.ndarray:
         for col_idx, B in col_groups:
             out[np.ix_(row_idx, col_idx)] = _edit_pairs(A, B)
     return out
-
-
-def min_edit_to_set(x, training: Sequence) -> tuple[int, int]:
-    """Minimum edit distance from x to a non-empty set; ties take the lowest index."""
-    if len(training) == 0:
-        raise ValueError("training set must be non-empty")
-    dists = edit_distance_matrix([x], training)[0]
-    best = int(np.argmin(dists))
-    return int(dists[best]), best
 
 
 def summarize_edist(samples: Sequence, training: Sequence) -> tuple[float, float]:

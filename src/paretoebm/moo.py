@@ -1,14 +1,16 @@
-"""Multi-objective machinery: dominance and Pareto extraction, and the
-min-norm common-descent solver, exact and batched over rows for up to
+"""Multi-objective machinery: Pareto extraction, and the min-norm
+common-descent solver, exact and batched over rows for up to
 MIN_NORM_MAX_M objectives. One solve serves every m: it takes each row's
 inner products once, on the edges from a pivot gradient, then enumerates
 the supports of the weights on those alone (the segment formula on each
 pair, one stacked KKT solve per larger support). solve_min_norm is its
 one-row form.
 
-Pareto extraction uses the sort-based filter metrics.nondominated_mask:
-O(n log n) for two objectives, output-sensitive (each point against the
-front kept so far) for three or more, and linear memory throughout.
+Objective values are one (n, m) float array of n points. Pareto extraction
+uses the sort-based filter metrics.nondominated_mask, the one definition of
+dominance: O(n log n) for two objectives, output-sensitive (each point
+against the front kept so far) for three or more, and linear memory
+throughout.
 
 All operations are pure functions and safe for unrestricted parallel use.
 """
@@ -20,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import ConfigError, ObjectiveVector, ShapeError
+from .core import ConfigError, ShapeError
 from .metrics import nondominated_mask, objective_matrix
 
 # Enumerating supports costs one small solve per support of three or more
@@ -40,30 +42,11 @@ class MinNormResult:
     lam: np.ndarray
     direction: np.ndarray
     norm: float
-    converged: bool
-    iterations: int
-
-
-def _values(vec) -> np.ndarray:
-    if isinstance(vec, ObjectiveVector):
-        return vec.values
-    arr = np.asarray(vec, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeError("objective vector must be 1-D")
-    return arr
-
-
-def dominates(a, b) -> bool:
-    """Strict-Pareto dominance: a <= b everywhere and a < b somewhere."""
-    va, vb = _values(a), _values(b)
-    if va.size != vb.size:
-        raise ShapeError(f"objective vectors differ in length: {va.size} vs {vb.size}")
-    return bool(np.all(va <= vb) and np.any(va < vb))
 
 
 def pareto_filter(points) -> list[int]:
-    """Indices, ascending, of the points not dominated by any other input
-    point; ``points`` is an (n, m) array or a sequence of vectors.
+    """Indices, ascending, of the rows of the (n, m) objective array
+    ``points`` that no other row dominates (metrics.nondominated_mask).
 
     Mutually non-dominating duplicates are all retained.
     """
@@ -209,4 +192,4 @@ def solve_min_norm(grads: np.ndarray) -> MinNormResult:
     if not np.all(np.isfinite(grads)):
         raise ValueError("gradients must be finite")
     lam, direction, norm = min_norm_closed_form(grads[None])
-    return MinNormResult(lam=lam[0], direction=direction[0], norm=float(norm[0]), converged=True, iterations=0)
+    return MinNormResult(lam=lam[0], direction=direction[0], norm=float(norm[0]))

@@ -18,7 +18,6 @@ from paretoebm.core import (
     relax,
     sequence_from_str,
     sequence_to_str,
-    write_sequences,
 )
 
 
@@ -261,7 +260,7 @@ class TestSequenceText:
     def test_file_round_trip(self, tmp_path):
         seqs = [sequence_from_str("ACDY"), sequence_from_str("WWWW")]
         path = tmp_path / "seqs.txt"
-        write_sequences(path, seqs)
+        path.write_text("".join(sequence_to_str(s) + "\n" for s in seqs))
         loaded = read_sequences(path)
         assert loaded == seqs
 

@@ -19,7 +19,6 @@ from paretoebm.core import (
     AMINO_ALPHABET,
     ConfigError,
     DiscreteSequence,
-    ObjectiveVector,
     ParetoEbmError,
     ShapeError,
     sequence_to_str,
@@ -108,7 +107,7 @@ class TestProblemRegistry:
         assert front.shape[1] == m
         # Documented fronts are mutually non-dominated samples of the
         # trade-off surface.
-        kept = pareto_filter([ObjectiveVector(row) for row in front])
+        kept = pareto_filter(front)
         assert len(kept) >= 0.9 * len(front)
 
     def test_unknown_problem_names_id(self):
@@ -703,6 +702,39 @@ class TestCellProcesses:
         run_sweep(clean)
         assert snapshot(cfg.output_dir) == snapshot(clean.output_dir)
 
+    def test_worker_whose_parent_is_gone_runs_no_further_cell(self, monkeypatch):
+        cells = [SweepCell(i, "cebm", 0.1, 1, "gaussian") for i in range(3)]
+        ran = []
+
+        def fn(cell):
+            ran.append(cell.index)
+            return cell.index
+
+        receive, send = multiprocessing.Pipe(duplex=False)
+        harness._share_worker(send, fn, cells, os.getppid())
+        assert receive.recv() == [0, 1, 2] and ran == [0, 1, 2]
+        receive.close()
+
+        # Forked by another process than this one's parent: no cell runs and
+        # the pipe closes with nothing sent.
+        ran.clear()
+        receive, send = multiprocessing.Pipe(duplex=False)
+        harness._share_worker(send, fn, cells, os.getppid() + 1)
+        with pytest.raises(EOFError):
+            receive.recv()
+        receive.close()
+        assert ran == []
+
+        # The parent dies while cell 0 runs: the worker finishes it alone.
+        parent = os.getppid()
+        monkeypatch.setattr(os, "getppid", lambda: parent + 1 if ran else parent)
+        receive, send = multiprocessing.Pipe(duplex=False)
+        harness._share_worker(send, fn, cells, parent)
+        with pytest.raises(EOFError):
+            receive.recv()
+        receive.close()
+        assert ran == [0]
+
     def test_cell_log_line_has_wall_time_throughput_and_pid(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
         cfg = load_config(write_config(tmp_path / "cfg.yaml", methods=["cebm", "pcebm"]))
@@ -794,7 +826,7 @@ class TestCellProcesses:
 class TestEmitFront:
     def test_flags_match_pareto_filter(self, tmp_path):
         rng = np.random.default_rng(2)
-        points = [ObjectiveVector(rng.random(2)) for _ in range(30)]
+        points = rng.random((30, 2))
         labels = [f"m{i % 3}" for i in range(30)]
         path = tmp_path / "front.csv"
         emit_front(points, labels, path)
@@ -805,7 +837,7 @@ class TestEmitFront:
         assert [i for i, f in enumerate(flags) if f == 1] == sorted(expect)
 
     def test_three_points_one_nondominated(self, tmp_path):
-        points = [ObjectiveVector([0.1, 0.1]), ObjectiveVector([0.5, 0.5]), ObjectiveVector([0.9, 0.2])]
+        points = np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.2]])
         path = tmp_path / "front.csv"
         emit_front(points, ["a", "b", "c"], path)
         rows = path.read_text().strip().splitlines()
@@ -819,13 +851,13 @@ class TestEmitFront:
 
     def test_length_mismatch(self, tmp_path):
         with pytest.raises(ShapeError):
-            emit_front([ObjectiveVector([0.1, 0.2])], [], tmp_path / "x.csv")
+            emit_front(np.array([[0.1, 0.2]]), [], tmp_path / "x.csv")
 
-    def test_matrix_input_writes_the_same_file(self, tmp_path):
+    def test_list_of_rows_writes_the_same_file(self, tmp_path):
         V = np.round(np.random.default_rng(4).random((50, 3)), 1)
         labels = [f"c{i % 4}" for i in range(50)]
         emit_front(V, labels, tmp_path / "a.csv")
-        emit_front([ObjectiveVector(row) for row in V], labels, tmp_path / "b.csv")
+        emit_front(list(V), labels, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         emit_front(np.empty((0, 3)), [], tmp_path / "empty.csv")
         assert (tmp_path / "empty.csv").read_text() == "label,non_dominated\n"

@@ -1,12 +1,12 @@
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
 from paretoebm.core import (
     DiscreteSequence,
-    ObjectiveVector,
     ShapeError,
     Trajectory,
 )
@@ -19,16 +19,11 @@ from paretoebm.metrics import (
     edit_distance_matrix,
     hypervolume_exact,
     hypervolume_mc,
-    min_edit_to_set,
     nondominated_mask,
     summarize_edist,
     unit_reference,
 )
 from paretoebm.moo import pareto_filter
-
-
-def obj(values):
-    return ObjectiveVector(np.array(values, dtype=float))
 
 
 def py_edit_distance(a, b):
@@ -65,6 +60,14 @@ def brute_hypervolume(V, r):
             continue
         total += (z_next - z) * metrics._hv_2d(V[V[:, 2] <= z][:, :2], r[0], r[1])
     return float(total)
+
+
+def grid_cells_covered(P, k):
+    # Independent oracle for integer points P (n, m) with reference (k, ..., k):
+    # the union of the boxes [p, r] is made of unit cells [c, c + 1]^m of
+    # [0, k]^m, and it holds a cell exactly when some point weakly dominates
+    # the cell's lower corner c. The count of such cells is the hypervolume.
+    return sum(bool(np.any(np.all(P <= c, axis=1))) for c in product(range(k), repeat=P.shape[1]))
 
 
 def brute_hypervolume_mc(V, r, samples, seed):
@@ -173,7 +176,7 @@ class TestNormalization:
         assert out[0, 0] == 0.5
 
     def test_fit(self):
-        nmap = NormalizationMap.fit([obj([0.0, 5.0]), obj([2.0, 3.0])])
+        nmap = NormalizationMap.fit(np.array([[0.0, 5.0], [2.0, 3.0]]))
         assert np.array_equal(nmap.mins, [0.0, 3.0])
         assert np.array_equal(nmap.maxs, [2.0, 5.0])
 
@@ -185,53 +188,53 @@ class TestNormalization:
 
 class TestHypervolumeExact:
     def test_point_at_reference_is_zero(self):
-        assert hypervolume_exact([obj([1.0, 1.0])], unit_reference(2)) == 0.0
+        assert hypervolume_exact([[1.0, 1.0]], unit_reference(2)) == 0.0
 
     def test_single_rectangle(self):
-        assert hypervolume_exact([obj([0.5, 0.5])], unit_reference(2)) == pytest.approx(0.25, abs=1e-15)
+        assert hypervolume_exact([[0.5, 0.5]], unit_reference(2)) == pytest.approx(0.25, abs=1e-15)
 
     def test_two_point_inclusion_exclusion(self):
-        points = [obj([0.2, 0.8]), obj([0.8, 0.2])]
+        points = [[0.2, 0.8], [0.8, 0.2]]
         assert hypervolume_exact(points, unit_reference(2)) == pytest.approx(0.28, abs=1e-12)
 
     def test_one_dimensional(self):
         ref = ReferencePoint([2.0])
-        assert hypervolume_exact([obj([0.5]), obj([1.0])], ref) == 1.5
+        assert hypervolume_exact([[0.5], [1.0]], ref) == 1.5
 
     def test_three_dimensional_cube(self):
-        assert hypervolume_exact([obj([0.5] * 3)], unit_reference(3)) == pytest.approx(0.125, abs=1e-15)
+        assert hypervolume_exact([[0.5] * 3], unit_reference(3)) == pytest.approx(0.125, abs=1e-15)
 
     def test_three_dimensional_union(self):
         # 0.125 + 0.8*0.1*0.1 - 0.5*0.1*0.1 = 0.128
-        points = [obj([0.5, 0.5, 0.5]), obj([0.2, 0.9, 0.9])]
+        points = [[0.5, 0.5, 0.5], [0.2, 0.9, 0.9]]
         assert hypervolume_exact(points, unit_reference(3)) == pytest.approx(0.128, abs=1e-12)
 
     def test_empty(self):
         assert hypervolume_exact([], unit_reference(2)) == 0.0
 
     def test_dominated_and_duplicate_points_add_nothing(self):
-        base = [obj([0.2, 0.3]), obj([0.6, 0.1])]
+        base = [[0.2, 0.3], [0.6, 0.1]]
         hv = hypervolume_exact(base, unit_reference(2))
-        padded = base + [obj([0.5, 0.5]), obj([0.2, 0.3])]
+        padded = base + [[0.5, 0.5], [0.2, 0.3]]
         assert hypervolume_exact(padded, unit_reference(2)) == hv
 
     def test_points_beyond_reference_clip_to_zero_volume(self):
-        assert hypervolume_exact([obj([1.4, 2.0])], unit_reference(2)) == 0.0
+        assert hypervolume_exact([[1.4, 2.0]], unit_reference(2)) == 0.0
 
     def test_monotone_in_points(self):
         rng = np.random.default_rng(0)
         ref = unit_reference(3)
         for _ in range(200):
-            pts = [obj(rng.random(3)) for _ in range(rng.integers(1, 8))]
+            pts = [rng.random(3) for _ in range(rng.integers(1, 8))]
             hv = hypervolume_exact(pts, ref)
-            bigger = pts + [obj(rng.random(3))]
+            bigger = pts + [rng.random(3)]
             assert hypervolume_exact(bigger, ref) >= hv - 1e-15
 
     def test_dominated_removal_invariance(self):
         rng = np.random.default_rng(1)
         ref = unit_reference(2)
         for _ in range(200):
-            pts = [obj(rng.random(2)) for _ in range(6)]
+            pts = [rng.random(2) for _ in range(6)]
             keep = pareto_filter(pts)
             front_only = [pts[i] for i in keep]
             assert hypervolume_exact(front_only, ref) == hypervolume_exact(pts, ref)
@@ -256,29 +259,83 @@ class TestHypervolumeExact:
             assert hypervolume_exact(V, ReferencePoint(r)) == brute_hypervolume(V, r)
             assert hypervolume_exact(list(V), ReferencePoint(r)) == brute_hypervolume(V, r)
 
-    def test_accepts_matrix_like_vectors(self):
+    def test_accepts_a_list_of_rows(self):
         rng = np.random.default_rng(25)
         V = rng.random((40, 3))
         ref = unit_reference(3)
-        assert hypervolume_exact(V, ref) == hypervolume_exact([obj(row) for row in V], ref)
+        assert hypervolume_exact(V, ref) == hypervolume_exact(list(V), ref)
         with pytest.raises(ShapeError):
             hypervolume_exact(V[None], ref)
 
     def test_m_above_three_rejected(self):
         with pytest.raises(ShapeError):
-            hypervolume_exact([obj([0.1] * 4)], unit_reference(4))
+            hypervolume_exact([[0.1] * 4], unit_reference(4))
+
+
+class TestHypervolumeGridOracle:
+    """hypervolume_exact on integer points against grid_cells_covered. Every
+    number either side computes is a small integer, exact in floating point,
+    so the two must agree exactly."""
+
+    @staticmethod
+    def hv(P, k):
+        return hypervolume_exact(np.asarray(P), ReferencePoint(np.full(np.shape(P)[1], float(k))))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_random_sets_with_ties_and_duplicates(self, m):
+        rng = np.random.default_rng(50 + m)
+        for _ in range(300):
+            k = int(rng.integers(1, 7))
+            P = rng.integers(0, k + 1, size=(int(rng.integers(1, 25)), m))
+            P = np.concatenate([P, P[rng.integers(0, len(P), size=len(P) // 2 + 1)]])
+            assert self.hv(P, k) == grid_cells_covered(P, k)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_one_point(self, m):
+        k = 4
+        for p in product(range(k + 1), repeat=m):
+            P = np.array([p])
+            assert self.hv(P, k) == grid_cells_covered(P, k) == math.prod(k - v for v in p)
+
+    def test_every_point_in_one_z_plane(self):
+        rng = np.random.default_rng(52)
+        for _ in range(100):
+            k = int(rng.integers(1, 7))
+            P = rng.integers(0, k + 1, size=(int(rng.integers(1, 20)), 3))
+            P[:, 2] = rng.integers(0, k + 1)
+            assert self.hv(P, k) == grid_cells_covered(P, k)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_points_on_the_reference_faces(self, m):
+        rng = np.random.default_rng(53 + m)
+        for _ in range(100):
+            k = int(rng.integers(1, 7))
+            P = rng.integers(0, k + 1, size=(int(rng.integers(1, 20)), m))
+            on_face = rng.random(len(P)) < 0.5
+            P[on_face, rng.integers(0, m, size=on_face.sum())] = k
+            assert self.hv(P, k) == grid_cells_covered(P, k)
+        assert self.hv(np.full((3, m), 5), 5) == 0.0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_points_beyond_the_reference(self, m):
+        rng = np.random.default_rng(55 + m)
+        for _ in range(100):
+            k = int(rng.integers(1, 7))
+            P = rng.integers(0, k + 4, size=(int(rng.integers(1, 20)), m))
+            assert self.hv(P, k) == grid_cells_covered(P, k)
+        assert self.hv(np.full((2, m), 7), 5) == 0.0
 
 
 class TestHypervolumeMc:
     def test_full_domination(self):
-        est, err = hypervolume_mc([obj([0.0, 0.0, 0.0])], unit_reference(3), 10_000, seed=0)
+        est, err = hypervolume_mc([[0.0, 0.0, 0.0]], unit_reference(3), 10_000, seed=0)
         assert est == 1.0 and err == 0.0
 
     def test_empty_points(self):
         assert hypervolume_mc([], unit_reference(2), 100) == (0.0, 0.0)
 
     def test_degenerate_box(self):
-        est, err = hypervolume_mc([obj([1.0, 1.0])], unit_reference(2), 100)
+        est, err = hypervolume_mc([[1.0, 1.0]], unit_reference(2), 100)
         assert est == 0.0 and err == 0.0
 
     def test_matches_exact_within_three_sigma(self):
@@ -287,7 +344,7 @@ class TestHypervolumeMc:
         for trial in range(10):
             m = 2 if trial % 2 == 0 else 3
             ref = ref2 if m == 2 else ref3
-            pts = [obj(rng.random(m)) for _ in range(rng.integers(1, 10))]
+            pts = [rng.random(m) for _ in range(rng.integers(1, 10))]
             exact = hypervolume_exact(pts, ref)
             est, err = hypervolume_mc(pts, ref, 200_000, seed=trial)
             assert abs(est - exact) <= 3.0 * max(err, 1e-12)
@@ -306,7 +363,7 @@ class TestHypervolumeMc:
         assert hypervolume_mc(V, ReferencePoint(r), 70_000, seed=trial) == expect
 
     def test_works_above_three_objectives(self):
-        pts = [obj([0.5] * 4)]
+        pts = [[0.5] * 4]
         est, err = hypervolume_mc(pts, unit_reference(4), 200_000, seed=1)
         assert abs(est - 0.5**4) <= 3.0 * max(err, 1e-12)
 
@@ -371,15 +428,21 @@ class TestEditDistance:
             assert edit_distance(a, c) <= dab + edit_distance(b, c)
 
 
-class TestMinEditToSet:
+def nearest(x, pool):
+    """The least edit distance from x to the pool and the index of its first
+    holder: one row of edit_distance_matrix and its argmin."""
+    dists = edit_distance_matrix([x], pool)[0]
+    best = int(np.argmin(dists))
+    return int(dists[best]), best
+
+
+class TestNearestInSet:
     def test_member_gives_zero(self):
         pool = [np.array([0, 1]), np.array([2, 2])]
-        dist, idx = min_edit_to_set(np.array([2, 2]), pool)
-        assert dist == 0 and idx == 1
+        assert nearest(np.array([2, 2]), pool) == (0, 1)
 
     def test_singleton(self):
-        dist, idx = min_edit_to_set("abc", ["abd"])
-        assert dist == 1 and idx == 0
+        assert nearest("abc", ["abd"]) == (1, 0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
@@ -387,19 +450,14 @@ class TestMinEditToSet:
         for _ in range(100):
             x = rng.integers(0, 4, size=8)
             dists = [edit_distance(x, p) for p in pool]
-            expect = (min(dists), int(np.argmin(dists)))
-            assert min_edit_to_set(x, pool) == expect
+            assert nearest(x, pool) == (min(dists), int(np.argmin(dists)))
 
     def test_tie_takes_lowest_index(self):
-        pool = ["aa", "ab", "ba"]
-        dist, idx = min_edit_to_set("ab", ["aa", "ab", "ab"])
-        assert dist == 0 and idx == 1
-        dist, idx = min_edit_to_set("bb", pool)
-        assert dist == 1 and idx == 1
+        assert nearest("ab", ["aa", "ab", "ab"]) == (0, 1)
+        assert nearest("bb", ["aa", "ab", "ba"]) == (1, 1)
 
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            min_edit_to_set("abc", [])
+    def test_empty_set_gives_an_empty_row(self):
+        assert edit_distance_matrix(["abc"], []).shape == (1, 0)
 
     def test_ragged_lengths_match_pairwise(self):
         rng = np.random.default_rng(27)
@@ -407,16 +465,16 @@ class TestMinEditToSet:
             pool = [rng.integers(0, 3, size=int(rng.integers(0, 9))) for _ in range(int(rng.integers(1, 12)))]
             x = rng.integers(0, 3, size=int(rng.integers(0, 9)))
             dists = [py_edit_distance(x, p) for p in pool]
-            assert min_edit_to_set(x, pool) == (min(dists), int(np.argmin(dists)))
+            assert nearest(x, pool) == (min(dists), int(np.argmin(dists)))
 
     def test_empty_sequences(self):
-        assert min_edit_to_set("", ["abc", "", "a"]) == (0, 1)
-        assert min_edit_to_set("", ["abc", "ab"]) == (2, 1)
-        assert min_edit_to_set("ab", ["", "xyz"]) == (2, 0)
+        assert nearest("", ["abc", "", "a"]) == (0, 1)
+        assert nearest("", ["abc", "ab"]) == (2, 1)
+        assert nearest("ab", ["", "xyz"]) == (2, 0)
 
     def test_tie_across_length_groups_takes_lowest_index(self):
         # "abcd" and "ab" are both at distance 1 from "abc"; "abcd" comes first.
-        assert min_edit_to_set("abc", ["xyzw", "abcd", "ab", "abd"]) == (1, 1)
+        assert nearest("abc", ["xyzw", "abcd", "ab", "abd"]) == (1, 1)
 
 
 class TestEditDistanceMatrix:

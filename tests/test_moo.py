@@ -4,86 +4,39 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paretoebm.core import SIMPLEX_TOL, ConfigError, DesignPoint, ObjectiveVector, ShapeError
+from paretoebm.core import SIMPLEX_TOL, ConfigError, DesignPoint, ShapeError
 from paretoebm.energy import ObjectiveSet, ShiftedQuadratic
 from paretoebm.moo import (
     MIN_NORM_MAX_M,
-    dominates,
     min_norm_closed_form,
     pareto_filter,
     solve_min_norm,
 )
 
 
-def obj(values):
-    return ObjectiveVector(np.array(values, dtype=float))
-
-
 def brute_force_front(points):
-    keep = []
-    for i, a in enumerate(points):
-        if not any(j != i and dominates(b, a) for j, b in enumerate(points)):
-            keep.append(i)
-    return keep
-
-
-class TestDominates:
-    def test_strict_domination(self):
-        assert dominates(obj([0, 0]), obj([1, 1]))
-
-    def test_incomparable(self):
-        assert not dominates(obj([0, 1]), obj([1, 0]))
-        assert not dominates(obj([1, 0]), obj([0, 1]))
-
-    def test_equal_points_do_not_dominate(self):
-        assert not dominates(obj([1, 1]), obj([1, 1]))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            dominates(obj([1, 1]), obj([1, 1, 1]))
-
-    def test_irreflexive_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            v = obj(rng.normal(size=3))
-            assert not dominates(v, v)
-
-    def test_transitive_random(self):
-        rng = np.random.default_rng(1)
-        checked = 0
-        while checked < 200:
-            a, b, c = (obj(rng.normal(size=3)) for _ in range(3))
-            if dominates(a, b) and dominates(b, c):
-                assert dominates(a, c)
-                checked += 1
-            else:
-                # Build a guaranteed chain so the property actually fires.
-                base = rng.normal(size=3)
-                a = obj(base - 2.0)
-                b = obj(base - 1.0)
-                c = obj(base)
-                assert dominates(a, b) and dominates(b, c) and dominates(a, c)
-                checked += 1
+    """Indices of the rows that no other row dominates (<= everywhere and <
+    somewhere), by a pairwise check; a NaN compares false, so dominates nothing."""
+    V = np.asarray(points, dtype=float)
+    return [i for i, a in enumerate(V) if not any(np.all(b <= a) and np.any(b < a) for b in V)]
 
 
 class TestParetoFilter:
     def test_dominated_point_dropped(self):
-        points = [obj([0, 1]), obj([1, 0]), obj([1, 1])]
-        assert pareto_filter(points) == [0, 1]
+        assert pareto_filter(np.array([[0, 1], [1, 0], [1, 1]])) == [0, 1]
 
     def test_identical_points_all_kept(self):
-        points = [obj([2, 2])] * 4
-        assert pareto_filter(points) == [0, 1, 2, 3]
+        assert pareto_filter(np.full((4, 2), 2.0)) == [0, 1, 2, 3]
 
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(2)
-        points = [obj(rng.normal(size=3)) for _ in range(200)]
+        points = rng.normal(size=(200, 3))
         assert pareto_filter(points) == brute_force_front(points)
 
     def test_matches_brute_force_many_shapes(self):
         rng = np.random.default_rng(3)
         for m in (2, 3, 4):
-            pts = [obj(rng.integers(0, 4, size=m)) for _ in range(500)]
+            pts = rng.integers(0, 4, size=(500, m))
             assert pareto_filter(pts) == brute_force_front(pts)
 
     def test_matches_brute_force_with_nan_and_inf(self):
@@ -95,12 +48,12 @@ class TestParetoFilter:
                 V[special < 0.05] = np.nan
                 V[special > 0.92] = np.inf
                 V[(special > 0.05) & (special < 0.1)] = -np.inf
-                assert pareto_filter(V) == brute_force_front(list(V))
+                assert pareto_filter(V) == brute_force_front(V)
 
-    def test_array_input_matches_vectors(self):
+    def test_list_of_rows_reads_as_the_matrix(self):
         rng = np.random.default_rng(31)
         V = rng.integers(0, 5, size=(300, 3)).astype(float)
-        assert pareto_filter(V) == pareto_filter([obj(row) for row in V])
+        assert pareto_filter(V) == pareto_filter(list(V)) == pareto_filter(V.tolist())
 
     def test_empty(self):
         assert pareto_filter([]) == []
@@ -110,9 +63,10 @@ class TestParetoFilter:
         with pytest.raises(ShapeError):
             pareto_filter(np.zeros((2, 2, 2)))
 
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            pareto_filter([obj([1, 2]), obj([1, 2, 3])])
+    def test_rows_of_unequal_length_rejected(self):
+        # Ragged rows form no (n, m) array; numpy refuses them.
+        with pytest.raises(ValueError):
+            pareto_filter([np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])])
 
 
 def grid_norms_2(g1, g2, step=1e-3):
@@ -252,7 +206,6 @@ class TestMinNorm3:
         for _ in range(300):
             grads = random_bundle(rng, 3, int(rng.integers(1, 9)))
             res = solve_min_norm(grads)
-            assert res.converged and res.iterations == 0
             assert abs(res.norm - brute_min_norm(grads)) <= 1e-14 * float(np.abs(grads).max())
 
     def test_descent_property(self):
@@ -321,7 +274,6 @@ class TestMinNormEnumerated:
         bundles += [random_bundle(rng, m, int(rng.integers(1, 9))) for m in (7, 8) for _ in range(5)]
         for grads in bundles:
             res = solve_min_norm(grads)
-            assert res.converged and res.iterations == 0
             assert abs(res.norm - brute_min_norm(grads)) <= 1e-14 * float(np.abs(grads).max())
 
     def test_descent_property(self):
