@@ -853,7 +853,7 @@ class TestEmitFront:
         with pytest.raises(ShapeError):
             emit_front(np.array([[0.1, 0.2]]), [], tmp_path / "x.csv")
 
-    def test_list_of_rows_writes_the_same_file(self, tmp_path):
+    def test_matrix_input_writes_the_same_file(self, tmp_path):
         V = np.round(np.random.default_rng(4).random((50, 3)), 1)
         labels = [f"c{i % 4}" for i in range(50)]
         emit_front(V, labels, tmp_path / "a.csv")

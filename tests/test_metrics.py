@@ -259,7 +259,7 @@ class TestHypervolumeExact:
             assert hypervolume_exact(V, ReferencePoint(r)) == brute_hypervolume(V, r)
             assert hypervolume_exact(list(V), ReferencePoint(r)) == brute_hypervolume(V, r)
 
-    def test_accepts_a_list_of_rows(self):
+    def test_accepts_matrix_like_vectors(self):
         rng = np.random.default_rng(25)
         V = rng.random((40, 3))
         ref = unit_reference(3)
@@ -436,7 +436,7 @@ def nearest(x, pool):
     return int(dists[best]), best
 
 
-class TestNearestInSet:
+class TestMinEditToSet:
     def test_member_gives_zero(self):
         pool = [np.array([0, 1]), np.array([2, 2])]
         assert nearest(np.array([2, 2]), pool) == (0, 1)
@@ -456,8 +456,11 @@ class TestNearestInSet:
         assert nearest("ab", ["aa", "ab", "ab"]) == (0, 1)
         assert nearest("bb", ["aa", "ab", "ba"]) == (1, 1)
 
-    def test_empty_set_gives_an_empty_row(self):
+    def test_empty_set_rejected(self):
+        # An empty set gives an empty row, which has no nearest member.
         assert edit_distance_matrix(["abc"], []).shape == (1, 0)
+        with pytest.raises(ValueError):
+            nearest("abc", [])
 
     def test_ragged_lengths_match_pairwise(self):
         rng = np.random.default_rng(27)

@@ -21,6 +21,50 @@ def brute_force_front(points):
     return [i for i, a in enumerate(V) if not any(np.all(b <= a) and np.any(b < a) for b in V)]
 
 
+def dominates(a, b):
+    """Whether pareto_filter drops b from the pair [a, b]: the dominance that
+    nondominated_mask defines, read on two points."""
+    return 1 not in pareto_filter([a, b])
+
+
+class TestDominates:
+    def test_strict_domination(self):
+        assert dominates([0, 0], [1, 1])
+
+    def test_incomparable(self):
+        assert not dominates([0, 1], [1, 0])
+        assert not dominates([1, 0], [0, 1])
+
+    def test_equal_points_do_not_dominate(self):
+        assert not dominates([1, 1], [1, 1])
+
+    def test_length_mismatch(self):
+        # Rows of unequal length form no (n, m) array; numpy refuses them.
+        with pytest.raises(ValueError):
+            dominates(np.array([1.0, 1.0]), np.array([1.0, 1.0, 1.0]))
+
+    def test_irreflexive_random(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            v = rng.normal(size=3)
+            assert not dominates(v, v)
+
+    def test_transitive_random(self):
+        rng = np.random.default_rng(1)
+        checked = 0
+        while checked < 200:
+            a, b, c = (rng.normal(size=3) for _ in range(3))
+            if dominates(a, b) and dominates(b, c):
+                assert dominates(a, c)
+                checked += 1
+            else:
+                # Build a guaranteed chain so the property actually fires.
+                base = rng.normal(size=3)
+                a, b, c = base - 2.0, base - 1.0, base
+                assert dominates(a, b) and dominates(b, c) and dominates(a, c)
+                checked += 1
+
+
 class TestParetoFilter:
     def test_dominated_point_dropped(self):
         assert pareto_filter(np.array([[0, 1], [1, 0], [1, 1]])) == [0, 1]
@@ -50,7 +94,7 @@ class TestParetoFilter:
                 V[(special > 0.05) & (special < 0.1)] = -np.inf
                 assert pareto_filter(V) == brute_force_front(V)
 
-    def test_list_of_rows_reads_as_the_matrix(self):
+    def test_array_input_matches_vectors(self):
         rng = np.random.default_rng(31)
         V = rng.integers(0, 5, size=(300, 3)).astype(float)
         assert pareto_filter(V) == pareto_filter(list(V)) == pareto_filter(V.tolist())
@@ -63,7 +107,7 @@ class TestParetoFilter:
         with pytest.raises(ShapeError):
             pareto_filter(np.zeros((2, 2, 2)))
 
-    def test_rows_of_unequal_length_rejected(self):
+    def test_length_mismatch(self):
         # Ragged rows form no (n, m) array; numpy refuses them.
         with pytest.raises(ValueError):
             pareto_filter([np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])])
