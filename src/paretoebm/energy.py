@@ -32,19 +32,17 @@ _TILE = 8
 
 
 def _tiled_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B for an (n, k) A, one np.matmul per C-contiguous (_TILE, k) tile, zero-padded.
-    BLAS rounds a row of a fixed-shape product alike at any position in the tile and whatever
-    its siblings hold (one product over all n rows does not): each row equals the row alone."""
+    """A @ B for an (n, k) A, as one stacked np.matmul over its C-contiguous (_TILE, k) tiles,
+    zero-padded. BLAS rounds a row of a fixed-shape product alike at any position in the tile
+    and whatever its siblings hold (one product over all n rows does not): each row equals the
+    row alone."""
     n, k = A.shape
     rows = -(-n // _TILE) * _TILE
     if rows != n or not A.flags.c_contiguous:
         padded = np.zeros((rows, k))
         padded[:n] = A
         A = padded
-    out = np.empty((rows, B.shape[1]))
-    for t in range(0, rows, _TILE):
-        np.matmul(A[t : t + _TILE], B, out=out[t : t + _TILE])
-    return out[:n]
+    return np.matmul(A.reshape(rows // _TILE, _TILE, k), B).reshape(rows, B.shape[1])[:n]
 
 
 class EnergyModel(ABC):
@@ -115,6 +113,12 @@ class ObjectiveSet:
         self.models = models
         self._d = d
         self._kind = kind
+        # Each model's own kernel is its family's kernel on its one center,
+        # so the stacked call gives every model's bits.
+        family = type(models[0])
+        stacked = family in (ShiftedQuadratic, FonsecaFlemingBranch) and all(type(m) is family for m in models)
+        self._kernel = family._centered_kernel if stacked else None
+        self._centers = np.stack([model.center for model in models]) if stacked else None
 
     @property
     def m(self) -> int:
@@ -130,7 +134,12 @@ class ObjectiveSet:
 
     def eval_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values (n, m) and gradients (n, m, d) at the rows of an unchecked
-        (n, d) coordinate array, one batched pass per model."""
+        (n, d) coordinate array. A set of one centered family (every model a
+        ShiftedQuadratic, or every model a FonsecaFlemingBranch) is one call
+        of the family's kernel on the stacked centers; any other set takes
+        one batched pass per model."""
+        if self._kernel is not None:
+            return self._kernel(X, self._centers)
         values = np.empty((X.shape[0], self.m))
         grads = np.empty((X.shape[0], self.m, self._d))
         for i, model in enumerate(self.models):
@@ -267,9 +276,18 @@ class ShiftedQuadratic(EnergyModel):
     def d(self) -> int:
         return self.center.size
 
+    @staticmethod
+    def _centered_kernel(X, centers):
+        """Values (n, k) and gradients (n, k, d) of the quadratics centered at
+        the rows of the (k, d) ``centers``, at the rows of the (n, d) ``X``."""
+        delta = X[:, None] - centers
+        values = np.vecdot(delta, delta)
+        delta *= 2.0
+        return values, delta
+
     def _batch_value_and_gradient(self, X):
-        delta = X - self.center
-        return np.vecdot(delta, delta), 2.0 * delta
+        values, grads = self._centered_kernel(X, self.center[None])
+        return values[:, 0], grads[:, 0]
 
 
 class FonsecaFlemingBranch(EnergyModel):
@@ -297,10 +315,18 @@ class FonsecaFlemingBranch(EnergyModel):
     # the last bit on a few percent of inputs): a ufunc rounds each element
     # the same way whatever the array's length, so a row of a batch equals
     # the same row evaluated alone bit for bit.
-    def _batch_value_and_gradient(self, X):
-        delta = X - self.center
+    @staticmethod
+    def _centered_kernel(X, centers):
+        """Values (n, k) and gradients (n, k, d) of the branches centered at
+        the rows of the (k, d) ``centers``, at the rows of the (n, d) ``X``."""
+        delta = X[:, None] - centers
         e = np.exp(-np.vecdot(delta, delta))
-        return 1.0 - e, (2.0 * e)[:, None] * delta
+        delta *= (2.0 * e)[..., None]
+        return 1.0 - e, delta
+
+    def _batch_value_and_gradient(self, X):
+        values, grads = self._centered_kernel(X, self.center[None])
+        return values[:, 0], grads[:, 0]
 
 
 def _squash(v):

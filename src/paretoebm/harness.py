@@ -18,11 +18,13 @@ per process.
 from __future__ import annotations
 
 import csv
+import fcntl
 import json
 import logging
 import math
 import os
 import shutil
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from itertools import combinations
 from operator import attrgetter
@@ -619,13 +621,34 @@ def _map_cells(
     return [results[cell.index] for cell in cells]
 
 
+@contextmanager
+def _sole_writer(directory: Path):
+    """Hold an exclusive lock on ``directory``, created if missing, for the
+    duration of the block. The lock is a ``flock`` on the directory itself,
+    so no file is added to it; the sweep's forked workers share it, and it is
+    released when the last of them exits. A directory that another process
+    holds is a ConfigError."""
+    directory.mkdir(parents=True, exist_ok=True)
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"output directory {directory} is in use by another sweep") from None
+        yield
+    finally:
+        os.close(fd)
+
+
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Run every grid cell, then aggregate one report bundle on disk.
 
     Layout: <output_dir>/report.json, <output_dir>/fronts.csv, and per cell
     <output_dir>/cells/<cell_id>/{trajectories.csv,final_points.csv,front.csv}.
     Finished cells are skipped on rerun; a fully finished sweep returns
-    without touching the bundle. The other cells run on one process per CPU
+    without touching the bundle. The sweep holds ``output_dir`` alone
+    throughout (``_sole_writer``): a directory in use is a ConfigError.
+    The other cells run on one process per CPU
     in the affinity mask (see ``_map_cells``), split by chains x (steps + 1),
     and each hands back the final points it wrote; a skipped cell's are read
     from its ``final_points.csv``. This process fits the pooled
@@ -663,137 +686,140 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     ]
     init = RandomInit(problem.d, cfg.init_distribution, cfg.init_scale)
 
-    if report_path.is_file() and all(_cell_complete(cells_dir / c.cell_id) for c in cells):
-        logger.info("sweep already complete: %s", out)
-        return SweepResult(out, report_path, json.loads(report_path.read_text()))
+    # One writer per output directory: a second sweep into it, or one started
+    # while a killed sweep's worker still writes, is refused.
+    with _sole_writer(out):
+        if report_path.is_file() and all(_cell_complete(cells_dir / c.cell_id) for c in cells):
+            logger.info("sweep already complete: %s", out)
+            return SweepResult(out, report_path, json.loads(report_path.read_text()))
 
-    cells_dir.mkdir(parents=True, exist_ok=True)
-    pending = []
-    points: dict[int, tuple[np.ndarray, list[str]]] = {}
-    for cell in cells:
-        cell_dir = cells_dir / cell.cell_id
-        if _cell_complete(cell_dir):
-            logger.info("cell %s already on disk, skipping", cell.cell_id)
-            points[cell.index] = _read_final_points(cell_dir / "final_points.csv", is_sequence)
-        else:
-            pending.append(cell)
+        cells_dir.mkdir(parents=True, exist_ok=True)
+        pending = []
+        points: dict[int, tuple[np.ndarray, list[str]]] = {}
+        for cell in cells:
+            cell_dir = cells_dir / cell.cell_id
+            if _cell_complete(cell_dir):
+                logger.info("cell %s already on disk, skipping", cell.cell_id)
+                points[cell.index] = _read_final_points(cell_dir / "final_points.csv", is_sequence)
+            else:
+                pending.append(cell)
 
-    def unwritten(lost: list[SweepCell]) -> str:
-        ids = [cell.cell_id for cell in lost if not _cell_complete(cells_dir / cell.cell_id)]
-        return f"cells left unwritten: {', '.join(ids) or 'none'}. Finished cells stay on disk, so a rerun resumes."
+        def unwritten(lost: list[SweepCell]) -> str:
+            ids = [cell.cell_id for cell in lost if not _cell_complete(cells_dir / cell.cell_id)]
+            return f"cells left unwritten: {', '.join(ids) or 'none'}. Finished cells stay on disk, so a rerun resumes."
 
-    outcomes = _map_cells(
-        lambda cell: _run_cell(cfg, problem, cell, configs[cell.index], init, cells_dir),
-        pending,
-        lambda cell: cfg.chains * (cell.steps + 1),
-        unwritten,
-    )
-    cell_failures = []
-    for cell, outcome in zip(pending, outcomes):
-        if isinstance(outcome, dict):
-            cell_failures.append(outcome)
-        else:
-            points[cell.index] = outcome
-
-    # Aggregation: one pooled normalization over every final point the sweep
-    # produced, so cross-method comparisons share one scale.
-    start = perf_counter()
-    finished = [cell for cell in cells if cell.index in points]
-    pooled = [values for values, _ in points.values() if values.size]
-    if not pooled:
-        raise ConfigError("sweep produced no points; every cell failed")
-    pooled_matrix = np.concatenate(pooled, axis=0)
-    # Rejected before any front or hypervolume is computed; a fixed
-    # normalization would clip an infinite value into [0, 1].
-    if not np.all(np.isfinite(pooled_matrix)):
-        raise ValueError("objective values must be finite")
-    nmap = NormalizationMap.fit(pooled_matrix) if fixed_nmap is None else fixed_nmap
-    normalized = {}
-    for cell in finished:
-        values = points[cell.index][0]
-        normalized[cell.index] = nmap.apply_raw(values) if values.size else values.reshape(0, m)
-    stacked = np.concatenate([normalized[cell.index] for cell in finished])
-    on_front = np.zeros(len(stacked), dtype=bool)
-    on_front[pareto_filter(stacked)] = True
-    ends = np.cumsum([len(normalized[cell.index]) for cell in finished])[:-1]
-    pooled_flags = dict(zip(normalized, (flags.tolist() for flags in np.split(on_front, ends))))
-
-    norm_doc = {
-        "min": [float(v) for v in nmap.mins],
-        "max": [float(v) for v in nmap.maxs],
-        "degenerate": [bool(v) for v in nmap.degenerate],
-    }
-    objective_names = [f"f{i}" for i in range(m)]
-
-    def aggregate(cell: SweepCell) -> tuple[dict, str]:
-        """A cell's report record and its block of fronts.csv rows; writes its front.csv."""
-        values = normalized[cell.index]
-        coords = emit_front(
-            values, [cell.method] * len(values), cells_dir / cell.cell_id / "front.csv",
-            objective_names=objective_names,
+        outcomes = _map_cells(
+            lambda cell: _run_cell(cfg, problem, cell, configs[cell.index], init, cells_dir),
+            pending,
+            lambda cell: cfg.chains * (cell.steps + 1),
+            unwritten,
         )
-        if m <= 3:
-            hv_all = hypervolume_exact(values, reference)
-        else:
-            hv_all, _ = hypervolume_mc(values, reference, MC_HV_SAMPLES, seed=cfg.base_seed)
-        if m == 2:
-            hv_pairs = {"0,1": hv_all}  # the one pair is the whole front
-        else:
-            hv_pairs = {
-                f"{i},{j}": hypervolume_exact(values[:, [i, j]], ReferencePoint(reference.r[[i, j]]))
-                for i, j in combinations(range(m), 2)
-            }
-        edist_mean = edist_std = None
-        sequences = points[cell.index][1]
-        if training is not None and sequences:
-            decoded = [sequence_from_str(s, cfg.alphabet) for s in sequences]
-            edist_mean, edist_std = summarize_edist(decoded, training)
-        record = {
-            "cell_id": cell.cell_id,
-            "method": cell.method,
-            "eta": cell.eta,
-            "steps": cell.steps,
-            "noise_kind": cell.noise_kind,
-            "seed": cfg.base_seed,
-            "chains": len(values),
-            "hv_all": float(hv_all),
-            "hv_pairwise": {k: float(v) for k, v in hv_pairs.items()},
-            "edist_mean": edist_mean,
-            "edist_std": edist_std,
-            "normalization": norm_doc,
+        cell_failures = []
+        for cell, outcome in zip(pending, outcomes):
+            if isinstance(outcome, dict):
+                cell_failures.append(outcome)
+            else:
+                points[cell.index] = outcome
+
+        # Aggregation: one pooled normalization over every final point the sweep
+        # produced, so cross-method comparisons share one scale.
+        start = perf_counter()
+        finished = [cell for cell in cells if cell.index in points]
+        pooled = [values for values, _ in points.values() if values.size]
+        if not pooled:
+            raise ConfigError("sweep produced no points; every cell failed")
+        pooled_matrix = np.concatenate(pooled, axis=0)
+        # Rejected before any front or hypervolume is computed; a fixed
+        # normalization would clip an infinite value into [0, 1].
+        if not np.all(np.isfinite(pooled_matrix)):
+            raise ValueError("objective values must be finite")
+        nmap = NormalizationMap.fit(pooled_matrix) if fixed_nmap is None else fixed_nmap
+        normalized = {}
+        for cell in finished:
+            values = points[cell.index][0]
+            normalized[cell.index] = nmap.apply_raw(values) if values.size else values.reshape(0, m)
+        stacked = np.concatenate([normalized[cell.index] for cell in finished])
+        on_front = np.zeros(len(stacked), dtype=bool)
+        on_front[pareto_filter(stacked)] = True
+        ends = np.cumsum([len(normalized[cell.index]) for cell in finished])[:-1]
+        pooled_flags = dict(zip(normalized, (flags.tolist() for flags in np.split(on_front, ends))))
+
+        norm_doc = {
+            "min": [float(v) for v in nmap.mins],
+            "max": [float(v) for v in nmap.maxs],
+            "degenerate": [bool(v) for v in nmap.degenerate],
         }
-        block = "".join(
-            f"{cell.cell_id},{text},{1 if flag else 0}\n" for text, flag in zip(coords, pooled_flags[cell.index])
+        objective_names = [f"f{i}" for i in range(m)]
+
+        def aggregate(cell: SweepCell) -> tuple[dict, str]:
+            """A cell's report record and its block of fronts.csv rows; writes its front.csv."""
+            values = normalized[cell.index]
+            coords = emit_front(
+                values, [cell.method] * len(values), cells_dir / cell.cell_id / "front.csv",
+                objective_names=objective_names,
+            )
+            if m <= 3:
+                hv_all = hypervolume_exact(values, reference)
+            else:
+                hv_all, _ = hypervolume_mc(values, reference, MC_HV_SAMPLES, seed=cfg.base_seed)
+            if m == 2:
+                hv_pairs = {"0,1": hv_all}  # the one pair is the whole front
+            else:
+                hv_pairs = {
+                    f"{i},{j}": hypervolume_exact(values[:, [i, j]], ReferencePoint(reference.r[[i, j]]))
+                    for i, j in combinations(range(m), 2)
+                }
+            edist_mean = edist_std = None
+            sequences = points[cell.index][1]
+            if training is not None and sequences:
+                decoded = [sequence_from_str(s, cfg.alphabet) for s in sequences]
+                edist_mean, edist_std = summarize_edist(decoded, training)
+            record = {
+                "cell_id": cell.cell_id,
+                "method": cell.method,
+                "eta": cell.eta,
+                "steps": cell.steps,
+                "noise_kind": cell.noise_kind,
+                "seed": cfg.base_seed,
+                "chains": len(values),
+                "hv_all": float(hv_all),
+                "hv_pairwise": {k: float(v) for k, v in hv_pairs.items()},
+                "edist_mean": edist_mean,
+                "edist_std": edist_std,
+                "normalization": norm_doc,
+            }
+            block = "".join(
+                f"{cell.cell_id},{text},{1 if flag else 0}\n" for text, flag in zip(coords, pooled_flags[cell.index])
+            )
+            return record, block
+
+        def unaggregated(lost: list[SweepCell]) -> str:
+            return (
+                f"cells whose aggregation was lost: {', '.join(cell.cell_id for cell in lost)}. "
+                "No report.json or fronts.csv was written; a rerun re-aggregates."
+            )
+
+        aggregated = _map_cells(aggregate, finished, lambda cell: len(normalized[cell.index]), unaggregated)
+        header = ",".join(["label", *objective_names, "non_dominated"]) + "\n"
+        _atomic_write_text(out / "fronts.csv", header + "".join(block for _, block in aggregated))
+
+        report = {
+            "config_version": CONFIG_VERSION,
+            "problem": cfg.problem,
+            "base_seed": cfg.base_seed,
+            "chains": cfg.chains,
+            "objective_names": objective_names,
+            "reference_point": [float(v) for v in reference.r],
+            "normalization": norm_doc,
+            "cells": [record for record, _ in aggregated],
+            "failures": cell_failures,
+        }
+        _atomic_write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        logger.info(
+            "aggregation: %d cells, %.3f s, %d process(es)",
+            len(finished), perf_counter() - start, min(len(finished), _cpu_count()),
         )
-        return record, block
-
-    def unaggregated(lost: list[SweepCell]) -> str:
-        return (
-            f"cells whose aggregation was lost: {', '.join(cell.cell_id for cell in lost)}. "
-            "No report.json or fronts.csv was written; a rerun re-aggregates."
-        )
-
-    aggregated = _map_cells(aggregate, finished, lambda cell: len(normalized[cell.index]), unaggregated)
-    header = ",".join(["label", *objective_names, "non_dominated"]) + "\n"
-    _atomic_write_text(out / "fronts.csv", header + "".join(block for _, block in aggregated))
-
-    report = {
-        "config_version": CONFIG_VERSION,
-        "problem": cfg.problem,
-        "base_seed": cfg.base_seed,
-        "chains": cfg.chains,
-        "objective_names": objective_names,
-        "reference_point": [float(v) for v in reference.r],
-        "normalization": norm_doc,
-        "cells": [record for record, _ in aggregated],
-        "failures": cell_failures,
-    }
-    _atomic_write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    logger.info(
-        "aggregation: %d cells, %.3f s, %d process(es)",
-        len(finished), perf_counter() - start, min(len(finished), _cpu_count()),
-    )
-    return SweepResult(out, report_path, report)
+        return SweepResult(out, report_path, report)
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,22 +60,25 @@ def min_norm_closed_form(grads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     of a stack.
 
     ``grads`` is (n, m, d), finite. Returns the weights (n, m), directions
-    (n, d) and norms (n,). For m = 1 the weight is 1. Every m >= 2 takes one
-    routine (_min_norm_weights): the row's inner products are taken once,
-    and the least-norm candidate over the pairs and larger supports of the
-    weights wins. At m = 2 that is lam_1 = clip(<g2 - g1, g2> / ||g1 -
-    g2||^2, 0, 1), with lam at one half where g1 == g2 for determinism. The
-    direction is recomputed from the weights. Every row is computed with
-    row-wise dot products and stacked matrix products and solves, so it is
-    bit-identical to solving that row alone. More than MIN_NORM_MAX_M
-    objectives raise ConfigError.
+    (n, d) and norms (n,). For m = 1 the weight is 1 and the direction the
+    one gradient. Every m >= 2 takes one routine (_min_norm_weights): the
+    row's inner products are taken once, and the least-norm candidate over
+    the pairs and larger supports of the weights wins. At m = 2 that is
+    lam_1 = clip(<g2 - g1, g2> / ||g1 - g2||^2, 0, 1), with lam at one half
+    where g1 == g2 for determinism. The direction is formed from the final
+    weights, g2 + lam_1 (g1 - g2) at m = 2 and sum_i lam_i g_i (one einsum,
+    no BLAS call) above. Every row is computed with row-wise dot products,
+    elementwise ufuncs and stacked solves, so it is bit-identical to solving
+    that row alone. More than MIN_NORM_MAX_M objectives raise ConfigError.
     """
     n, m, _ = grads.shape
     check_min_norm_m(m)
     if m == 0:
         raise ShapeError("the min-norm solve needs at least one gradient")
-    lam = np.ones((n, 1)) if m == 1 else _min_norm_weights(grads)
-    direction = (lam[:, None, :] @ grads)[:, 0]
+    if m == 1:
+        lam, direction = np.ones((n, 1)), grads[:, 0].copy()
+    else:
+        lam, direction = _min_norm_weights(grads)
     return lam, direction, np.sqrt(np.vecdot(direction, direction))
 
 
@@ -89,10 +92,10 @@ def _segment_weight(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """Weight of g_i at the min-norm point of the segment [g_i, g_j]: clip(num
     / denom, 0, 1) with num = <g_j - g_i, g_j> and denom = ||g_i - g_j||^2,
     and one half where the two coincide (denom == 0)."""
-    coincident = denom == 0.0
-    q = num / np.where(coincident, 1.0, denom)
-    # min(1, max(0, q)) as Python's min/max evaluate it, down to the sign of zero.
-    return np.where(coincident, 0.5, np.where(q > 0.0, np.where(q < 1.0, q, 1.0), 0.0))
+    q = np.divide(num, denom, out=np.full(num.shape, 0.5), where=denom != 0.0)
+    # min(1, max(0, q)) as Python's min/max evaluate it, down to the sign of
+    # zero: -0.0 and NaN give +0.0.
+    return np.minimum(np.where(q > 0.0, q, 0.0), 1.0)
 
 
 # The supports of m >= 3 weights with k >= 2 members, lexicographic, as
@@ -102,9 +105,10 @@ _SUPPORTS = {
 }
 
 
-def _min_norm_weights(grads: np.ndarray) -> np.ndarray:
-    """Min-norm weights over the simplex for each row of an (n, m, d) stack,
-    m >= 2, from inner products taken once per row.
+def _min_norm_weights(grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min-norm weights (n, m) over the simplex for each row of an (n, m, d)
+    stack, m >= 2, from inner products taken once per row, and the
+    directions (n, d) they give.
 
     Every inner product is taken on the edges e_j = g_j - g_b to a pivot g_b,
     the least-norm gradient (the first on a tie), never as a difference of
@@ -127,7 +131,9 @@ def _min_norm_weights(grads: np.ndarray) -> np.ndarray:
 
     At m = 2 the pivot is g2, which forms the one edge g1 - g2 exactly: K
     and h are zero but for K_11 = ||g1 - g2||^2 and h_1 = <g1 - g2, g2>, so
-    the one pair has num = -h_1 and denom = K_11, and nothing is ranked.
+    the one pair has num = -h_1 and denom = K_11, nothing is ranked, and the
+    direction is g2 + lam_1 (g1 - g2). At m >= 3 it is sum_i lam_i g_i, one
+    einsum over the stack: no per-row BLAS call.
     """
     n, m, _ = grads.shape
     if m == 2:
@@ -135,7 +141,9 @@ def _min_norm_weights(grads: np.ndarray) -> np.ndarray:
         lam = np.empty((n, 2))
         lam[:, 0] = _segment_weight(-np.vecdot(edge, grads[:, 1]), np.vecdot(edge, edge))
         np.subtract(1.0, lam[:, 0], out=lam[:, 1])
-        return lam
+        edge *= lam[:, :1]
+        edge += grads[:, 1]
+        return lam, edge
     row = np.arange(n)[:, None]
     sq_norms = np.vecdot(grads, grads)
     pivot = grads[row, np.argmin(sq_norms, axis=1, keepdims=True)]
@@ -180,7 +188,7 @@ def _min_norm_weights(grads: np.ndarray) -> np.ndarray:
         at = np.argmin(values, axis=1)
         better = values[row[:, 0], at] < best_value
         best[better], best_value[better] = lam[better, at[better]], values[better, at[better]]
-    return best
+    return best, np.einsum("nm,nmd->nd", best, grads)
 
 
 def solve_min_norm(grads: np.ndarray) -> MinNormResult:

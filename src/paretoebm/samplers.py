@@ -9,7 +9,7 @@ with w a unit-variance noise draw; the method fixes the three parameters:
 - drift: the min-norm direction of the per-objective gradients, re-solved
   every step, exactly and for the whole batch at once (mgd, pcebm; see
   moo.min_norm_closed_form), or a fixed-weight gradient combination, the
-  plain sum for cebm and ``lambda @ grads`` for ls_cebm;
+  plain sum for cebm and sum_i lambda_i g_i (one einsum) for ls_cebm;
 - step: eta for the min-norm methods, eta/2 for the Langevin ones;
 - noise scale: sqrt(2*alpha) for pcebm, sigma for cebm/ls_cebm, none for mgd.
 
@@ -20,22 +20,26 @@ therefore the mgd chain, and their trajectories agree bit for bit.
 A zero-step chain records its start: one record at step 0, no noise drawn.
 ``run_chain`` runs one chain of any method.
 
-The loop runs a batch of chains as one (n, d) state array. ``run_population``
+The loop runs a batch of chains as one (n, d) state array, updated in
+place. ``run_population``
 batches the chains that share a method, a ``SamplerConfig`` (equal configs
 count as one) and the fixed weights: every cell of a sweep is one batch.
 Each chain keeps its own noise stream, seeded from its ``ChainSpec.seed``,
-and draws it a block of steps at a time into one preallocated buffer
-(``_Noise``). Every operation of a step is
+and draws it, scaled by the noise scale, a block of steps at a time into
+one preallocated buffer (``_Noise``). Every operation of a step is
 row-wise and rounds each row exactly as it would round that chain alone,
 so a chain's result does not depend on the batch it ran in, its position
 there, or the order of its population. Each energy defines one kernel, on a
 batch of rows (``EnergyModel._batch_value_and_gradient``); a lone point is
-a batch of one. Its elementwise math uses numpy ufuncs, which round each
-element the same way at any array length. The MLP energies' matrix products run in fixed-shape
-tiles (energy._tiled_matmul), which round each row alike whatever its
-siblings hold. The min-norm drift takes each row's inner products with
-row-wise dot products, and its stacked linear solves factor each row's
-small matrix alone. Per-chain masks take a chain out of the batch
+a batch of one, and a set of one centered family is its family's kernel
+over the stacked centers (``ObjectiveSet.eval_batch``). Its elementwise
+math uses numpy ufuncs, which round each element the same way at any array
+length. The MLP energies' matrix products run in fixed-shape tiles
+(energy._tiled_matmul), which round each row alike whatever its siblings
+hold. The min-norm drift takes each row's inner products with row-wise dot
+products, its stacked linear solves factor each row's small matrix alone,
+and it forms the direction from elementwise ufuncs (m = 2) or one einsum
+(m >= 3), never a per-row BLAS product. Per-chain masks take a chain out of the batch
 when it stops early (noiseless min-norm chains stop at a Pareto-stationary
 point) or when its gradients turn non-finite, which fails that chain alone; the
 gradients get one finiteness reduction per step, and the per-chain mask is
@@ -330,17 +334,19 @@ def _noise_block_steps(n_chains: int, d: int) -> int:
 
 
 class _Noise:
-    """The running chains' unit noise, one (n, d) row per step, drawn a block
-    of steps at a time into one preallocated buffer.
+    """The running chains' noise, unit noise times ``scale``, one (n, d) row
+    per step, drawn and scaled a block of steps at a time into one
+    preallocated buffer.
 
     Each chain draws its own stream in order, the same stream as one draw
-    per step, so the block size cannot change a result.
+    per step, and each element is scaled once, as a per-step product would
+    scale it, so the block size cannot change a result.
     """
 
-    def __init__(self, rngs: list[np.random.Generator], kind: str, d: int, steps: int):
+    def __init__(self, rngs: list[np.random.Generator], kind: str, scale: float, d: int, steps: int):
         self.block_steps = _noise_block_steps(len(rngs), d)
         self.buffer = np.empty(len(rngs) * min(self.block_steps, steps) * d)
-        self.rngs, self.kind, self.d, self.remaining = rngs, kind, d, steps
+        self.rngs, self.kind, self.scale, self.d, self.remaining = rngs, kind, scale, d, steps
         self.block, self.used = None, 0
 
     def take(self) -> np.ndarray:
@@ -350,6 +356,7 @@ class _Noise:
             self.remaining -= k
             self.block = self.buffer[: n * k * self.d].reshape(n, k, self.d)
             _fill_block(self.block, self.rngs, self.kind)
+            self.block *= self.scale
             self.used = 0
         self.used += 1
         return self.block[:, self.used - 1]
@@ -456,14 +463,14 @@ def _run_batch(
     # that step; the interim overflow itself is not worth a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if noise_on:
-            noise = _Noise([rngs[i] for i in active.tolist()], cfg.noise_kind, d, last)
+            noise = _Noise([rngs[i] for i in active.tolist()], cfg.noise_kind, noise_scale, d, last)
         for step in range(last + 1):
             if not active.size:
                 break
             if step:
-                X = X - step_size * g
+                X -= step_size * g
                 if noise_on:
-                    X = X + noise_scale * noise.take()
+                    X += noise.take()
             values, grads = objectives.eval_batch(X)
             if not np.isfinite(grads).all():
                 bad = ~np.all(np.isfinite(grads), axis=(1, 2))
@@ -479,7 +486,7 @@ def _run_batch(
                 for i in range(1, m):
                     g = g + grads[:, i]
             else:
-                g = weights @ grads
+                g = np.einsum("m,nmd->nd", weights, grads)
             record = step % every == 0 or step == last
             stop = norm < cfg.grad_tol if can_stop and step < last else None
             stopping = stop is not None and stop.any()

@@ -295,6 +295,60 @@ class TestTiledMatmul:
                     )
 
 
+class TestCenteredFamilyKernel:
+    @pytest.mark.parametrize("family", ["quadratic", "fonseca"])
+    def test_stacked_kernel_is_each_model_and_each_row_alone(self, family):
+        # ObjectiveSet.eval_batch on a set of one centered family is the
+        # family's kernel over the stacked centers. Each column must be that
+        # model's own kernel bit for bit, and each row the row alone, at any
+        # memory offset and whatever its sibling rows hold (NaN and inf
+        # included), under the sampler's errstate.
+        rng = np.random.default_rng(17)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for batch in range(200):
+                d = int(rng.choice([1, 2, 3, 5, 8, 1000]))
+                k = int(rng.integers(1, 5))
+                if family == "quadratic":
+                    models = [ShiftedQuadratic(rng.standard_normal(d) * 10.0 ** rng.integers(-2, 3)) for _ in range(k)]
+                else:
+                    models = [FonsecaFlemingBranch(int(sign), d) for sign in rng.choice([1, -1], size=k)]
+                objs = ObjectiveSet(models)
+                assert objs._kernel is not None
+                n = int(rng.integers(1, 41))
+                X = rng.standard_normal((n + 3, d)) * 10.0 ** rng.integers(-3, 4, size=(n + 3, 1))
+                if batch % 3 == 0:
+                    rows = rng.choice(n + 3, size=rng.integers(1, n + 3), replace=False)
+                    X[rows, rng.integers(d, size=rows.size)] = rng.choice([np.nan, np.inf, -np.inf], size=rows.size)
+                offset = int(rng.integers(0, 4))
+                values, grads = objs.eval_batch(X[offset : offset + n])
+                assert values.shape == (n, k) and grads.shape == (n, k, d)
+                for j, model in enumerate(models):
+                    own_values, own_grads = model._batch_value_and_gradient(X[offset : offset + n])
+                    assert np.array_equal(values[:, j], own_values, equal_nan=True)
+                    assert np.array_equal(grads[:, j], own_grads, equal_nan=True)
+                for i in range(n):
+                    alone_values, alone_grads = objs.eval_batch(X[offset + i : offset + i + 1])
+                    assert np.array_equal(values[i], alone_values[0], equal_nan=True), (
+                        f"{family}: row {i} of a {n}-row batch differs from the row alone"
+                    )
+                    assert np.array_equal(grads[i], alone_grads[0], equal_nan=True)
+
+    def test_other_sets_take_one_pass_per_model(self):
+        class TripledQuadratic(ShiftedQuadratic):
+            def _batch_value_and_gradient(self, X):
+                values, grads = super()._batch_value_and_gradient(X)
+                return 3.0 * values, 3.0 * grads
+
+        X = np.array([[0.0, 0.0, 0.0]])
+        mixed = ObjectiveSet([ShiftedQuadratic([1.0, 0.0, 0.0]), FonsecaFlemingBranch(1, 3)])
+        assert mixed._kernel is None
+        assert np.array_equal(mixed.eval_batch(X)[0][0], [1.0, mixed.models[1].value(DesignPoint(X[0]))])
+        # A subclass is not the family: its own kernel runs.
+        tripled = ObjectiveSet([TripledQuadratic([1.0, 0.0, 0.0]), TripledQuadratic([0.0, 2.0, 0.0])])
+        assert tripled._kernel is None
+        assert np.array_equal(tripled.eval_batch(X)[0][0], [3.0, 12.0])
+
+
 def planted_pwm_data(rng, L=6, A=4, n=300):
     W = rng.normal(size=(L, A))
     probs = np.exp(-W)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import fcntl
 import gc
 import json
 import logging
@@ -821,6 +822,66 @@ class TestCellProcesses:
         assert len(logged) == 1
         assert re.fullmatch(r"aggregation: 2 cells, \d+\.\d{3} s, 1 process\(es\)", logged[0])
         assert "aggregation" not in report_text
+
+
+def tree(root: Path) -> dict:
+    """Every path under root, directories as None and files as their bytes."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+def lock_is_free(directory: Path) -> bool:
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return True
+    except BlockingIOError:
+        return False
+    finally:
+        os.close(fd)
+
+
+class TestOutputLock:
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("finished", [False, True], ids=["empty", "finished"])
+    def test_held_directory_is_refused_and_left_untouched(self, tmp_path, monkeypatch, count, finished):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: count)
+        cfg = small_sweep(tmp_path, "fonseca-fleming")
+        out = cfg.output_dir
+        if finished:
+            run_sweep(cfg)
+        else:
+            out.mkdir()
+        before = tree(out)
+        held = os.open(out, os.O_RDONLY)
+        try:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(ConfigError, match=f"output directory {re.escape(str(out))} is in use"):
+                run_sweep(cfg)
+            assert tree(out) == before
+        finally:
+            os.close(held)
+        assert multiprocessing.active_children() == []
+        run_sweep(cfg)
+        assert lock_is_free(out)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_sequential_sweeps_share_a_directory(self, tmp_path, monkeypatch, count):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: count)
+        cfg = small_sweep(tmp_path, "fonseca-fleming")
+
+        def failing(points):
+            raise RuntimeError("injected aggregation failure")
+
+        monkeypatch.setattr(harness, "pareto_filter", failing)
+        with pytest.raises(RuntimeError, match="injected aggregation failure"):
+            run_sweep(cfg)
+        assert lock_is_free(cfg.output_dir)
+        monkeypatch.setattr(harness, "pareto_filter", pareto_filter)
+        first = run_sweep(cfg).report
+        assert lock_is_free(cfg.output_dir)
+        assert run_sweep(cfg).report == first
+        assert lock_is_free(cfg.output_dir)
+        assert multiprocessing.active_children() == []
 
 
 class TestEmitFront:

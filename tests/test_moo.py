@@ -113,6 +113,24 @@ class TestParetoFilter:
             pareto_filter([np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])])
 
 
+def direction_of(lam, g):
+    """The direction min_norm_closed_form forms from the weights of one (m, d)
+    gradient matrix: the gradient itself at m = 1, g2 + lam_1 (g1 - g2) at
+    m = 2, and sum_i lam_i g_i by its einsum above."""
+    if len(g) == 1:
+        return g[0]
+    if len(g) == 2:
+        return g[1] + lam[0] * (g[0] - g[1])
+    return np.einsum("nm,nmd->nd", lam[None], g[None])[0]
+
+
+def assert_direction_is_combination(res, g):
+    """The direction equals direction_of its weights bit for bit, and the
+    convex combination lam @ g to a few ulps of the largest gradient entry."""
+    assert np.array_equal(res.direction, direction_of(res.lam, g))
+    assert np.allclose(res.direction, res.lam @ g, rtol=0.0, atol=1e-13 * np.abs(g).max())
+
+
 def grid_norms_2(g1, g2, step=1e-3):
     lam = np.arange(0.0, 1.0 + step / 2, step)
     combos = lam[:, None] * g1[None, :] + (1 - lam)[:, None] * g2[None, :]
@@ -181,7 +199,7 @@ class TestMinNorm2:
             assert np.array_equal(lam[i], res.lam)
             assert np.array_equal(direction[i], res.direction)
             assert norm[i] == res.norm
-            assert np.array_equal(res.direction, res.lam @ g)
+            assert_direction_is_combination(res, g)
             assert res.norm == float(np.linalg.norm(res.direction))
 
     def test_descent_property_two_objectives(self):
@@ -276,9 +294,10 @@ class TestMinNorm3:
 
     def test_collinear_gradients(self):
         base = np.array([1.0, -2.0, 0.5])
-        res = solve_min_norm(np.stack([2.0 * base, -3.0 * base, 5.0 * base]))
+        grads = np.stack([2.0 * base, -3.0 * base, 5.0 * base])
+        res = solve_min_norm(grads)
         assert res.norm < 1e-15 and np.all(res.lam >= 0.0)
-        assert np.array_equal(res.direction, res.lam @ np.stack([2.0 * base, -3.0 * base, 5.0 * base]))
+        assert_direction_is_combination(res, grads)
 
     def test_one_dimension(self):
         res = solve_min_norm(np.array([[1.0], [2.0], [-4.0]]))
@@ -383,7 +402,7 @@ class TestMinNormEnumerated:
         for _ in range(50):
             grads = rng.standard_normal((5, 4))
             res = solve_min_norm(grads)
-            assert np.array_equal(res.direction, res.lam @ grads)
+            assert_direction_is_combination(res, grads)
             assert res.norm == float(np.linalg.norm(res.direction))
 
     def test_more_objectives_than_the_limit_raise(self):
