@@ -261,10 +261,10 @@ class Trajectory:
     validates it once; non-finite states raise ValueError, so a chain that
     diverged anywhere fails as a whole. Each column is a view of that
     array, so neither the caller's arrays nor ``setflags(write=True)`` can
-    change a validated trajectory. The samplers validate a whole batch of
-    chains at once and hand out each chain's Trajectory as read-only views
-    into the batch's columns, built by ``_view`` without a second check or
-    copy. A sweep asks the samplers to keep
+    change a validated trajectory. The samplers check every step of a
+    batch's chains as it runs and hand out each finished chain's Trajectory
+    as read-only views into the batch's columns, built by ``_view`` without
+    a second check or copy. A sweep asks the samplers to keep
     only the final coordinates; its trajectories' ``X`` then holds one row,
     the state at ``steps[-1]``, and every other column keeps all records.
     """

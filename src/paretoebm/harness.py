@@ -325,15 +325,20 @@ def _noise_grid(cfg: ExperimentConfig, method: str) -> tuple[str, ...]:
 
 def sweep_cells(cfg: ExperimentConfig) -> list[SweepCell]:
     """Grid cells in deterministic order; mgd gets a single 'none' cell per
-    (eta, steps) regardless of the noise grid."""
+    (eta, steps) regardless of the noise grid. Two cells with one cell id (a
+    repeated grid entry, or etas equal to six significant digits) would
+    share a directory, so they are a ConfigError."""
     cells = []
-    index = 0
+    seen = set()
     for method in cfg.methods:
         for eta in cfg.etas:
             for steps in cfg.steps_grid:
                 for noise in _noise_grid(cfg, method):
-                    cells.append(SweepCell(index, method, eta, steps, noise))
-                    index += 1
+                    cell = SweepCell(len(cells), method, eta, steps, noise)
+                    if cell.cell_id in seen:
+                        raise ConfigError(f"two grid cells share the cell id {cell.cell_id}; make the grid distinct")
+                    seen.add(cell.cell_id)
+                    cells.append(cell)
     return cells
 
 
@@ -672,6 +677,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     if METHOD_LS_CEBM in cfg.methods:
         _ls_lambda(cfg, m)  # validate early
     is_sequence = problem.point_kind == SEQUENCE_LOGITS
+    if is_sequence:
+        # Every decoded token needs its own symbol in final_points.csv.
+        _, A = problem.sequence_dims()
+        if len(set(cfg.alphabet)) != len(cfg.alphabet):
+            raise ConfigError(f"alphabet {cfg.alphabet!r} repeats a symbol")
+        if len(cfg.alphabet) < A:
+            raise ConfigError(f"alphabet {cfg.alphabet!r} has {len(cfg.alphabet)} symbols, the problem has A={A}")
     training = read_sequences(cfg.training_sequences, cfg.alphabet) if (
         is_sequence and cfg.training_sequences
     ) else None
@@ -725,24 +737,21 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         # produced, so cross-method comparisons share one scale.
         start = perf_counter()
         finished = [cell for cell in cells if cell.index in points]
-        pooled = [values for values, _ in points.values() if values.size]
-        if not pooled:
+        sizes = {cell.index: len(points[cell.index][0]) for cell in finished}
+        if not sum(sizes.values()):
             raise ConfigError("sweep produced no points; every cell failed")
-        pooled_matrix = np.concatenate(pooled, axis=0)
+        pooled = np.concatenate([points[cell.index][0] for cell in finished])
         # Rejected before any front or hypervolume is computed; a fixed
         # normalization would clip an infinite value into [0, 1].
-        if not np.all(np.isfinite(pooled_matrix)):
+        if not np.all(np.isfinite(pooled)):
             raise ValueError("objective values must be finite")
-        nmap = NormalizationMap.fit(pooled_matrix) if fixed_nmap is None else fixed_nmap
-        normalized = {}
-        for cell in finished:
-            values = points[cell.index][0]
-            normalized[cell.index] = nmap.apply_raw(values) if values.size else values.reshape(0, m)
-        stacked = np.concatenate([normalized[cell.index] for cell in finished])
-        on_front = np.zeros(len(stacked), dtype=bool)
-        on_front[pareto_filter(stacked)] = True
-        ends = np.cumsum([len(normalized[cell.index]) for cell in finished])[:-1]
-        pooled_flags = dict(zip(normalized, (flags.tolist() for flags in np.split(on_front, ends))))
+        nmap = NormalizationMap.fit(pooled) if fixed_nmap is None else fixed_nmap
+        normalized = nmap.apply_raw(pooled)
+        on_front = np.zeros(len(normalized), dtype=bool)
+        on_front[pareto_filter(normalized)] = True
+        # Each finished cell's rows of the pooled arrays, in cell order.
+        offsets = np.cumsum([0, *sizes.values()]).tolist()
+        rows = {cell.index: slice(a, b) for cell, a, b in zip(finished, offsets, offsets[1:])}
 
         norm_doc = {
             "min": [float(v) for v in nmap.mins],
@@ -753,7 +762,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
         def aggregate(cell: SweepCell) -> tuple[dict, str]:
             """A cell's report record and its block of fronts.csv rows; writes its front.csv."""
-            values = normalized[cell.index]
+            values = normalized[rows[cell.index]]
             coords = emit_front(
                 values, [cell.method] * len(values), cells_dir / cell.cell_id / "front.csv",
                 objective_names=objective_names,
@@ -789,7 +798,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                 "normalization": norm_doc,
             }
             block = "".join(
-                f"{cell.cell_id},{text},{1 if flag else 0}\n" for text, flag in zip(coords, pooled_flags[cell.index])
+                f"{cell.cell_id},{text},{1 if flag else 0}\n"
+                for text, flag in zip(coords, on_front[rows[cell.index]].tolist())
             )
             return record, block
 
@@ -799,7 +809,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                 "No report.json or fronts.csv was written; a rerun re-aggregates."
             )
 
-        aggregated = _map_cells(aggregate, finished, lambda cell: len(normalized[cell.index]), unaggregated)
+        aggregated = _map_cells(aggregate, finished, lambda cell: sizes[cell.index], unaggregated)
         header = ",".join(["label", *objective_names, "non_dominated"]) + "\n"
         _atomic_write_text(out / "fronts.csv", header + "".join(block for _, block in aggregated))
 

@@ -39,16 +39,19 @@ length. The MLP energies' matrix products run in fixed-shape tiles
 hold. The min-norm drift takes each row's inner products with row-wise dot
 products, its stacked linear solves factor each row's small matrix alone,
 and it forms the direction from elementwise ufuncs (m = 2) or one einsum
-(m >= 3), never a per-row BLAS product. Per-chain masks take a chain out of the batch
-when it stops early (noiseless min-norm chains stop at a Pareto-stationary
-point) or when its gradients turn non-finite, which fails that chain alone; the
-gradients get one finiteness reduction per step, and the per-chain mask is
-built only when it fails. The loop writes the recorded states into
-preallocated ``(n, rows, .)`` columns and checks each recorded coordinate
-row for finiteness as it writes it. When the batch ends, the objective
-values and weights of every chain are checked in one vectorized pass,
-masked by each chain's row count; a chain with a non-finite record fails
-with the message the ``Trajectory`` constructor would give. Each finished chain gets a ``Trajectory`` of views into the
+(m >= 3), never a per-row BLAS product.
+
+Per-chain masks take a chain out of the batch when it stops early
+(noiseless min-norm chains stop at a Pareto-stationary point) or when it
+fails. A chain fails at the first step where its coordinates, objective
+values or gradients are non-finite, a drawn start that overflows at step 0;
+its error names the first of the three, in that order. Each step takes one
+finiteness reduction per array, and builds the per-chain masks only when
+one fails. The weights are not checked: for finite gradients they are
+finite by construction (clipped segment weights, or solutions kept only
+when non-negative), and fixed weights are a validated ``SimplexWeights``.
+The loop writes the recorded states into preallocated ``(n, rows, .)``
+columns. Each finished chain gets a ``Trajectory`` of views into the
 batch's columns, which are made read-only first, so no view can be made
 writable again. ``run_population(..., final_x_only=True)``, the sweep's
 path, keeps one coordinate row per chain, its last record, in place of all
@@ -399,7 +402,7 @@ def _run_batch(
     rngs, starts, started = [], [], []
     generators = _generators([chain.seed for chain in specs])
     # A scale that overflows a drawn start gives infinities, which fail that
-    # chain below; one errstate for the batch, not one per draw.
+    # chain at step 0; one errstate for the batch, not one per draw.
     with np.errstate(over="ignore"):
         for index, (chain, rng) in enumerate(zip(specs, generators)):
             init = chain.init
@@ -435,7 +438,6 @@ def _run_batch(
     norm_rec = np.empty((n, schedule.size))
     rows = np.full(n, schedule.size)
     termination: list[int | None] = [None] * n
-    x_bad = np.full(n, -1, dtype=np.int64)  # first recorded step with non-finite coordinates
     active = np.arange(n)  # batch positions of the running chains, the rows of X
     noise = None
     row = 0
@@ -448,19 +450,9 @@ def _run_batch(
         if noise is not None:
             noise.drop(keep)
 
-    def fail(gone: np.ndarray, message: str) -> None:
-        for pos in active[gone].tolist():
-            results[started[pos]] = ValueError(message)
-        drop(gone)
-
-    # A DesignPoint start is finite by construction; drawn starts are checked here.
-    bad = ~np.all(np.isfinite(X), axis=1)
-    if bad.any():
-        fail(bad, "coords must be finite (no NaN/Inf)")
-        if not active.size:
-            return results
-    # Divergence shows up as non-finite gradients, which fail their chain at
-    # that step; the interim overflow itself is not worth a warning.
+    # A chain fails at the first step where its coordinates, objective values
+    # or gradients are non-finite; the interim overflow itself is not worth a
+    # warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if noise_on:
             noise = _Noise([rngs[i] for i in active.tolist()], cfg.noise_kind, noise_scale, d, last)
@@ -472,10 +464,15 @@ def _run_batch(
                 if noise_on:
                     X += noise.take()
             values, grads = objectives.eval_batch(X)
-            if not np.isfinite(grads).all():
-                bad = ~np.all(np.isfinite(grads), axis=(1, 2))
-                values, grads = values[~bad], grads[~bad]
-                fail(bad, f"gradients must be finite (no NaN/Inf); step {step} is not")
+            # One reduction per array; the per-chain masks only when one fails.
+            if not (np.isfinite(X).all() and np.isfinite(values).all() and np.isfinite(grads).all()):
+                x_ok, f_ok = np.isfinite(X).all(axis=1), np.isfinite(values).all(axis=1)
+                gone = ~(x_ok & f_ok & np.isfinite(grads).all(axis=(1, 2)))
+                for pos, x, f in zip(active[gone].tolist(), x_ok[gone].tolist(), f_ok[gone].tolist()):
+                    name = "gradients" if x and f else "objective values" if x else "coords"
+                    results[started[pos]] = ValueError(f"{name} must be finite (no NaN/Inf); step {step} is not")
+                values, grads = values[~gone], grads[~gone]
+                drop(gone)
                 if not active.size:
                     break
             if weights is None:
@@ -493,12 +490,7 @@ def _run_batch(
             if record or stopping:
                 sel = slice(None) if record else stop
                 at = active[sel]
-                x = X[sel]
-                X_rec[at, 0 if final_x_only else row] = x
-                nonfinite = ~np.all(np.isfinite(x), axis=1)
-                if nonfinite.any():
-                    first = at[nonfinite]
-                    x_bad[first[x_bad[first] < 0]] = step
+                X_rec[at, 0 if final_x_only else row] = X[sel]
                 F_rec[at, row] = values[sel]
                 if weights is None:
                     lam_rec[at, row] = lam[sel]
@@ -515,13 +507,6 @@ def _run_batch(
             if record:
                 row += 1
 
-    # Validate the batch's columns once, as the Trajectory constructor would
-    # each chain's: coordinates, then objective values, then weights, each
-    # at its first non-finite record. Rows past a chain's count are unset.
-    written = np.arange(schedule.size) < rows[:, None]
-    f_bad = written & ~np.all(np.isfinite(F_rec), axis=2)
-    lam_bad = written & ~np.all(np.isfinite(lam_rec), axis=2)
-    invalid = (x_bad >= 0) | f_bad.any(axis=1) | lam_bad.any(axis=1)
     # A chain gets views of read-only owners, never an owner itself, so
     # setflags(write=True) raises on each of its columns.
     for column in (schedule, X_rec, F_rec, lam_rec, norm_rec):
@@ -531,15 +516,6 @@ def _run_batch(
             continue
         end, stopped_at = rows[pos], termination[pos]
         steps = schedule if stopped_at is None else np.append(schedule[: end - 1], stopped_at)
-        if invalid[pos]:
-            if x_bad[pos] >= 0:
-                name, at_step = "coords", x_bad[pos]
-            elif f_bad[pos].any():
-                name, at_step = "objective values", steps[np.argmax(f_bad[pos])]
-            else:
-                name, at_step = "weights", steps[np.argmax(lam_bad[pos])]
-            results[index] = ValueError(f"{name} must be finite (no NaN/Inf); step {at_step} is not")
-            continue
         steps.setflags(write=False)
         results[index] = Trajectory._view(
             steps[:], X_rec[pos] if final_x_only else X_rec[pos, :end], F_rec[pos, :end],

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import fcntl
@@ -7,7 +8,11 @@ import logging
 import multiprocessing
 import os
 import re
+import select
 import shutil
+import signal
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -480,6 +485,46 @@ class TestRunSweep:
             run_sweep(cfg)
         assert runs == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"eta": [0.1, 0.1000001]}, {"eta": [0.1, 0.1]}, {"methods": ["cebm", "cebm"]}, {"steps": [5, 5]},
+         {"noise": ["gaussian", "gaussian"]}],
+        ids=["close-etas", "eta", "method", "steps", "noise"],
+    )
+    def test_grid_cells_sharing_an_id_refused_before_any_chain(self, tmp_path, monkeypatch, overrides, count):
+        # Both cells would stage into, and rename onto, one directory.
+        monkeypatch.setattr(harness, "_cpu_count", lambda: count)
+        runs = []
+        monkeypatch.setattr(harness, "run_population", lambda *args, **kwargs: runs.append(args))
+        doc = {"problem": "fonseca-fleming", "methods": ["cebm"], "eta": [0.1], "steps": [5], **overrides}
+        cfg = load_config(write_config(tmp_path / "cfg.yaml", **doc))
+        with pytest.raises(ConfigError, match="two grid cells share the cell id cebm_eta0.1_k5_gaussian;"):
+            run_sweep(cfg)
+        assert runs == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "alphabet,match",
+        [("ACGT", r"alphabet 'ACGT' has 4 symbols, the problem has A=5"), ("AACGT", "alphabet 'AACGT' repeats a symbol")],
+        ids=["too-short", "repeated"],
+    )
+    def test_alphabet_checked_before_any_chain(self, tmp_path, monkeypatch, alphabet, match):
+        # Too short, a cell's chains ran before decoding failed; with a repeated
+        # symbol two tokens were written as one.
+        runs = []
+        monkeypatch.setattr(harness, "run_population", lambda *args, **kwargs: runs.append(args))
+        cfg = load_config(
+            write_config(
+                tmp_path / "cfg.yaml", problem="sequence-energies", model_files=save_pwm_models(tmp_path, 2),
+                methods=["cebm"], alphabet=alphabet,
+            )
+        )
+        with pytest.raises(ConfigError, match=match):
+            run_sweep(cfg)
+        assert runs == [] and not (tmp_path / "out").exists()
+        monkeypatch.undo()
+        assert run_sweep(dataclasses.replace(cfg, alphabet="ACGTW", steps_grid=(2,))).report["failures"] == []
+
     def test_one_sampler_config_per_cell(self, tmp_path, monkeypatch):
         built, batches, real_config = [], [], harness.SamplerConfig
 
@@ -882,6 +927,63 @@ class TestOutputLock:
         assert run_sweep(cfg).report == first
         assert lock_is_free(cfg.output_dir)
         assert multiprocessing.active_children() == []
+
+
+# A sweep on two processes whose worker, in its first cell, prints its pid
+# and blocks until a byte arrives on the stdin it inherited.
+ORPHAN_SWEEP = """
+import os, sys
+from paretoebm import harness
+parent, real = os.getpid(), harness.run_population
+def population(*args, **kwargs):
+    if os.getpid() != parent and not hasattr(population, "held"):
+        population.held = True
+        print(os.getpid(), flush=True)
+        os.read(0, 1)
+    return real(*args, **kwargs)
+harness._cpu_count = lambda: 2
+harness.run_population = population
+harness.run_sweep(harness.load_config(sys.argv[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="waits for the orphan through a pidfd (Linux)")
+def test_killed_sweeps_orphan_keeps_the_directory_until_it_exits(tmp_path):
+    # Four cells of equal cost: the sweep's process runs cells 0 and 2, its
+    # worker cells 1 and 3.
+    cfg = load_config(
+        write_config(tmp_path / "cfg.yaml", problem="fonseca-fleming", methods=["cebm", "pcebm"], eta=[0.01, 0.1])
+    )
+    cells, cells_dir = sweep_cells(cfg), cfg.output_dir / "cells"
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    log = tmp_path / "stderr.txt"
+    with open(log, "w") as err, subprocess.Popen(
+        [sys.executable, "-c", ORPHAN_SWEEP, str(tmp_path / "cfg.yaml")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=err, env=env,
+    ) as proc:
+        assert select.select([proc.stdout], [], [], 60)[0], log.read_text()
+        line = proc.stdout.readline()
+        assert line, log.read_text()
+        orphan = os.pidfd_open(int(line))
+        try:
+            proc.kill()
+            proc.wait()
+            # The worker holds the directory's lock while it lives.
+            with pytest.raises(ConfigError, match="is in use by another sweep"):
+                run_sweep(cfg)
+            proc.stdin.write(b"x")
+            proc.stdin.flush()
+            # It finishes the cell in flight, then exits before its next one.
+            assert select.select([orphan], [], [], 60)[0]
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                signal.pidfd_send_signal(orphan, signal.SIGKILL)
+            os.close(orphan)
+    assert harness._cell_complete(cells_dir / cells[1].cell_id) and not (cells_dir / cells[3].cell_id).exists()
+    run_sweep(cfg)
+    clean = dataclasses.replace(cfg, output_dir=tmp_path / "clean")
+    run_sweep(clean)
+    assert snapshot(cfg.output_dir) == snapshot(clean.output_dir)
 
 
 class TestEmitFront:

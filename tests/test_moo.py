@@ -472,3 +472,21 @@ class TestMgdDirection:
             assert lam.shape == (m,)
             assert np.all(lam >= 0.0)
             assert abs(float(lam.sum()) - 1.0) <= SIMPLEX_TOL
+
+    @pytest.mark.parametrize("m", range(1, MIN_NORM_MAX_M + 1))
+    def test_weights_are_finite_for_finite_gradients_up_to_float_max(self, m):
+        # The chain loop checks the gradients and not the weights, under this
+        # errstate: finite gradients, however large, give finite non-negative
+        # weights, also where their differences and inner products overflow.
+        rng = np.random.default_rng(300 + m)
+        big = np.finfo(np.float64).max
+        scales = big * 10.0 ** -rng.uniform(0.0, 608.0, size=(300, m, 1))
+        grads = np.concatenate([
+            rng.uniform(-1.0, 1.0, (300, m, 3)) * scales,
+            rng.choice([-big, big], (100, m, 3)),
+            rng.choice([-big, 0.0, big], (100, m, 3)),
+        ])
+        assert np.isfinite(grads).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam, _, _ = min_norm_closed_form(grads)
+        assert np.isfinite(lam).all() and (lam >= 0.0).all()

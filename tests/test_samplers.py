@@ -504,9 +504,10 @@ class TestBatchKernel:
                 assert_same_chain(result, run_chain(objectives, spec))
 
     def test_diverging_min_norm_chain_fails_alone(self):
-        # With eta = 1.5, mgd maps (0, y) to (0, -2y): the chain started at
-        # y = 1e300 has gradient 2y = +-1e300 * 2^(k+1), which overflows at
-        # step 27. Its siblings oscillate, stop at step 1, or stay finite.
+        # The chain started at y = 1e300 has the finite gradient 2y but the
+        # value y^2 = inf, so it fails at its start, before its first move
+        # (with eta = 1.5 mgd maps (0, y) to (0, -2y)). Its siblings
+        # oscillate, stop at step 1, or stay finite.
         objectives = opposing_quadratics()
         cfg = SamplerConfig(eta=1.5, steps=40, noise_kind="none", record_every=40)
         starts = [[3.0, 0.0], [2.0, 0.0], [0.0, 1e300], [0.3, 1e-3]]
@@ -515,11 +516,34 @@ class TestBatchKernel:
         failure = results[2]
         assert isinstance(failure, ChainFailure) and failure.index == 2
         assert isinstance(failure.error, ValueError)
-        assert "gradients must be finite" in str(failure.error) and "step 27 " in str(failure.error)
-        with pytest.raises(ValueError, match="step 27 "):
+        message = "objective values must be finite (no NaN/Inf); step 0 is not"
+        assert str(failure.error) == message
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_chain(objectives, specs[2])
         assert results[1].termination_step == 1
         for index in (0, 1, 3):
+            assert_same_chain(results[index], run_chain(objectives, specs[index]))
+
+    @pytest.mark.parametrize("method", ["mgd", "cebm"])
+    def test_non_finite_gradient_fails_its_chain_alone(self, method):
+        # On the ramp the coordinates and the value -x[0] stay finite while
+        # the gradient turns infinite once x[0] > 0: the chain started at
+        # -0.55 climbs there between two records, its siblings never do.
+        d = 3
+        objectives = ObjectiveSet([Ramp(d)])
+        cfg = SamplerConfig(eta=0.2, steps=20, noise_kind="none", record_every=8)
+        climb = cfg.eta if method == "mgd" else cfg.eta / 2
+        x, first = -0.55, 0
+        while x <= 0.0:
+            x, first = x + climb, first + 1
+        assert first % cfg.record_every
+        specs = [ChainSpec(method, cfg, DesignPoint(np.r_[x0, np.zeros(d - 1)])) for x0 in (-100.0, -0.55, -50.0)]
+        results = run_population(objectives, specs)
+        message = f"gradients must be finite (no NaN/Inf); step {first} is not"
+        assert isinstance(results[1], ChainFailure) and str(results[1].error) == message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_chain(objectives, specs[1])
+        for index in (0, 2):
             assert_same_chain(results[index], run_chain(objectives, specs[index]))
 
 
@@ -747,12 +771,26 @@ class TestFinalXOnly:
     def test_diverging_coordinates_fail_alike_on_both_paths(self, noise_kind):
         # Under sigma = 1e300 the chain started at (max, -max) overflows to
         # an infinite state at its first outward noise draw, while its value
-        # and gradient stay finite: only the recorded coordinates show it.
-        # Its siblings stay far from overflow.
+        # and gradient stay finite: only the coordinates show it, at that
+        # step and not at the next record. Its siblings stay far from overflow.
         objectives = ObjectiveSet([TanhSum(2, 0.5), TanhSum(2, -0.5)])
         cfg = SamplerConfig(eta=0.1, steps=30, noise_kind=noise_kind, sigma=1e300, record_every=4)
         big = np.finfo(np.float64).max
         starts = [[0.0, 0.0], [big, -big], [1.0, -1.0], [0.5, 0.5]]
+        # The gradient is zero at (+-max, ...), so the chain moves by its
+        # default_rng(1) noise alone until that overflows.
+        rng = np.random.default_rng(1)
+        if noise_kind == "gaussian":
+            draws = rng.standard_normal((30, 2))
+        else:
+            draws = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (30, 2))
+        x = np.array(starts[1])
+        with np.errstate(over="ignore"):
+            for first, w in enumerate(1e300 * draws, start=1):
+                x = x + w
+                if not np.isfinite(x).all():
+                    break
+        assert first < 30 and first % 4
         specs = [ChainSpec("cebm", cfg, DesignPoint(x), seed=i) for i, x in enumerate(starts)]
         errors = []
         for final_x_only in (False, True):
@@ -766,8 +804,7 @@ class TestFinalXOnly:
         with pytest.raises(ValueError) as solo:
             run_chain(objectives, specs[1])
         assert errors[0] == errors[1] == str(solo.value)
-        match = re.fullmatch(r"coords must be finite \(no NaN/Inf\); step (\d+) is not", errors[0])
-        assert match and int(match.group(1)) % 4 == 0 and int(match.group(1)) > 0
+        assert errors[0] == f"coords must be finite (no NaN/Inf); step {first} is not"
 
     def test_non_finite_values_fail_at_their_first_record(self):
         # Noiseless cebm on one quadratic centered at (3, 0): x0 <- x0 - 0.1 * (x0 - 3)
@@ -809,7 +846,7 @@ class TestStarts:
             ChainSpec("cebm", cfg, DesignPoint([0.5, 0.5])),
         ]
         results = run_population(objectives, specs)
-        assert str(results[1].error) == "coords must be finite (no NaN/Inf)"
+        assert str(results[1].error) == "coords must be finite (no NaN/Inf); step 0 is not"
         assert isinstance(results[2].error, WrongKindError) and isinstance(results[4].error, WrongKindError)
         assert results[2].error is not results[4].error
         assert isinstance(results[3].error, ShapeError)
@@ -826,7 +863,7 @@ class TestStarts:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action, RuntimeWarning)
             (result,) = run_population(opposing_quadratics(), [spec])
-        assert str(result.error) == "coords must be finite (no NaN/Inf)"
+        assert str(result.error) == "coords must be finite (no NaN/Inf); step 0 is not"
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan, -1.0])
