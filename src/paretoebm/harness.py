@@ -342,22 +342,36 @@ def sweep_cells(cfg: ExperimentConfig) -> list[SweepCell]:
     return cells
 
 
-def _ls_lambda(cfg: ExperimentConfig, m: int) -> SimplexWeights:
-    if cfg.ls_lambda is None:
-        return uniform_weights(m)
-    if len(cfg.ls_lambda) != m:
-        raise ConfigError(f"ls_lambda has {len(cfg.ls_lambda)} entries, problem has m={m}")
-    try:
-        return SimplexWeights(np.array(cfg.ls_lambda))
-    except InvalidSimplexError as exc:
-        raise ConfigError(f"ls_lambda: {exc}") from exc
-
-
-def _check_min_norm_methods(cfg: ExperimentConfig, m: int) -> None:
-    """Refuse, before any chain runs, a min-norm method (mgd, pcebm) on more
-    objectives than the min-norm solve takes."""
+def _problem(cfg: ExperimentConfig) -> tuple[Problem, SimplexWeights | None]:
+    """The config's problem and ls_cebm's weights (None without ls_cebm). The one
+    check of the config against its problem, for ``run_sweep`` and ``improve_seeds``
+    alike, before any chain runs or any file is written; a misfit is a ConfigError."""
+    problem = get_problem(cfg.problem, cfg.model_files)
+    m = problem.m
+    if cfg.reference_point is not None and len(cfg.reference_point) != m:
+        raise ConfigError(f"reference point has m={len(cfg.reference_point)}, problem has m={m}")
+    if cfg.normalization is not None and len(cfg.normalization["min"]) != m:
+        raise ConfigError(f"normalization bounds have m={len(cfg.normalization['min'])}, problem has m={m}")
     if METHOD_MGD in cfg.methods or METHOD_PCEBM in cfg.methods:
         check_min_norm_m(m)
+    weights = None
+    if METHOD_LS_CEBM in cfg.methods:
+        if cfg.ls_lambda is not None and len(cfg.ls_lambda) != m:
+            raise ConfigError(f"ls_lambda has {len(cfg.ls_lambda)} entries, problem has m={m}")
+        try:
+            weights = uniform_weights(m) if cfg.ls_lambda is None else SimplexWeights(np.array(cfg.ls_lambda))
+        except InvalidSimplexError as exc:
+            raise ConfigError(f"ls_lambda: {exc}") from exc
+    if problem.point_kind == SEQUENCE_LOGITS:
+        # Every decoded token needs its own symbol.
+        _, A = problem.sequence_dims()
+        if len(set(cfg.alphabet)) != len(cfg.alphabet):
+            raise ConfigError(f"alphabet {cfg.alphabet!r} repeats a symbol")
+        if len(cfg.alphabet) < A:
+            raise ConfigError(f"alphabet {cfg.alphabet!r} has {len(cfg.alphabet)} symbols, the problem has A={A}")
+    elif cfg.training_sequences is not None:
+        raise ConfigError(f"training_sequences needs a sequence problem, and {cfg.problem} is not one")
+    return problem, weights
 
 
 def _sampler_config(
@@ -467,6 +481,7 @@ def _run_cell(
     cell: SweepCell,
     config: SamplerConfig,
     init: RandomInit,
+    weights: SimplexWeights | None,
     cells_dir: Path,
 ) -> dict | tuple[np.ndarray, list[str]]:
     """Run one cell's chains and write its directory. Returns a failure
@@ -478,7 +493,7 @@ def _run_cell(
     m = problem.m
     is_sequence = problem.point_kind == SEQUENCE_LOGITS
     try:
-        fixed = _ls_lambda(cfg, m) if cell.method == METHOD_LS_CEBM else None
+        fixed = weights if cell.method == METHOD_LS_CEBM else None
         first = cell.index * cfg.chains
         seeds = chain_seeds(cfg.base_seed, range(first, first + cfg.chains)).tolist()
         specs = [ChainSpec(cell.method, config, init, fixed, seed) for seed in seeds]
@@ -663,30 +678,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     and this process writes ``fronts.csv`` and ``report.json``. The bundle
     is the same at any count.
     """
-    problem = get_problem(cfg.problem, cfg.model_files)
+    problem, weights = _problem(cfg)
     m = problem.m
     reference = unit_reference(m) if cfg.reference_point is None else ReferencePoint(np.array(cfg.reference_point))
-    if reference.m != m:
-        raise ConfigError(f"reference point has m={reference.m}, problem has m={m}")
-    fixed_nmap = None
-    if cfg.normalization is not None:
-        fixed_nmap = NormalizationMap(np.array(cfg.normalization["min"]), np.array(cfg.normalization["max"]))
-        if fixed_nmap.m != m:
-            raise ConfigError(f"normalization bounds have m={fixed_nmap.m}, problem has m={m}")
-    _check_min_norm_methods(cfg, m)
-    if METHOD_LS_CEBM in cfg.methods:
-        _ls_lambda(cfg, m)  # validate early
+    bounds = cfg.normalization
+    fixed_nmap = None if bounds is None else NormalizationMap(np.array(bounds["min"]), np.array(bounds["max"]))
     is_sequence = problem.point_kind == SEQUENCE_LOGITS
-    if is_sequence:
-        # Every decoded token needs its own symbol in final_points.csv.
-        _, A = problem.sequence_dims()
-        if len(set(cfg.alphabet)) != len(cfg.alphabet):
-            raise ConfigError(f"alphabet {cfg.alphabet!r} repeats a symbol")
-        if len(cfg.alphabet) < A:
-            raise ConfigError(f"alphabet {cfg.alphabet!r} has {len(cfg.alphabet)} symbols, the problem has A={A}")
-    training = read_sequences(cfg.training_sequences, cfg.alphabet) if (
-        is_sequence and cfg.training_sequences
-    ) else None
+    training = None if cfg.training_sequences is None else read_sequences(cfg.training_sequences, cfg.alphabet)
 
     out = Path(cfg.output_dir)
     cells_dir = out / "cells"
@@ -721,7 +719,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
             return f"cells left unwritten: {', '.join(ids) or 'none'}. Finished cells stay on disk, so a rerun resumes."
 
         outcomes = _map_cells(
-            lambda cell: _run_cell(cfg, problem, cell, configs[cell.index], init, cells_dir),
+            lambda cell: _run_cell(cfg, problem, cell, configs[cell.index], init, weights, cells_dir),
             pending,
             lambda cell: cfg.chains * (cell.steps + 1),
             unwritten,
@@ -859,13 +857,12 @@ def improve_seeds(
     chain records its start, so it reports the seed unchanged. A chain that
     fails is listed under ``failures`` and left out of the entries and scores.
     """
+    problem, weights = _problem(cfg)
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed sequence")
-    problem = get_problem(cfg.problem, cfg.model_files)
     if problem.point_kind != SEQUENCE_LOGITS:
         raise ConfigError("improve_seeds needs a sequence problem")
-    _check_min_norm_methods(cfg, problem.m)
     L, A = problem.sequence_dims()
     if scorer.d != problem.d:
         raise ShapeError(f"scorer has d={scorer.d}, problem has d={problem.d}")
@@ -884,7 +881,7 @@ def improve_seeds(
     sampler_seeds = chain_seeds(cfg.base_seed, range(len(cfg.methods) * len(seeds))).tolist()
     for mi, method in enumerate(cfg.methods):
         config = _sampler_config(cfg, eta, steps, _noise_grid(cfg, method)[0], max(1, steps))
-        fixed = _ls_lambda(cfg, problem.m) if method == METHOD_LS_CEBM else None
+        fixed = weights if method == METHOD_LS_CEBM else None
         for si, seed in enumerate(seeds):
             specs.append(
                 ChainSpec(method, config, relax(seed), fixed, sampler_seeds[mi * len(seeds) + si])

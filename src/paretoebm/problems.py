@@ -166,8 +166,10 @@ PROBLEM_NAMES = (*_ANALYTIC_BUILDERS.keys(), "sequence-energies")
 
 
 def get_problem(name: str, model_files: Sequence[str] | None = None) -> Problem:
-    """Build a registered problem; sequence-energies requires model files."""
+    """Build a registered problem; sequence-energies requires model files and an analytic problem takes none."""
     if name in _ANALYTIC_BUILDERS:
+        if model_files:
+            raise ConfigError(f"{name} is an analytic problem and takes no model files, got {len(model_files)}")
         return _ANALYTIC_BUILDERS[name]()
     if name == "sequence-energies":
         return _sequence_energies(model_files or [])

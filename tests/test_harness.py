@@ -13,6 +13,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -986,6 +987,73 @@ def test_killed_sweeps_orphan_keeps_the_directory_until_it_exits(tmp_path):
     assert snapshot(cfg.output_dir) == snapshot(clean.output_dir)
 
 
+# A sweep killed at one point of its write protocol: the sweep's own process
+# calls os._exit(75) right before or right after the first call of the named
+# function that matches. A forked worker is left to finish its cell in flight.
+KILLED_SWEEP = """
+import os, sys
+from pathlib import Path
+from paretoebm import harness
+point, count, parent = sys.argv[2], int(sys.argv[3]), os.getpid()
+staging = lambda path, *rest: path.name.startswith(".tmp-")
+owner, name, before, match = {
+    "staged": (Path, "rename", True, staging),
+    "renamed": (Path, "rename", False, staging),
+    "between-fronts": (harness, "emit_front", False, lambda *args: True),
+    "before-report": (harness, "_atomic_write_text", False, lambda path, text: path.name == "fronts.csv"),
+}[point]
+real = getattr(owner, name)
+def killing(*args, **kwargs):
+    hit = os.getpid() == parent and match(*args)
+    if hit and before:
+        os._exit(75)
+    result = real(*args, **kwargs)
+    if hit:
+        os._exit(75)
+    return result
+setattr(owner, name, killing)
+harness._cpu_count = lambda: count
+harness.run_sweep(harness.load_config(sys.argv[1]))
+"""
+
+# Kill point -> paths under output_dir there and not there when the sweep dies;
+# {0} and {2} are the cell ids of the first two cells the sweep's own process runs.
+KILL_POINTS = {
+    "staged": (["cells/.tmp-{0}/final_points.csv"], ["cells/{0}"]),
+    "renamed": (["cells/{0}/final_points.csv"], ["cells/{0}/front.csv", "cells/.tmp-{0}"]),
+    "between-fronts": (["cells/{0}/front.csv"], ["cells/{2}/front.csv", "fronts.csv"]),
+    "before-report": (["fronts.csv"], []),
+}
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("point", KILL_POINTS)
+def test_sweep_killed_at_a_write_point_reruns_to_the_fresh_bundle(tmp_path, monkeypatch, point, count):
+    cfg = small_sweep(tmp_path, "fonseca-fleming")
+    out, ids = cfg.output_dir, [cell.cell_id for cell in sweep_cells(cfg)]
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    log = tmp_path / "stderr.txt"
+    with open(log, "w") as err:
+        killed = subprocess.run(
+            [sys.executable, "-c", KILLED_SWEEP, str(tmp_path / "cfg.yaml"), point, str(count)],
+            stdout=err, stderr=err, env=env, timeout=120,
+        )
+    assert killed.returncode == 75, log.read_text()
+    present, absent = KILL_POINTS[point]
+    assert [(out / path.format(*ids)).exists() for path in present] == [True] * len(present)
+    assert [(out / path.format(*ids)).exists() for path in [*absent, "report.json"]] == [False] * (len(absent) + 1)
+    # An orphaned worker holds the directory until it exits.
+    deadline = time.monotonic() + 60
+    while not lock_is_free(out):
+        assert time.monotonic() < deadline, "the killed sweep's worker still holds the output directory"
+        time.sleep(0.01)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: count)
+    run_sweep(cfg)
+    clean = dataclasses.replace(cfg, output_dir=tmp_path / "clean")
+    run_sweep(clean)
+    assert snapshot(out) == snapshot(clean.output_dir)
+
+
 class TestEmitFront:
     def test_flags_match_pareto_filter(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -1123,3 +1191,56 @@ class TestImproveSeeds:
         cfg = load_config(write_config(tmp_path / "cfg.yaml"))
         with pytest.raises(ConfigError):
             improve_seeds(cfg, [DiscreteSequence(np.array([0]), alphabet_size=4)], PwmEnergy.zeros(1, 4))
+
+
+MIN_NORM_LIMIT = f"the min-norm solve takes at most {MIN_NORM_MAX_M} objectives, got m={MIN_NORM_MAX_M + 1}"
+
+# One fault per row: the overrides that break a sweep of every method on two
+# PWM models (L=4, A=5), and the ConfigError text both workflows give for it.
+# "models" is the number of model files.
+CONFIG_FAULTS = {
+    "short-alphabet": ({"alphabet": "ACGT"}, "alphabet 'ACGT' has 4 symbols, the problem has A=5"),
+    "repeated-symbol": ({"alphabet": "AACGT"}, "alphabet 'AACGT' repeats a symbol"),
+    "ls-lambda-length": ({"ls_lambda": [0.2, 0.3, 0.5]}, "ls_lambda has 3 entries, problem has m=2"),
+    "mgd-objectives": ({"models": MIN_NORM_MAX_M + 1, "methods": ["mgd", "cebm"]}, MIN_NORM_LIMIT),
+    "pcebm-objectives": ({"models": MIN_NORM_MAX_M + 1, "methods": ["cebm", "pcebm"]}, MIN_NORM_LIMIT),
+    "reference-point-length": ({"reference_point": [1.0, 1.0, 1.0]}, "reference point has m=3, problem has m=2"),
+    "normalization-length": (
+        {"normalization": {"min": [0.0] * 3, "max": [1.0] * 3}}, "normalization bounds have m=3, problem has m=2"
+    ),
+    "model-files-on-analytic": (
+        {"problem": "fonseca-fleming"}, "fonseca-fleming is an analytic problem and takes no model files, got 2"
+    ),
+    "training-on-analytic": (
+        {"problem": "fonseca-fleming", "models": 0, "training_sequences": "train.txt"},
+        "training_sequences needs a sequence problem, and fonseca-fleming is not one",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", CONFIG_FAULTS)
+def test_sweep_and_improve_refuse_a_fault_alike_before_any_chain(tmp_path, monkeypatch, fault):
+    overrides, text = dict(CONFIG_FAULTS[fault][0]), CONFIG_FAULTS[fault][1]
+    runs = []
+
+    def population(*args, **kwargs):
+        runs.append(args)
+        return samplers.run_population(*args, **kwargs)
+
+    # The spy sees the cells of this process alone, so every cell runs here.
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(harness, "run_population", population)
+    (tmp_path / "train.txt").write_text("ACGT\n")
+    doc = {
+        "problem": "sequence-energies", "methods": list(METHODS), "steps": [2], "chains": 1, "alphabet": "ACGTW",
+        "model_files": save_pwm_models(tmp_path, overrides.pop("models", 2)), **overrides,
+    }
+    cfg = load_config(write_config(tmp_path / "cfg.yaml", **doc))
+    seeds = [DiscreteSequence(np.zeros(4, dtype=int), alphabet_size=5)]
+    refusals = []
+    for run in (lambda: run_sweep(cfg), lambda: improve_seeds(cfg, seeds, PwmEnergy.zeros(4, 5))):
+        with pytest.raises(ConfigError) as refused:
+            run()
+        refusals.append(str(refused.value))
+    assert refusals == [text, text]
+    assert runs == [] and not cfg.output_dir.exists()
