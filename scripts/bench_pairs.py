@@ -1,0 +1,131 @@
+"""Alternating parent/change pairs of the sweep benchmark, summarized as JSON.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workloads grid-aggregate ff-sweep --seeds 2501 2510 --out BENCH_x.json
+
+For each workload and each seed from the first to the last, one pair runs
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in each
+checkout, one after the other; the parent runs first in even pairs. Each run
+gives the benchmark's end-to-end metrics (time metrics scaled by its
+calibration kernel) and its raw ``wall_s``, the median of the raw times of
+its sweeps. Per metric the summary gives each side's median and quartiles
+(``statistics.quantiles(n=4, method="inclusive")``), the pairs the change
+wins (ties count for neither) and the signed change of the median, positive
+when the change is worse.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ctypes
+import glob
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+# metric -> whether lower is better
+METRICS = {"wall_s": True, "raw_wall_s": True, "chain_steps_per_s": False, "peak_rss_mb": True,
+           "setup_s": True, "hv_pcebm": False}
+RAW_SWEEP = re.compile(r"^sweep \d+ \(untraced\): ([0-9.]+) s raw")
+
+
+def openblas() -> dict:
+    """The core and build config of numpy's bundled OpenBLAS, read through ctypes."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in glob.glob(str(libs / "libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(path)
+        found = {}
+        for key, name in (("core", "scipy_openblas_get_corename64_"), ("config", "scipy_openblas_get_config64_")):
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            found[key] = fn().decode()
+        return found
+    return {"core": "unknown", "config": "unknown"}
+
+
+def stamp() -> dict:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    cpu = "unknown"
+    with open("/proc/cpuinfo") as fh:
+        cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), cpu)
+    blas = openblas()
+    return {
+        "cpu": cpu,
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "numpy_simd_found": [k for k in __cpu_dispatch__ if __cpu_features__.get(k)],
+        "numpy_simd_not_found": [k for k in __cpu_dispatch__ if not __cpu_features__.get(k)],
+        "NPY_DISABLE_CPU_FEATURES": os.environ.get("NPY_DISABLE_CPU_FEATURES", ""),
+        "openblas_core": blas["core"],
+        "openblas_config": blas["config"],
+        "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE", ""),
+    }
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    out = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, check=True, capture_output=True, text=True,
+    ).stdout.splitlines()
+    result = json.loads(out[-1])
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    metrics["raw_wall_s"] = statistics.median(float(m.group(1)) for m in map(RAW_SWEEP.match, out) if m)
+    metrics["failed_frac"] = result["failed"] / result["attempted"]
+    return metrics
+
+
+def summarize(pairs: list[dict]) -> dict:
+    summary = {}
+    for name, lower in METRICS.items():
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        worse = (statistics.median(change) - statistics.median(parent)) / statistics.median(parent)
+        summary[name] = {
+            "parent_median": statistics.median(parent),
+            "parent_quartiles": statistics.quantiles(parent, n=4, method="inclusive"),
+            "change_median": statistics.median(change),
+            "change_quartiles": statistics.quantiles(change, n=4, method="inclusive"),
+            "change_wins": wins,
+            "median_change_worse_by": round(worse if lower else -worse, 4),
+        }
+    summary["failed_frac"] = {side: max(p[side]["failed_frac"] for p in pairs) for side in ("parent", "change")}
+    return summary
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--seeds", type=int, nargs=2, required=True, metavar=("FIRST", "LAST"))
+    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+    doc = {"machine": stamp(), "seeds": list(range(args.seeds[0], args.seeds[1] + 1)), "workloads": {}}
+    for workload in args.workloads:
+        pairs = []
+        for i, seed in enumerate(doc["seeds"]):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"pair": i, "seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run(getattr(args, side).resolve(), workload, seed, args.seconds)
+            pairs.append(pair)
+            print(workload, seed, {side: round(pair[side]["wall_s"], 4) for side in ("parent", "change")}, flush=True)
+        doc["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

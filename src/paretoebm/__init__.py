@@ -54,7 +54,9 @@ from .moo import (
 from .problems import Problem, get_problem
 from .samplers import (
     ChainFailure,
+    ChainResults,
     ChainSpec,
+    ChainSpecs,
     RandomInit,
     chain_seed,
     chain_seeds,

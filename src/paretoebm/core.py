@@ -262,11 +262,13 @@ class Trajectory:
     diverged anywhere fails as a whole. Each column is a view of that
     array, so neither the caller's arrays nor ``setflags(write=True)`` can
     change a validated trajectory. The samplers check every step of a
-    batch's chains as it runs and hand out each finished chain's Trajectory
-    as read-only views into the batch's columns, built by ``_view`` without
-    a second check or copy. A sweep asks the samplers to keep
-    only the final coordinates; its trajectories' ``X`` then holds one row,
-    the state at ``steps[-1]``, and every other column keeps all records.
+    batch's chains as it runs and keep the records in the batch's read-only
+    columns; a finished chain's Trajectory is built from them when its
+    population is indexed, as views made by ``_view`` without a second
+    check or copy. A sweep writes its cells from the columns and builds no
+    Trajectory. It asks the samplers to keep only the final coordinates;
+    a trajectory's ``X`` then holds one row, the state at ``steps[-1]``, and
+    every other column keeps all records.
     """
 
     steps: np.ndarray

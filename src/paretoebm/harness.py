@@ -48,7 +48,6 @@ from .core import (
     SamplerConfig,
     ShapeError,
     SimplexWeights,
-    Trajectory,
     decode,
     read_sequences,
     relax,
@@ -77,6 +76,7 @@ from .samplers import (
     METHODS,
     ChainFailure,
     ChainSpec,
+    ChainSpecs,
     RandomInit,
     chain_seeds,
     run_population,
@@ -390,9 +390,10 @@ def _sampler_config(
     )
 
 
-def _decode_final(trajectory: Trajectory, problem: Problem) -> DiscreteSequence:
+def _decode_final(x: np.ndarray, problem: Problem) -> DiscreteSequence:
+    """The sequence a chain's final coordinates ``x`` decode to."""
     L, A = problem.sequence_dims()
-    return decode(sequence_point(trajectory.X[-1], L, A))
+    return decode(sequence_point(x, L, A))
 
 
 def _write_final_points(path, rows, m: int, with_sequence: bool) -> None:
@@ -402,8 +403,7 @@ def _write_final_points(path, rows, m: int, with_sequence: bool) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _read_final_points(path, with_sequence: bool) -> tuple[np.ndarray, list[str]]:
@@ -487,62 +487,51 @@ def _run_cell(
     """Run one cell's chains and write its directory. Returns a failure
     record if the cell could not run, else the final objective values and
     decoded sequences it wrote to ``final_points.csv`` (the same floats a
-    re-read gives, as ``repr`` round-trips). The chains' trajectories are
+    re-read gives, as ``repr`` round-trips). Both files are written from
+    the population's columns, with no object per chain; the columns are
     released when it returns, before the next cell starts."""
     start = perf_counter()
     m = problem.m
     is_sequence = problem.point_kind == SEQUENCE_LOGITS
     try:
-        fixed = weights if cell.method == METHOD_LS_CEBM else None
         first = cell.index * cfg.chains
-        seeds = chain_seeds(cfg.base_seed, range(first, first + cfg.chains)).tolist()
-        specs = [ChainSpec(cell.method, config, init, fixed, seed) for seed in seeds]
+        specs = ChainSpecs(
+            cell.method, config, (init,) * cfg.chains, chain_seeds(cfg.base_seed, range(first, first + cfg.chains)),
+            weights if cell.method == METHOD_LS_CEBM else None,
+        )
         # The cell reads only each chain's final point, so X keeps one row.
         results = run_population(problem.objectives, specs, final_x_only=True)
     except Exception as exc:  # noqa: BLE001 - cell failures must not abort the sweep
         logger.warning("cell %s failed: %s", cell.cell_id, exc)
         return {"cell_id": cell.cell_id, "error": f"{type(exc).__name__}: {exc}"}
-    trajectories: list[Trajectory] = []
-    chain_ids: list[int] = []
-    finals = []
+    done = results.finished()
+    steps, final_x, finals = done.finals()
+    final_columns = [done.chain_ids.tolist(), *finals.T.tolist()]
     sequences = []
-    final_rows = []
-    chain_errors = []
-    for idx, res in enumerate(results):
-        if isinstance(res, ChainFailure):
-            chain_errors.append(str(res))
-            continue
-        trajectories.append(res)
-        chain_ids.append(idx)
-        finals.append(res.F[-1])
-        row = [idx, *res.F[-1].tolist()]
-        if is_sequence:
-            sequences.append(sequence_to_str(_decode_final(res, problem), cfg.alphabet))
-            row.append(sequences[-1])
-        final_rows.append(row)
+    if is_sequence:
+        sequences = [sequence_to_str(_decode_final(x, problem), cfg.alphabet) for x in final_x]
+        final_columns.append(sequences)
     tmp_dir = cells_dir / f".tmp-{cell.cell_id}"
     if tmp_dir.exists():
         for leftover in tmp_dir.iterdir():
             leftover.unlink()
     tmp_dir.mkdir(exist_ok=True)
-    write_trajectories(
-        tmp_dir / "trajectories.csv", trajectories, [f"f{i}" for i in range(m)], chain_ids
-    )
-    _write_final_points(tmp_dir / "final_points.csv", final_rows, m, is_sequence)
-    if chain_errors:
-        (tmp_dir / "chain_errors.txt").write_text("".join(e + "\n" for e in chain_errors))
+    write_trajectories(tmp_dir / "trajectories.csv", done, [f"f{i}" for i in range(m)], done.chain_ids)
+    _write_final_points(tmp_dir / "final_points.csv", zip(*final_columns), m, is_sequence)
+    failures = results.failures()
+    if failures:
+        (tmp_dir / "chain_errors.txt").write_text("".join(f"{failure}\n" for failure in failures))
     cell_dir = cells_dir / cell.cell_id
     if cell_dir.exists():
         # A directory without both result files is a leftover partial write.
         shutil.rmtree(cell_dir)
     tmp_dir.rename(cell_dir)
     wall = perf_counter() - start
-    chain_steps = sum(int(t.steps[-1]) for t in trajectories)
     logger.info(
         "cell %s: %d/%d chains ok, %.3f s, %.0f chain-steps/s, pid %d",
-        cell.cell_id, len(trajectories), cfg.chains, wall, chain_steps / wall, os.getpid(),
+        cell.cell_id, len(done), cfg.chains, wall, int(steps.sum()) / wall, os.getpid(),
     )
-    return np.array(finals).reshape(len(finals), m), sequences
+    return finals, sequences
 
 
 def _cpu_count() -> int:
@@ -760,9 +749,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
         def aggregate(cell: SweepCell) -> tuple[dict, str]:
             """A cell's report record and its block of fronts.csv rows; writes its front.csv."""
+            cell_id = cell.cell_id
             values = normalized[rows[cell.index]]
             coords = emit_front(
-                values, [cell.method] * len(values), cells_dir / cell.cell_id / "front.csv",
+                values, [cell.method] * len(values), cells_dir / cell_id / "front.csv",
                 objective_names=objective_names,
             )
             if m <= 3:
@@ -782,7 +772,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                 decoded = [sequence_from_str(s, cfg.alphabet) for s in sequences]
                 edist_mean, edist_std = summarize_edist(decoded, training)
             record = {
-                "cell_id": cell.cell_id,
+                "cell_id": cell_id,
                 "method": cell.method,
                 "eta": cell.eta,
                 "steps": cell.steps,
@@ -796,7 +786,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                 "normalization": norm_doc,
             }
             block = "".join(
-                f"{cell.cell_id},{text},{1 if flag else 0}\n"
+                f"{cell_id},{text},{1 if flag else 0}\n"
                 for text, flag in zip(coords, on_front[rows[cell.index]].tolist())
             )
             return record, block
@@ -899,7 +889,7 @@ def improve_seeds(
                 }
             )
             continue
-        finished.append((mi, si, _decode_final(res, problem)))
+        finished.append((mi, si, _decode_final(res.X[-1], problem)))
     # One bit-vector pass over every (seed, final sequence) pair.
     edits = edit_distance_matrix(seeds, [final_seq for _, _, final_seq in finished])
     for f, (mi, si, final_seq) in enumerate(finished):

@@ -21,12 +21,15 @@ A zero-step chain records its start: one record at step 0, no noise drawn.
 ``run_chain`` runs one chain of any method.
 
 The loop runs a batch of chains as one (n, d) state array, updated in
-place. ``run_population``
-batches the chains that share a method, a ``SamplerConfig`` (equal configs
-count as one) and the fixed weights: every cell of a sweep is one batch.
-Each chain keeps its own noise stream, seeded from its ``ChainSpec.seed``,
-and draws it, scaled by the noise scale, a block of steps at a time into
-one preallocated buffer (``_Noise``). Every operation of a step is
+place. ``run_population`` batches the chains that share a method, a
+``SamplerConfig`` (equal configs count as one) and the fixed weights; a
+``ChainSpecs``, the specs of such chains as columns, is one batch as it
+stands, and every cell of a sweep is one. Each chain keeps its own noise
+stream, seeded from its ``ChainSpec.seed``. A random start draws its unit
+draws from it into its row of the batch's start array, scaled by one
+product per distribution (``_starts``); the chain then draws its noise,
+scaled by the noise scale, a block of steps at a time into one
+preallocated buffer (``_Noise``). Every operation of a step is
 row-wise and rounds each row exactly as it would round that chain alone,
 so a chain's result does not depend on the batch it ran in, its position
 there, or the order of its population. Each energy defines one kernel, on a
@@ -51,11 +54,15 @@ one fails. The weights are not checked: for finite gradients they are
 finite by construction (clipped segment weights, or solutions kept only
 when non-negative), and fixed weights are a validated ``SimplexWeights``.
 The loop writes the recorded states into preallocated ``(n, rows, .)``
-columns. Each finished chain gets a ``Trajectory`` of views into the
-batch's columns, which are made read-only first, so no view can be made
-writable again. ``run_population(..., final_x_only=True)``, the sweep's
-path, keeps one coordinate row per chain, its last record, in place of all
-of them; every other column is kept whole.
+columns, which are made read-only when the batch ends. ``run_population``
+returns them as a ``ChainResults``: a sequence whose item i is chain i's
+``Trajectory`` of views into its batch's columns, or its ``ChainFailure``,
+built when it is indexed. No view can be made writable again. A sweep never
+indexes one: it reads each cell's final points (``ChainResults.finals``)
+and writes its CSV files (``write_trajectories``) from the columns.
+``run_population(..., final_x_only=True)``, the sweep's path, keeps one
+coordinate row per chain, its last record, written once, in place of all of
+them; every other column is kept whole.
 
 Seeding: a chain's noise stream is that of ``np.random.default_rng(seed)``
 for its spec's seed, and the sweep derives the seeds with ``chain_seeds``,
@@ -71,7 +78,8 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass
+from collections import abc
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -154,18 +162,70 @@ class ChainSpec:
     seed: int = 0
 
     def __post_init__(self):
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-            raise ConfigError(f"seed must be an int in [0, 2**64), got {seed!r}")
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method: {self.method!r}")
-        if self.method == METHOD_LS_CEBM:
-            if self.fixed_lambda is None:
-                raise ConfigError("ls_cebm requires fixed_lambda")
-        elif self.fixed_lambda is not None:
-            raise ConfigError(f"{self.method} must not supply fixed_lambda")
-        if self.method == METHOD_MGD and self.config.noise_kind != NOISE_NONE:
-            raise ConfigError("mgd is noiseless; use noise_kind='none'")
+        _check_seed(self.seed)
+        _check_shared(self.method, self.config, self.fixed_lambda)
+
+
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an int in [0, 2**64), got {seed!r}")
+
+
+def _check_shared(method: str, config: SamplerConfig, fixed_lambda: SimplexWeights | None) -> None:
+    """The checks of what a batch's chains share: method, config and fixed weights."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method: {method!r}")
+    if method == METHOD_LS_CEBM:
+        if fixed_lambda is None:
+            raise ConfigError("ls_cebm requires fixed_lambda")
+    elif fixed_lambda is not None:
+        raise ConfigError(f"{method} must not supply fixed_lambda")
+    if method == METHOD_MGD and config.noise_kind != NOISE_NONE:
+        raise ConfigError("mgd is noiseless; use noise_kind='none'")
+
+
+@dataclass(frozen=True, eq=False)
+class ChainSpecs(abc.Sequence):
+    """The specs of chains that share a method, a sampler config and the
+    fixed weights, stored as columns: one start and one seed per chain.
+
+    A read-only sequence whose item i is chain i's ``ChainSpec``, built on
+    access. Construction makes a ChainSpec's checks once for the shared
+    fields and once over the seeds, which are kept as a uint64 array;
+    ``run_population`` runs the whole sequence as one batch.
+    """
+
+    method: str
+    config: SamplerConfig
+    inits: Sequence[DesignPoint | RandomInit]
+    seeds: Sequence[int]
+    fixed_lambda: SimplexWeights | None = None
+
+    def __post_init__(self):
+        seeds = self.seeds
+        if not (
+            isinstance(seeds, np.ndarray)
+            and (seeds.dtype == np.uint64 or seeds.dtype.kind == "i" and (not seeds.size or seeds.min() >= 0))
+        ):
+            # np.array would round a list mixing ints above 2**63 to floats.
+            for seed in seeds:
+                _check_seed(seed)
+            seeds = np.array([int(seed) for seed in seeds], dtype=np.uint64)
+        if seeds.ndim != 1 or seeds.size != len(self.inits):
+            raise ShapeError(f"need one start per seed, got {len(self.inits)} starts and {seeds.size} seeds")
+        _check_shared(self.method, self.config, self.fixed_lambda)
+        seeds = seeds.astype(np.uint64)
+        seeds.setflags(write=False)
+        object.__setattr__(self, "seeds", seeds)
+        object.__setattr__(self, "inits", tuple(self.inits))
+
+    def __len__(self) -> int:
+        return len(self.inits)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return replace(self, inits=self.inits[i], seeds=self.seeds[i])
+        return ChainSpec(self.method, self.config, self.inits[i], self.fixed_lambda, int(self.seeds[i]))
 
 
 @dataclass(frozen=True)
@@ -371,74 +431,154 @@ class _Noise:
         self.rngs = [rng for rng, k in zip(self.rngs, keep.tolist()) if k]
 
 
-def _run_batch(
-    objectives: ObjectiveSet, specs: Sequence[ChainSpec], final_x_only: bool = False
-) -> list[Trajectory | Exception]:
+def _starts(
+    objectives: ObjectiveSet, inits: Sequence[DesignPoint | RandomInit], rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, list[Exception | None]]:
+    """Every chain's start, row j for chain j of one (n, d) array, and per
+    chain the error of a start that does not fit the objectives, or None.
+
+    A random start draws its unit draws into its row, from its chain's
+    generator; then one product per distribution scales all of them: s * z
+    for normal draws and -s + 2s * u for uniform ones, the arithmetic of
+    ``RandomInit.draw``, so a start has the same bits either way. They are
+    not checked for finiteness here; a start that overflows fails its chain
+    at step 0. The row of a failed start is left undefined.
+    """
+    d = objectives.d
+    X = np.empty((len(inits), d))
+    errors: list[Exception | None] = [None] * len(inits)
+    normal, uniform = [], []
+    for j, (init, rng) in enumerate(zip(inits, rngs)):
+        try:
+            if init.d != d:
+                raise ShapeError(f"init point has d={init.d}, objectives expect d={d}")
+            if isinstance(init, RandomInit):
+                if init.distribution == "normal":
+                    rng.standard_normal(out=X[j])
+                    normal.append(j)
+                else:
+                    rng.random(out=X[j])
+                    uniform.append(j)
+            elif init.kind != objectives.point_kind:
+                raise WrongKindError(
+                    f"init point kind {init.kind!r} does not match objectives ({objectives.point_kind!r})"
+                )
+            else:
+                X[j] = init.coords
+        except Exception as exc:  # noqa: BLE001 - a bad start fails only its own chain
+            errors[j] = exc
+    with np.errstate(over="ignore"):
+        if normal:
+            X[normal] *= np.array([inits[j].scale for j in normal])[:, None]
+        if uniform:
+            scale = np.array([inits[j].scale for j in uniform])[:, None]
+            # Generator.uniform(low, high) computes low + (high - low) * u.
+            X[uniform] = -scale + (2.0 * scale) * X[uniform]
+    return X, errors
+
+
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """One batch's records, by batch position j. Chain j's records are rows
+    ``[:rows[j]]`` of F, lam and grad_norm, at the steps ``schedule[:rows[j]]``,
+    except that a chain that stopped early (``stops[j] >= 0``) made its last
+    record at step ``stops[j]``. X holds the same rows, or under
+    ``final_x_only`` one row per chain, its last record. A failed chain keeps
+    no record: ``rows[j]`` is 0 and ``errors[j]`` is its error. Every array is
+    read-only and owns its data; a chain's Trajectory gets views of them.
+    """
+
+    errors: list[Exception | None]
+    rows: np.ndarray
+    stops: np.ndarray
+    schedule: np.ndarray
+    X: np.ndarray
+    F: np.ndarray
+    lam: np.ndarray
+    grad_norm: np.ndarray
+
+    def item(self, pos: int, index: int) -> Trajectory | ChainFailure:
+        """Chain ``pos`` of the batch as a Trajectory, or as the ChainFailure
+        of the chain at ``index`` of its population."""
+        end = int(self.rows[pos])
+        if not end:
+            return ChainFailure(index, self.errors[pos])
+        steps, stop = self.schedule, int(self.stops[pos])
+        if stop >= 0:
+            steps = np.append(steps[: end - 1], stop)
+            steps.setflags(write=False)
+        # Views of read-only owners, never an owner itself, so
+        # setflags(write=True) raises on each column. Under final_x_only X
+        # has one row per chain, which [:end] keeps.
+        return Trajectory._view(
+            steps[:end], self.X[pos, :end], self.F[pos, :end], self.lam[pos, :end], self.grad_norm[pos, :end],
+            None if stop < 0 else stop,
+        )
+
+    def records(self, pos: np.ndarray, chain_ids: np.ndarray) -> np.ndarray:
+        """The export table of chains ``pos``, labelled ``chain_ids``: one row
+        (chain id, step, F, lam, grad_norm) per record, chain after chain."""
+        rows = self.rows[pos]
+        if not rows.all():
+            raise ValueError("a failed chain has no records to export")
+        kept = np.arange(self.schedule.size) < rows[:, None]
+        steps = np.tile(self.schedule, (pos.size, 1))
+        stopped = np.flatnonzero(self.stops[pos] >= 0)
+        steps[stopped, rows[stopped] - 1] = self.stops[pos[stopped]]
+        return np.column_stack([
+            np.repeat(chain_ids, rows), steps[kept], self.F[pos][kept], self.lam[pos][kept],
+            self.grad_norm[pos][kept],
+        ])
+
+
+def _failed_columns(error: Exception, n: int, d: int, m: int) -> _Columns:
+    """The columns of a batch whose every chain failed with ``error``."""
+    return _Columns(
+        [error] * n, np.zeros(n, np.int64), np.full(n, -1), np.zeros(0, np.int64),
+        np.empty((n, 0, d)), np.empty((n, 0, m)), np.empty((n, 0, m)), np.empty((n, 0)),
+    )
+
+
+def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool = False) -> _Columns:
     """Run chains that share a method, a config and the fixed weights as one
     (n, d) state array; see the module docstring.
 
-    Returns, per spec in order, its Trajectory or the exception that failed
-    that chain. With ``final_x_only`` each Trajectory's X holds only the
-    chain's last recorded row. An invalid shared drift (weights of the wrong
-    length) raises.
+    Returns the batch's columns, chain j's at position j. With
+    ``final_x_only`` X keeps only each chain's last recorded row, written
+    once: at its last step or where it stops early. An invalid shared drift
+    (weights of the wrong length) raises.
     """
-    spec = specs[0]
-    cfg = spec.config
-    m = objectives.m
-    if spec.method in (METHOD_MGD, METHOD_PCEBM):
+    cfg = specs.config
+    n, m = len(specs), objectives.m
+    if specs.method in (METHOD_MGD, METHOD_PCEBM):
         weights, step_size, noise_scale = None, cfg.eta, math.sqrt(2.0 * cfg.alpha)
     else:
-        weights = spec.fixed_lambda.lam if spec.method == METHOD_LS_CEBM else uniform_weights(m).lam
+        weights = specs.fixed_lambda.lam if specs.method == METHOD_LS_CEBM else uniform_weights(m).lam
         if weights.size != m:
             raise ShapeError(f"weights have m={weights.size}, objectives have m={m}")
         step_size, noise_scale = cfg.eta / 2.0, cfg.sigma
-    summed = spec.method == METHOD_CEBM
+    summed = specs.method == METHOD_CEBM
     noise_on = cfg.noise_kind != NOISE_NONE and noise_scale > 0
     # With active noise the chain must keep exploring (Brownian regime); only
     # the noiseless min-norm dynamics stop, at a Pareto-stationary point.
     can_stop = weights is None and not noise_on
 
-    results: list[Trajectory | Exception | None] = [None] * len(specs)
-    rngs, starts, started = [], [], []
-    generators = _generators([chain.seed for chain in specs])
-    # A scale that overflows a drawn start gives infinities, which fail that
-    # chain at step 0; one errstate for the batch, not one per draw.
-    with np.errstate(over="ignore"):
-        for index, (chain, rng) in enumerate(zip(specs, generators)):
-            init = chain.init
-            try:
-                if init.d != objectives.d:
-                    raise ShapeError(f"init point has d={init.d}, objectives expect d={objectives.d}")
-                if isinstance(init, RandomInit):
-                    coords = init.draw(rng)
-                else:
-                    if init.kind != objectives.point_kind:
-                        raise WrongKindError(
-                            f"init point kind {init.kind!r} does not match objectives ({objectives.point_kind!r})"
-                        )
-                    coords = init.coords
-            except Exception as exc:  # noqa: BLE001 - a bad start fails only its own chain
-                results[index] = exc
-                continue
-            starts.append(coords)
-            rngs.append(rng)
-            started.append(index)
-    if not started:
-        return results
-
+    generators = _generators(specs.seeds)
+    X, errors = _starts(objectives, specs.inits, generators)
     last, every = cfg.steps, cfg.record_every
     schedule = np.array([*range(0, last + 1, every), *([last] if last % every else [])], dtype=np.int64)
-    X = np.array(starts)
-    n, d = X.shape
-    # Recorded rows, per chain: row i of a running chain is schedule[i]. With
-    # final_x_only every record overwrites the one coordinate row.
+    d = X.shape[1]
+    # Recorded rows, per chain: row i of a running chain is schedule[i].
     X_rec = np.empty((n, 1 if final_x_only else schedule.size, d))
     F_rec = np.empty((n, schedule.size, m))
     lam_rec = np.empty((n, schedule.size, m))
     norm_rec = np.empty((n, schedule.size))
-    rows = np.full(n, schedule.size)
-    termination: list[int | None] = [None] * n
-    active = np.arange(n)  # batch positions of the running chains, the rows of X
+    ok = np.array([error is None for error in errors], dtype=bool)
+    rows = np.where(ok, schedule.size, 0)
+    stops = np.full(n, -1)
+    active = np.flatnonzero(ok)  # batch positions of the running chains, the rows of X
+    if not ok.all():
+        X = X[active]
     noise = None
     row = 0
 
@@ -454,8 +594,8 @@ def _run_batch(
     # or gradients are non-finite; the interim overflow itself is not worth a
     # warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if noise_on:
-            noise = _Noise([rngs[i] for i in active.tolist()], cfg.noise_kind, noise_scale, d, last)
+        if noise_on and active.size:
+            noise = _Noise([generators[j] for j in active.tolist()], cfg.noise_kind, noise_scale, d, last)
         for step in range(last + 1):
             if not active.size:
                 break
@@ -470,7 +610,8 @@ def _run_batch(
                 gone = ~(x_ok & f_ok & np.isfinite(grads).all(axis=(1, 2)))
                 for pos, x, f in zip(active[gone].tolist(), x_ok[gone].tolist(), f_ok[gone].tolist()):
                     name = "gradients" if x and f else "objective values" if x else "coords"
-                    results[started[pos]] = ValueError(f"{name} must be finite (no NaN/Inf); step {step} is not")
+                    errors[pos] = ValueError(f"{name} must be finite (no NaN/Inf); step {step} is not")
+                rows[active[gone]] = 0
                 values, grads = values[~gone], grads[~gone]
                 drop(gone)
                 if not active.size:
@@ -490,7 +631,8 @@ def _run_batch(
             if record or stopping:
                 sel = slice(None) if record else stop
                 at = active[sel]
-                X_rec[at, 0 if final_x_only else row] = X[sel]
+                if not final_x_only:
+                    X_rec[at, row] = X[sel]
                 F_rec[at, row] = values[sel]
                 if weights is None:
                     lam_rec[at, row] = lam[sel]
@@ -498,65 +640,156 @@ def _run_batch(
                 else:
                     lam_rec[at, row] = weights
                     norm_rec[at, row] = np.sqrt(np.vecdot(g, g))
+            if final_x_only and (step == last or stopping):
+                # The one kept X row: every running chain's at the last step,
+                # a stopping chain's where it stops.
+                sel = slice(None) if step == last else stop
+                X_rec[active[sel], 0] = X[sel]
             if stopping:
-                for pos in active[stop].tolist():
-                    rows[pos] = row + 1
-                    termination[pos] = step
+                rows[active[stop]] = row + 1
+                stops[active[stop]] = step
                 g = g[~stop]
                 drop(stop)
             if record:
                 row += 1
 
-    # A chain gets views of read-only owners, never an owner itself, so
-    # setflags(write=True) raises on each of its columns.
-    for column in (schedule, X_rec, F_rec, lam_rec, norm_rec):
+    for column in (rows, stops, schedule, X_rec, F_rec, lam_rec, norm_rec):
         column.setflags(write=False)
-    for pos, index in enumerate(started):
-        if results[index] is not None:
-            continue
-        end, stopped_at = rows[pos], termination[pos]
-        steps = schedule if stopped_at is None else np.append(schedule[: end - 1], stopped_at)
-        steps.setflags(write=False)
-        results[index] = Trajectory._view(
-            steps[:], X_rec[pos] if final_x_only else X_rec[pos, :end], F_rec[pos, :end],
-            lam_rec[pos, :end], norm_rec[pos, :end], stopped_at,
+    return _Columns(errors, rows, stops, schedule, X_rec, F_rec, lam_rec, norm_rec)
+
+
+class ChainResults(abc.Sequence):
+    """``run_population``'s results in input order, over its batches' columns.
+
+    A read-only sequence: item i is chain i's ``Trajectory``, or its
+    ``ChainFailure``, built from its batch's columns when it is indexed, so
+    no object per chain exists unless a caller asks for one. Slices are
+    ChainResults over the same columns; a chain keeps its population index
+    (``chain_ids``) in any of them. ``finished``, ``finals`` and
+    ``write_trajectories`` read the columns directly.
+    """
+
+    def __init__(
+        self, columns: list[_Columns], batch: np.ndarray, pos: np.ndarray, index: np.ndarray, d: int, m: int
+    ):
+        # Item i is chain pos[i] of columns[batch[i]], at index[i] of its population.
+        self._columns, self._batch, self._pos, self._index = columns, batch, pos, index
+        self.d, self.m = d, m
+        index.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self._index.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._select(i)
+        return self._columns[self._batch[i]].item(int(self._pos[i]), int(self._index[i]))
+
+    @property
+    def chain_ids(self) -> np.ndarray:
+        """Each item's index in its population, read-only."""
+        return self._index
+
+    def _select(self, which) -> "ChainResults":
+        return ChainResults(
+            self._columns, self._batch[which], self._pos[which], self._index[which], self.d, self.m
         )
-    return results
+
+    def _parts(self):
+        """(columns, where, positions) per batch: the items at ``where`` are
+        that batch's chains ``positions``."""
+        for b, columns in enumerate(self._columns):
+            where = np.flatnonzero(self._batch == b)
+            if where.size:
+                yield columns, where, self._pos[where]
+
+    def _rows(self) -> np.ndarray:
+        rows = np.zeros(len(self), np.int64)
+        for columns, where, pos in self._parts():
+            rows[where] = columns.rows[pos]
+        return rows
+
+    def finished(self) -> "ChainResults":
+        """The chains that did not fail, in order: a sequence of Trajectory."""
+        return self._select(self._rows() > 0)
+
+    def failures(self) -> list[ChainFailure]:
+        """The failed chains' ChainFailures, in order."""
+        return [self[i] for i in np.flatnonzero(self._rows() == 0).tolist()]
+
+    def finals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every chain's last record: its step, coordinates and objective
+        values, as (k,), (k, d) and (k, m) arrays. A failed chain has none,
+        and is a ValueError."""
+        steps, X, F = np.empty(len(self), np.int64), np.empty((len(self), self.d)), np.empty((len(self), self.m))
+        for columns, where, pos in self._parts():
+            last = columns.rows[pos] - 1
+            if (last < 0).any():
+                raise ValueError("a failed chain has no final state")
+            stops = columns.stops[pos]
+            steps[where] = np.where(stops >= 0, stops, columns.schedule[-1])
+            # Under final_x_only X keeps one row per chain, row 0.
+            X[where] = columns.X[pos, np.minimum(last, columns.X.shape[1] - 1)]
+            F[where] = columns.F[pos, last]
+        return steps, X, F
+
+    def _records(self, chain_ids: np.ndarray) -> np.ndarray:
+        """The export table of ``write_trajectories``, with item i labelled ``chain_ids[i]``."""
+        parts, order = [], []
+        for columns, where, pos in self._parts():
+            parts.append(columns.records(pos, chain_ids[where]))
+            order.append(np.repeat(where, columns.rows[pos]))
+        if len(parts) == 1:
+            return parts[0]
+        # Chains of several batches, back in sequence order.
+        return np.concatenate(parts)[np.argsort(np.concatenate(order), kind="stable")]
 
 
 def run_chain(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
     """Run the sampler named by spec.method; a failed chain raises its error."""
-    [result] = _run_batch(objectives, [spec])
-    if isinstance(result, Exception):
-        raise result
+    batch = ChainSpecs(spec.method, spec.config, [spec.init], np.array([spec.seed], np.uint64), spec.fixed_lambda)
+    result = _run_batch(objectives, batch).item(0, 0)
+    if isinstance(result, ChainFailure):
+        raise result.error
     return result
 
 
 def run_population(
     objectives: ObjectiveSet, specs: Sequence[ChainSpec], *, final_x_only: bool = False
-) -> list[Trajectory | ChainFailure]:
-    """Run many independent chains; results come back in input order.
+) -> ChainResults:
+    """Run many independent chains; results come back in input order, as a
+    ``ChainResults`` over the batches' columns.
 
     Chains that share a method, a config (equal configs count as one) and
-    the fixed weights run as one batch, whatever their seeds and starts. A
-    failing chain yields a ChainFailure entry tagged with its index and does
-    not disturb its siblings. With
-    ``final_x_only`` each trajectory's X keeps only the chain's last
-    recorded row (the final point); every other column keeps all records.
+    the fixed weights run as one batch, whatever their seeds and starts; a
+    ``ChainSpecs`` is one batch as it stands. A failing chain yields a
+    ChainFailure entry tagged with its index and does not disturb its
+    siblings. With ``final_x_only`` each trajectory's X keeps only the
+    chain's last recorded row (the final point); every other column keeps
+    all records.
     """
-    batches: dict[tuple, list[int]] = {}
-    for index, spec in enumerate(specs):
-        key = (spec.method, spec.config, spec.fixed_lambda)
-        batches.setdefault(key, []).append(index)
-    results: list[Trajectory | ChainFailure | None] = [None] * len(specs)
-    for indices in batches.values():
+    n = len(specs)
+    if isinstance(specs, ChainSpecs):
+        batches = [(np.arange(n), specs)]
+    else:
+        groups: dict[tuple, list[int]] = {}
+        for index, spec in enumerate(specs):
+            groups.setdefault((spec.method, spec.config, spec.fixed_lambda), []).append(index)
+        batches = []
+        for indices in groups.values():
+            first = specs[indices[0]]
+            seeds = np.array([specs[i].seed for i in indices], np.uint64)
+            chains = ChainSpecs(first.method, first.config, [specs[i].init for i in indices], seeds, first.fixed_lambda)
+            batches.append((np.array(indices), chains))
+    columns = []
+    batch, pos = np.empty(n, np.intp), np.empty(n, np.intp)
+    for b, (indices, chains) in enumerate(batches):
         try:
-            batch = _run_batch(objectives, [specs[i] for i in indices], final_x_only)
+            columns.append(_run_batch(objectives, chains, final_x_only))
         except Exception as exc:  # noqa: BLE001 - failures are per-chain data
-            batch = [exc] * len(indices)
-        for index, result in zip(indices, batch):
-            results[index] = ChainFailure(index, result) if isinstance(result, Exception) else result
-    return results
+            columns.append(_failed_columns(exc, len(chains), objectives.d, objectives.m))
+        batch[indices], pos[indices] = b, np.arange(indices.size)
+    return ChainResults(columns, batch, pos, np.arange(n), objectives.d, objectives.m)
 
 
 def write_trajectories(
@@ -570,31 +803,41 @@ def write_trajectories(
 
     The bytes are those of the csv module's default writer: ``\\r\\n`` line
     ends, ``repr`` floats and plain integer chain ids and steps (exact below
-    2**53). The columns are stacked and formatted in one pass. With no
+    2**53). The records form one table, formatted in one pass: a
+    ``ChainResults`` of finished chains gives it from its columns, without a
+    Trajectory per chain, and any other sequence is stacked into it. With no
     trajectories it writes the header alone, which needs ``objective_names``.
     """
-    if not trajectories and objective_names is None:
+    n = len(trajectories)
+    if not n and objective_names is None:
         raise ValueError("nothing to export")
-    m = trajectories[0].m if trajectories else len(objective_names)
+    if chain_ids is None:
+        chain_ids = range(n)
+    if len(chain_ids) != n:
+        raise ShapeError(f"got {len(chain_ids)} chain ids for {n} trajectories")
+    table = None
+    if isinstance(trajectories, ChainResults):
+        m = trajectories.m
+        if n:
+            table = trajectories._records(np.asarray(chain_ids))
+    else:
+        m = trajectories[0].m if n else len(objective_names)
+        if any(traj.m != m for traj in trajectories):
+            raise ShapeError("all trajectories must share the objective count m")
+        if n:
+            table = np.column_stack([
+                np.repeat(chain_ids, [len(t) for t in trajectories]),
+                np.concatenate([t.steps for t in trajectories]),
+                np.concatenate([t.F for t in trajectories]),
+                np.concatenate([t.lam for t in trajectories]),
+                np.concatenate([t.grad_norm for t in trajectories]),
+            ])
     if objective_names is None:
         objective_names = [f"f{i}" for i in range(m)]
     if len(objective_names) != m:
         raise ShapeError(f"need {m} objective names, got {len(objective_names)}")
-    if chain_ids is None:
-        chain_ids = range(len(trajectories))
-    if len(chain_ids) != len(trajectories):
-        raise ShapeError(f"got {len(chain_ids)} chain ids for {len(trajectories)} trajectories")
-    if any(traj.m != m for traj in trajectories):
-        raise ShapeError("all trajectories must share the objective count m")
     body = ""
-    if trajectories:
-        table = np.column_stack([
-            np.repeat(chain_ids, [len(t) for t in trajectories]),
-            np.concatenate([t.steps for t in trajectories]),
-            np.concatenate([t.F for t in trajectories]),
-            np.concatenate([t.lam for t in trajectories]),
-            np.concatenate([t.grad_norm for t in trajectories]),
-        ])
+    if table is not None:
         record = "%d,%d," + ",".join(["%r"] * (2 * m + 1)) + "\r\n"
         body = (record * len(table)) % tuple(table.ravel().tolist())
     header = ["chain_id", "step", *objective_names, *[f"lambda{i}" for i in range(m)], "grad_norm"]

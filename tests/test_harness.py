@@ -372,22 +372,28 @@ class TestRunSweep:
         assert snapshot(tmp_path / "out_a") == snapshot(tmp_path / "out_b")
 
     def test_previous_cell_released_before_next_runs(self, tmp_path, monkeypatch):
-        # A cell's trajectories (with every recorded X row) must not stay
-        # alive while the next cell's chains run.
+        # A cell's population and its batch's columns (the owners of every
+        # trajectory's views) must not stay alive while the next cell's
+        # chains run. A trajectory is built on access, so a weak reference to
+        # one would die at once; the references go to what owns the data.
         previous, alive = [], []
 
         def tracking(objectives, specs, *, final_x_only=False):
             gc.collect()
             alive.extend(ref() for ref in previous)
             results = samplers.run_population(objectives, specs, final_x_only=final_x_only)
-            previous[:] = [weakref.ref(r) for r in results]
+            first = results[0]
+            owners = [first.X.base, first.F.base, first.grad_norm.base]
+            assert all(isinstance(owner, np.ndarray) and owner.base is None for owner in owners)
+            previous[:] = [weakref.ref(results), *map(weakref.ref, owners)]
             return results
 
         # The spy sees the cells of this process alone, so every cell runs here.
         monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
         monkeypatch.setattr(harness, "run_population", tracking)
         run_sweep(load_config(write_config(tmp_path / "cfg.yaml", methods=["cebm", "pcebm", "mgd"])))
-        # The 4 chains of each of the first two cells, looked up as the next cell starts.
+        # The population and three columns of each of the first two cells,
+        # looked up as the next cell starts.
         assert alive == [None] * 8
 
     def test_four_objective_sweep_runs_every_chain_without_warning(self, tmp_path, caplog):
@@ -654,6 +660,152 @@ def small_sweep(tmp_path, problem):
             chains=3, **extra,
         )
     )
+
+
+# name -> (config overrides, whether every cell fails, what the populations must show)
+CELL_CASES = {
+    "start-overflow": (
+        {"problem": "fonseca-fleming", "methods": ["cebm"], "steps": [3], "chains": 16, "sigma": 0.1,
+         "init_scale": float(np.finfo(float).max)},
+        False,
+        lambda items: any(failed(i) and str(i.error) == "coords must be finite (no NaN/Inf); step 0 is not"
+                          for i in items) and not all(map(failed, items)),
+    ),
+    "mid-run-failure": (
+        {"problem": "fonseca-fleming", "methods": ["cebm"], "steps": [6], "record_every": 4, "chains": 16,
+         "sigma": 5e307},
+        False,
+        lambda items: any(failed(i) and " step 0 " not in str(i.error) for i in items)
+        and not all(map(failed, items)),
+    ),
+    "mgd-early-stops": (
+        {"problem": "fonseca-fleming", "methods": ["mgd"], "eta": [0.5], "steps": [7], "record_every": 4,
+         "grad_tol": 0.05, "chains": 16, "init_scale": 0.5},
+        False,
+        lambda items: any(not failed(i) and i.terminated_early and i.termination_step % 4 for i in items)
+        and any(not failed(i) and not i.terminated_early for i in items),
+    ),
+    "zero-steps": (
+        {"methods": list(METHODS), "steps": [0]},
+        False,
+        lambda items: all(i.steps.tolist() == [0] for i in items),
+    ),
+    "every-chain-failed": (
+        {"methods": ["cebm", "pcebm"], "init_scale": 1e200},
+        True,
+        lambda items: all(map(failed, items)),
+    ),
+    "m1-sequence": (
+        {"problem": "sequence-energies", "models": 1, "methods": list(METHODS), "steps": [3], "record_every": 2,
+         "alphabet": "ACGTW"},
+        False,
+        lambda items: items[0].m == 1,
+    ),
+    "m3": (
+        {"problem": "tri-quadratic", "methods": list(METHODS), "steps": [5], "record_every": 2},
+        False,
+        lambda items: items[0].m == 3,
+    ),
+    "sequence": (
+        {"problem": "sequence-energies", "models": 2, "methods": list(METHODS), "steps": [4], "record_every": 3,
+         "alphabet": "ACGTW", "chains": 6},
+        False,
+        lambda items: items[0].X.shape == (1, 20),
+    ),
+}
+
+
+def failed(item):
+    return isinstance(item, samplers.ChainFailure)
+
+
+def indexed_cell_files(directory, items, m, decode):
+    """A cell's files written the per-chain way, from indexed items:
+    ``write_trajectories`` over the trajectories and a row-by-row csv.writer."""
+    trajectories = [(i, item) for i, item in enumerate(items) if not failed(item)]
+    samplers.write_trajectories(
+        directory / "trajectories.csv", [t for _, t in trajectories], [f"f{i}" for i in range(m)],
+        [i for i, _ in trajectories],
+    )
+    with open(directory / "final_points.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["chain_id", *[f"f{i}" for i in range(m)], *(["sequence"] if decode else [])])
+        for i, traj in trajectories:
+            writer.writerow([i, *traj.F[-1].tolist(), *([decode(traj.X[-1])] if decode else [])])
+    failures = "".join(f"{item}\n" for item in items if failed(item))
+    if failures:
+        (directory / "chain_errors.txt").write_text(failures)
+    return snapshot(directory)
+
+
+class TestCellFilesFromColumns:
+    """A cell's trajectories.csv and final_points.csv come from its
+    population's columns; they must be the bytes of the per-chain export."""
+
+    @pytest.mark.parametrize("case", sorted(CELL_CASES))
+    def test_files_match_the_per_chain_export(self, tmp_path, monkeypatch, case):
+        overrides, all_fail, shows = CELL_CASES[case]
+        overrides = dict(overrides)
+        models = overrides.pop("models", 0)
+        if models:
+            overrides["model_files"] = save_pwm_models(tmp_path, models)
+        populations = {}
+
+        def population(objectives, specs, *, final_x_only=False):
+            results = samplers.run_population(objectives, specs, final_x_only=final_x_only)
+            populations[(specs[0].method, specs[0].config)] = results
+            return results
+
+        # The spy sees the cells of this process alone, so every cell runs here.
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(harness, "run_population", population)
+        cfg = load_config(write_config(tmp_path / "cfg.yaml", **overrides))
+        if all_fail:
+            with pytest.raises(ConfigError, match="every cell failed"):
+                run_sweep(cfg)
+        else:
+            run_sweep(cfg)
+        problem, _ = harness._problem(cfg)
+
+        def decode(x):
+            return sequence_to_str(harness._decode_final(x, problem), cfg.alphabet)
+
+        if problem.point_kind != "sequence-logits":
+            decode = None
+        every_item = []
+        for cell in sweep_cells(cfg):
+            config = harness._sampler_config(cfg, cell.eta, cell.steps, cell.noise_kind, cfg.record_every)
+            items = list(populations[(cell.method, config)])
+            every_item += items
+            written = snapshot(cfg.output_dir / "cells" / cell.cell_id)
+            written.pop("front.csv", None)
+            oracle = tmp_path / "oracle" / cell.cell_id
+            oracle.mkdir(parents=True)
+            assert written == indexed_cell_files(oracle, items, problem.m, decode)
+        assert shows(every_item)
+
+    def test_sweep_builds_no_trajectory_per_chain(self, tmp_path, monkeypatch):
+        built = []
+        view = samplers.Trajectory._view.__func__
+
+        def counting(cls, *args):
+            built.append(1)
+            return view(cls, *args)
+
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(samplers.Trajectory, "_view", classmethod(counting))
+        for problem, models in (("opposing-quadratics", 0), ("sequence-energies", 2)):
+            extra = {"model_files": save_pwm_models(tmp_path, models), "alphabet": "ACGTW"} if models else {}
+            cfg = load_config(
+                write_config(tmp_path / f"{problem}.yaml", problem=problem, methods=list(METHODS),
+                             output_dir=f"out-{problem}", **extra)
+            )
+            report = run_sweep(cfg).report
+            assert sum(cell["chains"] for cell in report["cells"]) == 16
+        assert built == []
+        samplers.run_chain(get_problem("opposing-quadratics").objectives,
+                           samplers.ChainSpec("cebm", samplers.SamplerConfig(eta=0.1, steps=2), samplers.RandomInit(2)))
+        assert built == [1]
 
 
 class TestCellProcesses:

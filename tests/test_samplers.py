@@ -547,6 +547,160 @@ class TestBatchKernel:
             assert_same_chain(results[index], run_chain(objectives, specs[index]))
 
 
+def mixed_population():
+    """Three batches, interleaved, with a failed start and an early stop."""
+    objectives = get_problem("fonseca-fleming").objectives
+    noisy = SamplerConfig(eta=0.05, steps=25, record_every=7)
+    calm = SamplerConfig(eta=0.5, steps=25, noise_kind="none", record_every=4, grad_tol=0.02)
+    specs = [
+        ChainSpec("pcebm", noisy, RandomInit(d=3), seed=1),
+        ChainSpec("mgd", calm, DesignPoint([0.5, 0.2, 0.1])),  # stops between records
+        ChainSpec("cebm", noisy, RandomInit(d=3), seed=2),
+        ChainSpec("pcebm", noisy, DesignPoint([1.0, 1.0]), seed=3),  # wrong d
+        ChainSpec("mgd", calm, DesignPoint([0.0, 0.0, 0.0])),  # stops at step 0
+        ChainSpec("pcebm", noisy, RandomInit(d=3, distribution="uniform"), seed=4),
+        ChainSpec("cebm", noisy, RandomInit(d=3, scale=2.0), seed=5),
+    ]
+    return objectives, specs
+
+
+class TestChainSpecs:
+    def test_items_are_the_chain_specs(self):
+        cfg = SamplerConfig(eta=0.1, steps=3)
+        inits = [RandomInit(d=2), DesignPoint([0.5, 0.5]), RandomInit(d=2, scale=2.0)]
+        seeds = [0, 2**64 - 1, 7]
+        specs = samplers.ChainSpecs("cebm", cfg, inits, seeds)
+        expected = [ChainSpec("cebm", cfg, init, seed=seed) for init, seed in zip(inits, seeds)]
+        assert len(specs) == 3 and list(specs) == expected
+        assert specs[-1] == expected[-1] and list(specs[1:]) == expected[1:]
+        assert specs.seeds.dtype == np.uint64 and not specs.seeds.flags.writeable
+        with pytest.raises(IndexError):
+            specs[3]
+
+    @pytest.mark.parametrize(
+        "method,noise_kind,fixed,seeds,error",
+        [
+            ("cebm", "gaussian", None, [0, -1], "seed must be an int"),
+            ("cebm", "gaussian", None, [0, 2**64], "seed must be an int"),
+            ("cebm", "gaussian", None, [0, 1.0], "seed must be an int"),
+            ("cebm", "gaussian", None, [True, 0], "seed must be an int"),
+            ("cebm", "gaussian", None, np.array([0, -1]), "seed must be an int"),
+            ("cebm", "gaussian", None, np.array([0.0, 1.0]), "seed must be an int"),
+            ("mgd", "gaussian", None, [0, 1], "mgd is noiseless"),
+            ("ls_cebm", "gaussian", None, [0, 1], "ls_cebm requires fixed_lambda"),
+            ("pcebm", "gaussian", SimplexWeights([0.5, 0.5]), [0, 1], "pcebm must not supply fixed_lambda"),
+            ("sgld", "gaussian", None, [0, 1], "unknown method"),
+        ],
+    )
+    def test_checks_of_a_chain_spec(self, method, noise_kind, fixed, seeds, error):
+        cfg = SamplerConfig(eta=0.1, steps=3, noise_kind=noise_kind)
+        with pytest.raises(ConfigError, match=error):
+            samplers.ChainSpecs(method, cfg, [RandomInit(d=2)] * 2, seeds, fixed)
+        with pytest.raises(ConfigError, match=error):
+            [ChainSpec(method, cfg, RandomInit(d=2), fixed, seed) for seed in list(seeds)]
+
+    def test_one_start_per_seed(self):
+        with pytest.raises(ShapeError, match="need one start per seed, got 2 starts and 3 seeds"):
+            samplers.ChainSpecs("cebm", SamplerConfig(eta=0.1, steps=3), [RandomInit(d=2)] * 2, [0, 1, 2])
+
+    def test_runs_as_one_batch_like_its_chain_specs(self, monkeypatch):
+        objectives = get_problem("fonseca-fleming").objectives
+        cfg = SamplerConfig(eta=0.05, steps=20, alpha=0.01, record_every=3)
+        specs = samplers.ChainSpecs("pcebm", cfg, [RandomInit(d=3)] * 5, samplers.chain_seeds(3, range(5)))
+        calls = count_batches(monkeypatch)
+        batch = run_population(objectives, specs)
+        assert calls == [5]
+        for result, spec in zip(batch, specs, strict=True):
+            assert_same_chain(result, run_chain(objectives, spec))
+
+
+class TestChainResults:
+    """run_population's results are a sequence over the batches' columns;
+    each item is built on access."""
+
+    def test_sequence_of_items(self):
+        objectives, specs = mixed_population()
+        results = run_population(objectives, specs)
+        items = list(results)
+        assert len(results) == len(items) == len(specs)
+        assert results.chain_ids.tolist() == list(range(len(specs)))
+        for index, (spec, item) in enumerate(zip(specs, items)):
+            if index == 3:
+                assert isinstance(item, ChainFailure) and item.index == 3 and isinstance(item.error, ShapeError)
+            else:
+                assert_same_chain(item, run_chain(objectives, spec))
+        assert items[4].terminated_early and items[4].termination_step == 0
+        assert items[1].steps.tolist() == [0, 4, 7] and items[1].termination_step == 7
+        tail = results[-3:]
+        assert tail.chain_ids.tolist() == [4, 5, 6]
+        assert trajectories_equal(results[-1], items[-1]) and trajectories_equal(tail[0], items[4])
+        backwards = results[::-2]
+        assert backwards.chain_ids.tolist() == [6, 4, 2, 0]
+        for item, index in zip(backwards, [6, 4, 2, 0]):
+            assert_same_chain(item, items[index])
+        assert [f.index for f in results.failures()] == [3]
+        assert [f.index for f in results[4:].failures()] == []
+        assert results.finished().chain_ids.tolist() == [0, 1, 2, 4, 5, 6]
+        assert results[3:].finished().chain_ids.tolist() == [4, 5, 6]
+        with pytest.raises(IndexError):
+            results[len(specs)]
+        assert not results.chain_ids.flags.writeable
+
+    def test_items_are_built_on_access(self, monkeypatch):
+        objectives, specs = mixed_population()
+        built = []
+        view = Trajectory._view.__func__
+        monkeypatch.setattr(Trajectory, "_view", classmethod(lambda cls, *a: built.append(1) or view(cls, *a)))
+        results = run_population(objectives, specs, final_x_only=True)
+        done = results.finished()
+        done.finals()
+        results.failures()
+        assert built == []
+        results[0]
+        assert built == [1]
+
+    @pytest.mark.parametrize("final_x_only", [False, True])
+    def test_finals_are_each_chains_last_record(self, final_x_only):
+        objectives, specs = mixed_population()
+        results = run_population(objectives, specs, final_x_only=final_x_only)
+        done = results.finished()
+        steps, X, F = done.finals()
+        assert X.shape == (6, 3) and F.shape == (6, 2)
+        for k, traj in enumerate(done):
+            assert steps[k] == traj.steps[-1]
+            assert np.array_equal(X[k], traj.X[-1]) and np.array_equal(F[k], traj.F[-1])
+        assert steps.tolist() == [25, 7, 25, 0, 25, 25]
+        with pytest.raises(ValueError, match="a failed chain has no final state"):
+            results.finals()
+        empty = results[3:4].finished().finals()
+        assert [a.shape for a in empty] == [(0,), (0, 3), (0, 2)]
+
+    @pytest.mark.parametrize("final_x_only", [False, True])
+    def test_export_from_columns_matches_indexed_trajectories(self, tmp_path, final_x_only):
+        # Three interleaved batches: the columns' records go back into
+        # sequence order, with the early stop's step in place of its last
+        # scheduled one.
+        objectives, specs = mixed_population()
+        done = run_population(objectives, specs, final_x_only=final_x_only).finished()
+        for kwargs in ({}, {"chain_ids": done.chain_ids}, {"chain_ids": [9, 8, 7, 6, 5, 4]}):
+            write_trajectories(tmp_path / "columns.csv", done, **kwargs)
+            write_trajectories(tmp_path / "items.csv", list(done), **kwargs)
+            csv_oracle(tmp_path / "oracle.csv", list(done), **kwargs)
+            assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "items.csv").read_bytes()
+            assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        write_trajectories(tmp_path / "one.csv", done[3:4])
+        assert [line[:4] for line in (tmp_path / "one.csv").read_text().splitlines()[1:]] == ["0,0,"]
+        write_trajectories(tmp_path / "none.csv", done[:0], objective_names=["a", "b"])
+        assert (tmp_path / "none.csv").read_bytes() == b"chain_id,step,a,b,lambda0,lambda1,grad_norm\r\n"
+
+    def test_export_refuses_failures(self, tmp_path):
+        objectives, specs = mixed_population()
+        with pytest.raises(ValueError, match="a failed chain has no records"):
+            write_trajectories(tmp_path / "t.csv", run_population(objectives, specs))
+        with pytest.raises(ShapeError, match="need 2 objective names, got 1"):
+            write_trajectories(tmp_path / "t.csv", run_population(objectives, specs).finished(), ["a"])
+
+
 class ZeroEnergy(EnergyModel):
     """Value and gradient zero everywhere: a chain moves by its noise alone."""
 
@@ -634,7 +788,7 @@ class TestNoiseBlocks:
     def test_a_fill_that_raises_fails_the_batch(self, monkeypatch):
         objectives = quadratic_pair(8)
         cfg = SamplerConfig(eta=0.01, steps=5, noise_kind="gaussian")
-        specs = [ChainSpec("pcebm", cfg, RandomInit(d=8), seed=chain_seed(17, i)) for i in range(4)]
+        specs = samplers.ChainSpecs("pcebm", cfg, [RandomInit(d=8)] * 4, samplers.chain_seeds(17, range(4)))
 
         def failing(*args):
             raise MemoryError("no room for noise")
@@ -642,8 +796,10 @@ class TestNoiseBlocks:
         monkeypatch.setattr(samplers, "_fill_block", failing)
         with pytest.raises(MemoryError, match="no room for noise"):
             samplers._run_batch(objectives, specs)
-        results = run_population(objectives, specs)
-        assert all(isinstance(r, ChainFailure) and isinstance(r.error, MemoryError) for r in results)
+        for population in (specs, list(specs)):
+            results = run_population(objectives, population)
+            assert len(results) == 4
+            assert all(isinstance(r, ChainFailure) and isinstance(r.error, MemoryError) for r in results)
 
 
 class TestTrajectoryExport:
@@ -823,14 +979,6 @@ class TestFinalXOnly:
 
 
 
-class InfiniteDraw(RandomInit):
-    """A random start whose draw is infinite, as a huge finite scale can
-    overflow to (an infinite scale is refused when the init is built)."""
-
-    def draw(self, rng):
-        return np.full(self.d, np.inf)
-
-
 class TestStarts:
     def test_bad_starts_fail_only_their_own_chains(self):
         objectives = opposing_quadratics()
@@ -839,7 +987,8 @@ class TestStarts:
         wrong_kind = DesignPoint([0.5, 0.5], kind=SEQUENCE_LOGITS, L=1, A=2)
         specs = [
             ChainSpec("cebm", cfg, RandomInit(d=2)),
-            ChainSpec("cebm", cfg, InfiniteDraw(d=2)),
+            # Overflows: default_rng(3) draws a normal beyond 1 in magnitude.
+            ChainSpec("cebm", cfg, RandomInit(d=2, scale=np.finfo(float).max), seed=3),
             ChainSpec("cebm", cfg, wrong_kind),
             ChainSpec("cebm", cfg, RandomInit(d=3)),
             ChainSpec("cebm", cfg, wrong_kind),
@@ -882,6 +1031,47 @@ class TestStarts:
         spec = ChainSpec("cebm", cfg, RandomInit(d=2, scale=big / 2, distribution="uniform"), seed=3)
         (result,) = run_population(opposing_quadratics(), [spec])
         assert isinstance(result, ChainFailure) and isinstance(result.error, ValueError)
+
+
+    @pytest.mark.parametrize("distribution", ["normal", "uniform"])
+    def test_block_start_draw_matches_random_init_draw(self, distribution):
+        # One (n, d) block of unit draws and one product per distribution
+        # give each chain the bits of its own RandomInit.draw: scale 0 (signed
+        # zeros), tiny, ordinary and overflowing scales, mixed in one block
+        # with a design start and a start of the other distribution.
+        d = 7
+        big = np.finfo(float).max if distribution == "normal" else np.finfo(float).max / 2
+        other = "uniform" if distribution == "normal" else "normal"
+        inits = [
+            RandomInit(d, distribution, scale)
+            for scale in (0.0, 5e-324, 1e-300, 0.37, 1.0, 3.5, 1e300, big)
+        ]
+        inits += [DesignPoint(np.linspace(-1.0, 1.0, d)), RandomInit(d, other, 2.0), RandomInit(d, distribution, 0.0)]
+        seeds = samplers.chain_seeds(11, range(len(inits))).tolist()
+        X, errors = samplers._starts(quadratic_pair(d), inits, samplers._generators(seeds))
+        assert errors == [None] * len(inits)
+        with np.errstate(over="ignore"):
+            for j, (init, seed) in enumerate(zip(inits, seeds)):
+                rng = np.random.default_rng(seed)
+                expected = init.coords if isinstance(init, DesignPoint) else init.draw(rng)
+                # Bit patterns, so that -0.0 and 0.0 differ and inf equals inf.
+                assert X[j].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        if distribution == "normal":
+            assert np.isinf(X[7]).any() and np.isfinite(X[6]).all()
+        # 0 * z keeps the sign of a negative z; -0.0 + 0.0 * u is +0.0.
+        assert np.signbit(X[0]).any() == (distribution == "normal")
+
+    def test_block_start_draw_leaves_each_stream_where_a_draw_leaves_it(self):
+        # The noise after a random start continues its chain's stream.
+        inits = [RandomInit(3, "normal", 2.0), RandomInit(3, "uniform", 2.0), DesignPoint([0.0, 1.0, 2.0])]
+        seeds = [3, 4, 5]
+        rngs = samplers._generators(seeds)
+        samplers._starts(quadratic_pair(3), inits, rngs)
+        for init, seed, rng in zip(inits, seeds, rngs):
+            alone = np.random.default_rng(seed)
+            if isinstance(init, RandomInit):
+                init.draw(alone)
+            assert rng.bit_generator.state == alone.bit_generator.state
 
 
 class TestZeroSteps:
