@@ -7,11 +7,16 @@ For each workload and each seed from the first to the last, one pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in each
 checkout, one after the other; the parent runs first in even pairs. Each run
 gives the benchmark's end-to-end metrics (time metrics scaled by its
-calibration kernel) and its raw ``wall_s``, the median of the raw times of
-its sweeps. Per metric the summary gives each side's median and quartiles
+calibration kernel), its raw ``wall_s``, the median of the raw times of its
+sweeps, and ``cpu_s``, the user + system CPU seconds of ``run.py`` and of
+every process it waited for (``os.wait4`` on the run's pid). Per metric the
+summary gives each side's median and quartiles
 (``statistics.quantiles(n=4, method="inclusive")``), the pairs the change
-wins (ties count for neither) and the signed change of the median, positive
-when the change is worse.
+wins (ties count for neither), the signed change of the median, positive
+when the change is worse, and ``claim_met``: the change won at least 9 in 10
+of the pairs and its median is better than the parent's by more than the
+parent's interquartile range. ``wall_s`` meets the claim only when the raw
+``wall_s`` meets it too.
 """
 
 from __future__ import annotations
@@ -26,13 +31,14 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 # metric -> whether lower is better
 METRICS = {"wall_s": True, "raw_wall_s": True, "chain_steps_per_s": False, "peak_rss_mb": True,
-           "setup_s": True, "hv_pcebm": False}
+           "setup_s": True, "hv_pcebm": False, "cpu_s": True}
 RAW_SWEEP = re.compile(r"^sweep \d+ \(untraced\): ([0-9.]+) s raw")
 
 
@@ -72,14 +78,25 @@ def stamp() -> dict:
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    out = subprocess.run(
-        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, check=True, capture_output=True, text=True,
-    ).stdout.splitlines()
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(
+            [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, stdout=subprocess.PIPE, stderr=err, text=True,
+        )
+        with proc.stdout:
+            text = proc.stdout.read()
+        # wait4's usage covers the run and every process it waited for.
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            err.seek(0)
+            raise subprocess.CalledProcessError(proc.returncode, proc.args, text, err.read().decode())
+    out = text.splitlines()
     result = json.loads(out[-1])
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     metrics["raw_wall_s"] = statistics.median(float(m.group(1)) for m in map(RAW_SWEEP.match, out) if m)
+    metrics["cpu_s"] = usage.ru_utime + usage.ru_stime
     metrics["failed_frac"] = result["failed"] / result["attempted"]
     return metrics
 
@@ -90,15 +107,20 @@ def summarize(pairs: list[dict]) -> dict:
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
-        worse = (statistics.median(change) - statistics.median(parent)) / statistics.median(parent)
+        quartiles = statistics.quantiles(parent, n=4, method="inclusive")
+        better = statistics.median(parent) - statistics.median(change)
+        if not lower:
+            better = -better
         summary[name] = {
             "parent_median": statistics.median(parent),
-            "parent_quartiles": statistics.quantiles(parent, n=4, method="inclusive"),
+            "parent_quartiles": quartiles,
             "change_median": statistics.median(change),
             "change_quartiles": statistics.quantiles(change, n=4, method="inclusive"),
             "change_wins": wins,
-            "median_change_worse_by": round(worse if lower else -worse, 4),
+            "median_change_worse_by": round(-better / statistics.median(parent), 4),
+            "claim_met": 10 * wins >= 9 * len(pairs) and better > quartiles[2] - quartiles[0],
         }
+    summary["wall_s"]["claim_met"] = summary["wall_s"]["claim_met"] and summary["raw_wall_s"]["claim_met"]
     summary["failed_frac"] = {side: max(p[side]["failed_frac"] for p in pairs) for side in ("parent", "change")}
     return summary
 

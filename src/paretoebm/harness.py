@@ -12,7 +12,9 @@ the same processes: the sweep's own process fits the pooled normalization
 and non-dominated flags, each process writes its cells' fronts and computes
 their hypervolumes and edit distances, and the sweep's process writes
 ``fronts.csv`` and ``report.json``. Memory stays at about one cell's chains
-per process.
+per process: a cell's ``trajectories.csv`` is formatted and written a block
+of records at a time, so its export adds one block, whatever the cell's
+record count.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import logging
 import math
 import os
+import resource
 import shutil
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
@@ -527,9 +530,11 @@ def _run_cell(
         shutil.rmtree(cell_dir)
     tmp_dir.rename(cell_dir)
     wall = perf_counter() - start
+    # The process's peak resident set so far (ru_maxrss is in KiB on Linux).
     logger.info(
-        "cell %s: %d/%d chains ok, %.3f s, %.0f chain-steps/s, pid %d",
+        "cell %s: %d/%d chains ok, %.3f s, %.0f chain-steps/s, pid %d, peak RSS %.1f MB",
         cell.cell_id, len(done), cfg.chains, wall, int(steps.sum()) / wall, os.getpid(),
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     )
     return finals, sequences
 

@@ -76,11 +76,12 @@ handed its precomputed state words.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import operator
 from collections import abc
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -111,6 +112,8 @@ _SQRT3 = math.sqrt(3.0)
 _MAX_UNIFORM_SCALE = float(np.finfo(np.float64).max) / 2
 # Noise is drawn a block of steps at a time; this caps a batch's noise bytes.
 _NOISE_BLOCK_BYTES = 1 << 20
+# A trajectory export formats and writes this many records at a time.
+_CSV_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -342,20 +345,32 @@ def chain_seed(base_seed: int, index: int) -> int:
     return int(chain_seeds(base_seed, [index])[0])
 
 
-class _Words:
-    """A seed sequence that hands PCG64 its precomputed state words.
-    ``_generators`` registers it as a numpy ``ISeedSequence``, so importing
-    this module does not load ``numpy.random``."""
+@functools.cache
+def _words_type() -> type:
+    """``_Words``: a numpy ``ISeedSequence`` subclass that hands PCG64 its
+    precomputed state words. It is built on first use, so that importing
+    this module does not load ``numpy.random``; as a subclass, not a
+    registered class, numpy's instance check passes without ABC lookups."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    __slots__ = ("words",)
+    class _Words(ISeedSequence):
+        __slots__ = ("words",)
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if (n_words, dtype) != (4, np.uint64):
-            raise ValueError(f"holds 4 uint64 words, asked for {n_words} of {dtype}")
-        return self.words
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if (n_words, dtype) != (4, np.uint64):
+                raise ValueError(f"holds 4 uint64 words, asked for {n_words} of {dtype}")
+            return self.words
+
+    return _Words
+
+
+def __getattr__(name: str):
+    if name == "_Words":
+        return _words_type()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _generators(seeds: Sequence[int]) -> list[np.random.Generator]:
@@ -369,13 +384,11 @@ def _generators(seeds: Sequence[int]) -> list[np.random.Generator]:
     word gives the same state.
     """
     from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
 
-    ISeedSequence.register(_Words)
+    words = _words_type()
     seeds = np.array(seeds, dtype=np.uint64)
-    words = np.column_stack([seeds & _MASK32, seeds >> 32])
-    states = _as_uint64(_seed_words(words, 8))
-    return [Generator(PCG64(_Words(state))) for state in states]
+    states = _as_uint64(_seed_words(np.column_stack([seeds & _MASK32, seeds >> 32]), 8))
+    return [Generator(PCG64(words(state))) for state in states]
 
 
 def _fill_block(block: np.ndarray, rngs: Sequence[np.random.Generator], noise_kind: str) -> None:
@@ -514,21 +527,6 @@ class _Columns:
             steps[:end], self.X[pos, :end], self.F[pos, :end], self.lam[pos, :end], self.grad_norm[pos, :end],
             None if stop < 0 else stop,
         )
-
-    def records(self, pos: np.ndarray, chain_ids: np.ndarray) -> np.ndarray:
-        """The export table of chains ``pos``, labelled ``chain_ids``: one row
-        (chain id, step, F, lam, grad_norm) per record, chain after chain."""
-        rows = self.rows[pos]
-        if not rows.all():
-            raise ValueError("a failed chain has no records to export")
-        kept = np.arange(self.schedule.size) < rows[:, None]
-        steps = np.tile(self.schedule, (pos.size, 1))
-        stopped = np.flatnonzero(self.stops[pos] >= 0)
-        steps[stopped, rows[stopped] - 1] = self.stops[pos[stopped]]
-        return np.column_stack([
-            np.repeat(chain_ids, rows), steps[kept], self.F[pos][kept], self.lam[pos][kept],
-            self.grad_norm[pos][kept],
-        ])
 
 
 def _failed_columns(error: Exception, n: int, d: int, m: int) -> _Columns:
@@ -733,16 +731,39 @@ class ChainResults(abc.Sequence):
             F[where] = columns.F[pos, last]
         return steps, X, F
 
-    def _records(self, chain_ids: np.ndarray) -> np.ndarray:
-        """The export table of ``write_trajectories``, with item i labelled ``chain_ids[i]``."""
-        parts, order = [], []
-        for columns, where, pos in self._parts():
-            parts.append(columns.records(pos, chain_ids[where]))
-            order.append(np.repeat(where, columns.rows[pos]))
-        if len(parts) == 1:
-            return parts[0]
-        # Chains of several batches, back in sequence order.
-        return np.concatenate(parts)[np.argsort(np.concatenate(order), kind="stable")]
+    def _record_blocks(self, chain_ids: np.ndarray, size: int) -> Iterator[np.ndarray]:
+        """The export table of ``write_trajectories``, item i labelled
+        ``chain_ids[i]``, in blocks of ``size`` records, each gathered from
+        the columns when it is reached. A failed chain raises here, before
+        any block."""
+        rows = self._rows()
+        if not rows.all():
+            raise ValueError("a failed chain has no records to export")
+        ends = np.cumsum(rows)
+        starts, total = ends - rows, int(ends[-1]) if ends.size else 0
+        m = self.m
+
+        def gather(first: int, last: int) -> np.ndarray:
+            record = np.arange(first, last)
+            item = np.searchsorted(ends, record, side="right")
+            row = record - starts[item]
+            block = np.empty((record.size, 3 + 2 * m))
+            block[:, 0] = chain_ids[item]
+            batch = self._batch[item]
+            for b, columns in enumerate(self._columns):
+                at = np.flatnonzero(batch == b)
+                if not at.size:
+                    continue
+                pos, k = self._pos[item[at]], row[at]
+                stops = columns.stops[pos]
+                # A chain that stopped early made its last record at its stop.
+                block[at, 1] = np.where((stops >= 0) & (k == columns.rows[pos] - 1), stops, columns.schedule[k])
+                block[at, 2 : 2 + m] = columns.F[pos, k]
+                block[at, 2 + m : 2 + 2 * m] = columns.lam[pos, k]
+                block[at, 2 + 2 * m] = columns.grad_norm[pos, k]
+            return block
+
+        return (gather(first, min(first + size, total)) for first in range(0, total, size))
 
 
 def run_chain(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
@@ -792,6 +813,33 @@ def run_population(
     return ChainResults(columns, batch, pos, np.arange(n), objectives.d, objectives.m)
 
 
+def _trajectory_blocks(
+    trajectories: Sequence[Trajectory], chain_ids: Sequence[int], m: int, size: int
+) -> Iterator[np.ndarray]:
+    """The export table of ``write_trajectories`` over a sequence of
+    Trajectory, in blocks of ``size`` records, each copied from the slices of
+    the trajectories it spans when it is reached."""
+    rows = np.array([len(traj) for traj in trajectories], dtype=np.int64)
+    ends = np.cumsum(rows)
+    total = int(ends[-1]) if ends.size else 0
+
+    def gather(first: int, last: int) -> np.ndarray:
+        block = np.empty((last - first, 3 + 2 * m))
+        lo, hi = np.searchsorted(ends, [first, last - 1], side="right").tolist()
+        for i in range(lo, hi + 1):
+            traj, start = trajectories[i], int(ends[i] - rows[i])
+            a, b = max(first, start), min(last, int(ends[i]))
+            out, kept = block[a - first : b - first], slice(a - start, b - start)
+            out[:, 0] = chain_ids[i]
+            out[:, 1] = traj.steps[kept]
+            out[:, 2 : 2 + m] = traj.F[kept]
+            out[:, 2 + m : 2 + 2 * m] = traj.lam[kept]
+            out[:, 2 + 2 * m] = traj.grad_norm[kept]
+        return block
+
+    return (gather(first, min(first + size, total)) for first in range(0, total, size))
+
+
 def write_trajectories(
     path,
     trajectories: Sequence[Trajectory],
@@ -803,10 +851,13 @@ def write_trajectories(
 
     The bytes are those of the csv module's default writer: ``\\r\\n`` line
     ends, ``repr`` floats and plain integer chain ids and steps (exact below
-    2**53). The records form one table, formatted in one pass: a
-    ``ChainResults`` of finished chains gives it from its columns, without a
-    Trajectory per chain, and any other sequence is stacked into it. With no
-    trajectories it writes the header alone, which needs ``objective_names``.
+    2**53). The records are formatted and written ``_CSV_BLOCK_ROWS`` at a
+    time, each block gathered into a float table and formatted in one pass,
+    so an export holds one block's table, floats and text, whatever its
+    record count: a ``ChainResults`` of finished chains gives each block from
+    its columns, without a Trajectory per chain, and any other sequence from
+    the slices of its trajectories. With no trajectories it writes the header
+    alone, which needs ``objective_names``.
     """
     n = len(trajectories)
     if not n and objective_names is None:
@@ -815,32 +866,21 @@ def write_trajectories(
         chain_ids = range(n)
     if len(chain_ids) != n:
         raise ShapeError(f"got {len(chain_ids)} chain ids for {n} trajectories")
-    table = None
     if isinstance(trajectories, ChainResults):
         m = trajectories.m
-        if n:
-            table = trajectories._records(np.asarray(chain_ids))
+        blocks = trajectories._record_blocks(np.asarray(chain_ids), _CSV_BLOCK_ROWS)
     else:
         m = trajectories[0].m if n else len(objective_names)
         if any(traj.m != m for traj in trajectories):
             raise ShapeError("all trajectories must share the objective count m")
-        if n:
-            table = np.column_stack([
-                np.repeat(chain_ids, [len(t) for t in trajectories]),
-                np.concatenate([t.steps for t in trajectories]),
-                np.concatenate([t.F for t in trajectories]),
-                np.concatenate([t.lam for t in trajectories]),
-                np.concatenate([t.grad_norm for t in trajectories]),
-            ])
+        blocks = _trajectory_blocks(trajectories, chain_ids, m, _CSV_BLOCK_ROWS)
     if objective_names is None:
         objective_names = [f"f{i}" for i in range(m)]
     if len(objective_names) != m:
         raise ShapeError(f"need {m} objective names, got {len(objective_names)}")
-    body = ""
-    if table is not None:
-        record = "%d,%d," + ",".join(["%r"] * (2 * m + 1)) + "\r\n"
-        body = (record * len(table)) % tuple(table.ravel().tolist())
+    record = "%d,%d," + ",".join(["%r"] * (2 * m + 1)) + "\r\n"
     header = ["chain_id", "step", *objective_names, *[f"lambda{i}" for i in range(m)], "grad_norm"]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.write(body)
+        for block in blocks:
+            fh.write(record * len(block) % tuple(block.ravel().tolist()))

@@ -8,6 +8,7 @@ import logging
 import multiprocessing
 import os
 import re
+import resource
 import select
 import shutil
 import signal
@@ -939,12 +940,17 @@ class TestCellProcesses:
         cfg = load_config(write_config(tmp_path / "cfg.yaml", methods=["cebm", "pcebm"]))
         with caplog.at_level(logging.INFO, logger="paretoebm.harness"):
             report_text = run_sweep(cfg).report_path.read_text()
-        line = re.compile(r"cell (\S+): 4/4 chains ok, \d+\.\d{3} s, (\d+) chain-steps/s, pid (\d+)")
+        line = re.compile(
+            r"cell (\S+): 4/4 chains ok, \d+\.\d{3} s, (\d+) chain-steps/s, pid (\d+), peak RSS (\d+\.\d) MB"
+        )
         logged = [line.fullmatch(r.getMessage()) for r in caplog.records if r.getMessage().startswith("cell ")]
         assert [m.group(1) for m in logged] == [c.cell_id for c in sweep_cells(cfg)]
         assert all(int(m.group(2)) > 0 and int(m.group(3)) == os.getpid() for m in logged)
-        # The timings go to the log alone; report.json stays deterministic.
-        assert "pid" not in report_text and "chain-steps" not in report_text
+        # The process's own peak resident set so far, in MB (ru_maxrss is KiB on Linux).
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert all(0 < float(m.group(4)) <= peak + 0.05 for m in logged)
+        # The timings and memory go to the log alone; report.json stays deterministic.
+        assert "pid" not in report_text and "chain-steps" not in report_text and "RSS" not in report_text
 
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("problem", ["fonseca-fleming", "sequence-energies"])

@@ -1,5 +1,7 @@
 import csv
+import gc
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -237,6 +239,81 @@ class TestPcebm:
         traj = run_chain(objs, ChainSpec("pcebm", cfg, DesignPoint([0.5, 2.0]), seed=4))
         lams = traj.lam
         assert len(np.unique(lams[:, 0])) > 5
+
+
+# Centers of the quadratic objectives ||x - c_i||^2 at d = 3: the first m
+# rows. Their affine hull is a point, the x axis and the z = 0 plane.
+STATIONARY_CENTERS = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+STATIONARY_WEIGHTS = {1: [1.0], 2: [0.25, 0.75], 3: [0.2, 0.3, 0.5]}
+STATIONARY_CASES = [
+    (method, m, noise)
+    for method in ("cebm", "ls_cebm", "pcebm")
+    for m in (1, 2, 3)
+    for noise in ("gaussian", "uniform")
+]
+
+
+class TestStationaryMoments:
+    """On sum_i w_i ||x - c_i||^2 the Langevin samplers are linear AR(1)
+    chains, x_j <- x_j - h c (x_j - mu_j) + s w, whose stationary law has mean
+    mu_j and variance s^2 / (1 - (1 - h c)^2) exactly, in discrete time:
+
+    - cebm: h = eta / 2, c = 2 m (every w_i = 1), s = sigma, mu = mean of the
+      centers, on every coordinate;
+    - ls_cebm: h = eta / 2, c = 2 (w = its fixed weights), s = sigma,
+      mu = sum_i w_i c_i, on every coordinate;
+    - pcebm: its drift, the min-norm point of conv{2 (x - c_i)}, is
+      2 (x - P(x)) with P the projection onto conv{c_i}; on each coordinate
+      orthogonal to the centers' affine hull that is 2 (x_j - c_j), so
+      h = eta, c = 2, s = sqrt(2 alpha), mu_j the centers' common c_j.
+
+    Each chain's last state is one independent draw; every compared
+    coordinate's sample mean and variance must lie within 4 standard errors
+    of the exact values. The variance's standard error uses the stationary
+    law's own fourth moment: kurtosis 3 under gaussian noise, and under
+    uniform noise (kurtosis 9/5) 3 - 1.2 (1 - rho^2) / (1 + rho^2), with
+    rho = 1 - h c, since the fourth cumulant of sum_k rho^k w_k sums as
+    rho^4k. The seeds and this bound were fixed before the first run.
+    """
+
+    CHAINS, STEPS, ETA, SIGMA, ALPHA, BOUND = 4000, 40, 0.2, 0.5, 0.1, 4.0
+
+    @pytest.mark.parametrize(
+        "case", range(len(STATIONARY_CASES)), ids=["-".join(map(str, case)) for case in STATIONARY_CASES]
+    )
+    def test_moments_match_the_exact_ar1_law(self, case):
+        method, m, noise = STATIONARY_CASES[case]
+        centers, weights = STATIONARY_CENTERS[:m], np.array(STATIONARY_WEIGHTS[m])
+        objectives = ObjectiveSet([ShiftedQuadratic(c) for c in centers])
+        cfg = SamplerConfig(
+            eta=self.ETA, steps=self.STEPS, noise_kind=noise, sigma=self.SIGMA, alpha=self.ALPHA,
+            record_every=self.STEPS,
+        )
+        if method == "pcebm":
+            # The coordinates orthogonal to the centers' affine hull.
+            h, c, s2, coords, mu = self.ETA, 2.0, 2.0 * self.ALPHA, {1: [0, 1, 2], 2: [1, 2], 3: [2]}[m], centers[0]
+        elif method == "cebm":
+            h, c, s2, coords, mu = self.ETA / 2, 2.0 * m, self.SIGMA**2, [0, 1, 2], centers.mean(axis=0)
+        else:
+            h, c, s2, coords, mu = self.ETA / 2, 2.0, self.SIGMA**2, [0, 1, 2], weights @ centers
+        rho = 1.0 - h * c
+        # The start (unit normal draws) is forgotten up to rho^steps.
+        assert abs(rho) ** self.STEPS < 1e-3
+        variance = s2 / (1.0 - rho**2)
+        kurtosis = 3.0 if noise == "gaussian" else 3.0 - 1.2 * (1.0 - rho**2) / (1.0 + rho**2)
+        n = self.CHAINS
+        specs = samplers.ChainSpecs(
+            method, cfg, [RandomInit(d=3)] * n, samplers.chain_seeds(2026, range(case * n, (case + 1) * n)),
+            SimplexWeights(weights) if method == "ls_cebm" else None,
+        )
+        results = run_population(objectives, specs, final_x_only=True)
+        X = results.finals()[1]
+        mean_se = np.sqrt(variance / n)
+        var_se = variance * np.sqrt((kurtosis - (n - 3) / (n - 1)) / n)
+        for j in coords:
+            sample = X[:, j]
+            assert abs(sample.mean() - mu[j]) <= self.BOUND * mean_se, (j, sample.mean(), mu[j], mean_se)
+            assert abs(sample.var(ddof=1) - variance) <= self.BOUND * var_se, (j, sample.var(ddof=1), variance, var_se)
 
 
 class TestRunPopulation:
@@ -1177,3 +1254,91 @@ class TestTrajectoryBytes:
             write_trajectories(tmp_path / "t.csv", [])
         with pytest.raises(ShapeError):
             write_trajectories(tmp_path / "t.csv", [awkward_trajectory(1, 2, 0), awkward_trajectory(3, 2, 0)])
+
+
+def one_shot_export(path, trajectories, objective_names=None, chain_ids=None):
+    """The export as one stacked table formatted into one string, the way
+    write_trajectories wrote it before it wrote in blocks; the block-wise
+    export must keep its bytes."""
+    m = trajectories[0].m if len(trajectories) else len(objective_names)
+    names = [f"f{i}" for i in range(m)] if objective_names is None else objective_names
+    ids = range(len(trajectories)) if chain_ids is None else chain_ids
+    body = ""
+    if len(trajectories):
+        table = np.column_stack([
+            np.repeat(ids, [len(t) for t in trajectories]),
+            np.concatenate([t.steps for t in trajectories]),
+            np.concatenate([t.F for t in trajectories]),
+            np.concatenate([t.lam for t in trajectories]),
+            np.concatenate([t.grad_norm for t in trajectories]),
+        ])
+        record = "%d,%d," + ",".join(["%r"] * (2 * m + 1)) + "\r\n"
+        body = (record * len(table)) % tuple(table.ravel().tolist())
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["chain_id", "step", *names, *[f"lambda{i}" for i in range(m)], "grad_norm"])
+        fh.write(body)
+
+
+def export_case(name):
+    """(trajectories, objective names) of one block-export case."""
+    objectives = get_problem("fonseca-fleming").objectives
+    if name == "one-batch":
+        cfg = SamplerConfig(eta=0.05, steps=20, record_every=3)
+        specs = samplers.ChainSpecs("cebm", cfg, [RandomInit(d=3)] * 6, samplers.chain_seeds(5, range(6)))
+        return run_population(objectives, specs, final_x_only=True).finished(), None
+    if name == "several-batches":
+        objectives, specs = mixed_population()
+        return run_population(objectives, specs, final_x_only=True).finished(), None
+    if name == "early-stops":
+        # One mgd batch whose chains stop at different steps, between records.
+        cfg = SamplerConfig(eta=0.5, steps=40, noise_kind="none", record_every=3, grad_tol=0.02)
+        starts = [DesignPoint([a, 0.2, -a]) for a in (0.0, 0.1, 0.5, 0.9, 1.4)]
+        done = run_population(objectives, [ChainSpec("mgd", cfg, x) for x in starts]).finished()
+        assert sum(t.terminated_early for t in done) >= 3
+        return done, None
+    if name == "trajectory-list":
+        objectives, specs = mixed_population()
+        return [*run_population(objectives, specs).finished(), *(awkward_trajectory(2, r, r) for r in (1, 9))], None
+    if name == "header-only":
+        return run_population(objectives, []).finished(), ["a", "b"]
+    raise KeyError(name)
+
+
+class TestBlockExport:
+    @pytest.mark.parametrize("block_rows", [1, 5, 512])
+    @pytest.mark.parametrize("case", ["one-batch", "several-batches", "early-stops", "trajectory-list", "header-only"])
+    def test_blocks_keep_the_one_shot_bytes(self, tmp_path, monkeypatch, case, block_rows):
+        monkeypatch.setattr(samplers, "_CSV_BLOCK_ROWS", block_rows)
+        trajectories, names = export_case(case)
+        n = len(trajectories)
+        for kwargs in ({}, {"chain_ids": [3 * i + 7 for i in range(n)]}):
+            for given in (trajectories, list(trajectories)):
+                write_trajectories(tmp_path / "blocks.csv", given, names, **kwargs)
+                one_shot_export(tmp_path / "one.csv", list(trajectories), names, **kwargs)
+                assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        records = (tmp_path / "blocks.csv").read_bytes().count(b"\r\n") - 1
+        assert records == sum(len(t) for t in trajectories)
+        # The small blocks split the export, and split chains.
+        assert records > 2 * block_rows or block_rows == 512 or case == "header-only"
+
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_peak_memory_does_not_grow_with_the_records(self, tmp_path, as_list):
+        # Ten times the records may raise the export's peak by at most the
+        # larger record table's floats plus a fixed 1 MiB; a one-shot export
+        # takes about seven times the table.
+        objectives = get_problem("fonseca-fleming").objectives
+        cfg = SamplerConfig(eta=0.01, steps=149)
+        peaks, tables = [], []
+        for chains in (4, 40):
+            specs = samplers.ChainSpecs("cebm", cfg, [RandomInit(d=3)] * chains, samplers.chain_seeds(9, range(chains)))
+            done = run_population(objectives, specs, final_x_only=True).finished()
+            trajectories = list(done) if as_list else done
+            tables.append(chains * 150 * (3 + 2 * objectives.m) * 8)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                write_trajectories(tmp_path / "t.csv", trajectories)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= tables[1] + 2**20, (peaks, tables)
