@@ -1,7 +1,8 @@
 """Sweep runner and seed-improvement workflow.
 
 A sweep runs a grid of (method, eta, steps, noise) cells, each with a fixed
-number of independently seeded chains, then normalizes all final points with
+number of independently seeded chains, one ``ChainSpecs`` that
+``run_population`` runs as one batch, then normalizes all final points with
 one pooled min-max map and reports hypervolume (and edit-distance statistics
 for sequence problems) per cell. Cells already on disk are skipped, the
 others run on one process per CPU and hand back the final points they wrote,
@@ -77,8 +78,6 @@ from .samplers import (
     METHOD_MGD,
     METHOD_PCEBM,
     METHODS,
-    ChainFailure,
-    ChainSpec,
     ChainSpecs,
     RandomInit,
     chain_seeds,
@@ -849,8 +848,10 @@ def improve_seeds(
     decoded results with the given scorer model (lower is better).
 
     Uses the first eta/steps/noise entry of the config grids; a zero-step
-    chain records its start, so it reports the seed unchanged. A chain that
-    fails is listed under ``failures`` and left out of the entries and scores.
+    chain records its start, so it reports the seed unchanged. Each method's
+    chains, one per seed, are one ``ChainSpecs`` and run as one batch. A chain
+    that fails is listed under ``failures`` and left out of the entries and
+    scores.
     """
     problem, weights = _problem(cfg)
     seeds = list(seeds)
@@ -867,34 +868,31 @@ def improve_seeds(
 
     eta = cfg.etas[0]
     steps = cfg.steps_grid[0]
-    before = [float(scorer.value(relax(s))) for s in seeds]
+    starts = [relax(seed) for seed in seeds]
+    before = [float(scorer.value(x)) for x in starts]
 
     entries: list[dict] = []
     failures: list[dict] = []
-    specs = []
-    pairs = []
-    sampler_seeds = chain_seeds(cfg.base_seed, range(len(cfg.methods) * len(seeds))).tolist()
+    finished = []
+    sampler_seeds = chain_seeds(cfg.base_seed, range(len(cfg.methods) * len(seeds)))
     for mi, method in enumerate(cfg.methods):
         config = _sampler_config(cfg, eta, steps, _noise_grid(cfg, method)[0], max(1, steps))
-        fixed = weights if method == METHOD_LS_CEBM else None
-        for si, seed in enumerate(seeds):
-            specs.append(
-                ChainSpec(method, config, relax(seed), fixed, sampler_seeds[mi * len(seeds) + si])
-            )
-            pairs.append((mi, si))
-    results = run_population(problem.objectives, specs)
-    finished = []
-    for (mi, si), res in zip(pairs, results):
-        if isinstance(res, ChainFailure):
+        specs = ChainSpecs(
+            method, config, starts, sampler_seeds[mi * len(seeds) : (mi + 1) * len(seeds)],
+            weights if method == METHOD_LS_CEBM else None,
+        )
+        # Only each chain's final point is read, so X keeps one row.
+        results = run_population(problem.objectives, specs, final_x_only=True)
+        for failure in results.failures():
             failures.append(
                 {
-                    "seed_index": si,
-                    "method": cfg.methods[mi],
-                    "error": f"{type(res.error).__name__}: {res.error}",
+                    "seed_index": failure.index,
+                    "method": method,
+                    "error": f"{type(failure.error).__name__}: {failure.error}",
                 }
             )
-            continue
-        finished.append((mi, si, _decode_final(res.X[-1], problem)))
+        done = results.finished()
+        finished += [(mi, si, _decode_final(x, problem)) for si, x in zip(done.chain_ids.tolist(), done.finals()[1])]
     # One bit-vector pass over every (seed, final sequence) pair.
     edits = edit_distance_matrix(seeds, [final_seq for _, _, final_seq in finished])
     for f, (mi, si, final_seq) in enumerate(finished):

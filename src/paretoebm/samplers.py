@@ -21,12 +21,12 @@ A zero-step chain records its start: one record at step 0, no noise drawn.
 ``run_chain`` runs one chain of any method.
 
 The loop runs a batch of chains as one (n, d) state array, updated in
-place. ``run_population`` batches the chains that share a method, a
-``SamplerConfig`` (equal configs count as one) and the fixed weights; a
-``ChainSpecs``, the specs of such chains as columns, is one batch as it
-stands, and every cell of a sweep is one. Each chain keeps its own noise
-stream, seeded from its ``ChainSpec.seed``. A random start draws its unit
-draws from it into its row of the batch's start array, scaled by one
+place. A population is one ``ChainSpecs``: the specs, as columns, of chains
+that share a method, a ``SamplerConfig`` and the fixed weights.
+``run_population`` runs it as one batch; every cell of a sweep is one, and
+so are each method's chains in ``improve_seeds``. Each chain keeps its own
+noise stream, seeded from its ``ChainSpec.seed``. A random start draws its
+unit draws from it into its row of the batch's start array, scaled by one
 product per distribution (``_starts``); the chain then draws its noise,
 scaled by the noise scale, a block of steps at a time into one
 preallocated buffer (``_Noise``). Every operation of a step is
@@ -56,13 +56,14 @@ when non-negative), and fixed weights are a validated ``SimplexWeights``.
 The loop writes the recorded states into preallocated ``(n, rows, .)``
 columns, which are made read-only when the batch ends. ``run_population``
 returns them as a ``ChainResults``: a sequence whose item i is chain i's
-``Trajectory`` of views into its batch's columns, or its ``ChainFailure``,
-built when it is indexed. No view can be made writable again. A sweep never
+``Trajectory`` of views into the columns, or its ``ChainFailure``, built
+when it is indexed. No view can be made writable again. A sweep never
 indexes one: it reads each cell's final points (``ChainResults.finals``)
-and writes its CSV files (``write_trajectories``) from the columns.
-``run_population(..., final_x_only=True)``, the sweep's path, keeps one
-coordinate row per chain, its last record, written once, in place of all of
-them; every other column is kept whole.
+and writes its CSV file (``write_trajectories``, which exports a
+``ChainResults`` and nothing else) from the columns.
+``run_population(..., final_x_only=True)``, the path of the sweep and of
+``improve_seeds``, keeps one coordinate row per chain, its last record,
+written once, in place of all of them; every other column is kept whole.
 
 Seeding: a chain's noise stream is that of ``np.random.default_rng(seed)``
 for its spec's seed, and the sweep derives the seeds with ``chain_seeds``,
@@ -75,6 +76,7 @@ handed its precomputed state words.
 
 from __future__ import annotations
 
+import copy
 import csv
 import functools
 import math
@@ -490,33 +492,45 @@ def _starts(
     return X, errors
 
 
-@dataclass(frozen=True, eq=False)
-class _Columns:
-    """One batch's records, by batch position j. Chain j's records are rows
-    ``[:rows[j]]`` of F, lam and grad_norm, at the steps ``schedule[:rows[j]]``,
-    except that a chain that stopped early (``stops[j] >= 0``) made its last
-    record at step ``stops[j]``. X holds the same rows, or under
-    ``final_x_only`` one row per chain, its last record. A failed chain keeps
-    no record: ``rows[j]`` is 0 and ``errors[j]`` is its error. Every array is
-    read-only and owns its data; a chain's Trajectory gets views of them.
+class ChainResults(abc.Sequence):
+    """One batch's results: its read-only columns, by batch position j, and
+    the positions a selection keeps.
+
+    Chain j's records are rows ``[:rows[j]]`` of F, lam and grad_norm, at the
+    steps ``schedule[:rows[j]]``, except that a chain that stopped early
+    (``stops[j] >= 0``) made its last record at step ``stops[j]``. X holds the
+    same rows, or under ``final_x_only`` one row per chain, its last record.
+    A failed chain keeps no record: ``rows[j]`` is 0 and ``errors[j]`` is its
+    error. The constructor makes every column read-only.
+
+    A read-only sequence: item i is the ``Trajectory`` of chain
+    ``chain_ids[i]``, views into the columns, or its ``ChainFailure``, built
+    when it is indexed, so no object per chain exists unless a caller asks
+    for one. Slices are ChainResults over the same columns; a chain keeps its
+    batch position as its id in any of them. ``finished``, ``finals`` and
+    ``write_trajectories`` read the columns directly.
     """
 
-    errors: list[Exception | None]
-    rows: np.ndarray
-    stops: np.ndarray
-    schedule: np.ndarray
-    X: np.ndarray
-    F: np.ndarray
-    lam: np.ndarray
-    grad_norm: np.ndarray
+    def __init__(self, errors, rows, stops, schedule, X, F, lam, grad_norm):
+        for column in (rows, stops, schedule, X, F, lam, grad_norm):
+            column.setflags(write=False)
+        self._errors, self._rows, self._stops, self._schedule = errors, rows, stops, schedule
+        self._X, self._F, self._lam, self._grad_norm = X, F, lam, grad_norm
+        self.d, self.m = X.shape[2], F.shape[2]
+        self._index = np.arange(len(errors))
+        self._index.setflags(write=False)
 
-    def item(self, pos: int, index: int) -> Trajectory | ChainFailure:
-        """Chain ``pos`` of the batch as a Trajectory, or as the ChainFailure
-        of the chain at ``index`` of its population."""
-        end = int(self.rows[pos])
+    def __len__(self) -> int:
+        return self._index.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._select(i)
+        pos = int(self._index[i])
+        end = int(self._rows[pos])
         if not end:
-            return ChainFailure(index, self.errors[pos])
-        steps, stop = self.schedule, int(self.stops[pos])
+            return ChainFailure(pos, self._errors[pos])
+        steps, stop = self._schedule, int(self._stops[pos])
         if stop >= 0:
             steps = np.append(steps[: end - 1], stop)
             steps.setflags(write=False)
@@ -524,24 +538,84 @@ class _Columns:
         # setflags(write=True) raises on each column. Under final_x_only X
         # has one row per chain, which [:end] keeps.
         return Trajectory._view(
-            steps[:end], self.X[pos, :end], self.F[pos, :end], self.lam[pos, :end], self.grad_norm[pos, :end],
+            steps[:end], self._X[pos, :end], self._F[pos, :end], self._lam[pos, :end], self._grad_norm[pos, :end],
             None if stop < 0 else stop,
         )
 
+    @property
+    def chain_ids(self) -> np.ndarray:
+        """Each item's position in its batch, read-only."""
+        return self._index
 
-def _failed_columns(error: Exception, n: int, d: int, m: int) -> _Columns:
-    """The columns of a batch whose every chain failed with ``error``."""
-    return _Columns(
+    def _select(self, which) -> "ChainResults":
+        chosen = copy.copy(self)
+        chosen._index = self._index[which]
+        chosen._index.setflags(write=False)
+        return chosen
+
+    def finished(self) -> "ChainResults":
+        """The chains that did not fail, in order: a sequence of Trajectory."""
+        return self._select(self._rows[self._index] > 0)
+
+    def failures(self) -> list[ChainFailure]:
+        """The failed chains' ChainFailures, in order."""
+        return [self[i] for i in np.flatnonzero(self._rows[self._index] == 0).tolist()]
+
+    def finals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every chain's last record: its step, coordinates and objective
+        values, as (k,), (k, d) and (k, m) arrays. A failed chain has none,
+        and is a ValueError."""
+        pos = self._index
+        last = self._rows[pos] - 1
+        if (last < 0).any():
+            raise ValueError("a failed chain has no final state")
+        stops = self._stops[pos]
+        # Under final_x_only X keeps one row per chain, row 0.
+        X = self._X[pos, np.minimum(last, self._X.shape[1] - 1)]
+        return np.where(stops >= 0, stops, self._schedule[-1:]), X, self._F[pos, last]
+
+    def _record_blocks(self, chain_ids: np.ndarray, size: int) -> Iterator[np.ndarray]:
+        """The export table of ``write_trajectories``, item i labelled
+        ``chain_ids[i]``, in blocks of ``size`` records, each gathered from
+        the columns when it is reached. A failed chain raises here, before
+        any block."""
+        rows = self._rows[self._index]
+        if not rows.all():
+            raise ValueError("a failed chain has no records to export")
+        ends = np.cumsum(rows)
+        starts, total = ends - rows, int(ends[-1]) if ends.size else 0
+        m = self.m
+
+        def gather(first: int, last: int) -> np.ndarray:
+            record = np.arange(first, last)
+            item = np.searchsorted(ends, record, side="right")
+            pos, k = self._index[item], record - starts[item]
+            stops = self._stops[pos]
+            block = np.empty((record.size, 3 + 2 * m))
+            block[:, 0] = chain_ids[item]
+            # A chain that stopped early made its last record at its stop.
+            block[:, 1] = np.where((stops >= 0) & (k == self._rows[pos] - 1), stops, self._schedule[k])
+            block[:, 2 : 2 + m] = self._F[pos, k]
+            block[:, 2 + m : 2 + 2 * m] = self._lam[pos, k]
+            block[:, 2 + 2 * m] = self._grad_norm[pos, k]
+            return block
+
+        return (gather(first, min(first + size, total)) for first in range(0, total, size))
+
+
+def _failed_results(error: Exception, n: int, d: int, m: int) -> ChainResults:
+    """The results of a batch whose every chain failed with ``error``."""
+    return ChainResults(
         [error] * n, np.zeros(n, np.int64), np.full(n, -1), np.zeros(0, np.int64),
         np.empty((n, 0, d)), np.empty((n, 0, m)), np.empty((n, 0, m)), np.empty((n, 0)),
     )
 
 
-def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool = False) -> _Columns:
+def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool = False) -> ChainResults:
     """Run chains that share a method, a config and the fixed weights as one
     (n, d) state array; see the module docstring.
 
-    Returns the batch's columns, chain j's at position j. With
+    Returns the batch's results, chain j's at position j. With
     ``final_x_only`` X keeps only each chain's last recorded row, written
     once: at its last step or where it stops early. An invalid shared drift
     (weights of the wrong length) raises.
@@ -651,229 +725,79 @@ def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool =
             if record:
                 row += 1
 
-    for column in (rows, stops, schedule, X_rec, F_rec, lam_rec, norm_rec):
-        column.setflags(write=False)
-    return _Columns(errors, rows, stops, schedule, X_rec, F_rec, lam_rec, norm_rec)
-
-
-class ChainResults(abc.Sequence):
-    """``run_population``'s results in input order, over its batches' columns.
-
-    A read-only sequence: item i is chain i's ``Trajectory``, or its
-    ``ChainFailure``, built from its batch's columns when it is indexed, so
-    no object per chain exists unless a caller asks for one. Slices are
-    ChainResults over the same columns; a chain keeps its population index
-    (``chain_ids``) in any of them. ``finished``, ``finals`` and
-    ``write_trajectories`` read the columns directly.
-    """
-
-    def __init__(
-        self, columns: list[_Columns], batch: np.ndarray, pos: np.ndarray, index: np.ndarray, d: int, m: int
-    ):
-        # Item i is chain pos[i] of columns[batch[i]], at index[i] of its population.
-        self._columns, self._batch, self._pos, self._index = columns, batch, pos, index
-        self.d, self.m = d, m
-        index.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self._index.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self._select(i)
-        return self._columns[self._batch[i]].item(int(self._pos[i]), int(self._index[i]))
-
-    @property
-    def chain_ids(self) -> np.ndarray:
-        """Each item's index in its population, read-only."""
-        return self._index
-
-    def _select(self, which) -> "ChainResults":
-        return ChainResults(
-            self._columns, self._batch[which], self._pos[which], self._index[which], self.d, self.m
-        )
-
-    def _parts(self):
-        """(columns, where, positions) per batch: the items at ``where`` are
-        that batch's chains ``positions``."""
-        for b, columns in enumerate(self._columns):
-            where = np.flatnonzero(self._batch == b)
-            if where.size:
-                yield columns, where, self._pos[where]
-
-    def _rows(self) -> np.ndarray:
-        rows = np.zeros(len(self), np.int64)
-        for columns, where, pos in self._parts():
-            rows[where] = columns.rows[pos]
-        return rows
-
-    def finished(self) -> "ChainResults":
-        """The chains that did not fail, in order: a sequence of Trajectory."""
-        return self._select(self._rows() > 0)
-
-    def failures(self) -> list[ChainFailure]:
-        """The failed chains' ChainFailures, in order."""
-        return [self[i] for i in np.flatnonzero(self._rows() == 0).tolist()]
-
-    def finals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every chain's last record: its step, coordinates and objective
-        values, as (k,), (k, d) and (k, m) arrays. A failed chain has none,
-        and is a ValueError."""
-        steps, X, F = np.empty(len(self), np.int64), np.empty((len(self), self.d)), np.empty((len(self), self.m))
-        for columns, where, pos in self._parts():
-            last = columns.rows[pos] - 1
-            if (last < 0).any():
-                raise ValueError("a failed chain has no final state")
-            stops = columns.stops[pos]
-            steps[where] = np.where(stops >= 0, stops, columns.schedule[-1])
-            # Under final_x_only X keeps one row per chain, row 0.
-            X[where] = columns.X[pos, np.minimum(last, columns.X.shape[1] - 1)]
-            F[where] = columns.F[pos, last]
-        return steps, X, F
-
-    def _record_blocks(self, chain_ids: np.ndarray, size: int) -> Iterator[np.ndarray]:
-        """The export table of ``write_trajectories``, item i labelled
-        ``chain_ids[i]``, in blocks of ``size`` records, each gathered from
-        the columns when it is reached. A failed chain raises here, before
-        any block."""
-        rows = self._rows()
-        if not rows.all():
-            raise ValueError("a failed chain has no records to export")
-        ends = np.cumsum(rows)
-        starts, total = ends - rows, int(ends[-1]) if ends.size else 0
-        m = self.m
-
-        def gather(first: int, last: int) -> np.ndarray:
-            record = np.arange(first, last)
-            item = np.searchsorted(ends, record, side="right")
-            row = record - starts[item]
-            block = np.empty((record.size, 3 + 2 * m))
-            block[:, 0] = chain_ids[item]
-            batch = self._batch[item]
-            for b, columns in enumerate(self._columns):
-                at = np.flatnonzero(batch == b)
-                if not at.size:
-                    continue
-                pos, k = self._pos[item[at]], row[at]
-                stops = columns.stops[pos]
-                # A chain that stopped early made its last record at its stop.
-                block[at, 1] = np.where((stops >= 0) & (k == columns.rows[pos] - 1), stops, columns.schedule[k])
-                block[at, 2 : 2 + m] = columns.F[pos, k]
-                block[at, 2 + m : 2 + 2 * m] = columns.lam[pos, k]
-                block[at, 2 + 2 * m] = columns.grad_norm[pos, k]
-            return block
-
-        return (gather(first, min(first + size, total)) for first in range(0, total, size))
+    return ChainResults(errors, rows, stops, schedule, X_rec, F_rec, lam_rec, norm_rec)
 
 
 def run_chain(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
     """Run the sampler named by spec.method; a failed chain raises its error."""
     batch = ChainSpecs(spec.method, spec.config, [spec.init], np.array([spec.seed], np.uint64), spec.fixed_lambda)
-    result = _run_batch(objectives, batch).item(0, 0)
+    result = _run_batch(objectives, batch)[0]
     if isinstance(result, ChainFailure):
         raise result.error
     return result
 
 
-def run_population(
-    objectives: ObjectiveSet, specs: Sequence[ChainSpec], *, final_x_only: bool = False
-) -> ChainResults:
-    """Run many independent chains; results come back in input order, as a
-    ``ChainResults`` over the batches' columns.
+def run_population(objectives: ObjectiveSet, specs: ChainSpecs, *, final_x_only: bool = False) -> ChainResults:
+    """Run the chains of one ``ChainSpecs`` as one batch; results come back
+    in input order, as a ``ChainResults`` over the batch's columns.
 
-    Chains that share a method, a config (equal configs count as one) and
-    the fixed weights run as one batch, whatever their seeds and starts; a
-    ``ChainSpecs`` is one batch as it stands. A failing chain yields a
-    ChainFailure entry tagged with its index and does not disturb its
-    siblings. With ``final_x_only`` each trajectory's X keeps only the
+    A failing chain yields a ChainFailure entry tagged with its index and
+    does not disturb its siblings; an error of the whole batch yields one
+    per chain. With ``final_x_only`` each trajectory's X keeps only the
     chain's last recorded row (the final point); every other column keeps
-    all records.
+    all records. Anything but a ``ChainSpecs`` is a TypeError.
     """
-    n = len(specs)
-    if isinstance(specs, ChainSpecs):
-        batches = [(np.arange(n), specs)]
-    else:
-        groups: dict[tuple, list[int]] = {}
-        for index, spec in enumerate(specs):
-            groups.setdefault((spec.method, spec.config, spec.fixed_lambda), []).append(index)
-        batches = []
-        for indices in groups.values():
-            first = specs[indices[0]]
-            seeds = np.array([specs[i].seed for i in indices], np.uint64)
-            chains = ChainSpecs(first.method, first.config, [specs[i].init for i in indices], seeds, first.fixed_lambda)
-            batches.append((np.array(indices), chains))
-    columns = []
-    batch, pos = np.empty(n, np.intp), np.empty(n, np.intp)
-    for b, (indices, chains) in enumerate(batches):
+    if not isinstance(specs, ChainSpecs):
+        raise TypeError(f"run_population runs one ChainSpecs, got {type(specs).__name__}")
+    try:
+        return _run_batch(objectives, specs, final_x_only)
+    except Exception as exc:  # noqa: BLE001 - failures are per-chain data
+        return _failed_results(exc, len(specs), objectives.d, objectives.m)
+
+
+def _exact_ids(chain_ids) -> np.ndarray:
+    """The chain ids as an int64 array. An id that is not an integer, or
+    that a float64 record cannot hold exactly (magnitude above 2**53), is a
+    ValueError naming it."""
+    exact = []
+    for cid in chain_ids:
         try:
-            columns.append(_run_batch(objectives, chains, final_x_only))
-        except Exception as exc:  # noqa: BLE001 - failures are per-chain data
-            columns.append(_failed_columns(exc, len(chains), objectives.d, objectives.m))
-        batch[indices], pos[indices] = b, np.arange(indices.size)
-    return ChainResults(columns, batch, pos, np.arange(n), objectives.d, objectives.m)
-
-
-def _trajectory_blocks(
-    trajectories: Sequence[Trajectory], chain_ids: Sequence[int], m: int, size: int
-) -> Iterator[np.ndarray]:
-    """The export table of ``write_trajectories`` over a sequence of
-    Trajectory, in blocks of ``size`` records, each copied from the slices of
-    the trajectories it spans when it is reached."""
-    rows = np.array([len(traj) for traj in trajectories], dtype=np.int64)
-    ends = np.cumsum(rows)
-    total = int(ends[-1]) if ends.size else 0
-
-    def gather(first: int, last: int) -> np.ndarray:
-        block = np.empty((last - first, 3 + 2 * m))
-        lo, hi = np.searchsorted(ends, [first, last - 1], side="right").tolist()
-        for i in range(lo, hi + 1):
-            traj, start = trajectories[i], int(ends[i] - rows[i])
-            a, b = max(first, start), min(last, int(ends[i]))
-            out, kept = block[a - first : b - first], slice(a - start, b - start)
-            out[:, 0] = chain_ids[i]
-            out[:, 1] = traj.steps[kept]
-            out[:, 2 : 2 + m] = traj.F[kept]
-            out[:, 2 + m : 2 + 2 * m] = traj.lam[kept]
-            out[:, 2 + 2 * m] = traj.grad_norm[kept]
-        return block
-
-    return (gather(first, min(first + size, total)) for first in range(0, total, size))
+            value = operator.index(cid)
+        except TypeError:
+            value = None
+        if value is None or abs(value) > 2**53:
+            raise ValueError(f"chain id {cid!r} is not an integer of magnitude at most 2**53")
+        exact.append(value)
+    return np.array(exact, dtype=np.int64)
 
 
 def write_trajectories(
     path,
-    trajectories: Sequence[Trajectory],
+    results: ChainResults,
     objective_names: Sequence[str] | None = None,
     chain_ids: Sequence[int] | None = None,
 ) -> None:
-    """Export trajectories as CSV: one record per line with fields
-    (chain_id, step, objective values..., lambda..., grad_norm).
+    """Export the finished chains of a ``ChainResults`` as CSV: one record
+    per line with fields (chain_id, step, objective values..., lambda...,
+    grad_norm). Chain ids default to 0..n-1; each must be an integer of
+    magnitude at most 2**53, checked before the file is opened.
 
     The bytes are those of the csv module's default writer: ``\\r\\n`` line
-    ends, ``repr`` floats and plain integer chain ids and steps (exact below
-    2**53). The records are formatted and written ``_CSV_BLOCK_ROWS`` at a
-    time, each block gathered into a float table and formatted in one pass,
-    so an export holds one block's table, floats and text, whatever its
-    record count: a ``ChainResults`` of finished chains gives each block from
-    its columns, without a Trajectory per chain, and any other sequence from
-    the slices of its trajectories. With no trajectories it writes the header
-    alone, which needs ``objective_names``.
+    ends, ``repr`` floats and plain integer chain ids and steps. The records
+    are formatted and written ``_CSV_BLOCK_ROWS`` at a time, each block
+    gathered from the columns into a float table and formatted in one pass,
+    without a Trajectory per chain, so an export holds one block's table,
+    floats and text, whatever its record count. An empty ChainResults
+    writes the header alone.
     """
-    n = len(trajectories)
-    if not n and objective_names is None:
-        raise ValueError("nothing to export")
+    if not isinstance(results, ChainResults):
+        raise TypeError(f"write_trajectories exports a ChainResults, got {type(results).__name__}")
+    n, m = len(results), results.m
     if chain_ids is None:
         chain_ids = range(n)
     if len(chain_ids) != n:
         raise ShapeError(f"got {len(chain_ids)} chain ids for {n} trajectories")
-    if isinstance(trajectories, ChainResults):
-        m = trajectories.m
-        blocks = trajectories._record_blocks(np.asarray(chain_ids), _CSV_BLOCK_ROWS)
-    else:
-        m = trajectories[0].m if n else len(objective_names)
-        if any(traj.m != m for traj in trajectories):
-            raise ShapeError("all trajectories must share the objective count m")
-        blocks = _trajectory_blocks(trajectories, chain_ids, m, _CSV_BLOCK_ROWS)
+    blocks = results._record_blocks(_exact_ids(chain_ids), _CSV_BLOCK_ROWS)
     if objective_names is None:
         objective_names = [f"f{i}" for i in range(m)]
     if len(objective_names) != m:

@@ -28,7 +28,12 @@ from paretoebm.core import (
     ConfigError,
     DiscreteSequence,
     ParetoEbmError,
+    SamplerConfig,
     ShapeError,
+    SimplexWeights,
+    decode,
+    relax,
+    sequence_point,
     sequence_to_str,
 )
 from paretoebm.energy import CdTrainConfig, PwmEnergy, save_model
@@ -721,13 +726,17 @@ def failed(item):
 
 
 def indexed_cell_files(directory, items, m, decode):
-    """A cell's files written the per-chain way, from indexed items:
-    ``write_trajectories`` over the trajectories and a row-by-row csv.writer."""
+    """A cell's files written the per-chain way, from indexed items, each
+    record by a row-by-row csv.writer."""
     trajectories = [(i, item) for i, item in enumerate(items) if not failed(item)]
-    samplers.write_trajectories(
-        directory / "trajectories.csv", [t for _, t in trajectories], [f"f{i}" for i in range(m)],
-        [i for i, _ in trajectories],
-    )
+    with open(directory / "trajectories.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        names = [f"f{i}" for i in range(m)]
+        writer.writerow(["chain_id", "step", *names, *[f"lambda{i}" for i in range(m)], "grad_norm"])
+        for i, traj in trajectories:
+            columns = (traj.steps.tolist(), traj.F.tolist(), traj.lam.tolist(), traj.grad_norm.tolist())
+            for step, values, weights, norm in zip(*columns):
+                writer.writerow([i, step, *values, *weights, norm])
     with open(directory / "final_points.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["chain_id", *[f"f{i}" for i in range(m)], *(["sequence"] if decode else [])])
@@ -1329,6 +1338,28 @@ class TestImproveSeeds:
         assert report.per_method["cebm"] == {"scores": [], "improved_fraction": None}
         assert report.per_method["mgd"]["improved_fraction"] == 1.0
         assert report.to_dict()["failures"] == list(report.failures)
+
+    def test_each_entry_is_its_solo_chain_decoded(self, tmp_path):
+        # Method i's chain from seed j starts at relax(seed j) and draws from
+        # chain_seeds(base_seed, [i * len(seeds) + j]).
+        cfg, _, scorer = make_improve_setup(tmp_path, steps=12)
+        rng = np.random.default_rng(8)
+        seeds = [DiscreteSequence(rng.integers(0, 4, 6), alphabet_size=4) for _ in range(3)]
+        report = improve_seeds(cfg, seeds, scorer)
+        objectives = get_problem("sequence-energies", model_files=[str(tmp_path / "scorer.model")]).objectives
+        sampler_seeds = samplers.chain_seeds(cfg.base_seed, range(len(cfg.methods) * len(seeds))).tolist()
+        assert len(report.entries) == len(cfg.methods) * len(seeds)
+        for entry in report.entries:
+            method, j = entry["method"], entry["seed_index"]
+            config = SamplerConfig(
+                eta=0.1, steps=12, noise_kind="none" if method == "mgd" else "gaussian", sigma=0.01, alpha=5e-5
+            )
+            spec = samplers.ChainSpec(
+                method, config, relax(seeds[j]), SimplexWeights([1.0]) if method == "ls_cebm" else None,
+                sampler_seeds[cfg.methods.index(method) * len(seeds) + j],
+            )
+            final = decode(sequence_point(samplers.run_chain(objectives, spec).X[-1], 6, 4))
+            assert entry["sequence"] == sequence_to_str(final, cfg.alphabet)
 
     def test_scorer_dimension_checked(self, tmp_path):
         cfg, seeds, _ = make_improve_setup(tmp_path)

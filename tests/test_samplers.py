@@ -3,7 +3,6 @@ import gc
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +52,14 @@ def trajectories_equal(t1, t2):
         and np.array_equal(t1.lam, t2.lam)
         and np.array_equal(t1.grad_norm, t2.grad_norm)
     )
+
+
+def as_batch(specs):
+    """The one ChainSpecs of a list of ChainSpec that share a method, a
+    config and the fixed weights: their starts and seeds, in order."""
+    method, config, fixed = specs[0].method, specs[0].config, specs[0].fixed_lambda
+    assert all((spec.method, spec.config, spec.fixed_lambda) == (method, config, fixed) for spec in specs)
+    return samplers.ChainSpecs(method, config, [spec.init for spec in specs], [spec.seed for spec in specs], fixed)
 
 
 class TestChainSpec:
@@ -325,7 +332,7 @@ class TestRunPopulation:
         bad = ChainSpec(
             "cebm", SamplerConfig(eta=0.1, steps=10, sigma=0.0), DesignPoint([1.0, 1.0, 1.0]), seed=1
         )
-        results = run_population(objs, [good, bad, good])
+        results = run_population(objs, as_batch([good, bad, good]))
         assert not isinstance(results[0], ChainFailure)
         assert isinstance(results[1], ChainFailure)
         assert results[1].index == 1
@@ -337,17 +344,24 @@ class TestRunPopulation:
         # Only steps 0 and 400 are recorded; the chain overflows in between.
         prob = get_problem(problem)
         cfg = SamplerConfig(eta=eta, steps=400, sigma=0.0, record_every=400)
-        [result] = run_population(prob.objectives, [ChainSpec("cebm", cfg, RandomInit(d=prob.d), seed=3)])
+        [result] = run_population(prob.objectives, as_batch([ChainSpec("cebm", cfg, RandomInit(d=prob.d), seed=3)]))
         assert isinstance(result, ChainFailure)
         assert isinstance(result.error, ValueError)
 
     def test_pcebm_population_produces_a_front(self):
         prob = get_problem("fonseca-fleming")
         cfg = SamplerConfig(eta=0.01, steps=120, record_every=120)
-        specs = [ChainSpec("pcebm", cfg, RandomInit(d=3), seed=chain_seed(7, i)) for i in range(256)]
+        specs = samplers.ChainSpecs("pcebm", cfg, [RandomInit(d=3)] * 256, samplers.chain_seeds(7, range(256)))
         results = run_population(prob.objectives, specs)
         finals = [t.F[-1] for t in results]
         assert len(pareto_filter(finals)) >= 10
+
+    def test_a_list_of_chain_specs_is_a_type_error(self):
+        cfg = SamplerConfig(eta=0.1, steps=3, sigma=0.0)
+        specs = [ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0]), seed=i) for i in range(2)]
+        for population in (specs, specs[:1], [], tuple(specs)):
+            with pytest.raises(TypeError, match="run_population runs one ChainSpecs"):
+                run_population(opposing_quadratics(), population)
 
     def test_chain_seed_is_stable(self):
         assert chain_seed(42, 0) == chain_seed(42, 0)
@@ -404,7 +418,7 @@ class TestSeeding:
     def test_edge_seed_batch_matches_solo_chains(self, method, noise_kind):
         objectives = quadratic_pair(5)
         cfg = SamplerConfig(eta=0.05, steps=12, noise_kind=noise_kind)
-        specs = [ChainSpec(method, cfg, RandomInit(d=5), seed=seed) for seed in EDGE_SEEDS]
+        specs = samplers.ChainSpecs(method, cfg, [RandomInit(d=5)] * len(EDGE_SEEDS), EDGE_SEEDS)
         batch = run_population(objectives, specs)
         for spec, result in zip(specs, batch, strict=True):
             assert_same_chain(result, run_chain(objectives, spec))
@@ -457,15 +471,15 @@ def batch_specs(method, noise_kind, objectives, eta, steps, record_every, chains
     d, m = objectives.d, objectives.m
     fixed = SimplexWeights(np.arange(1.0, m + 1.0) / (m * (m + 1) / 2)) if method == "ls_cebm" else None
     cfg = SamplerConfig(eta=eta, steps=steps, noise_kind=noise_kind, record_every=record_every)
-    specs = []
-    for i in range(chains):
-        init = RandomInit(d=d, scale=1.0 + i) if i % 2 else DesignPoint(np.linspace(-1.0, 1.0, d) * (i + 1) / 4)
-        specs.append(ChainSpec(method, cfg, init, fixed_lambda=fixed, seed=chain_seed(17, i)))
-    return specs
+    inits = [
+        RandomInit(d=d, scale=1.0 + i) if i % 2 else DesignPoint(np.linspace(-1.0, 1.0, d) * (i + 1) / 4)
+        for i in range(chains)
+    ]
+    return samplers.ChainSpecs(method, cfg, inits, samplers.chain_seeds(17, range(chains)), fixed)
 
 
 class TestBatchKernel:
-    """run_population runs chains of one configuration as a batch; every
+    """run_population runs the chains of one ChainSpecs as a batch; every
     chain's result must not depend on the batch it ran in."""
 
     def test_noise_block_cases_cover_several_blocks_and_single_steps(self):
@@ -479,6 +493,7 @@ class TestBatchKernel:
         objectives, eta, steps, record_every = BATCH_OBJECTIVES[problem]
         specs = batch_specs(method, noise_kind, objectives, eta, steps, record_every)
         batch = run_population(objectives, specs)
+        # The same starts and seeds, in reverse order, as one ChainSpecs.
         reversed_batch = run_population(objectives, specs[::-1])[::-1]
         for spec, result, reversed_result in zip(specs, batch, reversed_batch):
             solo = run_chain(objectives, spec)
@@ -500,7 +515,7 @@ class TestBatchKernel:
             # Stops between records, after its siblings have moved on.
             assert solo[2].terminated_early and 0 < solo[2].termination_step < 150
             assert solo[2].termination_step % 10
-        for result, alone in zip(run_population(objectives, specs), solo):
+        for result, alone in zip(run_population(objectives, as_batch(specs)), solo):
             assert_same_chain(result, alone)
             assert len(result) == len(alone)
 
@@ -511,7 +526,7 @@ class TestBatchKernel:
         objectives = get_problem("tri-quadratic").objectives
         cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
         specs = [ChainSpec("mgd", cfg, DesignPoint(x)) for x in ([0.0, 50.0], [0.6, 0.2])]
-        batch = run_population(objectives, specs)
+        batch = run_population(objectives, as_batch(specs))
         stopped = batch[1]
         assert stopped.terminated_early and stopped.termination_step == 0 and len(stopped) == 1
         assert stopped.grad_norm[0] < 1e-12
@@ -520,65 +535,20 @@ class TestBatchKernel:
             assert_same_chain(result, run_chain(objectives, spec))
 
     def test_up_to_three_objectives_solve_the_whole_batch_at_once(self, monkeypatch):
-        def per_row(grads):
-            raise AssertionError("solved one chain at a time")
+        rows, solve = [], samplers.min_norm_closed_form
 
-        monkeypatch.setattr(samplers, "solve_min_norm", per_row)
+        def counting(grads):
+            rows.append(grads.shape[0])
+            return solve(grads)
+
+        monkeypatch.setattr(samplers, "min_norm_closed_form", counting)
         for problem in ("opposing-quadratics", "tri-quadratic"):
             objectives = get_problem(problem).objectives
             specs = batch_specs("pcebm", "gaussian", objectives, 0.05, 10, 1)
-            assert not any(isinstance(r, ChainFailure) for r in run_population(objectives, specs))
-
-    def test_equal_configs_with_distinct_seeds_run_as_one_batch(self, monkeypatch):
-        objectives = get_problem("fonseca-fleming").objectives
-        specs = [
-            ChainSpec("pcebm", SamplerConfig(eta=0.05, steps=20, alpha=0.01), RandomInit(d=3), seed=chain_seed(3, i))
-            for i in range(5)
-        ]
-        assert len({id(spec.config) for spec in specs}) == 5
-        calls = count_batches(monkeypatch)
-        batch = run_population(objectives, specs)
-        assert calls == [5]
-        monkeypatch.undo()
-        assert len({tuple(t.X[-1]) for t in batch}) == 5
-        for spec, result in zip(specs, batch):
-            assert_same_chain(result, run_chain(objectives, spec))
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [("eta", 0.04), ("steps", 21), ("noise_kind", "uniform"), ("sigma", 0.3), ("alpha", 0.02),
-         ("grad_tol", 1e-5), ("record_every", 2)],
-    )
-    def test_chains_that_differ_in_one_config_field_run_as_two_batches(self, monkeypatch, field, value):
-        objectives = get_problem("fonseca-fleming").objectives
-        base = SamplerConfig(eta=0.05, steps=20, alpha=0.01)
-        configs = [base, replace(base, **{field: value}), SamplerConfig(eta=0.05, steps=20, alpha=0.01)]
-        specs = [ChainSpec("pcebm", cfg, RandomInit(d=3), seed=i) for i, cfg in enumerate(configs)]
-        calls = count_batches(monkeypatch)
-        run_population(objectives, specs)
-        assert calls == [2, 1]
-
-    def test_mixed_population_keeps_input_order(self):
-        objectives = get_problem("fonseca-fleming").objectives
-        noisy = SamplerConfig(eta=0.05, steps=25)
-        other = SamplerConfig(eta=0.02, steps=25, sigma=0.1, record_every=5)
-        specs = [
-            ChainSpec("pcebm", noisy, RandomInit(d=3), seed=1),
-            ChainSpec("cebm", other, RandomInit(d=3), seed=2),
-            ChainSpec("mgd", SamplerConfig(eta=0.05, steps=25, noise_kind="none"), DesignPoint([0.2, 0.1, 0.0])),
-            ChainSpec("cebm", other, DesignPoint([1.0, 1.0]), seed=2),  # wrong d
-            ChainSpec("ls_cebm", other, RandomInit(d=3), fixed_lambda=SimplexWeights([0.25, 0.75]), seed=2),
-            ChainSpec("pcebm", SamplerConfig(eta=0.05, steps=25), RandomInit(d=3), seed=3),
-            ChainSpec("cebm", SamplerConfig(eta=0.02, steps=25, sigma=0.1, record_every=5), RandomInit(d=3), seed=4),
-        ]
-        results = run_population(objectives, specs)
-        assert len(results) == len(specs)
-        for index, (spec, result) in enumerate(zip(specs, results)):
-            if index == 3:
-                assert isinstance(result, ChainFailure) and result.index == 3
-                assert isinstance(result.error, ShapeError)
-            else:
-                assert_same_chain(result, run_chain(objectives, spec))
+            rows.clear()
+            assert not run_population(objectives, specs).failures()
+            # Steps 0 to 10, each one solve over all four running chains.
+            assert rows == [len(specs)] * 11
 
     def test_diverging_min_norm_chain_fails_alone(self):
         # The chain started at y = 1e300 has the finite gradient 2y but the
@@ -589,7 +559,7 @@ class TestBatchKernel:
         cfg = SamplerConfig(eta=1.5, steps=40, noise_kind="none", record_every=40)
         starts = [[3.0, 0.0], [2.0, 0.0], [0.0, 1e300], [0.3, 1e-3]]
         specs = [ChainSpec("mgd", cfg, DesignPoint(x)) for x in starts]
-        results = run_population(objectives, specs)
+        results = run_population(objectives, as_batch(specs))
         failure = results[2]
         assert isinstance(failure, ChainFailure) and failure.index == 2
         assert isinstance(failure.error, ValueError)
@@ -615,7 +585,7 @@ class TestBatchKernel:
             x, first = x + climb, first + 1
         assert first % cfg.record_every
         specs = [ChainSpec(method, cfg, DesignPoint(np.r_[x0, np.zeros(d - 1)])) for x0 in (-100.0, -0.55, -50.0)]
-        results = run_population(objectives, specs)
+        results = run_population(objectives, as_batch(specs))
         message = f"gradients must be finite (no NaN/Inf); step {first} is not"
         assert isinstance(results[1], ChainFailure) and str(results[1].error) == message
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -625,20 +595,20 @@ class TestBatchKernel:
 
 
 def mixed_population():
-    """Three batches, interleaved, with a failed start and an early stop."""
+    """One noiseless mgd batch with a failed start, a stop between records,
+    a stop at step 0, and chains that run to the end."""
     objectives = get_problem("fonseca-fleming").objectives
-    noisy = SamplerConfig(eta=0.05, steps=25, record_every=7)
-    calm = SamplerConfig(eta=0.5, steps=25, noise_kind="none", record_every=4, grad_tol=0.02)
-    specs = [
-        ChainSpec("pcebm", noisy, RandomInit(d=3), seed=1),
-        ChainSpec("mgd", calm, DesignPoint([0.5, 0.2, 0.1])),  # stops between records
-        ChainSpec("cebm", noisy, RandomInit(d=3), seed=2),
-        ChainSpec("pcebm", noisy, DesignPoint([1.0, 1.0]), seed=3),  # wrong d
-        ChainSpec("mgd", calm, DesignPoint([0.0, 0.0, 0.0])),  # stops at step 0
-        ChainSpec("pcebm", noisy, RandomInit(d=3, distribution="uniform"), seed=4),
-        ChainSpec("cebm", noisy, RandomInit(d=3, scale=2.0), seed=5),
+    calm = SamplerConfig(eta=0.2, steps=25, noise_kind="none", record_every=4, grad_tol=0.02)
+    inits = [
+        RandomInit(d=3),
+        DesignPoint([0.5, 0.2, 0.1]),  # stops between records
+        RandomInit(d=3, distribution="uniform"),
+        DesignPoint([1.0, 1.0]),  # wrong d
+        DesignPoint([0.0, 0.0, 0.0]),  # stops at step 0
+        DesignPoint([-1.0, 0.4, 0.9]),
+        DesignPoint([0.9, -0.5, 0.1]),
     ]
-    return objectives, specs
+    return objectives, samplers.ChainSpecs("mgd", calm, inits, range(1, 8))
 
 
 class TestChainSpecs:
@@ -692,7 +662,7 @@ class TestChainSpecs:
 
 
 class TestChainResults:
-    """run_population's results are a sequence over the batches' columns;
+    """run_population's results are a sequence over its batch's columns;
     each item is built on access."""
 
     def test_sequence_of_items(self):
@@ -707,7 +677,7 @@ class TestChainResults:
             else:
                 assert_same_chain(item, run_chain(objectives, spec))
         assert items[4].terminated_early and items[4].termination_step == 0
-        assert items[1].steps.tolist() == [0, 4, 7] and items[1].termination_step == 7
+        assert items[1].steps.tolist() == [0, 4, 8, 12, 16, 18] and items[1].termination_step == 18
         tail = results[-3:]
         assert tail.chain_ids.tolist() == [4, 5, 6]
         assert trajectories_equal(results[-1], items[-1]) and trajectories_equal(tail[0], items[4])
@@ -746,7 +716,7 @@ class TestChainResults:
         for k, traj in enumerate(done):
             assert steps[k] == traj.steps[-1]
             assert np.array_equal(X[k], traj.X[-1]) and np.array_equal(F[k], traj.F[-1])
-        assert steps.tolist() == [25, 7, 25, 0, 25, 25]
+        assert steps.tolist() == [25, 18, 25, 0, 25, 25]
         with pytest.raises(ValueError, match="a failed chain has no final state"):
             results.finals()
         empty = results[3:4].finished().finals()
@@ -754,16 +724,13 @@ class TestChainResults:
 
     @pytest.mark.parametrize("final_x_only", [False, True])
     def test_export_from_columns_matches_indexed_trajectories(self, tmp_path, final_x_only):
-        # Three interleaved batches: the columns' records go back into
-        # sequence order, with the early stop's step in place of its last
-        # scheduled one.
+        # The finished chains' records, in order, with each early stop's step
+        # in place of its last scheduled one.
         objectives, specs = mixed_population()
         done = run_population(objectives, specs, final_x_only=final_x_only).finished()
         for kwargs in ({}, {"chain_ids": done.chain_ids}, {"chain_ids": [9, 8, 7, 6, 5, 4]}):
             write_trajectories(tmp_path / "columns.csv", done, **kwargs)
-            write_trajectories(tmp_path / "items.csv", list(done), **kwargs)
             csv_oracle(tmp_path / "oracle.csv", list(done), **kwargs)
-            assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "items.csv").read_bytes()
             assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         write_trajectories(tmp_path / "one.csv", done[3:4])
         assert [line[:4] for line in (tmp_path / "one.csv").read_text().splitlines()[1:]] == ["0,0,"]
@@ -825,7 +792,7 @@ class TestNoiseBlocks:
             assert samplers._noise_block_steps(3, d) < steps / 2
         objectives = ObjectiveSet([ZeroEnergy(d)])
         cfg = SamplerConfig(eta=0.1, steps=steps, sigma=1.0, noise_kind=noise_kind)
-        specs = [ChainSpec("cebm", cfg, DesignPoint(np.zeros(d)), seed=chain_seed(5, i)) for i in range(3)]
+        specs = samplers.ChainSpecs("cebm", cfg, [DesignPoint(np.zeros(d))] * 3, samplers.chain_seeds(5, range(3)))
         results = run_population(objectives, specs)
         for spec, result in zip(specs, results):
             rng = np.random.default_rng(spec.seed)
@@ -849,10 +816,8 @@ class TestNoiseBlocks:
         assert samplers._noise_block_steps(4, d) == 64
         cfg = SamplerConfig(eta=0.2, steps=80, sigma=1e-3, record_every=5)
         starts = [-100.0, -0.55, -100.0, -6.55]
-        specs = [
-            ChainSpec("cebm", cfg, DesignPoint(np.r_[x0, np.zeros(d - 1)]), seed=chain_seed(9, i))
-            for i, x0 in enumerate(starts)
-        ]
+        inits = [DesignPoint(np.r_[x0, np.zeros(d - 1)]) for x0 in starts]
+        specs = samplers.ChainSpecs("cebm", cfg, inits, samplers.chain_seeds(9, range(len(starts))))
         results = run_population(objectives, specs)
         for index, step in ((1, 6), (3, 66)):
             assert isinstance(results[index], ChainFailure)
@@ -873,20 +838,17 @@ class TestNoiseBlocks:
         monkeypatch.setattr(samplers, "_fill_block", failing)
         with pytest.raises(MemoryError, match="no room for noise"):
             samplers._run_batch(objectives, specs)
-        for population in (specs, list(specs)):
-            results = run_population(objectives, population)
-            assert len(results) == 4
-            assert all(isinstance(r, ChainFailure) and isinstance(r.error, MemoryError) for r in results)
+        results = run_population(objectives, specs)
+        assert len(results) == 4
+        assert all(isinstance(r, ChainFailure) and isinstance(r.error, MemoryError) for r in results)
 
 
 class TestTrajectoryExport:
     def test_csv_layout(self, tmp_path):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=4, sigma=0.0)
-        trajs = [
-            run_chain(objs, ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0]))),
-            run_chain(objs, ChainSpec("cebm", cfg, DesignPoint([0.5, 0.5]))),
-        ]
+        starts = [DesignPoint([1.0, 1.0]), DesignPoint([0.5, 0.5])]
+        trajs = run_population(objs, samplers.ChainSpecs("cebm", cfg, starts, [0, 0]))
         path = tmp_path / "traj.csv"
         write_trajectories(path, trajs)
         lines = path.read_text().strip().splitlines()
@@ -904,9 +866,9 @@ class TestTrajectoryExport:
     def test_custom_names_and_ids(self, tmp_path):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=2, sigma=0.0)
-        traj = run_chain(objs, ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0])))
+        results = run_population(objs, as_batch([ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0]))]))
         path = tmp_path / "traj.csv"
-        write_trajectories(path, [traj], objective_names=["aff", "bv"], chain_ids=[7])
+        write_trajectories(path, results, objective_names=["aff", "bv"], chain_ids=[7])
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("chain_id,step,aff,bv")
         assert lines[1].split(",")[0] == "7"
@@ -965,7 +927,7 @@ class TestFinalXOnly:
         objectives = four_quadratics() if problem == "four-quadratics" else get_problem(problem).objectives
         cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
         starts = [[0.0, 50.0], [0.5, 0.0], [0.0, 1.0], [0.3, 40.0], [0.25, 0.0]]
-        specs = [ChainSpec("mgd", cfg, DesignPoint(x)) for x in starts]
+        specs = as_batch([ChainSpec("mgd", cfg, DesignPoint(x)) for x in starts])
         results = run_population(objectives, specs, final_x_only=True)
         assert any(t.terminated_early for t in results) and not all(t.terminated_early for t in results)
         assert_final_x_matches(objectives, specs)
@@ -975,7 +937,7 @@ class TestFinalXOnly:
         cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
         for final_x_only in (False, True):
             [traj] = run_population(
-                objectives, [ChainSpec("cebm", cfg, RandomInit(d=2), seed=3)], final_x_only=final_x_only
+                objectives, as_batch([ChainSpec("cebm", cfg, RandomInit(d=2), seed=3)]), final_x_only=final_x_only
             )
             for name in ("steps", "X", "F", "lam", "grad_norm"):
                 column = getattr(traj, name)
@@ -989,7 +951,7 @@ class TestFinalXOnly:
         objectives = opposing_quadratics()
         cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
         starts = [[0.0, 50.0], [0.5, 0.0], [0.0, 1.0], [0.3, 40.0]]
-        specs = [ChainSpec("mgd", cfg, DesignPoint(x)) for x in starts]
+        specs = as_batch([ChainSpec("mgd", cfg, DesignPoint(x)) for x in starts])
         results = [run_chain(objectives, spec) for spec in specs]
         for final_x_only in (False, True):
             batch = run_population(objectives, specs, final_x_only=final_x_only)
@@ -1024,7 +986,7 @@ class TestFinalXOnly:
                 if not np.isfinite(x).all():
                     break
         assert first < 30 and first % 4
-        specs = [ChainSpec("cebm", cfg, DesignPoint(x), seed=i) for i, x in enumerate(starts)]
+        specs = samplers.ChainSpecs("cebm", cfg, [DesignPoint(x) for x in starts], range(len(starts)))
         errors = []
         for final_x_only in (False, True):
             results = run_population(objectives, specs, final_x_only=final_x_only)
@@ -1051,7 +1013,7 @@ class TestFinalXOnly:
                 first = step
         spec = ChainSpec("cebm", cfg, DesignPoint([0.0, 0.0]))
         for final_x_only in (False, True):
-            [failure] = run_population(objectives, [spec], final_x_only=final_x_only)
+            [failure] = run_population(objectives, as_batch([spec]), final_x_only=final_x_only)
             assert str(failure.error) == f"objective values must be finite (no NaN/Inf); step {first} is not"
 
 
@@ -1071,7 +1033,7 @@ class TestStarts:
             ChainSpec("cebm", cfg, wrong_kind),
             ChainSpec("cebm", cfg, DesignPoint([0.5, 0.5])),
         ]
-        results = run_population(objectives, specs)
+        results = run_population(objectives, as_batch(specs))
         assert str(results[1].error) == "coords must be finite (no NaN/Inf); step 0 is not"
         assert isinstance(results[2].error, WrongKindError) and isinstance(results[4].error, WrongKindError)
         assert results[2].error is not results[4].error
@@ -1088,7 +1050,7 @@ class TestStarts:
         spec = ChainSpec("cebm", cfg, RandomInit(d=2, scale=np.finfo(float).max), seed=3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action, RuntimeWarning)
-            (result,) = run_population(opposing_quadratics(), [spec])
+            (result,) = run_population(opposing_quadratics(), as_batch([spec]))
         assert str(result.error) == "coords must be finite (no NaN/Inf); step 0 is not"
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
@@ -1106,7 +1068,7 @@ class TestStarts:
         RandomInit(d=2, scale=big)  # a normal draw overflows to inf and fails its chain
         cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
         spec = ChainSpec("cebm", cfg, RandomInit(d=2, scale=big / 2, distribution="uniform"), seed=3)
-        (result,) = run_population(opposing_quadratics(), [spec])
+        (result,) = run_population(opposing_quadratics(), as_batch([spec]))
         assert isinstance(result, ChainFailure) and isinstance(result.error, ValueError)
 
 
@@ -1174,7 +1136,7 @@ class TestZeroSteps:
         cfg = SamplerConfig(eta=0.1, steps=0)
         specs = [ChainSpec("pcebm", cfg, RandomInit(d=2, scale=1.0 + i), seed=chain_seed(9, i)) for i in range(3)]
         specs.append(ChainSpec("pcebm", cfg, DesignPoint([0.1, 0.2]), seed=1))
-        batch = run_population(objectives, specs)
+        batch = run_population(objectives, as_batch(specs))
         for spec, result in zip(specs, batch, strict=True):
             assert_same_chain(result, run_chain(objectives, spec))
             assert len(result) == 1
@@ -1211,19 +1173,29 @@ def csv_oracle(path, trajectories, objective_names=None, chain_ids=None):
 AWKWARD = [-0.0, 5e-324, 1e16, 0.1 + 0.2, -1.5e-7, 123.0, 2.0**60, -2.2250738585072014e-308]
 
 
-def awkward_trajectory(m, rows, shift):
-    values = np.roll(np.resize(AWKWARD, rows * m), shift).reshape(rows, m)
-    grad_norm = np.roll(np.resize([np.inf, *AWKWARD], rows), shift)
-    return Trajectory(np.arange(rows) * 3, np.zeros((rows, 2)), values, values[:, ::-1], grad_norm)
+def awkward_results(m, rows):
+    """Crafted columns of chains with ``rows[j]`` records each, at steps 0,
+    3, 6, ..., whose values, weights and norms are floats that are awkward to
+    print (signed zero, subnormals, inf, long reprs)."""
+    n, most = len(rows), max(rows, default=1)
+    F, grad_norm = np.zeros((n, most, m)), np.zeros((n, most))
+    for j, r in enumerate(rows):
+        F[j, :r] = np.roll(np.resize(AWKWARD, r * m), j).reshape(r, m)
+        grad_norm[j, :r] = np.roll(np.resize([np.inf, *AWKWARD], r), j)
+    return samplers.ChainResults(
+        [None] * n, np.array(rows, dtype=np.int64).reshape(n), np.full(n, -1), np.arange(most) * 3,
+        np.zeros((n, most, 2)), F, F[:, :, ::-1], grad_norm,
+    )
 
 
 class TestTrajectoryBytes:
     @pytest.mark.parametrize("m", [1, 3])
     def test_matches_csv_writer(self, tmp_path, m):
-        trajs = [awkward_trajectory(m, rows, shift) for shift, rows in enumerate((1, 4, 7))]
+        results = awkward_results(m, [1, 4, 7])
+        assert [t.steps.tolist() for t in results] == [[0], [0, 3, 6, 9], [0, 3, 6, 9, 12, 15, 18]]
         for kwargs in ({}, {"chain_ids": [5, 0, 12]}, {"objective_names": ['a,b', 'q"x', "c"][:m]}):
-            write_trajectories(tmp_path / "new.csv", trajs, **kwargs)
-            csv_oracle(tmp_path / "old.csv", trajs, **kwargs)
+            write_trajectories(tmp_path / "new.csv", results, **kwargs)
+            csv_oracle(tmp_path / "old.csv", list(results), **kwargs)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert b"\r\n" in (tmp_path / "new.csv").read_bytes()
 
@@ -1238,22 +1210,40 @@ class TestTrajectoryBytes:
 
     @pytest.mark.parametrize("chain_ids", [[4], [4, 5], [4, 5, 6, 7]])
     def test_chain_id_count_must_match(self, tmp_path, chain_ids):
-        trajs = [awkward_trajectory(2, 4, shift) for shift in range(3)]
         with pytest.raises(ShapeError, match=f"got {len(chain_ids)} chain ids for 3 trajectories"):
-            write_trajectories(tmp_path / "t.csv", trajs, chain_ids=chain_ids)
+            write_trajectories(tmp_path / "t.csv", awkward_results(2, [4, 4, 4]), chain_ids=chain_ids)
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("bad", [2**53 + 1, -(2**53) - 1, 1.7, 2.0, np.float64(3.0), "4", None])
+    def test_chain_ids_must_be_exact_integers(self, tmp_path, bad):
+        # A float64 record holds every integer up to 2**53 exactly; a larger
+        # id, or one that is not an integer, would be written rounded.
+        results = awkward_results(2, [2, 3])
+        with pytest.raises(ValueError, match=re.escape(f"chain id {bad!r} is not an integer")):
+            write_trajectories(tmp_path / "t.csv", results, chain_ids=[0, bad])
+        assert not (tmp_path / "t.csv").exists()
+        write_trajectories(tmp_path / "t.csv", results, chain_ids=[2**53, np.int64(-(2**53))])
+        ids = [line.split(",")[0] for line in (tmp_path / "t.csv").read_text().splitlines()[1:]]
+        assert ids == [str(2**53)] * 2 + [str(-(2**53))] * 3
+
     def test_no_trajectories_writes_the_header_alone(self, tmp_path):
-        write_trajectories(tmp_path / "t.csv", [], objective_names=["a", "b"])
+        empty = awkward_results(2, [3])[:0]
+        write_trajectories(tmp_path / "t.csv", empty, objective_names=["a", "b"])
         assert (tmp_path / "t.csv").read_bytes() == b"chain_id,step,a,b,lambda0,lambda1,grad_norm\r\n"
+        write_trajectories(tmp_path / "u.csv", empty)
+        assert (tmp_path / "u.csv").read_bytes() == b"chain_id,step,f0,f1,lambda0,lambda1,grad_norm\r\n"
         with pytest.raises(ShapeError, match="got 1 chain ids for 0 trajectories"):
-            write_trajectories(tmp_path / "u.csv", [], objective_names=["a"], chain_ids=[3])
+            write_trajectories(tmp_path / "v.csv", empty, objective_names=["a"], chain_ids=[3])
 
     def test_empty_and_mixed_m_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_trajectories(tmp_path / "t.csv", [])
-        with pytest.raises(ShapeError):
-            write_trajectories(tmp_path / "t.csv", [awkward_trajectory(1, 2, 0), awkward_trajectory(3, 2, 0)])
+        # Only a ChainResults is exported, and one batch has one m: an empty
+        # list, a list of trajectories of mixed m, and any other list or item
+        # are refused.
+        one, three = awkward_results(1, [2]), awkward_results(3, [2, 3])
+        for given in ([], [one[0], three[0]], list(three), three[0]):
+            with pytest.raises(TypeError, match="write_trajectories exports a ChainResults"):
+                write_trajectories(tmp_path / "t.csv", given)
+        assert not (tmp_path / "t.csv").exists()
 
 
 def one_shot_export(path, trajectories, objective_names=None, chain_ids=None):
@@ -1280,64 +1270,63 @@ def one_shot_export(path, trajectories, objective_names=None, chain_ids=None):
 
 
 def export_case(name):
-    """(trajectories, objective names) of one block-export case."""
+    """(results, objective names) of one block-export case."""
     objectives = get_problem("fonseca-fleming").objectives
     if name == "one-batch":
         cfg = SamplerConfig(eta=0.05, steps=20, record_every=3)
         specs = samplers.ChainSpecs("cebm", cfg, [RandomInit(d=3)] * 6, samplers.chain_seeds(5, range(6)))
         return run_population(objectives, specs, final_x_only=True).finished(), None
-    if name == "several-batches":
+    if name == "mixed-population":
         objectives, specs = mixed_population()
         return run_population(objectives, specs, final_x_only=True).finished(), None
     if name == "early-stops":
         # One mgd batch whose chains stop at different steps, between records.
         cfg = SamplerConfig(eta=0.5, steps=40, noise_kind="none", record_every=3, grad_tol=0.02)
         starts = [DesignPoint([a, 0.2, -a]) for a in (0.0, 0.1, 0.5, 0.9, 1.4)]
-        done = run_population(objectives, [ChainSpec("mgd", cfg, x) for x in starts]).finished()
+        done = run_population(objectives, samplers.ChainSpecs("mgd", cfg, starts, [0] * 5)).finished()
         assert sum(t.terminated_early for t in done) >= 3
         return done, None
-    if name == "trajectory-list":
-        objectives, specs = mixed_population()
-        return [*run_population(objectives, specs).finished(), *(awkward_trajectory(2, r, r) for r in (1, 9))], None
+    if name == "crafted-columns":
+        return awkward_results(2, [1, 9, 4, 12]), None
     if name == "header-only":
-        return run_population(objectives, []).finished(), ["a", "b"]
+        nothing = samplers.ChainSpecs("cebm", SamplerConfig(eta=0.1, steps=2), [], [])
+        return run_population(objectives, nothing), ["a", "b"]
     raise KeyError(name)
 
 
 class TestBlockExport:
     @pytest.mark.parametrize("block_rows", [1, 5, 512])
-    @pytest.mark.parametrize("case", ["one-batch", "several-batches", "early-stops", "trajectory-list", "header-only"])
+    @pytest.mark.parametrize("case", ["one-batch", "mixed-population", "early-stops", "crafted-columns", "header-only"])
     def test_blocks_keep_the_one_shot_bytes(self, tmp_path, monkeypatch, case, block_rows):
         monkeypatch.setattr(samplers, "_CSV_BLOCK_ROWS", block_rows)
-        trajectories, names = export_case(case)
-        n = len(trajectories)
+        results, names = export_case(case)
+        n = len(results)
         for kwargs in ({}, {"chain_ids": [3 * i + 7 for i in range(n)]}):
-            for given in (trajectories, list(trajectories)):
-                write_trajectories(tmp_path / "blocks.csv", given, names, **kwargs)
-                one_shot_export(tmp_path / "one.csv", list(trajectories), names, **kwargs)
-                assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+            write_trajectories(tmp_path / "blocks.csv", results, names, **kwargs)
+            one_shot_export(tmp_path / "one.csv", list(results), names, **kwargs)
+            assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
         records = (tmp_path / "blocks.csv").read_bytes().count(b"\r\n") - 1
-        assert records == sum(len(t) for t in trajectories)
+        assert records == sum(len(t) for t in results)
         # The small blocks split the export, and split chains.
         assert records > 2 * block_rows or block_rows == 512 or case == "header-only"
 
-    @pytest.mark.parametrize("as_list", [False, True])
-    def test_peak_memory_does_not_grow_with_the_records(self, tmp_path, as_list):
+    @pytest.mark.parametrize("final_x_only", [False, True])
+    def test_peak_memory_does_not_grow_with_the_records(self, tmp_path, final_x_only):
         # Ten times the records may raise the export's peak by at most the
         # larger record table's floats plus a fixed 1 MiB; a one-shot export
-        # takes about seven times the table.
+        # takes about seven times the table. The export reads no coordinates,
+        # so whole X columns and final rows alone give the same bound.
         objectives = get_problem("fonseca-fleming").objectives
         cfg = SamplerConfig(eta=0.01, steps=149)
         peaks, tables = [], []
         for chains in (4, 40):
             specs = samplers.ChainSpecs("cebm", cfg, [RandomInit(d=3)] * chains, samplers.chain_seeds(9, range(chains)))
-            done = run_population(objectives, specs, final_x_only=True).finished()
-            trajectories = list(done) if as_list else done
+            done = run_population(objectives, specs, final_x_only=final_x_only).finished()
             tables.append(chains * 150 * (3 + 2 * objectives.m) * 8)
             gc.collect()
             tracemalloc.start()
             try:
-                write_trajectories(tmp_path / "t.csv", trajectories)
+                write_trajectories(tmp_path / "t.csv", done)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
