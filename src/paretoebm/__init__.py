@@ -47,15 +47,11 @@ from .metrics import (
     nondominated_mask,
     summarize_edist,
 )
-from .moo import (
-    MinNormResult,
-    pareto_filter,
-)
+from .moo import pareto_filter
 from .problems import Problem, get_problem
 from .samplers import (
     ChainFailure,
     ChainResults,
-    ChainSpec,
     ChainSpecs,
     RandomInit,
     chain_seed,

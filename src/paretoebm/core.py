@@ -208,7 +208,7 @@ def uniform_weights(m: int) -> SimplexWeights:
 @dataclass(frozen=True)
 class SamplerConfig:
     """Knobs shared by all chain algorithms: everything a batch of chains
-    shares. Each chain's seed is on its ``samplers.ChainSpec``.
+    shares. Each chain's seed is in its batch's ``samplers.ChainSpecs``.
 
     ``sigma`` (Langevin-dynamics noise std) defaults to sqrt(eta) and
     ``alpha`` (Pareto-chain noise constant) to eta/2, the classical Langevin

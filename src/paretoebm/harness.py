@@ -518,7 +518,7 @@ def _run_cell(
         for leftover in tmp_dir.iterdir():
             leftover.unlink()
     tmp_dir.mkdir(exist_ok=True)
-    write_trajectories(tmp_dir / "trajectories.csv", done, [f"f{i}" for i in range(m)], done.chain_ids)
+    write_trajectories(tmp_dir / "trajectories.csv", done, [f"f{i}" for i in range(m)])
     _write_final_points(tmp_dir / "final_points.csv", zip(*final_columns), m, is_sequence)
     failures = results.failures()
     if failures:

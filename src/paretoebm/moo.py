@@ -4,7 +4,7 @@ MIN_NORM_MAX_M objectives. One solve serves every m: it takes each row's
 inner products once, on the edges from a pivot gradient, then enumerates
 the supports of the weights on those alone (the segment formula on each
 pair, one stacked KKT solve per larger support). solve_min_norm is its
-one-row form.
+one-row form, returning that row's weights, direction and norm.
 
 Objective values are one (n, m) float array of n points. Pareto extraction
 uses the sort-based filter metrics.nondominated_mask, the one definition of
@@ -17,7 +17,6 @@ All operations are pure functions and safe for unrestricted parallel use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -28,20 +27,6 @@ from .metrics import nondominated_mask, objective_matrix
 # Enumerating supports costs one small solve per support of three or more
 # weights, about 2**m per row; the paper's tasks have two or three objectives.
 MIN_NORM_MAX_M = 8
-
-
-@dataclass(frozen=True, eq=False)
-class MinNormResult:
-    """Solution of min over simplex weights of ||sum_i lam_i g_i||.
-
-    ``lam`` is the (m,) float64 weight vector on the simplex. ``direction``
-    is recomputed from the final weights, so it is always the exact convex
-    combination; zero norm signals a (locally) Pareto-stationary point.
-    """
-
-    lam: np.ndarray
-    direction: np.ndarray
-    norm: float
 
 
 def pareto_filter(points) -> list[int]:
@@ -191,13 +176,14 @@ def _min_norm_weights(grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, np.einsum("nm,nmd->nd", best, grads)
 
 
-def solve_min_norm(grads: np.ndarray) -> MinNormResult:
+def solve_min_norm(grads: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """The exact min-norm point for one (m, d) gradient matrix, m <= MIN_NORM_MAX_M:
-    min_norm_closed_form on a stack of one row. Non-finite gradients raise ValueError."""
+    one row of min_norm_closed_form, as the weights (m,) on the simplex, the
+    direction (d,) they give and its norm. Non-finite gradients raise ValueError."""
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2:
         raise ShapeError("expected an (m, d) gradient matrix")
     if not np.all(np.isfinite(grads)):
         raise ValueError("gradients must be finite")
     lam, direction, norm = min_norm_closed_form(grads[None])
-    return MinNormResult(lam=lam[0], direction=direction[0], norm=float(norm[0]))
+    return lam[0], direction[0], float(norm[0])

@@ -18,16 +18,17 @@ Noiseless min-norm chains (mgd, and pcebm with alpha = 0 or noise kind
 chains always run every step. pcebm with alpha = 0 (or noise 'none') is
 therefore the mgd chain, and their trajectories agree bit for bit.
 A zero-step chain records its start: one record at step 0, no noise drawn.
-``run_chain`` runs one chain of any method.
 
 The loop runs a batch of chains as one (n, d) state array, updated in
-place. A population is one ``ChainSpecs``: the specs, as columns, of chains
-that share a method, a ``SamplerConfig`` and the fixed weights.
-``run_population`` runs it as one batch; every cell of a sweep is one, and
-so are each method's chains in ``improve_seeds``. Each chain keeps its own
-noise stream, seeded from its ``ChainSpec.seed``. A random start draws its
-unit draws from it into its row of the batch's start array, scaled by one
-product per distribution (``_starts``); the chain then draws its noise,
+place. A population is one ``ChainSpecs``, the one description of chains:
+the method, the ``SamplerConfig`` and the fixed weights they share, and one
+start and one seed per chain, as columns. ``run_population`` runs it as one
+batch; every cell of a sweep is one, and so are each method's chains in
+``improve_seeds``. ``run_chain`` runs a ``ChainSpecs`` of one chain. Each
+chain keeps its own noise stream, seeded from its seed in the
+``ChainSpecs``. A random start draws its unit draws from it into its row of
+the batch's start array, scaled by one product per distribution
+(``_starts``); the chain then draws its noise,
 scaled by the noise scale, a block of steps at a time into one
 preallocated buffer (``_Noise``). Every operation of a step is
 row-wise and rounds each row exactly as it would round that chain alone,
@@ -153,51 +154,18 @@ class RandomInit:
         return rng.uniform(-self.scale, self.scale, self.d)
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """Everything one chain needs: method, sampler config, start point, and
-    seed. ``seed`` is an int in [0, 2**64), the range of ``chain_seed``; the
-    chain's noise stream (and a random start) is drawn from
-    ``np.random.default_rng(seed)``."""
-
-    method: str
-    config: SamplerConfig
-    init: DesignPoint | RandomInit
-    fixed_lambda: SimplexWeights | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_seed(self.seed)
-        _check_shared(self.method, self.config, self.fixed_lambda)
-
-
-def _check_seed(seed) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an int in [0, 2**64), got {seed!r}")
-
-
-def _check_shared(method: str, config: SamplerConfig, fixed_lambda: SimplexWeights | None) -> None:
-    """The checks of what a batch's chains share: method, config and fixed weights."""
-    if method not in METHODS:
-        raise ConfigError(f"unknown method: {method!r}")
-    if method == METHOD_LS_CEBM:
-        if fixed_lambda is None:
-            raise ConfigError("ls_cebm requires fixed_lambda")
-    elif fixed_lambda is not None:
-        raise ConfigError(f"{method} must not supply fixed_lambda")
-    if method == METHOD_MGD and config.noise_kind != NOISE_NONE:
-        raise ConfigError("mgd is noiseless; use noise_kind='none'")
-
-
 @dataclass(frozen=True, eq=False)
-class ChainSpecs(abc.Sequence):
+class ChainSpecs:
     """The specs of chains that share a method, a sampler config and the
     fixed weights, stored as columns: one start and one seed per chain.
 
-    A read-only sequence whose item i is chain i's ``ChainSpec``, built on
-    access. Construction makes a ChainSpec's checks once for the shared
-    fields and once over the seeds, which are kept as a uint64 array;
-    ``run_population`` runs the whole sequence as one batch.
+    A seed is an int in [0, 2**64), the range of ``chain_seed``; a chain's
+    noise stream (and a random start) is drawn from
+    ``np.random.default_rng(seed)``. Construction checks the shared fields
+    once and the seeds once, which are kept as a read-only uint64 array.
+    ``len`` counts the chains, and a slice is the ``ChainSpecs`` of those
+    chains; there is no object per chain, so an integer index is a
+    TypeError. ``run_population`` runs the whole of one as one batch.
     """
 
     method: str
@@ -214,11 +182,21 @@ class ChainSpecs(abc.Sequence):
         ):
             # np.array would round a list mixing ints above 2**63 to floats.
             for seed in seeds:
-                _check_seed(seed)
+                if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+                    raise ConfigError(f"seed must be an int in [0, 2**64), got {seed!r}")
             seeds = np.array([int(seed) for seed in seeds], dtype=np.uint64)
         if seeds.ndim != 1 or seeds.size != len(self.inits):
             raise ShapeError(f"need one start per seed, got {len(self.inits)} starts and {seeds.size} seeds")
-        _check_shared(self.method, self.config, self.fixed_lambda)
+        method = self.method
+        if method not in METHODS:
+            raise ConfigError(f"unknown method: {method!r}")
+        if method == METHOD_LS_CEBM:
+            if self.fixed_lambda is None:
+                raise ConfigError("ls_cebm requires fixed_lambda")
+        elif self.fixed_lambda is not None:
+            raise ConfigError(f"{method} must not supply fixed_lambda")
+        if method == METHOD_MGD and self.config.noise_kind != NOISE_NONE:
+            raise ConfigError("mgd is noiseless; use noise_kind='none'")
         seeds = seeds.astype(np.uint64)
         seeds.setflags(write=False)
         object.__setattr__(self, "seeds", seeds)
@@ -227,10 +205,10 @@ class ChainSpecs(abc.Sequence):
     def __len__(self) -> int:
         return len(self.inits)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return replace(self, inits=self.inits[i], seeds=self.seeds[i])
-        return ChainSpec(self.method, self.config, self.inits[i], self.fixed_lambda, int(self.seeds[i]))
+    def __getitem__(self, i: slice) -> "ChainSpecs":
+        if not isinstance(i, slice):
+            raise TypeError(f"ChainSpecs takes slices, not {type(i).__name__}: it holds no object per chain")
+        return replace(self, inits=self.inits[i], seeds=self.seeds[i])
 
 
 @dataclass(frozen=True)
@@ -367,12 +345,6 @@ def _words_type() -> type:
             return self.words
 
     return _Words
-
-
-def __getattr__(name: str):
-    if name == "_Words":
-        return _words_type()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _generators(seeds: Sequence[int]) -> list[np.random.Generator]:
@@ -728,10 +700,18 @@ def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool =
     return ChainResults(errors, rows, stops, schedule, X_rec, F_rec, lam_rec, norm_rec)
 
 
-def run_chain(objectives: ObjectiveSet, spec: ChainSpec) -> Trajectory:
-    """Run the sampler named by spec.method; a failed chain raises its error."""
-    batch = ChainSpecs(spec.method, spec.config, [spec.init], np.array([spec.seed], np.uint64), spec.fixed_lambda)
-    result = _run_batch(objectives, batch)[0]
+def run_chain(
+    objectives: ObjectiveSet,
+    method: str,
+    config: SamplerConfig,
+    init: DesignPoint | RandomInit,
+    *,
+    seed: int = 0,
+    fixed_lambda: SimplexWeights | None = None,
+) -> Trajectory:
+    """Run one chain of ``method``: a ``ChainSpecs`` of one chain, as one
+    batch. A failed chain raises its error."""
+    result = _run_batch(objectives, ChainSpecs(method, config, [init], [seed], fixed_lambda))[0]
     if isinstance(result, ChainFailure):
         raise result.error
     return result
@@ -779,8 +759,10 @@ def write_trajectories(
 ) -> None:
     """Export the finished chains of a ``ChainResults`` as CSV: one record
     per line with fields (chain_id, step, objective values..., lambda...,
-    grad_norm). Chain ids default to 0..n-1; each must be an integer of
-    magnitude at most 2**53, checked before the file is opened.
+    grad_norm). Chain ids default to ``results.chain_ids``, each chain's
+    position in its batch, so a selection keeps its chains' ids; each id
+    must be an integer of magnitude at most 2**53, checked before the file
+    is opened.
 
     The bytes are those of the csv module's default writer: ``\\r\\n`` line
     ends, ``repr`` floats and plain integer chain ids and steps. The records
@@ -794,7 +776,7 @@ def write_trajectories(
         raise TypeError(f"write_trajectories exports a ChainResults, got {type(results).__name__}")
     n, m = len(results), results.m
     if chain_ids is None:
-        chain_ids = range(n)
+        chain_ids = results.chain_ids
     if len(chain_ids) != n:
         raise ShapeError(f"got {len(chain_ids)} chain ids for {n} trajectories")
     blocks = results._record_blocks(_exact_ids(chain_ids), _CSV_BLOCK_ROWS)

@@ -47,7 +47,6 @@ from paretoebm.metrics import (
 from paretoebm.moo import pareto_filter, solve_min_norm
 from paretoebm.problems import get_problem
 from paretoebm.samplers import (
-    ChainSpec,
     RandomInit,
     chain_seed,
     run_chain,
@@ -71,8 +70,8 @@ def test_criterion_01_min_norm_solver():
     combos = lam[None, :, None] * g1[:, None, :] + (1.0 - lam)[None, :, None] * g2[:, None, :]
     grid_best = np.linalg.norm(combos, axis=2).min(axis=1)
     for i in range(1000):
-        res = solve_min_norm(np.stack([g1[i], g2[i]]))
-        assert res.norm <= grid_best[i] + 1e-9
+        _, _, norm = solve_min_norm(np.stack([g1[i], g2[i]]))
+        assert norm <= grid_best[i] + 1e-9
 
     # Simplex grid with step 0.01; the solver must never be worse than the
     # grid by more than 1e-3 (the grid itself sits above the true optimum
@@ -87,7 +86,8 @@ def test_criterion_01_min_norm_solver():
             b = np.arange(0.0, 1.0 - a + step / 2, step)
             lam3 = np.stack([np.full_like(b, a), b, np.clip(1.0 - a - b, 0.0, 1.0)], axis=1)
             best = min(best, float(np.linalg.norm(lam3 @ grads, axis=1).min()))
-        assert solve_min_norm(grads).norm <= best + 1e-3
+        _, _, norm = solve_min_norm(grads)
+        assert norm <= best + 1e-3
 
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -108,7 +108,7 @@ def test_criterion_02_mgd_monotone_descent():
     for _ in range(100):
         x0 = DesignPoint(rng.standard_normal(3))
         cfg = SamplerConfig(eta=1e-3, steps=400, noise_kind="none", record_every=1)
-        traj = run_chain(problem.objectives, ChainSpec("mgd", cfg, x0))
+        traj = run_chain(problem.objectives, "mgd", cfg, x0)
         values = traj.F
         violations += int(np.sum(np.diff(values, axis=0) > 1e-9))
     assert violations == 0
@@ -142,12 +142,12 @@ def test_criterion_03_reductions():
         mgd_cfg = SamplerConfig(eta=eta, steps=steps, noise_kind="none")
         pc_cfg = SamplerConfig(eta=eta, steps=steps, noise_kind="gaussian", alpha=0.0)
         _trajectories_bit_identical(
-            run_chain(objs, ChainSpec("mgd", mgd_cfg, x0, seed=seed)),
-            run_chain(objs, ChainSpec("pcebm", pc_cfg, x0, seed=seed)),
+            run_chain(objs, "mgd", mgd_cfg, x0, seed=seed),
+            run_chain(objs, "pcebm", pc_cfg, x0, seed=seed),
         )
 
         ce_cfg = SamplerConfig(eta=eta, steps=steps, noise_kind="gaussian", sigma=0.0)
-        traj = run_chain(objs, ChainSpec("cebm", ce_cfg, x0, seed=seed))
+        traj = run_chain(objs, "cebm", ce_cfg, x0, seed=seed)
         x = np.array(x0.coords)
         expect = {0: x.copy()}
         for k in range(1, steps + 1):
@@ -312,8 +312,8 @@ def test_criterion_07_convergence_speed():
         x0 = DesignPoint(w @ centers + 0.1 * rng.standard_normal(2))
         pc_cfg = SamplerConfig(eta=0.01, steps=k, alpha=alpha)
         ce_cfg = SamplerConfig(eta=0.01, steps=k, sigma=sigma)
-        pc.append(settle(run_chain(problem.objectives, ChainSpec("pcebm", pc_cfg, x0, seed=seed))))
-        ce.append(settle(run_chain(problem.objectives, ChainSpec("cebm", ce_cfg, x0, seed=seed))))
+        pc.append(settle(run_chain(problem.objectives, "pcebm", pc_cfg, x0, seed=seed)))
+        ce.append(settle(run_chain(problem.objectives, "cebm", ce_cfg, x0, seed=seed)))
     med_pc, med_ce = float(np.median(pc)), float(np.median(ce))
     assert med_pc <= med_ce
     report_pass(7, f"median steps to within 5% of final: pcEBM {med_pc:.0f} <= cEBM {med_ce:.0f} over 50 paired seeds")
@@ -329,10 +329,10 @@ def test_criterion_08_scalarization_traces_convex_front():
     for lam1 in np.linspace(0.0, 1.0, 11):
         lam = np.array([lam1, 1.0 - lam1])
         cfg = SamplerConfig(eta=0.1, steps=200, sigma=0.0)
-        spec = ChainSpec(
-            "ls_cebm", cfg, RandomInit(d=2, scale=1.0), fixed_lambda=SimplexWeights(lam), seed=int(lam1 * 10)
+        traj = run_chain(
+            problem.objectives, "ls_cebm", cfg, RandomInit(d=2, scale=1.0), seed=int(lam1 * 10),
+            fixed_lambda=SimplexWeights(lam),
         )
-        traj = run_chain(problem.objectives, spec)
         final = traj.X[-1]
         expected = np.array([2.0 * lam1 - 1.0, 0.0])
         assert np.linalg.norm(final - expected) <= 1e-4

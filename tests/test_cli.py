@@ -145,6 +145,16 @@ class TestEdistCommand:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("empty", ["samples", "training"])
+    def test_file_without_sequences_is_a_config_error(self, capsys, tmp_path, empty):
+        files = {"samples": tmp_path / "samples.txt", "training": tmp_path / "training.txt"}
+        for name, path in files.items():
+            path.write_text("# only a comment\n" if name == empty else "ACDY\n")
+        code, out, err = run_cli(capsys, "edist", files["samples"], files["training"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ConfigError", "message": f"{files[empty]}: no sequences"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.txt", "training.txt"]
+
 
 class TestTrainCommand:
     def _write_train_cfg(self, tmp_path, **over):
@@ -400,6 +410,32 @@ class TestImproveCommand:
         report = json.loads((tmp_path / "improve_out" / "improve_report.json").read_text())
         assert report["per_method"]["cebm"]["improved_fraction"] is None
         assert [f["method"] for f in report["failures"]] == ["cebm"]
+
+
+    def test_seeds_file_without_sequences_is_a_config_error(self, capsys, tmp_path):
+        model_path = tmp_path / "scorer.model"
+        save_model(PwmEnergy(np.zeros((5, 4))), model_path)
+        seeds_path = tmp_path / "seeds.txt"
+        seeds_path.write_text("# only a comment\n")
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            yaml.safe_dump(
+                {
+                    "config_version": 1,
+                    "problem": "sequence-energies",
+                    "model_files": ["scorer.model"],
+                    "methods": ["cebm"],
+                    "eta": [0.1],
+                    "steps": [3],
+                    "alphabet": "ACGT",
+                    "output_dir": "improve_out",
+                }
+            )
+        )
+        code, out, err = run_cli(capsys, "improve", cfg_path, seeds_path, model_path)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ConfigError", "message": f"{seeds_path}: no sequences"}
+        assert not (tmp_path / "improve_out").exists()
 
 
 class TestModuleEntryPoint:

@@ -546,7 +546,7 @@ class TestRunSweep:
             return real_config(**kwargs)
 
         def tracking(objectives, specs, *, final_x_only=False):
-            batches.append((len(specs), {id(spec.config) for spec in specs}))
+            batches.append(len(specs))
             return samplers.run_population(objectives, specs, final_x_only=final_x_only)
 
         # The spies see the cells of this process alone, so every cell runs here.
@@ -556,7 +556,8 @@ class TestRunSweep:
         cfg = load_config(write_config(tmp_path / "cfg.yaml", methods=["mgd", "cebm", "pcebm"], eta=[0.1, 0.2]))
         run_sweep(cfg)
         assert len(built) == len(sweep_cells(cfg)) == 6
-        assert [(n, len(ids)) for n, ids in batches] == [(4, 1)] * 6
+        # A ChainSpecs holds its batch's one config.
+        assert batches == [4] * 6
 
     def test_wrong_length_normalization_refused_before_any_chain(self, tmp_path, monkeypatch):
         runs = []
@@ -763,7 +764,7 @@ class TestCellFilesFromColumns:
 
         def population(objectives, specs, *, final_x_only=False):
             results = samplers.run_population(objectives, specs, final_x_only=final_x_only)
-            populations[(specs[0].method, specs[0].config)] = results
+            populations[(specs.method, specs.config)] = results
             return results
 
         # The spy sees the cells of this process alone, so every cell runs here.
@@ -813,8 +814,10 @@ class TestCellFilesFromColumns:
             report = run_sweep(cfg).report
             assert sum(cell["chains"] for cell in report["cells"]) == 16
         assert built == []
-        samplers.run_chain(get_problem("opposing-quadratics").objectives,
-                           samplers.ChainSpec("cebm", samplers.SamplerConfig(eta=0.1, steps=2), samplers.RandomInit(2)))
+        samplers.run_chain(
+            get_problem("opposing-quadratics").objectives, "cebm", samplers.SamplerConfig(eta=0.1, steps=2),
+            samplers.RandomInit(2),
+        )
         assert built == [1]
 
 
@@ -852,8 +855,8 @@ class TestCellProcesses:
         ran = tmp_path / "ran.txt"
 
         def population(objectives, specs, *, final_x_only=False):
-            spec, config = specs[0], specs[0].config
-            cell_id = f"{spec.method}_eta{config.eta:g}_k{config.steps}_{config.noise_kind}"
+            config = specs.config
+            cell_id = f"{specs.method}_eta{config.eta:g}_k{config.steps}_{config.noise_kind}"
             with open(ran, "a") as fh:
                 fh.write(f"{os.getpid()} {cell_id}\n")
             if cell_id in failing:
@@ -1354,11 +1357,11 @@ class TestImproveSeeds:
             config = SamplerConfig(
                 eta=0.1, steps=12, noise_kind="none" if method == "mgd" else "gaussian", sigma=0.01, alpha=5e-5
             )
-            spec = samplers.ChainSpec(
-                method, config, relax(seeds[j]), SimplexWeights([1.0]) if method == "ls_cebm" else None,
-                sampler_seeds[cfg.methods.index(method) * len(seeds) + j],
+            traj = samplers.run_chain(
+                objectives, method, config, relax(seeds[j]), seed=sampler_seeds[cfg.methods.index(method) * len(seeds) + j],
+                fixed_lambda=SimplexWeights([1.0]) if method == "ls_cebm" else None,
             )
-            final = decode(sequence_point(samplers.run_chain(objectives, spec).X[-1], 6, 4))
+            final = decode(sequence_point(traj.X[-1], 6, 4))
             assert entry["sequence"] == sequence_to_str(final, cfg.alphabet)
 
     def test_scorer_dimension_checked(self, tmp_path):

@@ -124,11 +124,11 @@ def direction_of(lam, g):
     return np.einsum("nm,nmd->nd", lam[None], g[None])[0]
 
 
-def assert_direction_is_combination(res, g):
+def assert_direction_is_combination(lam, direction, g):
     """The direction equals direction_of its weights bit for bit, and the
     convex combination lam @ g to a few ulps of the largest gradient entry."""
-    assert np.array_equal(res.direction, direction_of(res.lam, g))
-    assert np.allclose(res.direction, res.lam @ g, rtol=0.0, atol=1e-13 * np.abs(g).max())
+    assert np.array_equal(direction, direction_of(lam, g))
+    assert np.allclose(direction, lam @ g, rtol=0.0, atol=1e-13 * np.abs(g).max())
 
 
 def grid_norms_2(g1, g2, step=1e-3):
@@ -139,38 +139,38 @@ def grid_norms_2(g1, g2, step=1e-3):
 
 class TestMinNorm2:
     def test_opposing_gradients_conflict(self):
-        res = solve_min_norm(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-        assert np.array_equal(res.lam, [0.5, 0.5])
-        assert res.norm == 0.0
+        lam, _, norm = solve_min_norm(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        assert np.array_equal(lam, [0.5, 0.5])
+        assert norm == 0.0
 
     def test_degenerate_equal_gradients(self):
-        res = solve_min_norm(np.array([[3.0, 4.0], [3.0, 4.0]]))
-        assert np.array_equal(res.direction, [3.0, 4.0])
-        assert res.norm == 5.0
-        assert np.array_equal(res.lam, [0.5, 0.5])
+        lam, direction, norm = solve_min_norm(np.array([[3.0, 4.0], [3.0, 4.0]]))
+        assert np.array_equal(direction, [3.0, 4.0])
+        assert norm == 5.0
+        assert np.array_equal(lam, [0.5, 0.5])
 
     def test_known_interior_solution(self):
-        res = solve_min_norm(np.array([[2.0, 0.0], [0.0, 1.0]]))
-        assert res.lam[0] == pytest.approx(0.2, abs=1e-12)
-        assert np.allclose(res.direction, [0.4, 0.8], atol=1e-12)
+        lam, direction, norm = solve_min_norm(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        assert lam[0] == pytest.approx(0.2, abs=1e-12)
+        assert np.allclose(direction, [0.4, 0.8], atol=1e-12)
         grid_best = grid_norms_2(np.array([2.0, 0.0]), np.array([0.0, 1.0]), 1e-5).min()
-        assert res.norm <= grid_best + 1e-9
+        assert norm <= grid_best + 1e-9
 
     def test_optimal_on_random_pairs(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             g1, g2 = rng.standard_normal((2, 8))
-            res = solve_min_norm(np.stack([g1, g2]))
-            assert res.norm <= grid_norms_2(g1, g2).min() + 1e-9
+            _, _, norm = solve_min_norm(np.stack([g1, g2]))
+            assert norm <= grid_norms_2(g1, g2).min() + 1e-9
 
     def test_direction_recomputable_from_lambda(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             g1, g2 = rng.standard_normal((2, 5))
-            res = solve_min_norm(np.stack([g1, g2]))
-            rebuilt = res.lam[0] * g1 + res.lam[1] * g2
-            assert np.allclose(res.direction, rebuilt, atol=1e-12)
-            assert res.norm == pytest.approx(np.linalg.norm(res.direction), abs=1e-15)
+            lam, direction, norm = solve_min_norm(np.stack([g1, g2]))
+            rebuilt = lam[0] * g1 + lam[1] * g2
+            assert np.allclose(direction, rebuilt, atol=1e-12)
+            assert norm == pytest.approx(np.linalg.norm(direction), abs=1e-15)
 
     def test_dimension_mismatch(self):
         # Gradients of unequal length make no (m, d) matrix.
@@ -193,30 +193,30 @@ class TestMinNorm2:
         grads = rng.standard_normal((40, m, 5)) * 10.0 ** rng.uniform(-3, 3, size=(40, m, 1))
         grads[3] = grads[3, :1]
         grads[4, -1] = 10.0 * grads[4, 0]
-        lam, direction, norm = min_norm_closed_form(grads)
+        lams, directions, norms = min_norm_closed_form(grads)
         for i, g in enumerate(grads):
-            res = solve_min_norm(g)
-            assert np.array_equal(lam[i], res.lam)
-            assert np.array_equal(direction[i], res.direction)
-            assert norm[i] == res.norm
-            assert_direction_is_combination(res, g)
-            assert res.norm == float(np.linalg.norm(res.direction))
+            lam, direction, norm = solve_min_norm(g)
+            assert np.array_equal(lams[i], lam)
+            assert np.array_equal(directions[i], direction)
+            assert norms[i] == norm
+            assert_direction_is_combination(lam, direction, g)
+            assert norm == float(np.linalg.norm(direction))
 
     def test_descent_property_two_objectives(self):
         # At the exact min-norm point g: <g, g_i> >= ||g||^2 for every i.
         rng = np.random.default_rng(11)
         for _ in range(1000):
             g1, g2 = rng.standard_normal((2, 8))
-            res = solve_min_norm(np.stack([g1, g2]))
-            sq = res.norm**2
-            assert res.direction @ g1 >= sq - 1e-9
-            assert res.direction @ g2 >= sq - 1e-9
+            _, direction, norm = solve_min_norm(np.stack([g1, g2]))
+            sq = norm**2
+            assert direction @ g1 >= sq - 1e-9
+            assert direction @ g2 >= sq - 1e-9
 
     def test_underflowing_weight_is_positive_zero(self):
         # <g2 - g1, g2> / ||g1 - g2||^2 underflows to -0.0 here; the weight
         # is clipped to +0.0, as min(1, max(0, q)) gives.
-        res = solve_min_norm(np.array([[2e-150, 1e154], [1e-150, 0.0]]))
-        assert np.array_equal(res.lam, [0.0, 1.0]) and not np.signbit(res.lam[0])
+        lam, _, norm = solve_min_norm(np.array([[2e-150, 1e154], [1e-150, 0.0]]))
+        assert np.array_equal(lam, [0.0, 1.0]) and not np.signbit(lam[0])
 
 
 def _solve_exact(A, rhs):
@@ -267,8 +267,8 @@ class TestMinNorm3:
         rng = np.random.default_rng(40)
         for _ in range(300):
             grads = random_bundle(rng, 3, int(rng.integers(1, 9)))
-            res = solve_min_norm(grads)
-            assert abs(res.norm - brute_min_norm(grads)) <= 1e-14 * float(np.abs(grads).max())
+            _, _, norm = solve_min_norm(grads)
+            assert abs(norm - brute_min_norm(grads)) <= 1e-14 * float(np.abs(grads).max())
 
     def test_descent_property(self):
         # At the exact min-norm point d: <d, g_i> >= ||d||^2 for every i,
@@ -276,55 +276,56 @@ class TestMinNorm3:
         rng = np.random.default_rng(41)
         for _ in range(1000):
             grads = rng.standard_normal((3, 8))
-            res = solve_min_norm(grads)
-            sq = res.norm**2
+            _, direction, norm = solve_min_norm(grads)
+            sq = norm**2
             for g in grads:
-                assert res.direction @ g >= sq - 1e-9
+                assert direction @ g >= sq - 1e-9
 
     def test_conflict_spanning_origin_is_zero(self):
         grads = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
-        res = solve_min_norm(grads)
-        assert res.norm < 1e-15
-        assert np.allclose(res.lam, [0.5, 0.25, 0.25], atol=1e-15)
+        lam, _, norm = solve_min_norm(grads)
+        assert norm < 1e-15
+        assert np.allclose(lam, [0.5, 0.25, 0.25], atol=1e-15)
 
     def test_coincident_gradients(self):
-        res = solve_min_norm(np.tile([3.0, 4.0], (3, 1)))
-        assert np.array_equal(res.lam, [0.5, 0.5, 0.0])
-        assert np.array_equal(res.direction, [3.0, 4.0]) and res.norm == 5.0
+        lam, direction, norm = solve_min_norm(np.tile([3.0, 4.0], (3, 1)))
+        assert np.array_equal(lam, [0.5, 0.5, 0.0])
+        assert np.array_equal(direction, [3.0, 4.0]) and norm == 5.0
 
     def test_collinear_gradients(self):
         base = np.array([1.0, -2.0, 0.5])
         grads = np.stack([2.0 * base, -3.0 * base, 5.0 * base])
-        res = solve_min_norm(grads)
-        assert res.norm < 1e-15 and np.all(res.lam >= 0.0)
-        assert_direction_is_combination(res, grads)
+        lam, direction, norm = solve_min_norm(grads)
+        assert norm < 1e-15 and np.all(lam >= 0.0)
+        assert_direction_is_combination(lam, direction, grads)
 
     def test_one_dimension(self):
-        res = solve_min_norm(np.array([[1.0], [2.0], [-4.0]]))
-        assert res.norm < 1e-15 and np.all(res.lam >= 0.0)
-        res = solve_min_norm(np.array([[3.0], [1.0], [2.0]]))
-        assert np.array_equal(res.lam, [0.0, 1.0, 0.0]) and res.norm == 1.0
+        lam, _, norm = solve_min_norm(np.array([[1.0], [2.0], [-4.0]]))
+        assert norm < 1e-15 and np.all(lam >= 0.0)
+        lam, _, norm = solve_min_norm(np.array([[3.0], [1.0], [2.0]]))
+        assert np.array_equal(lam, [0.0, 1.0, 0.0]) and norm == 1.0
 
     def test_zero_gradient(self):
-        res = solve_min_norm(np.array([[1.0, 2.0], [0.0, 0.0], [-3.0, 1.0]]))
-        assert np.array_equal(res.lam, [0.0, 1.0, 0.0])
-        assert res.norm == 0.0
+        lam, _, norm = solve_min_norm(np.array([[1.0, 2.0], [0.0, 0.0], [-3.0, 1.0]]))
+        assert np.array_equal(lam, [0.0, 1.0, 0.0])
+        assert norm == 0.0
 
     def test_dominated_vertex_gets_no_weight(self):
         grads = np.array([[1.0, 0.0], [0.0, 1.0], [10.0, 10.0]])
-        res = solve_min_norm(grads)
-        two = solve_min_norm(grads[:2])
-        assert res.lam[2] == 0.0
-        assert np.array_equal(res.lam[:2], two.lam) and res.norm == two.norm
+        lam, _, norm = solve_min_norm(grads)
+        two_lam, _, two_norm = solve_min_norm(grads[:2])
+        assert lam[2] == 0.0
+        assert np.array_equal(lam[:2], two_lam) and norm == two_norm
 
     @pytest.mark.parametrize("scale", [1e-3, 1e3])
     def test_scale_invariance(self, scale):
         rng = np.random.default_rng(42)
         for _ in range(200):
             grads = rng.standard_normal((3, 5))
-            unit, scaled = solve_min_norm(grads), solve_min_norm(scale * grads)
-            assert np.allclose(scaled.lam, unit.lam, atol=1e-9)
-            assert scaled.norm == pytest.approx(scale * unit.norm, rel=1e-9, abs=1e-15 * scale)
+            unit_lam, _, unit_norm = solve_min_norm(grads)
+            scaled_lam, _, scaled_norm = solve_min_norm(scale * grads)
+            assert np.allclose(scaled_lam, unit_lam, atol=1e-9)
+            assert scaled_norm == pytest.approx(scale * unit_norm, rel=1e-9, abs=1e-15 * scale)
 
 
 class TestMinNormEnumerated:
@@ -336,8 +337,8 @@ class TestMinNormEnumerated:
         # Up to MIN_NORM_MAX_M, which a sweep admits: five bundles each of 7 and 8 gradients.
         bundles += [random_bundle(rng, m, int(rng.integers(1, 9))) for m in (7, 8) for _ in range(5)]
         for grads in bundles:
-            res = solve_min_norm(grads)
-            assert abs(res.norm - brute_min_norm(grads)) <= 1e-14 * float(np.abs(grads).max())
+            _, _, norm = solve_min_norm(grads)
+            assert abs(norm - brute_min_norm(grads)) <= 1e-14 * float(np.abs(grads).max())
 
     def test_descent_property(self):
         # At the exact min-norm point d: <d, g_i> >= ||d||^2 for every i.
@@ -345,15 +346,15 @@ class TestMinNormEnumerated:
         for _ in range(300):
             m = int(rng.integers(4, 7))
             grads = rng.standard_normal((m, 8))
-            res = solve_min_norm(grads)
-            sq = res.norm**2
+            _, direction, norm = solve_min_norm(grads)
+            sq = norm**2
             for g in grads:
-                assert res.direction @ g >= sq - 1e-9
+                assert direction @ g >= sq - 1e-9
 
     def test_coincident_gradients(self):
-        res = solve_min_norm(np.tile([3.0, 4.0], (5, 1)))
-        assert np.array_equal(res.lam, [0.5, 0.5, 0.0, 0.0, 0.0])
-        assert np.array_equal(res.direction, [3.0, 4.0]) and res.norm == 5.0
+        lam, direction, norm = solve_min_norm(np.tile([3.0, 4.0], (5, 1)))
+        assert np.array_equal(lam, [0.5, 0.5, 0.0, 0.0, 0.0])
+        assert np.array_equal(direction, [3.0, 4.0]) and norm == 5.0
 
     def test_coincident_rows_among_others(self):
         rng = np.random.default_rng(45)
@@ -361,49 +362,49 @@ class TestMinNormEnumerated:
             grads = random_bundle(rng, 5, int(rng.integers(1, 5)))
             grads[3] = grads[1]
             grads[4] = grads[1]
-            res = solve_min_norm(grads)
-            assert abs(res.norm - brute_min_norm(grads)) <= 1e-14 * float(np.abs(grads).max())
+            _, _, norm = solve_min_norm(grads)
+            assert abs(norm - brute_min_norm(grads)) <= 1e-14 * float(np.abs(grads).max())
 
     def test_collinear_gradients(self):
         base = np.array([1.0, -2.0, 0.5])
         grads = np.stack([2.0 * base, 5.0 * base, -3.0 * base, 0.5 * base])
-        res = solve_min_norm(grads)
-        assert res.norm < 1e-15 and np.all(res.lam >= 0.0)
-        assert np.array_equal(res.direction, res.lam @ grads)
-        res = solve_min_norm(np.stack([2.0 * base, 5.0 * base, 3.0 * base, 0.5 * base]))
-        assert np.array_equal(res.lam, [0.0, 0.0, 0.0, 1.0])
+        lam, direction, norm = solve_min_norm(grads)
+        assert norm < 1e-15 and np.all(lam >= 0.0)
+        assert np.array_equal(direction, lam @ grads)
+        lam, _, _ = solve_min_norm(np.stack([2.0 * base, 5.0 * base, 3.0 * base, 0.5 * base]))
+        assert np.array_equal(lam, [0.0, 0.0, 0.0, 1.0])
 
     def test_zero_gradient(self):
-        res = solve_min_norm(np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 0.0], [-3.0, 1.0]]))
-        assert np.array_equal(res.lam, [0.0, 0.0, 1.0, 0.0])
-        assert res.norm == 0.0
+        lam, _, norm = solve_min_norm(np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 0.0], [-3.0, 1.0]]))
+        assert np.array_equal(lam, [0.0, 0.0, 1.0, 0.0])
+        assert norm == 0.0
 
     def test_sheds_dominated_vertex(self):
         grads = np.array([[1.0, 0.0], [0.0, 1.0], [10.0, 10.0], [4.0, 3.0]])
-        res = solve_min_norm(grads)
-        two = solve_min_norm(grads[:2])
-        assert abs(res.norm - two.norm) <= 1e-15
-        assert np.array_equal(res.lam[2:], [0.0, 0.0])
+        lam, _, norm = solve_min_norm(grads)
+        _, _, two_norm = solve_min_norm(grads[:2])
+        assert abs(norm - two_norm) <= 1e-15
+        assert np.array_equal(lam[2:], [0.0, 0.0])
 
     def test_all_equal_gradients(self):
-        res = solve_min_norm(np.tile(np.array([2.0, -1.0]), (4, 1)))
-        assert np.array_equal(res.direction, [2.0, -1.0])
-        assert res.norm == pytest.approx(np.sqrt(5.0))
+        _, direction, norm = solve_min_norm(np.tile(np.array([2.0, -1.0]), (4, 1)))
+        assert np.array_equal(direction, [2.0, -1.0])
+        assert norm == pytest.approx(np.sqrt(5.0))
 
     def test_conflict_spanning_origin(self):
         # The fourth gradient leaves the plane of the other three.
         grads = np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
-        res = solve_min_norm(grads)
-        assert res.norm < 1e-15
-        assert np.allclose(res.lam, [0.5, 0.25, 0.25, 0.0], atol=1e-15)
+        lam, _, norm = solve_min_norm(grads)
+        assert norm < 1e-15
+        assert np.allclose(lam, [0.5, 0.25, 0.25, 0.0], atol=1e-15)
 
     def test_direction_recomputable(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             grads = rng.standard_normal((5, 4))
-            res = solve_min_norm(grads)
-            assert_direction_is_combination(res, grads)
-            assert res.norm == float(np.linalg.norm(res.direction))
+            lam, direction, norm = solve_min_norm(grads)
+            assert_direction_is_combination(lam, direction, grads)
+            assert norm == float(np.linalg.norm(direction))
 
     def test_more_objectives_than_the_limit_raise(self):
         grads = np.random.default_rng(46).standard_normal((MIN_NORM_MAX_M + 1, 3))
@@ -412,7 +413,8 @@ class TestMinNormEnumerated:
             solve_min_norm(grads)
         with pytest.raises(ConfigError, match=message):
             min_norm_closed_form(grads[None])
-        assert solve_min_norm(grads[:MIN_NORM_MAX_M]).lam.shape == (MIN_NORM_MAX_M,)
+        lam, _, _ = solve_min_norm(grads[:MIN_NORM_MAX_M])
+        assert lam.shape == (MIN_NORM_MAX_M,)
 
 
 class TestMinNormNearCoincident:
@@ -428,8 +430,8 @@ class TestMinNormNearCoincident:
             g1 = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
             grads = g1 * (1.0 + spread * rng.standard_normal((m, d)))
             grads[0] = g1
-            res = solve_min_norm(grads)
-            assert abs(res.norm - brute_min_norm(grads)) <= 1e-14 * float(np.abs(grads).max())
+            _, _, norm = solve_min_norm(grads)
+            assert abs(norm - brute_min_norm(grads)) <= 1e-14 * float(np.abs(grads).max())
 
 
 class TestMgdDirection:
@@ -439,28 +441,30 @@ class TestMgdDirection:
 
     def test_pareto_point_gives_zero(self):
         objs = self._pair()
-        res = solve_min_norm(objs.eval_batch(np.array([[0.0, 0.0]]))[1][0])
-        assert res.norm == pytest.approx(0.0, abs=1e-15)
+        _, _, norm = solve_min_norm(objs.eval_batch(np.array([[0.0, 0.0]]))[1][0])
+        assert norm == pytest.approx(0.0, abs=1e-15)
 
     def test_aligned_gradients_pick_shorter(self):
         # At p = 2a the gradients are 2a and 6a; the min-norm point of the
         # segment is 2a itself.
         objs = self._pair()
-        res = solve_min_norm(objs.eval_batch(np.array([[2.0, 0.0]]))[1][0])
-        assert np.allclose(res.direction, [2.0, 0.0], atol=1e-12)
-        assert np.array_equal(res.lam, [1.0, 0.0])
+        lam, direction, _ = solve_min_norm(objs.eval_batch(np.array([[2.0, 0.0]]))[1][0])
+        assert np.allclose(direction, [2.0, 0.0], atol=1e-12)
+        assert np.array_equal(lam, [1.0, 0.0])
 
     def test_single_objective_returns_gradient(self):
         objs = ObjectiveSet([ShiftedQuadratic([1.0, 1.0])])
         p = DesignPoint([3.0, 0.0])
-        res = solve_min_norm(objs.eval_batch(p.coords[None])[1][0])
-        assert np.array_equal(res.direction, objs.models[0].gradient(p))
-        assert np.array_equal(res.lam, [1.0])
+        lam, direction, _ = solve_min_norm(objs.eval_batch(p.coords[None])[1][0])
+        assert np.array_equal(direction, objs.models[0].gradient(p))
+        assert np.array_equal(lam, [1.0])
 
     def test_solve_min_norm_dispatch(self):
         rng = np.random.default_rng(13)
         grads = rng.standard_normal((2, 4))
-        assert solve_min_norm(grads).norm == min_norm_closed_form(grads[None])[2][0]
+        lam, direction, norm = solve_min_norm(grads)
+        assert (lam.shape, direction.shape, type(norm)) == ((2,), (4,), float)
+        assert norm == min_norm_closed_form(grads[None])[2][0]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_weights_lie_on_the_simplex(self, m):
@@ -468,7 +472,7 @@ class TestMgdDirection:
         for _ in range(200):
             d = int(rng.integers(1, 8))
             grads = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
-            lam = solve_min_norm(grads).lam
+            lam, _, _ = solve_min_norm(grads)
             assert lam.shape == (m,)
             assert np.all(lam >= 0.0)
             assert abs(float(lam.sum()) - 1.0) <= SIMPLEX_TOL

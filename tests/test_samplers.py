@@ -24,7 +24,6 @@ from paretoebm.moo import pareto_filter
 from paretoebm.problems import get_problem
 from paretoebm.samplers import (
     ChainFailure,
-    ChainSpec,
     RandomInit,
     chain_seed,
     run_chain,
@@ -54,56 +53,19 @@ def trajectories_equal(t1, t2):
     )
 
 
-def as_batch(specs):
-    """The one ChainSpecs of a list of ChainSpec that share a method, a
-    config and the fixed weights: their starts and seeds, in order."""
-    method, config, fixed = specs[0].method, specs[0].config, specs[0].fixed_lambda
-    assert all((spec.method, spec.config, spec.fixed_lambda) == (method, config, fixed) for spec in specs)
-    return samplers.ChainSpecs(method, config, [spec.init for spec in specs], [spec.seed for spec in specs], fixed)
-
-
-class TestChainSpec:
-    def test_ls_requires_lambda(self):
-        cfg = SamplerConfig(eta=0.1, steps=5)
-        with pytest.raises(ConfigError):
-            ChainSpec("ls_cebm", cfg, DesignPoint([0.0, 0.0]))
-
-    def test_others_must_not_have_lambda(self):
-        cfg = SamplerConfig(eta=0.1, steps=5)
-        with pytest.raises(ConfigError):
-            ChainSpec("cebm", cfg, DesignPoint([0.0, 0.0]), fixed_lambda=uniform_weights(2))
-
-    def test_mgd_needs_noiseless_config(self):
-        cfg = SamplerConfig(eta=0.1, steps=5, noise_kind="gaussian")
-        with pytest.raises(ConfigError):
-            ChainSpec("mgd", cfg, DesignPoint([0.0, 0.0]))
-
-    def test_unknown_method(self):
-        cfg = SamplerConfig(eta=0.1, steps=5)
-        with pytest.raises(ConfigError):
-            ChainSpec("annealing", cfg, DesignPoint([0.0]))
-
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, "3", True, np.int64(-1)])
-    def test_rejects_bad_seeds(self, seed):
-        cfg = SamplerConfig(eta=0.1, steps=1)
-        with pytest.raises(ConfigError, match="seed"):
-            ChainSpec("cebm", cfg, DesignPoint([0.0]), seed=seed)
-
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int32(5)])
-    def test_accepts_every_seed_in_range(self, seed):
-        cfg = SamplerConfig(eta=0.1, steps=1)
-        assert ChainSpec("cebm", cfg, DesignPoint([0.0]), seed=seed).seed == seed
-
-    def test_seed_is_not_a_config_field(self):
-        with pytest.raises(TypeError):
-            SamplerConfig(eta=0.1, steps=1, seed=3)
+def run_alone(objectives, specs, j):
+    """Chain j of a ChainSpecs, run alone by run_chain."""
+    return run_chain(
+        objectives, specs.method, specs.config, specs.inits[j], seed=int(specs.seeds[j]),
+        fixed_lambda=specs.fixed_lambda,
+    )
 
 
 class TestMgd:
     def test_terminates_immediately_at_pareto_point(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=50, noise_kind="none")
-        traj = run_chain(objs, ChainSpec("mgd", cfg, DesignPoint([0.0, 0.0])))
+        traj = run_chain(objs, "mgd", cfg, DesignPoint([0.0, 0.0]))
         assert traj.terminated_early and traj.termination_step == 0
         assert len(traj) == 1
         assert np.array_equal(traj.X[-1], [0.0, 0.0])
@@ -113,7 +75,7 @@ class TestMgd:
         # coordinate never moves and the chain limits to the origin.
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=500, noise_kind="none")
-        traj = run_chain(objs, ChainSpec("mgd", cfg, DesignPoint([0.0, 5.0])))
+        traj = run_chain(objs, "mgd", cfg, DesignPoint([0.0, 5.0]))
         xs = traj.X
         assert np.all(xs[:, 0] == 0.0)
         diffs = np.abs(np.diff(xs[:, 1]))
@@ -124,7 +86,7 @@ class TestMgd:
     def test_single_objective_reduces_to_gradient_descent(self):
         objs = ObjectiveSet([ShiftedQuadratic([1.0, -1.0])])
         cfg = SamplerConfig(eta=0.05, steps=40, noise_kind="none")
-        traj = run_chain(objs, ChainSpec("mgd", cfg, DesignPoint([3.0, 3.0])))
+        traj = run_chain(objs, "mgd", cfg, DesignPoint([3.0, 3.0]))
         center = np.array([1.0, -1.0])
         x = np.array([3.0, 3.0])
         expect = [x.copy()]
@@ -138,7 +100,7 @@ class TestCebm:
     def test_noiseless_matches_sum_gradient_descent(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=100, sigma=0.0)
-        traj = run_chain(objs, ChainSpec("cebm", cfg, DesignPoint([3.0, -2.0]), seed=5))
+        traj = run_chain(objs, "cebm", cfg, DesignPoint([3.0, -2.0]), seed=5)
         x = np.array([3.0, -2.0])
         expect = {0: x.copy()}
         for k in range(1, 101):
@@ -153,25 +115,25 @@ class TestCebm:
     def test_noiseless_converges_to_sum_minimizer(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.2, steps=200, sigma=0.0)
-        traj = run_chain(objs, ChainSpec("cebm", cfg, RandomInit(d=2, scale=3.0), seed=1))
+        traj = run_chain(objs, "cebm", cfg, RandomInit(d=2, scale=3.0), seed=1)
         assert np.allclose(traj.X[-1], [0.0, 0.0], atol=1e-8)
 
     def test_seed_determinism(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.05, steps=40, sigma=0.3)
-        spec = ChainSpec("cebm", cfg, RandomInit(d=2), seed=11)
-        assert trajectories_equal(run_chain(objs, spec), run_chain(objs, spec))
+        args = (objs, "cebm", cfg, RandomInit(d=2))
+        assert trajectories_equal(run_chain(*args, seed=11), run_chain(*args, seed=11))
 
     def test_records_uniform_weights(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=3, sigma=0.0)
-        traj = run_chain(objs, ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0])))
+        traj = run_chain(objs, "cebm", cfg, DesignPoint([1.0, 1.0]))
         assert np.array_equal(traj.lam, np.full((len(traj), 2), 0.5))
 
     def test_no_early_termination(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=25, sigma=0.0)
-        traj = run_chain(objs, ChainSpec("cebm", cfg, DesignPoint([0.0, 0.0])))
+        traj = run_chain(objs, "cebm", cfg, DesignPoint([0.0, 0.0]))
         assert not traj.terminated_early
         assert traj.steps[-1] == 25
 
@@ -182,8 +144,8 @@ class TestLsCebm:
         x0 = DesignPoint([2.0, 1.0])
         ls_cfg = SamplerConfig(eta=0.2, steps=50, sigma=0.1)
         ce_cfg = SamplerConfig(eta=0.1, steps=50, sigma=0.1)
-        ls = run_chain(objs, ChainSpec("ls_cebm", ls_cfg, x0, fixed_lambda=uniform_weights(2), seed=3))
-        ce = run_chain(objs, ChainSpec("cebm", ce_cfg, x0, seed=3))
+        ls = run_chain(objs, "ls_cebm", ls_cfg, x0, fixed_lambda=uniform_weights(2), seed=3)
+        ce = run_chain(objs, "cebm", ce_cfg, x0, seed=3)
         assert np.array_equal(ls.steps, ce.steps)
         assert np.allclose(ls.X, ce.X, rtol=1e-12, atol=1e-14)
 
@@ -191,15 +153,14 @@ class TestLsCebm:
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.2, steps=300, sigma=0.0)
         lam = SimplexWeights([1.0, 0.0])
-        traj = run_chain(objs, ChainSpec("ls_cebm", cfg, RandomInit(d=2, scale=2.0), fixed_lambda=lam, seed=0))
+        traj = run_chain(objs, "ls_cebm", cfg, RandomInit(d=2, scale=2.0), fixed_lambda=lam, seed=0)
         assert np.allclose(traj.X[-1], [1.0, 0.0], atol=1e-8)
 
     def test_lambda_length_checked_at_run(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.0)
-        spec = ChainSpec("ls_cebm", cfg, DesignPoint([0.0, 0.0]), fixed_lambda=SimplexWeights([1.0]))
         with pytest.raises(ShapeError):
-            run_chain(objs, spec)
+            run_chain(objs, "ls_cebm", cfg, DesignPoint([0.0, 0.0]), fixed_lambda=SimplexWeights([1.0]))
 
 
 class TestPcebm:
@@ -210,21 +171,21 @@ class TestPcebm:
             x0 = DesignPoint(rng.normal(size=2))
             mgd_cfg = SamplerConfig(eta=0.07, steps=80, noise_kind="none")
             pc_cfg = SamplerConfig(eta=0.07, steps=80, noise_kind="gaussian", alpha=0.0)
-            t1 = run_chain(objs, ChainSpec("mgd", mgd_cfg, x0, seed=seed))
-            t2 = run_chain(objs, ChainSpec("pcebm", pc_cfg, x0, seed=seed))
+            t1 = run_chain(objs, "mgd", mgd_cfg, x0, seed=seed)
+            t2 = run_chain(objs, "pcebm", pc_cfg, x0, seed=seed)
             assert trajectories_equal(t1, t2)
             assert t1.terminated_early == t2.terminated_early
 
     def test_seed_determinism(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.05, steps=60, alpha=0.01)
-        spec = ChainSpec("pcebm", cfg, RandomInit(d=2), seed=21)
-        assert trajectories_equal(run_chain(objs, spec), run_chain(objs, spec))
+        args = (objs, "pcebm", cfg, RandomInit(d=2))
+        assert trajectories_equal(run_chain(*args, seed=21), run_chain(*args, seed=21))
 
     def test_noise_keeps_chain_running_past_pareto_points(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.05, steps=30, alpha=0.02)
-        traj = run_chain(objs, ChainSpec("pcebm", cfg, DesignPoint([0.0, 0.0]), seed=2))
+        traj = run_chain(objs, "pcebm", cfg, DesignPoint([0.0, 0.0]), seed=2)
         assert not traj.terminated_early
         assert traj.steps[-1] == 30
 
@@ -235,7 +196,7 @@ class TestPcebm:
         objs = opposing_quadratics()
         alpha, d, steps = 0.01, 2, 8000
         cfg = SamplerConfig(eta=1e-4, steps=steps, noise_kind=noise_kind, alpha=alpha)
-        traj = run_chain(objs, ChainSpec("pcebm", cfg, DesignPoint([0.0, 0.0]), seed=9))
+        traj = run_chain(objs, "pcebm", cfg, DesignPoint([0.0, 0.0]), seed=9)
         pts = traj.X
         msd = float(np.mean(np.sum(np.diff(pts, axis=0) ** 2, axis=1)))
         assert msd == pytest.approx(2.0 * alpha * d, rel=0.05)
@@ -243,7 +204,7 @@ class TestPcebm:
     def test_lambda_resolved_every_step(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.05, steps=40, alpha=0.02)
-        traj = run_chain(objs, ChainSpec("pcebm", cfg, DesignPoint([0.5, 2.0]), seed=4))
+        traj = run_chain(objs, "pcebm", cfg, DesignPoint([0.5, 2.0]), seed=4)
         lams = traj.lam
         assert len(np.unique(lams[:, 0])) > 5
 
@@ -326,13 +287,9 @@ class TestStationaryMoments:
 class TestRunPopulation:
     def test_failures_tagged_and_isolated(self):
         objs = opposing_quadratics()
-        good = ChainSpec(
-            "cebm", SamplerConfig(eta=0.1, steps=10, sigma=0.0), DesignPoint([1.0, 1.0]), seed=1
-        )
-        bad = ChainSpec(
-            "cebm", SamplerConfig(eta=0.1, steps=10, sigma=0.0), DesignPoint([1.0, 1.0, 1.0]), seed=1
-        )
-        results = run_population(objs, as_batch([good, bad, good]))
+        good, bad = DesignPoint([1.0, 1.0]), DesignPoint([1.0, 1.0, 1.0])
+        specs = samplers.ChainSpecs("cebm", SamplerConfig(eta=0.1, steps=10, sigma=0.0), [good, bad, good], [1] * 3)
+        results = run_population(objs, specs)
         assert not isinstance(results[0], ChainFailure)
         assert isinstance(results[1], ChainFailure)
         assert results[1].index == 1
@@ -344,7 +301,7 @@ class TestRunPopulation:
         # Only steps 0 and 400 are recorded; the chain overflows in between.
         prob = get_problem(problem)
         cfg = SamplerConfig(eta=eta, steps=400, sigma=0.0, record_every=400)
-        [result] = run_population(prob.objectives, as_batch([ChainSpec("cebm", cfg, RandomInit(d=prob.d), seed=3)]))
+        [result] = run_population(prob.objectives, samplers.ChainSpecs("cebm", cfg, [RandomInit(d=prob.d)], [3]))
         assert isinstance(result, ChainFailure)
         assert isinstance(result.error, ValueError)
 
@@ -358,8 +315,8 @@ class TestRunPopulation:
 
     def test_a_list_of_chain_specs_is_a_type_error(self):
         cfg = SamplerConfig(eta=0.1, steps=3, sigma=0.0)
-        specs = [ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0]), seed=i) for i in range(2)]
-        for population in (specs, specs[:1], [], tuple(specs)):
+        specs = samplers.ChainSpecs("cebm", cfg, [DesignPoint([1.0, 1.0])] * 2, [0, 1])
+        for population in ([specs], [specs[:1], specs[1:]], [], (specs,), list(specs.inits)):
             with pytest.raises(TypeError, match="run_population runs one ChainSpecs"):
                 run_population(opposing_quadratics(), population)
 
@@ -408,7 +365,7 @@ class TestSeeding:
             assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
 
     def test_seed_words_refuse_other_requests(self):
-        words = samplers._Words(np.zeros(4, dtype=np.uint64))
+        words = samplers._words_type()(np.zeros(4, dtype=np.uint64))
         with pytest.raises(ValueError):
             words.generate_state(2, np.uint64)
         with pytest.raises(ValueError):
@@ -420,9 +377,9 @@ class TestSeeding:
         cfg = SamplerConfig(eta=0.05, steps=12, noise_kind=noise_kind)
         specs = samplers.ChainSpecs(method, cfg, [RandomInit(d=5)] * len(EDGE_SEEDS), EDGE_SEEDS)
         batch = run_population(objectives, specs)
-        for spec, result in zip(specs, batch, strict=True):
-            assert_same_chain(result, run_chain(objectives, spec))
-            start = np.random.default_rng(spec.seed).standard_normal(5)
+        for j, result in enumerate(batch):
+            assert_same_chain(result, run_alone(objectives, specs, j))
+            start = np.random.default_rng(EDGE_SEEDS[j]).standard_normal(5)
             assert np.array_equal(result.X[0], start)
 
 
@@ -495,8 +452,8 @@ class TestBatchKernel:
         batch = run_population(objectives, specs)
         # The same starts and seeds, in reverse order, as one ChainSpecs.
         reversed_batch = run_population(objectives, specs[::-1])[::-1]
-        for spec, result, reversed_result in zip(specs, batch, reversed_batch):
-            solo = run_chain(objectives, spec)
+        for j, (result, reversed_result) in enumerate(zip(batch, reversed_batch, strict=True)):
+            solo = run_alone(objectives, specs, j)
             assert_same_chain(result, solo)
             assert_same_chain(reversed_result, solo)
 
@@ -507,15 +464,15 @@ class TestBatchKernel:
         objectives = four_quadratics() if problem == "four-quadratics" else get_problem(problem).objectives
         cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
         starts = [[0.0, 50.0], stationary, [0.0, 1.0], [0.3, 40.0]]
-        specs = [ChainSpec("mgd", cfg, DesignPoint(x)) for x in starts]
-        solo = [run_chain(objectives, spec) for spec in specs]
+        specs = samplers.ChainSpecs("mgd", cfg, [DesignPoint(x) for x in starts], [0] * len(starts))
+        solo = [run_alone(objectives, specs, j) for j in range(len(specs))]
         assert solo[1].terminated_early and solo[1].termination_step == 0 and len(solo[1]) == 1
         assert not solo[0].terminated_early and not solo[3].terminated_early
         if problem == "opposing-quadratics":
             # Stops between records, after its siblings have moved on.
             assert solo[2].terminated_early and 0 < solo[2].termination_step < 150
             assert solo[2].termination_step % 10
-        for result, alone in zip(run_population(objectives, as_batch(specs)), solo):
+        for result, alone in zip(run_population(objectives, specs), solo):
             assert_same_chain(result, alone)
             assert len(result) == len(alone)
 
@@ -525,14 +482,14 @@ class TestBatchKernel:
         # drift (norm 7e-5 at its default tolerance) kept this chain moving.
         objectives = get_problem("tri-quadratic").objectives
         cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
-        specs = [ChainSpec("mgd", cfg, DesignPoint(x)) for x in ([0.0, 50.0], [0.6, 0.2])]
-        batch = run_population(objectives, as_batch(specs))
+        specs = samplers.ChainSpecs("mgd", cfg, [DesignPoint([0.0, 50.0]), DesignPoint([0.6, 0.2])], [0, 0])
+        batch = run_population(objectives, specs)
         stopped = batch[1]
         assert stopped.terminated_early and stopped.termination_step == 0 and len(stopped) == 1
         assert stopped.grad_norm[0] < 1e-12
         assert not batch[0].terminated_early
-        for result, spec in zip(batch, specs):
-            assert_same_chain(result, run_chain(objectives, spec))
+        for j, result in enumerate(batch):
+            assert_same_chain(result, run_alone(objectives, specs, j))
 
     def test_up_to_three_objectives_solve_the_whole_batch_at_once(self, monkeypatch):
         rows, solve = [], samplers.min_norm_closed_form
@@ -558,18 +515,18 @@ class TestBatchKernel:
         objectives = opposing_quadratics()
         cfg = SamplerConfig(eta=1.5, steps=40, noise_kind="none", record_every=40)
         starts = [[3.0, 0.0], [2.0, 0.0], [0.0, 1e300], [0.3, 1e-3]]
-        specs = [ChainSpec("mgd", cfg, DesignPoint(x)) for x in starts]
-        results = run_population(objectives, as_batch(specs))
+        specs = samplers.ChainSpecs("mgd", cfg, [DesignPoint(x) for x in starts], [0] * len(starts))
+        results = run_population(objectives, specs)
         failure = results[2]
         assert isinstance(failure, ChainFailure) and failure.index == 2
         assert isinstance(failure.error, ValueError)
         message = "objective values must be finite (no NaN/Inf); step 0 is not"
         assert str(failure.error) == message
         with pytest.raises(ValueError, match=re.escape(message)):
-            run_chain(objectives, specs[2])
+            run_alone(objectives, specs, 2)
         assert results[1].termination_step == 1
         for index in (0, 1, 3):
-            assert_same_chain(results[index], run_chain(objectives, specs[index]))
+            assert_same_chain(results[index], run_alone(objectives, specs, index))
 
     @pytest.mark.parametrize("method", ["mgd", "cebm"])
     def test_non_finite_gradient_fails_its_chain_alone(self, method):
@@ -584,14 +541,15 @@ class TestBatchKernel:
         while x <= 0.0:
             x, first = x + climb, first + 1
         assert first % cfg.record_every
-        specs = [ChainSpec(method, cfg, DesignPoint(np.r_[x0, np.zeros(d - 1)])) for x0 in (-100.0, -0.55, -50.0)]
-        results = run_population(objectives, as_batch(specs))
+        starts = [DesignPoint(np.r_[x0, np.zeros(d - 1)]) for x0 in (-100.0, -0.55, -50.0)]
+        specs = samplers.ChainSpecs(method, cfg, starts, [0] * 3)
+        results = run_population(objectives, specs)
         message = f"gradients must be finite (no NaN/Inf); step {first} is not"
         assert isinstance(results[1], ChainFailure) and str(results[1].error) == message
         with pytest.raises(ValueError, match=re.escape(message)):
-            run_chain(objectives, specs[1])
+            run_alone(objectives, specs, 1)
         for index in (0, 2):
-            assert_same_chain(results[index], run_chain(objectives, specs[index]))
+            assert_same_chain(results[index], run_alone(objectives, specs, index))
 
 
 def mixed_population():
@@ -612,17 +570,38 @@ def mixed_population():
 
 
 class TestChainSpecs:
-    def test_items_are_the_chain_specs(self):
+    def test_slices_are_chain_specs(self):
         cfg = SamplerConfig(eta=0.1, steps=3)
         inits = [RandomInit(d=2), DesignPoint([0.5, 0.5]), RandomInit(d=2, scale=2.0)]
-        seeds = [0, 2**64 - 1, 7]
-        specs = samplers.ChainSpecs("cebm", cfg, inits, seeds)
-        expected = [ChainSpec("cebm", cfg, init, seed=seed) for init, seed in zip(inits, seeds)]
-        assert len(specs) == 3 and list(specs) == expected
-        assert specs[-1] == expected[-1] and list(specs[1:]) == expected[1:]
+        specs = samplers.ChainSpecs("cebm", cfg, inits, [0, 2**64 - 1, 7])
+        assert len(specs) == 3 and specs.inits == tuple(inits)
         assert specs.seeds.dtype == np.uint64 and not specs.seeds.flags.writeable
-        with pytest.raises(IndexError):
-            specs[3]
+        assert specs.seeds.tolist() == [0, 2**64 - 1, 7]
+        tail = specs[1:]
+        assert isinstance(tail, samplers.ChainSpecs) and (tail.method, tail.config) == ("cebm", cfg)
+        assert tail.inits == tuple(inits[1:]) and tail.seeds.tolist() == [2**64 - 1, 7]
+        assert not tail.seeds.flags.writeable and len(specs[3:]) == 0
+
+    @pytest.mark.parametrize("index", [0, -1, 3, np.int64(1)])
+    def test_an_integer_index_is_a_type_error(self, index):
+        specs = samplers.ChainSpecs("cebm", SamplerConfig(eta=0.1, steps=3), [RandomInit(d=2)] * 3, [0, 1, 2])
+        with pytest.raises(TypeError, match="ChainSpecs takes slices"):
+            specs[index]
+
+    @pytest.mark.parametrize("seed", ["3", np.int64(-1)])
+    def test_rejects_bad_seeds(self, seed):
+        cfg = SamplerConfig(eta=0.1, steps=1)
+        with pytest.raises(ConfigError, match="seed must be an int"):
+            samplers.ChainSpecs("cebm", cfg, [DesignPoint([0.0])], [seed])
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int32(5)])
+    def test_accepts_every_seed_in_range(self, seed):
+        cfg = SamplerConfig(eta=0.1, steps=1)
+        assert samplers.ChainSpecs("cebm", cfg, [DesignPoint([0.0])], [seed]).seeds.tolist() == [int(seed)]
+
+    def test_seed_is_not_a_config_field(self):
+        with pytest.raises(TypeError):
+            SamplerConfig(eta=0.1, steps=1, seed=3)
 
     @pytest.mark.parametrize(
         "method,noise_kind,fixed,seeds,error",
@@ -643,8 +622,6 @@ class TestChainSpecs:
         cfg = SamplerConfig(eta=0.1, steps=3, noise_kind=noise_kind)
         with pytest.raises(ConfigError, match=error):
             samplers.ChainSpecs(method, cfg, [RandomInit(d=2)] * 2, seeds, fixed)
-        with pytest.raises(ConfigError, match=error):
-            [ChainSpec(method, cfg, RandomInit(d=2), fixed, seed) for seed in list(seeds)]
 
     def test_one_start_per_seed(self):
         with pytest.raises(ShapeError, match="need one start per seed, got 2 starts and 3 seeds"):
@@ -657,8 +634,8 @@ class TestChainSpecs:
         calls = count_batches(monkeypatch)
         batch = run_population(objectives, specs)
         assert calls == [5]
-        for result, spec in zip(batch, specs, strict=True):
-            assert_same_chain(result, run_chain(objectives, spec))
+        for j, result in enumerate(batch):
+            assert_same_chain(result, run_alone(objectives, specs, j))
 
 
 class TestChainResults:
@@ -671,11 +648,11 @@ class TestChainResults:
         items = list(results)
         assert len(results) == len(items) == len(specs)
         assert results.chain_ids.tolist() == list(range(len(specs)))
-        for index, (spec, item) in enumerate(zip(specs, items)):
+        for index, item in enumerate(items):
             if index == 3:
                 assert isinstance(item, ChainFailure) and item.index == 3 and isinstance(item.error, ShapeError)
             else:
-                assert_same_chain(item, run_chain(objectives, spec))
+                assert_same_chain(item, run_alone(objectives, specs, index))
         assert items[4].terminated_early and items[4].termination_step == 0
         assert items[1].steps.tolist() == [0, 4, 8, 12, 16, 18] and items[1].termination_step == 18
         tail = results[-3:]
@@ -730,12 +707,26 @@ class TestChainResults:
         done = run_population(objectives, specs, final_x_only=final_x_only).finished()
         for kwargs in ({}, {"chain_ids": done.chain_ids}, {"chain_ids": [9, 8, 7, 6, 5, 4]}):
             write_trajectories(tmp_path / "columns.csv", done, **kwargs)
-            csv_oracle(tmp_path / "oracle.csv", list(done), **kwargs)
+            csv_oracle(tmp_path / "oracle.csv", done, **kwargs)
             assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        # Chain 4 stopped at step 0; a selection keeps its chains' ids.
         write_trajectories(tmp_path / "one.csv", done[3:4])
-        assert [line[:4] for line in (tmp_path / "one.csv").read_text().splitlines()[1:]] == ["0,0,"]
+        assert [line[:4] for line in (tmp_path / "one.csv").read_text().splitlines()[1:]] == ["4,0,"]
         write_trajectories(tmp_path / "none.csv", done[:0], objective_names=["a", "b"])
         assert (tmp_path / "none.csv").read_bytes() == b"chain_id,step,a,b,lambda0,lambda1,grad_norm\r\n"
+
+    def test_export_of_a_selection_keeps_its_chain_ids(self, tmp_path):
+        # Chain 1's start has the wrong d, so the finished chains are 0 and 2.
+        cfg = SamplerConfig(eta=0.1, steps=3, noise_kind="none")
+        starts = [DesignPoint([0.5, 0.2, 0.1]), DesignPoint([1.0, 1.0]), DesignPoint([-0.3, 0.4, 0.9])]
+        results = run_population(get_problem("fonseca-fleming").objectives, samplers.ChainSpecs("mgd", cfg, starts, [0] * 3))
+        done = results.finished()
+        assert done.chain_ids.tolist() == [0, 2]
+        write_trajectories(tmp_path / "default.csv", done)
+        write_trajectories(tmp_path / "given.csv", done, chain_ids=[0, 2])
+        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
+        ids = {line.split(",")[0] for line in (tmp_path / "default.csv").read_text().splitlines()[1:]}
+        assert ids == {"0", "2"}
 
     def test_export_refuses_failures(self, tmp_path):
         objectives, specs = mixed_population()
@@ -794,8 +785,8 @@ class TestNoiseBlocks:
         cfg = SamplerConfig(eta=0.1, steps=steps, sigma=1.0, noise_kind=noise_kind)
         specs = samplers.ChainSpecs("cebm", cfg, [DesignPoint(np.zeros(d))] * 3, samplers.chain_seeds(5, range(3)))
         results = run_population(objectives, specs)
-        for spec, result in zip(specs, results):
-            rng = np.random.default_rng(spec.seed)
+        for seed, result in zip(specs.seeds.tolist(), results, strict=True):
+            rng = np.random.default_rng(seed)
             if noise_kind == "gaussian":
                 draws = rng.standard_normal((steps, d))
             else:
@@ -823,9 +814,9 @@ class TestNoiseBlocks:
             assert isinstance(results[index], ChainFailure)
             assert f"step {step} " in str(results[index].error)
             with pytest.raises(ValueError, match=f"step {step} "):
-                run_chain(objectives, specs[index])
+                run_alone(objectives, specs, index)
         for index in (0, 2):
-            assert_same_chain(results[index], run_chain(objectives, specs[index]))
+            assert_same_chain(results[index], run_alone(objectives, specs, index))
 
     def test_a_fill_that_raises_fails_the_batch(self, monkeypatch):
         objectives = quadratic_pair(8)
@@ -860,13 +851,13 @@ class TestTrajectoryExport:
     def test_record_every_thins_records(self):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.01, steps=100, sigma=0.0, record_every=25)
-        traj = run_chain(objs, ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0])))
+        traj = run_chain(objs, "cebm", cfg, DesignPoint([1.0, 1.0]))
         assert list(traj.steps) == [0, 25, 50, 75, 100]
 
     def test_custom_names_and_ids(self, tmp_path):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=2, sigma=0.0)
-        results = run_population(objs, as_batch([ChainSpec("cebm", cfg, DesignPoint([1.0, 1.0]))]))
+        results = run_population(objs, samplers.ChainSpecs("cebm", cfg, [DesignPoint([1.0, 1.0])], [0]))
         path = tmp_path / "traj.csv"
         write_trajectories(path, results, objective_names=["aff", "bv"], chain_ids=[7])
         lines = path.read_text().strip().splitlines()
@@ -927,7 +918,7 @@ class TestFinalXOnly:
         objectives = four_quadratics() if problem == "four-quadratics" else get_problem(problem).objectives
         cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
         starts = [[0.0, 50.0], [0.5, 0.0], [0.0, 1.0], [0.3, 40.0], [0.25, 0.0]]
-        specs = as_batch([ChainSpec("mgd", cfg, DesignPoint(x)) for x in starts])
+        specs = samplers.ChainSpecs("mgd", cfg, [DesignPoint(x) for x in starts], [0] * len(starts))
         results = run_population(objectives, specs, final_x_only=True)
         assert any(t.terminated_early for t in results) and not all(t.terminated_early for t in results)
         assert_final_x_matches(objectives, specs)
@@ -937,7 +928,7 @@ class TestFinalXOnly:
         cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
         for final_x_only in (False, True):
             [traj] = run_population(
-                objectives, as_batch([ChainSpec("cebm", cfg, RandomInit(d=2), seed=3)]), final_x_only=final_x_only
+                objectives, samplers.ChainSpecs("cebm", cfg, [RandomInit(d=2)], [3]), final_x_only=final_x_only
             )
             for name in ("steps", "X", "F", "lam", "grad_norm"):
                 column = getattr(traj, name)
@@ -951,8 +942,8 @@ class TestFinalXOnly:
         objectives = opposing_quadratics()
         cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
         starts = [[0.0, 50.0], [0.5, 0.0], [0.0, 1.0], [0.3, 40.0]]
-        specs = as_batch([ChainSpec("mgd", cfg, DesignPoint(x)) for x in starts])
-        results = [run_chain(objectives, spec) for spec in specs]
+        specs = samplers.ChainSpecs("mgd", cfg, [DesignPoint(x) for x in starts], [0] * len(starts))
+        results = [run_alone(objectives, specs, j) for j in range(len(specs))]
         for final_x_only in (False, True):
             batch = run_population(objectives, specs, final_x_only=final_x_only)
             assert [t.terminated_early for t in batch] == [False, True, True, False]
@@ -997,7 +988,7 @@ class TestFinalXOnly:
                 assert not isinstance(results[index], ChainFailure)
                 assert np.all(np.isfinite(results[index].X))
         with pytest.raises(ValueError) as solo:
-            run_chain(objectives, specs[1])
+            run_alone(objectives, specs, 1)
         assert errors[0] == errors[1] == str(solo.value)
         assert errors[0] == f"coords must be finite (no NaN/Inf); step {first} is not"
 
@@ -1011,9 +1002,9 @@ class TestFinalXOnly:
             x = x - 0.1 * (2.0 * (x - 3.0))
             if x > 2.0 and first is None:
                 first = step
-        spec = ChainSpec("cebm", cfg, DesignPoint([0.0, 0.0]))
+        specs = samplers.ChainSpecs("cebm", cfg, [DesignPoint([0.0, 0.0])], [0])
         for final_x_only in (False, True):
-            [failure] = run_population(objectives, as_batch([spec]), final_x_only=final_x_only)
+            [failure] = run_population(objectives, specs, final_x_only=final_x_only)
             assert str(failure.error) == f"objective values must be finite (no NaN/Inf); step {first} is not"
 
 
@@ -1024,22 +1015,23 @@ class TestStarts:
         cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
         # A random start has no kind; a DesignPoint start keeps its kind check.
         wrong_kind = DesignPoint([0.5, 0.5], kind=SEQUENCE_LOGITS, L=1, A=2)
-        specs = [
-            ChainSpec("cebm", cfg, RandomInit(d=2)),
+        inits = [
+            RandomInit(d=2),
             # Overflows: default_rng(3) draws a normal beyond 1 in magnitude.
-            ChainSpec("cebm", cfg, RandomInit(d=2, scale=np.finfo(float).max), seed=3),
-            ChainSpec("cebm", cfg, wrong_kind),
-            ChainSpec("cebm", cfg, RandomInit(d=3)),
-            ChainSpec("cebm", cfg, wrong_kind),
-            ChainSpec("cebm", cfg, DesignPoint([0.5, 0.5])),
+            RandomInit(d=2, scale=np.finfo(float).max),
+            wrong_kind,
+            RandomInit(d=3),
+            wrong_kind,
+            DesignPoint([0.5, 0.5]),
         ]
-        results = run_population(objectives, as_batch(specs))
+        specs = samplers.ChainSpecs("cebm", cfg, inits, [0, 3, 0, 0, 0, 0])
+        results = run_population(objectives, specs)
         assert str(results[1].error) == "coords must be finite (no NaN/Inf); step 0 is not"
         assert isinstance(results[2].error, WrongKindError) and isinstance(results[4].error, WrongKindError)
         assert results[2].error is not results[4].error
         assert isinstance(results[3].error, ShapeError)
         for index in (0, 5):
-            assert_same_chain(results[index], run_chain(objectives, specs[index]))
+            assert_same_chain(results[index], run_alone(objectives, specs, index))
 
     @pytest.mark.parametrize("action", ["error", "always"])
     def test_overflowing_scale_fails_its_chain_as_non_finite(self, action):
@@ -1047,10 +1039,10 @@ class TestStarts:
         # filter the chain fails with the finiteness message, and no
         # RuntimeWarning is raised or emitted.
         cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
-        spec = ChainSpec("cebm", cfg, RandomInit(d=2, scale=np.finfo(float).max), seed=3)
+        specs = samplers.ChainSpecs("cebm", cfg, [RandomInit(d=2, scale=np.finfo(float).max)], [3])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action, RuntimeWarning)
-            (result,) = run_population(opposing_quadratics(), as_batch([spec]))
+            (result,) = run_population(opposing_quadratics(), specs)
         assert str(result.error) == "coords must be finite (no NaN/Inf); step 0 is not"
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
@@ -1067,8 +1059,8 @@ class TestStarts:
             RandomInit(d=2, scale=big, distribution="uniform")
         RandomInit(d=2, scale=big)  # a normal draw overflows to inf and fails its chain
         cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
-        spec = ChainSpec("cebm", cfg, RandomInit(d=2, scale=big / 2, distribution="uniform"), seed=3)
-        (result,) = run_population(opposing_quadratics(), as_batch([spec]))
+        specs = samplers.ChainSpecs("cebm", cfg, [RandomInit(d=2, scale=big / 2, distribution="uniform")], [3])
+        (result,) = run_population(opposing_quadratics(), specs)
         assert isinstance(result, ChainFailure) and isinstance(result.error, ValueError)
 
 
@@ -1120,7 +1112,7 @@ class TestZeroSteps:
         cfg = SamplerConfig(eta=0.1, steps=0, noise_kind="none" if method == "mgd" else "gaussian")
         fixed = SimplexWeights([0.25, 0.75]) if method == "ls_cebm" else None
         start = DesignPoint([0.3, -0.4])
-        traj = run_chain(objectives, ChainSpec(method, cfg, start, fixed, seed=5))
+        traj = run_chain(objectives, method, cfg, start, seed=5, fixed_lambda=fixed)
         assert traj.steps.tolist() == [0]
         assert np.array_equal(traj.X, [start.coords])
         values, _ = objectives.eval_batch(start.coords[None])
@@ -1134,11 +1126,11 @@ class TestZeroSteps:
         monkeypatch.setattr(samplers, "_fill_block", no_noise)
         objectives = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=0)
-        specs = [ChainSpec("pcebm", cfg, RandomInit(d=2, scale=1.0 + i), seed=chain_seed(9, i)) for i in range(3)]
-        specs.append(ChainSpec("pcebm", cfg, DesignPoint([0.1, 0.2]), seed=1))
-        batch = run_population(objectives, as_batch(specs))
-        for spec, result in zip(specs, batch, strict=True):
-            assert_same_chain(result, run_chain(objectives, spec))
+        inits = [RandomInit(d=2, scale=1.0 + i) for i in range(3)] + [DesignPoint([0.1, 0.2])]
+        specs = samplers.ChainSpecs("pcebm", cfg, inits, [chain_seed(9, i) for i in range(3)] + [1])
+        batch = run_population(objectives, specs)
+        for j, result in enumerate(batch):
+            assert_same_chain(result, run_alone(objectives, specs, j))
             assert len(result) == 1
         for i, result in enumerate(batch[:3]):
             start = (1.0 + i) * np.random.default_rng(chain_seed(9, i)).standard_normal(2)
@@ -1150,20 +1142,21 @@ class TestZeroSteps:
         objectives = ObjectiveSet([PwmEnergy(rng.normal(size=(L, A))) for _ in range(2)])
         assert objectives.point_kind == SEQUENCE_LOGITS
         cfg = SamplerConfig(eta=0.05, steps=5, sigma=0.1)
-        traj = run_chain(objectives, ChainSpec("cebm", cfg, RandomInit(d=L * A), seed=4))
+        traj = run_chain(objectives, "cebm", cfg, RandomInit(d=L * A), seed=4)
         assert traj.X.shape == (6, L * A)
         assert np.array_equal(traj.X[0], np.random.default_rng(4).standard_normal(L * A))
 
 
-def csv_oracle(path, trajectories, objective_names=None, chain_ids=None):
-    """The row-by-row csv.writer export that write_trajectories must match byte for byte."""
-    m = trajectories[0].m
+def csv_oracle(path, results, objective_names=None, chain_ids=None):
+    """The row-by-row csv.writer export of a ChainResults's items that
+    write_trajectories must match byte for byte."""
+    m = results.m
     names = [f"f{i}" for i in range(m)] if objective_names is None else objective_names
-    ids = range(len(trajectories)) if chain_ids is None else chain_ids
+    ids = results.chain_ids.tolist() if chain_ids is None else chain_ids
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["chain_id", "step", *names, *[f"lambda{i}" for i in range(m)], "grad_norm"])
-        for cid, traj in zip(ids, trajectories):
+        for cid, traj in zip(ids, results):
             for step, values, weights, grad_norm in zip(
                 traj.steps.tolist(), traj.F.tolist(), traj.lam.tolist(), traj.grad_norm.tolist()
             ):
@@ -1195,7 +1188,7 @@ class TestTrajectoryBytes:
         assert [t.steps.tolist() for t in results] == [[0], [0, 3, 6, 9], [0, 3, 6, 9, 12, 15, 18]]
         for kwargs in ({}, {"chain_ids": [5, 0, 12]}, {"objective_names": ['a,b', 'q"x', "c"][:m]}):
             write_trajectories(tmp_path / "new.csv", results, **kwargs)
-            csv_oracle(tmp_path / "old.csv", list(results), **kwargs)
+            csv_oracle(tmp_path / "old.csv", results, **kwargs)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert b"\r\n" in (tmp_path / "new.csv").read_bytes()
 
@@ -1246,13 +1239,14 @@ class TestTrajectoryBytes:
         assert not (tmp_path / "t.csv").exists()
 
 
-def one_shot_export(path, trajectories, objective_names=None, chain_ids=None):
-    """The export as one stacked table formatted into one string, the way
-    write_trajectories wrote it before it wrote in blocks; the block-wise
-    export must keep its bytes."""
-    m = trajectories[0].m if len(trajectories) else len(objective_names)
+def one_shot_export(path, results, objective_names=None, chain_ids=None):
+    """The export of a ChainResults's items as one stacked table formatted
+    into one string, the way write_trajectories wrote it before it wrote in
+    blocks; the block-wise export must keep its bytes."""
+    m = results.m
     names = [f"f{i}" for i in range(m)] if objective_names is None else objective_names
-    ids = range(len(trajectories)) if chain_ids is None else chain_ids
+    ids = results.chain_ids if chain_ids is None else chain_ids
+    trajectories = list(results)
     body = ""
     if len(trajectories):
         table = np.column_stack([
@@ -1303,7 +1297,7 @@ class TestBlockExport:
         n = len(results)
         for kwargs in ({}, {"chain_ids": [3 * i + 7 for i in range(n)]}):
             write_trajectories(tmp_path / "blocks.csv", results, names, **kwargs)
-            one_shot_export(tmp_path / "one.csv", list(results), names, **kwargs)
+            one_shot_export(tmp_path / "one.csv", results, names, **kwargs)
             assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
         records = (tmp_path / "blocks.csv").read_bytes().count(b"\r\n") - 1
         assert records == sum(len(t) for t in results)
