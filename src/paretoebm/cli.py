@@ -51,14 +51,6 @@ def _read_points(path) -> np.ndarray:
     return np.array(rows)
 
 
-def _read_sequences(path, alphabet: str) -> list:
-    """The sequences of a file; a file without one is a ConfigError."""
-    sequences = read_sequences(path, alphabet)
-    if not sequences:
-        raise ConfigError(f"{path}: no sequences")
-    return sequences
-
-
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -72,7 +64,7 @@ def _cmd_improve(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, base_seed=args.seed)
-    seeds = _read_sequences(args.seeds, cfg.alphabet)
+    seeds = read_sequences(args.seeds, cfg.alphabet)
     scorer = load_model(args.scorer)
     report = improve_seeds(cfg, seeds, scorer)
     out = Path(cfg.output_dir)
@@ -92,7 +84,7 @@ def _cmd_train(args) -> int:
     (kind, hidden), cfg, alphabet = load_train_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    data = _read_sequences(args.data, alphabet)
+    data = read_sequences(args.data, alphabet)
     L, A = len(data[0]), data[0].alphabet_size
     model = PwmEnergy.zeros(L, A) if hidden is None else MlpEnergy.random(hidden, L=L, A=A, seed=cfg.seed)
     trained, history = cd_train(model, data, cfg)
@@ -125,8 +117,8 @@ def _cmd_hv(args) -> int:
 
 
 def _cmd_edist(args) -> int:
-    samples = _read_sequences(args.samples, args.alphabet)
-    training = _read_sequences(args.training, args.alphabet)
+    samples = read_sequences(args.samples, args.alphabet)
+    training = read_sequences(args.training, args.alphabet)
     mean, std = summarize_edist(samples, training)
     print(f"mean={mean:.12g} std={std:.12g}")
     return 0

@@ -264,11 +264,11 @@ class Trajectory:
     change a validated trajectory. The samplers check every step of a
     batch's chains as it runs and keep the records in the batch's read-only
     columns; a finished chain's Trajectory is built from them when its
-    population is indexed, as views made by ``_view`` without a second
-    check or copy. A sweep writes its cells from the columns and builds no
-    Trajectory. It asks the samplers to keep only the final coordinates;
-    a trajectory's ``X`` then holds one row, the state at ``steps[-1]``, and
-    every other column keeps all records.
+    population's results are indexed by its batch position, as views made
+    by ``_view`` without a second check or copy. A sweep writes its cells
+    from the columns and builds no Trajectory. It asks the samplers to keep
+    only the final coordinates; a trajectory's ``X`` then holds one row, the
+    state at ``steps[-1]``, and every other column keeps all records.
     """
 
     steps: np.ndarray
@@ -374,11 +374,14 @@ def sequence_from_str(
 
 
 def read_sequences(path, alphabet: str = AMINO_ALPHABET) -> list[DiscreteSequence]:
-    """Read one sequence per line; blank lines and '#' comments are skipped."""
+    """Read one sequence per line; blank lines and '#' comments are skipped.
+    A file without a sequence is a ConfigError."""
     seqs = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         seqs.append(sequence_from_str(stripped, alphabet, location=f"{path}:{lineno}"))
+    if not seqs:
+        raise ConfigError(f"{path}: no sequences")
     return seqs

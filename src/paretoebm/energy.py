@@ -531,19 +531,36 @@ def load_model(path) -> PwmEnergy | MlpEnergy:
         header = json.loads(blob[offset : offset + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ModelFormatError(f"{path}: unreadable header (not a JSON object)")
     offset += header_len
     version = header.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"{path}: unsupported format_version {version!r}, expected {MODEL_FORMAT_VERSION}"
         )
-    kind, d, L, A, H = (header.get(k) for k in ("kind", "d", "L", "A", "H"))
+    kind = header.get("kind")
+    if kind not in ("pwm", "mlp"):
+        raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+
+    def size(key: str) -> int:
+        value = header.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ModelFormatError(f"{path}: header {key} must be an int >= 1, got {value!r}")
+        return value
+
+    d = size("d")
+    if kind == "mlp" and header.get("L") is None and header.get("A") is None:
+        L = A = None  # a raw-coordinate MLP has no sequence shape
+    else:
+        L, A = size("L"), size("A")
+    if L is not None and L * A != d:
+        raise ModelFormatError(f"{path}: header d={d} disagrees with L*A={L * A}")
     if kind == "pwm":
         expected = L * A
-    elif kind == "mlp":
-        expected = H * d + H + H + 1
     else:
-        raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+        H = size("H")
+        expected = H * d + H + H + 1
     body = blob[offset:]
     if len(body) != expected * 8:
         raise ModelFormatError(
@@ -552,13 +569,8 @@ def load_model(path) -> PwmEnergy | MlpEnergy:
     params = np.frombuffer(body, dtype="<f8")
     params = params.astype(np.float64)
     if kind == "pwm":
-        model: PwmEnergy | MlpEnergy = PwmEnergy(params.reshape(L, A))
-    else:
-        w1 = params[: H * d].reshape(H, d)
-        b1 = params[H * d : H * d + H]
-        w2 = params[H * d + H : H * d + 2 * H]
-        b2 = params[-1]
-        model = MlpEnergy(w1, b1, w2, b2, L=L, A=A)
-    if model.d != d:
-        raise ModelFormatError(f"{path}: header d={d} disagrees with parameters")
-    return model
+        return PwmEnergy(params.reshape(L, A))
+    w1 = params[: H * d].reshape(H, d)
+    b1 = params[H * d : H * d + H]
+    w2 = params[H * d + H : H * d + 2 * H]
+    return MlpEnergy(w1, b1, w2, params[-1], L=L, A=A)

@@ -498,7 +498,7 @@ def _run_cell(
     try:
         first = cell.index * cfg.chains
         specs = ChainSpecs(
-            cell.method, config, (init,) * cfg.chains, chain_seeds(cfg.base_seed, range(first, first + cfg.chains)),
+            cell.method, config, init, chain_seeds(cfg.base_seed, range(first, first + cfg.chains)),
             weights if cell.method == METHOD_LS_CEBM else None,
         )
         # The cell reads only each chain's final point, so X keeps one row.
@@ -506,9 +506,8 @@ def _run_cell(
     except Exception as exc:  # noqa: BLE001 - cell failures must not abort the sweep
         logger.warning("cell %s failed: %s", cell.cell_id, exc)
         return {"cell_id": cell.cell_id, "error": f"{type(exc).__name__}: {exc}"}
-    done = results.finished()
-    steps, final_x, finals = done.finals()
-    final_columns = [done.chain_ids.tolist(), *finals.T.tolist()]
+    ids, steps, final_x, finals = results.finals()
+    final_columns = [ids.tolist(), *finals.T.tolist()]
     sequences = []
     if is_sequence:
         sequences = [sequence_to_str(_decode_final(x, problem), cfg.alphabet) for x in final_x]
@@ -518,7 +517,7 @@ def _run_cell(
         for leftover in tmp_dir.iterdir():
             leftover.unlink()
     tmp_dir.mkdir(exist_ok=True)
-    write_trajectories(tmp_dir / "trajectories.csv", done, [f"f{i}" for i in range(m)])
+    write_trajectories(tmp_dir / "trajectories.csv", results, [f"f{i}" for i in range(m)])
     _write_final_points(tmp_dir / "final_points.csv", zip(*final_columns), m, is_sequence)
     failures = results.failures()
     if failures:
@@ -532,7 +531,7 @@ def _run_cell(
     # The process's peak resident set so far (ru_maxrss is in KiB on Linux).
     logger.info(
         "cell %s: %d/%d chains ok, %.3f s, %.0f chain-steps/s, pid %d, peak RSS %.1f MB",
-        cell.cell_id, len(done), cfg.chains, wall, int(steps.sum()) / wall, os.getpid(),
+        cell.cell_id, ids.size, cfg.chains, wall, int(steps.sum()) / wall, os.getpid(),
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     )
     return finals, sequences
@@ -868,8 +867,9 @@ def improve_seeds(
 
     eta = cfg.etas[0]
     steps = cfg.steps_grid[0]
-    starts = [relax(seed) for seed in seeds]
-    before = [float(scorer.value(x)) for x in starts]
+    relaxed = [relax(seed) for seed in seeds]
+    before = [float(scorer.value(x)) for x in relaxed]
+    starts = np.stack([x.coords for x in relaxed])
 
     entries: list[dict] = []
     failures: list[dict] = []
@@ -891,8 +891,8 @@ def improve_seeds(
                     "error": f"{type(failure.error).__name__}: {failure.error}",
                 }
             )
-        done = results.finished()
-        finished += [(mi, si, _decode_final(x, problem)) for si, x in zip(done.chain_ids.tolist(), done.finals()[1])]
+        ids, _, final_x, _ = results.finals()
+        finished += [(mi, si, _decode_final(x, problem)) for si, x in zip(ids.tolist(), final_x)]
     # One bit-vector pass over every (seed, final sequence) pair.
     edits = edit_distance_matrix(seeds, [final_seq for _, _, final_seq in finished])
     for f, (mi, si, final_seq) in enumerate(finished):

@@ -21,15 +21,17 @@ A zero-step chain records its start: one record at step 0, no noise drawn.
 
 The loop runs a batch of chains as one (n, d) state array, updated in
 place. A population is one ``ChainSpecs``, the one description of chains:
-the method, the ``SamplerConfig`` and the fixed weights they share, and one
-start and one seed per chain, as columns. ``run_population`` runs it as one
-batch; every cell of a sweep is one, and so are each method's chains in
-``improve_seeds``. ``run_chain`` runs a ``ChainSpecs`` of one chain. Each
-chain keeps its own noise stream, seeded from its seed in the
-``ChainSpecs``. A random start draws its unit draws from it into its row of
-the batch's start array, scaled by one product per distribution
-(``_starts``); the chain then draws its noise,
-scaled by the noise scale, a block of steps at a time into one
+the method, the ``SamplerConfig`` and the fixed weights they share, one
+seed per chain, and their starts, as plain columns: one ``RandomInit`` that
+every chain draws from, or an ``(n, d)`` array of start rows.
+``run_population`` runs it as one batch; every cell of a sweep is one (a
+``RandomInit``), and so are each method's chains in ``improve_seeds`` (the
+stacked relaxed seeds). ``run_chain`` runs a ``ChainSpecs`` of one chain.
+Each chain keeps its own noise stream, seeded from its seed in the
+``ChainSpecs``. A random start draws each chain's unit draws from it into
+the chain's row of the batch's start array, which is then scaled in place
+as a whole (``_starts``); an array start is copied. The chain then draws its
+noise, scaled by the noise scale, a block of steps at a time into one
 preallocated buffer (``_Noise``). Every operation of a step is
 row-wise and rounds each row exactly as it would round that chain alone,
 so a chain's result does not depend on the batch it ran in, its position
@@ -48,20 +50,23 @@ and it forms the direction from elementwise ufuncs (m = 2) or one einsum
 Per-chain masks take a chain out of the batch when it stops early
 (noiseless min-norm chains stop at a Pareto-stationary point) or when it
 fails. A chain fails at the first step where its coordinates, objective
-values or gradients are non-finite, a drawn start that overflows at step 0;
-its error names the first of the three, in that order. Each step takes one
-finiteness reduction per array, and builds the per-chain masks only when
-one fails. The weights are not checked: for finite gradients they are
+values or gradients are non-finite, a start row that is not finite or a
+drawn start that overflows at step 0; its error names the first of the
+three, in that order. Starts of the wrong dimension fail the whole batch.
+Each step takes one finiteness reduction per array, and builds the
+per-chain masks only when one fails. The weights are not checked: for finite gradients they are
 finite by construction (clipped segment weights, or solutions kept only
 when non-negative), and fixed weights are a validated ``SimplexWeights``.
 The loop writes the recorded states into preallocated ``(n, rows, .)``
 columns, which are made read-only when the batch ends. ``run_population``
-returns them as a ``ChainResults``: a sequence whose item i is chain i's
-``Trajectory`` of views into the columns, or its ``ChainFailure``, built
-when it is indexed. No view can be made writable again. A sweep never
-indexes one: it reads each cell's final points (``ChainResults.finals``)
-and writes its CSV file (``write_trajectories``, which exports a
-``ChainResults`` and nothing else) from the columns.
+returns them as a ``ChainResults``: a sequence whose item j, for an int j,
+is the ``Trajectory`` of views into the columns of the chain at batch
+position j, or its ``ChainFailure``, built when it is indexed. No view can
+be made writable again. A sweep never indexes one: it reads each cell's
+finished chains' positions and final points (``ChainResults.finals``) and
+writes its CSV file (``write_trajectories``, which exports every finished
+chain of a ``ChainResults``, labelled by batch position, and nothing else)
+from the columns.
 ``run_population(..., final_x_only=True)``, the path of the sweep and of
 ``improve_seeds``, keeps one coordinate row per chain, its last record,
 written once, in place of all of them; every other column is kept whole.
@@ -77,13 +82,12 @@ handed its precomputed state words.
 
 from __future__ import annotations
 
-import copy
 import csv
 import functools
 import math
 import operator
 from collections import abc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -156,21 +160,23 @@ class RandomInit:
 
 @dataclass(frozen=True, eq=False)
 class ChainSpecs:
-    """The specs of chains that share a method, a sampler config and the
-    fixed weights, stored as columns: one start and one seed per chain.
+    """The specs of chains that share a method, a sampler config, the fixed
+    weights and their kind of start, stored as columns: one seed per chain,
+    and either one ``RandomInit`` that every chain draws from or one
+    ``(n, d)`` float array with a start row per seed.
 
     A seed is an int in [0, 2**64), the range of ``chain_seed``; a chain's
     noise stream (and a random start) is drawn from
     ``np.random.default_rng(seed)``. Construction checks the shared fields
-    once and the seeds once, which are kept as a read-only uint64 array.
-    ``len`` counts the chains, and a slice is the ``ChainSpecs`` of those
-    chains; there is no object per chain, so an integer index is a
-    TypeError. ``run_population`` runs the whole of one as one batch.
+    once, the seeds once and the start array's shape once; the seeds are
+    kept as a read-only uint64 array, a start array as a read-only float64
+    copy. ``len`` counts the chains; there is no object per chain.
+    ``run_population`` runs the whole of one as one batch.
     """
 
     method: str
     config: SamplerConfig
-    inits: Sequence[DesignPoint | RandomInit]
+    starts: RandomInit | np.ndarray
     seeds: Sequence[int]
     fixed_lambda: SimplexWeights | None = None
 
@@ -185,8 +191,16 @@ class ChainSpecs:
                 if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
                     raise ConfigError(f"seed must be an int in [0, 2**64), got {seed!r}")
             seeds = np.array([int(seed) for seed in seeds], dtype=np.uint64)
-        if seeds.ndim != 1 or seeds.size != len(self.inits):
-            raise ShapeError(f"need one start per seed, got {len(self.inits)} starts and {seeds.size} seeds")
+        if seeds.ndim != 1:
+            raise ShapeError(f"seeds must be one-dimensional, got shape {seeds.shape}")
+        starts = self.starts
+        if not isinstance(starts, RandomInit):
+            starts = np.array(starts, dtype=np.float64)
+            if starts.ndim != 2:
+                raise ShapeError(f"starts must be a RandomInit or an (n, d) array, got shape {starts.shape}")
+            if len(starts) != seeds.size:
+                raise ShapeError(f"need one start per seed, got {len(starts)} starts and {seeds.size} seeds")
+            starts.setflags(write=False)
         method = self.method
         if method not in METHODS:
             raise ConfigError(f"unknown method: {method!r}")
@@ -200,15 +214,10 @@ class ChainSpecs:
         seeds = seeds.astype(np.uint64)
         seeds.setflags(write=False)
         object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "inits", tuple(self.inits))
+        object.__setattr__(self, "starts", starts)
 
     def __len__(self) -> int:
-        return len(self.inits)
-
-    def __getitem__(self, i: slice) -> "ChainSpecs":
-        if not isinstance(i, slice):
-            raise TypeError(f"ChainSpecs takes slices, not {type(i).__name__}: it holds no object per chain")
-        return replace(self, inits=self.inits[i], seeds=self.seeds[i])
+        return self.seeds.size
 
 
 @dataclass(frozen=True)
@@ -419,54 +428,45 @@ class _Noise:
 
 
 def _starts(
-    objectives: ObjectiveSet, inits: Sequence[DesignPoint | RandomInit], rngs: Sequence[np.random.Generator]
-) -> tuple[np.ndarray, list[Exception | None]]:
-    """Every chain's start, row j for chain j of one (n, d) array, and per
-    chain the error of a start that does not fit the objectives, or None.
+    objectives: ObjectiveSet, starts: RandomInit | np.ndarray, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Every chain's start, row j for chain j of one (n, d) array: a copy of
+    a start array, or each chain's draw of a ``RandomInit``.
 
-    A random start draws its unit draws into its row, from its chain's
-    generator; then one product per distribution scales all of them: s * z
-    for normal draws and -s + 2s * u for uniform ones, the arithmetic of
-    ``RandomInit.draw``, so a start has the same bits either way. They are
-    not checked for finiteness here; a start that overflows fails its chain
-    at step 0. The row of a failed start is left undefined.
+    A random start draws each chain's unit draws into its row, from its
+    chain's generator; then the whole array is scaled in place: s * z for
+    normal draws and -s + 2s * u for uniform ones, the arithmetic of
+    ``RandomInit.draw``, so a start has the same bits either way. Starts are
+    not checked for finiteness here; one that is not finite, or that
+    overflows, fails its chain at step 0. Starts of another dimension than
+    the objectives' are a ShapeError.
     """
     d = objectives.d
-    X = np.empty((len(inits), d))
-    errors: list[Exception | None] = [None] * len(inits)
-    normal, uniform = [], []
-    for j, (init, rng) in enumerate(zip(inits, rngs)):
-        try:
-            if init.d != d:
-                raise ShapeError(f"init point has d={init.d}, objectives expect d={d}")
-            if isinstance(init, RandomInit):
-                if init.distribution == "normal":
-                    rng.standard_normal(out=X[j])
-                    normal.append(j)
-                else:
-                    rng.random(out=X[j])
-                    uniform.append(j)
-            elif init.kind != objectives.point_kind:
-                raise WrongKindError(
-                    f"init point kind {init.kind!r} does not match objectives ({objectives.point_kind!r})"
-                )
-            else:
-                X[j] = init.coords
-        except Exception as exc:  # noqa: BLE001 - a bad start fails only its own chain
-            errors[j] = exc
+    if not isinstance(starts, RandomInit):
+        if starts.shape[1] != d:
+            raise ShapeError(f"start array has d={starts.shape[1]}, objectives expect d={d}")
+        return starts.copy()
+    if starts.d != d:
+        raise ShapeError(f"random init has d={starts.d}, objectives expect d={d}")
+    X = np.empty((len(rngs), d))
+    normal, scale = starts.distribution == "normal", starts.scale
+    for x, rng in zip(X, rngs):
+        if normal:
+            rng.standard_normal(out=x)
+        else:
+            rng.random(out=x)
     with np.errstate(over="ignore"):
         if normal:
-            X[normal] *= np.array([inits[j].scale for j in normal])[:, None]
-        if uniform:
-            scale = np.array([inits[j].scale for j in uniform])[:, None]
+            X *= scale
+        else:
             # Generator.uniform(low, high) computes low + (high - low) * u.
-            X[uniform] = -scale + (2.0 * scale) * X[uniform]
-    return X, errors
+            X *= 2.0 * scale
+            X += -scale
+    return X
 
 
 class ChainResults(abc.Sequence):
-    """One batch's results: its read-only columns, by batch position j, and
-    the positions a selection keeps.
+    """One batch's results: its read-only columns, by batch position j.
 
     Chain j's records are rows ``[:rows[j]]`` of F, lam and grad_norm, at the
     steps ``schedule[:rows[j]]``, except that a chain that stopped early
@@ -475,11 +475,10 @@ class ChainResults(abc.Sequence):
     A failed chain keeps no record: ``rows[j]`` is 0 and ``errors[j]`` is its
     error. The constructor makes every column read-only.
 
-    A read-only sequence: item i is the ``Trajectory`` of chain
-    ``chain_ids[i]``, views into the columns, or its ``ChainFailure``, built
-    when it is indexed, so no object per chain exists unless a caller asks
-    for one. Slices are ChainResults over the same columns; a chain keeps its
-    batch position as its id in any of them. ``finished``, ``finals`` and
+    A read-only sequence: item j, for an int j (negatives count from the
+    end), is chain j's ``Trajectory`` of views into the columns, or its
+    ``ChainFailure``, built when it is indexed, so no object per chain
+    exists unless a caller asks for one. ``failures``, ``finals`` and
     ``write_trajectories`` read the columns directly.
     """
 
@@ -489,16 +488,15 @@ class ChainResults(abc.Sequence):
         self._errors, self._rows, self._stops, self._schedule = errors, rows, stops, schedule
         self._X, self._F, self._lam, self._grad_norm = X, F, lam, grad_norm
         self.d, self.m = X.shape[2], F.shape[2]
-        self._index = np.arange(len(errors))
-        self._index.setflags(write=False)
 
     def __len__(self) -> int:
-        return self._index.size
+        return self._rows.size
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self._select(i)
-        pos = int(self._index[i])
+    def __getitem__(self, i: int):
+        n, pos = len(self), operator.index(i)
+        if not -n <= pos < n:
+            raise IndexError(f"chain {pos} is out of range for {n} chains")
+        pos %= n
         end = int(self._rows[pos])
         if not end:
             return ChainFailure(pos, self._errors[pos])
@@ -514,59 +512,40 @@ class ChainResults(abc.Sequence):
             None if stop < 0 else stop,
         )
 
-    @property
-    def chain_ids(self) -> np.ndarray:
-        """Each item's position in its batch, read-only."""
-        return self._index
-
-    def _select(self, which) -> "ChainResults":
-        chosen = copy.copy(self)
-        chosen._index = self._index[which]
-        chosen._index.setflags(write=False)
-        return chosen
-
-    def finished(self) -> "ChainResults":
-        """The chains that did not fail, in order: a sequence of Trajectory."""
-        return self._select(self._rows[self._index] > 0)
-
     def failures(self) -> list[ChainFailure]:
         """The failed chains' ChainFailures, in order."""
-        return [self[i] for i in np.flatnonzero(self._rows[self._index] == 0).tolist()]
+        return [self[j] for j in np.flatnonzero(self._rows == 0).tolist()]
 
-    def finals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every chain's last record: its step, coordinates and objective
-        values, as (k,), (k, d) and (k, m) arrays. A failed chain has none,
-        and is a ValueError."""
-        pos = self._index
-        last = self._rows[pos] - 1
-        if (last < 0).any():
-            raise ValueError("a failed chain has no final state")
-        stops = self._stops[pos]
+    def finals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The finished chains' last records: their batch positions, steps,
+        coordinates and objective values, as (k,), (k,), (k, d) and (k, m)
+        arrays. A failed chain has none and is left out."""
+        ids = np.flatnonzero(self._rows)
+        last = self._rows[ids] - 1
+        stops = self._stops[ids]
         # Under final_x_only X keeps one row per chain, row 0.
-        X = self._X[pos, np.minimum(last, self._X.shape[1] - 1)]
-        return np.where(stops >= 0, stops, self._schedule[-1:]), X, self._F[pos, last]
+        X = self._X[ids, np.minimum(last, self._X.shape[1] - 1)]
+        return ids, np.where(stops >= 0, stops, self._schedule[-1:]), X, self._F[ids, last]
 
-    def _record_blocks(self, chain_ids: np.ndarray, size: int) -> Iterator[np.ndarray]:
-        """The export table of ``write_trajectories``, item i labelled
-        ``chain_ids[i]``, in blocks of ``size`` records, each gathered from
-        the columns when it is reached. A failed chain raises here, before
-        any block."""
-        rows = self._rows[self._index]
-        if not rows.all():
-            raise ValueError("a failed chain has no records to export")
+    def _record_blocks(self, size: int) -> Iterator[np.ndarray]:
+        """The export table of ``write_trajectories``, each finished chain
+        labelled by its batch position, in blocks of ``size`` records, each
+        gathered from the columns when it is reached. A failed chain has no
+        rows, so no record falls to it."""
+        rows = self._rows
         ends = np.cumsum(rows)
         starts, total = ends - rows, int(ends[-1]) if ends.size else 0
         m = self.m
 
         def gather(first: int, last: int) -> np.ndarray:
             record = np.arange(first, last)
-            item = np.searchsorted(ends, record, side="right")
-            pos, k = self._index[item], record - starts[item]
+            pos = np.searchsorted(ends, record, side="right")
+            k = record - starts[pos]
             stops = self._stops[pos]
             block = np.empty((record.size, 3 + 2 * m))
-            block[:, 0] = chain_ids[item]
+            block[:, 0] = pos
             # A chain that stopped early made its last record at its stop.
-            block[:, 1] = np.where((stops >= 0) & (k == self._rows[pos] - 1), stops, self._schedule[k])
+            block[:, 1] = np.where((stops >= 0) & (k == rows[pos] - 1), stops, self._schedule[k])
             block[:, 2 : 2 + m] = self._F[pos, k]
             block[:, 2 + m : 2 + 2 * m] = self._lam[pos, k]
             block[:, 2 + 2 * m] = self._grad_norm[pos, k]
@@ -608,7 +587,8 @@ def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool =
     can_stop = weights is None and not noise_on
 
     generators = _generators(specs.seeds)
-    X, errors = _starts(objectives, specs.inits, generators)
+    X = _starts(objectives, specs.starts, generators)
+    errors: list[Exception | None] = [None] * n
     last, every = cfg.steps, cfg.record_every
     schedule = np.array([*range(0, last + 1, every), *([last] if last % every else [])], dtype=np.int64)
     d = X.shape[1]
@@ -617,12 +597,9 @@ def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool =
     F_rec = np.empty((n, schedule.size, m))
     lam_rec = np.empty((n, schedule.size, m))
     norm_rec = np.empty((n, schedule.size))
-    ok = np.array([error is None for error in errors], dtype=bool)
-    rows = np.where(ok, schedule.size, 0)
+    rows = np.full(n, schedule.size)
     stops = np.full(n, -1)
-    active = np.flatnonzero(ok)  # batch positions of the running chains, the rows of X
-    if not ok.all():
-        X = X[active]
+    active = np.arange(n)  # batch positions of the running chains, the rows of X
     noise = None
     row = 0
 
@@ -639,7 +616,7 @@ def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool =
     # warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if noise_on and active.size:
-            noise = _Noise([generators[j] for j in active.tolist()], cfg.noise_kind, noise_scale, d, last)
+            noise = _Noise(generators, cfg.noise_kind, noise_scale, d, last)
         for step in range(last + 1):
             if not active.size:
                 break
@@ -710,8 +687,13 @@ def run_chain(
     fixed_lambda: SimplexWeights | None = None,
 ) -> Trajectory:
     """Run one chain of ``method``: a ``ChainSpecs`` of one chain, as one
-    batch. A failed chain raises its error."""
-    result = _run_batch(objectives, ChainSpecs(method, config, [init], [seed], fixed_lambda))[0]
+    batch. A design start must be of the objectives' point kind. A failed
+    chain raises its error."""
+    if isinstance(init, DesignPoint):
+        if init.kind != objectives.point_kind:
+            raise WrongKindError(f"init point kind {init.kind!r} does not match objectives ({objectives.point_kind!r})")
+        init = init.coords[None]
+    result = _run_batch(objectives, ChainSpecs(method, config, init, [seed], fixed_lambda))[0]
     if isinstance(result, ChainFailure):
         raise result.error
     return result
@@ -735,51 +717,23 @@ def run_population(objectives: ObjectiveSet, specs: ChainSpecs, *, final_x_only:
         return _failed_results(exc, len(specs), objectives.d, objectives.m)
 
 
-def _exact_ids(chain_ids) -> np.ndarray:
-    """The chain ids as an int64 array. An id that is not an integer, or
-    that a float64 record cannot hold exactly (magnitude above 2**53), is a
-    ValueError naming it."""
-    exact = []
-    for cid in chain_ids:
-        try:
-            value = operator.index(cid)
-        except TypeError:
-            value = None
-        if value is None or abs(value) > 2**53:
-            raise ValueError(f"chain id {cid!r} is not an integer of magnitude at most 2**53")
-        exact.append(value)
-    return np.array(exact, dtype=np.int64)
-
-
-def write_trajectories(
-    path,
-    results: ChainResults,
-    objective_names: Sequence[str] | None = None,
-    chain_ids: Sequence[int] | None = None,
-) -> None:
+def write_trajectories(path, results: ChainResults, objective_names: Sequence[str] | None = None) -> None:
     """Export the finished chains of a ``ChainResults`` as CSV: one record
     per line with fields (chain_id, step, objective values..., lambda...,
-    grad_norm). Chain ids default to ``results.chain_ids``, each chain's
-    position in its batch, so a selection keeps its chains' ids; each id
-    must be an integer of magnitude at most 2**53, checked before the file
-    is opened.
+    grad_norm), a chain's id being its position in its batch. A failed chain
+    has no records and writes no line.
 
     The bytes are those of the csv module's default writer: ``\\r\\n`` line
     ends, ``repr`` floats and plain integer chain ids and steps. The records
     are formatted and written ``_CSV_BLOCK_ROWS`` at a time, each block
     gathered from the columns into a float table and formatted in one pass,
     without a Trajectory per chain, so an export holds one block's table,
-    floats and text, whatever its record count. An empty ChainResults
-    writes the header alone.
+    floats and text, whatever its record count. A ChainResults with no
+    finished chain writes the header alone.
     """
     if not isinstance(results, ChainResults):
         raise TypeError(f"write_trajectories exports a ChainResults, got {type(results).__name__}")
-    n, m = len(results), results.m
-    if chain_ids is None:
-        chain_ids = results.chain_ids
-    if len(chain_ids) != n:
-        raise ShapeError(f"got {len(chain_ids)} chain ids for {n} trajectories")
-    blocks = results._record_blocks(_exact_ids(chain_ids), _CSV_BLOCK_ROWS)
+    m = results.m
     if objective_names is None:
         objective_names = [f"f{i}" for i in range(m)]
     if len(objective_names) != m:
@@ -788,5 +742,5 @@ def write_trajectories(
     header = ["chain_id", "step", *objective_names, *[f"lambda{i}" for i in range(m)], "grad_norm"]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for block in blocks:
+        for block in results._record_blocks(_CSV_BLOCK_ROWS):
             fh.write(record * len(block) % tuple(block.ravel().tolist()))

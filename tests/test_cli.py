@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import yaml
 from paretoebm import cli
 from paretoebm.cli import main
 from paretoebm.core import DiscreteSequence
-from paretoebm.energy import PwmEnergy, load_model, save_model
+from paretoebm.energy import MODEL_MAGIC, PwmEnergy, load_model, save_model
 from paretoebm.harness import _TRAIN_KEYS
 
 NAN = float("nan")
@@ -328,6 +329,17 @@ class TestSweepCommand:
         payload = json.loads(err)
         assert payload["error"] == "ConfigError"
         assert next(iter(over)) in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_model_header_is_a_model_format_error(self, capsys, tmp_path):
+        header = json.dumps({"format_version": 1, "kind": "pwm", "d": 20, "L": None, "A": 4, "H": None}).encode()
+        model = tmp_path / "m.model"
+        model.write_bytes(MODEL_MAGIC + struct.pack("<Q", len(header)) + header + np.zeros(20).tobytes())
+        cfg = self._write_cfg(tmp_path, problem="sequence-energies", model_files=["m.model"], alphabet="ACGT")
+        code, out, err = run_cli(capsys, "sweep", cfg)
+        assert (code, out) == (1, "")
+        message = f"{model}: header L must be an int >= 1, got None"
+        assert json.loads(err) == {"error": "ModelFormatError", "message": message}
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["config", "flag"])

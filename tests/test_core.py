@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,9 @@ class TestSequenceText:
         path = tmp_path / "seqs.txt"
         path.write_text("# header\nACD\n\nWWW\n")
         assert len(read_sequences(path)) == 2
+        path.write_text("# header\n\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: no sequences")):
+            read_sequences(path)
 
     def test_read_reports_location(self, tmp_path):
         path = tmp_path / "seqs.txt"

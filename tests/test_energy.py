@@ -1,4 +1,7 @@
+import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from paretoebm.core import (
     relax,
 )
 from paretoebm.energy import (
+    MODEL_MAGIC,
     CdTrainConfig,
     EnergyModel,
     FonsecaFlemingBranch,
@@ -430,6 +434,15 @@ class TestCdTrain:
             assert rel_error(np.asarray(grad).reshape(-1), fd) < 1e-6
 
 
+def model_file(path, n_params=8, **header):
+    """A model file whose header is a valid 2 x 4 pwm header with ``header``
+    written over it, followed by ``n_params`` zero parameters."""
+    fields = {"format_version": 1, "kind": "pwm", "d": 8, "L": 2, "A": 4, "H": None, **header}
+    blob = json.dumps(fields).encode()
+    path.write_bytes(MODEL_MAGIC + struct.pack("<Q", len(blob)) + blob + np.zeros(n_params).tobytes())
+    return path
+
+
 class TestPersistence:
     def test_pwm_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -475,6 +488,31 @@ class TestPersistence:
         path = tmp_path / "m.model"
         path.write_bytes(b"garbage data here")
         with pytest.raises(ModelFormatError, match="magic"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"L": None}, {"L": 2.0}, {"A": True}, {"d": "8"}, {"d": 0}, {"d": 9},
+            {"kind": "mlp", "H": "x"}, {"kind": "mlp", "H": -1}, {"kind": "mlp", "H": 0}, {"kind": "mlp", "H": True},
+            {"kind": "mlp", "H": 1, "L": None},
+        ],
+    )
+    def test_malformed_header_sizes_are_format_errors(self, tmp_path, header):
+        # d, L, A and an mlp's H must be ints >= 1 with L * A = d; a raw mlp
+        # has neither L nor A.
+        assert isinstance(load_model(model_file(tmp_path / "pwm.model")), PwmEnergy)
+        raw = model_file(tmp_path / "raw.model", 6, kind="mlp", d=3, L=None, A=None, H=1)
+        assert load_model(raw).point_kind == "raw"
+        path = model_file(tmp_path / "m.model", **header)
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path}: header ")):
+            load_model(path)
+
+    def test_header_that_is_not_an_object_is_a_format_error(self, tmp_path):
+        blob = b"[1, 2]"
+        path = tmp_path / "m.model"
+        path.write_bytes(MODEL_MAGIC + struct.pack("<Q", len(blob)) + blob)
+        with pytest.raises(ModelFormatError, match="not a JSON object"):
             load_model(path)
 
     def test_version_mismatch_mentions_version(self, tmp_path):

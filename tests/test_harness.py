@@ -652,6 +652,21 @@ class TestRunSweep:
         finals = (tmp_path / "out" / "cells" / report["cells"][0]["cell_id"] / "final_points.csv").read_text()
         assert "sequence" in finals.splitlines()[0]
 
+    def test_training_file_without_sequences_refused_before_any_cell(self, tmp_path):
+        save_model(PwmEnergy(np.zeros((6, 4))), tmp_path / "m.model")
+        train_path = tmp_path / "train.txt"
+        train_path.write_text("# no sequences here\n\n")
+        cfg = load_config(
+            write_config(
+                tmp_path / "cfg.yaml", problem="sequence-energies", model_files=["m.model"],
+                training_sequences="train.txt", alphabet="ACGT", methods=["cebm"], chains=2, steps=[3],
+            )
+        )
+        with pytest.raises(ConfigError) as refused:
+            run_sweep(cfg)
+        assert str(refused.value) == f"{train_path}: no sequences"
+        assert not (tmp_path / "out" / "cells").exists()
+
 
 def small_sweep(tmp_path, problem):
     """Eight cells of equal cost, so two processes run cells 0, 2, 4, 6 and 1, 3, 5, 7."""

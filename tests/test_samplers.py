@@ -3,6 +3,7 @@ import gc
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,10 +56,16 @@ def trajectories_equal(t1, t2):
 
 def run_alone(objectives, specs, j):
     """Chain j of a ChainSpecs, run alone by run_chain."""
+    start = specs.starts if isinstance(specs.starts, RandomInit) else DesignPoint(specs.starts[j])
     return run_chain(
-        objectives, specs.method, specs.config, specs.inits[j], seed=int(specs.seeds[j]),
-        fixed_lambda=specs.fixed_lambda,
+        objectives, specs.method, specs.config, start, seed=int(specs.seeds[j]), fixed_lambda=specs.fixed_lambda
     )
+
+
+def reversed_specs(specs):
+    """The same chains as ``specs``, in reverse order."""
+    starts = specs.starts if isinstance(specs.starts, RandomInit) else specs.starts[::-1]
+    return replace(specs, starts=starts, seeds=specs.seeds[::-1])
 
 
 class TestMgd:
@@ -271,11 +278,11 @@ class TestStationaryMoments:
         kurtosis = 3.0 if noise == "gaussian" else 3.0 - 1.2 * (1.0 - rho**2) / (1.0 + rho**2)
         n = self.CHAINS
         specs = samplers.ChainSpecs(
-            method, cfg, [RandomInit(d=3)] * n, samplers.chain_seeds(2026, range(case * n, (case + 1) * n)),
+            method, cfg, RandomInit(d=3), samplers.chain_seeds(2026, range(case * n, (case + 1) * n)),
             SimplexWeights(weights) if method == "ls_cebm" else None,
         )
         results = run_population(objectives, specs, final_x_only=True)
-        X = results.finals()[1]
+        X = results.finals()[2]
         mean_se = np.sqrt(variance / n)
         var_se = variance * np.sqrt((kurtosis - (n - 3) / (n - 1)) / n)
         for j in coords:
@@ -287,13 +294,13 @@ class TestStationaryMoments:
 class TestRunPopulation:
     def test_failures_tagged_and_isolated(self):
         objs = opposing_quadratics()
-        good, bad = DesignPoint([1.0, 1.0]), DesignPoint([1.0, 1.0, 1.0])
-        specs = samplers.ChainSpecs("cebm", SamplerConfig(eta=0.1, steps=10, sigma=0.0), [good, bad, good], [1] * 3)
+        starts = [[1.0, 1.0], [np.nan, 1.0], [1.0, 1.0]]
+        specs = samplers.ChainSpecs("cebm", SamplerConfig(eta=0.1, steps=10, sigma=0.0), starts, [1] * 3)
         results = run_population(objs, specs)
         assert not isinstance(results[0], ChainFailure)
         assert isinstance(results[1], ChainFailure)
         assert results[1].index == 1
-        assert isinstance(results[1].error, ShapeError)
+        assert str(results[1].error) == "coords must be finite (no NaN/Inf); step 0 is not"
         assert not isinstance(results[2], ChainFailure)
 
     @pytest.mark.parametrize("problem,eta", [("opposing-quadratics", 40.0), ("tri-quadratic", 5.0)])
@@ -301,22 +308,22 @@ class TestRunPopulation:
         # Only steps 0 and 400 are recorded; the chain overflows in between.
         prob = get_problem(problem)
         cfg = SamplerConfig(eta=eta, steps=400, sigma=0.0, record_every=400)
-        [result] = run_population(prob.objectives, samplers.ChainSpecs("cebm", cfg, [RandomInit(d=prob.d)], [3]))
+        [result] = run_population(prob.objectives, samplers.ChainSpecs("cebm", cfg, RandomInit(d=prob.d), [3]))
         assert isinstance(result, ChainFailure)
         assert isinstance(result.error, ValueError)
 
     def test_pcebm_population_produces_a_front(self):
         prob = get_problem("fonseca-fleming")
         cfg = SamplerConfig(eta=0.01, steps=120, record_every=120)
-        specs = samplers.ChainSpecs("pcebm", cfg, [RandomInit(d=3)] * 256, samplers.chain_seeds(7, range(256)))
+        specs = samplers.ChainSpecs("pcebm", cfg, RandomInit(d=3), samplers.chain_seeds(7, range(256)))
         results = run_population(prob.objectives, specs)
         finals = [t.F[-1] for t in results]
         assert len(pareto_filter(finals)) >= 10
 
     def test_a_list_of_chain_specs_is_a_type_error(self):
         cfg = SamplerConfig(eta=0.1, steps=3, sigma=0.0)
-        specs = samplers.ChainSpecs("cebm", cfg, [DesignPoint([1.0, 1.0])] * 2, [0, 1])
-        for population in ([specs], [specs[:1], specs[1:]], [], (specs,), list(specs.inits)):
+        specs = samplers.ChainSpecs("cebm", cfg, [[1.0, 1.0]] * 2, [0, 1])
+        for population in ([specs], [specs, specs], [], (specs,), list(specs.starts), specs.starts):
             with pytest.raises(TypeError, match="run_population runs one ChainSpecs"):
                 run_population(opposing_quadratics(), population)
 
@@ -375,7 +382,7 @@ class TestSeeding:
     def test_edge_seed_batch_matches_solo_chains(self, method, noise_kind):
         objectives = quadratic_pair(5)
         cfg = SamplerConfig(eta=0.05, steps=12, noise_kind=noise_kind)
-        specs = samplers.ChainSpecs(method, cfg, [RandomInit(d=5)] * len(EDGE_SEEDS), EDGE_SEEDS)
+        specs = samplers.ChainSpecs(method, cfg, RandomInit(d=5), EDGE_SEEDS)
         batch = run_population(objectives, specs)
         for j, result in enumerate(batch):
             assert_same_chain(result, run_alone(objectives, specs, j))
@@ -425,14 +432,16 @@ METHOD_NOISE = [
 
 
 def batch_specs(method, noise_kind, objectives, eta, steps, record_every, chains=4):
+    """Chains of one method: drawn starts under gaussian noise or none, an
+    array of fixed starts under uniform noise."""
     d, m = objectives.d, objectives.m
     fixed = SimplexWeights(np.arange(1.0, m + 1.0) / (m * (m + 1) / 2)) if method == "ls_cebm" else None
     cfg = SamplerConfig(eta=eta, steps=steps, noise_kind=noise_kind, record_every=record_every)
-    inits = [
-        RandomInit(d=d, scale=1.0 + i) if i % 2 else DesignPoint(np.linspace(-1.0, 1.0, d) * (i + 1) / 4)
-        for i in range(chains)
-    ]
-    return samplers.ChainSpecs(method, cfg, inits, samplers.chain_seeds(17, range(chains)), fixed)
+    if noise_kind == "uniform":
+        starts = np.outer(np.arange(1.0, chains + 1.0) / 4, np.linspace(-1.0, 1.0, d))
+    else:
+        starts = RandomInit(d=d, scale=1.5)
+    return samplers.ChainSpecs(method, cfg, starts, samplers.chain_seeds(17, range(chains)), fixed)
 
 
 class TestBatchKernel:
@@ -451,7 +460,7 @@ class TestBatchKernel:
         specs = batch_specs(method, noise_kind, objectives, eta, steps, record_every)
         batch = run_population(objectives, specs)
         # The same starts and seeds, in reverse order, as one ChainSpecs.
-        reversed_batch = run_population(objectives, specs[::-1])[::-1]
+        reversed_batch = list(run_population(objectives, reversed_specs(specs)))[::-1]
         for j, (result, reversed_result) in enumerate(zip(batch, reversed_batch, strict=True)):
             solo = run_alone(objectives, specs, j)
             assert_same_chain(result, solo)
@@ -464,7 +473,7 @@ class TestBatchKernel:
         objectives = four_quadratics() if problem == "four-quadratics" else get_problem(problem).objectives
         cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
         starts = [[0.0, 50.0], stationary, [0.0, 1.0], [0.3, 40.0]]
-        specs = samplers.ChainSpecs("mgd", cfg, [DesignPoint(x) for x in starts], [0] * len(starts))
+        specs = samplers.ChainSpecs("mgd", cfg, starts, [0] * len(starts))
         solo = [run_alone(objectives, specs, j) for j in range(len(specs))]
         assert solo[1].terminated_early and solo[1].termination_step == 0 and len(solo[1]) == 1
         assert not solo[0].terminated_early and not solo[3].terminated_early
@@ -482,7 +491,7 @@ class TestBatchKernel:
         # drift (norm 7e-5 at its default tolerance) kept this chain moving.
         objectives = get_problem("tri-quadratic").objectives
         cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
-        specs = samplers.ChainSpecs("mgd", cfg, [DesignPoint([0.0, 50.0]), DesignPoint([0.6, 0.2])], [0, 0])
+        specs = samplers.ChainSpecs("mgd", cfg, [[0.0, 50.0], [0.6, 0.2]], [0, 0])
         batch = run_population(objectives, specs)
         stopped = batch[1]
         assert stopped.terminated_early and stopped.termination_step == 0 and len(stopped) == 1
@@ -515,7 +524,7 @@ class TestBatchKernel:
         objectives = opposing_quadratics()
         cfg = SamplerConfig(eta=1.5, steps=40, noise_kind="none", record_every=40)
         starts = [[3.0, 0.0], [2.0, 0.0], [0.0, 1e300], [0.3, 1e-3]]
-        specs = samplers.ChainSpecs("mgd", cfg, [DesignPoint(x) for x in starts], [0] * len(starts))
+        specs = samplers.ChainSpecs("mgd", cfg, starts, [0] * len(starts))
         results = run_population(objectives, specs)
         failure = results[2]
         assert isinstance(failure, ChainFailure) and failure.index == 2
@@ -541,7 +550,7 @@ class TestBatchKernel:
         while x <= 0.0:
             x, first = x + climb, first + 1
         assert first % cfg.record_every
-        starts = [DesignPoint(np.r_[x0, np.zeros(d - 1)]) for x0 in (-100.0, -0.55, -50.0)]
+        starts = [np.r_[x0, np.zeros(d - 1)] for x0 in (-100.0, -0.55, -50.0)]
         specs = samplers.ChainSpecs(method, cfg, starts, [0] * 3)
         results = run_population(objectives, specs)
         message = f"gradients must be finite (no NaN/Inf); step {first} is not"
@@ -557,47 +566,52 @@ def mixed_population():
     a stop at step 0, and chains that run to the end."""
     objectives = get_problem("fonseca-fleming").objectives
     calm = SamplerConfig(eta=0.2, steps=25, noise_kind="none", record_every=4, grad_tol=0.02)
-    inits = [
-        RandomInit(d=3),
-        DesignPoint([0.5, 0.2, 0.1]),  # stops between records
-        RandomInit(d=3, distribution="uniform"),
-        DesignPoint([1.0, 1.0]),  # wrong d
-        DesignPoint([0.0, 0.0, 0.0]),  # stops at step 0
-        DesignPoint([-1.0, 0.4, 0.9]),
-        DesignPoint([0.9, -0.5, 0.1]),
+    starts = [
+        np.random.default_rng(1).standard_normal(3),
+        [0.5, 0.2, 0.1],  # stops between records
+        np.random.default_rng(3).uniform(-1.0, 1.0, 3),
+        [1.0, np.inf, 1.0],  # fails at step 0
+        [0.0, 0.0, 0.0],  # stops at step 0
+        [-1.0, 0.4, 0.9],
+        [0.9, -0.5, 0.1],
     ]
-    return objectives, samplers.ChainSpecs("mgd", calm, inits, range(1, 8))
+    return objectives, samplers.ChainSpecs("mgd", calm, starts, range(1, 8))
 
 
 class TestChainSpecs:
-    def test_slices_are_chain_specs(self):
+    def test_starts_and_seeds_are_columns(self):
         cfg = SamplerConfig(eta=0.1, steps=3)
-        inits = [RandomInit(d=2), DesignPoint([0.5, 0.5]), RandomInit(d=2, scale=2.0)]
-        specs = samplers.ChainSpecs("cebm", cfg, inits, [0, 2**64 - 1, 7])
-        assert len(specs) == 3 and specs.inits == tuple(inits)
+        given = np.array([[0, 1], [2, 3], [4, 5]])
+        specs = samplers.ChainSpecs("cebm", cfg, given, [0, 2**64 - 1, 7])
+        assert len(specs) == 3 and (specs.method, specs.config) == ("cebm", cfg)
         assert specs.seeds.dtype == np.uint64 and not specs.seeds.flags.writeable
         assert specs.seeds.tolist() == [0, 2**64 - 1, 7]
-        tail = specs[1:]
-        assert isinstance(tail, samplers.ChainSpecs) and (tail.method, tail.config) == ("cebm", cfg)
-        assert tail.inits == tuple(inits[1:]) and tail.seeds.tolist() == [2**64 - 1, 7]
-        assert not tail.seeds.flags.writeable and len(specs[3:]) == 0
+        assert specs.starts.dtype == np.float64 and not specs.starts.flags.writeable
+        # A copy: the caller's array stays writable, and changing it later
+        # does not change the specs.
+        given[0, 0] = 9
+        assert given.flags.writeable and specs.starts.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        init = RandomInit(d=2, scale=2.0)
+        shared = samplers.ChainSpecs("cebm", cfg, init, [0, 1, 2, 3])
+        assert shared.starts is init and len(shared) == 4
 
     @pytest.mark.parametrize("index", [0, -1, 3, np.int64(1)])
     def test_an_integer_index_is_a_type_error(self, index):
-        specs = samplers.ChainSpecs("cebm", SamplerConfig(eta=0.1, steps=3), [RandomInit(d=2)] * 3, [0, 1, 2])
-        with pytest.raises(TypeError, match="ChainSpecs takes slices"):
+        # There is no object per chain to index.
+        specs = samplers.ChainSpecs("cebm", SamplerConfig(eta=0.1, steps=3), RandomInit(d=2), [0, 1, 2])
+        with pytest.raises(TypeError, match="not subscriptable"):
             specs[index]
 
     @pytest.mark.parametrize("seed", ["3", np.int64(-1)])
     def test_rejects_bad_seeds(self, seed):
         cfg = SamplerConfig(eta=0.1, steps=1)
         with pytest.raises(ConfigError, match="seed must be an int"):
-            samplers.ChainSpecs("cebm", cfg, [DesignPoint([0.0])], [seed])
+            samplers.ChainSpecs("cebm", cfg, [[0.0]], [seed])
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int32(5)])
     def test_accepts_every_seed_in_range(self, seed):
         cfg = SamplerConfig(eta=0.1, steps=1)
-        assert samplers.ChainSpecs("cebm", cfg, [DesignPoint([0.0])], [seed]).seeds.tolist() == [int(seed)]
+        assert samplers.ChainSpecs("cebm", cfg, [[0.0]], [seed]).seeds.tolist() == [int(seed)]
 
     def test_seed_is_not_a_config_field(self):
         with pytest.raises(TypeError):
@@ -621,16 +635,33 @@ class TestChainSpecs:
     def test_checks_of_a_chain_spec(self, method, noise_kind, fixed, seeds, error):
         cfg = SamplerConfig(eta=0.1, steps=3, noise_kind=noise_kind)
         with pytest.raises(ConfigError, match=error):
-            samplers.ChainSpecs(method, cfg, [RandomInit(d=2)] * 2, seeds, fixed)
+            samplers.ChainSpecs(method, cfg, RandomInit(d=2), seeds, fixed)
 
     def test_one_start_per_seed(self):
         with pytest.raises(ShapeError, match="need one start per seed, got 2 starts and 3 seeds"):
-            samplers.ChainSpecs("cebm", SamplerConfig(eta=0.1, steps=3), [RandomInit(d=2)] * 2, [0, 1, 2])
+            samplers.ChainSpecs("cebm", SamplerConfig(eta=0.1, steps=3), np.zeros((2, 2)), [0, 1, 2])
+
+    @pytest.mark.parametrize("starts", [[0.0, 1.0], np.zeros(2), np.zeros((2, 1, 2)), 0.5])
+    def test_a_start_array_must_be_two_dimensional(self, starts):
+        with pytest.raises(ShapeError, match="starts must be a RandomInit or an \\(n, d\\) array"):
+            samplers.ChainSpecs("cebm", SamplerConfig(eta=0.1, steps=3), starts, [0, 1])
+
+    @pytest.mark.parametrize("starts", [np.zeros((3, 2)), RandomInit(d=2)])
+    def test_starts_of_the_wrong_d_fail_every_chain(self, starts):
+        # The objectives take d = 3: the whole batch is a ShapeError, one
+        # ChainFailure per chain, and run_chain raises it for a lone chain.
+        objectives = get_problem("fonseca-fleming").objectives
+        specs = samplers.ChainSpecs("cebm", SamplerConfig(eta=0.1, steps=3), starts, [0, 1, 2])
+        results = run_population(objectives, specs)
+        assert [f.index for f in results.failures()] == [0, 1, 2]
+        assert all(isinstance(f.error, ShapeError) and "objectives expect d=3" in str(f.error) for f in results)
+        with pytest.raises(ShapeError, match="objectives expect d=3"):
+            run_alone(objectives, specs, 1)
 
     def test_runs_as_one_batch_like_its_chain_specs(self, monkeypatch):
         objectives = get_problem("fonseca-fleming").objectives
         cfg = SamplerConfig(eta=0.05, steps=20, alpha=0.01, record_every=3)
-        specs = samplers.ChainSpecs("pcebm", cfg, [RandomInit(d=3)] * 5, samplers.chain_seeds(3, range(5)))
+        specs = samplers.ChainSpecs("pcebm", cfg, RandomInit(d=3), samplers.chain_seeds(3, range(5)))
         calls = count_batches(monkeypatch)
         batch = run_population(objectives, specs)
         assert calls == [5]
@@ -647,28 +678,25 @@ class TestChainResults:
         results = run_population(objectives, specs)
         items = list(results)
         assert len(results) == len(items) == len(specs)
-        assert results.chain_ids.tolist() == list(range(len(specs)))
         for index, item in enumerate(items):
             if index == 3:
-                assert isinstance(item, ChainFailure) and item.index == 3 and isinstance(item.error, ShapeError)
+                assert isinstance(item, ChainFailure) and item.index == 3
+                assert str(item.error) == "coords must be finite (no NaN/Inf); step 0 is not"
             else:
                 assert_same_chain(item, run_alone(objectives, specs, index))
         assert items[4].terminated_early and items[4].termination_step == 0
         assert items[1].steps.tolist() == [0, 4, 8, 12, 16, 18] and items[1].termination_step == 18
-        tail = results[-3:]
-        assert tail.chain_ids.tolist() == [4, 5, 6]
-        assert trajectories_equal(results[-1], items[-1]) and trajectories_equal(tail[0], items[4])
-        backwards = results[::-2]
-        assert backwards.chain_ids.tolist() == [6, 4, 2, 0]
-        for item, index in zip(backwards, [6, 4, 2, 0]):
-            assert_same_chain(item, items[index])
+        # Items are indexed by int, negatives from the end, and by nothing else.
+        assert trajectories_equal(results[-1], items[-1]) and trajectories_equal(results[-3], items[4])
+        assert trajectories_equal(results[np.int64(2)], items[2])
+        assert results[-4].index == 3
+        for index in (len(specs), -len(specs) - 1):
+            with pytest.raises(IndexError):
+                results[index]
+        for index in (slice(1, 3), 1.0, [0, 1]):
+            with pytest.raises(TypeError):
+                results[index]
         assert [f.index for f in results.failures()] == [3]
-        assert [f.index for f in results[4:].failures()] == []
-        assert results.finished().chain_ids.tolist() == [0, 1, 2, 4, 5, 6]
-        assert results[3:].finished().chain_ids.tolist() == [4, 5, 6]
-        with pytest.raises(IndexError):
-            results[len(specs)]
-        assert not results.chain_ids.flags.writeable
 
     def test_items_are_built_on_access(self, monkeypatch):
         objectives, specs = mixed_population()
@@ -676,8 +704,7 @@ class TestChainResults:
         view = Trajectory._view.__func__
         monkeypatch.setattr(Trajectory, "_view", classmethod(lambda cls, *a: built.append(1) or view(cls, *a)))
         results = run_population(objectives, specs, final_x_only=True)
-        done = results.finished()
-        done.finals()
+        results.finals()
         results.failures()
         assert built == []
         results[0]
@@ -685,55 +712,56 @@ class TestChainResults:
 
     @pytest.mark.parametrize("final_x_only", [False, True])
     def test_finals_are_each_chains_last_record(self, final_x_only):
+        # Chain 3, in the middle of the batch, failed: the finals skip it and
+        # name every other chain by its batch position.
         objectives, specs = mixed_population()
         results = run_population(objectives, specs, final_x_only=final_x_only)
-        done = results.finished()
-        steps, X, F = done.finals()
+        ids, steps, X, F = results.finals()
+        assert ids.tolist() == [0, 1, 2, 4, 5, 6]
         assert X.shape == (6, 3) and F.shape == (6, 2)
-        for k, traj in enumerate(done):
+        for k, j in enumerate(ids.tolist()):
+            traj = results[j]
             assert steps[k] == traj.steps[-1]
             assert np.array_equal(X[k], traj.X[-1]) and np.array_equal(F[k], traj.F[-1])
         assert steps.tolist() == [25, 18, 25, 0, 25, 25]
-        with pytest.raises(ValueError, match="a failed chain has no final state"):
-            results.finals()
-        empty = results[3:4].finished().finals()
-        assert [a.shape for a in empty] == [(0,), (0, 3), (0, 2)]
+        # A batch whose every chain failed has no finals.
+        failed = run_population(objectives, replace(specs, starts=np.zeros((7, 2))), final_x_only=final_x_only)
+        assert [a.shape for a in failed.finals()] == [(0,), (0,), (0, 3), (0, 2)]
 
     @pytest.mark.parametrize("final_x_only", [False, True])
     def test_export_from_columns_matches_indexed_trajectories(self, tmp_path, final_x_only):
         # The finished chains' records, in order, with each early stop's step
-        # in place of its last scheduled one.
+        # in place of its last scheduled one; the failed chain 3 writes none.
         objectives, specs = mixed_population()
-        done = run_population(objectives, specs, final_x_only=final_x_only).finished()
-        for kwargs in ({}, {"chain_ids": done.chain_ids}, {"chain_ids": [9, 8, 7, 6, 5, 4]}):
-            write_trajectories(tmp_path / "columns.csv", done, **kwargs)
-            csv_oracle(tmp_path / "oracle.csv", done, **kwargs)
+        results = run_population(objectives, specs, final_x_only=final_x_only)
+        for kwargs in ({}, {"objective_names": ["a", "b"]}):
+            write_trajectories(tmp_path / "columns.csv", results, **kwargs)
+            csv_oracle(tmp_path / "oracle.csv", results, **kwargs)
             assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-        # Chain 4 stopped at step 0; a selection keeps its chains' ids.
-        write_trajectories(tmp_path / "one.csv", done[3:4])
-        assert [line[:4] for line in (tmp_path / "one.csv").read_text().splitlines()[1:]] == ["4,0,"]
-        write_trajectories(tmp_path / "none.csv", done[:0], objective_names=["a", "b"])
+        ids = [line.split(",")[0] for line in (tmp_path / "columns.csv").read_text().splitlines()[1:]]
+        assert sorted(set(ids)) == ["0", "1", "2", "4", "5", "6"] and ids.count("4") == 1
+        nothing = samplers.ChainSpecs("mgd", specs.config, np.empty((0, 3)), [])
+        write_trajectories(tmp_path / "none.csv", run_population(objectives, nothing), objective_names=["a", "b"])
         assert (tmp_path / "none.csv").read_bytes() == b"chain_id,step,a,b,lambda0,lambda1,grad_norm\r\n"
 
-    def test_export_of_a_selection_keeps_its_chain_ids(self, tmp_path):
-        # Chain 1's start has the wrong d, so the finished chains are 0 and 2.
+    def test_export_with_a_failed_chain_matches_the_oracle(self, tmp_path):
+        # Chain 1's start is not finite, so the finished chains are 0 and 2,
+        # and they keep their batch positions as ids.
         cfg = SamplerConfig(eta=0.1, steps=3, noise_kind="none")
-        starts = [DesignPoint([0.5, 0.2, 0.1]), DesignPoint([1.0, 1.0]), DesignPoint([-0.3, 0.4, 0.9])]
+        starts = [[0.5, 0.2, 0.1], [np.nan, 1.0, 1.0], [-0.3, 0.4, 0.9]]
         results = run_population(get_problem("fonseca-fleming").objectives, samplers.ChainSpecs("mgd", cfg, starts, [0] * 3))
-        done = results.finished()
-        assert done.chain_ids.tolist() == [0, 2]
-        write_trajectories(tmp_path / "default.csv", done)
-        write_trajectories(tmp_path / "given.csv", done, chain_ids=[0, 2])
-        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
-        ids = {line.split(",")[0] for line in (tmp_path / "default.csv").read_text().splitlines()[1:]}
+        assert [f.index for f in results.failures()] == [1]
+        write_trajectories(tmp_path / "columns.csv", results)
+        csv_oracle(tmp_path / "oracle.csv", results)
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        ids = {line.split(",")[0] for line in (tmp_path / "columns.csv").read_text().splitlines()[1:]}
         assert ids == {"0", "2"}
 
-    def test_export_refuses_failures(self, tmp_path):
+    def test_export_needs_one_name_per_objective(self, tmp_path):
         objectives, specs = mixed_population()
-        with pytest.raises(ValueError, match="a failed chain has no records"):
-            write_trajectories(tmp_path / "t.csv", run_population(objectives, specs))
         with pytest.raises(ShapeError, match="need 2 objective names, got 1"):
-            write_trajectories(tmp_path / "t.csv", run_population(objectives, specs).finished(), ["a"])
+            write_trajectories(tmp_path / "t.csv", run_population(objectives, specs), ["a"])
+        assert not (tmp_path / "t.csv").exists()
 
 
 class ZeroEnergy(EnergyModel):
@@ -783,7 +811,7 @@ class TestNoiseBlocks:
             assert samplers._noise_block_steps(3, d) < steps / 2
         objectives = ObjectiveSet([ZeroEnergy(d)])
         cfg = SamplerConfig(eta=0.1, steps=steps, sigma=1.0, noise_kind=noise_kind)
-        specs = samplers.ChainSpecs("cebm", cfg, [DesignPoint(np.zeros(d))] * 3, samplers.chain_seeds(5, range(3)))
+        specs = samplers.ChainSpecs("cebm", cfg, np.zeros((3, d)), samplers.chain_seeds(5, range(3)))
         results = run_population(objectives, specs)
         for seed, result in zip(specs.seeds.tolist(), results, strict=True):
             rng = np.random.default_rng(seed)
@@ -807,8 +835,8 @@ class TestNoiseBlocks:
         assert samplers._noise_block_steps(4, d) == 64
         cfg = SamplerConfig(eta=0.2, steps=80, sigma=1e-3, record_every=5)
         starts = [-100.0, -0.55, -100.0, -6.55]
-        inits = [DesignPoint(np.r_[x0, np.zeros(d - 1)]) for x0 in starts]
-        specs = samplers.ChainSpecs("cebm", cfg, inits, samplers.chain_seeds(9, range(len(starts))))
+        rows = [np.r_[x0, np.zeros(d - 1)] for x0 in starts]
+        specs = samplers.ChainSpecs("cebm", cfg, rows, samplers.chain_seeds(9, range(len(starts))))
         results = run_population(objectives, specs)
         for index, step in ((1, 6), (3, 66)):
             assert isinstance(results[index], ChainFailure)
@@ -821,7 +849,7 @@ class TestNoiseBlocks:
     def test_a_fill_that_raises_fails_the_batch(self, monkeypatch):
         objectives = quadratic_pair(8)
         cfg = SamplerConfig(eta=0.01, steps=5, noise_kind="gaussian")
-        specs = samplers.ChainSpecs("pcebm", cfg, [RandomInit(d=8)] * 4, samplers.chain_seeds(17, range(4)))
+        specs = samplers.ChainSpecs("pcebm", cfg, RandomInit(d=8), samplers.chain_seeds(17, range(4)))
 
         def failing(*args):
             raise MemoryError("no room for noise")
@@ -838,8 +866,7 @@ class TestTrajectoryExport:
     def test_csv_layout(self, tmp_path):
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=4, sigma=0.0)
-        starts = [DesignPoint([1.0, 1.0]), DesignPoint([0.5, 0.5])]
-        trajs = run_population(objs, samplers.ChainSpecs("cebm", cfg, starts, [0, 0]))
+        trajs = run_population(objs, samplers.ChainSpecs("cebm", cfg, [[1.0, 1.0], [0.5, 0.5]], [0, 0]))
         path = tmp_path / "traj.csv"
         write_trajectories(path, trajs)
         lines = path.read_text().strip().splitlines()
@@ -855,14 +882,15 @@ class TestTrajectoryExport:
         assert list(traj.steps) == [0, 25, 50, 75, 100]
 
     def test_custom_names_and_ids(self, tmp_path):
+        # The ids are batch positions: chain 0 failed, so every record is chain 1's.
         objs = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=2, sigma=0.0)
-        results = run_population(objs, samplers.ChainSpecs("cebm", cfg, [DesignPoint([1.0, 1.0])], [0]))
+        results = run_population(objs, samplers.ChainSpecs("cebm", cfg, [[np.inf, 1.0], [1.0, 1.0]], [0, 0]))
         path = tmp_path / "traj.csv"
-        write_trajectories(path, results, objective_names=["aff", "bv"], chain_ids=[7])
+        write_trajectories(path, results, objective_names=["aff", "bv"])
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("chain_id,step,aff,bv")
-        assert lines[1].split(",")[0] == "7"
+        assert [line.split(",")[0] for line in lines[1:]] == ["1"] * 3
 
 
 class TanhSum(EnergyModel):
@@ -918,7 +946,7 @@ class TestFinalXOnly:
         objectives = four_quadratics() if problem == "four-quadratics" else get_problem(problem).objectives
         cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
         starts = [[0.0, 50.0], [0.5, 0.0], [0.0, 1.0], [0.3, 40.0], [0.25, 0.0]]
-        specs = samplers.ChainSpecs("mgd", cfg, [DesignPoint(x) for x in starts], [0] * len(starts))
+        specs = samplers.ChainSpecs("mgd", cfg, starts, [0] * len(starts))
         results = run_population(objectives, specs, final_x_only=True)
         assert any(t.terminated_early for t in results) and not all(t.terminated_early for t in results)
         assert_final_x_matches(objectives, specs)
@@ -928,7 +956,7 @@ class TestFinalXOnly:
         cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
         for final_x_only in (False, True):
             [traj] = run_population(
-                objectives, samplers.ChainSpecs("cebm", cfg, [RandomInit(d=2)], [3]), final_x_only=final_x_only
+                objectives, samplers.ChainSpecs("cebm", cfg, RandomInit(d=2), [3]), final_x_only=final_x_only
             )
             for name in ("steps", "X", "F", "lam", "grad_norm"):
                 column = getattr(traj, name)
@@ -942,7 +970,7 @@ class TestFinalXOnly:
         objectives = opposing_quadratics()
         cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
         starts = [[0.0, 50.0], [0.5, 0.0], [0.0, 1.0], [0.3, 40.0]]
-        specs = samplers.ChainSpecs("mgd", cfg, [DesignPoint(x) for x in starts], [0] * len(starts))
+        specs = samplers.ChainSpecs("mgd", cfg, starts, [0] * len(starts))
         results = [run_alone(objectives, specs, j) for j in range(len(specs))]
         for final_x_only in (False, True):
             batch = run_population(objectives, specs, final_x_only=final_x_only)
@@ -977,7 +1005,7 @@ class TestFinalXOnly:
                 if not np.isfinite(x).all():
                     break
         assert first < 30 and first % 4
-        specs = samplers.ChainSpecs("cebm", cfg, [DesignPoint(x) for x in starts], range(len(starts)))
+        specs = samplers.ChainSpecs("cebm", cfg, starts, range(len(starts)))
         errors = []
         for final_x_only in (False, True):
             results = run_population(objectives, specs, final_x_only=final_x_only)
@@ -1002,7 +1030,7 @@ class TestFinalXOnly:
             x = x - 0.1 * (2.0 * (x - 3.0))
             if x > 2.0 and first is None:
                 first = step
-        specs = samplers.ChainSpecs("cebm", cfg, [DesignPoint([0.0, 0.0])], [0])
+        specs = samplers.ChainSpecs("cebm", cfg, [[0.0, 0.0]], [0])
         for final_x_only in (False, True):
             [failure] = run_population(objectives, specs, final_x_only=final_x_only)
             assert str(failure.error) == f"objective values must be finite (no NaN/Inf); step {first} is not"
@@ -1011,27 +1039,33 @@ class TestFinalXOnly:
 
 class TestStarts:
     def test_bad_starts_fail_only_their_own_chains(self):
-        objectives = opposing_quadratics()
+        # Rows of a start array that are not finite, and drawn starts that
+        # overflow, fail their chains at step 0; their siblings run as they
+        # would alone. TanhSum keeps values and gradients finite at any
+        # finite point, so only the starts can fail.
+        objectives = ObjectiveSet([TanhSum(2, 0.5), TanhSum(2, -0.5)])
         cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
-        # A random start has no kind; a DesignPoint start keeps its kind check.
+        rows = [[0.5, 0.5], [np.inf, 0.0], [0.0, -1.0], [np.nan, np.nan], [1.0, -np.inf]]
+        # Scaled by the largest float, a normal draw beyond 1 in magnitude overflows.
+        overflows = [j for j in range(8) if (np.abs(np.random.default_rng(j).standard_normal(2)) > 1).any()]
+        assert 0 < len(overflows) < 8
+        for starts, seeds, bad in (
+            (rows, [0] * 5, [1, 3, 4]),
+            (RandomInit(d=2, scale=np.finfo(float).max), range(8), overflows),
+        ):
+            specs = samplers.ChainSpecs("cebm", cfg, starts, seeds)
+            results = run_population(objectives, specs)
+            assert [f.index for f in results.failures()] == bad
+            assert {str(f.error) for f in results.failures()} == {"coords must be finite (no NaN/Inf); step 0 is not"}
+            for index in sorted(set(range(len(specs))) - set(bad)):
+                assert_same_chain(results[index], run_alone(objectives, specs, index))
+
+    def test_a_design_start_keeps_its_kind_check(self):
+        # run_chain checks a DesignPoint's kind; a start array has none.
+        cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
         wrong_kind = DesignPoint([0.5, 0.5], kind=SEQUENCE_LOGITS, L=1, A=2)
-        inits = [
-            RandomInit(d=2),
-            # Overflows: default_rng(3) draws a normal beyond 1 in magnitude.
-            RandomInit(d=2, scale=np.finfo(float).max),
-            wrong_kind,
-            RandomInit(d=3),
-            wrong_kind,
-            DesignPoint([0.5, 0.5]),
-        ]
-        specs = samplers.ChainSpecs("cebm", cfg, inits, [0, 3, 0, 0, 0, 0])
-        results = run_population(objectives, specs)
-        assert str(results[1].error) == "coords must be finite (no NaN/Inf); step 0 is not"
-        assert isinstance(results[2].error, WrongKindError) and isinstance(results[4].error, WrongKindError)
-        assert results[2].error is not results[4].error
-        assert isinstance(results[3].error, ShapeError)
-        for index in (0, 5):
-            assert_same_chain(results[index], run_alone(objectives, specs, index))
+        with pytest.raises(WrongKindError, match="does not match objectives"):
+            run_chain(opposing_quadratics(), "cebm", cfg, wrong_kind)
 
     @pytest.mark.parametrize("action", ["error", "always"])
     def test_overflowing_scale_fails_its_chain_as_non_finite(self, action):
@@ -1039,7 +1073,7 @@ class TestStarts:
         # filter the chain fails with the finiteness message, and no
         # RuntimeWarning is raised or emitted.
         cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
-        specs = samplers.ChainSpecs("cebm", cfg, [RandomInit(d=2, scale=np.finfo(float).max)], [3])
+        specs = samplers.ChainSpecs("cebm", cfg, RandomInit(d=2, scale=np.finfo(float).max), [3])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action, RuntimeWarning)
             (result,) = run_population(opposing_quadratics(), specs)
@@ -1059,50 +1093,47 @@ class TestStarts:
             RandomInit(d=2, scale=big, distribution="uniform")
         RandomInit(d=2, scale=big)  # a normal draw overflows to inf and fails its chain
         cfg = SamplerConfig(eta=0.1, steps=5, sigma=0.1)
-        specs = samplers.ChainSpecs("cebm", cfg, [RandomInit(d=2, scale=big / 2, distribution="uniform")], [3])
+        specs = samplers.ChainSpecs("cebm", cfg, RandomInit(d=2, scale=big / 2, distribution="uniform"), [3])
         (result,) = run_population(opposing_quadratics(), specs)
         assert isinstance(result, ChainFailure) and isinstance(result.error, ValueError)
 
 
     @pytest.mark.parametrize("distribution", ["normal", "uniform"])
     def test_block_start_draw_matches_random_init_draw(self, distribution):
-        # One (n, d) block of unit draws and one product per distribution
-        # give each chain the bits of its own RandomInit.draw: scale 0 (signed
-        # zeros), tiny, ordinary and overflowing scales, mixed in one block
-        # with a design start and a start of the other distribution.
+        # One (n, d) block of unit draws, scaled in place, gives each chain
+        # the bits of its own RandomInit.draw, at every scale: 0 (signed
+        # zeros), tiny, ordinary and overflowing, one block per scale.
         d = 7
         big = np.finfo(float).max if distribution == "normal" else np.finfo(float).max / 2
-        other = "uniform" if distribution == "normal" else "normal"
-        inits = [
-            RandomInit(d, distribution, scale)
-            for scale in (0.0, 5e-324, 1e-300, 0.37, 1.0, 3.5, 1e300, big)
-        ]
-        inits += [DesignPoint(np.linspace(-1.0, 1.0, d)), RandomInit(d, other, 2.0), RandomInit(d, distribution, 0.0)]
-        seeds = samplers.chain_seeds(11, range(len(inits))).tolist()
-        X, errors = samplers._starts(quadratic_pair(d), inits, samplers._generators(seeds))
-        assert errors == [None] * len(inits)
-        with np.errstate(over="ignore"):
-            for j, (init, seed) in enumerate(zip(inits, seeds)):
-                rng = np.random.default_rng(seed)
-                expected = init.coords if isinstance(init, DesignPoint) else init.draw(rng)
-                # Bit patterns, so that -0.0 and 0.0 differ and inf equals inf.
-                assert X[j].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
-        if distribution == "normal":
-            assert np.isinf(X[7]).any() and np.isfinite(X[6]).all()
-        # 0 * z keeps the sign of a negative z; -0.0 + 0.0 * u is +0.0.
-        assert np.signbit(X[0]).any() == (distribution == "normal")
+        seeds = samplers.chain_seeds(11, range(5)).tolist()
+        for scale in (0.0, 5e-324, 1e-300, 0.37, 1.0, 3.5, 1e300, big):
+            init = RandomInit(d, distribution, scale)
+            X = samplers._starts(quadratic_pair(d), init, samplers._generators(seeds))
+            with np.errstate(over="ignore"):
+                for x, seed in zip(X, seeds, strict=True):
+                    expected = init.draw(np.random.default_rng(seed))
+                    # Bit patterns, so that -0.0 and 0.0 differ and inf equals inf.
+                    assert x.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+            if scale == 1e300:
+                assert np.isfinite(X).all()
+            if scale == big and distribution == "normal":
+                assert np.isinf(X).any()
+            if scale == 0.0:
+                # 0 * z keeps the sign of a negative z; -0.0 + 0.0 * u is +0.0.
+                assert np.signbit(X).any() == (distribution == "normal")
 
     def test_block_start_draw_leaves_each_stream_where_a_draw_leaves_it(self):
-        # The noise after a random start continues its chain's stream.
-        inits = [RandomInit(3, "normal", 2.0), RandomInit(3, "uniform", 2.0), DesignPoint([0.0, 1.0, 2.0])]
+        # The noise after a random start continues its chain's stream; an
+        # array start draws nothing.
         seeds = [3, 4, 5]
-        rngs = samplers._generators(seeds)
-        samplers._starts(quadratic_pair(3), inits, rngs)
-        for init, seed, rng in zip(inits, seeds, rngs):
-            alone = np.random.default_rng(seed)
-            if isinstance(init, RandomInit):
-                init.draw(alone)
-            assert rng.bit_generator.state == alone.bit_generator.state
+        for starts in (RandomInit(3, "normal", 2.0), RandomInit(3, "uniform", 2.0), np.zeros((3, 3))):
+            rngs = samplers._generators(seeds)
+            samplers._starts(quadratic_pair(3), starts, rngs)
+            for seed, rng in zip(seeds, rngs, strict=True):
+                alone = np.random.default_rng(seed)
+                if isinstance(starts, RandomInit):
+                    starts.draw(alone)
+                assert rng.bit_generator.state == alone.bit_generator.state
 
 
 class TestZeroSteps:
@@ -1126,15 +1157,15 @@ class TestZeroSteps:
         monkeypatch.setattr(samplers, "_fill_block", no_noise)
         objectives = opposing_quadratics()
         cfg = SamplerConfig(eta=0.1, steps=0)
-        inits = [RandomInit(d=2, scale=1.0 + i) for i in range(3)] + [DesignPoint([0.1, 0.2])]
-        specs = samplers.ChainSpecs("pcebm", cfg, inits, [chain_seed(9, i) for i in range(3)] + [1])
-        batch = run_population(objectives, specs)
-        for j, result in enumerate(batch):
-            assert_same_chain(result, run_alone(objectives, specs, j))
-            assert len(result) == 1
-        for i, result in enumerate(batch[:3]):
-            start = (1.0 + i) * np.random.default_rng(chain_seed(9, i)).standard_normal(2)
-            assert np.array_equal(result.X[0], start)
+        seeds = [chain_seed(9, i) for i in range(3)]
+        for starts in (RandomInit(d=2, scale=2.0), [[0.1, 0.2], [0.3, -0.4], [-1.0, 0.0]]):
+            specs = samplers.ChainSpecs("pcebm", cfg, starts, seeds)
+            for j, result in enumerate(run_population(objectives, specs)):
+                assert_same_chain(result, run_alone(objectives, specs, j))
+                assert len(result) == 1
+                drawn = isinstance(starts, RandomInit)
+                start = 2.0 * np.random.default_rng(seeds[j]).standard_normal(2) if drawn else starts[j]
+                assert np.array_equal(result.X[0], start)
 
     def test_random_start_runs_on_sequence_objectives(self):
         L, A = 3, 4
@@ -1147,16 +1178,20 @@ class TestZeroSteps:
         assert np.array_equal(traj.X[0], np.random.default_rng(4).standard_normal(L * A))
 
 
-def csv_oracle(path, results, objective_names=None, chain_ids=None):
-    """The row-by-row csv.writer export of a ChainResults's items that
-    write_trajectories must match byte for byte."""
+def finished(results):
+    """(batch position, Trajectory) of each finished chain, in order."""
+    return [(j, item) for j, item in enumerate(results) if not isinstance(item, ChainFailure)]
+
+
+def csv_oracle(path, results, objective_names=None):
+    """The row-by-row csv.writer export of a ChainResults's finished items
+    that write_trajectories must match byte for byte."""
     m = results.m
     names = [f"f{i}" for i in range(m)] if objective_names is None else objective_names
-    ids = results.chain_ids.tolist() if chain_ids is None else chain_ids
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["chain_id", "step", *names, *[f"lambda{i}" for i in range(m)], "grad_norm"])
-        for cid, traj in zip(ids, results):
+        for cid, traj in finished(results):
             for step, values, weights, grad_norm in zip(
                 traj.steps.tolist(), traj.F.tolist(), traj.lam.tolist(), traj.grad_norm.tolist()
             ):
@@ -1169,14 +1204,15 @@ AWKWARD = [-0.0, 5e-324, 1e16, 0.1 + 0.2, -1.5e-7, 123.0, 2.0**60, -2.2250738585
 def awkward_results(m, rows):
     """Crafted columns of chains with ``rows[j]`` records each, at steps 0,
     3, 6, ..., whose values, weights and norms are floats that are awkward to
-    print (signed zero, subnormals, inf, long reprs)."""
+    print (signed zero, subnormals, inf, long reprs). A chain of 0 rows failed."""
     n, most = len(rows), max(rows, default=1)
     F, grad_norm = np.zeros((n, most, m)), np.zeros((n, most))
     for j, r in enumerate(rows):
         F[j, :r] = np.roll(np.resize(AWKWARD, r * m), j).reshape(r, m)
         grad_norm[j, :r] = np.roll(np.resize([np.inf, *AWKWARD], r), j)
     return samplers.ChainResults(
-        [None] * n, np.array(rows, dtype=np.int64).reshape(n), np.full(n, -1), np.arange(most) * 3,
+        [None if r else ValueError("failed") for r in rows], np.array(rows, dtype=np.int64).reshape(n),
+        np.full(n, -1), np.arange(most) * 3,
         np.zeros((n, most, 2)), F, F[:, :, ::-1], grad_norm,
     )
 
@@ -1184,9 +1220,9 @@ def awkward_results(m, rows):
 class TestTrajectoryBytes:
     @pytest.mark.parametrize("m", [1, 3])
     def test_matches_csv_writer(self, tmp_path, m):
-        results = awkward_results(m, [1, 4, 7])
-        assert [t.steps.tolist() for t in results] == [[0], [0, 3, 6, 9], [0, 3, 6, 9, 12, 15, 18]]
-        for kwargs in ({}, {"chain_ids": [5, 0, 12]}, {"objective_names": ['a,b', 'q"x', "c"][:m]}):
+        results = awkward_results(m, [1, 4, 0, 7])
+        assert [t.steps.tolist() for _, t in finished(results)] == [[0], [0, 3, 6, 9], [0, 3, 6, 9, 12, 15, 18]]
+        for kwargs in ({}, {"objective_names": ['a,b', 'q"x', "c"][:m]}):
             write_trajectories(tmp_path / "new.csv", results, **kwargs)
             csv_oracle(tmp_path / "old.csv", results, **kwargs)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -1197,36 +1233,18 @@ class TestTrajectoryBytes:
         for method, noise in (("mgd", "none"), ("ls_cebm", "uniform")):
             specs = batch_specs(method, noise, objectives, eta, steps, record_every, chains=5)
             trajs = run_population(objectives, specs, final_x_only=True)
-            write_trajectories(tmp_path / "new.csv", trajs, chain_ids=[1, 4, 6, 9, 30])
-            csv_oracle(tmp_path / "old.csv", trajs, chain_ids=[1, 4, 6, 9, 30])
+            write_trajectories(tmp_path / "new.csv", trajs)
+            csv_oracle(tmp_path / "old.csv", trajs)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    @pytest.mark.parametrize("chain_ids", [[4], [4, 5], [4, 5, 6, 7]])
-    def test_chain_id_count_must_match(self, tmp_path, chain_ids):
-        with pytest.raises(ShapeError, match=f"got {len(chain_ids)} chain ids for 3 trajectories"):
-            write_trajectories(tmp_path / "t.csv", awkward_results(2, [4, 4, 4]), chain_ids=chain_ids)
-        assert not (tmp_path / "t.csv").exists()
-
-    @pytest.mark.parametrize("bad", [2**53 + 1, -(2**53) - 1, 1.7, 2.0, np.float64(3.0), "4", None])
-    def test_chain_ids_must_be_exact_integers(self, tmp_path, bad):
-        # A float64 record holds every integer up to 2**53 exactly; a larger
-        # id, or one that is not an integer, would be written rounded.
-        results = awkward_results(2, [2, 3])
-        with pytest.raises(ValueError, match=re.escape(f"chain id {bad!r} is not an integer")):
-            write_trajectories(tmp_path / "t.csv", results, chain_ids=[0, bad])
-        assert not (tmp_path / "t.csv").exists()
-        write_trajectories(tmp_path / "t.csv", results, chain_ids=[2**53, np.int64(-(2**53))])
-        ids = [line.split(",")[0] for line in (tmp_path / "t.csv").read_text().splitlines()[1:]]
-        assert ids == [str(2**53)] * 2 + [str(-(2**53))] * 3
-
     def test_no_trajectories_writes_the_header_alone(self, tmp_path):
-        empty = awkward_results(2, [3])[:0]
-        write_trajectories(tmp_path / "t.csv", empty, objective_names=["a", "b"])
-        assert (tmp_path / "t.csv").read_bytes() == b"chain_id,step,a,b,lambda0,lambda1,grad_norm\r\n"
-        write_trajectories(tmp_path / "u.csv", empty)
-        assert (tmp_path / "u.csv").read_bytes() == b"chain_id,step,f0,f1,lambda0,lambda1,grad_norm\r\n"
-        with pytest.raises(ShapeError, match="got 1 chain ids for 0 trajectories"):
-            write_trajectories(tmp_path / "v.csv", empty, objective_names=["a"], chain_ids=[3])
+        # No chain, or no finished chain.
+        for rows in ([], [0, 0]):
+            empty = awkward_results(2, rows)
+            write_trajectories(tmp_path / "t.csv", empty, objective_names=["a", "b"])
+            assert (tmp_path / "t.csv").read_bytes() == b"chain_id,step,a,b,lambda0,lambda1,grad_norm\r\n"
+            write_trajectories(tmp_path / "u.csv", empty)
+            assert (tmp_path / "u.csv").read_bytes() == b"chain_id,step,f0,f1,lambda0,lambda1,grad_norm\r\n"
 
     def test_empty_and_mixed_m_rejected(self, tmp_path):
         # Only a ChainResults is exported, and one batch has one m: an empty
@@ -1239,14 +1257,14 @@ class TestTrajectoryBytes:
         assert not (tmp_path / "t.csv").exists()
 
 
-def one_shot_export(path, results, objective_names=None, chain_ids=None):
-    """The export of a ChainResults's items as one stacked table formatted
-    into one string, the way write_trajectories wrote it before it wrote in
-    blocks; the block-wise export must keep its bytes."""
+def one_shot_export(path, results, objective_names=None):
+    """The export of a ChainResults's finished items as one stacked table
+    formatted into one string, the way write_trajectories wrote it before it
+    wrote in blocks; the block-wise export must keep its bytes."""
     m = results.m
     names = [f"f{i}" for i in range(m)] if objective_names is None else objective_names
-    ids = results.chain_ids if chain_ids is None else chain_ids
-    trajectories = list(results)
+    done = finished(results)
+    ids, trajectories = [j for j, _ in done], [t for _, t in done]
     body = ""
     if len(trajectories):
         table = np.column_stack([
@@ -1268,22 +1286,23 @@ def export_case(name):
     objectives = get_problem("fonseca-fleming").objectives
     if name == "one-batch":
         cfg = SamplerConfig(eta=0.05, steps=20, record_every=3)
-        specs = samplers.ChainSpecs("cebm", cfg, [RandomInit(d=3)] * 6, samplers.chain_seeds(5, range(6)))
-        return run_population(objectives, specs, final_x_only=True).finished(), None
+        specs = samplers.ChainSpecs("cebm", cfg, RandomInit(d=3), samplers.chain_seeds(5, range(6)))
+        return run_population(objectives, specs, final_x_only=True), None
     if name == "mixed-population":
+        # Chain 3 failed and writes no record.
         objectives, specs = mixed_population()
-        return run_population(objectives, specs, final_x_only=True).finished(), None
+        return run_population(objectives, specs, final_x_only=True), None
     if name == "early-stops":
         # One mgd batch whose chains stop at different steps, between records.
         cfg = SamplerConfig(eta=0.5, steps=40, noise_kind="none", record_every=3, grad_tol=0.02)
-        starts = [DesignPoint([a, 0.2, -a]) for a in (0.0, 0.1, 0.5, 0.9, 1.4)]
-        done = run_population(objectives, samplers.ChainSpecs("mgd", cfg, starts, [0] * 5)).finished()
+        starts = [[a, 0.2, -a] for a in (0.0, 0.1, 0.5, 0.9, 1.4)]
+        done = run_population(objectives, samplers.ChainSpecs("mgd", cfg, starts, [0] * 5))
         assert sum(t.terminated_early for t in done) >= 3
         return done, None
     if name == "crafted-columns":
-        return awkward_results(2, [1, 9, 4, 12]), None
+        return awkward_results(2, [1, 9, 0, 4, 12]), None
     if name == "header-only":
-        nothing = samplers.ChainSpecs("cebm", SamplerConfig(eta=0.1, steps=2), [], [])
+        nothing = samplers.ChainSpecs("cebm", SamplerConfig(eta=0.1, steps=2), RandomInit(d=3), [])
         return run_population(objectives, nothing), ["a", "b"]
     raise KeyError(name)
 
@@ -1294,13 +1313,11 @@ class TestBlockExport:
     def test_blocks_keep_the_one_shot_bytes(self, tmp_path, monkeypatch, case, block_rows):
         monkeypatch.setattr(samplers, "_CSV_BLOCK_ROWS", block_rows)
         results, names = export_case(case)
-        n = len(results)
-        for kwargs in ({}, {"chain_ids": [3 * i + 7 for i in range(n)]}):
-            write_trajectories(tmp_path / "blocks.csv", results, names, **kwargs)
-            one_shot_export(tmp_path / "one.csv", results, names, **kwargs)
-            assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        write_trajectories(tmp_path / "blocks.csv", results, names)
+        one_shot_export(tmp_path / "one.csv", results, names)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
         records = (tmp_path / "blocks.csv").read_bytes().count(b"\r\n") - 1
-        assert records == sum(len(t) for t in results)
+        assert records == sum(len(t) for _, t in finished(results))
         # The small blocks split the export, and split chains.
         assert records > 2 * block_rows or block_rows == 512 or case == "header-only"
 
@@ -1314,8 +1331,8 @@ class TestBlockExport:
         cfg = SamplerConfig(eta=0.01, steps=149)
         peaks, tables = [], []
         for chains in (4, 40):
-            specs = samplers.ChainSpecs("cebm", cfg, [RandomInit(d=3)] * chains, samplers.chain_seeds(9, range(chains)))
-            done = run_population(objectives, specs, final_x_only=final_x_only).finished()
+            specs = samplers.ChainSpecs("cebm", cfg, RandomInit(d=3), samplers.chain_seeds(9, range(chains)))
+            done = run_population(objectives, specs, final_x_only=final_x_only)
             tables.append(chains * 150 * (3 + 2 * objectives.m) * 8)
             gc.collect()
             tracemalloc.start()
