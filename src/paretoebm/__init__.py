@@ -48,7 +48,7 @@ from .metrics import (
     summarize_edist,
 )
 from .moo import pareto_filter
-from .problems import Problem, get_problem
+from .problems import get_problem
 from .samplers import (
     ChainFailure,
     ChainResults,

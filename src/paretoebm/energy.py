@@ -1,6 +1,13 @@
 """Energy models: per-objective value/gradient oracles, analytic benchmark
 objectives with known geometry, trainable sequence energies, and
 contrastive-divergence training.
+
+An ``ObjectiveSet`` is the m models a sampler draws from. Its models share
+d and point kind, and the models of a sequence set share one (L, A)
+layout, worked out once at construction: models of one d but different
+layouts are refused (ShapeError), since every chain is decoded with one
+layout. ``load_model`` refuses a file whose parameters are not all finite
+(ModelFormatError, naming the file).
 """
 
 from __future__ import annotations
@@ -95,7 +102,9 @@ class EnergyModel(ABC):
 
 
 class ObjectiveSet:
-    """An ordered collection of m energy models sharing dimension and point kind."""
+    """An ordered collection of m energy models sharing dimension and point
+    kind; the models of a sequence set also share one (L, A) layout, the one
+    every chain of the set decodes with."""
 
     def __init__(self, models: Sequence[EnergyModel]):
         models = tuple(models)
@@ -103,16 +112,18 @@ class ObjectiveSet:
             raise ShapeError("objective set needs at least one model")
         d = models[0].d
         kind = models[0].point_kind
+        layout = (models[0].L, models[0].A) if kind == SEQUENCE_LOGITS else None
         for i, model in enumerate(models):
             if model.d != d:
                 raise ShapeError(f"model {i} has d={model.d}, expected {d}")
             if model.point_kind != kind:
-                raise WrongKindError(
-                    f"model {i} expects {model.point_kind!r} points, others {kind!r}"
-                )
+                raise WrongKindError(f"model {i} expects {model.point_kind!r} points, others {kind!r}")
+            if layout is not None and (model.L, model.A) != layout:
+                raise ShapeError(f"model {i} has (L, A)=({model.L}, {model.A}), expected {layout}")
         self.models = models
         self._d = d
         self._kind = kind
+        self._layout = layout
         # Each model's own kernel is its family's kernel on its one center,
         # so the stacked call gives every model's bits.
         family = type(models[0])
@@ -131,6 +142,12 @@ class ObjectiveSet:
     @property
     def point_kind(self) -> str:
         return self._kind
+
+    def sequence_dims(self) -> tuple[int, int]:
+        """The (L, A) layout of a sequence set; a raw set has none (WrongKindError)."""
+        if self._layout is None:
+            raise WrongKindError(f"a set of {self._kind!r} models has no sequence layout")
+        return self._layout
 
     def eval_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values (n, m) and gradients (n, m, d) at the rows of an unchecked
@@ -518,7 +535,8 @@ def save_model(model: PwmEnergy | MlpEnergy, path) -> None:
 
 
 def load_model(path) -> PwmEnergy | MlpEnergy:
-    """Load a persisted model; the round-trip is bit-exact on every parameter."""
+    """Load a persisted model; the round-trip is bit-exact on every parameter,
+    and a parameter that is not finite is a ModelFormatError."""
     blob = Path(path).read_bytes()
     if len(blob) < len(MODEL_MAGIC) + 8 or not blob.startswith(MODEL_MAGIC):
         raise ModelFormatError(f"{path}: not a model file (bad magic)")
@@ -566,8 +584,13 @@ def load_model(path) -> PwmEnergy | MlpEnergy:
         raise ModelFormatError(
             f"{path}: expected {expected * 8} parameter bytes, file holds {len(body)} (truncated?)"
         )
-    params = np.frombuffer(body, dtype="<f8")
-    params = params.astype(np.float64)
+    params = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        raise ModelFormatError(
+            f"{path}: {bad.size} of {expected} parameters are not finite "
+            f"(the first, at index {bad[0]}, is {float(params[bad[0]])})"
+        )
     if kind == "pwm":
         return PwmEnergy(params.reshape(L, A))
     w1 = params[: H * d].reshape(H, d)

@@ -60,7 +60,7 @@ from .core import (
     sequence_to_str,
     uniform_weights,
 )
-from .energy import CdTrainConfig, EnergyModel
+from .energy import CdTrainConfig, EnergyModel, ObjectiveSet
 from .metrics import (
     NormalizationMap,
     ReferencePoint,
@@ -72,7 +72,7 @@ from .metrics import (
     unit_reference,
 )
 from .moo import check_min_norm_m, pareto_filter
-from .problems import Problem, get_problem
+from .problems import get_problem
 from .samplers import (
     METHOD_LS_CEBM,
     METHOD_MGD,
@@ -344,12 +344,13 @@ def sweep_cells(cfg: ExperimentConfig) -> list[SweepCell]:
     return cells
 
 
-def _problem(cfg: ExperimentConfig) -> tuple[Problem, SimplexWeights | None]:
-    """The config's problem and ls_cebm's weights (None without ls_cebm). The one
-    check of the config against its problem, for ``run_sweep`` and ``improve_seeds``
-    alike, before any chain runs or any file is written; a misfit is a ConfigError."""
-    problem = get_problem(cfg.problem, cfg.model_files)
-    m = problem.m
+def _problem(cfg: ExperimentConfig) -> tuple[ObjectiveSet, SimplexWeights | None]:
+    """The config's problem (its objective set) and ls_cebm's weights (None
+    without ls_cebm). The one check of the config against its problem, for
+    ``run_sweep`` and ``improve_seeds`` alike, before any chain runs or any file
+    is written; a misfit is a ConfigError."""
+    objectives = get_problem(cfg.problem, cfg.model_files)
+    m = objectives.m
     if cfg.reference_point is not None and len(cfg.reference_point) != m:
         raise ConfigError(f"reference point has m={len(cfg.reference_point)}, problem has m={m}")
     if cfg.normalization is not None and len(cfg.normalization["min"]) != m:
@@ -364,16 +365,16 @@ def _problem(cfg: ExperimentConfig) -> tuple[Problem, SimplexWeights | None]:
             weights = uniform_weights(m) if cfg.ls_lambda is None else SimplexWeights(np.array(cfg.ls_lambda))
         except InvalidSimplexError as exc:
             raise ConfigError(f"ls_lambda: {exc}") from exc
-    if problem.point_kind == SEQUENCE_LOGITS:
+    if objectives.point_kind == SEQUENCE_LOGITS:
         # Every decoded token needs its own symbol.
-        _, A = problem.sequence_dims()
+        _, A = objectives.sequence_dims()
         if len(set(cfg.alphabet)) != len(cfg.alphabet):
             raise ConfigError(f"alphabet {cfg.alphabet!r} repeats a symbol")
         if len(cfg.alphabet) < A:
             raise ConfigError(f"alphabet {cfg.alphabet!r} has {len(cfg.alphabet)} symbols, the problem has A={A}")
     elif cfg.training_sequences is not None:
         raise ConfigError(f"training_sequences needs a sequence problem, and {cfg.problem} is not one")
-    return problem, weights
+    return objectives, weights
 
 
 def _sampler_config(
@@ -392,9 +393,9 @@ def _sampler_config(
     )
 
 
-def _decode_final(x: np.ndarray, problem: Problem) -> DiscreteSequence:
+def _decode_final(x: np.ndarray, objectives: ObjectiveSet) -> DiscreteSequence:
     """The sequence a chain's final coordinates ``x`` decode to."""
-    L, A = problem.sequence_dims()
+    L, A = objectives.sequence_dims()
     return decode(sequence_point(x, L, A))
 
 
@@ -479,7 +480,7 @@ class SweepResult:
 
 def _run_cell(
     cfg: ExperimentConfig,
-    problem: Problem,
+    objectives: ObjectiveSet,
     cell: SweepCell,
     config: SamplerConfig,
     init: RandomInit,
@@ -493,8 +494,8 @@ def _run_cell(
     the population's columns, with no object per chain; the columns are
     released when it returns, before the next cell starts."""
     start = perf_counter()
-    m = problem.m
-    is_sequence = problem.point_kind == SEQUENCE_LOGITS
+    m = objectives.m
+    is_sequence = objectives.point_kind == SEQUENCE_LOGITS
     try:
         first = cell.index * cfg.chains
         specs = ChainSpecs(
@@ -502,7 +503,7 @@ def _run_cell(
             weights if cell.method == METHOD_LS_CEBM else None,
         )
         # The cell reads only each chain's final point, so X keeps one row.
-        results = run_population(problem.objectives, specs, final_x_only=True)
+        results = run_population(objectives, specs, final_x_only=True)
     except Exception as exc:  # noqa: BLE001 - cell failures must not abort the sweep
         logger.warning("cell %s failed: %s", cell.cell_id, exc)
         return {"cell_id": cell.cell_id, "error": f"{type(exc).__name__}: {exc}"}
@@ -510,7 +511,7 @@ def _run_cell(
     final_columns = [ids.tolist(), *finals.T.tolist()]
     sequences = []
     if is_sequence:
-        sequences = [sequence_to_str(_decode_final(x, problem), cfg.alphabet) for x in final_x]
+        sequences = [sequence_to_str(_decode_final(x, objectives), cfg.alphabet) for x in final_x]
         final_columns.append(sequences)
     tmp_dir = cells_dir / f".tmp-{cell.cell_id}"
     if tmp_dir.exists():
@@ -670,12 +671,12 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     and this process writes ``fronts.csv`` and ``report.json``. The bundle
     is the same at any count.
     """
-    problem, weights = _problem(cfg)
-    m = problem.m
+    objectives, weights = _problem(cfg)
+    m = objectives.m
     reference = unit_reference(m) if cfg.reference_point is None else ReferencePoint(np.array(cfg.reference_point))
     bounds = cfg.normalization
     fixed_nmap = None if bounds is None else NormalizationMap(np.array(bounds["min"]), np.array(bounds["max"]))
-    is_sequence = problem.point_kind == SEQUENCE_LOGITS
+    is_sequence = objectives.point_kind == SEQUENCE_LOGITS
     training = None if cfg.training_sequences is None else read_sequences(cfg.training_sequences, cfg.alphabet)
 
     out = Path(cfg.output_dir)
@@ -686,7 +687,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     configs = [
         _sampler_config(cfg, cell.eta, cell.steps, cell.noise_kind, cfg.record_every) for cell in cells
     ]
-    init = RandomInit(problem.d, cfg.init_distribution, cfg.init_scale)
+    init = RandomInit(objectives.d, cfg.init_distribution, cfg.init_scale)
 
     # One writer per output directory: a second sweep into it, or one started
     # while a killed sweep's worker still writes, is refused.
@@ -711,7 +712,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
             return f"cells left unwritten: {', '.join(ids) or 'none'}. Finished cells stay on disk, so a rerun resumes."
 
         outcomes = _map_cells(
-            lambda cell: _run_cell(cfg, problem, cell, configs[cell.index], init, weights, cells_dir),
+            lambda cell: _run_cell(cfg, objectives, cell, configs[cell.index], init, weights, cells_dir),
             pending,
             lambda cell: cfg.chains * (cell.steps + 1),
             unwritten,
@@ -729,7 +730,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         finished = [cell for cell in cells if cell.index in points]
         sizes = {cell.index: len(points[cell.index][0]) for cell in finished}
         if not sum(sizes.values()):
-            raise ConfigError("sweep produced no points; every cell failed")
+            raise ConfigError(
+                f"sweep produced no points: {len(cell_failures)} of {len(cells)} cells failed "
+                "and no chain of the other cells finished"
+            )
         pooled = np.concatenate([points[cell.index][0] for cell in finished])
         # Rejected before any front or hypervolume is computed; a fixed
         # normalization would clip an infinite value into [0, 1].
@@ -852,15 +856,17 @@ def improve_seeds(
     that fails is listed under ``failures`` and left out of the entries and
     scores.
     """
-    problem, weights = _problem(cfg)
+    objectives, weights = _problem(cfg)
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed sequence")
-    if problem.point_kind != SEQUENCE_LOGITS:
+    if objectives.point_kind != SEQUENCE_LOGITS:
         raise ConfigError("improve_seeds needs a sequence problem")
-    L, A = problem.sequence_dims()
-    if scorer.d != problem.d:
-        raise ShapeError(f"scorer has d={scorer.d}, problem has d={problem.d}")
+    L, A = objectives.sequence_dims()
+    if scorer.d != objectives.d:
+        raise ShapeError(f"scorer has d={scorer.d}, problem has d={objectives.d}")
+    if scorer.point_kind == SEQUENCE_LOGITS and (scorer.L, scorer.A) != (L, A):
+        raise ShapeError(f"scorer has (L, A)=({scorer.L}, {scorer.A}), problem has ({L}, {A})")
     for i, seed in enumerate(seeds):
         if len(seed) != L or seed.alphabet_size != A:
             raise ShapeError(f"seed {i} has (L={len(seed)}, A={seed.alphabet_size}), need ({L}, {A})")
@@ -882,7 +888,7 @@ def improve_seeds(
             weights if method == METHOD_LS_CEBM else None,
         )
         # Only each chain's final point is read, so X keeps one row.
-        results = run_population(problem.objectives, specs, final_x_only=True)
+        results = run_population(objectives, specs, final_x_only=True)
         for failure in results.failures():
             failures.append(
                 {
@@ -892,7 +898,7 @@ def improve_seeds(
                 }
             )
         ids, _, final_x, _ = results.finals()
-        finished += [(mi, si, _decode_final(x, problem)) for si, x in zip(ids.tolist(), final_x)]
+        finished += [(mi, si, _decode_final(x, objectives)) for si, x in zip(ids.tolist(), final_x)]
     # One bit-vector pass over every (seed, final sequence) pair.
     edits = edit_distance_matrix(seeds, [final_seq for _, _, final_seq in finished])
     for f, (mi, si, final_seq) in enumerate(finished):

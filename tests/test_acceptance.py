@@ -102,13 +102,13 @@ def test_criterion_01_min_norm_solver():
 
 
 def test_criterion_02_mgd_monotone_descent():
-    problem = get_problem("fonseca-fleming")
+    objectives = get_problem("fonseca-fleming")
     rng = np.random.default_rng(202)
     violations = 0
     for _ in range(100):
         x0 = DesignPoint(rng.standard_normal(3))
         cfg = SamplerConfig(eta=1e-3, steps=400, noise_kind="none", record_every=1)
-        traj = run_chain(problem.objectives, "mgd", cfg, x0)
+        traj = run_chain(objectives, "mgd", cfg, x0)
         values = traj.F
         violations += int(np.sum(np.diff(values, axis=0) > 1e-9))
     assert violations == 0
@@ -297,7 +297,7 @@ def test_criterion_07_convergence_speed():
     # Paired chains start from one existing design near the trade-off set
     # (the same-starting-sequence comparison) with variance-matched per-step
     # noise: sigma = sqrt(2*alpha) = 0.002.
-    problem = get_problem("tri-quadratic")
+    objectives = get_problem("tri-quadratic")
     centers = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 2.0]])
     sigma, alpha, k = 0.002, 2e-6, 200
 
@@ -312,8 +312,8 @@ def test_criterion_07_convergence_speed():
         x0 = DesignPoint(w @ centers + 0.1 * rng.standard_normal(2))
         pc_cfg = SamplerConfig(eta=0.01, steps=k, alpha=alpha)
         ce_cfg = SamplerConfig(eta=0.01, steps=k, sigma=sigma)
-        pc.append(settle(run_chain(problem.objectives, "pcebm", pc_cfg, x0, seed=seed)))
-        ce.append(settle(run_chain(problem.objectives, "cebm", ce_cfg, x0, seed=seed)))
+        pc.append(settle(run_chain(objectives, "pcebm", pc_cfg, x0, seed=seed)))
+        ce.append(settle(run_chain(objectives, "cebm", ce_cfg, x0, seed=seed)))
     med_pc, med_ce = float(np.median(pc)), float(np.median(ce))
     assert med_pc <= med_ce
     report_pass(7, f"median steps to within 5% of final: pcEBM {med_pc:.0f} <= cEBM {med_ce:.0f} over 50 paired seeds")
@@ -325,12 +325,12 @@ def test_criterion_07_convergence_speed():
 def test_criterion_08_scalarization_traces_convex_front():
     from paretoebm.core import SimplexWeights
 
-    problem = get_problem("opposing-quadratics")
+    objectives = get_problem("opposing-quadratics")
     for lam1 in np.linspace(0.0, 1.0, 11):
         lam = np.array([lam1, 1.0 - lam1])
         cfg = SamplerConfig(eta=0.1, steps=200, sigma=0.0)
         traj = run_chain(
-            problem.objectives, "ls_cebm", cfg, RandomInit(d=2, scale=1.0), seed=int(lam1 * 10),
+            objectives, "ls_cebm", cfg, RandomInit(d=2, scale=1.0), seed=int(lam1 * 10),
             fixed_lambda=SimplexWeights(lam),
         )
         final = traj.X[-1]

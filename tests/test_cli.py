@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import yaml
 from paretoebm import cli
 from paretoebm.cli import main
 from paretoebm.core import DiscreteSequence
-from paretoebm.energy import MODEL_MAGIC, PwmEnergy, load_model, save_model
+from paretoebm.energy import MODEL_MAGIC, MlpEnergy, PwmEnergy, load_model, save_model
 from paretoebm.harness import _TRAIN_KEYS
 
 NAN = float("nan")
@@ -340,6 +341,34 @@ class TestSweepCommand:
         assert (code, out) == (1, "")
         message = f"{model}: header L must be an int >= 1, got None"
         assert json.loads(err) == {"error": "ModelFormatError", "message": message}
+        assert not (tmp_path / "out").exists()
+
+    def test_models_with_different_layouts_are_a_shape_error(self, capsys, tmp_path):
+        # Both have d = 24; decoding every chain as (4, 6) would misread the second.
+        save_model(PwmEnergy.zeros(4, 6), tmp_path / "a.model")
+        save_model(PwmEnergy.zeros(6, 4), tmp_path / "b.model")
+        cfg = self._write_cfg(tmp_path, problem="sequence-energies", model_files=["a.model", "b.model"])
+        code, out, err = run_cli(capsys, "sweep", cfg)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ShapeError", "message": "model 1 has (L, A)=(6, 4), expected (4, 6)"}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "model,value",
+        [(PwmEnergy.zeros(4, 5), NAN), (MlpEnergy.random(hidden=3, L=4, A=5, seed=1), math.inf)],
+        ids=["pwm-nan", "mlp-inf"],
+    )
+    def test_non_finite_model_parameter_is_a_model_format_error(self, capsys, tmp_path, model, value):
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-16] + struct.pack("<d", value) + blob[-8:])
+        cfg = self._write_cfg(tmp_path, problem="sequence-energies", model_files=["m.model"])
+        code, out, err = run_cli(capsys, "sweep", cfg)
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "ModelFormatError"
+        assert payload["message"].startswith(f"{path}: 1 of ") and f"is {value})" in payload["message"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["config", "flag"])

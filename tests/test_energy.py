@@ -227,6 +227,17 @@ class TestObjectiveSet:
         with pytest.raises(ShapeError):
             ObjectiveSet([])
 
+    def test_sequence_layout_mismatch_rejected(self):
+        # One d, two layouts: every chain decodes with one layout, so a
+        # second one would score a different reading of the same logits.
+        assert ObjectiveSet([PwmEnergy.zeros(4, 6), MlpEnergy.random(hidden=2, L=4, A=6)]).sequence_dims() == (4, 6)
+        with pytest.raises(ShapeError, match=re.escape("model 1 has (L, A)=(6, 4), expected (4, 6)")):
+            ObjectiveSet([PwmEnergy.zeros(4, 6), PwmEnergy.zeros(6, 4)])
+
+    def test_raw_set_has_no_sequence_layout(self):
+        with pytest.raises(WrongKindError, match="no sequence layout"):
+            ObjectiveSet([ShiftedQuadratic([1.0, 2.0])]).sequence_dims()
+
     @pytest.mark.parametrize(
         "models",
         [
@@ -443,6 +454,17 @@ def model_file(path, n_params=8, **header):
     return path
 
 
+def save_params(path, index, value) -> np.ndarray:
+    """Overwrite parameter ``index`` of the model file at ``path`` with
+    ``value``; returns the file's parameters as written."""
+    model = load_model(path)
+    params = np.concatenate([p.reshape(-1) for p in model.params().values()])
+    params[index] = value
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) - params.nbytes] + params.astype("<f8").tobytes())
+    return params
+
+
 class TestPersistence:
     def test_pwm_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -506,6 +528,19 @@ class TestPersistence:
         assert load_model(raw).point_kind == "raw"
         path = model_file(tmp_path / "m.model", **header)
         with pytest.raises(ModelFormatError, match=re.escape(f"{path}: header ")):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "model,value",
+        [(PwmEnergy.zeros(4, 6), math.nan), (MlpEnergy.random(hidden=3, L=4, A=5, seed=1), math.inf)],
+        ids=["pwm-nan", "mlp-inf"],
+    )
+    def test_non_finite_parameter_is_a_format_error(self, tmp_path, model, value):
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        count = len(save_params(path, -2, value))
+        message = f"{path}: 1 of {count} parameters are not finite (the first, at index {count - 2}, is {value})"
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
 
     def test_header_that_is_not_an_object_is_a_format_error(self, tmp_path):

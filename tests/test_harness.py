@@ -36,7 +36,15 @@ from paretoebm.core import (
     sequence_point,
     sequence_to_str,
 )
-from paretoebm.energy import CdTrainConfig, PwmEnergy, save_model
+from paretoebm.energy import (
+    CdTrainConfig,
+    FonsecaFlemingBranch,
+    ObjectiveSet,
+    PwmEnergy,
+    ShiftedQuadratic,
+    Zdt3Branch,
+    save_model,
+)
 from paretoebm.harness import (
     _SWEEP_KEYS,
     _TRAIN_KEYS,
@@ -51,7 +59,7 @@ from paretoebm.harness import (
 )
 from paretoebm.metrics import edit_distance
 from paretoebm.moo import MIN_NORM_MAX_M, pareto_filter
-from paretoebm.problems import get_problem
+from paretoebm.problems import PROBLEM_NAMES, get_problem
 from paretoebm.samplers import METHODS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -103,6 +111,17 @@ def snapshot(root: Path) -> dict:
     }
 
 
+SQRT3 = 1 / np.sqrt(3)
+# name -> the model type and the centers each analytic problem documents
+# (a zdt3-like set is its two branches, 0 and 1).
+DOCUMENTED_MODELS = {
+    "opposing-quadratics": (ShiftedQuadratic, [[1, 0], [-1, 0]]),
+    "fonseca-fleming": (FonsecaFlemingBranch, [[SQRT3] * 3, [-SQRT3] * 3]),
+    "zdt3-like": (Zdt3Branch, None),
+    "tri-quadratic": (ShiftedQuadratic, [[2, 0], [-2, 0], [0, 2]]),
+}
+
+
 class TestProblemRegistry:
     @pytest.mark.parametrize(
         "name,m,d",
@@ -114,14 +133,15 @@ class TestProblemRegistry:
         ],
     )
     def test_analytic_problems(self, name, m, d):
-        prob = get_problem(name)
-        assert prob.m == m and prob.d == d
-        front = prob.front_points(50)
-        assert front.shape[1] == m
-        # Documented fronts are mutually non-dominated samples of the
-        # trade-off surface.
-        kept = pareto_filter(front)
-        assert len(kept) >= 0.9 * len(front)
+        objectives = get_problem(name)
+        assert isinstance(objectives, ObjectiveSet)
+        assert objectives.m == m and objectives.d == d and objectives.point_kind == "raw"
+        model_type, centers = DOCUMENTED_MODELS[name]
+        assert all(type(model) is model_type for model in objectives.models)
+        if centers is None:
+            assert [model.index for model in objectives.models] == [0, 1]
+        else:
+            np.testing.assert_array_equal([model.center for model in objectives.models], centers)
 
     def test_unknown_problem_names_id(self):
         with pytest.raises(ConfigError, match="nonexistent-problem"):
@@ -134,9 +154,10 @@ class TestProblemRegistry:
             p = tmp_path / f"m{i}.model"
             save_model(PwmEnergy(rng.normal(size=(4, 5))), p)
             paths.append(str(p))
-        prob = get_problem("sequence-energies", model_files=paths)
-        assert prob.m == 2 and prob.d == 20
-        assert prob.sequence_dims() == (4, 5)
+        objectives = get_problem("sequence-energies", model_files=paths)
+        assert isinstance(objectives, ObjectiveSet)
+        assert objectives.m == 2 and objectives.d == 20
+        assert objectives.sequence_dims() == (4, 5)
 
     def test_sequence_energies_requires_files(self):
         with pytest.raises(ConfigError):
@@ -323,6 +344,16 @@ class TestReadmeAgreesWithTables:
         path.write_text(block)
         assert load_train_config(path) == (("pwm", None), CdTrainConfig(), AMINO_ALPHABET)
 
+    def test_problem_registry_table(self):
+        section = README.read_text().split("## Problem registry\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| `")]
+        table = {key.strip().strip("`"): (m.strip(), d.strip()) for key, m, d, _ in rows}
+        assert tuple(table) == PROBLEM_NAMES
+        for name, (m, d) in table.items():
+            if name != "sequence-energies":
+                objectives = get_problem(name)
+                assert (int(m), int(d)) == (objectives.m, objectives.d), name
+
 
 class TestSweepCells:
     def test_mgd_gets_single_noiseless_cell(self, tmp_path):
@@ -474,6 +505,18 @@ class TestRunSweep:
         cell_dir = tmp_path / "out" / "cells" / "cebm_eta40_k400_gaussian"
         assert (cell_dir / "trajectories.csv").read_bytes() == b"chain_id,step,f0,f1,lambda0,lambda1,grad_norm\r\n"
         assert (cell_dir / "final_points.csv").read_bytes() == b"chain_id,f0,f1\r\n"
+
+    def test_every_cell_failing_is_named_in_the_refusal(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("injected population failure")
+
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(harness, "run_population", failing)
+        cfg = load_config(write_config(tmp_path / "cfg.yaml", methods=["cebm", "pcebm"]))
+        with pytest.raises(ConfigError, match="2 of 2 cells failed and no chain of the other cells finished"):
+            run_sweep(cfg)
+        assert list((tmp_path / "out" / "cells").iterdir()) == []
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize(
         "overrides,match",
@@ -787,16 +830,16 @@ class TestCellFilesFromColumns:
         monkeypatch.setattr(harness, "run_population", population)
         cfg = load_config(write_config(tmp_path / "cfg.yaml", **overrides))
         if all_fail:
-            with pytest.raises(ConfigError, match="every cell failed"):
+            with pytest.raises(ConfigError, match="0 of 2 cells failed and no chain of the other cells finished"):
                 run_sweep(cfg)
         else:
             run_sweep(cfg)
-        problem, _ = harness._problem(cfg)
+        objectives, _ = harness._problem(cfg)
 
         def decode(x):
-            return sequence_to_str(harness._decode_final(x, problem), cfg.alphabet)
+            return sequence_to_str(harness._decode_final(x, objectives), cfg.alphabet)
 
-        if problem.point_kind != "sequence-logits":
+        if objectives.point_kind != "sequence-logits":
             decode = None
         every_item = []
         for cell in sweep_cells(cfg):
@@ -807,7 +850,7 @@ class TestCellFilesFromColumns:
             written.pop("front.csv", None)
             oracle = tmp_path / "oracle" / cell.cell_id
             oracle.mkdir(parents=True)
-            assert written == indexed_cell_files(oracle, items, problem.m, decode)
+            assert written == indexed_cell_files(oracle, items, objectives.m, decode)
         assert shows(every_item)
 
     def test_sweep_builds_no_trajectory_per_chain(self, tmp_path, monkeypatch):
@@ -830,7 +873,7 @@ class TestCellFilesFromColumns:
             assert sum(cell["chains"] for cell in report["cells"]) == 16
         assert built == []
         samplers.run_chain(
-            get_problem("opposing-quadratics").objectives, "cebm", samplers.SamplerConfig(eta=0.1, steps=2),
+            get_problem("opposing-quadratics"), "cebm", samplers.SamplerConfig(eta=0.1, steps=2),
             samplers.RandomInit(2),
         )
         assert built == [1]
@@ -1364,7 +1407,7 @@ class TestImproveSeeds:
         rng = np.random.default_rng(8)
         seeds = [DiscreteSequence(rng.integers(0, 4, 6), alphabet_size=4) for _ in range(3)]
         report = improve_seeds(cfg, seeds, scorer)
-        objectives = get_problem("sequence-energies", model_files=[str(tmp_path / "scorer.model")]).objectives
+        objectives = get_problem("sequence-energies", model_files=[str(tmp_path / "scorer.model")])
         sampler_seeds = samplers.chain_seeds(cfg.base_seed, range(len(cfg.methods) * len(seeds))).tolist()
         assert len(report.entries) == len(cfg.methods) * len(seeds)
         for entry in report.entries:
@@ -1383,6 +1426,13 @@ class TestImproveSeeds:
         cfg, seeds, _ = make_improve_setup(tmp_path)
         with pytest.raises(ShapeError):
             improve_seeds(cfg, seeds, PwmEnergy.zeros(3, 4))
+
+    def test_scorer_layout_checked(self, tmp_path):
+        # d = 24 either way; a (4, 6) scorer would score a misread of every
+        # (6, 4) sequence.
+        cfg, seeds, _ = make_improve_setup(tmp_path)
+        with pytest.raises(ShapeError, match=re.escape("scorer has (L, A)=(4, 6), problem has (6, 4)")):
+            improve_seeds(cfg, seeds, PwmEnergy.zeros(4, 6))
 
     def test_min_norm_method_above_the_objective_limit_refused(self, tmp_path, monkeypatch):
         cfg, seeds, scorer = make_improve_setup(tmp_path)

@@ -306,17 +306,17 @@ class TestRunPopulation:
     @pytest.mark.parametrize("problem,eta", [("opposing-quadratics", 40.0), ("tri-quadratic", 5.0)])
     def test_divergence_between_records_fails_the_chain(self, problem, eta):
         # Only steps 0 and 400 are recorded; the chain overflows in between.
-        prob = get_problem(problem)
+        objectives = get_problem(problem)
         cfg = SamplerConfig(eta=eta, steps=400, sigma=0.0, record_every=400)
-        [result] = run_population(prob.objectives, samplers.ChainSpecs("cebm", cfg, RandomInit(d=prob.d), [3]))
+        [result] = run_population(objectives, samplers.ChainSpecs("cebm", cfg, RandomInit(d=objectives.d), [3]))
         assert isinstance(result, ChainFailure)
         assert isinstance(result.error, ValueError)
 
     def test_pcebm_population_produces_a_front(self):
-        prob = get_problem("fonseca-fleming")
+        objectives = get_problem("fonseca-fleming")
         cfg = SamplerConfig(eta=0.01, steps=120, record_every=120)
         specs = samplers.ChainSpecs("pcebm", cfg, RandomInit(d=3), samplers.chain_seeds(7, range(256)))
-        results = run_population(prob.objectives, specs)
+        results = run_population(objectives, specs)
         finals = [t.F[-1] for t in results]
         assert len(pareto_filter(finals)) >= 10
 
@@ -414,9 +414,9 @@ def quadratic_pair(d):
 
 BATCH_OBJECTIVES = {
     # name -> (objectives, eta, steps, record_every)
-    "fonseca-fleming": (get_problem("fonseca-fleming").objectives, 0.05, 30, 1),
-    "tri-quadratic": (get_problem("tri-quadratic").objectives, 0.05, 30, 1),
-    "zdt3-like": (get_problem("zdt3-like").objectives, 0.01, 20, 3),
+    "fonseca-fleming": (get_problem("fonseca-fleming"), 0.05, 30, 1),
+    "tri-quadratic": (get_problem("tri-quadratic"), 0.05, 30, 1),
+    "zdt3-like": (get_problem("zdt3-like"), 0.01, 20, 3),
     "mlp": (ObjectiveSet([MlpEnergy.random(16, d=40, seed=k, scale=0.3) for k in (1, 2)]), 0.1, 20, 1),
     "mlp-3": (ObjectiveSet([MlpEnergy.random(16, d=40, seed=k, scale=0.3) for k in (3, 4, 5)]), 0.1, 20, 1),
     "mlp-4": (ObjectiveSet([MlpEnergy.random(16, d=40, seed=k, scale=0.3) for k in (6, 7, 8, 9)]), 0.1, 20, 1),
@@ -470,7 +470,7 @@ class TestBatchKernel:
         "problem,stationary", [("opposing-quadratics", [0.5, 0.0]), ("four-quadratics", [0.25, 0.0])]
     )
     def test_early_stop_inside_a_running_batch(self, problem, stationary):
-        objectives = four_quadratics() if problem == "four-quadratics" else get_problem(problem).objectives
+        objectives = four_quadratics() if problem == "four-quadratics" else get_problem(problem)
         cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
         starts = [[0.0, 50.0], stationary, [0.0, 1.0], [0.3, 40.0]]
         specs = samplers.ChainSpecs("mgd", cfg, starts, [0] * len(starts))
@@ -489,7 +489,7 @@ class TestBatchKernel:
         # (0.6, 0.2) = 0.6 c0 + 0.3 c1 + 0.1 c2 lies inside the triangle of
         # the centers, so zero is in the hull of the gradients. A Frank-Wolfe
         # drift (norm 7e-5 at its default tolerance) kept this chain moving.
-        objectives = get_problem("tri-quadratic").objectives
+        objectives = get_problem("tri-quadratic")
         cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
         specs = samplers.ChainSpecs("mgd", cfg, [[0.0, 50.0], [0.6, 0.2]], [0, 0])
         batch = run_population(objectives, specs)
@@ -509,7 +509,7 @@ class TestBatchKernel:
 
         monkeypatch.setattr(samplers, "min_norm_closed_form", counting)
         for problem in ("opposing-quadratics", "tri-quadratic"):
-            objectives = get_problem(problem).objectives
+            objectives = get_problem(problem)
             specs = batch_specs("pcebm", "gaussian", objectives, 0.05, 10, 1)
             rows.clear()
             assert not run_population(objectives, specs).failures()
@@ -564,7 +564,7 @@ class TestBatchKernel:
 def mixed_population():
     """One noiseless mgd batch with a failed start, a stop between records,
     a stop at step 0, and chains that run to the end."""
-    objectives = get_problem("fonseca-fleming").objectives
+    objectives = get_problem("fonseca-fleming")
     calm = SamplerConfig(eta=0.2, steps=25, noise_kind="none", record_every=4, grad_tol=0.02)
     starts = [
         np.random.default_rng(1).standard_normal(3),
@@ -650,7 +650,7 @@ class TestChainSpecs:
     def test_starts_of_the_wrong_d_fail_every_chain(self, starts):
         # The objectives take d = 3: the whole batch is a ShapeError, one
         # ChainFailure per chain, and run_chain raises it for a lone chain.
-        objectives = get_problem("fonseca-fleming").objectives
+        objectives = get_problem("fonseca-fleming")
         specs = samplers.ChainSpecs("cebm", SamplerConfig(eta=0.1, steps=3), starts, [0, 1, 2])
         results = run_population(objectives, specs)
         assert [f.index for f in results.failures()] == [0, 1, 2]
@@ -659,7 +659,7 @@ class TestChainSpecs:
             run_alone(objectives, specs, 1)
 
     def test_runs_as_one_batch_like_its_chain_specs(self, monkeypatch):
-        objectives = get_problem("fonseca-fleming").objectives
+        objectives = get_problem("fonseca-fleming")
         cfg = SamplerConfig(eta=0.05, steps=20, alpha=0.01, record_every=3)
         specs = samplers.ChainSpecs("pcebm", cfg, RandomInit(d=3), samplers.chain_seeds(3, range(5)))
         calls = count_batches(monkeypatch)
@@ -749,7 +749,7 @@ class TestChainResults:
         # and they keep their batch positions as ids.
         cfg = SamplerConfig(eta=0.1, steps=3, noise_kind="none")
         starts = [[0.5, 0.2, 0.1], [np.nan, 1.0, 1.0], [-0.3, 0.4, 0.9]]
-        results = run_population(get_problem("fonseca-fleming").objectives, samplers.ChainSpecs("mgd", cfg, starts, [0] * 3))
+        results = run_population(get_problem("fonseca-fleming"), samplers.ChainSpecs("mgd", cfg, starts, [0] * 3))
         assert [f.index for f in results.failures()] == [1]
         write_trajectories(tmp_path / "columns.csv", results)
         csv_oracle(tmp_path / "oracle.csv", results)
@@ -943,7 +943,7 @@ class TestFinalXOnly:
     @pytest.mark.parametrize("problem", ["opposing-quadratics", "four-quadratics"])
     def test_mgd_early_stops(self, problem):
         # Stops at step 0, between records, and not at all, in one batch.
-        objectives = four_quadratics() if problem == "four-quadratics" else get_problem(problem).objectives
+        objectives = four_quadratics() if problem == "four-quadratics" else get_problem(problem)
         cfg = SamplerConfig(eta=0.05, steps=150, noise_kind="none", record_every=10)
         starts = [[0.0, 50.0], [0.5, 0.0], [0.0, 1.0], [0.3, 40.0], [0.25, 0.0]]
         specs = samplers.ChainSpecs("mgd", cfg, starts, [0] * len(starts))
@@ -1283,7 +1283,7 @@ def one_shot_export(path, results, objective_names=None):
 
 def export_case(name):
     """(results, objective names) of one block-export case."""
-    objectives = get_problem("fonseca-fleming").objectives
+    objectives = get_problem("fonseca-fleming")
     if name == "one-batch":
         cfg = SamplerConfig(eta=0.05, steps=20, record_every=3)
         specs = samplers.ChainSpecs("cebm", cfg, RandomInit(d=3), samplers.chain_seeds(5, range(6)))
@@ -1327,7 +1327,7 @@ class TestBlockExport:
         # larger record table's floats plus a fixed 1 MiB; a one-shot export
         # takes about seven times the table. The export reads no coordinates,
         # so whole X columns and final rows alone give the same bound.
-        objectives = get_problem("fonseca-fleming").objectives
+        objectives = get_problem("fonseca-fleming")
         cfg = SamplerConfig(eta=0.01, steps=149)
         peaks, tables = [], []
         for chains in (4, 40):
