@@ -1,8 +1,12 @@
 """Alternating parent/change pairs of the sweep benchmark, summarized as JSON.
 
-    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+    python3 scripts/bench_pairs.py --base HEAD --change . \\
         --workloads grid-aggregate ff-sweep --seeds 2501 2510 --out BENCH_x.json
 
+The parent side is ``git archive REV`` of the --base revision, taken from
+the --change checkout's repository and unpacked into a fresh temporary
+directory, which is deleted when the pairs are done; the change side is the
+--change checkout as it is, uncommitted edits included.
 For each workload and each seed from the first to the last, one pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in each
 checkout, one after the other; the parent runs first in even pairs. Each run
@@ -31,6 +35,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -75,6 +80,16 @@ def stamp() -> dict:
         "openblas_config": blas["config"],
         "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE", ""),
     }
+
+
+def archive(rev: str, repo: Path, dest: Path) -> Path:
+    """Unpack ``git archive rev`` of the repository at ``repo`` into ``dest``; returns ``dest``."""
+    with tempfile.TemporaryFile() as tar:
+        subprocess.run(["git", "archive", "--format=tar", rev], cwd=repo, stdout=tar, check=True)
+        tar.seek(0)
+        with tarfile.open(fileobj=tar) as files:
+            files.extractall(dest, filter="data")
+    return dest
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -127,25 +142,30 @@ def summarize(pairs: list[dict]) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--base", required=True, metavar="REV", help="git revision of the parent side")
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", type=int, nargs=2, required=True, metavar=("FIRST", "LAST"))
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
-    doc = {"machine": stamp(), "seeds": list(range(args.seeds[0], args.seeds[1] + 1)), "workloads": {}}
-    for workload in args.workloads:
-        pairs = []
-        for i, seed in enumerate(doc["seeds"]):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"pair": i, "seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run(getattr(args, side).resolve(), workload, seed, args.seconds)
-            pairs.append(pair)
-            print(workload, seed, {side: round(pair[side]["wall_s"], 4) for side in ("parent", "change")}, flush=True)
-        doc["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    change = args.change.resolve()
+    base = subprocess.run(["git", "rev-parse", args.base], cwd=change, capture_output=True, text=True, check=True)
+    doc = {"machine": stamp(), "base": base.stdout.strip(), "seeds": list(range(args.seeds[0], args.seeds[1] + 1)),
+           "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        checkouts = {"parent": archive(args.base, change, Path(tmp)), "change": change}
+        for workload in args.workloads:
+            pairs = []
+            for i, seed in enumerate(doc["seeds"]):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"pair": i, "seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run(checkouts[side], workload, seed, args.seconds)
+                pairs.append(pair)
+                print(workload, seed, {side: round(pair[side]["wall_s"], 4) for side in ("parent", "change")}, flush=True)
+            doc["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

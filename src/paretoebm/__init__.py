@@ -21,7 +21,9 @@ from .core import (
     Trajectory,
     WrongKindError,
     decode,
+    decode_rows,
     relax,
+    relax_rows,
 )
 from .energy import (
     CdTrainConfig,

@@ -1,7 +1,11 @@
 """Shared domain types: design points, discrete sequences, simplex weights,
-sampler configuration, and chain trajectories.
+sampler configuration, and chain trajectories; and the maps between
+sequences and their logits, one sequence at a time (``relax``, ``decode``)
+or as rows of arrays (``relax_rows``, ``decode_rows``).
 
-All types are immutable value objects after construction.
+The value objects validate and freeze what they are given at construction.
+A ``Trajectory`` is a frozen holder of columns that the samplers checked
+and made read-only; it checks nothing itself.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ class ShapeError(ParetoEbmError):
 
 
 class ModelFormatError(ParetoEbmError):
-    """A model file is corrupt, truncated, or has an unsupported version."""
+    """A model file is corrupt, truncated, or has an unsupported version, or a
+    model's parameters are not all finite."""
 
 
 class ConfigError(ParetoEbmError):
@@ -257,18 +262,15 @@ class Trajectory:
     strictly increase. ``termination_step`` is the step a chain stopped at
     before its last one, or None; ``terminated_early`` is derived from it.
 
-    The constructor copies each column into a private read-only array and
-    validates it once; non-finite states raise ValueError, so a chain that
-    diverged anywhere fails as a whole. Each column is a view of that
-    array, so neither the caller's arrays nor ``setflags(write=True)`` can
-    change a validated trajectory. The samplers check every step of a
-    batch's chains as it runs and keep the records in the batch's read-only
-    columns; a finished chain's Trajectory is built from them when its
-    population's results are indexed by its batch position, as views made
-    by ``_view`` without a second check or copy. A sweep writes its cells
-    from the columns and builds no Trajectory. It asks the samplers to keep
-    only the final coordinates; a trajectory's ``X`` then holds one row, the
-    state at ``steps[-1]``, and every other column keeps all records.
+    The columns are kept as given, neither copied nor checked. The samplers
+    check every step of a batch's chains as it runs and keep the records in
+    the batch's read-only columns; a finished chain's Trajectory holds views
+    of them, built when its population's results are indexed by its batch
+    position, so no view can be made writable again. A sweep writes its
+    cells from the columns and builds no Trajectory. It asks the samplers to
+    keep only the final coordinates; a trajectory's ``X`` then holds one
+    row, the state at ``steps[-1]``, and every other column keeps all
+    records.
     """
 
     steps: np.ndarray
@@ -277,41 +279,6 @@ class Trajectory:
     lam: np.ndarray
     grad_norm: np.ndarray
     termination_step: int | None = None
-
-    def __post_init__(self):
-        steps = np.array(self.steps, dtype=np.int64)
-        X = np.array(self.X, dtype=np.float64)
-        F = np.array(self.F, dtype=np.float64)
-        lam = np.array(self.lam, dtype=np.float64)
-        grad_norm = np.array(self.grad_norm, dtype=np.float64)
-        if steps.ndim != 1 or steps.size == 0:
-            raise ValueError("trajectory must contain at least the initial record")
-        if steps[0] != 0:
-            raise ValueError("first trajectory record must be step 0")
-        if np.any(np.diff(steps) <= 0):
-            raise ValueError("trajectory step indices must be strictly increasing")
-        n = steps.size
-        if X.ndim != 2 or X.shape[0] != n or X.shape[1] == 0 or grad_norm.shape != (n,):
-            raise ShapeError(f"X must be (n, d) and grad_norm (n,) for n={n} records")
-        if F.ndim != 2 or F.shape[0] != n or F.shape[1] == 0 or lam.shape != F.shape:
-            raise ShapeError("all trajectory records must share the objective count m")
-        for name, column in (("coords", X), ("objective values", F), ("weights", lam)):
-            bad = ~np.all(np.isfinite(column), axis=1)
-            if bad.any():
-                raise ValueError(f"{name} must be finite (no NaN/Inf); step {steps[np.argmax(bad)]} is not")
-        for name, column in (("steps", steps), ("X", X), ("F", F), ("lam", lam), ("grad_norm", grad_norm)):
-            column.setflags(write=False)
-            object.__setattr__(self, name, column.view())
-
-    @classmethod
-    def _view(cls, steps, X, F, lam, grad_norm, termination_step) -> "Trajectory":
-        """A Trajectory over read-only columns that the caller built and
-        validated (see the class docstring); nothing is copied or checked."""
-        self = object.__new__(cls)
-        vars(self).update(
-            steps=steps, X=X, F=F, lam=lam, grad_norm=grad_norm, termination_step=termination_step
-        )
-        return self
 
     def __len__(self) -> int:
         return int(self.steps.size)
@@ -338,6 +305,21 @@ def relax(seq: DiscreteSequence, on_value: float = 1.0, off_value: float = 0.0) 
     coords = np.full(L * A, float(off_value))
     coords[np.arange(L) * A + seq.tokens] = float(on_value)
     return DesignPoint(coords, kind=SEQUENCE_LOGITS, L=L, A=A)
+
+
+def relax_rows(tokens: np.ndarray, A: int) -> np.ndarray:
+    """The (n, L * A) logits of the rows of an (n, L) token array, filled as
+    ``relax`` fills one sequence: 1.0 at each token, 0.0 elsewhere."""
+    n, L = tokens.shape
+    X = np.zeros((n, L * A))
+    X[np.arange(n)[:, None], np.arange(L) * A + tokens] = 1.0
+    return X
+
+
+def decode_rows(X: np.ndarray, L: int, A: int) -> np.ndarray:
+    """The (n, L) tokens of the rows of an (n, L * A) logit array, with one
+    argmax over (n, L, A): per position, ties break to the lowest token."""
+    return np.argmax(X.reshape(-1, L, A), axis=2)
 
 
 def decode(point: DesignPoint) -> DiscreteSequence:

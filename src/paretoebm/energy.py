@@ -1,13 +1,15 @@
-"""Energy models: per-objective value/gradient oracles, analytic benchmark
-objectives with known geometry, trainable sequence energies, and
-contrastive-divergence training.
+"""Energy models: analytic benchmark objectives with known geometry,
+trainable sequence energies, and contrastive-divergence training.
 
-An ``ObjectiveSet`` is the m models a sampler draws from. Its models share
-d and point kind, and the models of a sequence set share one (L, A)
-layout, worked out once at construction: models of one d but different
-layouts are refused (ShapeError), since every chain is decoded with one
-layout. ``load_model`` refuses a file whose parameters are not all finite
-(ModelFormatError, naming the file).
+A model defines one kernel, ``eval_batch``: values and gradients at the
+rows of an (n, d) array, each row bit for bit the row alone; a lone point
+is a batch of one row. An ``ObjectiveSet`` is the m models a sampler draws
+from. Its models share d and point kind, and the models of a sequence set
+share one (L, A) layout, worked out once at construction: models of one d
+but different layouts are refused (ShapeError), since every chain is
+decoded with one layout. ``PwmEnergy`` and ``MlpEnergy`` refuse parameters
+that are not all finite (ModelFormatError); ``load_model`` refuses such a
+file first, naming it.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ import numpy as np
 from .core import (
     RAW,
     SEQUENCE_LOGITS,
-    DesignPoint,
     DiscreteSequence,
     ConfigError,
     ModelFormatError,
     ShapeError,
     WrongKindError,
+    relax_rows,
 )
 
 MODEL_MAGIC = b"PEBMODEL"
@@ -70,35 +72,11 @@ class EnergyModel(ABC):
         return RAW
 
     @abstractmethod
-    def _batch_value_and_gradient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unchecked evaluation on the rows of an (n, d) array: values (n,) and
-        gradients (n, d). The one kernel a model defines: row i must equal the
+    def eval_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values (n,) and gradients (n, d) at the rows of an unchecked (n, d)
+        coordinate array. The one kernel a model defines: row i must equal the
         kernel on ``X[i:i+1]`` bit for bit, which row-wise numpy ufuncs and
         _tiled_matmul keep."""
-
-    def _value_and_gradient(self, coords: np.ndarray) -> tuple[float, np.ndarray]:
-        """Unchecked evaluation on a raw coordinate vector: the batch kernel on one row."""
-        values, grads = self._batch_value_and_gradient(coords[None])
-        return float(values[0]), grads[0]
-
-    def _check(self, point: DesignPoint) -> np.ndarray:
-        if point.d != self.d:
-            raise ShapeError(f"model expects d={self.d}, point has d={point.d}")
-        if point.kind != self.point_kind:
-            raise WrongKindError(
-                f"model expects {self.point_kind!r} points, got {point.kind!r}"
-            )
-        return point.coords
-
-    def value_and_gradient(self, point: DesignPoint) -> tuple[float, np.ndarray]:
-        """Energy and its gradient in a single evaluation."""
-        return self._value_and_gradient(self._check(point))
-
-    def value(self, point: DesignPoint) -> float:
-        return self.value_and_gradient(point)[0]
-
-    def gradient(self, point: DesignPoint) -> np.ndarray:
-        return self.value_and_gradient(point)[1]
 
 
 class ObjectiveSet:
@@ -160,7 +138,7 @@ class ObjectiveSet:
         values = np.empty((X.shape[0], self.m))
         grads = np.empty((X.shape[0], self.m, self._d))
         for i, model in enumerate(self.models):
-            values[:, i], grads[:, i] = model._batch_value_and_gradient(X)
+            values[:, i], grads[:, i] = model.eval_batch(X)
         return values, grads
 
 
@@ -175,7 +153,7 @@ class PwmEnergy(EnergyModel):
         if W.ndim != 2 or W.size == 0:
             raise ShapeError("PWM weights must be a non-empty L x A matrix")
         if not np.all(np.isfinite(W)):
-            raise ValueError("PWM weights must be finite")
+            raise ModelFormatError("PWM weights must be finite")
         W.setflags(write=False)
         self.weights = W
         self.L, self.A = W.shape
@@ -189,7 +167,7 @@ class PwmEnergy(EnergyModel):
     def point_kind(self) -> str:
         return SEQUENCE_LOGITS
 
-    def _batch_value_and_gradient(self, X):
+    def eval_batch(self, X):
         return np.vecdot(X, self._flat), np.broadcast_to(self._flat, X.shape)
 
     def params(self) -> dict[str, np.ndarray]:
@@ -222,6 +200,8 @@ class MlpEnergy(EnergyModel):
             raise ShapeError("b1 and w2 must be H-vectors matching w1")
         if L is not None and (A is None or L * A != d):
             raise ShapeError(f"L*A must equal d={d}")
+        if not (math.isfinite(self.b2) and all(np.all(np.isfinite(a)) for a in (self.w1, self.b1, self.w2))):
+            raise ModelFormatError("MLP parameters must be finite")
         self.L, self.A, self.H, self._d = L, A, H, d
         for arr in (self.w1, self.b1, self.w2):
             arr.setflags(write=False)
@@ -239,7 +219,7 @@ class MlpEnergy(EnergyModel):
         Hm = np.tanh(_tiled_matmul(X, self.w1.T) + self.b1)
         return Hm, self.w2 * (1.0 - Hm * Hm)
 
-    def _batch_value_and_gradient(self, X):
+    def eval_batch(self, X):
         Hm, Dz = self._hidden(X)
         return np.vecdot(Hm, self.w2) + self.b2, _tiled_matmul(Dz, self.w1)
 
@@ -302,7 +282,7 @@ class ShiftedQuadratic(EnergyModel):
         delta *= 2.0
         return values, delta
 
-    def _batch_value_and_gradient(self, X):
+    def eval_batch(self, X):
         values, grads = self._centered_kernel(X, self.center[None])
         return values[:, 0], grads[:, 0]
 
@@ -341,7 +321,7 @@ class FonsecaFlemingBranch(EnergyModel):
         delta *= (2.0 * e)[..., None]
         return 1.0 - e, delta
 
-    def _batch_value_and_gradient(self, X):
+    def eval_batch(self, X):
         values, grads = self._centered_kernel(X, self.center[None])
         return values[:, 0], grads[:, 0]
 
@@ -380,7 +360,7 @@ class Zdt3Branch(EnergyModel):
         return self._d
 
     # Row-wise ufuncs only (np.sin and np.cos, never math): see FonsecaFlemingBranch.
-    def _batch_value_and_gradient(self, X):
+    def eval_batch(self, X):
         grad = np.zeros_like(X)
         x0 = X[:, 0]
         t = _squash(x0)
@@ -436,13 +416,6 @@ class CdTrainConfig:
             raise ConfigError(f"cd_sigma must be finite and >= 0, got {self.cd_sigma}")
 
 
-def _one_hot_batch(tokens: np.ndarray, A: int) -> np.ndarray:
-    n, L = tokens.shape
-    X = np.zeros((n, L * A))
-    X[np.arange(n)[:, None], np.arange(L) * A + tokens] = 1.0
-    return X
-
-
 def cd_train(
     model: PwmEnergy | MlpEnergy,
     data: Sequence[DiscreteSequence],
@@ -470,7 +443,7 @@ def cd_train(
             )
 
     rng = np.random.default_rng(cfg.seed)
-    positives = _one_hot_batch(np.stack([s.tokens for s in data]), A)
+    positives = relax_rows(np.stack([s.tokens for s in data]), A)
     n = positives.shape[0]
     params = {k: np.array(v) for k, v in model.params().items()}
     current = model.with_params(params)
@@ -481,12 +454,12 @@ def cd_train(
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             batch = positives[order[start : start + cfg.batch_size]]
-            neg = _one_hot_batch(rng.integers(0, A, size=(batch.shape[0], L)), A)
+            neg = relax_rows(rng.integers(0, A, size=(batch.shape[0], L)), A)
             for _ in range(cfg.cd_steps):
-                neg = neg - (cfg.cd_eta / 2.0) * current._batch_value_and_gradient(neg)[1]
+                neg = neg - (cfg.cd_eta / 2.0) * current.eval_batch(neg)[1]
                 if cfg.cd_sigma > 0:
                     neg = neg + cfg.cd_sigma * rng.standard_normal(neg.shape)
-            pos_mean, neg_mean = (current._batch_value_and_gradient(X)[0].mean() for X in (batch, neg))
+            pos_mean, neg_mean = (current.eval_batch(X)[0].mean() for X in (batch, neg))
             epoch_losses.append(float(pos_mean - neg_mean))
             g_pos = current.batch_param_gradient(batch)
             g_neg = current.batch_param_gradient(neg)

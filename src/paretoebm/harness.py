@@ -52,12 +52,11 @@ from .core import (
     SamplerConfig,
     ShapeError,
     SimplexWeights,
-    decode,
+    WrongKindError,
+    decode_rows,
     read_sequences,
-    relax,
+    relax_rows,
     sequence_from_str,
-    sequence_point,
-    sequence_to_str,
     uniform_weights,
 )
 from .energy import CdTrainConfig, EnergyModel, ObjectiveSet
@@ -393,10 +392,9 @@ def _sampler_config(
     )
 
 
-def _decode_final(x: np.ndarray, objectives: ObjectiveSet) -> DiscreteSequence:
-    """The sequence a chain's final coordinates ``x`` decode to."""
-    L, A = objectives.sequence_dims()
-    return decode(sequence_point(x, L, A))
+def _sequence_text(tokens: np.ndarray, alphabet: str) -> list[str]:
+    """The rows of an (n, L) token array as text over ``alphabet``."""
+    return ["".join(alphabet[t] for t in row) for row in tokens.tolist()]
 
 
 def _write_final_points(path, rows, m: int, with_sequence: bool) -> None:
@@ -511,7 +509,7 @@ def _run_cell(
     final_columns = [ids.tolist(), *finals.T.tolist()]
     sequences = []
     if is_sequence:
-        sequences = [sequence_to_str(_decode_final(x, objectives), cfg.alphabet) for x in final_x]
+        sequences = _sequence_text(decode_rows(final_x, *objectives.sequence_dims()), cfg.alphabet)
         final_columns.append(sequences)
     tmp_dir = cells_dir / f".tmp-{cell.cell_id}"
     if tmp_dir.exists():
@@ -863,9 +861,9 @@ def improve_seeds(
     if objectives.point_kind != SEQUENCE_LOGITS:
         raise ConfigError("improve_seeds needs a sequence problem")
     L, A = objectives.sequence_dims()
-    if scorer.d != objectives.d:
-        raise ShapeError(f"scorer has d={scorer.d}, problem has d={objectives.d}")
-    if scorer.point_kind == SEQUENCE_LOGITS and (scorer.L, scorer.A) != (L, A):
+    if scorer.point_kind != SEQUENCE_LOGITS:
+        raise WrongKindError(f"scorer expects {scorer.point_kind!r} points, the problem's are {SEQUENCE_LOGITS!r}")
+    if (scorer.L, scorer.A) != (L, A):
         raise ShapeError(f"scorer has (L, A)=({scorer.L}, {scorer.A}), problem has ({L}, {A})")
     for i, seed in enumerate(seeds):
         if len(seed) != L or seed.alphabet_size != A:
@@ -873,13 +871,11 @@ def improve_seeds(
 
     eta = cfg.etas[0]
     steps = cfg.steps_grid[0]
-    relaxed = [relax(seed) for seed in seeds]
-    before = [float(scorer.value(x)) for x in relaxed]
-    starts = np.stack([x.coords for x in relaxed])
+    starts = relax_rows(np.stack([seed.tokens for seed in seeds]), A)
+    before = scorer.eval_batch(starts)[0].tolist()
 
-    entries: list[dict] = []
     failures: list[dict] = []
-    finished = []
+    finished, final_x = [], []
     sampler_seeds = chain_seeds(cfg.base_seed, range(len(cfg.methods) * len(seeds)))
     for mi, method in enumerate(cfg.methods):
         config = _sampler_config(cfg, eta, steps, _noise_grid(cfg, method)[0], max(1, steps))
@@ -897,21 +893,26 @@ def improve_seeds(
                     "error": f"{type(failure.error).__name__}: {failure.error}",
                 }
             )
-        ids, _, final_x, _ = results.finals()
-        finished += [(mi, si, _decode_final(x, objectives)) for si, x in zip(ids.tolist(), final_x)]
-    # One bit-vector pass over every (seed, final sequence) pair.
-    edits = edit_distance_matrix(seeds, [final_seq for _, _, final_seq in finished])
-    for f, (mi, si, final_seq) in enumerate(finished):
-        entries.append(
-            {
-                "seed_index": si,
-                "method": cfg.methods[mi],
-                "before": before[si],
-                "after": float(scorer.value(relax(final_seq))),
-                "edit_distance": int(edits[si, f]),
-                "sequence": sequence_to_str(final_seq, cfg.alphabet),
-            }
-        )
+        ids, _, x, _ = results.finals()
+        finished += [(mi, si) for si in ids.tolist()]
+        final_x.append(x)
+    # One argmax decodes every final point, one kernel call scores them, and
+    # one bit-vector pass gives every (seed, final sequence) edit distance.
+    tokens = decode_rows(np.concatenate(final_x), L, A)
+    after = scorer.eval_batch(relax_rows(tokens, A))[0].tolist()
+    edits = edit_distance_matrix(seeds, tokens)
+    text = _sequence_text(tokens, cfg.alphabet)
+    entries = [
+        {
+            "seed_index": si,
+            "method": cfg.methods[mi],
+            "before": before[si],
+            "after": after[f],
+            "edit_distance": int(edits[si, f]),
+            "sequence": text[f],
+        }
+        for f, (mi, si) in enumerate(finished)
+    ]
 
     per_method = {}
     for method in cfg.methods:

@@ -36,9 +36,9 @@ preallocated buffer (``_Noise``). Every operation of a step is
 row-wise and rounds each row exactly as it would round that chain alone,
 so a chain's result does not depend on the batch it ran in, its position
 there, or the order of its population. Each energy defines one kernel, on a
-batch of rows (``EnergyModel._batch_value_and_gradient``); a lone point is
-a batch of one, and a set of one centered family is its family's kernel
-over the stacked centers (``ObjectiveSet.eval_batch``). Its elementwise
+batch of rows (``EnergyModel.eval_batch``); a lone point is a batch of one,
+and a set of one centered family is its family's kernel over the stacked
+centers (``ObjectiveSet.eval_batch``). Its elementwise
 math uses numpy ufuncs, which round each element the same way at any array
 length. The MLP energies' matrix products run in fixed-shape tiles
 (energy._tiled_matmul), which round each row alike whatever its siblings
@@ -507,7 +507,7 @@ class ChainResults(abc.Sequence):
         # Views of read-only owners, never an owner itself, so
         # setflags(write=True) raises on each column. Under final_x_only X
         # has one row per chain, which [:end] keeps.
-        return Trajectory._view(
+        return Trajectory(
             steps[:end], self._X[pos, :end], self._F[pos, :end], self._lam[pos, :end], self._grad_norm[pos, :end],
             None if stop < 0 else stop,
         )

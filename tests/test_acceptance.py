@@ -151,9 +151,9 @@ def test_criterion_03_reductions():
         x = np.array(x0.coords)
         expect = {0: x.copy()}
         for k in range(1, steps + 1):
-            g = objs.models[0]._value_and_gradient(x)[1]
+            g = objs.models[0].eval_batch(x[None])[1][0]
             for model in objs.models[1:]:
-                g = g + model._value_and_gradient(x)[1]
+                g = g + model.eval_batch(x[None])[1][0]
             x = x - (eta / 2.0) * g
             expect[k] = x.copy()
         assert np.array_equal(traj.X, [expect[step] for step in traj.steps])
@@ -164,14 +164,8 @@ def test_criterion_03_reductions():
 
 
 def _fd_gradient(model, coords, h=1e-5):
-    g = np.zeros_like(coords)
-    for i in range(coords.size):
-        bump = np.zeros_like(coords)
-        bump[i] = h
-        vp, _ = model._value_and_gradient(coords + bump)
-        vm, _ = model._value_and_gradient(coords - bump)
-        g[i] = (vp - vm) / (2.0 * h)
-    return g
+    bumps = h * np.eye(coords.size)
+    return (model.eval_batch(coords + bumps)[0] - model.eval_batch(coords - bumps)[0]) / (2.0 * h)
 
 
 def test_criterion_04_gradient_fidelity():
@@ -196,7 +190,7 @@ def test_criterion_04_gradient_fidelity():
                         break
             else:
                 x = rng.standard_normal(model.d)
-            _, g = model._value_and_gradient(x)
+            g = model.eval_batch(x[None])[1][0]
             fd = _fd_gradient(model, x)
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-5, f"{name}: relative error {rel}"
@@ -404,8 +398,8 @@ def test_criterion_10_cd_training():
     medians = np.median(np.array(histories), axis=0)
     assert all(b < a for a, b in zip(medians, medians[1:])), "median loss gap not monotone"
 
-    e_pos = np.array([model.value(relax(s)) for s in held])
-    e_unf = np.array([model.value(relax(s)) for s in uniform])
+    e_pos = model.eval_batch(np.stack([relax(s).coords for s in held]))[0]
+    e_unf = model.eval_batch(np.stack([relax(s).coords for s in uniform]))[0]
     gap = float(e_unf.mean() - e_pos.mean())
     stderr = math.sqrt(e_pos.var() / e_pos.size + e_unf.var() / e_unf.size)
     assert e_pos.mean() < e_unf.mean()

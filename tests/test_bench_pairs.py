@@ -1,11 +1,14 @@
-"""scripts/bench_pairs.py's summary on fixed synthetic pairs; no benchmark runs."""
+"""scripts/bench_pairs.py's summary on fixed synthetic pairs, and its parent
+checkout from git archive; no benchmark runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
@@ -78,3 +81,14 @@ def test_cpu_seconds_and_failures_are_summarized():
     summary = bench_pairs.summarize(pairs_for({"cpu_s": (PARENT, shifted(PARENT, 1.0))}))
     assert summary["cpu_s"]["change_median"] == 15.5 and summary["cpu_s"]["change_wins"] == 0
     assert summary["failed_frac"] == {"parent": 0.0, "change": pytest.approx(0.1)}
+
+
+@pytest.mark.skipif(
+    subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode != 0,
+    reason="git archive needs a git repository with a commit",
+)
+def test_archive_of_head_holds_the_package_and_the_benchmark_but_no_git(tmp_path):
+    base = bench_pairs.archive("HEAD", ROOT, tmp_path / "base")
+    assert (base / "src" / "paretoebm" / "__init__.py").is_file()
+    assert (base / "perfbench" / "run.py").is_file()
+    assert not (base / ".git").exists()

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from paretoebm.core import (
-    DesignPoint,
     DiscreteSequence,
     ModelFormatError,
     ShapeError,
@@ -59,46 +58,16 @@ def test_ufunc_rounds_an_element_alike_at_any_length(ufunc):
             assert np.array_equal(ufunc(args[start : start + length]), scalar[start : start + length])
 
 
-class RowCubic(EnergyModel):
-    """Defines only d and the batch kernel: sum(x^3), gradient 3 x^2."""
-
-    @property
-    def d(self):
-        return 3
-
-    def _batch_value_and_gradient(self, X):
-        return np.sum(X**3, axis=1), 3.0 * X * X
-
-
 class TestOneKernel:
-    def test_single_point_api_is_row_zero_of_the_batch_kernel(self):
-        model = RowCubic()
-        X = np.random.default_rng(6).standard_normal((4, 3))
-        values, grads = model._batch_value_and_gradient(X)
-        p = DesignPoint(X[0])
-        value, grad = model.value_and_gradient(p)
-        assert type(value) is float and value == values[0]
-        assert np.array_equal(grad, grads[0])
-        assert model.value(p) == values[0]
-        assert np.array_equal(model.gradient(p), grads[0])
-        with pytest.raises(ShapeError):
-            model.value(DesignPoint(X[0, :2]))
-
     @pytest.mark.parametrize("cls", [PwmEnergy, MlpEnergy, ShiftedQuadratic, FonsecaFlemingBranch, Zdt3Branch])
     def test_each_model_defines_only_the_batch_kernel(self, cls):
-        assert "_batch_value_and_gradient" in vars(cls)
-        assert "_value_and_gradient" not in vars(cls)
+        assert "eval_batch" in vars(cls)
+        assert {name for name in vars(EnergyModel) if not name.startswith("_")} == {"d", "point_kind", "eval_batch"}
 
 
 def fd_gradient(model, coords, h=FD_H):
-    g = np.zeros_like(coords)
-    for i in range(coords.size):
-        bump = np.zeros_like(coords)
-        bump[i] = h
-        vp, _ = model._value_and_gradient(coords + bump)
-        vm, _ = model._value_and_gradient(coords - bump)
-        g[i] = (vp - vm) / (2.0 * h)
-    return g
+    bumps = h * np.eye(coords.size)
+    return (model.eval_batch(coords + bumps)[0] - model.eval_batch(coords - bumps)[0]) / (2.0 * h)
 
 
 def rel_error(a, b):
@@ -118,34 +87,21 @@ def draw_point(model, rng):
 
 class TestValueAndGradient:
     def test_pwm_linear_form(self):
-        model = PwmEnergy([[1.0, 2.0]])
-        p = DesignPoint([1.0, 0.0], kind="sequence-logits", L=1, A=2)
-        v, g = model.value_and_gradient(p)
-        assert v == 1.0
-        assert np.array_equal(g, [1.0, 2.0])
+        v, g = PwmEnergy([[1.0, 2.0]]).eval_batch(np.array([[1.0, 0.0]]))
+        assert np.array_equal(v, [1.0])
+        assert np.array_equal(g, [[1.0, 2.0]])
 
     def test_quadratic_minimum(self):
-        model = ShiftedQuadratic([1.0, 0.0])
-        v, g = model.value_and_gradient(DesignPoint([1.0, 0.0]))
-        assert v == 0.0
-        assert np.array_equal(g, [0.0, 0.0])
-
-    def test_dimension_mismatch(self):
-        model = ShiftedQuadratic([1.0, 0.0])
-        with pytest.raises(ShapeError):
-            model.value(DesignPoint([1.0, 0.0, 0.0]))
-
-    def test_kind_mismatch(self):
-        model = PwmEnergy([[1.0, 2.0]])
-        with pytest.raises(WrongKindError):
-            model.value(DesignPoint([1.0, 0.0]))
+        v, g = ShiftedQuadratic([1.0, 0.0]).eval_batch(np.array([[1.0, 0.0]]))
+        assert np.array_equal(v, [0.0])
+        assert np.array_equal(g, [[0.0, 0.0]])
 
     def test_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         for trial in range(20):
             model = MlpEnergy.random(hidden=7, d=5, seed=trial, scale=0.5)
             x = rng.standard_normal(5)
-            _, g = model._value_and_gradient(x)
+            g = model.eval_batch(x[None])[1][0]
             assert rel_error(g, fd_gradient(model, x)) < 1e-5
 
     @pytest.mark.parametrize(
@@ -165,13 +121,13 @@ class TestValueAndGradient:
         for i in range(25):
             model = factory(i)
             x = draw_point(model, rng)
-            _, g = model._value_and_gradient(x)
+            g = model.eval_batch(x[None])[1][0]
             assert rel_error(g, fd_gradient(model, x)) < 1e-5
 
     def test_pwm_gradient_constant_in_point(self):
         rng = np.random.default_rng(5)
         model = PwmEnergy(rng.normal(size=(4, 3)))
-        grads = [model._value_and_gradient(rng.standard_normal(12))[1] for _ in range(10)]
+        grads = model.eval_batch(rng.standard_normal((10, 12)))[1]
         for g in grads[1:]:
             assert np.array_equal(g, grads[0])
 
@@ -179,8 +135,8 @@ class TestValueAndGradient:
         # Second, independent evaluation of the two branches at the minimizer
         # of the first: f1 = 0 and f2 = 1 - exp(-4) at x = (1/sqrt(2), 1/sqrt(2)).
         x = np.full(2, 1.0 / math.sqrt(2.0))
-        f1 = FonsecaFlemingBranch(1, 2)._value_and_gradient(x)[0]
-        f2 = FonsecaFlemingBranch(-1, 2)._value_and_gradient(x)[0]
+        f1 = FonsecaFlemingBranch(1, 2).eval_batch(x[None])[0][0]
+        f2 = FonsecaFlemingBranch(-1, 2).eval_batch(x[None])[0][0]
         assert f1 == pytest.approx(0.0, abs=1e-15)
         expected = 1.0 - math.exp(-sum((v + 1.0 / math.sqrt(2.0)) ** 2 for v in x))
         assert f2 == pytest.approx(expected, rel=1e-12)
@@ -190,8 +146,8 @@ class TestValueAndGradient:
         # The batch kernel against the formula evaluated point by point with
         # math: t = s(x_1), f1 = t, f2 = g - t * (1 + sin(10 pi t)).
         X = np.random.default_rng(12).standard_normal((50, 5)) * 2.0
-        f1 = Zdt3Branch(0, 5)._batch_value_and_gradient(X)[0]
-        f2 = Zdt3Branch(1, 5)._batch_value_and_gradient(X)[0]
+        f1 = Zdt3Branch(0, 5).eval_batch(X)[0]
+        f2 = Zdt3Branch(1, 5).eval_batch(X)[0]
         for i, x in enumerate(X.tolist()):
             t = x[0] ** 2 / (1.0 + x[0] ** 2)
             g = 1.0 + 9.0 / 4.0 * sum(v * v / (1.0 + v * v) for v in x[1:])
@@ -207,8 +163,8 @@ class TestObjectiveSet:
 
     def test_singleton(self):
         objs = ObjectiveSet([ShiftedQuadratic([2.0])])
-        p = DesignPoint([0.0])
-        assert objs.eval_batch(p.coords[None])[0][0, 0] == objs.models[0].value(p)
+        X = np.array([[0.0]])
+        assert objs.eval_batch(X)[0][0, 0] == objs.models[0].eval_batch(X)[0][0]
 
     def test_order_preserved(self):
         objs = ObjectiveSet([ShiftedQuadratic([1.0]), ShiftedQuadratic([3.0])])
@@ -257,9 +213,9 @@ class TestObjectiveSet:
         assert values.shape == (64, objs.m) and grads.shape == (64, objs.m, objs.d)
         for i, x in enumerate(X):
             for j, model in enumerate(models):
-                value, grad = model._value_and_gradient(x)
-                assert values[i, j] == value
-                assert np.array_equal(grads[i, j], grad)
+                value, grad = model.eval_batch(x[None])
+                assert values[i, j] == value[0]
+                assert np.array_equal(grads[i, j], grad[0])
         for j, model in enumerate(models):
             if isinstance(model, FonsecaFlemingBranch):
                 # Some rows round differently under math.exp, and both paths
@@ -338,7 +294,7 @@ class TestCenteredFamilyKernel:
                 values, grads = objs.eval_batch(X[offset : offset + n])
                 assert values.shape == (n, k) and grads.shape == (n, k, d)
                 for j, model in enumerate(models):
-                    own_values, own_grads = model._batch_value_and_gradient(X[offset : offset + n])
+                    own_values, own_grads = model.eval_batch(X[offset : offset + n])
                     assert np.array_equal(values[:, j], own_values, equal_nan=True)
                     assert np.array_equal(grads[:, j], own_grads, equal_nan=True)
                 for i in range(n):
@@ -350,14 +306,14 @@ class TestCenteredFamilyKernel:
 
     def test_other_sets_take_one_pass_per_model(self):
         class TripledQuadratic(ShiftedQuadratic):
-            def _batch_value_and_gradient(self, X):
-                values, grads = super()._batch_value_and_gradient(X)
+            def eval_batch(self, X):
+                values, grads = super().eval_batch(X)
                 return 3.0 * values, 3.0 * grads
 
         X = np.array([[0.0, 0.0, 0.0]])
         mixed = ObjectiveSet([ShiftedQuadratic([1.0, 0.0, 0.0]), FonsecaFlemingBranch(1, 3)])
         assert mixed._kernel is None
-        assert np.array_equal(mixed.eval_batch(X)[0][0], [1.0, mixed.models[1].value(DesignPoint(X[0]))])
+        assert np.array_equal(mixed.eval_batch(X)[0][0], [1.0, mixed.models[1].eval_batch(X)[0][0]])
         # A subclass is not the family: its own kernel runs.
         tripled = ObjectiveSet([TripledQuadratic([1.0, 0.0, 0.0]), TripledQuadratic([0.0, 2.0, 0.0])])
         assert tripled._kernel is None
@@ -399,8 +355,8 @@ class TestCdTrain:
         uniform = [
             DiscreteSequence(rng.integers(0, 4, 6), alphabet_size=4) for _ in range(100)
         ]
-        e_pos = np.mean([trained.value(relax(s)) for s in held])
-        e_unf = np.mean([trained.value(relax(s)) for s in uniform])
+        e_pos = np.mean(trained.eval_batch(np.stack([relax(s).coords for s in held]))[0])
+        e_unf = np.mean(trained.eval_batch(np.stack([relax(s).coords for s in uniform]))[0])
         assert e_pos < e_unf
 
     def test_mlp_training_runs_and_is_deterministic(self):
@@ -411,6 +367,16 @@ class TestCdTrain:
         _, h1 = cd_train(model, data, cfg)
         _, h2 = cd_train(model, data, cfg)
         assert h1 == h2
+
+    @pytest.mark.parametrize(
+        "model", [PwmEnergy(np.full((6, 4), 0.5)), MlpEnergy.random(hidden=5, L=6, A=4, seed=0)], ids=["pwm", "mlp"]
+    )
+    def test_overflowing_update_raises(self, model):
+        # l2 * theta is about 1e307, and lr = 1e308 takes the first update past the largest float.
+        _, data = planted_pwm_data(np.random.default_rng(1))
+        cfg = CdTrainConfig(cd_steps=1, lr=1e308, l2=1e308, epochs=1, batch_size=300)
+        with np.errstate(over="ignore"), pytest.raises(ModelFormatError, match="must be finite"):
+            cd_train(model, data, cfg)
 
     def test_rejects_length_mismatch(self):
         rng = np.random.default_rng(7)
@@ -440,7 +406,7 @@ class TestCdTrain:
                 for sign in (1, -1):
                     bumped = {k: np.array(v, dtype=float) for k, v in params.items()}
                     bumped[name].reshape(-1)[i] += sign * h
-                    vals = model.with_params(bumped)._batch_value_and_gradient(X)[0]
+                    vals = model.with_params(bumped).eval_batch(X)[0]
                     fd[i] += sign * vals.mean() / (2 * h)
             assert rel_error(np.asarray(grad).reshape(-1), fd) < 1e-6
 
@@ -465,6 +431,24 @@ def save_params(path, index, value) -> np.ndarray:
     return params
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: PwmEnergy([[0.0, bad]]),
+        lambda bad: MlpEnergy([[bad, 0.0]], [0.0], [0.0], 0.0),
+        lambda bad: MlpEnergy([[0.0, 0.0]], [bad], [0.0], 0.0),
+        lambda bad: MlpEnergy([[0.0, 0.0]], [0.0], [bad], 0.0),
+        lambda bad: MlpEnergy([[0.0, 0.0]], [0.0], [0.0], bad),
+    ],
+    ids=["pwm", "mlp-w1", "mlp-b1", "mlp-w2", "mlp-b2"],
+)
+def test_non_finite_parameters_are_refused_where_built(build, bad):
+    # Refused at construction, so a library-built model cannot fail every chain at step 0.
+    with pytest.raises(ModelFormatError, match="must be finite"):
+        build(bad)
+
+
 class TestPersistence:
     def test_pwm_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -474,9 +458,8 @@ class TestPersistence:
         loaded = load_model(path)
         assert isinstance(loaded, PwmEnergy)
         assert np.array_equal(loaded.weights, model.weights)
-        for _ in range(100):
-            p = DesignPoint(rng.standard_normal(160), kind="sequence-logits", L=8, A=20)
-            assert loaded.value(p) == model.value(p)
+        X = rng.standard_normal((100, 160))
+        assert np.array_equal(loaded.eval_batch(X)[0], model.eval_batch(X)[0])
 
     def test_mlp_round_trip_bit_exact(self, tmp_path):
         model = MlpEnergy.random(hidden=6, L=4, A=5, seed=2)

@@ -31,14 +31,17 @@ from paretoebm.core import (
     SamplerConfig,
     ShapeError,
     SimplexWeights,
+    WrongKindError,
     decode,
     relax,
+    sequence_from_str,
     sequence_point,
     sequence_to_str,
 )
 from paretoebm.energy import (
     CdTrainConfig,
     FonsecaFlemingBranch,
+    MlpEnergy,
     ObjectiveSet,
     PwmEnergy,
     ShiftedQuadratic,
@@ -836,11 +839,11 @@ class TestCellFilesFromColumns:
             run_sweep(cfg)
         objectives, _ = harness._problem(cfg)
 
-        def decode(x):
-            return sequence_to_str(harness._decode_final(x, objectives), cfg.alphabet)
+        def decode_one(x):
+            return sequence_to_str(decode(sequence_point(x, *objectives.sequence_dims())), cfg.alphabet)
 
         if objectives.point_kind != "sequence-logits":
-            decode = None
+            decode_one = None
         every_item = []
         for cell in sweep_cells(cfg):
             config = harness._sampler_config(cfg, cell.eta, cell.steps, cell.noise_kind, cfg.record_every)
@@ -850,19 +853,19 @@ class TestCellFilesFromColumns:
             written.pop("front.csv", None)
             oracle = tmp_path / "oracle" / cell.cell_id
             oracle.mkdir(parents=True)
-            assert written == indexed_cell_files(oracle, items, objectives.m, decode)
+            assert written == indexed_cell_files(oracle, items, objectives.m, decode_one)
         assert shows(every_item)
 
     def test_sweep_builds_no_trajectory_per_chain(self, tmp_path, monkeypatch):
         built = []
-        view = samplers.Trajectory._view.__func__
+        trajectory = samplers.Trajectory
 
-        def counting(cls, *args):
+        def counting(*args):
             built.append(1)
-            return view(cls, *args)
+            return trajectory(*args)
 
         monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
-        monkeypatch.setattr(samplers.Trajectory, "_view", classmethod(counting))
+        monkeypatch.setattr(samplers, "Trajectory", counting)
         for problem, models in (("opposing-quadratics", 0), ("sequence-energies", 2)):
             extra = {"model_files": save_pwm_models(tmp_path, models), "alphabet": "ACGTW"} if models else {}
             cfg = load_config(
@@ -1422,6 +1425,22 @@ class TestImproveSeeds:
             final = decode(sequence_point(traj.X[-1], 6, 4))
             assert entry["sequence"] == sequence_to_str(final, cfg.alphabet)
 
+    @pytest.mark.parametrize("kind", ["pwm", "mlp"])
+    def test_scores_are_the_scorer_kernel_on_each_row_alone(self, tmp_path, kind):
+        # The seeds and the final sequences are each scored in one batch; every
+        # score must be the scorer's kernel on that row alone, bit for bit.
+        cfg, _, scorer = make_improve_setup(tmp_path, steps=12)
+        if kind == "mlp":
+            scorer = MlpEnergy.random(hidden=16, L=6, A=4, seed=2, scale=0.5)
+        rng = np.random.default_rng(9)
+        seeds = [DiscreteSequence(rng.integers(0, 4, 6), alphabet_size=4) for _ in range(11)]
+        report = improve_seeds(cfg, seeds, scorer)
+        assert len(report.entries) == 44
+        for entry in report.entries:
+            final = sequence_from_str(entry["sequence"], cfg.alphabet)
+            assert entry["before"] == scorer.eval_batch(relax(seeds[entry["seed_index"]]).coords[None])[0][0]
+            assert entry["after"] == scorer.eval_batch(relax(final).coords[None])[0][0]
+
     def test_scorer_dimension_checked(self, tmp_path):
         cfg, seeds, _ = make_improve_setup(tmp_path)
         with pytest.raises(ShapeError):
@@ -1433,6 +1452,8 @@ class TestImproveSeeds:
         cfg, seeds, _ = make_improve_setup(tmp_path)
         with pytest.raises(ShapeError, match=re.escape("scorer has (L, A)=(4, 6), problem has (6, 4)")):
             improve_seeds(cfg, seeds, PwmEnergy.zeros(4, 6))
+        with pytest.raises(WrongKindError, match="scorer expects 'raw' points"):
+            improve_seeds(cfg, seeds, MlpEnergy.random(hidden=2, d=24))
 
     def test_min_norm_method_above_the_objective_limit_refused(self, tmp_path, monkeypatch):
         cfg, seeds, scorer = make_improve_setup(tmp_path)

@@ -111,9 +111,9 @@ class TestCebm:
         x = np.array([3.0, -2.0])
         expect = {0: x.copy()}
         for k in range(1, 101):
-            g = objs.models[0]._value_and_gradient(x)[1]
+            g = objs.models[0].eval_batch(x[None])[1][0]
             for model in objs.models[1:]:
-                g = g + model._value_and_gradient(x)[1]
+                g = g + model.eval_batch(x[None])[1][0]
             x = x - (0.1 / 2.0) * g
             expect[k] = x.copy()
         assert np.array_equal(traj.X, [expect[step] for step in traj.steps])
@@ -701,8 +701,7 @@ class TestChainResults:
     def test_items_are_built_on_access(self, monkeypatch):
         objectives, specs = mixed_population()
         built = []
-        view = Trajectory._view.__func__
-        monkeypatch.setattr(Trajectory, "_view", classmethod(lambda cls, *a: built.append(1) or view(cls, *a)))
+        monkeypatch.setattr(samplers, "Trajectory", lambda *a: built.append(1) or Trajectory(*a))
         results = run_population(objectives, specs, final_x_only=True)
         results.finals()
         results.failures()
@@ -774,7 +773,7 @@ class ZeroEnergy(EnergyModel):
     def d(self):
         return self._d
 
-    def _batch_value_and_gradient(self, X):
+    def eval_batch(self, X):
         return np.zeros(X.shape[0]), np.zeros_like(X)
 
 
@@ -789,7 +788,7 @@ class Ramp(EnergyModel):
     def d(self):
         return self._d
 
-    def _batch_value_and_gradient(self, X):
+    def eval_batch(self, X):
         grad = np.zeros_like(X)
         grad[:, 0] = np.where(X[:, 0] > 0, -np.inf, -1.0)
         return -X[:, 0], grad
@@ -905,7 +904,7 @@ class TanhSum(EnergyModel):
     def d(self):
         return self._d
 
-    def _batch_value_and_gradient(self, X):
+    def eval_batch(self, X):
         t = np.tanh(X - self.shift)
         return t.sum(axis=1), 1.0 - t * t
 
@@ -913,8 +912,8 @@ class TanhSum(EnergyModel):
 class CappedQuadratic(ShiftedQuadratic):
     """A quadratic whose value is infinite once x[0] > 2; its gradient stays finite."""
 
-    def _batch_value_and_gradient(self, X):
-        values, grads = super()._batch_value_and_gradient(X)
+    def eval_batch(self, X):
+        values, grads = super().eval_batch(X)
         return np.where(X[:, 0] > 2.0, np.inf, values), grads
 
 
