@@ -3,10 +3,12 @@
     python3 scripts/bench_pairs.py --base HEAD --change . \\
         --workloads grid-aggregate ff-sweep --seeds 2501 2510 --out BENCH_x.json
 
-The parent side is ``git archive REV`` of the --base revision, taken from
-the --change checkout's repository and unpacked into a fresh temporary
-directory, which is deleted when the pairs are done; the change side is the
---change checkout as it is, uncommitted edits included.
+Both sides are snapshots, each in a fresh temporary directory that is
+deleted when the pairs are done. The parent side is ``git archive REV`` of
+the --base revision, taken from the --change checkout's repository; the
+change side is a copy of the --change checkout's ``src/`` and ``perfbench/``
+as they are before the first pair, uncommitted edits included, so later
+edits to the checkout cannot reach a run.
 For each workload and each seed from the first to the last, one pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in each
 checkout, one after the other; the parent runs first in even pairs. Each run
@@ -32,6 +34,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -89,6 +92,13 @@ def archive(rev: str, repo: Path, dest: Path) -> Path:
         tar.seek(0)
         with tarfile.open(fileobj=tar) as files:
             files.extractall(dest, filter="data")
+    return dest
+
+
+def snapshot(checkout: Path, dest: Path) -> Path:
+    """Copy the ``src/`` and ``perfbench/`` of ``checkout``, without bytecode, into ``dest``; returns ``dest``."""
+    for part in ("src", "perfbench"):
+        shutil.copytree(checkout / part, dest / part, ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
     return dest
 
 
@@ -153,8 +163,9 @@ def main() -> int:
     base = subprocess.run(["git", "rev-parse", args.base], cwd=change, capture_output=True, text=True, check=True)
     doc = {"machine": stamp(), "base": base.stdout.strip(), "seeds": list(range(args.seeds[0], args.seeds[1] + 1)),
            "workloads": {}}
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        checkouts = {"parent": archive(args.base, change, Path(tmp)), "change": change}
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as base, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as copy:
+        checkouts = {"parent": archive(args.base, change, Path(base)), "change": snapshot(change, Path(copy))}
         for workload in args.workloads:
             pairs = []
             for i, seed in enumerate(doc["seeds"]):

@@ -12,10 +12,10 @@ on any number of CPUs produce byte-identical output. The aggregation runs on
 the same processes: the sweep's own process fits the pooled normalization
 and non-dominated flags, each process writes its cells' fronts and computes
 their hypervolumes and edit distances, and the sweep's process writes
-``fronts.csv`` and ``report.json``. Memory stays at about one cell's chains
-per process: a cell's ``trajectories.csv`` is formatted and written a block
-of records at a time, so its export adds one block, whatever the cell's
-record count.
+``fronts.csv`` and ``report.json``. A process holds one cell at a time: its
+recorded columns, one step's arrays, one noise block and one export block.
+A cell's ``trajectories.csv`` is formatted and written a block of records at
+a time, so its export adds one block, whatever the cell's record count.
 """
 
 from __future__ import annotations

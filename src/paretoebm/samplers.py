@@ -32,7 +32,11 @@ Each chain keeps its own noise stream, seeded from its seed in the
 the chain's row of the batch's start array, which is then scaled in place
 as a whole (``_starts``); an array start is copied. The chain then draws its
 noise, scaled by the noise scale, a block of steps at a time into one
-preallocated buffer (``_Noise``). Every operation of a step is
+preallocated buffer of at most 256 KB (``_Noise``). A step's batch-sized
+arrays live for that step only: its gradient stack is dropped once the drift
+is formed, and the drift once it has moved the state, so neither is held
+through the next energy call. A batch therefore holds its recorded columns,
+one step's arrays and one noise block. Every operation of a step is
 row-wise and rounds each row exactly as it would round that chain alone,
 so a chain's result does not depend on the batch it ran in, its position
 there, or the order of its population. Each energy defines one kernel, on a
@@ -118,7 +122,8 @@ METHODS = (METHOD_MGD, METHOD_CEBM, METHOD_LS_CEBM, METHOD_PCEBM)
 _SQRT3 = math.sqrt(3.0)
 _MAX_UNIFORM_SCALE = float(np.finfo(np.float64).max) / 2
 # Noise is drawn a block of steps at a time; this caps a batch's noise bytes.
-_NOISE_BLOCK_BYTES = 1 << 20
+# At 256 KB one seq-sweep step (32 chains x 1000 coordinates) is one block.
+_NOISE_BLOCK_BYTES = 1 << 18
 # A trajectory export formats and writes this many records at a time.
 _CSV_BLOCK_ROWS = 512
 
@@ -388,14 +393,16 @@ def _fill_block(block: np.ndarray, rngs: Sequence[np.random.Generator], noise_ki
 
 def _noise_block_steps(n_chains: int, d: int) -> int:
     """Steps of noise a batch draws at once: at most _NOISE_BLOCK_BYTES over
-    all its chains, and at least one step."""
+    all its chains, and at least one step. A (32, 1000) batch draws one step
+    at a time, a (256, 3) batch 42."""
     return max(1, _NOISE_BLOCK_BYTES // (8 * n_chains * d))
 
 
 class _Noise:
     """The running chains' noise, unit noise times ``scale``, one (n, d) row
     per step, drawn and scaled a block of steps at a time into one
-    preallocated buffer.
+    preallocated buffer of one block, at most _NOISE_BLOCK_BYTES unless a
+    single step is larger.
 
     Each chain draws its own stream in order, the same stream as one draw
     per step, and each element is scaled once, as a per-step product would
@@ -622,6 +629,8 @@ def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool =
                 break
             if step:
                 X -= step_size * g
+                # The drift has moved X; it must not live through the energy call.
+                del g
                 if noise_on:
                     X += noise.take()
             values, grads = objectives.eval_batch(X)
@@ -646,6 +655,8 @@ def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool =
                     g = g + grads[:, i]
             else:
                 g = np.einsum("m,nmd->nd", weights, grads)
+            # The drift is all a step needs of its gradient stack.
+            del grads
             record = step % every == 0 or step == last
             stop = norm < cfg.grad_tol if can_stop and step < last else None
             stopping = stop is not None and stop.any()

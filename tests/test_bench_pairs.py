@@ -1,5 +1,5 @@
-"""scripts/bench_pairs.py's summary on fixed synthetic pairs, and its parent
-checkout from git archive; no benchmark runs."""
+"""scripts/bench_pairs.py's summary on fixed synthetic pairs, its parent
+checkout from git archive and its snapshot of the change; no benchmark runs."""
 
 import importlib.util
 import subprocess
@@ -92,3 +92,11 @@ def test_archive_of_head_holds_the_package_and_the_benchmark_but_no_git(tmp_path
     assert (base / "src" / "paretoebm" / "__init__.py").is_file()
     assert (base / "perfbench" / "run.py").is_file()
     assert not (base / ".git").exists()
+
+
+def test_snapshot_of_the_change_holds_the_package_and_the_benchmark(tmp_path):
+    change = bench_pairs.snapshot(ROOT, tmp_path / "change")
+    assert (change / "src" / "paretoebm" / "__init__.py").is_file()
+    assert (change / "perfbench" / "run.py").is_file()
+    assert sorted(p.name for p in change.iterdir()) == ["perfbench", "src"]
+    assert not list(change.rglob("__pycache__"))

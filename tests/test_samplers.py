@@ -825,11 +825,24 @@ class TestNoiseBlocks:
                 expected.append(x)
             assert np.array_equal(result.X, np.array(expected))
 
+    @pytest.mark.parametrize(
+        "n_chains,d,steps",
+        [
+            (32, 1000, 1),  # seq-sweep: one step is one block
+            (256, 3, 42),  # ff-sweep
+            (4, 128, 64),
+            (1, 40000, 1),  # a step above the budget is still drawn, alone
+        ],
+    )
+    def test_block_steps_fit_the_budget(self, n_chains, d, steps):
+        assert samplers._noise_block_steps(n_chains, d) == steps
+        assert steps == 1 or steps * n_chains * d * 8 <= samplers._NOISE_BLOCK_BYTES
+
     def test_chain_failing_mid_block_leaves_its_siblings_alone(self):
         # cebm climbs the ramp by eta / 2 = 0.1 per step, so the chains
         # started at -0.55 and -6.55 fail near steps 6 and 66: inside the
         # first and the second block, each leaving part of a block drawn.
-        d = 512
+        d = 128
         objectives = ObjectiveSet([Ramp(d)])
         assert samplers._noise_block_steps(4, d) == 64
         cfg = SamplerConfig(eta=0.2, steps=80, sigma=1e-3, record_every=5)
@@ -859,6 +872,38 @@ class TestNoiseBlocks:
         results = run_population(objectives, specs)
         assert len(results) == 4
         assert all(isinstance(r, ChainFailure) and isinstance(r.error, MemoryError) for r in results)
+
+
+class TestStepMemory:
+    """A batch holds one step's arrays at a time: the previous step's
+    gradient stack and drift are gone before the next energy call."""
+
+    # Traced peaks of the runs below, in gradient stacks (n * m * d * 8
+    # bytes, 768 KB here). A drift held through the next energy call adds a
+    # third of a stack, and a four-step noise block one stack, each more
+    # than the margin.
+    PEAK_STACKS = {"mgd": 3.47, "cebm": 2.84, "ls_cebm": 2.47, "pcebm": 3.79}
+    MARGIN_STACKS = 0.2
+
+    @pytest.mark.parametrize("method", sorted(PEAK_STACKS))
+    def test_peak_is_bounded_in_gradient_stacks(self, method):
+        # Three sequence MLPs as in the seq-sweep benchmark, 20 steps.
+        n, L, A = 32, 50, 20
+        objectives = ObjectiveSet([MlpEnergy.random(64, L=L, A=A, seed=seed) for seed in range(3)])
+        noise = "none" if method == "mgd" else "gaussian"
+        cfg = SamplerConfig(eta=0.1, steps=20, sigma=0.02, alpha=2e-4, noise_kind=noise)
+        fixed = uniform_weights(3) if method == "ls_cebm" else None
+        specs = samplers.ChainSpecs(method, cfg, RandomInit(d=L * A, scale=0.1), samplers.chain_seeds(7, range(n)), fixed)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            results = run_population(objectives, specs, final_x_only=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not results.failures()
+        stacks = peak / (n * objectives.m * L * A * 8)
+        assert stacks <= self.PEAK_STACKS[method] + self.MARGIN_STACKS, stacks
 
 
 class TestTrajectoryExport:
