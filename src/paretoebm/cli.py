@@ -166,33 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# mallopt parameters of glibc's <malloc.h>.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _keep_freed_heap() -> None:
-    """Fix glibc malloc's thresholds at the top of their adaptive range:
-    requests below 32 MB come from the heap, and up to 64 MB of free heap top
-    stays mapped. Does nothing where the C library has no ``mallopt``.
-
-    A chain step allocates and frees the same few step-sized arrays (768 KB
-    each at 32 chains, 3 objectives and d = 1000). glibc hands the free top of
-    its heap back to the system once it exceeds a trim threshold that it
-    raises only after freeing a large mapped chunk, so with those thresholds
-    low the heap gave the arrays back and faulted them in again every step:
-    280,000 page faults against 600 in three 200-step pcebm batches.
-    """
-    import ctypes
-
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _keep_freed_heap()
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

@@ -127,16 +127,17 @@ class ObjectiveSet:
             raise WrongKindError(f"a set of {self._kind!r} models has no sequence layout")
         return self._layout
 
-    def eval_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def eval_batch(self, X: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Values (n, m) and gradients (n, m, d) at the rows of an unchecked
-        (n, d) coordinate array. A set of one centered family (every model a
-        ShiftedQuadratic, or every model a FonsecaFlemingBranch) is one call
-        of the family's kernel on the stacked centers; any other set takes
-        one batched pass per model."""
+        (n, d) coordinate array; the gradients are written into ``out``, an
+        (n, m, d) float array, when one is given. A set of one centered
+        family (every model a ShiftedQuadratic, or every model a
+        FonsecaFlemingBranch) is one call of the family's kernel on the
+        stacked centers; any other set takes one batched pass per model."""
         if self._kernel is not None:
-            return self._kernel(X, self._centers)
+            return self._kernel(X, self._centers, out)
         values = np.empty((X.shape[0], self.m))
-        grads = np.empty((X.shape[0], self.m, self._d))
+        grads = np.empty((X.shape[0], self.m, self._d)) if out is None else out
         for i, model in enumerate(self.models):
             values[:, i], grads[:, i] = model.eval_batch(X)
         return values, grads
@@ -274,10 +275,11 @@ class ShiftedQuadratic(EnergyModel):
         return self.center.size
 
     @staticmethod
-    def _centered_kernel(X, centers):
+    def _centered_kernel(X, centers, out=None):
         """Values (n, k) and gradients (n, k, d) of the quadratics centered at
-        the rows of the (k, d) ``centers``, at the rows of the (n, d) ``X``."""
-        delta = X[:, None] - centers
+        the rows of the (k, d) ``centers``, at the rows of the (n, d) ``X``;
+        the gradients go into ``out`` when one is given."""
+        delta = np.subtract(X[:, None], centers, out=out)
         values = np.vecdot(delta, delta)
         delta *= 2.0
         return values, delta
@@ -313,10 +315,11 @@ class FonsecaFlemingBranch(EnergyModel):
     # the same way whatever the array's length, so a row of a batch equals
     # the same row evaluated alone bit for bit.
     @staticmethod
-    def _centered_kernel(X, centers):
+    def _centered_kernel(X, centers, out=None):
         """Values (n, k) and gradients (n, k, d) of the branches centered at
-        the rows of the (k, d) ``centers``, at the rows of the (n, d) ``X``."""
-        delta = X[:, None] - centers
+        the rows of the (k, d) ``centers``, at the rows of the (n, d) ``X``;
+        the gradients go into ``out`` when one is given."""
+        delta = np.subtract(X[:, None], centers, out=out)
         e = np.exp(-np.vecdot(delta, delta))
         delta *= (2.0 * e)[..., None]
         return 1.0 - e, delta

@@ -32,11 +32,12 @@ Each chain keeps its own noise stream, seeded from its seed in the
 the chain's row of the batch's start array, which is then scaled in place
 as a whole (``_starts``); an array start is copied. The chain then draws its
 noise, scaled by the noise scale, a block of steps at a time into one
-preallocated buffer of at most 256 KB (``_Noise``). A step's batch-sized
-arrays live for that step only: its gradient stack is dropped once the drift
-is formed, and the drift once it has moved the state, so neither is held
-through the next energy call. A batch therefore holds its recorded columns,
-one step's arrays and one noise block. Every operation of a step is
+preallocated buffer of at most 256 KB (``_Noise``). Every step writes its
+gradients into one (n, m, d) stack that the batch allocates once, and a
+step's drift is dropped once it has moved the state, so no earlier step's
+arrays are held through the next energy call and the heap is not asked for
+a new stack every step. A batch therefore holds its recorded columns, one
+step's arrays and one noise block. Every operation of a step is
 row-wise and rounds each row exactly as it would round that chain alone,
 so a chain's result does not depend on the batch it ran in, its position
 there, or the order of its population. Each energy defines one kernel, on a
@@ -607,6 +608,9 @@ def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool =
     rows = np.full(n, schedule.size)
     stops = np.full(n, -1)
     active = np.arange(n)  # batch positions of the running chains, the rows of X
+    # Every step's gradients go into this one stack, its first rows once
+    # chains have left.
+    stack = np.empty((n, m, d))
     noise = None
     row = 0
 
@@ -628,12 +632,14 @@ def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool =
             if not active.size:
                 break
             if step:
-                X -= step_size * g
-                # The drift has moved X; it must not live through the energy call.
+                # In place, the drift scaled and then subtracted rounds as
+                # X - step_size * g does; it must not live through the energy call.
+                g *= step_size
+                X -= g
                 del g
                 if noise_on:
                     X += noise.take()
-            values, grads = objectives.eval_batch(X)
+            values, grads = objectives.eval_batch(X, stack[: active.size])
             # One reduction per array; the per-chain masks only when one fails.
             if not (np.isfinite(X).all() and np.isfinite(values).all() and np.isfinite(grads).all()):
                 x_ok, f_ok = np.isfinite(X).all(axis=1), np.isfinite(values).all(axis=1)
@@ -655,8 +661,6 @@ def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool =
                     g = g + grads[:, i]
             else:
                 g = np.einsum("m,nmd->nd", weights, grads)
-            # The drift is all a step needs of its gradient stack.
-            del grads
             record = step % every == 0 or step == last
             stop = norm < cfg.grad_tol if can_stop and step < last else None
             stopping = stop is not None and stop.any()

@@ -1,7 +1,5 @@
-import ctypes
 import json
 import math
-import resource
 import struct
 import subprocess
 import sys
@@ -10,10 +8,10 @@ import numpy as np
 import pytest
 import yaml
 
-from paretoebm import cli, samplers
+from paretoebm import cli
 from paretoebm.cli import main
-from paretoebm.core import DiscreteSequence, SamplerConfig
-from paretoebm.energy import MODEL_MAGIC, MlpEnergy, ObjectiveSet, PwmEnergy, load_model, save_model
+from paretoebm.core import DiscreteSequence
+from paretoebm.energy import MODEL_MAGIC, MlpEnergy, PwmEnergy, load_model, save_model
 from paretoebm.harness import _TRAIN_KEYS
 
 NAN = float("nan")
@@ -504,23 +502,3 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.25"
-
-
-@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="the C library has no mallopt")
-@pytest.mark.parametrize("method", ["mgd", "pcebm"])
-def test_a_repeated_batch_reuses_the_freed_heap(method):
-    # With glibc's adaptive thresholds the min-norm methods' batches at this
-    # size faulted in about 480 pages a step, their step arrays' pages, which
-    # the heap had handed back; the CLI's thresholds keep them.
-    cli._keep_freed_heap()
-    n, m, d = 32, 3, 1000
-    objectives = ObjectiveSet([MlpEnergy.random(64, L=50, A=20, seed=seed) for seed in range(m)])
-    noise = "none" if method == "mgd" else "gaussian"
-    cfg = SamplerConfig(eta=0.1, steps=40, sigma=0.02, alpha=2e-4, noise_kind=noise)
-    specs = samplers.ChainSpecs(method, cfg, samplers.RandomInit(d=d, scale=0.1), samplers.chain_seeds(7, range(n)))
-    samplers.run_population(objectives, specs, final_x_only=True)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    samplers.run_population(objectives, specs, final_x_only=True)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    # Fewer than one gradient stack's pages over all 40 steps.
-    assert faults < n * m * d * 8 // resource.getpagesize(), faults
