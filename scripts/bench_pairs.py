@@ -4,11 +4,12 @@
         --workloads grid-aggregate ff-sweep --seeds 2501 2510 --out BENCH_x.json
 
 Both sides are snapshots, each in a fresh temporary directory that is
-deleted when the pairs are done. The parent side is ``git archive REV`` of
-the --base revision, taken from the --change checkout's repository; the
-change side is a copy of the --change checkout's ``src/`` and ``perfbench/``
-as they are before the first pair, uncommitted edits included, so later
-edits to the checkout cannot reach a run.
+deleted when the pairs are done or the script is stopped with SIGTERM. The
+parent side is ``git archive REV`` of the --base revision, taken from the
+--change checkout's repository; the change side is a copy of the --change
+checkout's ``src/`` and ``perfbench/`` as they are before the first pair,
+uncommitted edits included, so later edits to the checkout cannot reach a
+run.
 For each workload and each seed from the first to the last, one pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in each
 checkout, one after the other; the parent runs first in even pairs. Each run
@@ -35,6 +36,7 @@ import os
 import platform
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -163,6 +165,8 @@ def main() -> int:
     base = subprocess.run(["git", "rev-parse", args.base], cwd=change, capture_output=True, text=True, check=True)
     doc = {"machine": stamp(), "base": base.stdout.strip(), "seeds": list(range(args.seeds[0], args.seeds[1] + 1)),
            "workloads": {}}
+    # SIGTERM's default action would skip the cleanup of the temporary directories; SystemExit runs it.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base, \
             tempfile.TemporaryDirectory(prefix="bench-change-") as copy:
         checkouts = {"parent": archive(args.base, change, Path(base)), "change": snapshot(change, Path(copy))}

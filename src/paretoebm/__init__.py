@@ -39,14 +39,13 @@ from .energy import (
     save_model,
 )
 from .metrics import (
-    NormalizationMap,
-    ReferencePoint,
     convergence_stats,
     edit_distance,
     edit_distance_matrix,
     hypervolume_exact,
     hypervolume_mc,
     nondominated_mask,
+    normalize,
     summarize_edist,
 )
 from .moo import pareto_filter

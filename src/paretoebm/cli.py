@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import AMINO_ALPHABET, ConfigError, ParetoEbmError, read_sequences
 from .energy import MlpEnergy, PwmEnergy, cd_train, load_model, save_model
-from .metrics import ReferencePoint, hypervolume_exact, hypervolume_mc, summarize_edist, unit_reference
+from .metrics import hypervolume_exact, hypervolume_mc, summarize_edist
 from .harness import improve_seeds, load_config, load_train_config, run_sweep, write_improvement_report
 
 logger = logging.getLogger(__name__)
@@ -102,12 +102,9 @@ def _cmd_hv(args) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     V = _read_points(args.points)
     m = V.shape[1]
-    if args.ref:
-        reference = ReferencePoint(np.array([_finite(v, "--ref") for v in args.ref.split(",")]))
-    else:
-        reference = unit_reference(m)
-    if reference.m != m:
-        raise ConfigError(f"reference point has {reference.m} entries, points have m={m}")
+    reference = np.array([_finite(v, "--ref") for v in args.ref.split(",")]) if args.ref else np.ones(m)
+    if reference.size != m:
+        raise ConfigError(f"reference point has {reference.size} entries, points have m={m}")
     if m <= 3:
         print(f"{hypervolume_exact(V, reference):.12g}")
     else:

@@ -218,7 +218,7 @@ class SamplerConfig:
     ``sigma`` (Langevin-dynamics noise std) defaults to sqrt(eta) and
     ``alpha`` (Pareto-chain noise constant) to eta/2, the classical Langevin
     scaling; both can be overridden independently. NaN is rejected wherever
-    a value has a lower bound.
+    a value has a lower bound, and infinity in eta, sigma and alpha.
     """
 
     eta: float
@@ -248,6 +248,9 @@ class SamplerConfig:
             object.__setattr__(self, "alpha", self.eta / 2.0)
         elif not (self.alpha >= 0):
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        for name in ("eta", "sigma", "alpha"):
+            if getattr(self, name) == math.inf:
+                raise ConfigError(f"{name} must be finite, got inf")
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,14 +61,12 @@ from .core import (
 )
 from .energy import CdTrainConfig, EnergyModel, ObjectiveSet
 from .metrics import (
-    NormalizationMap,
-    ReferencePoint,
+    edit_distance_matrix,
     hypervolume_exact,
     hypervolume_mc,
+    normalize,
     objective_matrix,
     summarize_edist,
-    edit_distance_matrix,
-    unit_reference,
 )
 from .moo import check_min_norm_m, pareto_filter
 from .problems import get_problem
@@ -125,6 +123,8 @@ class ExperimentConfig:
             raise ConfigError("eta grid must be non-empty")
         if not all(e > 0 for e in self.etas):
             raise ConfigError(f"every eta must be positive, got {list(self.etas)}")
+        if math.inf in self.etas:
+            raise ConfigError(f"every eta must be finite, got {list(self.etas)}")
         if not self.steps_grid:
             raise ConfigError("steps grid must be non-empty")
         if any(k < 0 for k in self.steps_grid):
@@ -671,9 +671,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """
     objectives, weights = _problem(cfg)
     m = objectives.m
-    reference = unit_reference(m) if cfg.reference_point is None else ReferencePoint(np.array(cfg.reference_point))
-    bounds = cfg.normalization
-    fixed_nmap = None if bounds is None else NormalizationMap(np.array(bounds["min"]), np.array(bounds["max"]))
+    reference = np.ones(m) if cfg.reference_point is None else np.array(cfg.reference_point)
     is_sequence = objectives.point_kind == SEQUENCE_LOGITS
     training = None if cfg.training_sequences is None else read_sequences(cfg.training_sequences, cfg.alphabet)
 
@@ -737,8 +735,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         # normalization would clip an infinite value into [0, 1].
         if not np.all(np.isfinite(pooled)):
             raise ValueError("objective values must be finite")
-        nmap = NormalizationMap.fit(pooled) if fixed_nmap is None else fixed_nmap
-        normalized = nmap.apply_raw(pooled)
+        bounds = cfg.normalization or {"min": pooled.min(axis=0), "max": pooled.max(axis=0)}
+        lo, hi = np.array(bounds["min"]), np.array(bounds["max"])
+        normalized = normalize(pooled, lo, hi)
         on_front = np.zeros(len(normalized), dtype=bool)
         on_front[pareto_filter(normalized)] = True
         # Each finished cell's rows of the pooled arrays, in cell order.
@@ -746,9 +745,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         rows = {cell.index: slice(a, b) for cell, a, b in zip(finished, offsets, offsets[1:])}
 
         norm_doc = {
-            "min": [float(v) for v in nmap.mins],
-            "max": [float(v) for v in nmap.maxs],
-            "degenerate": [bool(v) for v in nmap.degenerate],
+            "min": [float(v) for v in lo],
+            "max": [float(v) for v in hi],
+            "degenerate": [bool(v) for v in hi == lo],
         }
         objective_names = [f"f{i}" for i in range(m)]
 
@@ -768,7 +767,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                 hv_pairs = {"0,1": hv_all}  # the one pair is the whole front
             else:
                 hv_pairs = {
-                    f"{i},{j}": hypervolume_exact(values[:, [i, j]], ReferencePoint(reference.r[[i, j]]))
+                    f"{i},{j}": hypervolume_exact(values[:, [i, j]], reference[[i, j]])
                     for i, j in combinations(range(m), 2)
                 }
             edist_mean = edist_std = None
@@ -812,7 +811,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
             "base_seed": cfg.base_seed,
             "chains": cfg.chains,
             "objective_names": objective_names,
-            "reference_point": [float(v) for v in reference.r],
+            "reference_point": [float(v) for v in reference],
             "normalization": norm_doc,
             "cells": [record for record, _ in aggregated],
             "failures": cell_failures,

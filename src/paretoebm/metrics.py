@@ -1,7 +1,8 @@
 """Evaluation suite: the non-dominated filter, hypervolume (exact up to
-three objectives, Monte-Carlo beyond), min-max score normalization,
-Levenshtein edit distance, and convergence-trace statistics. Objective
-values are one (n, m) float array of n points.
+three objectives, Monte-Carlo beyond), min-max normalization onto the
+unit box, Levenshtein edit distance, and convergence-trace statistics.
+Objective values are one (n, m) float array of n points; a hypervolume
+reference point is one (m,) array, and normalization bounds are two.
 
 The non-dominated filter sorts the points lexicographically and scans them
 once: O(n log n) for two objectives, and for three or more each point is
@@ -28,78 +29,6 @@ _MC_BLOCK_BYTES = 16 << 20
 _EDIT_BLOCK_WORDS = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class ReferencePoint:
-    """Upper corner of the hypervolume box; defaults to all ones."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = np.array(self.r, dtype=np.float64)
-        if r.ndim != 1 or r.size == 0:
-            raise ShapeError("reference point must be a non-empty vector")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("reference point must be finite")
-        r.setflags(write=False)
-        object.__setattr__(self, "r", r)
-
-    @property
-    def m(self) -> int:
-        return int(self.r.size)
-
-
-def unit_reference(m: int) -> ReferencePoint:
-    """The default reference point: all ones, the upper corner of the normalized box."""
-    return ReferencePoint(np.ones(m))
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizationMap:
-    """Per-objective (min, max) bounds from a reference population.
-
-    Objectives whose bounds coincide are flagged degenerate and map to 0.5.
-    """
-
-    mins: np.ndarray
-    maxs: np.ndarray
-
-    def __post_init__(self):
-        mins = np.array(self.mins, dtype=np.float64)
-        maxs = np.array(self.maxs, dtype=np.float64)
-        if mins.shape != maxs.shape or mins.ndim != 1 or mins.size == 0:
-            raise ShapeError("normalization bounds must be equal-length 1-D vectors")
-        if np.any(maxs < mins):
-            raise ValueError("max bound below min bound")
-        mins.setflags(write=False)
-        maxs.setflags(write=False)
-        object.__setattr__(self, "mins", mins)
-        object.__setattr__(self, "maxs", maxs)
-
-    @property
-    def m(self) -> int:
-        return int(self.mins.size)
-
-    @property
-    def degenerate(self) -> np.ndarray:
-        return self.maxs == self.mins
-
-    @classmethod
-    def fit(cls, points) -> "NormalizationMap":
-        """The per-objective min and max over the rows of an (n, m) array, n >= 1."""
-        V = objective_matrix(points)
-        if len(V) == 0:
-            raise ValueError("cannot fit normalization bounds to an empty population")
-        return cls(V.min(axis=0), V.max(axis=0))
-
-    def apply_raw(self, V: np.ndarray) -> np.ndarray:
-        if V.shape[1] != self.m:
-            raise ShapeError(f"points have m={V.shape[1]}, map has m={self.m}")
-        span = np.where(self.degenerate, 1.0, self.maxs - self.mins)
-        out = np.clip((V - self.mins) / span, 0.0, 1.0)
-        out[:, self.degenerate] = 0.5
-        return out
-
-
 def objective_matrix(points) -> np.ndarray:
     """The points as an (n, m) float64 array, uncopied where they already are
     one; anything else that is not 2-D is a ShapeError."""
@@ -107,6 +36,29 @@ def objective_matrix(points) -> np.ndarray:
     if V.ndim != 2:
         raise ShapeError(f"points must be an (n, m) matrix, got shape {V.shape}")
     return V
+
+
+def normalize(V, lo, hi) -> np.ndarray:
+    """The rows of an (n, m) array mapped per objective from [lo, hi] onto
+    [0, 1] and clipped there; an objective whose bounds coincide maps to 0.5."""
+    V = objective_matrix(V)
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    if V.shape[1:] != lo.shape:
+        raise ShapeError(f"points have m={V.shape[1]}, bounds have shape {lo.shape}")
+    degenerate = hi == lo
+    out = np.clip((V - lo) / np.where(degenerate, 1.0, hi - lo), 0.0, 1.0)
+    out[:, degenerate] = 0.5
+    return out
+
+
+def _reference(reference) -> np.ndarray:
+    """The upper corner of the hypervolume box as a non-empty, finite (m,) array."""
+    r = np.asarray(reference, dtype=np.float64)
+    if r.ndim != 1 or r.size == 0:
+        raise ShapeError("reference point must be a non-empty vector")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("reference point must be finite")
+    return r
 
 
 def nondominated_mask(V: np.ndarray) -> np.ndarray:
@@ -187,14 +139,15 @@ def _hv_2d(V: np.ndarray, r1: float, r2: float) -> float:
     return total
 
 
-def hypervolume_exact(points, reference: ReferencePoint) -> float:
+def hypervolume_exact(points, reference) -> float:
     """Lebesgue measure of the union over points p of the boxes [p, r].
 
-    ``points`` is an (n, m) objective array. Exact for one to three
-    objectives; dominated or duplicate points add nothing. Points
-    beyond the reference are clipped onto it and contribute zero volume.
+    ``points`` is an (n, m) objective array and ``reference`` the (m,)
+    point r. Exact for one to three objectives; dominated or duplicate
+    points add nothing. Points beyond the reference are clipped onto it and
+    contribute zero volume.
     """
-    r = reference.r
+    r = _reference(reference)
     m = r.size
     if m > 3:
         raise ShapeError("exact hypervolume supports m <= 3; use hypervolume_mc")
@@ -225,20 +178,20 @@ def hypervolume_exact(points, reference: ReferencePoint) -> float:
 
 def hypervolume_mc(
     points,
-    reference: ReferencePoint,
+    reference,
     samples: int,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Monte-Carlo hypervolume of an (n, m) objective array for any m:
-    uniform samples in the bounding box [component-wise min, r]; returns
-    (estimate, standard error).
+    """Monte-Carlo hypervolume of an (n, m) objective array against the
+    (m,) reference r, for any m: uniform samples in the bounding box
+    [component-wise min, r]; returns (estimate, standard error).
 
     Only the non-dominated points are tested against the samples, which are
     drawn in blocks sized so that one block's temporaries take about
     _MC_BLOCK_BYTES; neither changes the hits or the random stream."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    r = reference.r
+    r = _reference(reference)
     if len(points) == 0:
         return 0.0, 0.0
     V = objective_matrix(points)

@@ -37,12 +37,10 @@ from paretoebm.energy import (
 )
 from paretoebm.harness import ExperimentConfig, improve_seeds, run_sweep
 from paretoebm.metrics import (
-    ReferencePoint,
     convergence_stats,
     edit_distance,
     hypervolume_exact,
     hypervolume_mc,
-    unit_reference,
 )
 from paretoebm.moo import pareto_filter, solve_min_norm
 from paretoebm.problems import get_problem
@@ -201,7 +199,7 @@ def test_criterion_04_gradient_fidelity():
 
 
 def test_criterion_05_hypervolume():
-    ref2 = unit_reference(2)
+    ref2 = np.ones(2)
     assert hypervolume_exact([np.array([0.5, 0.5])], ref2) == pytest.approx(0.25, abs=1e-12)
     assert hypervolume_exact(
         [np.array([0.2, 0.8]), np.array([0.8, 0.2])], ref2
@@ -210,7 +208,7 @@ def test_criterion_05_hypervolume():
     rng = np.random.default_rng(505)
     for trial in range(50):
         m = 2 if trial % 2 == 0 else 3
-        ref = unit_reference(m)
+        ref = np.ones(m)
         pts = [rng.random(m) for _ in range(int(rng.integers(1, 12)))]
         exact = hypervolume_exact(pts, ref)
         est, err = hypervolume_mc(pts, ref, 1_000_000, seed=trial)
@@ -218,7 +216,7 @@ def test_criterion_05_hypervolume():
 
     for trial in range(500):
         m = 2 if trial % 2 == 0 else 3
-        ref = unit_reference(m)
+        ref = np.ones(m)
         pts = [rng.random(m) for _ in range(int(rng.integers(1, 9)))]
         hv = hypervolume_exact(pts, ref)
         assert hypervolume_exact(pts + [rng.random(m)], ref) >= hv - 1e-15

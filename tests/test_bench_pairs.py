@@ -1,8 +1,13 @@
 """scripts/bench_pairs.py's summary on fixed synthetic pairs, its parent
-checkout from git archive and its snapshot of the change; no benchmark runs."""
+checkout from git archive and its snapshot of the change, and the cleanup
+of both on SIGTERM; no benchmark runs."""
 
 import importlib.util
+import os
+import signal
 import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -83,10 +88,13 @@ def test_cpu_seconds_and_failures_are_summarized():
     assert summary["failed_frac"] == {"parent": 0.0, "change": pytest.approx(0.1)}
 
 
-@pytest.mark.skipif(
+needs_git_head = pytest.mark.skipif(
     subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode != 0,
     reason="git archive needs a git repository with a commit",
 )
+
+
+@needs_git_head
 def test_archive_of_head_holds_the_package_and_the_benchmark_but_no_git(tmp_path):
     base = bench_pairs.archive("HEAD", ROOT, tmp_path / "base")
     assert (base / "src" / "paretoebm" / "__init__.py").is_file()
@@ -100,3 +108,39 @@ def test_snapshot_of_the_change_holds_the_package_and_the_benchmark(tmp_path):
     assert (change / "perfbench" / "run.py").is_file()
     assert sorted(p.name for p in change.iterdir()) == ["perfbench", "src"]
     assert not list(change.rglob("__pycache__"))
+
+
+@needs_git_head
+def test_sigterm_inside_the_pairs_removes_both_temporary_directories(tmp_path):
+    # The child runs main() with run() replaced by a stub that names its
+    # checkout and sleeps, so SIGTERM arrives inside both directory blocks.
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    child = textwrap.dedent(f"""
+        import importlib.util, sys, time
+        spec = importlib.util.spec_from_file_location("bench_pairs", {str(SCRIPT)!r})
+        bench_pairs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_pairs)
+
+        def run(checkout, workload, seed, seconds):
+            print(checkout, flush=True)
+            time.sleep(60)
+
+        bench_pairs.run = run
+        sys.argv = ["bench_pairs.py", "--base", "HEAD", "--change", {str(ROOT)!r}, "--workloads", "ff-sweep",
+                    "--seeds", "1", "1", "--out", {str(tmp_path / "out.json")!r}]
+        sys.exit(bench_pairs.main())
+    """)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", child], env=dict(os.environ, TMPDIR=str(temp)), stdout=subprocess.PIPE, text=True
+    )
+    try:
+        checkout = Path(proc.stdout.readline().strip())
+        assert checkout.parent == temp and checkout.name.startswith("bench-base-")
+        assert sorted(p.name.split("-")[1] for p in temp.iterdir()) == ["base", "change"]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.stdout.close()
+    assert not list(temp.iterdir())

@@ -332,6 +332,23 @@ class TestSweepCommand:
         assert next(iter(over)) in payload["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "over,message",
+        [
+            ({"eta": [math.inf]}, "every eta must be finite, got [inf]"),
+            ({"sigma": math.inf}, "sigma must be finite, got inf"),
+            ({"alpha": math.inf}, "alpha must be finite, got inf"),
+        ],
+        ids=["eta", "sigma", "alpha"],
+    )
+    def test_infinite_step_or_noise_is_a_config_error_before_any_chain(self, capsys, tmp_path, over, message):
+        # Each chain would fail at its first step, so the sweep would run every cell for nothing.
+        cfg = self._write_cfg(tmp_path, problem="fonseca-fleming", methods=["cebm", "pcebm"], **over)
+        code, out, err = run_cli(capsys, "sweep", cfg)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ConfigError", "message": message}
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_model_header_is_a_model_format_error(self, capsys, tmp_path):
         header = json.dumps({"format_version": 1, "kind": "pwm", "d": 20, "L": None, "A": 4, "H": None}).encode()
         model = tmp_path / "m.model"

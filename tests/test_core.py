@@ -204,6 +204,10 @@ class TestSamplerConfig:
             dict(eta=float("nan"), steps=1),
             dict(eta=0.1, steps=float("nan")),
             dict(eta=0.1, steps=1, record_every=float("nan")),
+            # Infinity passes the lower bounds, but every chain would fail at its first step.
+            dict(eta=float("inf"), steps=1),
+            dict(eta=0.1, steps=1, sigma=float("inf")),
+            dict(eta=0.1, steps=1, alpha=float("inf")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

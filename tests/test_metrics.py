@@ -12,16 +12,14 @@ from paretoebm.core import (
 )
 from paretoebm import metrics
 from paretoebm.metrics import (
-    NormalizationMap,
-    ReferencePoint,
     convergence_stats,
     edit_distance,
     edit_distance_matrix,
     hypervolume_exact,
     hypervolume_mc,
     nondominated_mask,
+    normalize,
     summarize_edist,
-    unit_reference,
 )
 from paretoebm.moo import pareto_filter
 
@@ -159,71 +157,68 @@ class TestNondominatedMask:
 
 class TestNormalization:
     def test_endpoints(self):
-        nmap = NormalizationMap([0.0, 10.0], [2.0, 20.0])
-        out = nmap.apply_raw(np.array([[0.0, 10.0], [2.0, 20.0]]))
+        out = normalize(np.array([[0.0, 10.0], [2.0, 20.0]]), [0.0, 10.0], [2.0, 20.0])
         assert np.array_equal(out[0], [0.0, 0.0])
         assert np.array_equal(out[1], [1.0, 1.0])
 
     def test_clipping(self):
-        nmap = NormalizationMap([0.0], [1.0])
-        out = nmap.apply_raw(np.array([[5.0], [-3.0]]))
+        out = normalize(np.array([[5.0], [-3.0]]), [0.0], [1.0])
         assert out[0, 0] == 1.0
         assert out[1, 0] == 0.0
 
     def test_degenerate_objective_maps_to_half(self):
-        nmap = NormalizationMap([1.0, 0.0], [1.0, 2.0])
-        out = nmap.apply_raw(np.array([[1.0, 1.0]]))
+        out = normalize(np.array([[1.0, 1.0]]), [1.0, 0.0], [1.0, 2.0])
         assert out[0, 0] == 0.5
 
     def test_fit(self):
-        nmap = NormalizationMap.fit(np.array([[0.0, 5.0], [2.0, 3.0]]))
-        assert np.array_equal(nmap.mins, [0.0, 3.0])
-        assert np.array_equal(nmap.maxs, [2.0, 5.0])
+        # Pooled bounds: each column's least value maps to 0 and its largest to 1.
+        V = np.array([[0.0, 5.0], [2.0, 3.0], [1.0, 4.0]])
+        out = normalize(V, V.min(0), V.max(0))
+        assert np.array_equal(out, [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
 
     def test_length_mismatch(self):
-        nmap = NormalizationMap([0.0], [1.0])
         with pytest.raises(ShapeError):
-            nmap.apply_raw(np.array([[1.0, 2.0]]))
+            normalize(np.array([[1.0, 2.0]]), [0.0], [1.0])
 
 
 class TestHypervolumeExact:
     def test_point_at_reference_is_zero(self):
-        assert hypervolume_exact([[1.0, 1.0]], unit_reference(2)) == 0.0
+        assert hypervolume_exact([[1.0, 1.0]], np.ones(2)) == 0.0
 
     def test_single_rectangle(self):
-        assert hypervolume_exact([[0.5, 0.5]], unit_reference(2)) == pytest.approx(0.25, abs=1e-15)
+        assert hypervolume_exact([[0.5, 0.5]], np.ones(2)) == pytest.approx(0.25, abs=1e-15)
 
     def test_two_point_inclusion_exclusion(self):
         points = [[0.2, 0.8], [0.8, 0.2]]
-        assert hypervolume_exact(points, unit_reference(2)) == pytest.approx(0.28, abs=1e-12)
+        assert hypervolume_exact(points, np.ones(2)) == pytest.approx(0.28, abs=1e-12)
 
     def test_one_dimensional(self):
-        ref = ReferencePoint([2.0])
+        ref = np.array([2.0])
         assert hypervolume_exact([[0.5], [1.0]], ref) == 1.5
 
     def test_three_dimensional_cube(self):
-        assert hypervolume_exact([[0.5] * 3], unit_reference(3)) == pytest.approx(0.125, abs=1e-15)
+        assert hypervolume_exact([[0.5] * 3], np.ones(3)) == pytest.approx(0.125, abs=1e-15)
 
     def test_three_dimensional_union(self):
         # 0.125 + 0.8*0.1*0.1 - 0.5*0.1*0.1 = 0.128
         points = [[0.5, 0.5, 0.5], [0.2, 0.9, 0.9]]
-        assert hypervolume_exact(points, unit_reference(3)) == pytest.approx(0.128, abs=1e-12)
+        assert hypervolume_exact(points, np.ones(3)) == pytest.approx(0.128, abs=1e-12)
 
     def test_empty(self):
-        assert hypervolume_exact([], unit_reference(2)) == 0.0
+        assert hypervolume_exact([], np.ones(2)) == 0.0
 
     def test_dominated_and_duplicate_points_add_nothing(self):
         base = [[0.2, 0.3], [0.6, 0.1]]
-        hv = hypervolume_exact(base, unit_reference(2))
+        hv = hypervolume_exact(base, np.ones(2))
         padded = base + [[0.5, 0.5], [0.2, 0.3]]
-        assert hypervolume_exact(padded, unit_reference(2)) == hv
+        assert hypervolume_exact(padded, np.ones(2)) == hv
 
     def test_points_beyond_reference_clip_to_zero_volume(self):
-        assert hypervolume_exact([[1.4, 2.0]], unit_reference(2)) == 0.0
+        assert hypervolume_exact([[1.4, 2.0]], np.ones(2)) == 0.0
 
     def test_monotone_in_points(self):
         rng = np.random.default_rng(0)
-        ref = unit_reference(3)
+        ref = np.ones(3)
         for _ in range(200):
             pts = [rng.random(3) for _ in range(rng.integers(1, 8))]
             hv = hypervolume_exact(pts, ref)
@@ -232,7 +227,7 @@ class TestHypervolumeExact:
 
     def test_dominated_removal_invariance(self):
         rng = np.random.default_rng(1)
-        ref = unit_reference(2)
+        ref = np.ones(2)
         for _ in range(200):
             pts = [rng.random(2) for _ in range(6)]
             keep = pareto_filter(pts)
@@ -241,7 +236,7 @@ class TestHypervolumeExact:
 
     def test_upper_bound(self):
         rng = np.random.default_rng(2)
-        ref = unit_reference(3)
+        ref = np.ones(3)
         for _ in range(100):
             V = rng.random((5, 3))
             hv = hypervolume_exact(list(V), ref)
@@ -256,20 +251,30 @@ class TestHypervolumeExact:
             if trial % 3 == 0:
                 V = np.round(V, 1)  # ties and duplicates
             r = np.ones(m)
-            assert hypervolume_exact(V, ReferencePoint(r)) == brute_hypervolume(V, r)
-            assert hypervolume_exact(list(V), ReferencePoint(r)) == brute_hypervolume(V, r)
+            assert hypervolume_exact(V, r) == brute_hypervolume(V, r)
+            assert hypervolume_exact(list(V), r) == brute_hypervolume(V, r)
 
     def test_accepts_matrix_like_vectors(self):
         rng = np.random.default_rng(25)
         V = rng.random((40, 3))
-        ref = unit_reference(3)
+        ref = np.ones(3)
         assert hypervolume_exact(V, ref) == hypervolume_exact(list(V), ref)
         with pytest.raises(ShapeError):
             hypervolume_exact(V[None], ref)
 
     def test_m_above_three_rejected(self):
         with pytest.raises(ShapeError):
-            hypervolume_exact([[0.1] * 4], unit_reference(4))
+            hypervolume_exact([[0.1] * 4], np.ones(4))
+
+    @pytest.mark.parametrize("hv", [hypervolume_exact, lambda V, r: hypervolume_mc(V, r, 100)])
+    def test_reference_must_be_a_finite_vector(self, hv):
+        for bad in (np.ones((1, 2)), np.ones(0), 1.0):
+            with pytest.raises(ShapeError, match="non-empty vector"):
+                hv([[0.5, 0.5]], bad)
+        with pytest.raises(ValueError, match="finite"):
+            hv([[0.5, 0.5]], [1.0, np.inf])
+        with pytest.raises(ShapeError, match="reference has m=3"):
+            hv([[0.5, 0.5]], np.ones(3))
 
 
 class TestHypervolumeGridOracle:
@@ -279,7 +284,7 @@ class TestHypervolumeGridOracle:
 
     @staticmethod
     def hv(P, k):
-        return hypervolume_exact(np.asarray(P), ReferencePoint(np.full(np.shape(P)[1], float(k))))
+        return hypervolume_exact(np.asarray(P), np.full(np.shape(P)[1], float(k)))
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_random_sets_with_ties_and_duplicates(self, m):
@@ -328,19 +333,19 @@ class TestHypervolumeGridOracle:
 
 class TestHypervolumeMc:
     def test_full_domination(self):
-        est, err = hypervolume_mc([[0.0, 0.0, 0.0]], unit_reference(3), 10_000, seed=0)
+        est, err = hypervolume_mc([[0.0, 0.0, 0.0]], np.ones(3), 10_000, seed=0)
         assert est == 1.0 and err == 0.0
 
     def test_empty_points(self):
-        assert hypervolume_mc([], unit_reference(2), 100) == (0.0, 0.0)
+        assert hypervolume_mc([], np.ones(2), 100) == (0.0, 0.0)
 
     def test_degenerate_box(self):
-        est, err = hypervolume_mc([[1.0, 1.0]], unit_reference(2), 100)
+        est, err = hypervolume_mc([[1.0, 1.0]], np.ones(2), 100)
         assert est == 0.0 and err == 0.0
 
     def test_matches_exact_within_three_sigma(self):
         rng = np.random.default_rng(3)
-        ref2, ref3 = unit_reference(2), unit_reference(3)
+        ref2, ref3 = np.ones(2), np.ones(3)
         for trial in range(10):
             m = 2 if trial % 2 == 0 else 3
             ref = ref2 if m == 2 else ref3
@@ -357,14 +362,14 @@ class TestHypervolumeMc:
             V = rng.random((int(rng.integers(1, 60)), m)) * 1.1
             # 70,000 samples: the old loop drew them in two blocks.
             expect = brute_hypervolume_mc(V, r, 70_000, seed=trial)
-            assert hypervolume_mc(V, ReferencePoint(r), 70_000, seed=trial) == expect
+            assert hypervolume_mc(V, r, 70_000, seed=trial) == expect
         # Small sample blocks draw the same stream.
         monkeypatch.setattr(metrics, "_MC_BLOCK_BYTES", 5000)
-        assert hypervolume_mc(V, ReferencePoint(r), 70_000, seed=trial) == expect
+        assert hypervolume_mc(V, r, 70_000, seed=trial) == expect
 
     def test_works_above_three_objectives(self):
         pts = [[0.5] * 4]
-        est, err = hypervolume_mc(pts, unit_reference(4), 200_000, seed=1)
+        est, err = hypervolume_mc(pts, np.ones(4), 200_000, seed=1)
         assert abs(est - 0.5**4) <= 3.0 * max(err, 1e-12)
 
 
