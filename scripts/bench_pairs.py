@@ -3,13 +3,16 @@
     python3 scripts/bench_pairs.py --base HEAD --change . \\
         --workloads grid-aggregate ff-sweep --seeds 2501 2510 --out BENCH_x.json
 
-Both sides are snapshots, each in a fresh temporary directory that is
-deleted when the pairs are done or the script is stopped with SIGTERM. The
-parent side is ``git archive REV`` of the --base revision, taken from the
+Both sides are snapshots of the same two directories, ``src/`` and
+``perfbench/``, each in a fresh temporary directory that is deleted when the
+pairs are done or the script is stopped with SIGTERM. The two directories'
+names are of one length (``bench-parent-*`` and ``bench-change-*``), since
+a run's ``peak_rss_mb`` moves with the length of its checkout's path: by up
+to 0.7 MB on ff-sweep, on identical code. The parent side is
+``git archive REV src perfbench`` of the --base revision, taken from the
 --change checkout's repository; the change side is a copy of the --change
-checkout's ``src/`` and ``perfbench/`` as they are before the first pair,
-uncommitted edits included, so later edits to the checkout cannot reach a
-run.
+checkout's two directories as they are before the first pair, uncommitted
+edits included, so later edits to the checkout cannot reach a run.
 For each workload and each seed from the first to the last, one pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in each
 checkout, one after the other; the parent runs first in even pairs. Each run
@@ -49,6 +52,8 @@ import numpy as np
 # metric -> whether lower is better
 METRICS = {"wall_s": True, "raw_wall_s": True, "chain_steps_per_s": False, "peak_rss_mb": True,
            "setup_s": True, "hv_pcebm": False, "cpu_s": True}
+# The directories a run reads, and all that either side holds.
+PARTS = ("src", "perfbench")
 RAW_SWEEP = re.compile(r"^sweep \d+ \(untraced\): ([0-9.]+) s raw")
 
 
@@ -88,9 +93,9 @@ def stamp() -> dict:
 
 
 def archive(rev: str, repo: Path, dest: Path) -> Path:
-    """Unpack ``git archive rev`` of the repository at ``repo`` into ``dest``; returns ``dest``."""
+    """Unpack ``git archive rev`` of the ``PARTS`` of the repository at ``repo`` into ``dest``; returns ``dest``."""
     with tempfile.TemporaryFile() as tar:
-        subprocess.run(["git", "archive", "--format=tar", rev], cwd=repo, stdout=tar, check=True)
+        subprocess.run(["git", "archive", "--format=tar", rev, *PARTS], cwd=repo, stdout=tar, check=True)
         tar.seek(0)
         with tarfile.open(fileobj=tar) as files:
             files.extractall(dest, filter="data")
@@ -98,8 +103,8 @@ def archive(rev: str, repo: Path, dest: Path) -> Path:
 
 
 def snapshot(checkout: Path, dest: Path) -> Path:
-    """Copy the ``src/`` and ``perfbench/`` of ``checkout``, without bytecode, into ``dest``; returns ``dest``."""
-    for part in ("src", "perfbench"):
+    """Copy the ``PARTS`` of ``checkout``, without bytecode, into ``dest``; returns ``dest``."""
+    for part in PARTS:
         shutil.copytree(checkout / part, dest / part, ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
     return dest
 
@@ -167,7 +172,7 @@ def main() -> int:
            "workloads": {}}
     # SIGTERM's default action would skip the cleanup of the temporary directories; SystemExit runs it.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as base, \
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as base, \
             tempfile.TemporaryDirectory(prefix="bench-change-") as copy:
         checkouts = {"parent": archive(args.base, change, Path(base)), "change": snapshot(change, Path(copy))}
         for workload in args.workloads:

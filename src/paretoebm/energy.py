@@ -40,18 +40,28 @@ MODEL_FORMAT_VERSION = 1
 _TILE = 8
 
 
-def _tiled_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _tiled_matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A @ B for an (n, k) A, as one stacked np.matmul over its C-contiguous (_TILE, k) tiles,
     zero-padded. BLAS rounds a row of a fixed-shape product alike at any position in the tile
     and whatever its siblings hold (one product over all n rows does not): each row equals the
-    row alone."""
+    row alone. With ``out``, an (n, B.shape[1]) float array, the product is written there:
+    straight from BLAS where n is whole tiles and ``out`` is C-contiguous, else through a
+    padded product."""
     n, k = A.shape
     rows = -(-n // _TILE) * _TILE
     if rows != n or not A.flags.c_contiguous:
         padded = np.zeros((rows, k))
         padded[:n] = A
         A = padded
-    return np.matmul(A.reshape(rows // _TILE, _TILE, k), B).reshape(rows, B.shape[1])[:n]
+    tiles = A.reshape(rows // _TILE, _TILE, k)
+    if out is not None and rows == n and out.flags.c_contiguous:
+        np.matmul(tiles, B, out=out.reshape(tiles.shape[0], _TILE, B.shape[1]))
+        return out
+    product = np.matmul(tiles, B).reshape(rows, B.shape[1])[:n]
+    if out is None:
+        return product
+    out[...] = product
+    return out
 
 
 class EnergyModel(ABC):
@@ -72,11 +82,19 @@ class EnergyModel(ABC):
         return RAW
 
     @abstractmethod
-    def eval_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def eval_batch(self, X: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Values (n,) and gradients (n, d) at the rows of an unchecked (n, d)
-        coordinate array. The one kernel a model defines: row i must equal the
-        kernel on ``X[i:i+1]`` bit for bit, which row-wise numpy ufuncs and
-        _tiled_matmul keep."""
+        coordinate array; the gradients are written into ``out``, an (n, d)
+        float array, and returned as it when one is given. The one kernel a
+        model defines: row i must equal the kernel on ``X[i:i+1]`` bit for
+        bit, which row-wise numpy ufuncs and _tiled_matmul keep."""
+
+
+def gradient_stack(n: int, m: int, d: int) -> np.ndarray:
+    """An uninitialized (n, m, d) gradient stack laid out objective-major, so
+    that each objective's (n, d) block, and that block's first rows, are
+    C-contiguous: a model writes its gradients into its block in place."""
+    return np.empty((m, n, d)).transpose(1, 0, 2)
 
 
 class ObjectiveSet:
@@ -130,16 +148,17 @@ class ObjectiveSet:
     def eval_batch(self, X: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Values (n, m) and gradients (n, m, d) at the rows of an unchecked
         (n, d) coordinate array; the gradients are written into ``out``, an
-        (n, m, d) float array, when one is given. A set of one centered
-        family (every model a ShiftedQuadratic, or every model a
+        (n, m, d) float array (gradient_stack), when one is given. A set of
+        one centered family (every model a ShiftedQuadratic, or every model a
         FonsecaFlemingBranch) is one call of the family's kernel on the
-        stacked centers; any other set takes one batched pass per model."""
+        stacked centers; any other set takes one batched pass per model, each
+        writing its gradients into its (n, d) block of the stack."""
         if self._kernel is not None:
             return self._kernel(X, self._centers, out)
         values = np.empty((X.shape[0], self.m))
-        grads = np.empty((X.shape[0], self.m, self._d)) if out is None else out
+        grads = gradient_stack(X.shape[0], self.m, self._d) if out is None else out
         for i, model in enumerate(self.models):
-            values[:, i], grads[:, i] = model.eval_batch(X)
+            values[:, i] = model.eval_batch(X, grads[:, i])[0]
         return values, grads
 
 
@@ -168,8 +187,11 @@ class PwmEnergy(EnergyModel):
     def point_kind(self) -> str:
         return SEQUENCE_LOGITS
 
-    def eval_batch(self, X):
-        return np.vecdot(X, self._flat), np.broadcast_to(self._flat, X.shape)
+    def eval_batch(self, X, out=None):
+        if out is None:
+            return np.vecdot(X, self._flat), np.broadcast_to(self._flat, X.shape)
+        out[...] = self._flat
+        return np.vecdot(X, self._flat), out
 
     def params(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights}
@@ -220,9 +242,9 @@ class MlpEnergy(EnergyModel):
         Hm = np.tanh(_tiled_matmul(X, self.w1.T) + self.b1)
         return Hm, self.w2 * (1.0 - Hm * Hm)
 
-    def eval_batch(self, X):
+    def eval_batch(self, X, out=None):
         Hm, Dz = self._hidden(X)
-        return np.vecdot(Hm, self.w2) + self.b2, _tiled_matmul(Dz, self.w1)
+        return np.vecdot(Hm, self.w2) + self.b2, _tiled_matmul(Dz, self.w1, out)
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": np.array([self.b2])}
@@ -284,8 +306,8 @@ class ShiftedQuadratic(EnergyModel):
         delta *= 2.0
         return values, delta
 
-    def eval_batch(self, X):
-        values, grads = self._centered_kernel(X, self.center[None])
+    def eval_batch(self, X, out=None):
+        values, grads = self._centered_kernel(X, self.center[None], None if out is None else out[:, None])
         return values[:, 0], grads[:, 0]
 
 
@@ -324,8 +346,8 @@ class FonsecaFlemingBranch(EnergyModel):
         delta *= (2.0 * e)[..., None]
         return 1.0 - e, delta
 
-    def eval_batch(self, X):
-        values, grads = self._centered_kernel(X, self.center[None])
+    def eval_batch(self, X, out=None):
+        values, grads = self._centered_kernel(X, self.center[None], None if out is None else out[:, None])
         return values[:, 0], grads[:, 0]
 
 
@@ -363,12 +385,13 @@ class Zdt3Branch(EnergyModel):
         return self._d
 
     # Row-wise ufuncs only (np.sin and np.cos, never math): see FonsecaFlemingBranch.
-    def eval_batch(self, X):
-        grad = np.zeros_like(X)
+    def eval_batch(self, X, out=None):
+        grad = np.empty_like(X) if out is None else out
         x0 = X[:, 0]
         t = _squash(x0)
         if self.index == 0:
             grad[:, 0] = _squash_grad(x0)
+            grad[:, 1:] = 0.0
             return t, grad
         q = 9.0 / (self._d - 1)
         tail = X[:, 1:]
@@ -555,12 +578,11 @@ def load_model(path) -> PwmEnergy | MlpEnergy:
     else:
         H = size("H")
         expected = H * d + H + H + 1
-    body = blob[offset:]
-    if len(body) != expected * 8:
-        raise ModelFormatError(
-            f"{path}: expected {expected * 8} parameter bytes, file holds {len(body)} (truncated?)"
-        )
-    params = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    held = len(blob) - offset
+    if held != expected * 8:
+        raise ModelFormatError(f"{path}: expected {expected * 8} parameter bytes, file holds {held} (truncated?)")
+    # A read-only view of the file's bytes: each constructor copies its parameters.
+    params = np.frombuffer(blob, dtype="<f8", offset=offset)
     bad = np.flatnonzero(~np.isfinite(params))
     if bad.size:
         raise ModelFormatError(

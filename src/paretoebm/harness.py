@@ -26,9 +26,13 @@ import json
 import logging
 import math
 import os
+import pickle
 import resource
 import shutil
-from contextlib import contextmanager
+import signal
+import sys
+import traceback
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields
 from itertools import combinations
 from operator import attrgetter
@@ -564,17 +568,61 @@ def _split_cells(
     return [sorted(share, key=attrgetter("index")) for share in shares]
 
 
-def _share_worker(send, fn: Callable, share: list[SweepCell], parent: int) -> None:
-    """Run a worker's share and send back its results. A worker whose parent
-    (pid ``parent``) is gone stops before its next cell and sends nothing."""
-    results = []
-    for cell in share:
-        if os.getppid() != parent:
-            send.close()
-            return
-        results.append(fn(cell))
-    send.send(results)
-    send.close()
+def _share_worker(send: int, fn: Callable, share: list[SweepCell], parent: int) -> None:
+    """Run a worker's share and write back its results, pickled, to the pipe
+    whose write end is the descriptor ``send``, which it closes. A worker
+    whose parent (pid ``parent``) is gone stops before its next cell and
+    writes nothing."""
+    with open(send, "wb") as pipe:
+        results = []
+        for cell in share:
+            if os.getppid() != parent:
+                return
+            results.append(fn(cell))
+        pickle.dump(results, pipe, pickle.HIGHEST_PROTOCOL)
+
+
+def _flush_std_streams() -> None:
+    """Flush stdout and stderr, so that no buffered output is written twice
+    by a forked process or lost by one that leaves through ``os._exit``."""
+    for stream in (sys.stdout, sys.stderr):
+        with suppress(AttributeError, ValueError):
+            stream.flush()
+
+
+def _fork_worker(fn: Callable, share: list[SweepCell], inherited: list[int]) -> tuple[int, int]:
+    """Fork a worker that runs ``share`` through ``_share_worker``; returns its
+    pid and the read end of its pipe. The worker first closes the read ends in
+    ``inherited`` and its own, so a write to a parent that is gone fails
+    rather than blocks; a share that raises prints its traceback, and the
+    worker leaves through ``os._exit``, 0 or 1, running no exit handler of
+    its parent's."""
+    parent = os.getpid()
+    receive, send = os.pipe()
+    _flush_std_streams()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(receive)
+        os.close(send)
+        raise
+    if pid:
+        # Closed before the next fork, so the worker's exit is its pipe's end of file.
+        os.close(send)
+        return pid, receive
+    # The worker never unwinds into the frames it shares with its parent:
+    # whatever its share raises, it leaves through os._exit.
+    code = 1
+    try:
+        for fd in (*inherited, receive):
+            os.close(fd)
+        _share_worker(send, fn, share, parent)
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        _flush_std_streams()
+        os._exit(code)
 
 
 def _map_cells(
@@ -588,46 +636,44 @@ def _map_cells(
 
     The cells are split once, by ``_split_cells`` on ``cost``; costs fixed
     by the config make every sweep of it run the same cells in this process:
-    share 0. Each other share runs in a worker forked from this process,
-    which inherits everything ``fn`` reads without pickling and sends back
-    its results alone. A worker that dies before it reports is a
-    ParetoEbmError naming its exit code and ``describe_lost`` of its cells.
-    A worker whose parent dies finishes only the cell in flight: it checks
-    its parent's pid before each cell.
+    share 0. Each other share runs in a worker forked from this process
+    (``os.fork``), which inherits everything ``fn`` reads without pickling
+    and writes back its results alone, pickled, through a pipe. A worker
+    that dies before it reports, or exits other than 0, is a ParetoEbmError
+    naming its exit code and ``describe_lost`` of its cells. A worker whose
+    parent dies finishes only the cell in flight: it checks its parent's pid
+    before each cell. Should this process fail, it terminates and reaps its
+    workers before the error propagates.
     """
     shares = _split_cells(cells, min(len(cells), _cpu_count()), cost)
     if len(shares) < 2:
         return [fn(cell) for cell in cells]
-    import multiprocessing  # only a sweep that forks pays for the import
-
-    context = multiprocessing.get_context("fork")
-    parent = os.getpid()
-    workers = []
+    workers = []  # (pid, read end, share) of each worker not yet reaped
     dead = []
     try:
         for share in shares[1:]:
-            receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_share_worker, args=(send, fn, share, parent))
-            worker.start()
-            # Closed before the next fork, so a worker's exit is its pipe's end of file.
-            send.close()
-            workers.append((worker, receive, share))
+            workers.append((*_fork_worker(fn, share, [receive for _, receive, _ in workers]), share))
         results = dict(zip(map(attrgetter("index"), shares[0]), [fn(cell) for cell in shares[0]]))
-        for worker, receive, share in workers:
-            try:
-                results.update(zip(map(attrgetter("index"), share), receive.recv()))
-            except EOFError:
-                dead.append((worker, share))
-            worker.join()
+        while workers:
+            pid, receive, share = workers[0]
+            with open(receive, "rb", closefd=False) as pipe:
+                report = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(0)
+            os.close(receive)
+            if code == 0 and report:
+                results.update(zip(map(attrgetter("index"), share), pickle.loads(report)))
+            else:
+                dead.append((pid, code, share))
     finally:
-        for worker, receive, _ in workers:
-            if worker.is_alive():
-                worker.terminate()
-                worker.join()
-            receive.close()
+        for pid, receive, _ in workers:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+            os.close(receive)
     if dead:
-        exits = ", ".join(f"pid {w.pid} exit code {w.exitcode}" for w, _ in dead)
-        lost = [cell for _, share in dead for cell in share]
+        exits = ", ".join(f"pid {pid} exit code {code}" for pid, code, _ in dead)
+        lost = [cell for _, _, share in dead for cell in share]
         raise ParetoEbmError(f"sweep worker died before it reported ({exits}); {describe_lost(lost)}")
     return [results[cell.index] for cell in cells]
 

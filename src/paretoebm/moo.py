@@ -134,6 +134,9 @@ def _min_norm_weights(grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pivot = grads[row, np.argmin(sq_norms, axis=1, keepdims=True)]
     E = grads - pivot
     K, h = np.vecdot(E[:, :, None], E[:, None]), np.vecdot(E, pivot)
+    # The edges and the pivot are m + 1 blocks of (n, d); the direction is not
+    # allocated beside them.
+    del E, pivot
 
     i, j = _SUPPORTS[m][0].T
     Kij, Kjj = K[:, i, j], K[:, j, j]

@@ -33,12 +33,14 @@ the chain's row of the batch's start array, which is then scaled in place
 as a whole (``_starts``); an array start is copied. The chain then draws its
 noise, scaled by the noise scale, a block of steps at a time into one
 preallocated buffer of at most 256 KB (``_Noise``). Every step writes its
-gradients into one (n, m, d) stack that the batch allocates once, and a
-step's drift is dropped once it has moved the state, so no earlier step's
-arrays are held through the next energy call and the heap is not asked for
-a new stack every step. A batch therefore holds its recorded columns, one
-step's arrays and one noise block. Every operation of a step is
-row-wise and rounds each row exactly as it would round that chain alone,
+gradients into one (n, m, d) stack that the batch allocates once,
+objective-major (``energy.gradient_stack``) so that each model writes its
+(n, d) block in place, and a step's drift is dropped once it has moved the
+state, so no earlier step's arrays are held through the next energy call
+and the heap is not asked for a new stack every step. A batch therefore
+holds its recorded columns, one step's arrays and one noise block. Every
+operation of a step is row-wise and rounds each row exactly as it would
+round that chain alone,
 so a chain's result does not depend on the batch it ran in, its position
 there, or the order of its population. Each energy defines one kernel, on a
 batch of rows (``EnergyModel.eval_batch``); a lone point is a batch of one,
@@ -110,7 +112,7 @@ from .core import (
     WrongKindError,
     uniform_weights,
 )
-from .energy import ObjectiveSet
+from .energy import ObjectiveSet, gradient_stack
 # solve_min_norm stays bound here: perfbench tests that its tracer restores this name.
 from .moo import min_norm_closed_form, solve_min_norm  # noqa: F401
 
@@ -610,7 +612,7 @@ def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool =
     active = np.arange(n)  # batch positions of the running chains, the rows of X
     # Every step's gradients go into this one stack, its first rows once
     # chains have left.
-    stack = np.empty((n, m, d))
+    stack = gradient_stack(n, m, d)
     noise = None
     row = 0
 

@@ -99,7 +99,7 @@ def test_archive_of_head_holds_the_package_and_the_benchmark_but_no_git(tmp_path
     base = bench_pairs.archive("HEAD", ROOT, tmp_path / "base")
     assert (base / "src" / "paretoebm" / "__init__.py").is_file()
     assert (base / "perfbench" / "run.py").is_file()
-    assert not (base / ".git").exists()
+    assert sorted(p.name for p in base.iterdir()) == ["perfbench", "src"]
 
 
 def test_snapshot_of_the_change_holds_the_package_and_the_benchmark(tmp_path):
@@ -108,6 +108,31 @@ def test_snapshot_of_the_change_holds_the_package_and_the_benchmark(tmp_path):
     assert (change / "perfbench" / "run.py").is_file()
     assert sorted(p.name for p in change.iterdir()) == ["perfbench", "src"]
     assert not list(change.rglob("__pycache__"))
+
+
+def test_archive_and_snapshot_of_one_tree_list_the_same_files(tmp_path):
+    # A committed tree with files inside and outside the two directories, and
+    # bytecode, which git ignores and the snapshot skips.
+    repo = tmp_path / "repo"
+    files = ["src/pkg/__init__.py", "src/pkg/mod.py", "perfbench/run.py", "perfbench/data/inputs.txt",
+             "tests/test_pkg.py", "README.md", "BENCHMARK.json"]
+    for name in files:
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(name)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for command in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run([*git, *command], cwd=repo, check=True, capture_output=True)
+    (repo / "src" / "pkg" / "__pycache__").mkdir()
+    (repo / "src" / "pkg" / "__pycache__" / "mod.cpython.pyc").write_bytes(b"")
+
+    def listing(root):
+        return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+    base = bench_pairs.archive("HEAD", repo, tmp_path / "base")
+    change = bench_pairs.snapshot(repo, tmp_path / "change")
+    assert listing(base) == listing(change)
+    assert [p for p in listing(base) if "." in Path(p).name] == sorted(f for f in files if f.startswith(("src/", "perfbench/")))
 
 
 @needs_git_head
@@ -136,8 +161,11 @@ def test_sigterm_inside_the_pairs_removes_both_temporary_directories(tmp_path):
     )
     try:
         checkout = Path(proc.stdout.readline().strip())
-        assert checkout.parent == temp and checkout.name.startswith("bench-base-")
-        assert sorted(p.name.split("-")[1] for p in temp.iterdir()) == ["base", "change"]
+        assert checkout.parent == temp and checkout.name.startswith("bench-parent-")
+        # Names of one length: a longer checkout path alone moves a run's peak.
+        names = sorted(p.name for p in temp.iterdir())
+        assert [name.split("-")[1] for name in names] == ["change", "parent"]
+        assert len({len(name) for name in names}) == 1
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 128 + signal.SIGTERM
     finally:

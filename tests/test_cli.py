@@ -496,10 +496,29 @@ class TestImproveCommand:
         assert not (tmp_path / "improve_out").exists()
 
 
+# A sweep of two cells on two processes, run through the CLI with every
+# os.fork counted; it prints the exit code, the forks and which of the named
+# modules were loaded.
+SWEEP_ON_TWO_PROCESSES = """
+import json, os, sys
+from paretoebm import cli, harness
+forks, real_fork = [], os.fork
+def fork():
+    pid = real_fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = fork
+harness._cpu_count = lambda: 2
+code = cli.main(["sweep", sys.argv[1]])
+print(json.dumps([code, len(forks), [m in sys.modules for m in sys.argv[2:]]]))
+"""
+
+
 class TestModuleEntryPoint:
     def test_import_leaves_numpy_random_unloaded(self):
-        # numpy.random loads on the first chain, and multiprocessing only in a
-        # sweep that forks, so neither adds to start-up.
+        # numpy.random loads on the first chain, and multiprocessing never, so
+        # neither adds to start-up.
         modules = ["numpy.random", "multiprocessing", "concurrent.futures"]
         proc = subprocess.run(
             [sys.executable, "-c", f"import sys, paretoebm.cli; print([m in sys.modules for m in {modules!r}])"],
@@ -519,3 +538,19 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.25"
+
+    def test_sweep_on_two_processes_leaves_multiprocessing_unloaded(self, tmp_path):
+        # Its workers are forked with os.fork and report through a pipe.
+        doc = {"config_version": 1, "problem": "opposing-quadratics", "methods": ["cebm", "pcebm"],
+               "eta": [0.1], "steps": [10], "chains": 2, "base_seed": 3, "output_dir": str(tmp_path / "out")}
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(doc))
+        modules = ["multiprocessing", "concurrent.futures"]
+        proc = subprocess.run(
+            [sys.executable, "-c", SWEEP_ON_TWO_PROCESSES, str(tmp_path / "cfg.yaml"), *modules],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, forks, loaded = json.loads(proc.stdout.splitlines()[-1])
+        # One worker runs cells, one aggregates.
+        assert (code, forks, loaded) == (0, 2, [False] * len(modules))
+        assert (tmp_path / "out" / "report.json").is_file()

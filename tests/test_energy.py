@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from paretoebm.energy import (
     Zdt3Branch,
     _tiled_matmul,
     cd_train,
+    gradient_stack,
     load_model,
     save_model,
 )
@@ -266,6 +269,58 @@ class TestTiledMatmul:
                     )
 
 
+class TestGradientStack:
+    """ObjectiveSet.eval_batch writes each model's gradients into its (n, d)
+    block of the caller's stack, the bits of the call without one."""
+
+    SETS = {
+        "mlp": lambda d: [MlpEnergy.random(16, d=d, seed=seed) for seed in range(3)],
+        "pwm": lambda d: [PwmEnergy(np.arange(d, dtype=float).reshape(2, d // 2)), PwmEnergy(-np.ones((2, d // 2)))],
+        "mixed": lambda d: [Zdt3Branch(0, d), Zdt3Branch(1, d), ShiftedQuadratic(np.ones(d)), FonsecaFlemingBranch(-1, d)],
+        "fonseca": lambda d: [FonsecaFlemingBranch(1, d), FonsecaFlemingBranch(-1, d)],
+    }
+
+    @pytest.mark.parametrize("n", [1, 5, 8, 16])
+    @pytest.mark.parametrize("layout", ["objective-major", "C", "rows of a larger stack"])
+    @pytest.mark.parametrize("name", SETS)
+    def test_written_gradients_are_the_gradients_of_a_call_without_a_stack(self, name, layout, n):
+        d = 6
+        objectives = ObjectiveSet(self.SETS[name](d))
+        m = objectives.m
+        X = np.random.default_rng(n).normal(size=(n, d))
+        out = {
+            "objective-major": lambda: gradient_stack(n, m, d),
+            "C": lambda: np.empty((n, m, d)),
+            "rows of a larger stack": lambda: gradient_stack(n + 3, m, d)[:n],
+        }[layout]()
+        out[...] = np.nan
+        values, grads = objectives.eval_batch(X, out)
+        alone_values, alone_grads = objectives.eval_batch(X)
+        assert grads is out
+        assert np.array_equal(values, alone_values) and np.array_equal(out, alone_grads)
+        for i, model in enumerate(objectives.models):
+            assert np.array_equal(model.eval_batch(X)[1], out[:, i])
+
+    def test_mlp_set_allocates_less_than_one_block(self):
+        # Three sequence MLPs as in the seq-sweep benchmark. Each model's
+        # backward tile product writes into its block of the stack, so the
+        # call allocates only (n, H) activations, not an (n, d) array.
+        n, L, A = 32, 50, 20
+        d = L * A
+        objectives = ObjectiveSet([MlpEnergy.random(64, L=L, A=A, seed=seed) for seed in range(3)])
+        X = np.random.default_rng(0).normal(scale=0.1, size=(n, d))
+        out = gradient_stack(n, objectives.m, d)
+        objectives.eval_batch(X, out)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            objectives.eval_batch(X, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8, peak
+
+
 class TestCenteredFamilyKernel:
     @pytest.mark.parametrize("family", ["quadratic", "fonseca"])
     def test_stacked_kernel_is_each_model_and_each_row_alone(self, family):
@@ -306,9 +361,10 @@ class TestCenteredFamilyKernel:
 
     def test_other_sets_take_one_pass_per_model(self):
         class TripledQuadratic(ShiftedQuadratic):
-            def eval_batch(self, X):
-                values, grads = super().eval_batch(X)
-                return 3.0 * values, 3.0 * grads
+            def eval_batch(self, X, out=None):
+                values, grads = super().eval_batch(X, out)
+                grads *= 3.0
+                return 3.0 * values, grads
 
         X = np.array([[0.0, 0.0, 0.0]])
         mixed = ObjectiveSet([ShiftedQuadratic([1.0, 0.0, 0.0]), FonsecaFlemingBranch(1, 3)])

@@ -5,8 +5,8 @@ import fcntl
 import gc
 import json
 import logging
-import multiprocessing
 import os
+import pickle
 import re
 import resource
 import select
@@ -104,6 +104,12 @@ def save_pwm_models(tmp_path, count, L=4, A=5):
     for name in names:
         save_model(PwmEnergy(rng.normal(size=(L, A))), tmp_path / name)
     return names
+
+
+def assert_no_child_left() -> None:
+    """Every process this one forked is gone and reaped: waitpid finds none."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def snapshot(root: Path) -> dict:
@@ -935,7 +941,7 @@ class TestCellProcesses:
                 {"cell_id": cells[i].cell_id, "error": f"RuntimeError: injected failure in {cells[i].cell_id}"}
                 for i in (3, 4, 5)
             ]
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
             bundles.append(snapshot(out))
             pids.append(dict(reversed(line.split()) for line in ran.read_text().splitlines()))
         assert bundles[0] == bundles[1]
@@ -964,7 +970,7 @@ class TestCellProcesses:
         unwritten = re.escape(cells[3].cell_id)
         with pytest.raises(ParetoEbmError, match=rf"exit code 3\); cells left unwritten: {unwritten}\. "):
             run_sweep(cfg)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert [c.cell_id for c in cells if (cells_dir / c.cell_id).exists()] == [c.cell_id for c in cells[:3]]
         assert (cells_dir / f".tmp-{cells[3].cell_id}" / "trajectories.csv").is_file()
         assert not (cfg.output_dir / "report.json").exists()
@@ -983,30 +989,61 @@ class TestCellProcesses:
             ran.append(cell.index)
             return cell.index
 
-        receive, send = multiprocessing.Pipe(duplex=False)
-        harness._share_worker(send, fn, cells, os.getppid())
-        assert receive.recv() == [0, 1, 2] and ran == [0, 1, 2]
-        receive.close()
+        def reported(parent):
+            """What _share_worker writes to a fresh pipe, which it closes."""
+            receive, send = os.pipe()
+            harness._share_worker(send, fn, cells, parent)
+            with open(receive, "rb") as pipe:
+                return pipe.read()
+
+        assert pickle.loads(reported(os.getppid())) == [0, 1, 2] and ran == [0, 1, 2]
 
         # Forked by another process than this one's parent: no cell runs and
-        # the pipe closes with nothing sent.
+        # the pipe closes with nothing written.
         ran.clear()
-        receive, send = multiprocessing.Pipe(duplex=False)
-        harness._share_worker(send, fn, cells, os.getppid() + 1)
-        with pytest.raises(EOFError):
-            receive.recv()
-        receive.close()
+        assert reported(os.getppid() + 1) == b""
         assert ran == []
 
         # The parent dies while cell 0 runs: the worker finishes it alone.
         parent = os.getppid()
         monkeypatch.setattr(os, "getppid", lambda: parent + 1 if ran else parent)
-        receive, send = multiprocessing.Pipe(duplex=False)
-        harness._share_worker(send, fn, cells, parent)
-        with pytest.raises(EOFError):
-            receive.recv()
-        receive.close()
+        assert reported(parent) == b""
         assert ran == [0]
+
+    def test_worker_whose_share_raises_prints_it_and_exits_1(self, monkeypatch, capfd):
+        cells = [SweepCell(i, "cebm", 0.1, 1, "gaussian") for i in range(4)]
+        parent = os.getpid()
+
+        def fn(cell):
+            if os.getpid() != parent:
+                raise RuntimeError(f"injected failure in cell {cell.index}")
+            return cell.index
+
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        with pytest.raises(ParetoEbmError, match=r"\(pid \d+ exit code 1\); lost: \[1, 3\]$"):
+            harness._map_cells(fn, cells, lambda cell: 1, lambda lost: f"lost: {[c.index for c in lost]}")
+        assert_no_child_left()
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "RuntimeError: injected failure in cell 1" in err
+
+    def test_failing_parent_terminates_and_reaps_its_workers(self, monkeypatch):
+        cells = [SweepCell(i, "cebm", 0.1, 1, "gaussian") for i in range(2)]
+        parent = os.getpid()
+        hold, release = os.pipe()
+
+        def fn(cell):
+            if os.getpid() != parent:
+                os.read(hold, 1)  # blocks: nothing is ever written
+            raise RuntimeError("injected failure in the sweep's process")
+
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        try:
+            with pytest.raises(RuntimeError, match="injected failure in the sweep's process"):
+                harness._map_cells(fn, cells, lambda cell: 1, str)
+        finally:
+            os.close(hold)
+            os.close(release)
+        assert_no_child_left()
 
     def test_cell_log_line_has_wall_time_throughput_and_pid(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
@@ -1060,7 +1097,7 @@ class TestCellProcesses:
         lost = re.escape(", ".join(cells[i].cell_id for i in (1, 3, 5, 7)))
         with pytest.raises(ParetoEbmError, match=rf"exit code 3\); cells whose aggregation was lost: {lost}\. "):
             run_sweep(cfg)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert not (cfg.output_dir / "report.json").exists()
         assert not (cfg.output_dir / "fronts.csv").exists()
 
@@ -1137,7 +1174,7 @@ class TestOutputLock:
             assert tree(out) == before
         finally:
             os.close(held)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         run_sweep(cfg)
         assert lock_is_free(out)
 
@@ -1158,7 +1195,7 @@ class TestOutputLock:
         assert lock_is_free(cfg.output_dir)
         assert run_sweep(cfg).report == first
         assert lock_is_free(cfg.output_dir)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
 
 # A sweep on two processes whose worker, in its first cell, prints its pid

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -260,6 +262,24 @@ def brute_min_norm(grads):
 def random_bundle(rng, m, d):
     """m gradients in d dimensions, each scaled by its own factor in [1e-3, 1e3]."""
     return rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+
+
+class TestMinNormMemory:
+    def test_closed_form_holds_the_edges_and_pivot_but_not_the_direction_beside_them(self):
+        # The m edges and the pivot are m + 1 blocks of (n, d); they are gone
+        # before the (n, d) direction is formed. The margin covers the d-free
+        # arrays (K, h, the candidates), a few KB at this size.
+        n, m, d = 32, 3, 1000
+        grads = np.random.default_rng(11).standard_normal((n, m, d))
+        min_norm_closed_form(grads)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            min_norm_closed_form(grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (m + 1) * n * d * 8 + 64 * 1024, peak
 
 
 class TestMinNorm3:

@@ -775,8 +775,10 @@ class ZeroEnergy(EnergyModel):
     def d(self):
         return self._d
 
-    def eval_batch(self, X):
-        return np.zeros(X.shape[0]), np.zeros_like(X)
+    def eval_batch(self, X, out=None):
+        grad = np.zeros_like(X) if out is None else out
+        grad[...] = 0.0
+        return np.zeros(X.shape[0]), grad
 
 
 class Ramp(EnergyModel):
@@ -790,8 +792,9 @@ class Ramp(EnergyModel):
     def d(self):
         return self._d
 
-    def eval_batch(self, X):
-        grad = np.zeros_like(X)
+    def eval_batch(self, X, out=None):
+        grad = np.zeros_like(X) if out is None else out
+        grad[...] = 0.0
         grad[:, 0] = np.where(X[:, 0] > 0, -np.inf, -1.0)
         return -X[:, 0], grad
 
@@ -985,16 +988,16 @@ class TanhSum(EnergyModel):
     def d(self):
         return self._d
 
-    def eval_batch(self, X):
+    def eval_batch(self, X, out=None):
         t = np.tanh(X - self.shift)
-        return t.sum(axis=1), 1.0 - t * t
+        return t.sum(axis=1), np.subtract(1.0, t * t, out=out)
 
 
 class CappedQuadratic(ShiftedQuadratic):
     """A quadratic whose value is infinite once x[0] > 2; its gradient stays finite."""
 
-    def eval_batch(self, X):
-        values, grads = super().eval_batch(X)
+    def eval_batch(self, X, out=None):
+        values, grads = super().eval_batch(X, out)
         return np.where(X[:, 0] > 2.0, np.inf, values), grads
 
 
