@@ -498,39 +498,23 @@ def cd_train(
     return current, history
 
 
-def _model_header(model: PwmEnergy | MlpEnergy) -> dict:
-    header = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "d": model.d,
-        "L": model.L,
-        "A": model.A,
-    }
-    if isinstance(model, PwmEnergy):
-        header.update(kind="pwm", H=None)
-    elif isinstance(model, MlpEnergy):
-        header.update(kind="mlp", H=model.H)
-    else:
-        raise ModelFormatError(f"cannot persist model type {type(model).__name__}")
-    return header
-
-
-def _model_params_flat(model: PwmEnergy | MlpEnergy) -> np.ndarray:
-    if isinstance(model, PwmEnergy):
-        return model.weights.reshape(-1)
-    return np.concatenate(
-        [model.w1.reshape(-1), model.b1, model.w2, np.array([model.b2])]
-    )
-
-
 def save_model(model: PwmEnergy | MlpEnergy, path) -> None:
     """Write a self-describing model file: header JSON + little-endian float64 params."""
-    header_bytes = json.dumps(_model_header(model), sort_keys=True).encode("utf-8")
-    params = _model_params_flat(model).astype("<f8")
+    if isinstance(model, PwmEnergy):
+        kind, H, params = "pwm", None, model.weights.reshape(-1)
+    elif isinstance(model, MlpEnergy):
+        kind, H = "mlp", model.H
+        params = np.concatenate([model.w1.reshape(-1), model.b1, model.w2, [model.b2]])
+    else:
+        raise ModelFormatError(f"cannot persist model type {type(model).__name__}")
+    header = {"format_version": MODEL_FORMAT_VERSION, "kind": kind, "d": model.d, "L": model.L, "A": model.A, "H": H}
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(params.tobytes())
+        # From the array's own buffer: no astype or tobytes copy of H * d floats.
+        fh.write(np.asarray(params, "<f8"))
 
 
 def load_model(path) -> PwmEnergy | MlpEnergy:

@@ -65,10 +65,13 @@ per-chain masks only when one fails. The weights are not checked: for finite gra
 finite by construction (clipped segment weights, or solutions kept only
 when non-negative), and fixed weights are a validated ``SimplexWeights``.
 The loop writes the recorded states into preallocated ``(n, rows, .)``
-columns, which are made read-only when the batch ends. ``run_population``
-returns them as a ``ChainResults``: a sequence whose item j, for an int j,
-is the ``Trajectory`` of views into the columns of the chain at batch
-position j, or its ``ChainFailure``, built when it is indexed. No view can
+columns, which are made read-only when the batch ends. A chain's record
+steps are one such column, written where its F is: every record_every-th
+step and the last, or, for a chain that stops early, its stop step in its
+last row. ``run_population`` returns them as a ``ChainResults``: a
+sequence whose item j, for an int j, is the ``Trajectory`` of views into
+the columns of the chain at batch position j, or its ``ChainFailure``,
+built when it is indexed. No view can
 be made writable again. A sweep never indexes one: it reads each cell's
 finished chains' positions and final points (``ChainResults.finals``) and
 writes its CSV file (``write_trajectories``, which exports every finished
@@ -478,12 +481,13 @@ def _starts(
 class ChainResults(abc.Sequence):
     """One batch's results: its read-only columns, by batch position j.
 
-    Chain j's records are rows ``[:rows[j]]`` of F, lam and grad_norm, at the
-    steps ``schedule[:rows[j]]``, except that a chain that stopped early
-    (``stops[j] >= 0``) made its last record at step ``stops[j]``. X holds the
-    same rows, or under ``final_x_only`` one row per chain, its last record.
-    A failed chain keeps no record: ``rows[j]`` is 0 and ``errors[j]`` is its
-    error. The constructor makes every column read-only.
+    Chain j's records are rows ``[:rows[j]]`` of steps, F, lam and
+    grad_norm, its step numbers a column like its objective values. X holds
+    the same rows, or under ``final_x_only`` one row per chain, its last
+    record. A chain stopped early exactly when its last recorded step is
+    below ``last``, the batch's last step. A failed chain keeps no record:
+    ``rows[j]`` is 0 and ``errors[j]`` is its error. The constructor makes
+    every column read-only.
 
     A read-only sequence: item j, for an int j (negatives count from the
     end), is chain j's ``Trajectory`` of views into the columns, or its
@@ -492,12 +496,12 @@ class ChainResults(abc.Sequence):
     ``write_trajectories`` read the columns directly.
     """
 
-    def __init__(self, errors, rows, stops, schedule, X, F, lam, grad_norm):
-        for column in (rows, stops, schedule, X, F, lam, grad_norm):
+    def __init__(self, errors, rows, last, steps, X, F, lam, grad_norm):
+        for column in (rows, steps, X, F, lam, grad_norm):
             column.setflags(write=False)
-        self._errors, self._rows, self._stops, self._schedule = errors, rows, stops, schedule
+        self._errors, self._rows, self._last, self._steps = errors, rows, last, steps
         self._X, self._F, self._lam, self._grad_norm = X, F, lam, grad_norm
-        self.d, self.m = X.shape[2], F.shape[2]
+        self.m = F.shape[2]
 
     def __len__(self) -> int:
         return self._rows.size
@@ -510,16 +514,13 @@ class ChainResults(abc.Sequence):
         end = int(self._rows[pos])
         if not end:
             return ChainFailure(pos, self._errors[pos])
-        steps, stop = self._schedule, int(self._stops[pos])
-        if stop >= 0:
-            steps = np.append(steps[: end - 1], stop)
-            steps.setflags(write=False)
+        final = int(self._steps[pos, end - 1])
         # Views of read-only owners, never an owner itself, so
         # setflags(write=True) raises on each column. Under final_x_only X
         # has one row per chain, which [:end] keeps.
         return Trajectory(
-            steps[:end], self._X[pos, :end], self._F[pos, :end], self._lam[pos, :end], self._grad_norm[pos, :end],
-            None if stop < 0 else stop,
+            self._steps[pos, :end], self._X[pos, :end], self._F[pos, :end], self._lam[pos, :end],
+            self._grad_norm[pos, :end], final if final < self._last else None,
         )
 
     def failures(self) -> list[ChainFailure]:
@@ -532,10 +533,9 @@ class ChainResults(abc.Sequence):
         arrays. A failed chain has none and is left out."""
         ids = np.flatnonzero(self._rows)
         last = self._rows[ids] - 1
-        stops = self._stops[ids]
         # Under final_x_only X keeps one row per chain, row 0.
         X = self._X[ids, np.minimum(last, self._X.shape[1] - 1)]
-        return ids, np.where(stops >= 0, stops, self._schedule[-1:]), X, self._F[ids, last]
+        return ids, self._steps[ids, last], X, self._F[ids, last]
 
     def _record_blocks(self, size: int) -> Iterator[np.ndarray]:
         """The export table of ``write_trajectories``, each finished chain
@@ -551,11 +551,9 @@ class ChainResults(abc.Sequence):
             record = np.arange(first, last)
             pos = np.searchsorted(ends, record, side="right")
             k = record - starts[pos]
-            stops = self._stops[pos]
             block = np.empty((record.size, 3 + 2 * m))
             block[:, 0] = pos
-            # A chain that stopped early made its last record at its stop.
-            block[:, 1] = np.where((stops >= 0) & (k == rows[pos] - 1), stops, self._schedule[k])
+            block[:, 1] = self._steps[pos, k]
             block[:, 2 : 2 + m] = self._F[pos, k]
             block[:, 2 + m : 2 + 2 * m] = self._lam[pos, k]
             block[:, 2 + 2 * m] = self._grad_norm[pos, k]
@@ -567,7 +565,7 @@ class ChainResults(abc.Sequence):
 def _failed_results(error: Exception, n: int, d: int, m: int) -> ChainResults:
     """The results of a batch whose every chain failed with ``error``."""
     return ChainResults(
-        [error] * n, np.zeros(n, np.int64), np.full(n, -1), np.zeros(0, np.int64),
+        [error] * n, np.zeros(n, np.int64), 0, np.empty((n, 0), np.int64),
         np.empty((n, 0, d)), np.empty((n, 0, m)), np.empty((n, 0, m)), np.empty((n, 0)),
     )
 
@@ -600,15 +598,17 @@ def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool =
     X = _starts(objectives, specs.starts, generators)
     errors: list[Exception | None] = [None] * n
     last, every = cfg.steps, cfg.record_every
-    schedule = np.array([*range(0, last + 1, every), *([last] if last % every else [])], dtype=np.int64)
+    # Every record_every-th step and the last one; a stopping chain's last
+    # record takes the row its next scheduled record would have.
+    records = -(-last // every) + 1
     d = X.shape[1]
-    # Recorded rows, per chain: row i of a running chain is schedule[i].
-    X_rec = np.empty((n, 1 if final_x_only else schedule.size, d))
-    F_rec = np.empty((n, schedule.size, m))
-    lam_rec = np.empty((n, schedule.size, m))
-    norm_rec = np.empty((n, schedule.size))
-    rows = np.full(n, schedule.size)
-    stops = np.full(n, -1)
+    # Recorded rows, per chain, each at the step in its step column.
+    steps_rec = np.empty((n, records), np.int64)
+    X_rec = np.empty((n, 1 if final_x_only else records, d))
+    F_rec = np.empty((n, records, m))
+    lam_rec = np.empty((n, records, m))
+    norm_rec = np.empty((n, records))
+    rows = np.full(n, records)
     active = np.arange(n)  # batch positions of the running chains, the rows of X
     # Every step's gradients go into this one stack, its first rows once
     # chains have left.
@@ -669,6 +669,7 @@ def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool =
             if record or stopping:
                 sel = slice(None) if record else stop
                 at = active[sel]
+                steps_rec[at, row] = step
                 if not final_x_only:
                     X_rec[at, row] = X[sel]
                 F_rec[at, row] = values[sel]
@@ -685,13 +686,12 @@ def _run_batch(objectives: ObjectiveSet, specs: ChainSpecs, final_x_only: bool =
                 X_rec[active[sel], 0] = X[sel]
             if stopping:
                 rows[active[stop]] = row + 1
-                stops[active[stop]] = step
                 g = g[~stop]
                 drop(stop)
             if record:
                 row += 1
 
-    return ChainResults(errors, rows, stops, schedule, X_rec, F_rec, lam_rec, norm_rec)
+    return ChainResults(errors, rows, last, steps_rec, X_rec, F_rec, lam_rec, norm_rec)
 
 
 def run_chain(

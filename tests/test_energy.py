@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import re
@@ -535,6 +536,30 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.point_kind == "raw" and loaded.d == 7
+
+    @pytest.mark.parametrize(
+        "model,sha256",
+        [
+            (PwmEnergy(np.random.default_rng(10).normal(size=(8, 20))),
+             "171bce9667b0527007bbfa40c9badfc8a569a7b84169872649b56b88c1fed6ee"),
+            (MlpEnergy.random(hidden=6, L=4, A=5, seed=2),
+             "dd99b8bbff022e3b90205d999256600c9ed9d7ba920e436358be357140052ef8"),
+            (MlpEnergy.random(hidden=3, d=7, seed=5),
+             "479cd457bc9f593ed9efeeb8d4d9f639e058df8c7708120b5ffbb0f6a1869e28"),
+        ],
+        ids=["pwm", "mlp", "raw-mlp"],
+    )
+    def test_saved_bytes_are_pinned(self, tmp_path, model, sha256):
+        # The file format's bytes, header included, not only its round trip.
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    def test_other_model_types_are_not_saved(self, tmp_path):
+        path = tmp_path / "m.model"
+        with pytest.raises(ModelFormatError, match="^cannot persist model type ShiftedQuadratic$"):
+            save_model(ShiftedQuadratic([0.0, 1.0]), path)
+        assert not path.exists()
 
     def test_truncated_file(self, tmp_path):
         model = PwmEnergy.zeros(4, 4)

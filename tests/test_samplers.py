@@ -712,9 +712,12 @@ class TestChainResults:
         assert built == [1]
 
     @pytest.mark.parametrize("final_x_only", [False, True])
-    def test_finals_are_each_chains_last_record(self, final_x_only):
+    def test_finals_are_each_chains_last_record(self, tmp_path, final_x_only):
         # Chain 3, in the middle of the batch, failed: the finals skip it and
-        # name every other chain by its batch position.
+        # name every other chain by its batch position. Chain 1 stops at step
+        # 18, off the record schedule (every 4th step and the last, 25), and
+        # chain 4 at step 0: the finals, the indexed trajectories and each
+        # chain's last exported line agree on every chain's last step.
         objectives, specs = mixed_population()
         results = run_population(objectives, specs, final_x_only=final_x_only)
         ids, steps, X, F = results.finals()
@@ -725,6 +728,13 @@ class TestChainResults:
             assert steps[k] == traj.steps[-1]
             assert np.array_equal(X[k], traj.X[-1]) and np.array_equal(F[k], traj.F[-1])
         assert steps.tolist() == [25, 18, 25, 0, 25, 25]
+        assert [results[j].termination_step for j in ids.tolist()] == [None, 18, None, 0, None, None]
+        write_trajectories(tmp_path / "t.csv", results)
+        last_lines = {}
+        for line in (tmp_path / "t.csv").read_text().splitlines()[1:]:
+            chain, step = line.split(",")[:2]
+            last_lines[int(chain)] = int(step)
+        assert last_lines == dict(zip(ids.tolist(), steps.tolist()))
         # A batch whose every chain failed has no finals.
         failed = run_population(objectives, replace(specs, starts=np.zeros((7, 2))), final_x_only=final_x_only)
         assert [a.shape for a in failed.finals()] == [(0,), (0,), (0, 3), (0, 2)]
@@ -1295,7 +1305,7 @@ def awkward_results(m, rows):
         grad_norm[j, :r] = np.roll(np.resize([np.inf, *AWKWARD], r), j)
     return samplers.ChainResults(
         [None if r else ValueError("failed") for r in rows], np.array(rows, dtype=np.int64).reshape(n),
-        np.full(n, -1), np.arange(most) * 3,
+        3 * (most - 1), np.tile(np.arange(most) * 3, (n, 1)),
         np.zeros((n, most, 2)), F, F[:, :, ::-1], grad_norm,
     )
 
